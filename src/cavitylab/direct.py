@@ -5,13 +5,17 @@ the detection probabilities.
 Defining identity (the module's executable contract): with a pi-per-photon
 conditional shift,
     P_g - P_e = W(-alpha, -alpha*) / 2,
-so 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)`` exactly in the
-shared truncated space.  Detector inefficiency only erases shots, so the
-estimator built from detected atoms stays unbiased.
+so 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  The injection
+is the only real displacement in the package: the state is first promoted to
+a truncation that carries the displaced state (``_promoted``), so the
+readout matches the exact W of the truncated rho0 to rounding, not a
+displacement truncated alongside it.  Detector inefficiency only erases
+shots, so the estimator built from detected atoms stays unbiased.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -21,9 +25,9 @@ import numpy as np
 from . import protocol
 from .dynamics import DampingModel, decoherence_time, evolve_trajectory
 from .errors import DomainError, NoDetectionError, SubspaceError
-from .fock import DensityOperator, HilbertSpec, promote
+from .fock import DensityOperator, HilbertSpec, default_dim, displacement, promote
 from .protocol import ProtocolConfig
-from .wigner import PhaseSpaceGrid, WignerMap, _displacement_matrix, map_eval_dim
+from .wigner import PhaseSpaceGrid, WignerMap
 
 
 @dataclass(frozen=True)
@@ -51,18 +55,31 @@ def _require_pi(config: ProtocolConfig) -> None:
         raise DomainError(f"direct scheme requires phi = pi, got phi = {config.phi}")
 
 
-def _inject(rho: DensityOperator, alpha: complex) -> DensityOperator:
-    if alpha == 0:
-        return rho
-    rho.spec.guard(alpha)
-    d = _displacement_matrix(rho.dim, alpha)
-    return DensityOperator(d @ rho.matrix @ d.conj().T)
+def _phase_space_radius(rho: DensityOperator) -> float:
+    """Radius (in alpha units) beyond which W is Gaussian-suppressed."""
+    p = np.clip(rho.diagonal(), 0.0, None)
+    p = p / p.sum()
+    n = np.arange(rho.dim)
+    mean = float(p @ n)
+    var = float(p @ (n - mean) ** 2)
+    return math.sqrt(mean + 1.0) + 0.5 * math.sqrt(math.sqrt(var + 1.0)) + 1.5
+
+
+def _promoted(rho: DensityOperator, reach: float) -> DensityOperator:
+    """`rho` in a truncation large enough to displace it by up to `reach`
+    faithfully: covers the displaced state's mean photon number plus its spread."""
+    total = reach + _phase_space_radius(rho)
+    need = max(default_dim(reach), int(math.ceil(total ** 2 + 7.0 * total + 10.0)))
+    return promote(rho, HilbertSpec(need)) if rho.dim < need else rho
 
 
 def _born_probabilities(rho0: DensityOperator, alpha: complex,
                         config: ProtocolConfig, variant: str) -> tuple[float, float]:
-    displaced = _inject(rho0, alpha)
-    branches = protocol.probe_atom(displaced, config, variant=variant)
+    if alpha != 0:
+        rho0 = _promoted(rho0, abs(alpha))
+        d = displacement(rho0.spec, alpha).matrix
+        rho0 = DensityOperator(d @ rho0.matrix @ d.conj().T)
+    branches = protocol.probe_atom(rho0, config, variant=variant)
     return branches["e"].probability, branches["g"].probability
 
 
@@ -105,15 +122,14 @@ def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
              variant: str = "dispersive") -> WignerMap:
     """Exact direct-scheme estimates over an injection grid.
 
-    The resulting map equals the displaced-parity map on the reflected grid
-    (the identity carries -alpha on the phase-space side).
+    The resulting map equals ``wigner_map`` on the reflected grid (the
+    identity carries -alpha on the phase-space side).  The state is promoted
+    once, for the grid's corner radius.
     """
     config = config or ProtocolConfig()
     if variant == "dispersive":
         _require_pi(config)
-    need = map_eval_dim(grid, rho0)
-    if rho0.dim < need:
-        rho0 = promote(rho0, HilbertSpec(need))
+    rho0 = _promoted(rho0, grid.corner_radius())
     alphas = grid.alpha_grid()
     values = np.empty(alphas.shape)
     for i in range(alphas.shape[0]):

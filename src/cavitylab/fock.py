@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DegenerateStateError, TruncationError, WeightError
 
@@ -190,17 +190,21 @@ def parity(spec: HilbertSpec) -> FieldOperator:
     return FieldOperator(np.diag((-1.0) ** np.arange(spec.dim)))
 
 
+@lru_cache(maxsize=16)
+def _displacement_eigensystem(dim: int):
+    """Eigendecomposition of i(a^dag - a); D(r) = V exp(-i r w) V^dag for real r."""
+    a = annihilation(HilbertSpec(dim)).matrix
+    return np.linalg.eigh(1j * (a.conj().T - a))
+
+
 def displacement(spec: HilbertSpec, alpha: complex) -> FieldOperator:
-    """D(alpha) = exp(alpha a^dag - alpha* a), scaling-and-squaring expm."""
+    """D(alpha) = exp(alpha a^dag - alpha* a): the real displacement D(|alpha|)
+    from the cached eigensystem, conjugated by the phase rotation exp(i arg(alpha) n)."""
     spec.guard(alpha)
-    a = annihilation(spec).matrix
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    return FieldOperator(expm(gen))
-
-
-def phase_rotation(spec: HilbertSpec, theta: float) -> FieldOperator:
-    """exp(i theta n)."""
-    return FieldOperator(np.diag(np.exp(1j * theta * np.arange(spec.dim))))
+    w, v = _displacement_eigensystem(spec.dim)
+    d_real = (v * np.exp(-1j * abs(alpha) * w)) @ v.conj().T
+    ph = np.exp(1j * np.angle(alpha) * np.arange(spec.dim))
+    return FieldOperator(ph[:, None] * d_real * ph.conj()[None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int
                              bin_width: float = 0.05,
                              q_range: float | None = None) -> ReconstructionResult:
     """sample_homodyne per angle -> density estimates -> inverse_radon,
-    with an error report against the direct displaced-parity map."""
+    with an error report against the exact (Laguerre-series) Wigner map."""
     angles = np.asarray(angles, dtype=float)
     q_range = q_range or _default_q_range(rho_true)
     seeds = np.random.SeedSequence(seed).spawn(angles.size)

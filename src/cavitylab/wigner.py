@@ -3,8 +3,11 @@
 Two independent constructions of the Wigner function are provided and
 cross-checked by the test suite:
 
-* ``wigner_point`` -- displaced-parity form W(alpha) = 2 Tr[rho D(alpha) P D(alpha)^-1],
-  normalized so that integral(d^2alpha/pi) W = 1 and |W| <= 2.
+* ``wigner_point`` / ``wigner_map`` -- W(alpha) = 2 Tr[rho D(alpha) P D(alpha)^-1],
+  normalized so that integral(d^2alpha/pi) W = 1 and |W| <= 2, evaluated
+  by its Laguerre series over the diagonals of rho (Cahill & Glauber,
+  Phys. Rev. 177, 1857 and 1882 (1969)).  The series is exact for the
+  truncated state, so it runs in rho's own dimension with no displacement.
 * ``wigner_position`` -- the position-representation integral
   (1/2pi) int e^{ipx} <q-x/2| rho |q+x/2> dx, evaluated with Hermite
   functions and Gauss-Hermite quadrature, then rescaled by 2pi to the
@@ -25,17 +28,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite
+from scipy.special import gammaln, roots_hermite, xlogy
 
 from .errors import DomainError, NonHermitianError, QuadratureError, TruncationError
-from .fock import (
-    DensityOperator,
-    FieldState,
-    HilbertSpec,
-    default_dim,
-    promote,
-    pure_to_density,
-)
+from .fock import DensityOperator, FieldState, HilbertSpec, pure_to_density
 
 BOUND = 2.0  # |W| <= 2 in this normalization
 
@@ -127,93 +123,64 @@ class WignerMap:
 
 
 # ---------------------------------------------------------------------------
-# displaced-parity construction
+# Laguerre-series construction
+
+# points per block of the series times dim: keeps each (dim, points) work
+# array near 4 MB however large the grid
+_BLOCK = 1 << 18
 
 
-@lru_cache(maxsize=16)
-def _displacement_eigensystem(dim: int):
-    """Eigendecomposition of i(a^dag - a); D(r) = V exp(-i r w) V^dag for real r."""
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-    h = 1j * (a.conj().T - a)
-    w, v = np.linalg.eigh(h)
-    return w, v
+def _laguerre_block(mat: np.ndarray, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    dim = mat.shape[0]
+    k = np.arange(dim, dtype=float)[:, None]
+    ell = np.exp(xlogy(k / 2.0, x) - x / 2.0 - 0.5 * gammaln(k + 1.0))  # l_0^k(x)
+    ell_prev = np.zeros_like(ell)
+    sums = mat[0, :, None] * ell
+    for n in range(1, dim):
+        kk = k[: dim - n]
+        ell, ell_prev = (((2 * n - 1 + kk - x) * ell[: dim - n]
+                          - np.sqrt((n - 1) * (n - 1 + kk)) * ell_prev[: dim - n])
+                         / np.sqrt(n * (n + kk))), ell[: dim - n]
+        sums[: dim - n] += (-1) ** n * mat[n, n:, None] * ell
+    sums[1:] *= 2.0 * np.exp(1j * k[1:] * theta)
+    return 2.0 * np.real(sums.sum(axis=0))
 
 
-def _displacement_matrix(dim: int, alpha: complex) -> np.ndarray:
-    """D(alpha) through the cached eigensystem; equals the matrix exponential."""
-    w, v = _displacement_eigensystem(dim)
-    r, theta = abs(alpha), np.angle(alpha)
-    d_real = (v * np.exp(-1j * r * w)) @ v.conj().T
-    ph = np.exp(1j * theta * np.arange(dim))
-    return ph[:, None] * d_real * ph.conj()[None, :]
+def _laguerre_series(rho: DensityOperator, alphas) -> np.ndarray:
+    """W(alpha) = 2 Tr[rho D(alpha) P D(alpha)^-1] on an array of alpha, from
+    the Laguerre series over the diagonals of rho (Cahill & Glauber 1969):
 
+        W = 2 sum_n (-1)^n rho_nn l_n^0(x)
+            + 4 Re sum_{k>=1} e^{ik theta} sum_n (-1)^n rho_{n,n+k} l_n^k(x),
 
-_PARITY_SIGNS = lru_cache(maxsize=32)(lambda dim: (-1.0) ** np.arange(dim))
+    with x = 4|alpha|^2, theta = arg(alpha) and the normalised Laguerre
+    functions l_n^k = sqrt(n!/(n+k)!) x^{k/2} e^{-x/2} L_n^k(x), built by
+    upward recurrence in n from l_0^k in log form.  The series is exact for
+    the truncated state, so it runs in rho's own dimension.
+    """
+    mat = rho.matrix
+    herm = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm > 1e-6:
+        raise NonHermitianError(f"density matrix hermiticity deviation {herm:.3e} exceeds 1e-6")
+    alphas = np.asarray(alphas, dtype=complex)
+    flat = alphas.ravel()
+    x, theta = 4.0 * np.abs(flat) ** 2, np.angle(flat)
+    out = np.empty(flat.size)
+    step = max(1, _BLOCK // rho.dim)
+    for s in range(0, flat.size, step):
+        out[s:s + step] = _laguerre_block(mat, x[s:s + step], theta[s:s + step])
+    return out.reshape(alphas.shape)
 
 
 def wigner_point(rho: DensityOperator, alpha: complex) -> float:
-    """W(alpha) = 2 Tr[rho D(alpha) P D(alpha)^-1]."""
+    """W(alpha) = 2 Tr[rho D(alpha) P D(alpha)^-1], by the Laguerre series."""
     rho.spec.guard(alpha)
-    dim = rho.dim
-    d = _displacement_matrix(dim, alpha)
-    a = rho.matrix @ d
-    diag = np.einsum("jk,jk->k", d.conj(), a)
-    val = 2.0 * complex(np.dot(_PARITY_SIGNS(dim), diag))
-    if abs(val.imag) > 1e-6:
-        raise NonHermitianError(f"Wigner imaginary residue {val.imag:.3e} exceeds 1e-6")
-    return float(val.real)
+    return float(_laguerre_series(rho, alpha))
 
 
-def _separable_values(rho_mat: np.ndarray, q1_axis: np.ndarray,
-                      q2_axis: np.ndarray) -> np.ndarray:
-    """Displaced-parity W on a rectangular grid via the split
-    D(x + iy) ~ D(iy) D(x): the scalar phase of the split cancels in the
-    conjugation, so W[i, j] = 2 Tr[(D_yj^+ rho D_yj) (D_xi P D_xi^+)].
-    Row and column factors cost one operator build each; every grid point
-    is then a dim^2 inner product.  Agrees with pointwise ``wigner_point``
-    to ~1e-10 inside the truncation guard (covered by the test suite).
-    """
-    dim = rho_mat.shape[0]
-    signs = _PARITY_SIGNS(dim)
-    xs = q1_axis / np.sqrt(2.0)   # Re(alpha) along rows
-    ys = q2_axis / np.sqrt(2.0)   # Im(alpha) along columns
-    row_ops = np.empty((xs.size, dim * dim), dtype=complex)
-    for i, x in enumerate(xs):
-        d = _displacement_matrix(dim, complex(x))
-        m = d @ (signs[:, None] * d.conj().T)      # D(x) P D(x)^+
-        row_ops[i] = m.T.ravel()                   # stored transposed for the trace
-    values = np.empty((xs.size, ys.size))
-    imag_max = 0.0
-    for j, y in enumerate(ys):
-        d = _displacement_matrix(dim, 1j * complex(y))
-        r = d.conj().T @ rho_mat @ d               # D(iy)^+ rho D(iy)
-        traces = 2.0 * (row_ops @ r.ravel())
-        imag_max = max(imag_max, float(np.max(np.abs(traces.imag))))
-        values[:, j] = traces.real
-    if imag_max > 1e-6:
-        raise NonHermitianError(f"Wigner imaginary residue {imag_max:.3e} exceeds 1e-6")
-    return values
-
-
-def map_eval_dim(grid: PhaseSpaceGrid, rho: DensityOperator) -> int:
-    """Truncation needed to displace `rho` anywhere on `grid` faithfully:
-    covers the displaced state's mean photon number plus its spread."""
-    reach = grid.corner_radius() + _phase_space_radius(rho)
-    return max(default_dim(grid.corner_radius()),
-               int(math.ceil(reach ** 2 + 7.0 * reach + 10.0)))
-
-
-def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid,
-               auto_promote: bool = True) -> WignerMap:
-    """Displaced-parity W over the grid, with bound/normalization checks."""
-    need = map_eval_dim(grid, rho)
-    if rho.dim < need:
-        if not auto_promote:
-            raise TruncationError(
-                f"grid reaches |alpha| = {grid.corner_radius():.2f}, needs dim >= {need}"
-            )
-        rho = promote(rho, HilbertSpec(need))
-    values = _separable_values(rho.matrix, grid.q1_axis, grid.q2_axis)
+def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
+    """W over the grid by the Laguerre series, with bound/normalization checks."""
+    values = _laguerre_series(rho, grid.alpha_grid())
     wm = WignerMap(grid, values,
                    diagnostics={"max_abs": float(np.max(np.abs(values)))})
     wm.check_bound()
@@ -366,31 +333,20 @@ def _support_radius(rho: DensityOperator, tail: float = 1e-10) -> float:
     return math.sqrt(n_eff + 1.0)
 
 
-def _phase_space_radius(rho: DensityOperator) -> float:
-    """Radius (in alpha units) beyond which W is Gaussian-suppressed."""
-    p = np.clip(rho.diagonal(), 0.0, None)
-    p = p / p.sum()
-    n = np.arange(rho.dim)
-    mean = float(p @ n)
-    var = float(p @ (n - mean) ** 2)
-    return math.sqrt(mean + 1.0) + 0.5 * math.sqrt(math.sqrt(var + 1.0)) + 1.5
-
-
 def moyal_grid_integral(rho: DensityOperator, monomials, step: float = 0.2,
                         pad: float = 4.0) -> dict[tuple[int, int], float]:
     """Phase-space integrals int dq dp W_qp q^m p^n for several monomials,
-    sharing one displaced-parity evaluation over a disc covering the state.
+    sharing one Laguerre-series evaluation over a disc covering the state.
 
-    `pad` (alpha units) controls the discarded Gaussian tail: contributions
-    beyond the disc are O(e^{-2 pad^2} poly) < 1e-9 for degree <= 4 at the
-    default.
+    The disc is the state's Fock-shell radius plus `pad` (alpha units), which
+    controls the discarded Gaussian tail: contributions beyond the disc are
+    O(e^{-2 pad^2} poly) < 1e-9 for degree <= 4 at the default.
     """
-    disc = _phase_space_radius(rho) + pad
+    disc = _support_radius(rho) + pad
     extent = np.sqrt(2.0) * disc            # bounding square in quadrature units
     axis = np.arange(-extent, extent + step / 2, step)
-    big = promote(rho, HilbertSpec(default_dim(disc)))
-    w_vals = _separable_values(big.matrix, axis, axis)
     q1, q2 = np.meshgrid(axis, axis, indexing="ij")
+    w_vals = _laguerre_series(rho, (q1 + 1j * q2) / np.sqrt(2.0))
     w_vals[(q1 ** 2 + q2 ** 2) / 2.0 > disc ** 2] = 0.0
     out = {}
     for (m, n) in monomials:
@@ -474,7 +430,7 @@ def pauli_counterexample(spec: HilbertSpec) -> PauliPair:
 
 def fringe_region_mask(grid: PhaseSpaceGrid, half_width: float = 0.5) -> np.ndarray:
     """Strip |q1| <= half_width between the lobes of a cat aligned with q1."""
-    return np.abs(grid.q1_axis)[:, None] <= half_width + 0 * grid.q2_axis[None, :]
+    return np.broadcast_to(np.abs(grid.q1_axis)[:, None] <= half_width, (grid.n1, grid.n2))
 
 
 def fringe_contrast(wmap: WignerMap, half_width: float = 0.5) -> float:

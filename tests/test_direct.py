@@ -25,6 +25,7 @@ from cavitylab import (
     variant_check,
     wigner_map,
     wigner_point,
+    wigner_position,
 )
 
 MODEL = DampingModel(kappa=1.0)
@@ -67,6 +68,15 @@ def test_readout_identity_over_corpus(corpus):
             alpha = complex(rng.normal(scale=0.8), rng.normal(scale=0.8))
             rec = direct_point_exact(rho, alpha)
             assert abs(rec.estimate - wigner_point(rho, -alpha)) < 1e-8, name
+
+
+def test_readout_at_guard_edge_matches_position_oracle(corpus):
+    # |alpha| = 3.15 reaches the guard edge of the dim-40 corpus: the injected
+    # displacement needs a promoted space (built in dim 40 it read 0.02375)
+    rho = corpus["cat_even"]
+    oracle = wigner_position(rho, 3.15 * np.sqrt(2), 0.0)
+    assert abs(oracle - 0.07098) < 1e-5
+    assert abs(direct_point_exact(rho, -3.15).estimate - oracle) < 1e-8
 
 
 def test_estimate_bounded_by_two(corpus):

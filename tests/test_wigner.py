@@ -3,19 +3,21 @@ import pytest
 
 from cavitylab import (
     DampingModel,
+    DensityOperator,
     HilbertSpec,
     PhaseSpaceGrid,
     TruncationError,
     cat_state,
     coherent_state,
-    default_dim,
     default_grid,
+    displacement,
     evolve,
     evolve_trajectory,
     fock_state,
     marginal_distribution,
     mix,
     moyal_average,
+    parity,
     pauli_counterexample,
     photon_number_distribution,
     promote,
@@ -26,14 +28,14 @@ from cavitylab import (
     wigner_point,
     wigner_position,
 )
-from cavitylab.wigner import _separable_values, hermite_functions
+from cavitylab.wigner import hermite_functions
 
 
 def make_coherent_rho(alpha, dim):
     return pure_to_density(coherent_state(HilbertSpec(dim), alpha))
 
 
-# -- displaced-parity construction --------------------------------------------
+# -- Laguerre-series construction ---------------------------------------------
 
 
 def test_vacuum_at_origin():
@@ -66,10 +68,14 @@ def test_truncation_guard():
 def test_cross_construction_on_mixed_state():
     spec = HilbertSpec(40)
     rho = mix([cat_state(spec, 1.2, 0.0), fock_state(spec, 2)], [0.6, 0.4])
-    big = promote(rho, HilbertSpec(90))
-    for q, p in ((0.0, 0.0), (0.9, -0.7), (-1.8, 0.3), (2.2, 1.9)):
-        alpha = (q + 1j * p) / np.sqrt(2)
-        assert abs(wigner_point(big, alpha) - wigner_position(big, q, p)) < 1e-6
+    # |alpha| = 3.15 lies at the guard edge of the even cat's dim-40 space,
+    # where a displacement truncated to dim 40 read 0.02375 against 0.07098
+    even_cat = pure_to_density(cat_state(spec, 2.0, 0.0))
+    for state in (rho, promote(rho, HilbertSpec(90)), even_cat):
+        for q, p in ((0.0, 0.0), (0.9, -0.7), (-1.8, 0.3), (2.2, 1.9),
+                     (3.15 * np.sqrt(2), 0.0)):
+            alpha = (q + 1j * p) / np.sqrt(2)
+            assert abs(wigner_point(state, alpha) - wigner_position(state, q, p)) < 1e-10
 
 
 def test_wigner_position_fock3_oscillates():
@@ -91,18 +97,40 @@ def test_wigner_symmetry_for_parity_symmetric_state():
 # -- maps ----------------------------------------------------------------------
 
 
-def test_separable_map_matches_pointwise():
-    spec = HilbertSpec(30)
-    rho = pure_to_density(cat_state(spec, 1.5, 0.0))
+def test_map_matches_promoted_displaced_parity():
+    # independent oracle: 2 Tr[rho D P D^dag], the displacement built in a
+    # space promoted well beyond the grid's reach; the complex cat has no
+    # mirror symmetry, so the phase of every series term is tested
+    rho = pure_to_density(cat_state(HilbertSpec(30), 1.5 * np.exp(0.4j), 0.7))
     grid = default_grid(1.5, step=0.5)
-    big = promote(rho, HilbertSpec(default_dim(grid.corner_radius())))
-    values = _separable_values(big.matrix, grid.q1_axis, grid.q2_axis)
+    wm = wigner_map(rho, grid)
+    big = HilbertSpec(200)
+    mat = promote(rho, big).matrix
+    p = parity(big).matrix
     rng = np.random.default_rng(7)
     for _ in range(25):
         i = rng.integers(grid.n1)
         j = rng.integers(grid.n2)
         alpha = (grid.q1_axis[i] + 1j * grid.q2_axis[j]) / np.sqrt(2)
-        assert abs(values[i, j] - wigner_point(big, alpha)) < 1e-10
+        d = displacement(big, alpha).matrix
+        oracle = 2.0 * np.real(np.trace(mat @ d @ p @ d.conj().T))
+        assert abs(wm.values[i, j] - oracle) < 1e-10
+
+
+def test_laguerre_recurrence_at_high_order():
+    # a random mixed state filling dim 250, checked out to |alpha| = 15
+    # against the position-representation integral
+    rng = np.random.default_rng(250)
+    vecs = rng.normal(size=(2, 250)) + 1j * rng.normal(size=(2, 250))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    rho = DensityOperator(0.7 * np.outer(vecs[0], vecs[0].conj())
+                          + 0.3 * np.outer(vecs[1], vecs[1].conj()))
+    grid = PhaseSpaceGrid(-15.0, 15.0, -15.0, 15.0, 7, 7)
+    assert abs(grid.corner_radius() - 15.0) < 1e-12
+    wm = wigner_map(rho, grid)
+    for i, q in enumerate(grid.q1_axis):
+        for j, p in enumerate(grid.q2_axis):
+            assert abs(wm.values[i, j] - wigner_position(rho, q, p)) < 1e-10
 
 
 def test_cat_map_fringes_match_lobes():
@@ -177,12 +205,6 @@ def test_map_values_shape_validation():
     bogus = WignerMap(grid, 3.0 * np.ones((4, 4)))
     with pytest.raises(Exception):
         bogus.check_bound()
-
-
-def test_map_requires_promotion_when_disabled():
-    rho = pure_to_density(vacuum(HilbertSpec(8)))
-    with pytest.raises(TruncationError):
-        wigner_map(rho, default_grid(2.0), auto_promote=False)
 
 
 def test_operator_apply_matches_matmul():
