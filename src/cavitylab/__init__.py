@@ -53,17 +53,11 @@ from .dynamics import (
     separation_measure,
 )
 from .protocol import (
-    AtomState,
     ConditionalTable,
-    JointState,
     ProtocolConfig,
-    detect_atom,
-    dispersive_shift,
-    opposite_phase_shift,
+    field_kraus,
     prepare_cat,
     probe_atom,
-    ramsey_pulse,
-    resonant_2pi,
     two_atom_conditional,
     two_atom_scan,
 )

@@ -389,11 +389,8 @@ def _run_tomography(cfg: dict, writer: ArtifactWriter) -> None:
 def _run_direct_map(cfg: dict, writer: ArtifactWriter) -> None:
     rho, scale = _build_state(cfg["state"], cfg["dim"])
     grid = _build_grid(cfg["grid"], scale)
-    if cfg["variant"] == "opposite-shift":
-        config = protocol.ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2)
-        wmap = direct.scan_map(rho, grid, config, variant="opposite")
-    else:
-        wmap = direct.scan_map(rho, grid)
+    variant = "opposite" if cfg["variant"] == "opposite-shift" else "dispersive"
+    wmap = direct.scan_map(rho, grid, variant=variant)
     _write_map(writer, "direct_map", wmap)
 
 

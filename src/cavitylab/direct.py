@@ -2,15 +2,21 @@
 through the Ramsey interferometer with a conditional phase shift, and read
 the detection probabilities.
 
-Defining identity (the module's executable contract): with a pi-per-photon
-conditional shift,
+Defining identity (the module's executable contract): the atom reads the
+field through the weights w(n) = |m_g(n)|^2 - |m_e(n)|^2 of its Kraus
+operators (``protocol.field_kraus``), so P_g - P_e = Tr[D rho D^dag diag(w)].
+When w is the photon-number parity (-1)^n,
     P_g - P_e = W(-alpha, -alpha*) / 2,
-so 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  The injection
-is the only real displacement in the package: the state is first promoted to
-a truncation that carries the displaced state (``_promoted``), so the
-readout matches the exact W of the truncated rho0 to rounding, not a
-displacement truncated alongside it.  Detector inefficiency only erases
-shots, so the estimator built from detected atoms stays unbiased.
+so 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  Every entry
+point checks w against parity and raises ``DomainError`` otherwise, since
+any other weights read a number that is not W.  The pointwise readouts
+perform the injection, the only real displacement in the package: the
+state is first promoted to a truncation that carries the displaced state
+(``_support_dim``), so the readout matches the exact W of the truncated
+rho0 to rounding, not a displacement truncated alongside it.  ``scan_map``
+evaluates the same identity on a whole grid with the Laguerre kernel of
+``wigner_map``.  Detector inefficiency only erases shots, so the estimator
+built from detected atoms stays unbiased.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .dynamics import DampingModel, decoherence_time, evolve_trajectory
 from .errors import DomainError, NoDetectionError, SubspaceError
 from .fock import DensityOperator, HilbertSpec, default_dim, displacement, promote
 from .protocol import ProtocolConfig
-from .wigner import PhaseSpaceGrid, WignerMap
+from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
 
 
 @dataclass(frozen=True)
@@ -50,9 +56,22 @@ class MeasurementRecord:
             raise ValueError("n_detected cannot exceed n_shots")
 
 
-def _require_pi(config: ProtocolConfig) -> None:
-    if abs(((config.phi - np.pi) + np.pi) % (2 * np.pi) - np.pi) > 1e-12:
-        raise DomainError(f"direct scheme requires phi = pi, got phi = {config.phi}")
+# the opposite-shift readout reproduces the pi-dispersive one at these angles
+_OPPOSITE_SHIFT = ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2)
+
+
+def _require_parity(config: ProtocolConfig, variant: str, dim: int) -> None:
+    """Raise unless the atom's weights w = |m_g|^2 - |m_e|^2 equal (-1)^n for
+    n < dim within 1e-12; |2 (P_g - P_e) - W| is then below 2e-12 for any
+    field supported there."""
+    m = protocol.field_kraus(config, variant, dim)
+    w = np.abs(m[1]) ** 2 - np.abs(m[0]) ** 2
+    dev = float(np.max(np.abs(w - (-1.0) ** np.arange(dim))))
+    if dev > 1e-12:
+        raise DomainError(
+            f"{variant} readout with phi = {config.phi}, eta = {config.eta} weighs the "
+            f"photon numbers {dev:.3e} away from parity; it does not measure W"
+        )
 
 
 def _phase_space_radius(rho: DensityOperator) -> float:
@@ -65,20 +84,21 @@ def _phase_space_radius(rho: DensityOperator) -> float:
     return math.sqrt(mean + 1.0) + 0.5 * math.sqrt(math.sqrt(var + 1.0)) + 1.5
 
 
-def _promoted(rho: DensityOperator, reach: float) -> DensityOperator:
-    """`rho` in a truncation large enough to displace it by up to `reach`
-    faithfully: covers the displaced state's mean photon number plus its spread."""
+def _support_dim(rho: DensityOperator, reach: float) -> int:
+    """Truncation that carries `rho` displaced by up to `reach` faithfully:
+    covers the displaced state's mean photon number plus its spread."""
     total = reach + _phase_space_radius(rho)
-    need = max(default_dim(reach), int(math.ceil(total ** 2 + 7.0 * total + 10.0)))
-    return promote(rho, HilbertSpec(need)) if rho.dim < need else rho
+    return max(rho.dim, default_dim(reach), int(math.ceil(total ** 2 + 7.0 * total + 10.0)))
 
 
 def _born_probabilities(rho0: DensityOperator, alpha: complex,
                         config: ProtocolConfig, variant: str) -> tuple[float, float]:
     if alpha != 0:
-        rho0 = _promoted(rho0, abs(alpha))
+        rho0 = promote(rho0, HilbertSpec(_support_dim(rho0, abs(alpha))))
         d = displacement(rho0.spec, alpha).matrix
         rho0 = DensityOperator(d @ rho0.matrix @ d.conj().T)
+    # the resonant probe refuses any field above one photon
+    _require_parity(config, variant, 2 if variant == "resonant-2pi" else rho0.dim)
     branches = protocol.probe_atom(rho0, config, variant=variant)
     return branches["e"].probability, branches["g"].probability
 
@@ -86,9 +106,7 @@ def _born_probabilities(rho0: DensityOperator, alpha: complex,
 def direct_point_exact(rho0: DensityOperator, alpha: complex,
                        config: ProtocolConfig | None = None) -> MeasurementRecord:
     """Exact Born probabilities of the standard (phi = pi) scheme at one alpha."""
-    config = config or ProtocolConfig()
-    _require_pi(config)
-    p_e, p_g = _born_probabilities(rho0, alpha, config, "dispersive")
+    p_e, p_g = _born_probabilities(rho0, alpha, config or ProtocolConfig(), "dispersive")
     return MeasurementRecord(alpha, p_e, p_g, 0, 0, 2.0 * (p_g - p_e), 0.0)
 
 
@@ -101,9 +119,7 @@ def direct_point_sampled(rho0: DensityOperator, alpha: complex, n_shots: int,
         raise DomainError(f"n_shots must be >= 1, got {n_shots}")
     if not 0.0 <= efficiency <= 1.0:
         raise DomainError(f"efficiency must lie in [0, 1], got {efficiency}")
-    config = config or ProtocolConfig()
-    _require_pi(config)
-    p_e, p_g = _born_probabilities(rho0, alpha, config, "dispersive")
+    p_e, p_g = _born_probabilities(rho0, alpha, config or ProtocolConfig(), "dispersive")
     rng = np.random.default_rng(seed)
     outcomes_e = rng.random(n_shots) < p_e
     detected = rng.random(n_shots) < efficiency
@@ -122,25 +138,18 @@ def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
              variant: str = "dispersive") -> WignerMap:
     """Exact direct-scheme estimates over an injection grid.
 
-    The resulting map equals ``wigner_map`` on the reflected grid (the
-    identity carries -alpha on the phase-space side).  The state is promoted
-    once, for the grid's corner radius.
+    The readout at alpha is W(-alpha), so the map is ``wigner_map`` on the
+    reflected grid, flipped back onto `grid`, in rho0's own dimension.  The
+    atom's weights are checked against parity on every photon number the
+    injection reaches (the grid's corner radius).  With no `config`, the
+    ``"opposite"`` variant runs at phi = eta = pi/2.
     """
-    config = config or ProtocolConfig()
-    if variant == "dispersive":
-        _require_pi(config)
-    rho0 = _promoted(rho0, grid.corner_radius())
-    alphas = grid.alpha_grid()
-    values = np.empty(alphas.shape)
-    for i in range(alphas.shape[0]):
-        for j in range(alphas.shape[1]):
-            p_e, p_g = _born_probabilities(rho0, alphas[i, j], config, variant)
-            values[i, j] = 2.0 * (p_g - p_e)
-    wm = WignerMap(grid, values, provenance="measured-direct",
-                   diagnostics={"max_abs": float(np.max(np.abs(values)))})
-    wm.check_bound()
-    wm.diagnostics["normalization_sum"] = wm.normalization_sum()
-    return wm
+    if config is None:
+        config = _OPPOSITE_SHIFT if variant == "opposite" else ProtocolConfig()
+    _require_parity(config, variant, _support_dim(rho0, grid.corner_radius()))
+    exact = wigner_map(rho0, grid.reflected())
+    return WignerMap(grid, exact.values[::-1, ::-1], provenance="measured-direct",
+                     diagnostics=dict(exact.diagnostics))
 
 
 @dataclass(frozen=True)
@@ -160,7 +169,7 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     decoherence timescale, and climbs back to +2 as the field empties.
     """
     config = config or ProtocolConfig()
-    _require_pi(config)
+    _require_parity(config, "dispersive", rho0.dim)
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) < 0) or np.any(times < 0):
         raise DomainError("times must be sorted and nonnegative")
@@ -203,13 +212,9 @@ def variant_check(rho0: DensityOperator, variant: str, alpha: complex = 0.0,
             raise SubspaceError(
                 f"field population {tail:.3e} above one photon; resonant variant invalid"
             )
-        cfg = config or ProtocolConfig()
-        p_e, p_g = _born_probabilities(rho0, 0.0, cfg, "resonant-2pi")
+        p_e, p_g = _born_probabilities(rho0, 0.0, config or ProtocolConfig(), "resonant-2pi")
     elif variant == "opposite-shift":
-        cfg = config or ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2)
-        if abs(cfg.phi - np.pi / 2) > 1e-12 or abs(cfg.eta - np.pi / 2) > 1e-12:
-            raise DomainError("opposite-shift variant requires phi = pi/2, eta = pi/2")
-        p_e, p_g = _born_probabilities(rho0, alpha, cfg, "opposite")
+        p_e, p_g = _born_probabilities(rho0, alpha, config or _OPPOSITE_SHIFT, "opposite")
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return MeasurementRecord(alpha, p_e, p_g, 0, 0, 2.0 * (p_g - p_e), 0.0)

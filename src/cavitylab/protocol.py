@@ -1,5 +1,12 @@
-"""Atom-field experiment engine: Ramsey zones, conditional phase shifts,
-projective detection, cat preparation, and the two-atom correlation monitor.
+"""Atom-field experiment engine: one atom crossing the cavity as a field
+measurement, cat preparation, and the two-atom correlation monitor.
+
+An atom prepared in |e> crosses the first Ramsey zone R1, interacts with
+the field, crosses the second zone R2 and is detected in s = e or g.  Each
+interaction (dispersive, opposite-shift, resonant 2pi) is diagonal in the
+photon number n, so detecting s acts on the field as the Kraus operator
+M_s = diag(m_s(n)) built by ``field_kraus``:
+    P_s = sum_n |m_s(n)|^2 rho_nn,   field after = M_s rho M_s^dag / P_s.
 
 Pulse convention (fixed throughout): each Ramsey zone applies
     |e> -> (|e> + |g>)/sqrt(2),   |g> -> (-|e> + |g>)/sqrt(2),
@@ -24,30 +31,10 @@ from .fock import (
     HilbertSpec,
     coherent_state,
     default_dim,
+    pure_to_density,
 )
 
 _E, _G = 0, 1  # atom level indices
-
-
-@dataclass(frozen=True)
-class AtomState:
-    """Two-level atom amplitudes on |e>, |g>."""
-
-    amp_e: complex
-    amp_g: complex
-
-    def __post_init__(self):
-        n = abs(self.amp_e) ** 2 + abs(self.amp_g) ** 2
-        if abs(n - 1.0) > 1e-10:
-            raise ValueError(f"atom norm^2 = {n} deviates from 1")
-
-    @staticmethod
-    def excited() -> "AtomState":
-        return AtomState(1.0, 0.0)
-
-    @staticmethod
-    def ground() -> "AtomState":
-        return AtomState(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -64,142 +51,38 @@ class ProtocolConfig:
                 raise DomainError(f"{name} must be finite")
 
 
-class JointState:
-    """Atom (x) field state, kept pure (amplitude array) while possible.
-
-    pure:  amp[s, n], s in {e, g}
-    mixed: rho[s, n, s', n']
-    """
-
-    def __init__(self, data: np.ndarray, pure: bool):
-        data = np.asarray(data, dtype=complex)
-        if pure:
-            if data.ndim != 2 or data.shape[0] != 2:
-                raise ValueError(f"pure joint state needs shape (2, dim), got {data.shape}")
-        else:
-            if data.ndim != 4 or data.shape[0] != 2 or data.shape[2] != 2 \
-                    or data.shape[1] != data.shape[3]:
-                raise ValueError(f"mixed joint state needs shape (2, d, 2, d), got {data.shape}")
-        self._data = data
-        self.pure = pure
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_product(atom: AtomState, field) -> "JointState":
-        if isinstance(field, FieldState):
-            amp = np.zeros((2, field.dim), dtype=complex)
-            amp[_E] = atom.amp_e * field.amplitudes
-            amp[_G] = atom.amp_g * field.amplitudes
-            return JointState(amp, pure=True)
-        if isinstance(field, DensityOperator):
-            atom_rho = np.array(
-                [[atom.amp_e * np.conj(atom.amp_e), atom.amp_e * np.conj(atom.amp_g)],
-                 [atom.amp_g * np.conj(atom.amp_e), atom.amp_g * np.conj(atom.amp_g)]]
-            )
-            rho = np.einsum("ac,nm->ancm", atom_rho, field.matrix)
-            return JointState(rho, pure=False)
-        raise TypeError(f"field must be FieldState or DensityOperator, got {type(field)}")
-
-    # -- basics ------------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self._data.shape[1]
-
-    def norm_or_trace(self) -> float:
-        if self.pure:
-            return float(np.linalg.norm(self._data))
-        return float(np.real(np.einsum("anan->", self._data)))
-
-    def amplitudes(self) -> np.ndarray:
-        if not self.pure:
-            raise ValueError("mixed joint state has no amplitude vector")
-        return self._data.copy()
-
-    def density(self) -> np.ndarray:
-        if self.pure:
-            return np.einsum("an,cm->ancm", self._data, self._data.conj())
-        return self._data.copy()
-
-    def reduced_field(self) -> DensityOperator:
-        rho = self.density()
-        return DensityOperator(np.einsum("anam->nm", rho))
-
-    def reduced_atom(self) -> np.ndarray:
-        rho = self.density()
-        return np.einsum("ancn->ac", rho)
-
-    # -- elementary transformations ----------------------------------------
-
-    def _apply_atom_unitary(self, u: np.ndarray) -> "JointState":
-        if self.pure:
-            return JointState(np.einsum("ab,bn->an", u, self._data), pure=True)
-        rho = np.einsum("ab,bndm,cd->ancm", u, self._data, u.conj())
-        return JointState(rho, pure=False)
-
-    def _apply_conditional_phases(self, f: np.ndarray) -> "JointState":
-        # f[s, n]: diagonal phase per atom level and photon number
-        if self.pure:
-            return JointState(self._data * f, pure=True)
-        rho = self._data * f[:, :, None, None] * f.conj()[None, None, :, :]
-        return JointState(rho, pure=False)
-
-
-# ---------------------------------------------------------------------------
-# protocol steps
-
-
 def _pulse_matrix(chi: float) -> np.ndarray:
     return np.array([[1.0, -np.exp(1j * chi)],
                      [np.exp(-1j * chi), 1.0]]) / np.sqrt(2.0)
 
 
-def ramsey_pulse(state: JointState, which: str, config: ProtocolConfig) -> JointState:
-    """Apply the pi/2 zone R1 or R2 (R2 first dephases |e> by e^{i eta})."""
-    if which not in ("R1", "R2"):
-        raise ValueError(f"which must be 'R1' or 'R2', got {which!r}")
-    u = _pulse_matrix(config.ramsey_phase)
-    if which == "R2" and config.eta != 0.0:
-        u = u @ np.diag([np.exp(1j * config.eta), 1.0])
-    return state._apply_atom_unitary(u)
+def field_kraus(config: ProtocolConfig, variant: str, dim: int) -> np.ndarray:
+    """Kraus amplitudes m[s, n] (s = 0 for e, 1 for g) of one atom crossing
+    R1 -> interaction -> R2 in a field truncated to `dim`:
+    m = R2 . diag(f[:, n]) . R1|e>, where f[s, n] is the phase the
+    interaction puts on atom level s with n photons.
 
-
-def dispersive_shift(state: JointState, config: ProtocolConfig) -> JointState:
-    """e^{i phi n} on the field when the atom is |e>; identity for |g>."""
-    n = np.arange(state.dim)
-    f = np.stack([np.exp(1j * config.phi * n), np.ones(state.dim)])
-    return state._apply_conditional_phases(f)
-
-
-def opposite_phase_shift(state: JointState, config: ProtocolConfig) -> JointState:
-    """Dispersive shifts of opposite sign for the two atomic levels.
-
-    The |g> branch rotates the field by e^{-i phi n}; the |e> branch by
-    e^{+i phi n} times the constant differential Stark phase e^{-i phi}.
-    That constant is what makes the phi = pi/2 shift, read out with an
-    eta = pi/2 dephasing on the second zone, reproduce the standard
-    phi = pi conditional-parity measurement.
+    * ``"dispersive"``: e^{i phi n} on |e>, nothing on |g>.
+    * ``"opposite"``: dispersive shifts of opposite sign, e^{-i phi n} on
+      |g> and e^{+i phi n} on |e> times the constant differential Stark
+      phase e^{-i phi}.  That constant is what makes the phi = pi/2 shift,
+      read out with an eta = pi/2 dephasing on the second zone, reproduce
+      the standard phi = pi conditional-parity measurement.
+    * ``"resonant-2pi"``: sign flip of |e>|1>; exact only on n <= 1.
     """
-    n = np.arange(state.dim)
-    f = np.stack([np.exp(1j * config.phi * (n - 1)), np.exp(-1j * config.phi * n)])
-    return state._apply_conditional_phases(f)
-
-
-def resonant_2pi(state: JointState) -> JointState:
-    """Sign flip of the |e>|1> amplitude; exact only on the {0,1} subspace."""
-    if state.pure:
-        leak = float(np.sum(np.abs(state._data[_E, 2:]) ** 2))
-    else:
-        leak = float(np.real(np.einsum("nn->", state._data[_E, 2:, _E, 2:])))
-    if leak > 1e-8:
-        raise SubspaceError(
-            f"|e>-sector population {leak:.3e} above n=1; resonant trick is not exact"
-        )
-    f = np.ones((2, state.dim))
-    if state.dim > 1:
+    n = np.arange(dim)
+    if variant == "dispersive":
+        f = np.stack([np.exp(1j * config.phi * n), np.ones(dim)])
+    elif variant == "opposite":
+        f = np.stack([np.exp(1j * config.phi * (n - 1)), np.exp(-1j * config.phi * n)])
+    elif variant == "resonant-2pi":
+        f = np.ones((2, dim), dtype=complex)
         f[_E, 1] = -1.0
-    return state._apply_conditional_phases(f.astype(complex))
+    else:
+        raise ValueError(f"unknown interaction variant {variant!r}")
+    r1 = _pulse_matrix(config.ramsey_phase)
+    r2 = r1 @ np.diag([np.exp(1j * config.eta), 1.0])
+    return r2 @ (f * r1[:, _E, None])
 
 
 @dataclass(frozen=True)
@@ -219,45 +102,32 @@ class Branch:
         return self.field_after
 
 
-def detect_atom(state: JointState) -> dict[str, Branch]:
-    """Project onto |e>/|g>; returns both branches with Born probabilities."""
-    out = {}
-    for idx, name in ((_E, "e"), (_G, "g")):
-        if state.pure:
-            vec = state._data[idx]
-            p = float(np.real(np.vdot(vec, vec)))
-            rho = np.outer(vec, vec.conj()) / p if p >= 1e-14 else None
-        else:
-            block = state._data[idx, :, idx, :]
-            p = float(np.real(np.trace(block)))
-            rho = block / p if p >= 1e-14 else None
-        out[name] = Branch(name, p, DensityOperator(rho) if rho is not None else None)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# composite experiments
-
-
-def _interaction(state: JointState, config: ProtocolConfig, variant: str) -> JointState:
-    if variant == "dispersive":
-        return dispersive_shift(state, config)
-    if variant == "opposite":
-        return opposite_phase_shift(state, config)
-    if variant == "resonant-2pi":
-        return resonant_2pi(state)
-    raise ValueError(f"unknown interaction variant {variant!r}")
-
-
 def probe_atom(field, config: ProtocolConfig | None = None,
                variant: str = "dispersive") -> dict[str, Branch]:
-    """Send one atom (prepared in |e>) through R1 -> interaction -> R2 -> detector."""
+    """Send one atom (prepared in |e>) through R1 -> interaction -> R2 -> detector;
+    returns both branches with Born probabilities and post-measurement fields."""
     config = config or ProtocolConfig()
-    joint = JointState.from_product(AtomState.excited(), field)
-    joint = ramsey_pulse(joint, "R1", config)
-    joint = _interaction(joint, config, variant)
-    joint = ramsey_pulse(joint, "R2", config)
-    return detect_atom(joint)
+    if isinstance(field, FieldState):
+        field = pure_to_density(field)
+    elif not isinstance(field, DensityOperator):
+        raise TypeError(f"field must be FieldState or DensityOperator, got {type(field)}")
+    pops = field.diagonal()
+    if variant == "resonant-2pi":
+        # R1 leaves half of every photon number in |e>
+        leak = 0.5 * float(np.sum(pops[2:]))
+        if leak > 1e-8:
+            raise SubspaceError(
+                f"|e>-sector population {leak:.3e} above n=1; resonant trick is not exact"
+            )
+    m = field_kraus(config, variant, field.dim)
+    out = {}
+    for idx, name in ((_E, "e"), (_G, "g")):
+        p = float(np.abs(m[idx]) ** 2 @ pops)
+        rho = None
+        if p >= 1e-14:
+            rho = DensityOperator(m[idx][:, None] * field.matrix * m[idx].conj() / p)
+        out[name] = Branch(name, p, rho)
+    return out
 
 
 def prepare_cat(alpha: complex, config: ProtocolConfig | None = None,

@@ -87,9 +87,16 @@ def test_estimate_bounded_by_two(corpus):
         assert abs(rec.estimate) <= 2.0 + 1e-12
 
 
-def test_requires_pi_phase():
+def test_requires_pi_phase(corpus):
     with pytest.raises(DomainError):
         direct_point_exact(fock_rho(1), 0.0, ProtocolConfig(phi=np.pi / 2))
+    # a dephased second zone or a resonant readout off eta = 0 weigh the
+    # photon numbers away from parity (they read 1.598 against W = 1.673,
+    # and -1.911 against W = -2)
+    with pytest.raises(DomainError):
+        direct_point_exact(corpus["cat_even"], 0.3, ProtocolConfig(eta=0.3))
+    with pytest.raises(DomainError):
+        variant_check(fock_rho(1), "resonant-2pi", config=ProtocolConfig(eta=0.3))
 
 
 def test_record_invariants():
@@ -190,6 +197,10 @@ def test_scan_map_reflection_on_asymmetric_grid():
     scan = scan_map(rho, grid)
     reflected = wigner_map(rho, grid.reflected())
     assert np.max(np.abs(scan.values - reflected.values[::-1, ::-1])) < 1e-8
+    # the map kernel against the atom probe after a real injection
+    alphas = grid.alpha_grid()
+    probed = np.array([[direct_point_exact(rho, a).estimate for a in row] for row in alphas])
+    assert np.max(np.abs(scan.values - probed)) < 1e-8
 
 
 def test_scan_distinguishes_cat_from_mixture(corpus):
@@ -295,12 +306,17 @@ def test_opposite_shift_full_map_matches_pi_pipeline(corpus):
     rho = corpus["cat_even"]
     grid = PhaseSpaceGrid(-2.2, 2.2, -2.2, 2.2, 9, 9)
     cfg = ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2)
-    lhs = scan_map(rho, grid, cfg, variant="opposite")
     rhs = scan_map(rho, grid)
-    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-8
+    for lhs in (scan_map(rho, grid, cfg, variant="opposite"),
+                scan_map(rho, grid, variant="opposite")):
+        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-8
 
 
-def test_opposite_shift_requires_matched_angles():
+def test_opposite_shift_requires_matched_angles(corpus):
     with pytest.raises(DomainError):
         variant_check(fock_rho(1), "opposite-shift", 0.1,
                       ProtocolConfig(phi=np.pi / 2, eta=0.0))
+    # without the eta = pi/2 dephasing the map was off by 2
+    grid = PhaseSpaceGrid(-2.2, 2.2, -2.2, 2.2, 5, 5)
+    with pytest.raises(DomainError):
+        scan_map(corpus["cat_even"], grid, ProtocolConfig(phi=np.pi / 2), variant="opposite")

@@ -1,10 +1,11 @@
 """Property tests over random mixed states and phase-space points.
 
 Each example draws a density matrix of dimension <= 30 (a mixture of up to
-three random pure states) and a point alpha inside the state's truncation
-guard, |alpha|^2 <= dim/4.  The Wigner function must respect |W| <= 2, the
-Laguerre-series point value must equal the position-representation
-integral, and the direct readout at alpha must read W(-alpha).
+three random pure states) and a point alpha with |alpha|^2 <= dim/4.  No
+function refuses points outside that disc; it only bounds where they are
+drawn.  The Wigner function must respect |W| <= 2, the Laguerre-series
+point value must equal the position-representation integral, and the
+direct readout at alpha must read W(-alpha).
 """
 
 import numpy as np

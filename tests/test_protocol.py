@@ -2,26 +2,22 @@ import numpy as np
 import pytest
 
 from cavitylab import (
-    AtomState,
     DampingModel,
     DegenerateBranchError,
+    DensityOperator,
     DomainError,
+    FieldState,
     HilbertSpec,
-    JointState,
     ProtocolConfig,
     SubspaceError,
     cat_state,
     coherent_state,
-    detect_atom,
-    dispersive_shift,
+    field_kraus,
     fock_state,
     mix,
-    opposite_phase_shift,
     prepare_cat,
     probe_atom,
     pure_to_density,
-    ramsey_pulse,
-    resonant_2pi,
     two_atom_conditional,
     two_atom_scan,
     vacuum,
@@ -29,35 +25,102 @@ from cavitylab import (
 
 CFG = ProtocolConfig()
 MODEL = DampingModel(kappa=1.0)
+VARIANTS = ("dispersive", "opposite", "resonant-2pi")
 
 
-def joint_e(field):
-    return JointState.from_product(AtomState.excited(), field)
+def arms(m, chi=0.0):
+    """The field phases carried by the atom's |e> and |g> arms between the
+    zones (|e>'s including e^{i eta}); M_e and M_g are their recombinations."""
+    return np.exp(1j * chi) * m[1] + m[0], np.exp(1j * chi) * m[1] - m[0]
+
+
+def joint_oracle(rho, config, variant):
+    """Brute-force probe: the 2d x 2d atom (x) field density (atom index
+    first, e before g), evolved by R1, the conditional phases and R2 built
+    from the protocol docstring's pulse convention, then projected."""
+    d = rho.dim
+    n = np.arange(d)
+    # |e> -> (|e> + |g>)/sqrt2, |g> -> (-|e> + |g>)/sqrt2, with the microwave
+    # phase chi rotating the zone about z
+    zone0 = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    z = np.diag([1.0, np.exp(-1j * config.ramsey_phase)])
+    r1 = z @ zone0 @ z.conj().T
+    r2 = r1 @ np.diag([np.exp(1j * config.eta), 1.0])
+    phi = config.phi
+    if variant == "dispersive":
+        f_e, f_g = np.exp(1j * phi * n), np.ones(d)
+    elif variant == "opposite":
+        f_e, f_g = np.exp(1j * phi * (n - 1)), np.exp(-1j * phi * n)
+    else:
+        f_e, f_g = np.where(n == 1, -1.0, 1.0), np.ones(d)
+    u = (np.kron(r2, np.eye(d)) @ np.diag(np.concatenate([f_e, f_g]))
+         @ np.kron(r1, np.eye(d)))
+    joint = u @ np.kron(np.diag([1.0, 0.0]), rho.matrix) @ u.conj().T
+    out = {}
+    for idx, name in ((0, "e"), (1, "g")):
+        block = joint[idx * d:(idx + 1) * d, idx * d:(idx + 1) * d]
+        p = float(np.real(np.trace(block)))
+        out[name] = (p, block / p)
+    return out
+
+
+def random_mixed(rng, dim, rank, support=None):
+    support = support or dim
+    vecs = np.zeros((rank, dim), dtype=complex)
+    vecs[:, :support] = rng.normal(size=(rank, support)) + 1j * rng.normal(size=(rank, support))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    weights = rng.dirichlet(np.ones(rank))
+    return DensityOperator(np.einsum("r,ri,rj->ij", weights, vecs, vecs.conj()))
+
+
+def test_probe_matches_joint_density_oracle():
+    rng = np.random.default_rng(2024)
+    for k in range(60):
+        variant = VARIANTS[k % 3]
+        dim = int(rng.integers(2, 24))
+        rank = int(rng.integers(1, 4))
+        rho = random_mixed(rng, dim, rank, support=2 if variant == "resonant-2pi" else None)
+        cfg = ProtocolConfig(*rng.uniform(-np.pi, np.pi, size=3))
+        m = field_kraus(cfg, variant, dim)
+        assert np.max(np.abs(np.sum(np.abs(m) ** 2, axis=0) - 1.0)) < 1e-12
+        field = rho
+        if rank == 1:  # pure input goes through the FieldState path
+            field = FieldState(np.linalg.eigh(rho.matrix)[1][:, -1])
+        branches = probe_atom(field, cfg, variant)
+        oracle = joint_oracle(rho, cfg, variant)
+        for s in ("e", "g"):
+            p, post = oracle[s]
+            assert abs(branches[s].probability - p) < 1e-12
+            if p > 1e-6:
+                assert np.max(np.abs(branches[s].field().matrix - post)) < 1e-12
 
 
 def test_ramsey_splits_excited_atom():
-    spec = HilbertSpec(6)
-    out = ramsey_pulse(joint_e(vacuum(spec)), "R1", CFG)
-    amp = out.amplitudes()
-    np.testing.assert_allclose(amp[0], vacuum(spec).amplitudes / np.sqrt(2), atol=1e-14)
-    np.testing.assert_allclose(amp[1], vacuum(spec).amplitudes / np.sqrt(2), atol=1e-14)
+    # with no conditional phase the two balanced zones give the full-contrast
+    # Ramsey fringe P_e = sin^2(eta/2) for any field; eta = pi/2 splits 50/50
+    field = coherent_state(HilbertSpec(20), 1.1)
+    for eta in (0.0, 0.6, np.pi / 2, 2.5, np.pi):
+        branches = probe_atom(field, ProtocolConfig(phi=0.0, eta=eta, ramsey_phase=0.8))
+        assert abs(branches["e"].probability - np.sin(eta / 2) ** 2) < 1e-12
 
 
 def test_two_pulses_make_a_pi_pulse():
-    # empty cavity: R1 then R2 send |e> to |g>
-    spec = HilbertSpec(6)
-    out = ramsey_pulse(ramsey_pulse(joint_e(vacuum(spec)), "R1", CFG), "R2", CFG)
-    branches = detect_atom(out)
-    assert abs(branches["g"].probability - 1.0) < 1e-12
-    assert branches["e"].probability < 1e-24
+    # empty cavity: R1 then R2 send |e> to |g>, whatever the interaction
+    vac = vacuum(HilbertSpec(6))
+    for variant, cfg in (("dispersive", CFG), ("resonant-2pi", CFG),
+                         ("opposite", ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2))):
+        branches = probe_atom(vac, cfg, variant)
+        assert abs(branches["g"].probability - 1.0) < 1e-12
+        assert branches["e"].probability < 1e-24
 
 
 def test_ramsey_unitary():
-    spec = HilbertSpec(20)
-    state = joint_e(coherent_state(spec, 1.2))
-    for which in ("R1", "R2"):
-        out = ramsey_pulse(state, which, ProtocolConfig(eta=0.7))
-        assert abs(out.norm_or_trace() - 1.0) < 1e-12
+    # the Kraus operators of each variant resolve the identity
+    rng = np.random.default_rng(3)
+    for variant in VARIANTS:
+        for _ in range(5):
+            m = field_kraus(ProtocolConfig(*rng.uniform(-4, 4, size=3)), variant, 20)
+            assert np.max(np.abs(np.sum(np.abs(m) ** 2, axis=0) - 1.0)) < 1e-12
 
 
 def test_ramsey_phase_is_a_gauge():
@@ -72,98 +135,110 @@ def test_ramsey_phase_is_a_gauge():
 
 
 def test_dispersive_pi_rotates_coherent_on_excited_branch():
+    # between the zones the |e> arm carries |-alpha>, the |g> arm |alpha>
     spec = HilbertSpec(26)
-    state = ramsey_pulse(joint_e(coherent_state(spec, 1.3)), "R1", CFG)
-    out = dispersive_shift(state, CFG)
-    amp = out.amplitudes()
-    np.testing.assert_allclose(amp[0] * np.sqrt(2),
-                               coherent_state(spec, -1.3).amplitudes, atol=1e-9)
-    np.testing.assert_allclose(amp[1] * np.sqrt(2),
-                               coherent_state(spec, 1.3).amplitudes, atol=1e-9)
+    amps = coherent_state(spec, 1.3).amplitudes
+    arm_e, arm_g = arms(field_kraus(ProtocolConfig(ramsey_phase=0.9), "dispersive", 26), 0.9)
+    np.testing.assert_allclose(arm_e * amps, coherent_state(spec, -1.3).amplitudes, atol=1e-9)
+    np.testing.assert_allclose(arm_g * amps, amps, atol=1e-15)
 
 
 def test_dispersive_identity_on_ground():
-    spec = HilbertSpec(20)
-    state = JointState.from_product(AtomState.ground(), coherent_state(spec, 1.1))
-    out = dispersive_shift(state, CFG)
-    np.testing.assert_allclose(out.amplitudes(), state.amplitudes(), atol=1e-15)
+    # closed form: m_e = (e^{i(phi n + eta)} - 1)/2, m_g = e^{-i chi}(e^{i(phi n + eta)} + 1)/2,
+    # the 1 being the untouched |g> arm
+    rng = np.random.default_rng(17)
+    n = np.arange(20)
+    for _ in range(5):
+        phi, chi, eta = rng.uniform(-np.pi, np.pi, size=3)
+        m = field_kraus(ProtocolConfig(phi, chi, eta), "dispersive", 20)
+        shifted = np.exp(1j * (phi * n + eta))
+        np.testing.assert_allclose(m[0], (shifted - 1) / 2, atol=1e-15)
+        np.testing.assert_allclose(m[1], np.exp(-1j * chi) * (shifted + 1) / 2, atol=1e-15)
 
 
 def test_even_cat_is_conditional_parity_eigenstate():
     spec = HilbertSpec(26)
-    cat = cat_state(spec, 1.4, 0.0)
-    out = dispersive_shift(joint_e(cat), CFG)
-    np.testing.assert_allclose(out.amplitudes()[0], cat.amplitudes, atol=1e-12)
+    for psi1, outcome in ((0.0, "g"), (np.pi, "e")):
+        cat = cat_state(spec, 1.4, psi1)
+        branches = probe_atom(cat, CFG)
+        assert abs(branches[outcome].probability - 1.0) < 1e-12
+        assert branches[outcome].field().fidelity_pure(cat) >= 1 - 1e-12
 
 
 def test_opposite_shift_rotates_ground_branch():
     spec = HilbertSpec(26)
-    cfg = ProtocolConfig(phi=np.pi / 2)
-    state = JointState.from_product(AtomState.ground(), coherent_state(spec, 1.2))
-    out = opposite_phase_shift(state, cfg)
-    np.testing.assert_allclose(out.amplitudes()[1],
-                               coherent_state(spec, -1.2j).amplitudes, atol=1e-9)
+    amps = coherent_state(spec, 1.2).amplitudes
+    _, arm_g = arms(field_kraus(ProtocolConfig(phi=np.pi / 2), "opposite", 26))
+    np.testing.assert_allclose(arm_g * amps, coherent_state(spec, -1.2j).amplitudes, atol=1e-9)
 
 
 def test_opposite_shift_branches_rotate_oppositely():
-    # swapping e <-> g conjugates the field rotation (up to a constant phase)
+    # closed form: the |e> arm is e^{i eta} e^{i phi (n - 1)}, the |g> arm
+    # e^{-i phi n}; on a coherent state they rotate it by +-phi, the |e> arm
+    # with the constant Stark phase e^{i (eta - phi)}
     spec = HilbertSpec(26)
-    cfg = ProtocolConfig(phi=0.7)
-    atom = AtomState(1 / np.sqrt(2), 1 / np.sqrt(2))
-    out = opposite_phase_shift(JointState.from_product(atom, coherent_state(spec, 1.1)),
-                               cfg)
-    amp = out.amplitudes()
-    target_e = coherent_state(spec, 1.1 * np.exp(1j * 0.7)).amplitudes / np.sqrt(2)
-    target_g = coherent_state(spec, 1.1 * np.exp(-1j * 0.7)).amplitudes / np.sqrt(2)
-    phase = amp[0][0] / target_e[0]
-    assert abs(abs(phase) - 1.0) < 1e-10  # constant Stark phase on e only
-    np.testing.assert_allclose(amp[0], phase * target_e, atol=1e-9)
-    np.testing.assert_allclose(amp[1], target_g, atol=1e-9)
+    n = np.arange(26)
+    phi, chi, eta = 0.7, -1.1, 0.4
+    m = field_kraus(ProtocolConfig(phi, chi, eta), "opposite", 26)
+    arm_e, arm_g = arms(m, chi)
+    np.testing.assert_allclose(arm_e, np.exp(1j * (eta + phi * (n - 1))), atol=1e-15)
+    np.testing.assert_allclose(arm_g, np.exp(-1j * phi * n), atol=1e-15)
+    amps = coherent_state(spec, 1.1).amplitudes
+    np.testing.assert_allclose(arm_e * amps, np.exp(1j * (eta - phi))
+                               * coherent_state(spec, 1.1 * np.exp(1j * phi)).amplitudes,
+                               atol=1e-9)
+    np.testing.assert_allclose(arm_g * amps,
+                               coherent_state(spec, 1.1 * np.exp(-1j * phi)).amplitudes,
+                               atol=1e-9)
 
 
 def test_resonant_2pi_sign_rules():
-    spec = HilbertSpec(8)
-    one = joint_e(fock_state(spec, 1))
-    out = resonant_2pi(one)
-    np.testing.assert_allclose(out.amplitudes(), -one.amplitudes(), atol=1e-15)
-    vac = joint_e(vacuum(spec))
-    np.testing.assert_allclose(resonant_2pi(vac).amplitudes(), vac.amplitudes(),
-                               atol=1e-15)
-    ground = JointState.from_product(AtomState.ground(), fock_state(spec, 1))
-    np.testing.assert_allclose(resonant_2pi(ground).amplitudes(), ground.amplitudes(),
-                               atol=1e-15)
+    # only |e>|1> changes sign; the |g> arm is untouched
+    chi, eta = 0.3, 0.8
+    arm_e, arm_g = arms(field_kraus(ProtocolConfig(ramsey_phase=chi, eta=eta),
+                                    "resonant-2pi", 8), chi)
+    signs = np.ones(8)
+    signs[1] = -1.0
+    np.testing.assert_allclose(arm_e, np.exp(1j * eta) * signs, atol=1e-15)
+    np.testing.assert_allclose(arm_g, np.ones(8), atol=1e-15)
 
 
 def test_resonant_2pi_equals_pi_shift_on_low_subspace():
     spec = HilbertSpec(9)
     amps = np.zeros(spec.dim, dtype=complex)
     amps[0], amps[1] = np.sqrt(0.3), np.sqrt(0.7) * np.exp(0.4j)
-    from cavitylab.fock import FieldState
-
-    state = ramsey_pulse(joint_e(FieldState(amps)), "R1", CFG)
-    np.testing.assert_allclose(resonant_2pi(state).amplitudes(),
-                               dispersive_shift(state, CFG).amplitudes(), atol=1e-12)
+    np.testing.assert_allclose(field_kraus(CFG, "resonant-2pi", 9)[:, :2],
+                               field_kraus(CFG, "dispersive", 9)[:, :2], atol=1e-15)
+    resonant = probe_atom(FieldState(amps), CFG, "resonant-2pi")
+    dispersive = probe_atom(FieldState(amps), CFG)
+    for s in ("e", "g"):
+        assert abs(resonant[s].probability - dispersive[s].probability) < 1e-12
+        np.testing.assert_allclose(resonant[s].field().matrix,
+                                   dispersive[s].field().matrix, atol=1e-12)
 
 
 def test_resonant_2pi_guards_subspace():
     spec = HilbertSpec(12)
     with pytest.raises(SubspaceError):
-        resonant_2pi(joint_e(coherent_state(spec, 1.0)))
+        probe_atom(coherent_state(spec, 1.0), CFG, "resonant-2pi")
 
 
 def test_detection_after_entangling_projects_coherent_states():
-    # before R2 the atom labels correlate with the field: g -> |alpha>, e -> |-alpha>
+    # the pi shift sorts the photon numbers: M_g = e^{-i chi} P_even and
+    # M_e = -P_odd, so detection projects |alpha> onto its parity components
     spec = HilbertSpec(30)
-    alpha = 1.7
-    state = dispersive_shift(ramsey_pulse(joint_e(coherent_state(spec, alpha)),
-                                          "R1", CFG), CFG)
-    branches = detect_atom(state)
-    assert abs(branches["e"].probability - 0.5) < 1e-12
-    assert abs(branches["g"].probability - 0.5) < 1e-12
-    plus = pure_to_density(coherent_state(spec, alpha))
-    minus = pure_to_density(coherent_state(spec, -alpha))
-    assert np.max(np.abs(branches["g"].field().matrix - plus.matrix)) < 1e-9
-    assert np.max(np.abs(branches["e"].field().matrix - minus.matrix)) < 1e-9
+    alpha, chi = 1.7, 0.5
+    m = field_kraus(ProtocolConfig(ramsey_phase=chi), "dispersive", 30)
+    even = np.arange(30) % 2 == 0
+    # e^{i pi n} carries a rounding error that grows like n * 1e-16
+    np.testing.assert_allclose(m[1], np.exp(-1j * chi) * even, atol=1e-13)
+    np.testing.assert_allclose(m[0], -1.0 * ~even, atol=1e-13)
+    branches = probe_atom(coherent_state(spec, alpha), ProtocolConfig(ramsey_phase=chi))
+    amps = coherent_state(spec, alpha).amplitudes
+    for outcome, part in (("g", amps * even), ("e", amps * ~even)):
+        assert abs(branches[outcome].probability - np.vdot(part, part).real) < 1e-12
+        target = pure_to_density(FieldState(part / np.linalg.norm(part)))
+        assert np.max(np.abs(branches[outcome].field().matrix - target.matrix)) < 1e-12
 
 
 def test_detection_after_r2_projects_onto_cats():
@@ -171,11 +246,9 @@ def test_detection_after_r2_projects_onto_cats():
     alpha = 1.7
     branches = prepare_cat(alpha, CFG, spec)
     overlap = np.exp(-2 * alpha ** 2)
-    # branch probabilities equal the brute-force norms (1 +- e^{-2|a|^2})/2
-    state = ramsey_pulse(dispersive_shift(ramsey_pulse(
-        joint_e(coherent_state(spec, alpha)), "R1", CFG), CFG), "R2", CFG)
-    amp = state.amplitudes()
-    assert abs(branches["g"].probability - np.vdot(amp[1], amp[1]).real) < 1e-12
+    # branch probabilities equal the brute-force joint-state ones and (1 +- e^{-2|a|^2})/2
+    oracle = joint_oracle(pure_to_density(coherent_state(spec, alpha)), CFG, "dispersive")
+    assert abs(branches["g"].probability - oracle["g"][0]) < 1e-12
     assert abs(branches["g"].probability - (1 + overlap) / 2) < 1e-10
     assert abs(branches["e"].probability - (1 - overlap) / 2) < 1e-10
     even = cat_state(spec, alpha, 0.0)
@@ -201,16 +274,6 @@ def test_prepare_cat_empty_cavity_is_deterministic():
 def test_prepare_cat_requires_pi_shift():
     with pytest.raises(DomainError):
         prepare_cat(1.0, ProtocolConfig(phi=np.pi / 2))
-
-
-def test_joint_state_partial_traces():
-    spec = HilbertSpec(14)
-    state = ramsey_pulse(joint_e(coherent_state(spec, 1.0)), "R1", CFG)
-    rho_f = state.reduced_field()
-    rho_f.validate()
-    rho_a = state.reduced_atom()
-    assert abs(np.trace(rho_a) - 1.0) < 1e-12
-    assert np.max(np.abs(rho_a - rho_a.conj().T)) < 1e-12
 
 
 # -- two-atom correlation monitor ---------------------------------------------

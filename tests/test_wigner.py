@@ -60,9 +60,14 @@ def test_coherent_gaussian_against_position_construction():
 
 
 def test_truncation_guard():
+    # the series is exact at any alpha: |alpha|^2 = 9 > dim/4 is evaluated,
+    # pointwise and in a map, as 2 e^{-2|alpha|^2}
     rho = pure_to_density(vacuum(HilbertSpec(8)))
-    with pytest.raises(TruncationError):
-        wigner_point(rho, 3.0)
+    exact = 2.0 * np.exp(-18.0)
+    assert abs(wigner_point(rho, 3.0) - exact) < 1e-12 * exact
+    assert abs(wigner_position(rho, 3.0 * np.sqrt(2), 0.0) - exact) < 1e-12 * exact
+    wm = wigner_map(rho, PhaseSpaceGrid(0.0, 3.0 * np.sqrt(2), -1.0, 1.0, 3, 3))
+    assert abs(wm.values[2, 1] - exact) < 1e-12 * exact
 
 
 def test_cross_construction_on_mixed_state():
