@@ -227,12 +227,6 @@ def _times_array(times_cfg) -> np.ndarray:
 # artifact plumbing
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    return str(x)
-
-
 class ArtifactWriter:
     """Atomic CSV/JSON artifact writer with a closing manifest."""
 
@@ -255,11 +249,27 @@ class ArtifactWriter:
         self.checksums[name] = hashlib.sha256(payload).hexdigest()
 
     def csv(self, name: str, header: list[str], rows) -> None:
+        """Floats (numpy's too) to 17 significant digits, so they round-trip;
+        other cells as csv.writer writes them.  A row of only floats and ints
+        is formatted by one string per cell-type pattern.  `rows` may be 2-D."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
+        if isinstance(rows, np.ndarray):  # Python floats, in small blocks to keep RSS flat
+            rows = (r for block in np.split(rows, range(256, len(rows), 256))
+                    for r in block.tolist())
+        formats: dict[tuple, str | None] = {}
         for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+            types = tuple(map(type, row))
+            if types not in formats:
+                numeric = all(issubclass(t, (float, int, np.integer)) for t in types)
+                formats[types] = ",".join("{:.17g}" if issubclass(t, float) else "{}"
+                                          for t in types) + "\n" if numeric else None
+            if formats[types] is None:
+                writer.writerow([f"{float(x):.17g}" if isinstance(x, (float, np.floating))
+                                 else x for x in row])
+            else:
+                buf.write(formats[types].format(*row))
         self._store(name, buf.getvalue().encode())
 
     def json(self, name: str, payload: dict) -> None:
@@ -288,9 +298,9 @@ class ArtifactWriter:
 
 def _write_map(writer: ArtifactWriter, name: str, wmap: wigner.WignerMap) -> None:
     q1, q2 = wmap.grid.q1_axis, wmap.grid.q2_axis
-    rows = ((q1[i], q2[j], wmap.values[i, j])
-            for i in range(q1.size) for j in range(q2.size))
-    writer.csv(f"{name}.csv", ["q1", "q2", "W"], rows)
+    writer.csv(f"{name}.csv", ["q1", "q2", "W"],
+               np.column_stack([np.repeat(q1, q2.size), np.tile(q2, q1.size),
+                                wmap.values.ravel()]))
     writer.json(f"{name}.json", {
         "grid": {"q1_min": wmap.grid.q1_min, "q1_max": wmap.grid.q1_max,
                  "q2_min": wmap.grid.q2_min, "q2_max": wmap.grid.q2_max,
@@ -353,24 +363,19 @@ def _run_tomography(cfg: dict, writer: ArtifactWriter) -> None:
     rho, scale = _build_state(cfg["state"], cfg["dim"])
     grid = _build_grid(cfg["grid"], scale)
     angles = tomo.uniform_angles(cfg["angles"])
+    q_range = cfg["q_range"] or tomo._default_q_range(rho)
     result = tomo.reconstruct_from_samples(rho, angles, cfg["samples"], cfg["seed"],
                                            grid, bin_width=cfg["bin_width"],
-                                           q_range=cfg["q_range"])
-    seeds = np.random.SeedSequence(cfg["seed"]).spawn(angles.size)
-    sino_rows = []
-    for k, theta in enumerate(angles):
-        hist = tomo.sample_homodyne(rho, float(theta), cfg["samples"], seeds[k],
-                                    bin_width=cfg["bin_width"],
-                                    q_range=cfg["q_range"] or tomo._default_q_range(rho))
-        dens = hist.density_estimate()
-        centers = hist.centers
-        sino_rows.extend([theta, centers[i], dens[i]] for i in range(centers.size))
-    writer.csv("sinogram.csv", ["theta", "q", "density"], sino_rows)
+                                           q_range=q_range)
+    sino = result.sinogram
+    writer.csv("sinogram.csv", ["theta", "q", "density"],
+               np.column_stack([np.repeat(sino.thetas, sino.q.size),
+                                np.tile(sino.q, sino.thetas.size),
+                                sino.densities.ravel()]))
     writer.json("sinogram_meta.json", {
         "n_samples": cfg["samples"], "seed": cfg["seed"],
         "bin_width": cfg["bin_width"],
-        "q_range": cfg["q_range"] or tomo._default_q_range(rho),
-        "angles": cfg["angles"],
+        "q_range": q_range, "angles": cfg["angles"],
     })
     _write_map(writer, "reconstruction", result.map)
     writer.json("reconstruction_report.json", {

@@ -60,20 +60,6 @@ class MeasurementRecord:
 _OPPOSITE_SHIFT = ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2)
 
 
-def _require_parity(config: ProtocolConfig, variant: str, dim: int) -> None:
-    """Raise unless the atom's weights w = |m_g|^2 - |m_e|^2 equal (-1)^n for
-    n < dim within 1e-12; |2 (P_g - P_e) - W| is then below 2e-12 for any
-    field supported there."""
-    m = protocol.field_kraus(config, variant, dim)
-    w = np.abs(m[1]) ** 2 - np.abs(m[0]) ** 2
-    dev = float(np.max(np.abs(w - (-1.0) ** np.arange(dim))))
-    if dev > 1e-12:
-        raise DomainError(
-            f"{variant} readout with phi = {config.phi}, eta = {config.eta} weighs the "
-            f"photon numbers {dev:.3e} away from parity; it does not measure W"
-        )
-
-
 def _phase_space_radius(rho: DensityOperator) -> float:
     """Radius (in alpha units) beyond which W is Gaussian-suppressed."""
     p = np.clip(rho.diagonal(), 0.0, None)
@@ -98,7 +84,7 @@ def _born_probabilities(rho0: DensityOperator, alpha: complex,
         d = displacement(rho0.spec, alpha).matrix
         rho0 = DensityOperator(d @ rho0.matrix @ d.conj().T)
     # the resonant probe refuses any field above one photon
-    _require_parity(config, variant, 2 if variant == "resonant-2pi" else rho0.dim)
+    protocol._require_parity(config, variant, 2 if variant == "resonant-2pi" else rho0.dim)
     branches = protocol.probe_atom(rho0, config, variant=variant)
     return branches["e"].probability, branches["g"].probability
 
@@ -146,7 +132,7 @@ def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
     """
     if config is None:
         config = _OPPOSITE_SHIFT if variant == "opposite" else ProtocolConfig()
-    _require_parity(config, variant, _support_dim(rho0, grid.corner_radius()))
+    protocol._require_parity(config, variant, _support_dim(rho0, grid.corner_radius()))
     exact = wigner_map(rho0, grid.reflected())
     return WignerMap(grid, exact.values[::-1, ::-1], provenance="measured-direct",
                      diagnostics=dict(exact.diagnostics))
@@ -169,7 +155,7 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     decoherence timescale, and climbs back to +2 as the field empties.
     """
     config = config or ProtocolConfig()
-    _require_parity(config, "dispersive", rho0.dim)
+    protocol._require_parity(config, "dispersive", rho0.dim)
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) < 0) or np.any(times < 0):
         raise DomainError("times must be sorted and nonnegative")

@@ -85,6 +85,20 @@ def field_kraus(config: ProtocolConfig, variant: str, dim: int) -> np.ndarray:
     return r2 @ (f * r1[:, _E, None])
 
 
+def _require_parity(config: ProtocolConfig, variant: str, dim: int) -> None:
+    """Raise unless the atom's weights w = |m_g|^2 - |m_e|^2 equal (-1)^n for
+    n < dim within 1e-12, so that detecting it measures photon-number parity:
+    |2 (P_g - P_e) - W(0)| is then below 2e-12 for any field supported there."""
+    m = field_kraus(config, variant, dim)
+    w = np.abs(m[_G]) ** 2 - np.abs(m[_E]) ** 2
+    dev = float(np.max(np.abs(w - (-1.0) ** np.arange(dim))))
+    if dev > 1e-12:
+        raise DomainError(
+            f"{variant} probe with phi = {config.phi}, eta = {config.eta} weighs the "
+            f"photon numbers {dev:.3e} away from parity; it is not a parity measurement"
+        )
+
+
 @dataclass(frozen=True)
 class Branch:
     """One projective-detection branch with its normalized field state."""
@@ -133,14 +147,13 @@ def probe_atom(field, config: ProtocolConfig | None = None,
 def prepare_cat(alpha: complex, config: ProtocolConfig | None = None,
                 spec: HilbertSpec | None = None) -> dict[str, Branch]:
     """Inject |alpha>, run one atom through the interferometer, detect.
-
-    Detecting g leaves the even cat (psi1 = 0), detecting e the odd cat
-    (psi1 = pi), with probabilities (1 +- e^{-2|alpha|^2})/2.
+    The probe must measure photon-number parity (DomainError otherwise):
+    then detecting g leaves the even cat (psi1 = 0), detecting e the odd
+    cat (psi1 = pi), with probabilities (1 +- e^{-2|alpha|^2})/2.
     """
     config = config or ProtocolConfig()
-    if abs((config.phi - np.pi + np.pi) % (2 * np.pi) - np.pi) > 1e-12:
-        raise DomainError(f"cat preparation requires phi = pi, got {config.phi}")
     spec = spec or HilbertSpec(default_dim(abs(alpha)))
+    _require_parity(config, "dispersive", spec.dim)
     return probe_atom(coherent_state(spec, alpha), config)
 
 

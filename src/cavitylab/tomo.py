@@ -17,7 +17,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import CoverageError, DomainError, SamplingError
-from .fock import DensityOperator, HilbertSpec
+from .fock import DensityOperator, HilbertSpec, pure_to_density
 from .wigner import (
     PhaseSpaceGrid,
     WignerMap,
@@ -107,8 +107,9 @@ def sample_homodyne(rho: DensityOperator, theta: float, n_samples: int, seed,
         raise SamplingError(f"tabulated density integrates to {norm}, off by > 1e-8")
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2.0 * np.diff(dense))])
     cdf /= cdf[-1]
+    # sorted uniforms walk the table once; a histogram ignores sample order
     rng = np.random.default_rng(seed)
-    samples = np.interp(rng.random(n_samples), cdf, dense)
+    samples = np.interp(np.sort(rng.random(n_samples)), cdf, dense)
     n_bins = int(math.ceil(2.0 * q_range / bin_width))
     edges = -q_range + bin_width * np.arange(n_bins + 1)
     counts, _ = np.histogram(samples, bins=edges)
@@ -184,6 +185,7 @@ def inverse_radon(sino: SinogramSet, grid: PhaseSpaceGrid) -> WignerMap:
 class ReconstructionResult:
     map: WignerMap
     error_report: dict
+    sinogram: SinogramSet  # the sampled densities the map inverts
 
 
 def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int,
@@ -195,13 +197,10 @@ def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int
     angles = np.asarray(angles, dtype=float)
     q_range = q_range or _default_q_range(rho_true)
     seeds = np.random.SeedSequence(seed).spawn(angles.size)
-    densities, centers = [], None
-    for k, theta in enumerate(angles):
-        hist = sample_homodyne(rho_true, theta, n_per_angle, seeds[k],
-                               bin_width=bin_width, q_range=q_range)
-        densities.append(hist.density_estimate())
-        centers = hist.centers
-    sino = SinogramSet(angles, centers, np.stack(densities))
+    hists = [sample_homodyne(rho_true, theta, n_per_angle, s, bin_width=bin_width,
+                             q_range=q_range) for theta, s in zip(angles, seeds)]
+    sino = SinogramSet(angles, hists[0].centers,
+                       np.stack([h.density_estimate() for h in hists]))
     recon = inverse_radon(sino, grid)
     truth = wigner_map(rho_true, grid)
     resid = recon.values - truth.values
@@ -221,7 +220,7 @@ def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int
         "n_per_angle": int(n_per_angle),
         "seed": seed,
     }
-    return ReconstructionResult(recon, report)
+    return ReconstructionResult(recon, report, sino)
 
 
 def reconstruct_exact(rho: DensityOperator, angles, grid: PhaseSpaceGrid,
@@ -238,17 +237,11 @@ def pauli_incompleteness_demo(grid: PhaseSpaceGrid,
     the full tomographic angle set can."""
     spec = spec or HilbertSpec(16)
     pair = pauli_counterexample(spec)
-    from .fock import pure_to_density
-
     rho_a = pure_to_density(pair.state_a)
     rho_b = pure_to_density(pair.state_b)
-    q = np.linspace(-6.0, 6.0, 481)
-    two_angle_dev = 0.0
-    for theta in (0.0, np.pi / 2):
-        sino_a = exact_sinogram(rho_a, [theta], q)
-        sino_b = exact_sinogram(rho_b, [theta], q)
-        two_angle_dev = max(two_angle_dev,
-                            float(np.max(np.abs(sino_a.densities - sino_b.densities))))
+    q, two_angles = np.linspace(-6.0, 6.0, 481), [0.0, np.pi / 2]
+    two_angle_dev = float(np.max(np.abs(exact_sinogram(rho_a, two_angles, q).densities
+                                        - exact_sinogram(rho_b, two_angles, q).densities)))
     angles = uniform_angles(36)
     radius = math.hypot(max(abs(grid.q1_min), grid.q1_max),
                         max(abs(grid.q2_min), grid.q2_max))

@@ -130,6 +130,16 @@ class WignerMap:
 _BLOCK = 1 << 18
 
 
+def _require_hermitian(rho: DensityOperator) -> np.ndarray:
+    """rho's matrix, refused unless Hermitian within 1e-6: the Laguerre series
+    reads only its upper triangle and the marginals only its real part."""
+    mat = rho.matrix
+    herm = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm > 1e-6:
+        raise NonHermitianError(f"density matrix hermiticity deviation {herm:.3e} exceeds 1e-6")
+    return mat
+
+
 def _laguerre_block(mat: np.ndarray, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     dim = mat.shape[0]
     k = np.arange(dim, dtype=float)[:, None]
@@ -158,10 +168,7 @@ def _laguerre_series(rho: DensityOperator, alphas) -> np.ndarray:
     upward recurrence in n from l_0^k in log form.  The series is exact for
     the truncated state, so it runs in rho's own dimension.
     """
-    mat = rho.matrix
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm > 1e-6:
-        raise NonHermitianError(f"density matrix hermiticity deviation {herm:.3e} exceeds 1e-6")
+    mat = _require_hermitian(rho)
     alphas = np.asarray(alphas, dtype=complex)
     flat = alphas.ravel()
     x, theta = 4.0 * np.abs(flat) ** 2, np.angle(flat)
@@ -209,14 +216,11 @@ def _gh_nodes(order: int):
     return x, w * np.exp(x * x)  # total weights for integrands carrying e^{-x^2}
 
 
-def _rotate_to_axis(rho: DensityOperator, q: float, p: float):
-    """Rotate the state so the evaluation point lands on the positive q1 axis."""
-    theta = math.atan2(p, q)
-    r = math.hypot(q, p)
-    n = np.arange(rho.dim)
-    ph = np.exp(1j * theta * n)
-    rotated = rho.matrix * np.multiply.outer(ph.conj(), ph)
-    return rotated, r
+def _rotated(rho: DensityOperator, theta: float) -> DensityOperator:
+    """e^{-i theta n} rho e^{i theta n}: phase space turned by -theta, which
+    brings the quadrature at angle theta onto the q1 axis."""
+    ph = np.exp(-1j * theta * np.arange(rho.dim))
+    return DensityOperator(rho.matrix * np.multiply.outer(ph, ph.conj()))
 
 
 def _axis_position_integral(rho_mat: np.ndarray, q: float, order: int) -> float:
@@ -234,7 +238,7 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
     wigner_position(rho, q, p) == wigner_point(rho, (q + i p)/sqrt(2))."""
     if not (np.isfinite(q) and np.isfinite(p)):
         raise DomainError(f"(q, p) must be finite, got ({q}, {p})")
-    rotated, q_axis = _rotate_to_axis(rho, q, p)
+    rotated, q_axis = _rotated(rho, math.atan2(p, q)).matrix, math.hypot(q, p)
     order = rho.dim + 32
     val, imag = _axis_position_integral(rotated, q_axis, order)
     if imag > 1e-6:
@@ -252,10 +256,12 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
 
 
 def position_density(rho: DensityOperator, qs) -> np.ndarray:
-    """<q| rho |q> on an array of positions."""
+    """<q| rho |q> on an array of positions.  The Hermite functions are real,
+    so only Re(rho) contributes: one real matrix product."""
+    mat = _require_hermitian(rho)
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     psi = hermite_functions(qs, rho.dim)
-    return np.real(np.einsum("mj,mn,nj->j", psi, rho.matrix, psi))
+    return np.sum(psi * (mat.real @ psi), axis=0)
 
 
 def marginal_distribution(rho: DensityOperator, theta: float, q_theta) -> np.ndarray:
@@ -263,10 +269,7 @@ def marginal_distribution(rho: DensityOperator, theta: float, q_theta) -> np.nda
     q_theta = q1 cos(theta) + q2 sin(theta)."""
     if not 0.0 <= theta < np.pi:
         raise DomainError(f"theta must lie in [0, pi), got {theta}")
-    n = np.arange(rho.dim)
-    ph = np.exp(-1j * theta * n)
-    rotated = DensityOperator(rho.matrix * np.multiply.outer(ph, ph.conj()))
-    out = position_density(rotated, q_theta)
+    out = position_density(_rotated(rho, theta), q_theta)
     return out if np.ndim(q_theta) else float(out[0])
 
 

@@ -1,11 +1,12 @@
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from cavitylab import cli
+from cavitylab import cli, tomo, wigner
 
 
 def run_cli(args):
@@ -42,9 +43,14 @@ def test_non_object_config_rejected(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    # alpha far beyond what dim = 8 can carry -> truncation failure, exit 2
-    cfg = write_config(tmp_path, "c.json", {"alpha": 3.0, "dim": 8})
-    assert run_cli(["prepare-cat", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    # alpha far beyond what dim = 8 can carry -> truncation failure, exit 2;
+    # a probe that does not measure parity cannot prepare a cat -> exit 2
+    for k, bad in enumerate(({"alpha": 3.0, "dim": 8},
+                             {"alpha": 1.5, "phi": float(np.pi / 2)},
+                             {"alpha": 1.5, "eta": 0.3})):
+        cfg = write_config(tmp_path, f"c{k}.json", bad)
+        assert run_cli(["prepare-cat", "--config", cfg,
+                        "--out", str(tmp_path / f"o{k}")]) == 2
 
 
 def test_prepare_cat_artifacts(tmp_path):
@@ -111,18 +117,64 @@ TOMO_CFG = {
 }
 
 
-def test_tomography_artifacts_and_determinism(tmp_path):
+def test_tomography_artifacts_and_determinism(tmp_path, monkeypatch):
+    calls = []
+    sample = tomo.sample_homodyne
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(tomo, "sample_homodyne", counted)
     outs = []
     for label in ("a", "b"):
         out = tmp_path / label
         cfg = write_config(tmp_path, f"{label}.json", dict(TOMO_CFG))
         assert run_cli(["tomography", "--config", cfg, "--out", str(out)]) == 0
         outs.append(out)
+    # one sampling pass: each angle once per run
+    assert len(calls) == 2 * TOMO_CFG["angles"]
+    assert len(set(calls)) == TOMO_CFG["angles"]
     for name in ("sinogram.csv", "reconstruction.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     report = json.loads((outs[0] / "reconstruction_report.json").read_text())
     assert report["angles"] == 12 and report["n"] == 2000
     assert report["rmse"] < 0.5
+    # the written sinogram is the data the reconstruction inverted
+    _, sino_rows = read_csv(outs[0] / "sinogram.csv")
+    sino_rows = np.array(sino_rows)
+    thetas = np.unique(sino_rows[:, 0])
+    q = sino_rows[sino_rows[:, 0] == thetas[0], 1]
+    sino = tomo.SinogramSet(thetas, q, sino_rows[:, 2].reshape(thetas.size, q.size))
+    grid = wigner.PhaseSpaceGrid(
+        **json.loads((outs[0] / "reconstruction.json").read_text())["grid"])
+    _, recon_rows = read_csv(outs[0] / "reconstruction.csv")
+    written = np.array(recon_rows)[:, 2].reshape(grid.n1, grid.n2)
+    assert np.max(np.abs(tomo.inverse_radon(sino, grid).values - written)) < 1e-12
+
+
+def test_csv_rows_match_csv_writer_reference(tmp_path):
+    def reference(header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{float(x):.17g}" if isinstance(x, (float, np.floating)) else x
+                             for x in row])
+        return buf.getvalue()
+
+    rows = [["g", 1, np.float64(0.1), float("nan")],
+            ["a,b", -3, float("inf"), np.float64(-2.5e-300)],
+            [0.1, np.int64(7), -np.inf, np.float64(1 / 3)],
+            [np.float64(np.nan), 2, 1e17, 0.30000000000000004],
+            [np.float32(0.1), True, np.float64(1e-5), 12345678901234567890]]
+    table = np.vstack([[[0.1, -1 / 3, 2.0], [np.inf, np.nan, 1e-320]],
+                       np.random.default_rng(3).normal(size=(5000, 3))])  # spans blocks
+    writer = cli.ArtifactWriter(str(tmp_path), "test", {})
+    writer.csv("rows.csv", ["a", "b", "c", "d"], rows)
+    writer.csv("table.csv", ["x", "y", "z"], table)
+    assert (tmp_path / "rows.csv").read_text() == reference(["a", "b", "c", "d"], rows)
+    assert (tmp_path / "table.csv").read_text() == reference(["x", "y", "z"], table)
 
 
 def test_seed_override_changes_samples(tmp_path):

@@ -5,7 +5,8 @@ three random pure states) and a point alpha with |alpha|^2 <= dim/4.  No
 function refuses points outside that disc; it only bounds where they are
 drawn.  The Wigner function must respect |W| <= 2, the Laguerre-series
 point value must equal the position-representation integral, and the
-direct readout at alpha must read W(-alpha).
+direct readout at alpha must read W(-alpha).  Every rotated-quadrature
+marginal must be a probability density: nonnegative, with unit integral.
 """
 
 import numpy as np
@@ -13,7 +14,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cavitylab import DensityOperator, direct_point_exact, wigner_point, wigner_position
+from cavitylab import (
+    DensityOperator,
+    direct_point_exact,
+    marginal_distribution,
+    wigner_point,
+    wigner_position,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -60,3 +67,14 @@ def test_point_value_equals_position_integral(case):
 def test_direct_readout_equals_reflected_wigner(case):
     rho, alpha = case
     assert abs(direct_point_exact(rho, alpha).estimate - wigner_point(rho, -alpha)) < 1e-8
+
+
+@PROPERTY_SETTINGS
+@given(mixed_states(), st.floats(0.0, np.pi, exclude_max=True))
+def test_marginal_is_a_probability_density(rho, theta):
+    # psi_n with n < 30 is negligible beyond |q| = 14, and the trapezoid rule
+    # on a Gaussian-decaying integrand is spectrally accurate at this step
+    qs = np.linspace(-14.0, 14.0, 1401)
+    p = marginal_distribution(rho, theta, qs)
+    assert p.min() >= -1e-12
+    assert abs(np.trapezoid(p, qs) - 1.0) < 1e-8

@@ -274,6 +274,9 @@ def test_prepare_cat_empty_cavity_is_deterministic():
 def test_prepare_cat_requires_pi_shift():
     with pytest.raises(DomainError):
         prepare_cat(1.0, ProtocolConfig(phi=np.pi / 2))
+    # a dephased second zone leaves cats of the wrong phase (fidelity 0.978)
+    with pytest.raises(DomainError):
+        prepare_cat(1.5, ProtocolConfig(eta=0.3), HilbertSpec(30))
 
 
 # -- two-atom correlation monitor ---------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -251,14 +253,49 @@ def test_marginal_equals_map_line_integral():
         assert np.max(np.abs(p_map - p_quantum)) < 5e-3
 
 
+def _coherent_wave_packet(beta, x):
+    """<x|beta> = pi^(-1/4) exp(-x^2/2 + sqrt(2) beta x - beta^2/2 - |beta|^2/2)."""
+    return np.pi ** -0.25 * np.exp(-x ** 2 / 2 + np.sqrt(2) * beta * x
+                                   - beta ** 2 / 2 - abs(beta) ** 2 / 2)
+
+
+def test_marginal_matches_coherent_wave_packet_closed_form():
+    # cat (|a> + e^{i psi1}|-a>)/N with complex a: P_theta(x) = |<x| e^{-i theta n} |cat>|^2
+    # and e^{-i theta n}|beta> = |beta e^{-i theta}>, so the closed form is a
+    # sum of two Gaussian wave packets; a rotation of the wrong sign fails it
+    alpha, psi1, dim = 1.5 * np.exp(0.4j), 0.7, 40
+    n = np.arange(dim)
+    log_norm = np.array([0.5 * math.lgamma(k + 1.0) for k in n])
+    amps = np.exp(-abs(alpha) ** 2 / 2 - log_norm) * (alpha ** n + np.exp(1j * psi1) * (-alpha) ** n)
+    amps /= np.linalg.norm(amps)
+    rho = DensityOperator(np.outer(amps, amps.conj()))
+    norm_sq = 2.0 * (1.0 + np.cos(psi1) * np.exp(-2.0 * abs(alpha) ** 2))
+    xs = np.linspace(-7.0, 7.0, 281)
+    for theta in (0.0, 0.3, np.pi / 4, 1.2, np.pi / 2, 2.7):
+        beta = alpha * np.exp(-1j * theta)
+        packet = (_coherent_wave_packet(beta, xs)
+                  + np.exp(1j * psi1) * _coherent_wave_packet(-beta, xs))
+        closed = np.abs(packet) ** 2 / norm_sq
+        assert np.max(np.abs(marginal_distribution(rho, theta, xs) - closed)) < 1e-10
+
+
 def test_marginal_domain():
     rho = pure_to_density(vacuum(HilbertSpec(6)))
-    from cavitylab.errors import DomainError
+    from cavitylab.errors import DomainError, NonHermitianError
+    from cavitylab.tomo import sample_homodyne
 
     with pytest.raises(DomainError):
         marginal_distribution(rho, -0.1, 0.0)
     with pytest.raises(DomainError):
         marginal_distribution(rho, np.pi, 0.0)
+    # Re(rho) alone is a valid-looking state: the marginals must still refuse it
+    mat = np.zeros((6, 6), dtype=complex)
+    mat[0, 0], mat[0, 1] = 1.0, 0.5j
+    skewed = DensityOperator(mat)
+    with pytest.raises(NonHermitianError):
+        marginal_distribution(skewed, 0.0, [0.0, 1.0])
+    with pytest.raises(NonHermitianError):
+        sample_homodyne(skewed, 0.0, 100, 1)
 
 
 def test_hermite_functions_orthonormal():
