@@ -47,6 +47,7 @@ from .dynamics import (
     DampingModel,
     TimeGrid,
     cat_coherence,
+    coherence_series,
     decoherence_time,
     evolve,
     evolve_trajectory,
@@ -55,6 +56,7 @@ from .dynamics import (
 from .protocol import (
     ConditionalTable,
     ProtocolConfig,
+    TwoAtomScan,
     field_kraus,
     prepare_cat,
     probe_atom,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -22,7 +23,9 @@ import jsonschema
 import scipy
 
 from . import __version__, direct, dynamics, fock, protocol, tomo, wigner
-from .errors import CavityLabError, ConfigError
+from .errors import CavityLabError, ConfigError, DegenerateBranchError
+
+gc.freeze()  # keep the import-time objects out of the experiments' full collections
 
 # ---------------------------------------------------------------------------
 # config schemas
@@ -135,6 +138,10 @@ SCHEMAS = {
     },
 }
 
+# built once; the schemas themselves are checked by the test suite
+_VALIDATORS = {name: jsonschema.validators.validator_for(schema)(schema)
+               for name, schema in SCHEMAS.items()}
+
 DEFAULTS = {
     "prepare-cat": {"phi": float(np.pi), "eta": 0.0, "seed": 0, "dim": None},
     "decoherence-scan": {"kappa": 1.0, "n_thermal": 0.0, "seed": 0, "dim": None,
@@ -161,10 +168,9 @@ def resolve_config(experiment: str, raw: dict) -> dict:
     if experiment not in SCHEMAS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose from {sorted(SCHEMAS)}")
-    try:
-        jsonschema.validate(raw, SCHEMAS[experiment])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATORS[experiment].iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"invalid config: {error.message}") from error
     cfg = dict(DEFAULTS[experiment])
     cfg.update(raw)
     return cfg
@@ -338,19 +344,20 @@ def _run_decoherence_scan(cfg: dict, writer: ArtifactWriter) -> None:
     model = dynamics.DampingModel(kappa=cfg["kappa"], n_thermal=cfg["n_thermal"])
     delays = _times_array(cfg["delays"])
     spec = fock.HilbertSpec(cfg["dim"] or fock.default_dim(max(abs(alpha), 1.0)))
-    rows = protocol.two_atom_scan(alpha, delays, model, spec=spec)
+    scan = protocol.two_atom_scan(alpha, delays, model, spec=spec)
     writer.csv("decoherence_scan.csv",
                ["delay", "P_e2_given_e1", "P_g2_given_g1"],
-               ((r.delay, r.p_e2_given_e1, r.p_g2_given_g1) for r in rows))
+               ((r.delay, r.p_e2_given_e1, r.p_g2_given_g1) for r in scan))
     # damping trajectory of the post-e1 conditional field
-    first = protocol.prepare_cat(alpha, protocol.ProtocolConfig(), spec)
-    rho0 = first["e"].field()
-    traj = dynamics.evolve_trajectory(rho0, model, delays)
-    traj_rows = []
-    for t, rho_t in zip(delays, traj):
-        traj_rows.append([t, dynamics.cat_coherence(rho_t, alpha),
-                          rho_t.mean_photon(), abs(rho_t.trace() - 1.0)])
-    writer.csv("trajectory.csv", ["t", "coherence", "mean_n", "trace_error"], traj_rows)
+    if "e" not in scan.trajectories:
+        raise DegenerateBranchError(
+            f"branch 'e' has probability {scan[0].p_e1:.3e}; "
+            "no normalized post-measurement state exists")
+    traj = scan.trajectories["e"]
+    coherence = dynamics.coherence_series(traj, alpha)
+    writer.csv("trajectory.csv", ["t", "coherence", "mean_n", "trace_error"],
+               ([t, float(c), rho_t.mean_photon(), abs(rho_t.trace() - 1.0)]
+                for t, c, rho_t in zip(delays, coherence, traj)))
 
 
 def _run_wigner_map(cfg: dict, writer: ArtifactWriter) -> None:

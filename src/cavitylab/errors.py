@@ -18,7 +18,7 @@ class WeightError(CavityLabError):
 
 
 class IntegrationError(CavityLabError):
-    """Adaptive master-equation integration failed its tolerance."""
+    """Damped evolution drifted from the initial trace beyond its tolerance."""
 
 
 class DomainError(CavityLabError):

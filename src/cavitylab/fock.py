@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateStateError, TruncationError, WeightError
+from .errors import DegenerateStateError, NonHermitianError, TruncationError, WeightError
 
 # Tail mass of a coherent state stays below ~1e-10 with this truncation rule.
 DIM_MARGIN = 10
@@ -133,6 +133,17 @@ class DensityOperator:
         w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
         if w.min() < -eig_tol:
             raise ValueError(f"negative eigenvalue {w.min():.3e} < -{eig_tol}")
+
+
+def require_hermitian(rho: DensityOperator) -> np.ndarray:
+    """rho's matrix, refused unless Hermitian within 1e-6: the Laguerre
+    series reads only its upper triangle, the marginals only its real part
+    and the damping propagators only its lower triangle."""
+    mat = rho.matrix
+    herm = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm > 1e-6:
+        raise NonHermitianError(f"density matrix hermiticity deviation {herm:.3e} exceeds 1e-6")
+    return mat
 
 
 @dataclass(frozen=True)

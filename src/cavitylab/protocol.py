@@ -18,6 +18,7 @@ zone; a nonzero `ramsey_phase` rotates the microwave phase of both zones
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -173,31 +174,40 @@ class ConditionalTable:
     p_g2: float
 
 
+@dataclass(frozen=True)
+class TwoAtomScan(Sequence):
+    """A delay scan: one ConditionalTable per delay (indexable like a list),
+    plus the damped field after each non-degenerate first-atom outcome
+    ("e", "g") at every delay."""
+
+    rows: tuple[ConditionalTable, ...]
+    trajectories: dict[str, list[DensityOperator]]
+
+    def __getitem__(self, k):
+        return self.rows[k]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 def two_atom_scan(alpha: complex, delays, model: DampingModel,
                   config: ProtocolConfig | None = None,
-                  spec: HilbertSpec | None = None) -> list[ConditionalTable]:
+                  spec: HilbertSpec | None = None) -> TwoAtomScan:
     """Delay scan of the two-atom correlations, sharing one damping
     trajectory per first-atom branch."""
     config = config or ProtocolConfig()
     delays = np.asarray(delays, dtype=float)
     first = prepare_cat(alpha, config, spec)
-    degenerate = {o: first[o].field_after is None for o in ("e", "g")}
-    trajs = {}
-    for o in ("e", "g"):
-        if not degenerate[o]:
-            trajs[o] = evolve_trajectory(first[o].field_after, model, delays)
+    trajs = {o: evolve_trajectory(first[o].field_after, model, delays)
+             for o in ("e", "g") if first[o].field_after is not None}
+    p_e1, p_g1 = first["e"].probability, first["g"].probability
     rows = []
     for k, delay in enumerate(delays):
-        cond = {}
-        for o in ("e", "g"):
-            if degenerate[o]:
-                cond[o] = {"e": np.nan, "g": np.nan}
-            else:
-                second = probe_atom(trajs[o][k], config)
-                cond[o] = {s: second[s].probability for s in ("e", "g")}
-        p_e1, p_g1 = first["e"].probability, first["g"].probability
-        p_e2 = sum(first[o].probability * cond[o]["e"]
-                   for o in ("e", "g") if not degenerate[o])
+        cond = {o: {"e": np.nan, "g": np.nan} for o in ("e", "g")}
+        for o, traj in trajs.items():
+            second = probe_atom(traj[k], config)
+            cond[o] = {s: second[s].probability for s in ("e", "g")}
+        p_e2 = sum(first[o].probability * cond[o]["e"] for o in trajs)
         rows.append(ConditionalTable(
             alpha=alpha, delay=float(delay),
             p_e1=p_e1, p_g1=p_g1,
@@ -205,7 +215,7 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
             p_e2_given_g1=cond["g"]["e"], p_g2_given_g1=cond["g"]["g"],
             p_e2=p_e2, p_g2=1.0 - p_e2,
         ))
-    return rows
+    return TwoAtomScan(tuple(rows), trajs)
 
 
 def two_atom_conditional(alpha: complex, delay: float, model: DampingModel,

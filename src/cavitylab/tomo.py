@@ -112,8 +112,15 @@ def sample_homodyne(rho: DensityOperator, theta: float, n_samples: int, seed,
     samples = np.interp(np.sort(rng.random(n_samples)), cdf, dense)
     n_bins = int(math.ceil(2.0 * q_range / bin_width))
     edges = -q_range + bin_width * np.arange(n_bins + 1)
-    counts, _ = np.histogram(samples, bins=edges)
-    return QuadratureHistogram(theta, edges, counts, n_samples)
+    return QuadratureHistogram(theta, edges, _sorted_counts(samples, edges), n_samples)
+
+
+def _sorted_counts(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.histogram(samples, edges)[0] for sorted samples, without sorting
+    them again: each bin is half-open, the last one closed on the right."""
+    bounds = np.searchsorted(samples, edges)
+    bounds[-1] = np.searchsorted(samples, edges[-1], side="right")
+    return np.diff(bounds)
 
 
 def exact_sinogram(rho: DensityOperator, thetas, q) -> SinogramSet:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import gammaln, roots_hermite, xlogy
 
 from .errors import DomainError, NonHermitianError, QuadratureError, TruncationError
-from .fock import DensityOperator, FieldState, HilbertSpec, pure_to_density
+from .fock import DensityOperator, FieldState, HilbertSpec, pure_to_density, require_hermitian
 
 BOUND = 2.0  # |W| <= 2 in this normalization
 
@@ -130,16 +130,6 @@ class WignerMap:
 _BLOCK = 1 << 18
 
 
-def _require_hermitian(rho: DensityOperator) -> np.ndarray:
-    """rho's matrix, refused unless Hermitian within 1e-6: the Laguerre series
-    reads only its upper triangle and the marginals only its real part."""
-    mat = rho.matrix
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm > 1e-6:
-        raise NonHermitianError(f"density matrix hermiticity deviation {herm:.3e} exceeds 1e-6")
-    return mat
-
-
 def _laguerre_block(mat: np.ndarray, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     dim = mat.shape[0]
     k = np.arange(dim, dtype=float)[:, None]
@@ -168,7 +158,7 @@ def _laguerre_series(rho: DensityOperator, alphas) -> np.ndarray:
     upward recurrence in n from l_0^k in log form.  The series is exact for
     the truncated state, so it runs in rho's own dimension.
     """
-    mat = _require_hermitian(rho)
+    mat = require_hermitian(rho)
     alphas = np.asarray(alphas, dtype=complex)
     flat = alphas.ravel()
     x, theta = 4.0 * np.abs(flat) ** 2, np.angle(flat)
@@ -258,7 +248,7 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
 def position_density(rho: DensityOperator, qs) -> np.ndarray:
     """<q| rho |q> on an array of positions.  The Hermite functions are real,
     so only Re(rho) contributes: one real matrix product."""
-    mat = _require_hermitian(rho)
+    mat = require_hermitian(rho)
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     psi = hermite_functions(qs, rho.dim)
     return np.sum(psi * (mat.real @ psi), axis=0)
@@ -278,13 +268,7 @@ def radon_of_map(wmap: WignerMap, theta: float, q_out=None) -> tuple[np.ndarray,
     the direction conjugate to theta.  Returns (q_theta values, P values)."""
     if not 0.0 <= theta < np.pi:
         raise DomainError(f"theta must lie in [0, pi), got {theta}")
-    from scipy.interpolate import RegularGridInterpolator
-
     g = wmap.grid
-    interp = RegularGridInterpolator(
-        (g.q1_axis, g.q2_axis), wmap.values / (2.0 * np.pi),
-        bounds_error=False, fill_value=0.0,
-    )
     if q_out is None:
         half = min(g.q1_max, g.q2_max)
         q_out = np.linspace(-half, half, max(g.n1, g.n2))
@@ -295,8 +279,23 @@ def radon_of_map(wmap: WignerMap, theta: float, q_out=None) -> tuple[np.ndarray,
     c, sn = np.cos(theta), np.sin(theta)
     pts1 = q_out[:, None] * c - s[None, :] * sn
     pts2 = q_out[:, None] * sn + s[None, :] * c
-    vals = interp(np.stack([pts1.ravel(), pts2.ravel()], axis=-1)).reshape(pts1.shape)
+    vals = _bilinear(g.q1_axis, g.q2_axis, wmap.values / (2.0 * np.pi), pts1, pts2)
     return q_out, np.trapezoid(vals, dx=step, axis=1)
+
+
+def _bilinear(axis1: np.ndarray, axis2: np.ndarray, values: np.ndarray,
+              pts1: np.ndarray, pts2: np.ndarray) -> np.ndarray:
+    """values[i, j] on (axis1[i], axis2[j]) interpolated bilinearly at the
+    points (pts1, pts2); zero outside the grid."""
+    i = np.clip(np.searchsorted(axis1, pts1) - 1, 0, axis1.size - 2)
+    j = np.clip(np.searchsorted(axis2, pts2) - 1, 0, axis2.size - 2)
+    t = (pts1 - axis1[i]) / (axis1[i + 1] - axis1[i])
+    u = (pts2 - axis2[j]) / (axis2[j + 1] - axis2[j])
+    out = ((values[i, j] * (1 - t) + values[i + 1, j] * t) * (1 - u)
+           + (values[i, j + 1] * (1 - t) + values[i + 1, j + 1] * t) * u)
+    outside = ((pts1 < axis1[0]) | (pts1 > axis1[-1])
+               | (pts2 < axis2[0]) | (pts2 > axis2[-1]))
+    return np.where(outside, 0.0, out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
-from cavitylab import cli, tomo, wigner
+import cavitylab
+from cavitylab import cli, dynamics, protocol, tomo, wigner
 
 
 def run_cli(args):
@@ -90,6 +95,34 @@ def test_decoherence_scan_shape(tmp_path):
     assert t_header == ["t", "coherence", "mean_n", "trace_error"]
     assert abs(t_body[0][1] - 1.0) < 0.01
     assert max(row[3] for row in t_body) < 1e-9
+
+
+def test_decoherence_scan_prepares_and_damps_once(tmp_path, monkeypatch):
+    calls = {"prepare_cat": 0, "evolve_trajectory": 0, "coherent_state": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(protocol, "prepare_cat")
+    counted(protocol, "evolve_trajectory")
+    counted(dynamics, "evolve_trajectory")
+    counted(dynamics, "coherent_state")
+    cfg = write_config(tmp_path, "c.json", {
+        "alpha": 1.5, "delays": {"t_start": 0.0, "t_end": 2.0, "steps": 9}})
+    assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    # one preparation, one trajectory per branch, |+-alpha> built once
+    assert calls == {"prepare_cat": 1, "evolve_trajectory": 2, "coherent_state": 2}
+
+
+def test_decoherence_scan_degenerate_branch_exit_code(tmp_path):
+    # alpha = 0 never leaves the atom in e, so there is no post-e1 trajectory
+    cfg = write_config(tmp_path, "c.json", {"alpha": 0.0, "delays": [0.0, 0.5]})
+    assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 STRIP_GRID = {"q1_min": -0.45, "q1_max": 0.45, "q2_min": -2.0, "q2_max": 2.0,
@@ -264,3 +297,41 @@ def test_dim_override_flows_through(tmp_path):
                     "--dim", "24"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["dim"] == 24
+
+
+def test_schemas_are_valid_json_schemas():
+    assert set(cli.SCHEMAS) == set(cli.DEFAULTS) == set(cli.RUNNERS) | {"selfcheck"}
+    for schema in cli.SCHEMAS.values():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_config_error_names_the_offending_value(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"alpha": 1.0, "kappa": -1.0})
+    assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "config error: invalid config: -1.0 is less than or equal to the minimum of 0" \
+        in capsys.readouterr().err
+
+
+# Modules the CLI must not load at start-up (import time is paid by every
+# run), nor when drawing a map's line integrals.
+UNLOADED = ("scipy.integrate", "scipy.constants", "scipy.interpolate", "scipy.optimize")
+
+
+def test_cli_import_leaves_unused_scipy_modules_unloaded():
+    # a fresh interpreter: this test process has loaded them for its own oracles
+    code = f"""
+import sys
+import cavitylab.cli
+from cavitylab import (HilbertSpec, cat_state, default_grid, pure_to_density,
+                       radon_of_map, wigner_map)
+unloaded = {UNLOADED!r}
+print(sorted(m for m in unloaded if m in sys.modules))
+rho = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
+radon_of_map(wigner_map(rho, default_grid(1.0, step=0.5)), 0.3)
+print(sorted(m for m in unloaded if m in sys.modules))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cavitylab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[:2] == ["[]", "[]"]

@@ -1,13 +1,18 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from cavitylab import (
     DampingModel,
+    DensityOperator,
     DomainError,
     HilbertSpec,
+    NonHermitianError,
     TimeGrid,
     cat_coherence,
     cat_state,
+    coherence_series,
     coherent_state,
     decoherence_time,
     evolve,
@@ -99,6 +104,122 @@ def test_negative_time_rejected():
         evolve(pure_to_density(vacuum(HilbertSpec(4))), MODEL, -0.1)
 
 
+def test_non_hermitian_state_is_refused():
+    # only the lower triangle is propagated, so a non-Hermitian rho would
+    # silently evolve as its Hermitian completion
+    mat = np.zeros((6, 6), dtype=complex)
+    mat[0, 0], mat[0, 1] = 1.0, 0.5j
+    rho = DensityOperator(mat)
+    with pytest.raises(NonHermitianError):
+        evolve(rho, MODEL, 0.3)
+    with pytest.raises(NonHermitianError):
+        evolve_trajectory(rho, MODEL, [0.0, 0.3])
+
+
+# -- independent oracles for the damping propagators ---------------------------
+
+
+def _cat_matrix(dim, alpha, psi1):
+    """|alpha> + e^{i psi1}|-alpha>, normalized, from its Fock amplitudes."""
+    n = np.arange(dim)
+    log_fact = np.array([sum(np.log(np.arange(1, k + 1))) for k in n])
+    def coh(a):
+        return np.exp(-abs(a) ** 2 / 2 + n * np.log(complex(a)) - log_fact / 2)
+    v = coh(alpha) + np.exp(1j * psi1) * coh(-alpha)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def _random_density(dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    z *= np.exp(-np.arange(dim) / 4.0)[:, None]  # keep the top levels nearly empty
+    m = z @ z.conj().T
+    return m / np.trace(m).real
+
+
+def _lindblad_rhs(dim, kappa, n_th):
+    """Test-local master equation on the truncated operators."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    ad = a.T
+    kd, ku = kappa * (n_th + 1), kappa * n_th
+
+    def rhs(t, y):
+        r = y.reshape(dim, dim)
+        out = kd * (a @ r @ ad - 0.5 * (ad @ a @ r + r @ ad @ a))
+        out += ku * (ad @ r @ a - 0.5 * (a @ ad @ r + r @ a @ ad))
+        return out.ravel()
+    return rhs
+
+
+def test_zero_temperature_matches_walls_milburn_closed_form():
+    # rho_mn(t) = e^{-kappa (m+n) t/2} sum_l sqrt(C(m+l,l) C(n+l,l))
+    #             (1 - e^{-kappa t})^l rho_{m+l,n+l}(0)   (Walls & Milburn)
+    dim, kappa = 30, 1.3
+    model = DampingModel(kappa=kappa)
+    times = [0.0, 0.07, 0.5, 0.5, 2.0]
+    for rho0 in (_cat_matrix(dim, 1.5 * np.exp(0.4j), 0.7), _random_density(dim, 3, 5)):
+        traj = evolve_trajectory(DensityOperator(rho0), model, times)
+        for t, rho_t in zip(times, traj):
+            p = 1.0 - np.exp(-kappa * t)
+            want = np.zeros((dim, dim), dtype=complex)
+            for m in range(dim):
+                for n in range(dim):
+                    acc = sum(np.sqrt(comb(m + l, l) * comb(n + l, l)) * p ** l
+                              * rho0[m + l, n + l] for l in range(dim - max(m, n)))
+                    want[m, n] = np.exp(-kappa * (m + n) * t / 2) * acc
+            assert np.max(np.abs(rho_t.matrix - want)) < 1e-13
+
+
+def test_truncated_thermal_state_is_fixed_point():
+    # detailed balance kd (n+1) p_{n+1} = ku (n+1) p_n holds level by level,
+    # the top one included, only if the truncated a a+ ends in 0
+    dim, n_th = 12, 0.7
+    p = (n_th / (n_th + 1.0)) ** np.arange(dim)
+    rho = DensityOperator(np.diag(p / p.sum()))
+    out = evolve(rho, DampingModel(kappa=1.0, n_thermal=n_th), 3.0)
+    assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-13
+
+
+def test_mean_photon_relaxes_to_thermal_occupation():
+    # <n>(t) = n_th + (n0 - n_th) e^{-kappa t} while the top levels stay empty
+    kappa, n_th = 1.3, 0.2
+    rho0 = DensityOperator(_cat_matrix(40, 1.5, 0.0))
+    n0 = float(np.real(np.sum(np.arange(40) * np.diag(rho0.matrix))))
+    times = np.array([0.0, 0.3, 1.0, 2.5])
+    traj = evolve_trajectory(rho0, DampingModel(kappa, n_th), times)
+    got = np.array([r.mean_photon() for r in traj])
+    np.testing.assert_allclose(got, n_th + (n0 - n_th) * np.exp(-kappa * times),
+                               rtol=0, atol=1e-12)
+
+
+def test_thermal_damping_matches_ode_solution_on_nonuniform_times():
+    from scipy.integrate import solve_ivp
+
+    dim, kappa, n_th = 18, 1.0, 0.05
+    rho0 = _cat_matrix(dim, 1.2 * np.exp(0.3j), np.pi)
+    times = np.array([0.0, 0.0, 0.013, 0.2, 0.2, 0.21, 0.9, 2.4, 2.4, 5.0])
+    unique, where = np.unique(times, return_inverse=True)
+    sol = solve_ivp(_lindblad_rhs(dim, kappa, n_th), (0.0, unique[-1]),
+                    rho0.ravel(), method="DOP853", t_eval=unique,
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success
+    traj = evolve_trajectory(DensityOperator(rho0), DampingModel(kappa, n_th), times)
+    for k, rho_t in enumerate(traj):
+        want = sol.y[:, where[k]].reshape(dim, dim)
+        assert np.max(np.abs(rho_t.matrix - want)) < 1e-10
+
+
+def test_trajectory_stays_positive_and_exactly_hermitian():
+    alpha = np.sqrt(5.0)
+    rho0 = pure_to_density(cat_state(HilbertSpec(31), alpha, np.pi))
+    for n_th in (0.0, 0.05):
+        traj = evolve_trajectory(rho0, DampingModel(1.0, n_th), np.linspace(0, 8, 81))
+        for rho_t in traj:
+            assert np.array_equal(rho_t.matrix, rho_t.matrix.conj().T)
+            assert np.linalg.eigvalsh(rho_t.matrix).min() >= -1e-14
+
+
 # -- coherence witness -------------------------------------------------------
 
 
@@ -124,6 +245,15 @@ def test_coherence_e_fold_at_decoherence_time():
     t_dec = decoherence_time(MODEL, 5.0)
     w = cat_coherence(evolve(rho0, MODEL, t_dec), alpha)
     assert abs(w - np.exp(-1.0)) < 0.1 * np.exp(-1.0)
+
+
+def test_coherence_series_matches_pointwise_witness():
+    alpha = 1.5
+    rho0 = pure_to_density(cat_state(HilbertSpec(26), alpha, 0.0))
+    traj = evolve_trajectory(rho0, MODEL, [0.0, 0.1, 0.4])
+    series = coherence_series(traj, alpha)
+    for w, rho_t in zip(series, traj):
+        assert abs(w - cat_coherence(rho_t, alpha)) < 1e-15
 
 
 def test_decoherence_time_formula():

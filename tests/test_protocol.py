@@ -12,6 +12,7 @@ from cavitylab import (
     SubspaceError,
     cat_state,
     coherent_state,
+    evolve_trajectory,
     field_kraus,
     fock_state,
     mix,
@@ -325,6 +326,23 @@ def test_correlation_curve_monotone_with_plateau():
     for row in rows:
         if 4.0 * t_dec <= row.delay <= 10.5 * t_dec:
             assert abs(row.p_e2_given_e1 - 0.5) <= 0.02
+
+
+def test_scan_hands_back_its_branch_trajectories():
+    alpha, spec = 1.5, HilbertSpec(26)
+    delays = [0.0, 0.1, 0.35]
+    scan = two_atom_scan(alpha, delays, MODEL, CFG, spec)
+    first = prepare_cat(alpha, CFG, spec)
+    for o in ("e", "g"):
+        want = evolve_trajectory(first[o].field(), MODEL, delays)
+        for got, ref in zip(scan.trajectories[o], want):
+            assert np.array_equal(got.matrix, ref.matrix)
+        assert (getattr(scan[1], f"p_e2_given_{o}1")
+                == probe_atom(want[1], CFG)["e"].probability)
+    assert [row.delay for row in scan] == delays and len(scan) == 3
+    # a degenerate first-atom branch has no trajectory and reads nan
+    vac = two_atom_scan(0.0, [0.0, 0.2], MODEL, CFG, HilbertSpec(8))
+    assert set(vac.trajectories) == {"g"} and np.isnan(vac[1].p_e2_given_e1)
 
 
 def test_two_atom_rejects_negative_delay():

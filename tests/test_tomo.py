@@ -21,6 +21,7 @@ from cavitylab import (
 from cavitylab.tomo import (
     QuadratureHistogram,
     SinogramSet,
+    _sorted_counts,
     exact_sinogram,
     inverse_radon,
     reconstruct_exact,
@@ -95,6 +96,16 @@ def test_histogram_invariants():
         QuadratureHistogram(0.0, np.array([0.0, 1.0, 0.5]), np.array([1, 2]), 3)
     with pytest.raises(ValueError):
         QuadratureHistogram(0.0, np.array([0.0, 1.0, 2.0]), np.array([1, 2]), 4)
+
+
+def test_sorted_counts_match_numpy_histogram_on_edges():
+    # samples exactly on interior edges, on both outer edges and outside
+    edges = -2.0 + 0.25 * np.arange(17)
+    rng = np.random.default_rng(3)
+    samples = np.sort(np.concatenate([edges, edges[::3], [edges[-1]] * 3, [edges[0]] * 2,
+                                      rng.uniform(-2.5, 2.5, 500)]))
+    counts = _sorted_counts(samples, edges)
+    np.testing.assert_array_equal(counts, np.histogram(samples, bins=edges)[0])
 
 
 def test_sinogram_invariants():
