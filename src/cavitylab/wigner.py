@@ -8,6 +8,10 @@ cross-checked by the test suite:
   by its Laguerre series over the diagonals of rho (Cahill & Glauber,
   Phys. Rev. 177, 1857 and 1882 (1969)).  The series is exact for the
   truncated state, so it runs in rho's own dimension with no displacement.
+  Its costly radial part (a Laguerre recurrence) depends on |alpha| only:
+  points are grouped by exactly equal x = 4|alpha|^2 and the recurrence
+  runs once per distinct radius; each point then sums its angular factors
+  e^{ik arg(alpha)} by Horner.
 * ``wigner_position`` -- the position-representation integral
   (1/2pi) int e^{ipx} <q-x/2| rho |q+x/2> dx, evaluated with Hermite
   functions and Gauss-Hermite quadrature, then rescaled by 2pi to the
@@ -52,6 +56,8 @@ class PhaseSpaceGrid:
     n2: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.q1_min, self.q1_max, self.q2_min, self.q2_max])):
+            raise DomainError("grid extents must be finite")
         if not (self.q1_max > self.q1_min and self.q2_max > self.q2_min):
             raise DomainError("grid extents must satisfy max > min")
         if self.n1 < 2 or self.n2 < 2:
@@ -91,6 +97,8 @@ class PhaseSpaceGrid:
 def default_grid(alpha_max: float, step: float = 0.075, pad: float = 4.0) -> PhaseSpaceGrid:
     """Figure-class grid: spans the state's lobes plus `pad` quadrature units."""
     span = np.sqrt(2.0) * abs(alpha_max) + pad
+    if not math.isfinite(span):
+        raise DomainError(f"grid span must be finite, got alpha_max {alpha_max}, pad {pad}")
     n = int(math.ceil(2.0 * span / step)) + 1
     return PhaseSpaceGrid(-span, span, -span, span, n, n)
 
@@ -118,6 +126,8 @@ class WignerMap:
         return float(self.values.sum() * self.grid.cell_area / (2.0 * np.pi))
 
     def check_bound(self, tol: float = 1e-8) -> None:
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("W has non-finite values")
         if self.max_abs() > BOUND + tol:
             raise DomainError(f"|W| = {self.max_abs()} exceeds bound {BOUND} + {tol}")
 
@@ -125,60 +135,92 @@ class WignerMap:
 # ---------------------------------------------------------------------------
 # Laguerre-series construction
 
-# points per block of the series times dim: keeps each (dim, points) work
-# array near 4 MB however large the grid
+# distinct radii per radial block, times dim: keeps each
+# (dim, radii) work array near 4 MB however large the grid
 _BLOCK = 1 << 18
 
 
-def _laguerre_block(mat: np.ndarray, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _radial_sums(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S_k(x) = sum_n (-1)^n rho_{n,n+k} l_n^k(x) for every diagonal k < dim,
+    shape (dim, x.size)."""
     dim = mat.shape[0]
-    k = np.arange(dim, dtype=float)[:, None]
+    k = np.arange(dim, dtype=float)
+    # the recurrence's coefficients at every (n, k), built once; row n - 1 serves step n
+    nn = np.arange(1, dim, dtype=float)[:, None]
+    lead = 2 * nn - 1 + k
+    back = np.sqrt((nn - 1) * (nn - 1 + k))
+    norm = np.sqrt(nn * (nn + k))
+    k = k[:, None]
     ell = np.exp(xlogy(k / 2.0, x) - x / 2.0 - 0.5 * gammaln(k + 1.0))  # l_0^k(x)
     ell_prev = np.zeros_like(ell)
     sums = mat[0, :, None] * ell
     for n in range(1, dim):
-        kk = k[: dim - n]
-        ell, ell_prev = (((2 * n - 1 + kk - x) * ell[: dim - n]
-                          - np.sqrt((n - 1) * (n - 1 + kk)) * ell_prev[: dim - n])
-                         / np.sqrt(n * (n + kk))), ell[: dim - n]
-        sums[: dim - n] += (-1) ** n * mat[n, n:, None] * ell
-    sums[1:] *= 2.0 * np.exp(1j * k[1:] * theta)
-    return 2.0 * np.real(sums.sum(axis=0))
+        m = dim - n
+        ell, ell_prev = (((lead[n - 1, :m, None] - x) * ell[:m]
+                          - back[n - 1, :m, None] * ell_prev[:m])
+                         / norm[n - 1, :m, None]), ell[:m]
+        sums[:m] += (-1) ** n * mat[n, n:, None] * ell
+    return sums
 
 
-def _laguerre_series(rho: DensityOperator, alphas) -> np.ndarray:
+def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
     """W(alpha) = 2 Tr[rho D(alpha) P D(alpha)^-1] on an array of alpha, from
     the Laguerre series over the diagonals of rho (Cahill & Glauber 1969):
 
-        W = 2 sum_n (-1)^n rho_nn l_n^0(x)
-            + 4 Re sum_{k>=1} e^{ik theta} sum_n (-1)^n rho_{n,n+k} l_n^k(x),
+        W = 2 Re[S_0(x) + 2 sum_{k>=1} S_k(x) z^k],
+        S_k(x) = sum_n (-1)^n rho_{n,n+k} l_n^k(x),
 
-    with x = 4|alpha|^2, theta = arg(alpha) and the normalised Laguerre
+    with x = 4|alpha|^2, z = e^{i arg(alpha)} and the normalised Laguerre
     functions l_n^k = sqrt(n!/(n+k)!) x^{k/2} e^{-x/2} L_n^k(x), built by
     upward recurrence in n from l_0^k in log form.  The series is exact for
     the truncated state, so it runs in rho's own dimension.
+
+    Only the radial sums S_k need the O(dim^2) recurrence, and they depend
+    on x alone.  The points are sorted by x and grouped by exact float
+    equality (no tolerance, so every point sees the x it would have had on
+    its own); the recurrence runs once per distinct x, in blocks of at most
+    _BLOCK // dim radii.  Each point then sums its angles by Horner in z.
+    Returns the values, shaped as `alphas`, and the number of distinct radii.
     """
     mat = require_hermitian(rho)
     alphas = np.asarray(alphas, dtype=complex)
     flat = alphas.ravel()
-    x, theta = 4.0 * np.abs(flat) ** 2, np.angle(flat)
+    with np.errstate(over="ignore"):
+        x = 4.0 * np.abs(flat) ** 2
+    if not np.all(np.isfinite(x)):
+        raise DomainError("alpha must be finite, with 4|alpha|^2 in float range")
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    # bounds[r]:bounds[r + 1] is the run of sorted points at the r-th distinct x
+    bounds = np.flatnonzero(np.diff(x, prepend=-1.0, append=np.inf))
+    radii = bounds.size - 1
     out = np.empty(flat.size)
     step = max(1, _BLOCK // rho.dim)
-    for s in range(0, flat.size, step):
-        out[s:s + step] = _laguerre_block(mat, x[s:s + step], theta[s:s + step])
-    return out.reshape(alphas.shape)
+    for r in range(0, radii, step):
+        runs = bounds[r:r + step + 1]
+        sums = _radial_sums(mat, x[runs[:-1]])
+        pts = order[runs[0]:runs[-1]]
+        which = np.repeat(np.arange(runs.size - 1), np.diff(runs))
+        z = np.exp(1j * np.angle(flat[pts]))
+        acc = np.zeros(pts.size, dtype=complex)  # sum_{k>=1} S_k z^k by Horner
+        for row in sums[:0:-1]:
+            acc += row[which]
+            acc *= z
+        out[pts] = 2.0 * (sums[0, which].real + 2.0 * acc.real)
+    return out.reshape(alphas.shape), radii
 
 
 def wigner_point(rho: DensityOperator, alpha: complex) -> float:
     """W(alpha) = 2 Tr[rho D(alpha) P D(alpha)^-1], by the Laguerre series."""
-    return float(_laguerre_series(rho, alpha))
+    return float(_laguerre_series(rho, alpha)[0])
 
 
 def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
     """W over the grid by the Laguerre series, with bound/normalization checks."""
-    values = _laguerre_series(rho, grid.alpha_grid())
+    values, radii = _laguerre_series(rho, grid.alpha_grid())
     wm = WignerMap(grid, values,
-                   diagnostics={"max_abs": float(np.max(np.abs(values)))})
+                   diagnostics={"max_abs": float(np.max(np.abs(values))),
+                                "eval_dim": rho.dim, "distinct_radii": radii})
     wm.check_bound()
     wm.diagnostics["normalization_sum"] = wm.normalization_sum()
     return wm
@@ -337,7 +379,8 @@ def _support_radius(rho: DensityOperator, tail: float = 1e-10) -> float:
 def moyal_grid_integral(rho: DensityOperator, monomials, step: float = 0.2,
                         pad: float = 4.0) -> dict[tuple[int, int], float]:
     """Phase-space integrals int dq dp W_qp q^m p^n for several monomials,
-    sharing one Laguerre-series evaluation over a disc covering the state.
+    sharing one Laguerre-series evaluation over a disc covering the state;
+    grid points outside the disc are not evaluated.
 
     The disc is the state's Fock-shell radius plus `pad` (alpha units), which
     controls the discarded Gaussian tail: contributions beyond the disc are
@@ -347,8 +390,9 @@ def moyal_grid_integral(rho: DensityOperator, monomials, step: float = 0.2,
     extent = np.sqrt(2.0) * disc            # bounding square in quadrature units
     axis = np.arange(-extent, extent + step / 2, step)
     q1, q2 = np.meshgrid(axis, axis, indexing="ij")
-    w_vals = _laguerre_series(rho, (q1 + 1j * q2) / np.sqrt(2.0))
-    w_vals[(q1 ** 2 + q2 ** 2) / 2.0 > disc ** 2] = 0.0
+    inside = (q1 ** 2 + q2 ** 2) / 2.0 <= disc ** 2
+    w_vals = np.zeros(q1.shape)
+    w_vals[inside] = _laguerre_series(rho, (q1[inside] + 1j * q2[inside]) / np.sqrt(2.0))[0]
     out = {}
     for (m, n) in monomials:
         integrand = w_vals * q1 ** m * q2 ** n / (2.0 * np.pi)

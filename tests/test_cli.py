@@ -143,6 +143,18 @@ def test_wigner_map_distinguishes_cat_from_mixture(tmp_path):
     assert np.max(np.abs(values["cat"] - values["mixture"])) > 1.5
 
 
+def test_wigner_map_records_evaluation_health(tmp_path):
+    grid = {"q1_min": -2.0, "q1_max": 2.0, "q2_min": -2.0, "q2_max": 2.0, "n1": 9, "n2": 9}
+    cfg = write_config(tmp_path, "cat.json",
+                       {"state": {"kind": "cat", "alpha": 1.5}, "dim": 30, "grid": grid})
+    assert run_cli(["wigner-map", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    diagnostics = json.loads((tmp_path / "o" / "wigner_map.json").read_text())["diagnostics"]
+    axis = np.linspace(-2.0, 2.0, 9)
+    alphas = (axis[:, None] + 1j * axis[None, :]) / np.sqrt(2.0)
+    assert diagnostics["eval_dim"] == 30
+    assert diagnostics["distinct_radii"] == np.unique(4.0 * np.abs(alphas) ** 2).size
+
+
 TOMO_CFG = {
     "state": {"kind": "coherent", "alpha": 1.0},
     "angles": 12, "samples": 2000, "seed": 99,

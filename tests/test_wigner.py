@@ -30,7 +30,8 @@ from cavitylab import (
     wigner_point,
     wigner_position,
 )
-from cavitylab.wigner import hermite_functions
+from cavitylab.errors import DomainError
+from cavitylab.wigner import _BLOCK, WignerMap, hermite_functions
 
 
 def make_coherent_rho(alpha, dim):
@@ -85,6 +86,14 @@ def test_cross_construction_on_mixed_state():
             assert abs(wigner_point(state, alpha) - wigner_position(state, q, p)) < 1e-10
 
 
+def test_non_finite_alpha_is_rejected():
+    rho = pure_to_density(cat_state(HilbertSpec(20), 1.0, 0.0))
+    # 4|alpha|^2 overflows at |alpha| = 1e160, which read W = nan
+    for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0), 1e160):
+        with pytest.raises(DomainError):
+            wigner_point(rho, alpha)
+
+
 def test_wigner_position_fock3_oscillates():
     # number states have negative phase-space regions; the n = 3 radial
     # profile changes sign twice inside the classical region
@@ -102,6 +111,79 @@ def test_wigner_symmetry_for_parity_symmetric_state():
 
 
 # -- maps ----------------------------------------------------------------------
+
+
+def test_grid_rejects_non_finite_extents():
+    for extents in ((-np.inf, 1, -1, 1), (-1, np.inf, -1, 1), (-1, 1, np.nan, 1),
+                    (-1, 1, -1, np.nan)):
+        with pytest.raises(DomainError):
+            PhaseSpaceGrid(*extents, 3, 3)
+    for alpha_max in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            default_grid(alpha_max)
+
+
+def test_check_bound_fails_on_non_finite_values():
+    grid = PhaseSpaceGrid(-1, 1, -1, 1, 3, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((3, 3))
+        values[1, 2] = bad
+        with pytest.raises(DomainError):
+            WignerMap(grid, values).check_bound()
+
+
+def test_map_on_shared_radii_against_position_construction():
+    # a symmetric odd-sized grid through alpha = 0, where mirror points share
+    # a radius and one radial pass serves several angles; the complex cat has
+    # no mirror symmetry, so each point's angular sum is tested on its own
+    rho = pure_to_density(cat_state(HilbertSpec(30), 1.5 * np.exp(0.4j), 0.7))
+    grid = PhaseSpaceGrid(-4.0, 4.0, -4.0, 4.0, 21, 21)
+    wm = wigner_map(rho, grid)
+    assert grid.q1_axis[10] == 0.0 and grid.q2_axis[10] == 0.0
+    assert wm.diagnostics["eval_dim"] == 30
+    assert wm.diagnostics["distinct_radii"] < grid.n1 * grid.n2 / 3
+    for i, q in enumerate(grid.q1_axis):
+        for j, p in enumerate(grid.q2_axis):
+            assert abs(wm.values[i, j] - wigner_position(rho, q, p)) < 1e-10
+
+
+def test_map_across_radial_blocks_against_position_construction():
+    # an off-centre, non-square grid with more distinct radii than one radial
+    # block holds: points on both sides of every block boundary are checked
+    rng = np.random.default_rng(60)
+    vecs = rng.normal(size=(2, 60)) + 1j * rng.normal(size=(2, 60))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    rho = DensityOperator(0.6 * np.outer(vecs[0], vecs[0].conj())
+                          + 0.4 * np.outer(vecs[1], vecs[1].conj()))
+    grid = PhaseSpaceGrid(-2.3, 6.1, -4.7, 1.9, 97, 61)
+    wm = wigner_map(rho, grid)
+    x = 4.0 * np.abs(grid.alpha_grid()) ** 2
+    radii = np.unique(x)
+    step = _BLOCK // rho.dim
+    assert wm.diagnostics["distinct_radii"] == radii.size > step
+    picks = [0, radii.size - 1]
+    for edge in range(step, radii.size, step):
+        picks += [edge - 2, edge - 1, edge, edge + 1]
+    for r in picks:
+        for i, j in zip(*np.nonzero(x == radii[r])):
+            want = wigner_position(rho, grid.q1_axis[i], grid.q2_axis[j])
+            assert abs(wm.values[i, j] - want) < 1e-10
+
+
+def test_map_memory_stays_blocked():
+    # the radial pass works on blocks of radii, not on a dim x (distinct
+    # radii) table: a 401 x 401 grid at dim 100 stays below 32 MB
+    import tracemalloc
+
+    rho = pure_to_density(cat_state(HilbertSpec(100), 3.0, 0.0))
+    grid = PhaseSpaceGrid(-8.0, 8.0, -8.0, 8.0, 401, 401)
+    tracemalloc.start()
+    try:
+        wigner_map(rho, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_map_matches_promoted_displaced_parity():
