@@ -26,7 +26,6 @@ from .errors import (
 )
 from .fock import (
     DensityOperator,
-    FieldOperator,
     FieldState,
     HilbertSpec,
     annihilation,
@@ -34,7 +33,7 @@ from .fock import (
     coherent_state,
     creation,
     default_dim,
-    displacement,
+    displaced_rows,
     fock_state,
     mix,
     number_operator,

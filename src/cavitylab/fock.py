@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
-from .errors import DegenerateStateError, NonHermitianError, TruncationError, WeightError
+from .errors import (DegenerateStateError, DomainError, NonHermitianError, TruncationError,
+                     WeightError)
 
 # Tail mass of a coherent state stays below ~1e-10 with this truncation rule.
 DIM_MARGIN = 10
+
+# largest <n|D|j> block displaced_rows builds: 16 MB of complex entries
+MAX_DISPLACED_ENTRIES = 1 << 20
 
 
 def default_dim(alpha_max: float) -> int:
@@ -39,14 +43,6 @@ class HilbertSpec:
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
-
-    def guard(self, alpha: complex) -> None:
-        """Reject displacements that the truncated space cannot carry."""
-        if abs(alpha) ** 2 > self.dim / 4.0:
-            raise TruncationError(
-                f"|alpha|^2 = {abs(alpha)**2:.3f} exceeds dim/4 = {self.dim/4:.3f}; "
-                f"increase dim to at least {default_dim(abs(alpha))}"
-            )
 
 
 @dataclass(frozen=True)
@@ -146,76 +142,95 @@ def require_hermitian(rho: DensityOperator) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class FieldOperator:
-    """Dense operator on the truncated Fock space."""
+# ---------------------------------------------------------------------------
+# canonical operators (read-only arrays)
 
-    matrix: np.ndarray
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
-        object.__setattr__(self, "matrix", _readonly(m))
+def annihilation(spec: HilbertSpec) -> np.ndarray:
+    """Annihilation operator: <n-1| a |n> = sqrt(n)."""
+    return _readonly(np.diag(np.sqrt(np.arange(1, spec.dim, dtype=float)), k=1))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
-    def dagger(self) -> "FieldOperator":
-        return FieldOperator(self.matrix.conj().T)
+def creation(spec: HilbertSpec) -> np.ndarray:
+    return _readonly(annihilation(spec).T)
 
-    def apply(self, state: FieldState) -> FieldState:
-        return FieldState(self.matrix @ state.amplitudes)
+
+def number_operator(spec: HilbertSpec) -> np.ndarray:
+    return _readonly(np.diag(np.arange(spec.dim, dtype=float)))
+
+
+def quadrature_q1(spec: HilbertSpec) -> np.ndarray:
+    return _readonly((annihilation(spec) + creation(spec)) / np.sqrt(2.0))
+
+
+def quadrature_q2(spec: HilbertSpec) -> np.ndarray:
+    return _readonly((annihilation(spec) - creation(spec)) / (1j * np.sqrt(2.0)))
+
+
+def parity(spec: HilbertSpec) -> np.ndarray:
+    """Photon-number parity: diag((-1)^n)."""
+    return _readonly(np.diag((-1.0) ** np.arange(spec.dim)))
 
 
 # ---------------------------------------------------------------------------
-# canonical operators
+# normalised Laguerre functions and the displacement they build
 
 
-def annihilation(spec: HilbertSpec) -> FieldOperator:
-    """Annihilation operator: <n-1| a |n> = sqrt(n)."""
-    return FieldOperator(np.diag(np.sqrt(np.arange(1, spec.dim, dtype=float)), k=1))
+def laguerre_functions(x: np.ndarray, width: int, steps: int):
+    """Normalised Laguerre functions l_n^k(x) = sqrt(n!/(n+k)!) x^{k/2} e^{-x/2} L_n^k(x)
+    on a 1-D array of x >= 0, by upward recurrence in n from l_0^k in log form:
+    yields l_n^k(x) over k < width - n, shape (width - n, x.size), for n < steps."""
+    k = np.arange(width, dtype=float)
+    # the recurrence's coefficients at every (n, k), built once; row n - 1 serves step n
+    nn = np.arange(1, steps, dtype=float)[:, None]
+    lead = 2 * nn - 1 + k
+    back = np.sqrt((nn - 1) * (nn - 1 + k))
+    norm = np.sqrt(nn * (nn + k))
+    k = k[:, None]
+    ell = np.exp(xlogy(k / 2.0, x) - x / 2.0 - 0.5 * gammaln(k + 1.0))  # l_0^k(x)
+    ell_prev = np.zeros_like(ell)
+    yield ell
+    for n in range(1, steps):
+        m = width - n
+        ell, ell_prev = (((lead[n - 1, :m, None] - x) * ell[:m]
+                          - back[n - 1, :m, None] * ell_prev[:m])
+                         / norm[n - 1, :m, None]), ell[:m]
+        yield ell
 
 
-def creation(spec: HilbertSpec) -> FieldOperator:
-    return annihilation(spec).dagger()
+def displaced_rows(alpha, rows: int, cols: int) -> np.ndarray:
+    """Exact elements <n|D(alpha)|j>, n < rows, j < cols, of the untruncated
+    D(alpha) = exp(alpha a^dag - alpha* a), theta = arg(alpha) (Cahill &
+    Glauber, Phys. Rev. 177, 1857 (1969)); column 0 is |alpha>:
 
+        <n|D|j> = e^{i theta (n-j)} l_j^{n-j}(|alpha|^2)              (n >= j)
+        <n|D|j> = e^{i theta (n-j)} (-1)^{j-n} l_n^{j-n}(|alpha|^2)   (n < j)
 
-def number_operator(spec: HilbertSpec) -> FieldOperator:
-    return FieldOperator(np.diag(np.arange(spec.dim, dtype=float)))
-
-
-def quadrature_q1(spec: HilbertSpec) -> FieldOperator:
-    a = annihilation(spec).matrix
-    return FieldOperator((a + a.conj().T) / np.sqrt(2.0))
-
-
-def quadrature_q2(spec: HilbertSpec) -> FieldOperator:
-    a = annihilation(spec).matrix
-    return FieldOperator((a - a.conj().T) / (1j * np.sqrt(2.0)))
-
-
-def parity(spec: HilbertSpec) -> FieldOperator:
-    """Photon-number parity: diag((-1)^n)."""
-    return FieldOperator(np.diag((-1.0) ** np.arange(spec.dim)))
-
-
-@lru_cache(maxsize=16)
-def _displacement_eigensystem(dim: int):
-    """Eigendecomposition of i(a^dag - a); D(r) = V exp(-i r w) V^dag for real r."""
-    a = annihilation(HilbertSpec(dim)).matrix
-    return np.linalg.eigh(1j * (a.conj().T - a))
-
-
-def displacement(spec: HilbertSpec, alpha: complex) -> FieldOperator:
-    """D(alpha) = exp(alpha a^dag - alpha* a): the real displacement D(|alpha|)
-    from the cached eigensystem, conjugated by the phase rotation exp(i arg(alpha) n)."""
-    spec.guard(alpha)
-    w, v = _displacement_eigensystem(spec.dim)
-    d_real = (v * np.exp(-1j * abs(alpha) * w)) @ v.conj().T
-    ph = np.exp(1j * np.angle(alpha) * np.arange(spec.dim))
-    return FieldOperator(ph[:, None] * d_real * ph.conj()[None, :])
+    For an array of alpha the result has shape alpha.shape + (rows, cols),
+    with one recurrence per distinct |alpha|.  Raises DomainError for
+    non-finite |alpha|^2 and TruncationError past MAX_DISPLACED_ENTRIES.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    with np.errstate(over="ignore"):
+        x = np.abs(alpha) ** 2
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"alpha must be finite with |alpha|^2 in float range, got {alpha}")
+    width = max(rows, cols)
+    if alpha.size * width * cols > MAX_DISPLACED_ENTRIES:
+        raise TruncationError(f"{alpha.size} blocks of {width} x {cols} entries of D(alpha) "
+                              f"exceed the limit of {MAX_DISPLACED_ENTRIES}")
+    # one recurrence per distinct radius (the corners of a symmetric grid share one)
+    radii, which = np.unique(x, return_inverse=True)
+    out = np.zeros((width, cols, radii.size))
+    for j, ell in enumerate(laguerre_functions(radii, width, cols)):
+        out[j:, j] = ell
+    out = out.transpose(2, 0, 1)[which.reshape(x.shape)]
+    # the band n < j mirrors n > j: <n|D|j> = (-1)^(j-n) <j|D|n> before the phases
+    n = np.arange(cols)
+    square = out[..., :cols, :]
+    square += np.swapaxes(square, -1, -2) * ((n[:, None] < n) * (-1.0) ** (n[:, None] + n))
+    phase = np.exp(1j * np.angle(alpha)[..., None] * np.arange(width))
+    return out[..., :rows, :] * phase[..., :rows, None] * phase[..., None, :cols].conj()
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +250,11 @@ def vacuum(spec: HilbertSpec) -> FieldState:
 
 
 def coherent_state(spec: HilbertSpec, alpha: complex) -> FieldState:
-    """Coherent state c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!), renormalized.
-
-    Raises TruncationError if the truncated tail exceeds 1e-8 in norm.
+    """Coherent state D(alpha)|0>, c_n = e^{i theta n} l_0^n(|alpha|^2) with each
+    term in log form (column 0 of ``displaced_rows``), renormalized.  Raises
+    DomainError for non-finite alpha, TruncationError for a tail above 1e-8.
     """
-    spec.guard(alpha)
-    amps = np.zeros(spec.dim, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, spec.dim):
-        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
-    amps *= np.exp(-abs(alpha) ** 2 / 2.0)
+    amps = displaced_rows(alpha, spec.dim, 1)[:, 0]
     norm = np.linalg.norm(amps)
     correction = abs(1.0 - norm)
     if correction > 1e-8:
@@ -257,14 +267,16 @@ def coherent_state(spec: HilbertSpec, alpha: complex) -> FieldState:
 
 def cat_state(spec: HilbertSpec, alpha: complex, psi1: float) -> FieldState:
     """(|alpha> + e^{i psi1} |-alpha>) / N1, N1 = sqrt(2[1 + cos(psi1) e^{-2|alpha|^2}])."""
+    if not math.isfinite(psi1):
+        raise DomainError(f"psi1 must be finite, got {psi1}")
+    plus = coherent_state(spec, alpha).amplitudes  # refuses a non-finite alpha
     n1_sq = 2.0 * (1.0 + np.cos(psi1) * np.exp(-2.0 * abs(alpha) ** 2))
     n1 = np.sqrt(max(n1_sq, 0.0))
     if n1 < 1e-6:
         raise DegenerateStateError(
             f"cat normalization N1 = {n1:.2e} vanishes (psi1={psi1}, alpha={alpha})"
         )
-    plus = coherent_state(spec, alpha).amplitudes
-    minus = coherent_state(spec, -alpha).amplitudes
+    minus = plus * (-1.0) ** np.arange(spec.dim)  # <n|-alpha> = (-1)^n <n|alpha>
     amps = (plus + np.exp(1j * psi1) * minus) / n1
     resid = abs(np.linalg.norm(amps) - 1.0)
     if resid > 1e-10:
@@ -299,7 +311,7 @@ def mix(states, weights) -> DensityOperator:
 
 
 def promote(obj, spec: HilbertSpec):
-    """Zero-pad a state/density/operator into a larger truncated space."""
+    """Zero-pad a state or density operator into a larger truncated space."""
     if spec.dim < obj.dim:
         raise ValueError(f"cannot promote dim {obj.dim} down to {spec.dim}")
     if spec.dim == obj.dim:
@@ -310,6 +322,4 @@ def promote(obj, spec: HilbertSpec):
         return FieldState(amps)
     mat = np.zeros((spec.dim, spec.dim), dtype=complex)
     mat[: obj.dim, : obj.dim] = obj.matrix
-    if isinstance(obj, DensityOperator):
-        return DensityOperator(mat)
-    return FieldOperator(mat)
+    return DensityOperator(mat)

@@ -32,10 +32,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_hermite, xlogy
+from scipy.special import roots_hermite
 
 from .errors import DomainError, NonHermitianError, QuadratureError, TruncationError
-from .fock import DensityOperator, FieldState, HilbertSpec, pure_to_density, require_hermitian
+from .fock import (DensityOperator, FieldState, HilbertSpec, laguerre_functions,
+                   pure_to_density, quadrature_q1, quadrature_q2, require_hermitian)
 
 BOUND = 2.0  # |W| <= 2 in this normalization
 
@@ -82,12 +83,6 @@ class PhaseSpaceGrid:
         q1 = self.q1_axis[:, None]
         q2 = self.q2_axis[None, :]
         return (q1 + 1j * q2) / np.sqrt(2.0)
-
-    def corner_radius(self) -> float:
-        """Largest |alpha| reached by the grid."""
-        r1 = max(abs(self.q1_min), abs(self.q1_max))
-        r2 = max(abs(self.q2_min), abs(self.q2_max))
-        return float(np.sqrt((r1 ** 2 + r2 ** 2) / 2.0))
 
     def reflected(self) -> "PhaseSpaceGrid":
         return PhaseSpaceGrid(-self.q1_max, -self.q1_min, -self.q2_max, -self.q2_min,
@@ -144,22 +139,10 @@ def _radial_sums(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S_k(x) = sum_n (-1)^n rho_{n,n+k} l_n^k(x) for every diagonal k < dim,
     shape (dim, x.size)."""
     dim = mat.shape[0]
-    k = np.arange(dim, dtype=float)
-    # the recurrence's coefficients at every (n, k), built once; row n - 1 serves step n
-    nn = np.arange(1, dim, dtype=float)[:, None]
-    lead = 2 * nn - 1 + k
-    back = np.sqrt((nn - 1) * (nn - 1 + k))
-    norm = np.sqrt(nn * (nn + k))
-    k = k[:, None]
-    ell = np.exp(xlogy(k / 2.0, x) - x / 2.0 - 0.5 * gammaln(k + 1.0))  # l_0^k(x)
-    ell_prev = np.zeros_like(ell)
-    sums = mat[0, :, None] * ell
-    for n in range(1, dim):
-        m = dim - n
-        ell, ell_prev = (((lead[n - 1, :m, None] - x) * ell[:m]
-                          - back[n - 1, :m, None] * ell_prev[:m])
-                         / norm[n - 1, :m, None]), ell[:m]
-        sums[:m] += (-1) ** n * mat[n, n:, None] * ell
+    ells = laguerre_functions(x, dim, dim)
+    sums = mat[0, :, None] * next(ells)
+    for n, ell in enumerate(ells, start=1):
+        sums[:dim - n] += (-1) ** n * mat[n, n:, None] * ell
     return sums
 
 
@@ -171,8 +154,7 @@ def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
         S_k(x) = sum_n (-1)^n rho_{n,n+k} l_n^k(x),
 
     with x = 4|alpha|^2, z = e^{i arg(alpha)} and the normalised Laguerre
-    functions l_n^k = sqrt(n!/(n+k)!) x^{k/2} e^{-x/2} L_n^k(x), built by
-    upward recurrence in n from l_0^k in log form.  The series is exact for
+    functions l_n^k of ``fock.laguerre_functions``.  The series is exact for
     the truncated state, so it runs in rho's own dimension.
 
     Only the radial sums S_k need the O(dim^2) recurrence, and they depend
@@ -353,9 +335,8 @@ class MoyalResult:
 
 def _symmetrized_word(dim: int, m: int, n: int) -> np.ndarray:
     """Average of all distinct orderings of m factors q1 and n factors q2."""
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-    qop = (a + a.conj().T) / np.sqrt(2.0)
-    pop = (a - a.conj().T) / (1j * np.sqrt(2.0))
+    spec = HilbertSpec(dim)
+    qop, pop = quadrature_q1(spec), quadrature_q2(spec)
     letters = ("q",) * m + ("p",) * n
     orders = set(itertools.permutations(letters))
     acc = np.zeros((dim, dim), dtype=complex)

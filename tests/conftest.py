@@ -4,6 +4,7 @@ import pytest
 from cavitylab import (
     DampingModel,
     HilbertSpec,
+    annihilation,
     cat_state,
     coherent_state,
     evolve,
@@ -34,6 +35,18 @@ def build_corpus(dim: int = CORPUS_DIM) -> dict:
     }
     states["damped_cat"] = evolve(states["cat_even"], DampingModel(kappa=1.0), 0.1)
     return states
+
+
+def eigh_displacement(dim: int, alpha: complex) -> np.ndarray:
+    """Oracle D(alpha) on a dim-truncated space, independent of the Laguerre
+    recurrence: exp(-i|alpha| G) with G = i(a^dag - a) by eigendecomposition,
+    conjugated by the phase rotation e^{i arg(alpha) n}.  Exact away from the
+    last rows and columns, which the truncation of G corrupts."""
+    a = annihilation(HilbertSpec(dim))
+    w, v = np.linalg.eigh(1j * (a.T - a))
+    d = (v * np.exp(-1j * abs(alpha) * w)) @ v.conj().T
+    ph = np.exp(1j * np.angle(alpha) * np.arange(dim))
+    return ph[:, None] * d * ph.conj()[None, :]
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from cavitylab import (
     PhaseSpaceGrid,
     ProtocolConfig,
     SubspaceError,
+    TruncationError,
     cat_state,
     coherent_state,
     decoherence_time,
@@ -71,12 +72,57 @@ def test_readout_identity_over_corpus(corpus):
 
 
 def test_readout_at_guard_edge_matches_position_oracle(corpus):
-    # |alpha| = 3.15 reaches the guard edge of the dim-40 corpus: the injected
-    # displacement needs a promoted space (built in dim 40 it read 0.02375)
+    # |alpha|^2 = 3.15^2 is about dim/4 for the dim-40 corpus: the displaced
+    # populations need rows past dim 40 (a displacement truncated to dim 40
+    # read 0.02375)
     rho = corpus["cat_even"]
     oracle = wigner_position(rho, 3.15 * np.sqrt(2), 0.0)
     assert abs(oracle - 0.07098) < 1e-5
     assert abs(direct_point_exact(rho, -3.15).estimate - oracle) < 1e-8
+
+
+def test_non_finite_injection_is_rejected(corpus):
+    # nan raised a bare ValueError; 1e160 overflows |alpha|^2
+    rho = corpus["cat_even"]
+    for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf), 1e160):
+        with pytest.raises(DomainError):
+            direct_point_exact(rho, alpha)
+        with pytest.raises(DomainError):
+            direct_point_sampled(rho, alpha, 100, 1.0, seed=1)
+        with pytest.raises(DomainError):
+            variant_check(rho, "opposite-shift", alpha)
+
+
+def test_huge_injection_raises_before_allocating():
+    # the displaced vacuum at |alpha| = 1e4 needs ~1e8 photon numbers; the
+    # readout stops at the displacement cap instead of allocating them
+    import tracemalloc
+
+    rho = pure_to_density(vacuum(HilbertSpec(10)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError):
+            direct_point_exact(rho, 1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_readout_truncation_is_the_smallest_capturing_one(corpus):
+    # N doubles past rho.dim until the displaced populations hold Tr rho
+    # within 1e-10: half of N misses more, and N carries the exact W
+    from cavitylab.direct import _populations
+
+    rho = corpus["cat_even"]
+    assert _populations(rho, 0.0).size == rho.dim
+    assert _populations(rho, 0.1).size == 2 * rho.dim
+    pops = _populations(rho, 4.0 - 1.0j)
+    assert pops.size == 4 * rho.dim
+    assert abs(1.0 - pops.sum()) <= 1e-10
+    assert 1.0 - pops[:pops.size // 2].sum() > 1e-10
+    oracle = wigner_position(rho, -4.0 * np.sqrt(2), 1.0 * np.sqrt(2))
+    assert abs(direct_point_exact(rho, 4.0 - 1.0j).estimate - oracle) < 1e-9
 
 
 def test_estimate_bounded_by_two(corpus):

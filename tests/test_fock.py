@@ -12,8 +12,9 @@ from cavitylab import (
     annihilation,
     cat_state,
     coherent_state,
+    DomainError,
     default_dim,
-    displacement,
+    displaced_rows,
     fock_state,
     mix,
     parity,
@@ -21,7 +22,10 @@ from cavitylab import (
     pure_to_density,
     vacuum,
 )
-from cavitylab.fock import creation, number_operator, quadrature_q1, quadrature_q2
+from cavitylab.fock import (MAX_DISPLACED_ENTRIES, creation, number_operator, quadrature_q1,
+                            quadrature_q2)
+
+from conftest import eigh_displacement
 
 
 def brute_coherent_amplitudes(alpha, dim):
@@ -37,12 +41,12 @@ def test_spec_validation():
 
 
 def test_annihilation_dim2():
-    a = annihilation(HilbertSpec(2)).matrix
+    a = annihilation(HilbertSpec(2))
     np.testing.assert_allclose(a, [[0, 1], [0, 0]], atol=1e-15)
 
 
 def test_annihilation_sqrt_elements():
-    a = annihilation(HilbertSpec(4)).matrix
+    a = annihilation(HilbertSpec(4))
     assert abs(a[2, 3] - np.sqrt(3)) < 1e-15
     for n in range(1, 4):
         assert abs(a[n - 1, n] - np.sqrt(n)) < 1e-15
@@ -51,7 +55,7 @@ def test_annihilation_sqrt_elements():
 def test_quadrature_commutator():
     # [q1, q2] = i on the subspace n <= dim-2 (truncation only corrupts the edge)
     spec = HilbertSpec(12)
-    q1, q2 = quadrature_q1(spec).matrix, quadrature_q2(spec).matrix
+    q1, q2 = quadrature_q1(spec), quadrature_q2(spec)
     comm = q1 @ q2 - q2 @ q1
     sub = comm[: spec.dim - 1, : spec.dim - 1]
     np.testing.assert_allclose(sub, 1j * np.eye(spec.dim - 1), atol=1e-12)
@@ -59,60 +63,105 @@ def test_quadrature_commutator():
 
 def test_number_operator():
     spec = HilbertSpec(7)
-    n_op = number_operator(spec).matrix
-    np.testing.assert_allclose(n_op, creation(spec).matrix @ annihilation(spec).matrix,
+    n_op = number_operator(spec)
+    np.testing.assert_allclose(n_op, creation(spec) @ annihilation(spec),
                                atol=1e-13)
 
 
+def test_operators_are_read_only():
+    spec = HilbertSpec(5)
+    for op in (annihilation(spec), creation(spec), number_operator(spec),
+               quadrature_q1(spec), quadrature_q2(spec), parity(spec)):
+        assert isinstance(op, np.ndarray) and op.shape == (5, 5)
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+
+
 def test_displacement_zero_is_identity():
-    d = displacement(HilbertSpec(9), 0.0).matrix
-    np.testing.assert_allclose(d, np.eye(9), atol=1e-14)
+    np.testing.assert_array_equal(displaced_rows(0.0, 9, 9), np.eye(9))
+    np.testing.assert_array_equal(displaced_rows(0.0, 12, 5), np.eye(12, 5))
+
+
+def test_displacement_matches_eigh_oracle():
+    # the closed-form rows against exp(-i|alpha| G) built by eigh in dim 200,
+    # whose truncation touches only its last rows
+    rng = np.random.default_rng(59)
+    for alpha in [0.3 - 0.2j, -3.0, 4.9j] + list(rng.normal(scale=2.5, size=(4, 2)) @ [1, 1j]):
+        oracle = eigh_displacement(200, alpha)
+        for rows, cols in ((120, 59), (40, 90)):
+            err = np.max(np.abs(displaced_rows(alpha, rows, cols) - oracle[:rows, :cols]))
+            assert err < 1e-13, (alpha, rows, cols, err)
 
 
 def test_displacement_generates_coherent_state():
-    spec = HilbertSpec(30)
-    alpha = 1.3 - 0.4j
-    displaced = displacement(spec, alpha).matrix @ vacuum(spec).amplitudes
-    np.testing.assert_allclose(displaced, coherent_state(spec, alpha).amplitudes,
-                               atol=1e-8)
+    # column 0 is |alpha>, against the package-independent amplitudes
+    for alpha in (1.3 - 0.4j, -2.2, 0.7j):
+        col = displaced_rows(alpha, 40, 3)[:, 0]
+        np.testing.assert_allclose(col, brute_coherent_amplitudes(alpha, 40), atol=1e-14)
 
 
 def test_displacement_inverse():
-    spec = HilbertSpec(24)
-    d_plus = displacement(spec, 1.1 + 0.5j).matrix
-    d_minus = displacement(spec, -(1.1 + 0.5j)).matrix
-    np.testing.assert_allclose(d_plus @ d_minus, np.eye(spec.dim), atol=1e-8)
+    # D(-alpha) D(alpha) = 1 on the first columns once the middle index
+    # covers the displaced states
+    alpha = 1.1 + 0.5j
+    d_minus, d_plus = displaced_rows(-alpha, 24, 80), displaced_rows(alpha, 80, 24)
+    np.testing.assert_allclose(d_minus @ d_plus, np.eye(24), atol=1e-12)
 
 
 def test_displacement_unitary():
-    d = displacement(HilbertSpec(30), 0.9 + 1.2j).matrix
-    np.testing.assert_allclose(d @ d.conj().T, np.eye(30), atol=1e-8)
-
-
-def test_displacement_guard():
-    with pytest.raises(TruncationError):
-        displacement(HilbertSpec(8), 2.0)  # |alpha|^2 = 4 > dim/4 = 2
+    # a tall rectangle is an isometry: its columns are orthonormal
+    d = displaced_rows(0.9 + 1.2j, 90, 30)
+    np.testing.assert_allclose(d.conj().T @ d, np.eye(30), atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_displacement_composition(seed):
-    # D(a) D(b) = e^{i Im(a conj(b))} D(a+b); truncation corrupts only the
-    # edge rows, so compare on the guarded half of the matrix
+    # D(a) D(b) = e^{i Im(a conj(b))} D(a+b), the middle index tall enough
+    # to carry every column of D(b)
     rng = np.random.default_rng(seed)
     a, b = (rng.normal(scale=0.7) + 1j * rng.normal(scale=0.7) for _ in range(2))
-    spec = HilbertSpec(default_dim(abs(a) + abs(b)) + 16)
-    lhs = displacement(spec, a).matrix @ displacement(spec, b).matrix
-    rhs = np.exp(1j * np.imag(a * np.conj(b))) * displacement(spec, a + b).matrix
-    k = spec.dim // 2
-    assert np.max(np.abs((lhs - rhs)[:k, :k])) < 1e-7
+    lhs = displaced_rows(a, 30, 120) @ displaced_rows(b, 120, 30)
+    rhs = np.exp(1j * np.imag(a * np.conj(b))) * displaced_rows(a + b, 30, 30)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_parity_conjugates_displacement():
-    spec = HilbertSpec(26)
-    p = parity(spec).matrix
+    sign = (-1.0) ** np.arange(40)
     alpha = 0.8 + 0.9j
-    lhs = p @ displacement(spec, alpha).matrix @ p
-    np.testing.assert_allclose(lhs, displacement(spec, -alpha).matrix, atol=1e-8)
+    lhs = sign[:, None] * displaced_rows(alpha, 40, 26) * sign[:26]
+    np.testing.assert_allclose(lhs, displaced_rows(-alpha, 40, 26), atol=1e-14)
+
+
+def test_non_finite_amplitudes_are_rejected():
+    # nan read as an all-NaN state; 1e160 overflows |alpha|^2
+    for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf), 1e160):
+        with pytest.raises(DomainError):
+            coherent_state(HilbertSpec(10), alpha)
+        with pytest.raises(DomainError):
+            cat_state(HilbertSpec(10), alpha, 0.0)
+        with pytest.raises(DomainError):
+            displaced_rows(alpha, 10, 10)
+    with pytest.raises(DomainError):
+        cat_state(HilbertSpec(10), 1.0, np.nan)
+
+
+def test_displacement_block_is_capped():
+    with pytest.raises(TruncationError):
+        displaced_rows(1.0, MAX_DISPLACED_ENTRIES // 2 + 1, 2)
+
+
+def test_coherent_state_at_large_amplitude():
+    # the product recursion overflowed past |alpha| ~ 37.7 into all-NaN
+    # amplitudes; each log-form term is exact: the mean photon number is
+    # |alpha|^2 and the phase is e^{i theta n}
+    alpha = 38.0 * np.exp(0.3j)
+    st = coherent_state(HilbertSpec(6000), alpha)
+    assert np.all(np.isfinite(st.amplitudes))
+    assert abs(st.norm() - 1.0) < 1e-12
+    assert abs(st.mean_photon() - 38.0 ** 2) < 1e-9 * 38.0 ** 2
+    n = 1444
+    log_c = n * math.log(38.0) - 38.0 ** 2 / 2 - 0.5 * math.lgamma(n + 1)
+    assert abs(st.amplitudes[n] - math.exp(log_c) * np.exp(0.3j * n)) < 1e-12
 
 
 def test_coherent_vacuum_limit():
@@ -140,7 +189,7 @@ def test_coherent_overlap_against_series():
 
 
 def test_coherent_truncation_is_loud():
-    # guard passes but the tail correction exceeds 1e-8 -> must raise
+    # |alpha|^2 = dim/4, and the tail correction exceeds 1e-8 -> must raise
     with pytest.raises(TruncationError):
         coherent_state(HilbertSpec(16), 2.0)
 
@@ -165,22 +214,22 @@ def test_fock_state_basics():
 
 
 def test_parity_matrix_and_involution():
-    p3 = parity(HilbertSpec(3)).matrix
+    p3 = parity(HilbertSpec(3))
     np.testing.assert_allclose(p3, np.diag([1.0, -1.0, 1.0]))
-    p = parity(HilbertSpec(9)).matrix
+    p = parity(HilbertSpec(9))
     np.testing.assert_allclose(p @ p, np.eye(9), atol=1e-15)
 
 
 def test_parity_flips_quadratures():
     spec = HilbertSpec(14)
-    p = parity(spec).matrix
-    for quad in (quadrature_q1(spec).matrix, quadrature_q2(spec).matrix):
+    p = parity(spec)
+    for quad in (quadrature_q1(spec), quadrature_q2(spec)):
         np.testing.assert_allclose(p @ quad @ p, -quad, atol=1e-12)
 
 
 def test_parity_reflects_coherent_state():
     spec = HilbertSpec(30)
-    reflected = parity(spec).matrix @ coherent_state(spec, 1.6).amplitudes
+    reflected = parity(spec) @ coherent_state(spec, 1.6).amplitudes
     np.testing.assert_allclose(reflected, coherent_state(spec, -1.6).amplitudes,
                                atol=1e-8)
 

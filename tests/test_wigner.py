@@ -12,14 +12,12 @@ from cavitylab import (
     cat_state,
     coherent_state,
     default_grid,
-    displacement,
     evolve,
     evolve_trajectory,
     fock_state,
     marginal_distribution,
     mix,
     moyal_average,
-    parity,
     pauli_counterexample,
     photon_number_distribution,
     promote,
@@ -32,6 +30,8 @@ from cavitylab import (
 )
 from cavitylab.errors import DomainError
 from cavitylab.wigner import _BLOCK, WignerMap, hermite_functions
+
+from conftest import eigh_displacement
 
 
 def make_coherent_rho(alpha, dim):
@@ -76,8 +76,8 @@ def test_truncation_guard():
 def test_cross_construction_on_mixed_state():
     spec = HilbertSpec(40)
     rho = mix([cat_state(spec, 1.2, 0.0), fock_state(spec, 2)], [0.6, 0.4])
-    # |alpha| = 3.15 lies at the guard edge of the even cat's dim-40 space,
-    # where a displacement truncated to dim 40 read 0.02375 against 0.07098
+    # |alpha|^2 = 3.15^2 is about dim/4 for the even cat's dim-40 space, where
+    # a displacement truncated to dim 40 read 0.02375 against 0.07098
     even_cat = pure_to_density(cat_state(spec, 2.0, 0.0))
     for state in (rho, promote(rho, HilbertSpec(90)), even_cat):
         for q, p in ((0.0, 0.0), (0.9, -0.7), (-1.8, 0.3), (2.2, 1.9),
@@ -187,22 +187,21 @@ def test_map_memory_stays_blocked():
 
 
 def test_map_matches_promoted_displaced_parity():
-    # independent oracle: 2 Tr[rho D P D^dag], the displacement built in a
-    # space promoted well beyond the grid's reach; the complex cat has no
-    # mirror symmetry, so the phase of every series term is tested
+    # independent oracle: 2 Tr[rho D P D^dag], the displacement built by eigh
+    # in a space promoted well beyond the grid's reach; the complex cat has
+    # no mirror symmetry, so the phase of every series term is tested
     rho = pure_to_density(cat_state(HilbertSpec(30), 1.5 * np.exp(0.4j), 0.7))
     grid = default_grid(1.5, step=0.5)
     wm = wigner_map(rho, grid)
-    big = HilbertSpec(200)
-    mat = promote(rho, big).matrix
-    p = parity(big).matrix
+    mat = promote(rho, HilbertSpec(200)).matrix
+    p = (-1.0) ** np.arange(200)
     rng = np.random.default_rng(7)
     for _ in range(25):
         i = rng.integers(grid.n1)
         j = rng.integers(grid.n2)
         alpha = (grid.q1_axis[i] + 1j * grid.q2_axis[j]) / np.sqrt(2)
-        d = displacement(big, alpha).matrix
-        oracle = 2.0 * np.real(np.trace(mat @ d @ p @ d.conj().T))
+        d = eigh_displacement(200, alpha)
+        oracle = 2.0 * np.real(np.trace(mat @ (d * p) @ d.conj().T))
         assert abs(wm.values[i, j] - oracle) < 1e-10
 
 
@@ -215,7 +214,7 @@ def test_laguerre_recurrence_at_high_order():
     rho = DensityOperator(0.7 * np.outer(vecs[0], vecs[0].conj())
                           + 0.3 * np.outer(vecs[1], vecs[1].conj()))
     grid = PhaseSpaceGrid(-15.0, 15.0, -15.0, 15.0, 7, 7)
-    assert abs(grid.corner_radius() - 15.0) < 1e-12
+    assert abs(np.abs(grid.alpha_grid()).max() - 15.0) < 1e-12
     wm = wigner_map(rho, grid)
     for i, q in enumerate(grid.q1_axis):
         for j, p in enumerate(grid.q2_axis):
@@ -294,16 +293,6 @@ def test_map_values_shape_validation():
     bogus = WignerMap(grid, 3.0 * np.ones((4, 4)))
     with pytest.raises(Exception):
         bogus.check_bound()
-
-
-def test_operator_apply_matches_matmul():
-    spec = HilbertSpec(10)
-    from cavitylab import creation
-
-    st = coherent_state(spec, 0.8)
-    lifted = creation(spec).apply(st)
-    np.testing.assert_allclose(lifted.amplitudes,
-                               creation(spec).matrix @ st.amplitudes)
 
 
 # -- marginals ------------------------------------------------------------------
