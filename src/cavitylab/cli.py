@@ -14,12 +14,13 @@ import gc
 import hashlib
 import io
 import json
+import math
+import numbers
 import os
 import sys
 import tempfile
 
 import numpy as np
-import jsonschema
 import scipy
 
 from . import __version__, direct, dynamics, fock, protocol, tomo, wigner
@@ -28,133 +29,120 @@ from .errors import CavityLabError, ConfigError, DegenerateBranchError
 gc.freeze()  # keep the import-time objects out of the experiments' full collections
 
 # ---------------------------------------------------------------------------
-# config schemas
+# config options: OPTIONS[experiment][key] = (check, default), where a default
+# of `...` marks a required key.  A check raises ConfigError naming the value.
 
-_ALPHA = {"oneOf": [{"type": "number"},
-                    {"type": "array", "items": {"type": "number"},
-                     "minItems": 2, "maxItems": 2}]}
 
-_STATE = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["vacuum", "fock", "coherent", "cat", "mixture", "damped-cat"]},
-        "n": {"type": "integer", "minimum": 0},
-        "alpha": _ALPHA,
-        "psi1": {"type": "number"},
-        "t": {"type": "number", "minimum": 0},
-        "kappa": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
+def _refuse(where: str, what: str) -> ConfigError:
+    return ConfigError(f"invalid config: {what}" + (f" (key {where})" if where else ""))
 
-_GRID = {
-    "type": "object",
-    "properties": {
-        "span": {"type": "number", "exclusiveMinimum": 0},
-        "step": {"type": "number", "exclusiveMinimum": 0},
-        "q1_min": {"type": "number"}, "q1_max": {"type": "number"},
-        "q2_min": {"type": "number"}, "q2_max": {"type": "number"},
-        "n1": {"type": "integer", "minimum": 2}, "n2": {"type": "integer", "minimum": 2},
-    },
-    "additionalProperties": False,
-}
 
-_TIMES = {"oneOf": [
-    {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
-    {"type": "object",
-     "properties": {"t_start": {"type": "number", "minimum": 0},
-                    "t_end": {"type": "number", "exclusiveMinimum": 0},
-                    "steps": {"type": "integer", "minimum": 1}},
-     "required": ["t_start", "t_end", "steps"],
-     "additionalProperties": False},
-]}
+def _number(integral=False, minimum=None, exclusive_minimum=None, maximum=None, null=False):
+    """A finite JSON number; `integral` also takes floats with no fraction."""
+    kind = "integer" if integral else "number"
 
-_COMMON = {
-    "seed": {"type": "integer", "minimum": 0},
-    "dim": {"type": ["integer", "null"], "minimum": 2},
-}
+    def check(value, where):
+        if value is None and null:
+            return
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise _refuse(where, f"{value!r} is not of type {kind!r}")
+        if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+            raise _refuse(where, f"{value!r} is not a finite number")
+        if integral and not (isinstance(value, numbers.Integral) or value.is_integer()):
+            raise _refuse(where, f"{value!r} is not of type {kind!r}")
+        if minimum is not None and value < minimum:
+            raise _refuse(where, f"{value!r} is less than the minimum of {minimum!r}")
+        if exclusive_minimum is not None and value <= exclusive_minimum:
+            raise _refuse(where, f"{value!r} is less than or equal to the minimum "
+                                 f"of {exclusive_minimum!r}")
+        if maximum is not None and value > maximum:
+            raise _refuse(where, f"{value!r} is greater than the maximum of {maximum!r}")
+    return check
 
-SCHEMAS = {
-    "prepare-cat": {
-        "type": "object",
-        "properties": {**_COMMON, "alpha": _ALPHA, "phi": {"type": "number"},
-                       "eta": {"type": "number"}},
-        "required": ["alpha"],
-        "additionalProperties": False,
-    },
-    "decoherence-scan": {
-        "type": "object",
-        "properties": {**_COMMON, "alpha": _ALPHA,
-                       "kappa": {"type": "number", "exclusiveMinimum": 0},
-                       "n_thermal": {"type": "number", "minimum": 0},
-                       "delays": _TIMES},
-        "required": ["alpha"],
-        "additionalProperties": False,
-    },
-    "wigner-map": {
-        "type": "object",
-        "properties": {**_COMMON, "state": _STATE, "grid": _GRID},
-        "required": ["state"],
-        "additionalProperties": False,
-    },
-    "tomography": {
-        "type": "object",
-        "properties": {**_COMMON, "state": _STATE, "grid": _GRID,
-                       "angles": {"type": "integer", "minimum": 8},
-                       "samples": {"type": "integer", "minimum": 1},
-                       "bin_width": {"type": "number", "exclusiveMinimum": 0},
-                       "q_range": {"type": "number", "exclusiveMinimum": 0}},
-        "required": ["state"],
-        "additionalProperties": False,
-    },
-    "direct-map": {
-        "type": "object",
-        "properties": {**_COMMON, "state": _STATE, "grid": _GRID,
-                       "variant": {"enum": ["dispersive", "opposite-shift"]}},
-        "required": ["state"],
-        "additionalProperties": False,
-    },
-    "direct-monitor": {
-        "type": "object",
-        "properties": {**_COMMON, "state": _STATE,
-                       "kappa": {"type": "number", "exclusiveMinimum": 0},
-                       "n_thermal": {"type": "number", "minimum": 0},
-                       "times": _TIMES,
-                       "n_shots": {"type": "integer", "minimum": 0},
-                       "efficiency": {"type": "number", "minimum": 0, "maximum": 1}},
-        "required": ["state"],
-        "additionalProperties": False,
-    },
-    "pauli-demo": {
-        "type": "object",
-        "properties": {**_COMMON, "grid": _GRID},
-        "additionalProperties": False,
-    },
-    "selfcheck": {
-        "type": "object",
-        "properties": {**_COMMON},
-        "additionalProperties": False,
-    },
-}
 
-# built once; the schemas themselves are checked by the test suite
-_VALIDATORS = {name: jsonschema.validators.validator_for(schema)(schema)
-               for name, schema in SCHEMAS.items()}
+def _one_of(*values):
+    def check(value, where):
+        if value not in values:
+            raise _refuse(where, f"{value!r} is not one of {list(values)!r}")
+    return check
 
-DEFAULTS = {
-    "prepare-cat": {"phi": float(np.pi), "eta": 0.0, "seed": 0, "dim": None},
-    "decoherence-scan": {"kappa": 1.0, "n_thermal": 0.0, "seed": 0, "dim": None,
-                         "delays": {"t_start": 0.0, "t_end": 8.0, "steps": 81}},
-    "wigner-map": {"grid": None, "seed": 0, "dim": None},
-    "tomography": {"grid": None, "angles": 36, "samples": 100000, "seed": 12345,
-                   "bin_width": 0.05, "q_range": None, "dim": None},
-    "direct-map": {"grid": None, "variant": "dispersive", "seed": 0, "dim": None},
-    "direct-monitor": {"kappa": 1.0, "n_thermal": 0.0, "n_shots": 0,
-                       "efficiency": 1.0, "seed": 0, "dim": None,
-                       "times": {"t_start": 0.0, "t_end": 2.0, "steps": 41}},
-    "pauli-demo": {"grid": None, "seed": 0, "dim": None},
-    "selfcheck": {"seed": 0, "dim": None},
+
+def _object(fields: dict, required=()):
+    def check(value, where):
+        if not isinstance(value, dict):
+            raise _refuse(where, f"{value!r} is not of type 'object'")
+        unknown = sorted(set(value) - set(fields))
+        if unknown:
+            raise _refuse(where, f"unexpected key {unknown[0]!r}")
+        missing = [key for key in required if key not in value]
+        if missing:
+            raise _refuse(where, f"{missing[0]!r} is a required property")
+        for key, item in value.items():
+            fields[key](item, f"{where}.{key}" if where else key)
+    return check
+
+
+def _list(item, n: int, exact=False):
+    """An array of at least (or, if `exact`, exactly) n items."""
+    def check(value, where):
+        if not isinstance(value, list):
+            raise _refuse(where, f"{value!r} is not of type 'array'")
+        if len(value) < n or (exact and len(value) > n):
+            raise _refuse(where, f"{value!r} needs {'exactly' if exact else 'at least'} "
+                                 f"{n} items")
+        for k, x in enumerate(value):
+            item(x, f"{where}[{k}]")
+    return check
+
+
+def _or_list(single, listed):
+    """The `alpha` and `times` forms: `listed` checks an array, `single` the rest."""
+    return lambda value, where: (listed if isinstance(value, list) else single)(value, where)
+
+
+_NUMBER = _number()
+_POSITIVE = _number(exclusive_minimum=0)
+_ALPHA = _or_list(_NUMBER, _list(_NUMBER, 2, exact=True))
+_STATE = _object({
+    "kind": _one_of("vacuum", "fock", "coherent", "cat", "mixture", "damped-cat"),
+    "n": _number(integral=True, minimum=0), "alpha": _ALPHA, "psi1": _NUMBER,
+    "t": _number(minimum=0), "kappa": _POSITIVE,
+}, required=["kind"])
+_GRID = _object({
+    "span": _POSITIVE, "step": _POSITIVE,
+    "q1_min": _NUMBER, "q1_max": _NUMBER, "q2_min": _NUMBER, "q2_max": _NUMBER,
+    "n1": _number(integral=True, minimum=2), "n2": _number(integral=True, minimum=2),
+})
+_TIMES = _or_list(
+    _object({"t_start": _number(minimum=0), "t_end": _POSITIVE,
+             "steps": _number(integral=True, minimum=1)},
+            required=["t_start", "t_end", "steps"]),
+    _list(_number(minimum=0), 1))
+_SEED = _number(integral=True, minimum=0)
+_DIM = (_number(integral=True, minimum=2, null=True), None)
+
+OPTIONS = {
+    "prepare-cat": {"alpha": (_ALPHA, ...), "phi": (_NUMBER, float(np.pi)),
+                    "eta": (_NUMBER, 0.0), "dim": _DIM},
+    "decoherence-scan": {"alpha": (_ALPHA, ...), "kappa": (_POSITIVE, 1.0),
+                         "n_thermal": (_number(minimum=0), 0.0), "dim": _DIM,
+                         "delays": (_TIMES, {"t_start": 0.0, "t_end": 8.0, "steps": 81})},
+    "wigner-map": {"state": (_STATE, ...), "grid": (_GRID, None), "dim": _DIM},
+    "tomography": {"state": (_STATE, ...), "grid": (_GRID, None),
+                   "angles": (_number(integral=True, minimum=8), 36),
+                   "samples": (_number(integral=True, minimum=1), 100000),
+                   "seed": (_SEED, 12345), "bin_width": (_POSITIVE, 0.05),
+                   "q_range": (_POSITIVE, None), "dim": _DIM},
+    "direct-map": {"state": (_STATE, ...), "grid": (_GRID, None), "dim": _DIM,
+                   "variant": (_one_of("dispersive", "opposite-shift"), "dispersive")},
+    "direct-monitor": {"state": (_STATE, ...), "kappa": (_POSITIVE, 1.0),
+                       "n_thermal": (_number(minimum=0), 0.0),
+                       "times": (_TIMES, {"t_start": 0.0, "t_end": 2.0, "steps": 41}),
+                       "n_shots": (_number(integral=True, minimum=0), 0),
+                       "efficiency": (_number(minimum=0, maximum=1), 1.0),
+                       "seed": (_SEED, 0), "dim": _DIM},
+    "pauli-demo": {"grid": (_GRID, None)},
+    "selfcheck": {},
 }
 
 
@@ -165,15 +153,15 @@ def _parse_alpha(value) -> complex:
 
 
 def resolve_config(experiment: str, raw: dict) -> dict:
-    if experiment not in SCHEMAS:
+    """`raw` checked against the experiment's options, then their defaults merged in."""
+    if experiment not in OPTIONS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
-                          f"choose from {sorted(SCHEMAS)}")
-    error = jsonschema.exceptions.best_match(_VALIDATORS[experiment].iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"invalid config: {error.message}") from error
-    cfg = dict(DEFAULTS[experiment])
-    cfg.update(raw)
-    return cfg
+                          f"choose from {sorted(OPTIONS)}")
+    options = OPTIONS[experiment]
+    _object({key: check for key, (check, _) in options.items()},
+            [key for key, (_, default) in options.items() if default is ...])(raw, "")
+    return {**{key: default for key, (_, default) in options.items() if default is not ...},
+            **raw}
 
 
 def _build_state(state_cfg: dict, dim_override) -> tuple[fock.DensityOperator, float]:
@@ -191,7 +179,10 @@ def _build_state(state_cfg: dict, dim_override) -> tuple[fock.DensityOperator, f
     if kind == "vacuum":
         rho = fock.pure_to_density(fock.vacuum(spec))
     elif kind == "fock":
-        rho = fock.pure_to_density(fock.fock_state(spec, state_cfg.get("n", 1)))
+        n = state_cfg.get("n", 1)
+        if n >= dim:
+            raise ConfigError(f"fock state n = {n} needs dim > {n}, got dim {dim}")
+        rho = fock.pure_to_density(fock.fock_state(spec, n))
     elif kind == "coherent":
         rho = fock.pure_to_density(fock.coherent_state(spec, alpha))
     elif kind == "cat":
@@ -199,33 +190,27 @@ def _build_state(state_cfg: dict, dim_override) -> tuple[fock.DensityOperator, f
     elif kind == "mixture":
         rho = fock.mix([fock.coherent_state(spec, alpha),
                         fock.coherent_state(spec, -alpha)], [0.5, 0.5])
-    elif kind == "damped-cat":
+    else:  # damped-cat
         pure = fock.cat_state(spec, alpha, state_cfg.get("psi1", 0.0))
         model = dynamics.DampingModel(kappa=state_cfg.get("kappa", 1.0))
         rho = dynamics.evolve(fock.pure_to_density(pure), model, state_cfg.get("t", 0.1))
-    else:  # pragma: no cover - schema forbids
-        raise ConfigError(f"unknown state kind {kind!r}")
     return rho, scale
 
 
 def _build_grid(grid_cfg, scale: float) -> wigner.PhaseSpaceGrid:
-    if grid_cfg is None:
-        return wigner.default_grid(max(scale, 1.0))
-    if "span" in grid_cfg or "step" in grid_cfg:
-        span = grid_cfg.get("span", float(np.sqrt(2.0) * max(scale, 1.0) + 4.0))
-        step = grid_cfg.get("step", 0.075)
-        n = int(np.ceil(2.0 * span / step)) + 1
-        return wigner.PhaseSpaceGrid(-span, span, -span, span, n, n)
-    return wigner.PhaseSpaceGrid(grid_cfg["q1_min"], grid_cfg["q1_max"],
-                                 grid_cfg["q2_min"], grid_cfg["q2_max"],
-                                 grid_cfg["n1"], grid_cfg["n2"])
+    """Explicit extents, or the default grid with an optional span and step."""
+    grid_cfg = grid_cfg or {}
+    if grid_cfg and "span" not in grid_cfg and "step" not in grid_cfg:
+        return wigner.PhaseSpaceGrid(**grid_cfg)
+    step = {"step": grid_cfg["step"]} if "step" in grid_cfg else {}
+    if "span" in grid_cfg:  # a span of pad units about the origin
+        return wigner.default_grid(0.0, pad=grid_cfg["span"], **step)
+    return wigner.default_grid(max(scale, 1.0), **step)
 
 
 def _times_array(times_cfg) -> np.ndarray:
     if isinstance(times_cfg, dict):
-        grid = dynamics.TimeGrid(times_cfg["t_start"], times_cfg["t_end"],
-                                 times_cfg["steps"])
-        return grid.times
+        return dynamics.TimeGrid(**times_cfg).times
     return np.asarray(times_cfg, dtype=float)
 
 
@@ -256,26 +241,19 @@ class ArtifactWriter:
 
     def csv(self, name: str, header: list[str], rows) -> None:
         """Floats (numpy's too) to 17 significant digits, so they round-trip;
-        other cells as csv.writer writes them.  A row of only floats and ints
-        is formatted by one string per cell-type pattern.  `rows` may be 2-D."""
+        other cells as csv.writer writes them.  A 2-D float array is written
+        by one format string per block of 256 rows, which keeps RSS flat."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):  # Python floats, in small blocks to keep RSS flat
-            rows = (r for block in np.split(rows, range(256, len(rows), 256))
-                    for r in block.tolist())
-        formats: dict[tuple, str | None] = {}
-        for row in rows:
-            types = tuple(map(type, row))
-            if types not in formats:
-                numeric = all(issubclass(t, (float, int, np.integer)) for t in types)
-                formats[types] = ",".join("{:.17g}" if issubclass(t, float) else "{}"
-                                          for t in types) + "\n" if numeric else None
-            if formats[types] is None:
-                writer.writerow([f"{float(x):.17g}" if isinstance(x, (float, np.floating))
-                                 else x for x in row])
-            else:
-                buf.write(formats[types].format(*row))
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for start in range(0, len(rows), 256):
+                block = rows[start:start + 256]
+                buf.write(line * len(block) % tuple(block.ravel().tolist()))
+        else:
+            writer.writerows([f"{float(x):.17g}" if isinstance(x, (float, np.floating))
+                              else x for x in row] for row in rows)
         self._store(name, buf.getvalue().encode())
 
     def json(self, name: str, payload: dict) -> None:
@@ -295,11 +273,8 @@ class ArtifactWriter:
             },
             "artifacts": dict(sorted(self.checksums.items())),
         }
-        payload = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-        fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=".manifest.")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, os.path.join(self.out_dir, "manifest.json"))
+        self._store("manifest.json",
+                    (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _write_map(writer: ArtifactWriter, name: str, wmap: wigner.WignerMap) -> None:
@@ -538,19 +513,16 @@ RUNNERS = {
     "direct-map": _run_direct_map,
     "direct-monitor": _run_direct_monitor,
     "pauli-demo": _run_pauli_demo,
+    "selfcheck": _run_selfcheck,
 }
 
 
 def run(experiment: str, config: dict, out_dir: str) -> int:
     cfg = resolve_config(experiment, config)
     writer = ArtifactWriter(out_dir, experiment, cfg)
-    if experiment == "selfcheck":
-        code = _run_selfcheck(cfg, writer)
-        writer.finish()
-        return code
-    RUNNERS[experiment](cfg, writer)
+    code = RUNNERS[experiment](cfg, writer) or 0  # only selfcheck returns a code
     writer.finish()
-    return 0
+    return code
 
 
 def main(argv=None) -> int:
@@ -559,11 +531,13 @@ def main(argv=None) -> int:
         description="Cavity-QED field-state experiments (CSV/JSON artifacts).",
     )
     parser.add_argument("experiment", metavar="experiment",
-                        help=f"one of {', '.join(sorted(SCHEMAS))}")
+                        help=f"one of {', '.join(sorted(OPTIONS))}")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", default="artifacts", help="output directory")
-    parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--dim", type=int, help="override truncation dimension")
+    parser.add_argument("--seed", type=int,
+                        help="override the sampling seed (tomography, direct-monitor)")
+    parser.add_argument("--dim", type=int,
+                        help="override the truncation dimension (not pauli-demo, selfcheck)")
     args = parser.parse_args(argv)
 
     try:

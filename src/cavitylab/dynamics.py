@@ -43,10 +43,10 @@ class DampingModel:
     n_thermal: float = 0.0
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise DomainError(f"kappa must be positive, got {self.kappa}")
-        if self.n_thermal < 0:
-            raise DomainError(f"n_thermal must be >= 0, got {self.n_thermal}")
+        if not 0 < self.kappa < np.inf:
+            raise DomainError(f"kappa must be positive and finite, got {self.kappa}")
+        if not 0 <= self.n_thermal < np.inf:
+            raise DomainError(f"n_thermal must be >= 0 and finite, got {self.n_thermal}")
 
     @property
     def dissipation_time(self) -> float:
@@ -62,8 +62,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (self.t_end > self.t_start >= 0):
-            raise DomainError(f"need t_end > t_start >= 0, got [{self.t_start}, {self.t_end}]")
+        if not (np.inf > self.t_end > self.t_start >= 0):
+            raise DomainError(f"need finite t_end > t_start >= 0, "
+                              f"got [{self.t_start}, {self.t_end}]")
         if self.steps < 1:
             raise DomainError(f"steps must be >= 1, got {self.steps}")
 
@@ -97,8 +98,8 @@ def evolve_trajectory(rho: DensityOperator, model: DampingModel, times) -> list[
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         return []
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise DomainError("times must be sorted and nonnegative")
+    if not (np.all(np.isfinite(times)) and np.all(times >= 0) and np.all(np.diff(times) >= 0)):
+        raise DomainError("times must be finite, sorted and nonnegative")
     mat = require_hermitian(rho)
     dim = rho.dim
     gaps, step_gap = np.unique(np.diff(times, prepend=0.0), return_inverse=True)

@@ -338,7 +338,7 @@ def _symmetrized_word(dim: int, m: int, n: int) -> np.ndarray:
     spec = HilbertSpec(dim)
     qop, pop = quadrature_q1(spec), quadrature_q2(spec)
     letters = ("q",) * m + ("p",) * n
-    orders = set(itertools.permutations(letters))
+    orders = sorted(set(itertools.permutations(letters)))  # a fixed summation order
     acc = np.zeros((dim, dim), dtype=complex)
     for order in orders:
         term = np.eye(dim, dtype=complex)

@@ -6,12 +6,12 @@ import os
 import subprocess
 import sys
 
-import jsonschema
 import numpy as np
 import pytest
 
 import cavitylab
 from cavitylab import cli, dynamics, protocol, tomo, wigner
+from cavitylab.errors import ConfigError
 
 
 def run_cli(args):
@@ -311,10 +311,192 @@ def test_dim_override_flows_through(tmp_path):
     assert manifest["config"]["dim"] == 24
 
 
-def test_schemas_are_valid_json_schemas():
-    assert set(cli.SCHEMAS) == set(cli.DEFAULTS) == set(cli.RUNNERS) | {"selfcheck"}
-    for schema in cli.SCHEMAS.values():
-        jsonschema.validators.validator_for(schema).check_schema(schema)
+def test_every_experiment_has_an_option_table():
+    assert set(cli.OPTIONS) == set(cli.RUNNERS)
+
+
+nan, inf = float("nan"), float("inf")
+S = {"kind": "cat", "alpha": 1.0}
+BOX = {"q1_min": -1, "q1_max": 1, "q2_min": -1, "q2_max": 1, "n1": 5, "n2": 5}
+SPAN = {"t_start": 0, "t_end": 1, "steps": 5}
+# (experiment, config, accepted), as the JSON schemas the option table
+# replaced judged them, except where the comments say otherwise
+VERDICTS = [
+    # type
+    ("prepare-cat", {"alpha": "1"}, False),
+    ("prepare-cat", {"alpha": True}, False),
+    ("prepare-cat", {"alpha": 1.0, "phi": None}, False),
+    ("decoherence-scan", {"alpha": 1, "kappa": 2}, True),
+    # integral
+    ("tomography", {"state": S, "angles": 12}, True),
+    ("tomography", {"state": S, "angles": 12.0}, True),
+    ("tomography", {"state": S, "angles": 12.5}, False),
+    ("tomography", {"state": S, "samples": True}, False),
+    # minimum
+    ("decoherence-scan", {"alpha": 1.0, "n_thermal": 0}, True),
+    ("decoherence-scan", {"alpha": 1.0, "n_thermal": -0.1}, False),
+    ("tomography", {"state": S, "angles": 8}, True),
+    ("tomography", {"state": S, "angles": 7}, False),
+    # exclusive minimum
+    ("decoherence-scan", {"alpha": 1.0, "kappa": 1e-300}, True),
+    ("decoherence-scan", {"alpha": 1.0, "kappa": 0}, False),
+    ("tomography", {"state": S, "bin_width": -0.05}, False),
+    # maximum
+    ("direct-monitor", {"state": S, "efficiency": 1}, True),
+    ("direct-monitor", {"state": S, "efficiency": 1.0000001}, False),
+    ("direct-monitor", {"state": S, "efficiency": 0}, True),
+    ("direct-monitor", {"state": S, "efficiency": -0.1}, False),
+    # null, where allowed
+    ("wigner-map", {"state": S, "dim": None}, True),
+    ("wigner-map", {"state": S, "dim": 2}, True),
+    ("wigner-map", {"state": S, "dim": 1}, False),
+    ("tomography", {"state": S, "q_range": None}, False),
+    ("wigner-map", {"state": S, "grid": None}, False),
+    # one of values
+    ("direct-map", {"state": S, "variant": "opposite-shift"}, True),
+    ("direct-map", {"state": S, "variant": "opposite"}, False),
+    ("wigner-map", {"state": {"kind": "squeezed"}}, False),
+    ("wigner-map", {"state": {"kind": "vacuum"}}, True),
+    # required
+    ("prepare-cat", {}, False),
+    ("wigner-map", {}, False),
+    ("pauli-demo", {}, True),
+    ("selfcheck", {}, True),
+    ("wigner-map", {"state": {"alpha": 1.0}}, False),
+    # unknown key
+    ("prepare-cat", {"alpha": 1.0, "bogus": 3}, False),
+    ("wigner-map", {"state": {"kind": "cat", "beta": 1.0}}, False),
+    ("wigner-map", {"state": S, "grid": {"span": 3.0, "pad": 1.0}}, False),
+    ("decoherence-scan", {"alpha": 1.0, "times": [0.0]}, False),
+    # nested state
+    ("wigner-map", {"state": {"kind": "fock", "n": 2}}, True),
+    ("wigner-map", {"state": {"kind": "fock", "n": -1}}, False),
+    ("wigner-map", {"state": {"kind": "damped-cat", "alpha": 1.0, "t": 0, "kappa": 2}}, True),
+    ("wigner-map", {"state": {"kind": "damped-cat", "alpha": 1.0, "t": -0.1}}, False),
+    ("wigner-map", {"state": {"kind": "damped-cat", "alpha": 1.0, "kappa": 0}}, False),
+    ("wigner-map", {"state": "cat"}, False),
+    # nested grid
+    ("wigner-map", {"state": S, "grid": {"span": 3.0, "step": 0.5}}, True),
+    ("wigner-map", {"state": S, "grid": BOX}, True),
+    ("wigner-map", {"state": S, "grid": {"n1": 1}}, False),
+    ("wigner-map", {"state": S, "grid": {"step": 0}}, False),
+    ("pauli-demo", {"grid": [3.0]}, False),
+    # nested times
+    ("direct-monitor", {"state": S, "times": [0.0, 0.5]}, True),
+    ("direct-monitor", {"state": S, "times": []}, False),
+    ("direct-monitor", {"state": S, "times": [-0.1]}, False),
+    ("direct-monitor", {"state": S, "times": SPAN}, True),
+    ("direct-monitor", {"state": S, "times": {"t_start": 0, "t_end": 1}}, False),
+    ("direct-monitor", {"state": S, "times": {"t_start": 0, "t_end": 0, "steps": 5}}, False),
+    ("direct-monitor", {"state": S, "times": {"t_start": 0, "t_end": 1, "steps": 0}}, False),
+    ("direct-monitor", {"state": S, "times": {**SPAN, "dt": 0.1}}, False),
+    ("decoherence-scan", {"alpha": 1.0, "delays": 3.0}, False),
+    # both alpha forms
+    ("prepare-cat", {"alpha": 2}, True),
+    ("prepare-cat", {"alpha": [1.0, -0.5]}, True),
+    ("prepare-cat", {"alpha": [1.0]}, False),
+    ("prepare-cat", {"alpha": [1.0, 2.0, 3.0]}, False),
+    ("prepare-cat", {"alpha": ["a", 1.0]}, False),
+    ("wigner-map", {"state": {"kind": "coherent", "alpha": [0.5, 0.5]}}, True),
+    # seed and dim where a runner reads them
+    ("tomography", {"state": S, "seed": 3}, True),
+    ("direct-monitor", {"state": S, "seed": 3}, True),
+    ("tomography", {"state": S, "seed": -1}, False),
+    ("prepare-cat", {"alpha": 1.0, "dim": 20}, True),
+    ("decoherence-scan", {"alpha": 1.0, "dim": 20}, True),
+    ("direct-map", {"state": S, "dim": 20}, True),
+    ("direct-monitor", {"state": S, "dim": 20}, True),
+    # the seed and dim no runner reads (the schemas took them)
+    ("prepare-cat", {"alpha": 1.0, "seed": 0}, False),
+    ("decoherence-scan", {"alpha": 1.0, "seed": 0}, False),
+    ("wigner-map", {"state": S, "seed": 0}, False),
+    ("direct-map", {"state": S, "seed": 0}, False),
+    ("pauli-demo", {"seed": 0}, False),
+    ("selfcheck", {"seed": 0}, False),
+    ("pauli-demo", {"dim": None}, False),
+    ("selfcheck", {"dim": 10}, False),
+    # non-finite numbers (the schemas took all of these but the last)
+    ("decoherence-scan", {"alpha": 2.0, "kappa": nan}, False),
+    ("decoherence-scan", {"alpha": 2.0, "n_thermal": inf}, False),
+    ("prepare-cat", {"alpha": nan}, False),
+    ("prepare-cat", {"alpha": [0.0, -inf]}, False),
+    ("direct-monitor", {"state": S, "kappa": nan}, False),
+    ("direct-monitor", {"state": S, "times": [0, nan]}, False),
+    ("direct-monitor", {"state": S, "times": {"t_start": 0, "t_end": inf, "steps": 3}}, False),
+    ("wigner-map", {"state": {"kind": "cat", "alpha": 1.0, "psi1": inf}}, False),
+    ("wigner-map", {"state": S, "grid": {**BOX, "q1_min": nan}}, False),
+    ("tomography", {"state": S, "angles": inf}, False),
+]
+
+
+def test_option_table_verdicts():
+    wrong = []
+    for experiment, config, accepted in VERDICTS:
+        try:
+            cli.resolve_config(experiment, config)
+            taken = True
+        except ConfigError:
+            taken = False
+        if taken != accepted:
+            wrong.append((experiment, config, accepted))
+    assert wrong == []
+
+
+def test_resolved_defaults():
+    state = {"kind": "cat", "alpha": 1.0}
+    resolved = {name: cli.resolve_config(name, raw) for name, raw in (
+        ("prepare-cat", {"alpha": 1.0}), ("decoherence-scan", {"alpha": 1.0}),
+        ("wigner-map", {"state": state}), ("tomography", {"state": state}),
+        ("direct-map", {"state": state}), ("direct-monitor", {"state": state}),
+        ("pauli-demo", {}), ("selfcheck", {}))}
+    assert resolved == {
+        "prepare-cat": {"alpha": 1.0, "phi": 3.141592653589793, "eta": 0.0, "dim": None},
+        "decoherence-scan": {"alpha": 1.0, "kappa": 1.0, "n_thermal": 0.0, "dim": None,
+                             "delays": {"t_start": 0.0, "t_end": 8.0, "steps": 81}},
+        "wigner-map": {"state": state, "grid": None, "dim": None},
+        "tomography": {"state": state, "grid": None, "angles": 36, "samples": 100000,
+                       "seed": 12345, "bin_width": 0.05, "q_range": None, "dim": None},
+        "direct-map": {"state": state, "grid": None, "variant": "dispersive", "dim": None},
+        "direct-monitor": {"state": state, "kappa": 1.0, "n_thermal": 0.0, "n_shots": 0,
+                           "efficiency": 1.0, "seed": 0, "dim": None,
+                           "times": {"t_start": 0.0, "t_end": 2.0, "steps": 41}},
+        "pauli-demo": {"grid": None},
+        "selfcheck": {},
+    }
+
+
+def test_seed_and_dim_flags_only_where_read(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"state": {"kind": "vacuum"}})
+    for k, argv in enumerate((["pauli-demo", "--seed", "1"], ["selfcheck", "--dim", "10"],
+                              ["wigner-map", "--config", cfg, "--seed", "1"])):
+        assert run_cli(argv + ["--out", str(tmp_path / f"o{k}")]) == 1
+        assert "unexpected key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("decoherence-scan", {"alpha": 2.0, "kappa": nan}),
+    ("decoherence-scan", {"alpha": 2.0, "n_thermal": inf}),
+    ("prepare-cat", {"alpha": nan}),
+    ("direct-monitor", {"state": {"kind": "cat", "alpha": 1.0}, "kappa": nan}),
+    ("direct-monitor", {"state": {"kind": "cat", "alpha": 1.0}, "times": [0.0, nan]}),
+], ids=["kappa-nan", "n-thermal-inf", "alpha-nan", "monitor-kappa-nan", "times-nan"])
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, experiment, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))  # NaN and Infinity, as json.load takes them
+    assert run_cli([experiment, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_fock_level_beyond_dim_is_config_error(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"state": {"kind": "fock", "n": 30}, "dim": 10})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cavitylab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "cavitylab.cli", "wigner-map", "--config",
+                           cfg, "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert "config error: fock state n = 30 needs dim > 30, got dim 10" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_error_names_the_offending_value(tmp_path, capsys):
@@ -326,7 +508,8 @@ def test_config_error_names_the_offending_value(tmp_path, capsys):
 
 # Modules the CLI must not load at start-up (import time is paid by every
 # run), nor when drawing a map's line integrals.
-UNLOADED = ("scipy.integrate", "scipy.constants", "scipy.interpolate", "scipy.optimize")
+UNLOADED = ("scipy.integrate", "scipy.constants", "scipy.interpolate", "scipy.optimize",
+            "jsonschema")
 
 
 def test_cli_import_leaves_unused_scipy_modules_unloaded():

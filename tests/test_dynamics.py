@@ -104,6 +104,27 @@ def test_negative_time_rejected():
         evolve(pure_to_density(vacuum(HilbertSpec(4))), MODEL, -0.1)
 
 
+def test_nan_kappa_rejected():
+    with pytest.raises(DomainError):
+        DampingModel(kappa=float("nan"))
+
+
+def test_infinite_thermal_occupation_rejected():
+    with pytest.raises(DomainError):
+        DampingModel(kappa=1.0, n_thermal=float("inf"))
+
+
+def test_infinite_time_grid_end_rejected():
+    # np.linspace would return [nan, inf, inf]
+    with pytest.raises(DomainError):
+        TimeGrid(0.0, float("inf"), 3)
+
+
+def test_nan_trajectory_time_rejected():
+    with pytest.raises(DomainError):
+        evolve_trajectory(pure_to_density(vacuum(HilbertSpec(4))), MODEL, [0.0, float("nan")])
+
+
 def test_non_hermitian_state_is_refused():
     # only the lower triangle is propagated, so a non-Hermitian rho would
     # silently evolve as its Hermitian completion

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cavitylab
 from cavitylab import (
     DampingModel,
     DensityOperator,
@@ -421,6 +425,20 @@ def test_moyal_fock1_q_squared():
     res = moyal_average(pure_to_density(fock_state(HilbertSpec(16), 1)), (2, 0))
     assert abs(res.operator_value - 1.5) < 1e-6
     assert abs(res.integral_value - 1.5) < 1e-6
+
+
+def test_moyal_operator_value_does_not_depend_on_hash_seed():
+    # the symmetrized word sums its orderings in a fixed order, so the value
+    # is bitwise the same under every string-hash seed
+    code = ("from cavitylab import HilbertSpec, coherent_state, moyal_average, pure_to_density\n"
+            "rho = pure_to_density(coherent_state(HilbertSpec(26), 0.9))\n"
+            "print(moyal_average(rho, (2, 2)).operator_value.hex())")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cavitylab.__file__)))
+    values = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                  PYTHONHASHSEED=seed)).stdout
+              for seed in ("1", "2")}
+    assert len(values) == 1
 
 
 def test_moyal_degree_guard():
