@@ -56,6 +56,7 @@ from .protocol import (
     ConditionalTable,
     ProtocolConfig,
     TwoAtomScan,
+    detection_probabilities,
     field_kraus,
     prepare_cat,
     probe_atom,
@@ -93,5 +94,4 @@ from .direct import (
     direct_point_sampled,
     monitor_origin,
     scan_map,
-    variant_check,
 )

@@ -30,7 +30,8 @@ gc.freeze()  # keep the import-time objects out of the experiments' full collect
 
 # ---------------------------------------------------------------------------
 # config options: OPTIONS[experiment][key] = (check, default), where a default
-# of `...` marks a required key.  A check raises ConfigError naming the value.
+# of `...` marks a required key.  A check raises ConfigError naming the value,
+# or returns the value as the runners take it (an integral float as an int).
 
 
 def _refuse(where: str, what: str) -> ConfigError:
@@ -57,6 +58,7 @@ def _number(integral=False, minimum=None, exclusive_minimum=None, maximum=None, 
                                  f"of {exclusive_minimum!r}")
         if maximum is not None and value > maximum:
             raise _refuse(where, f"{value!r} is greater than the maximum of {maximum!r}")
+        return int(value) if integral else value
     return check
 
 
@@ -64,6 +66,7 @@ def _one_of(*values):
     def check(value, where):
         if value not in values:
             raise _refuse(where, f"{value!r} is not one of {list(values)!r}")
+        return value
     return check
 
 
@@ -77,8 +80,8 @@ def _object(fields: dict, required=()):
         missing = [key for key in required if key not in value]
         if missing:
             raise _refuse(where, f"{missing[0]!r} is a required property")
-        for key, item in value.items():
-            fields[key](item, f"{where}.{key}" if where else key)
+        return {key: fields[key](item, f"{where}.{key}" if where else key)
+                for key, item in value.items()}
     return check
 
 
@@ -90,8 +93,7 @@ def _list(item, n: int, exact=False):
         if len(value) < n or (exact and len(value) > n):
             raise _refuse(where, f"{value!r} needs {'exactly' if exact else 'at least'} "
                                  f"{n} items")
-        for k, x in enumerate(value):
-            item(x, f"{where}[{k}]")
+        return [item(x, f"{where}[{k}]") for k, x in enumerate(value)]
     return check
 
 
@@ -108,11 +110,21 @@ _STATE = _object({
     "n": _number(integral=True, minimum=0), "alpha": _ALPHA, "psi1": _NUMBER,
     "t": _number(minimum=0), "kappa": _POSITIVE,
 }, required=["kind"])
-_GRID = _object({
+_GRID_FIELDS = {
     "span": _POSITIVE, "step": _POSITIVE,
     "q1_min": _NUMBER, "q1_max": _NUMBER, "q2_min": _NUMBER, "q2_max": _NUMBER,
     "n1": _number(integral=True, minimum=2), "n2": _number(integral=True, minimum=2),
-})
+}
+_DEFAULT_GRID = _object(_GRID_FIELDS)
+_EXPLICIT_GRID = _object(_GRID_FIELDS, ["q1_min", "q1_max", "q2_min", "q2_max", "n1", "n2"])
+
+
+def _grid(value, where):
+    """A grid with neither `span` nor `step` gives all six extents."""
+    explicit = isinstance(value, dict) and value and not {"span", "step"} & value.keys()
+    return (_EXPLICIT_GRID if explicit else _DEFAULT_GRID)(value, where)
+
+
 _TIMES = _or_list(
     _object({"t_start": _number(minimum=0), "t_end": _POSITIVE,
              "steps": _number(integral=True, minimum=1)},
@@ -127,13 +139,13 @@ OPTIONS = {
     "decoherence-scan": {"alpha": (_ALPHA, ...), "kappa": (_POSITIVE, 1.0),
                          "n_thermal": (_number(minimum=0), 0.0), "dim": _DIM,
                          "delays": (_TIMES, {"t_start": 0.0, "t_end": 8.0, "steps": 81})},
-    "wigner-map": {"state": (_STATE, ...), "grid": (_GRID, None), "dim": _DIM},
-    "tomography": {"state": (_STATE, ...), "grid": (_GRID, None),
+    "wigner-map": {"state": (_STATE, ...), "grid": (_grid, None), "dim": _DIM},
+    "tomography": {"state": (_STATE, ...), "grid": (_grid, None),
                    "angles": (_number(integral=True, minimum=8), 36),
                    "samples": (_number(integral=True, minimum=1), 100000),
                    "seed": (_SEED, 12345), "bin_width": (_POSITIVE, 0.05),
                    "q_range": (_POSITIVE, None), "dim": _DIM},
-    "direct-map": {"state": (_STATE, ...), "grid": (_GRID, None), "dim": _DIM,
+    "direct-map": {"state": (_STATE, ...), "grid": (_grid, None), "dim": _DIM,
                    "variant": (_one_of("dispersive", "opposite-shift"), "dispersive")},
     "direct-monitor": {"state": (_STATE, ...), "kappa": (_POSITIVE, 1.0),
                        "n_thermal": (_number(minimum=0), 0.0),
@@ -141,7 +153,7 @@ OPTIONS = {
                        "n_shots": (_number(integral=True, minimum=0), 0),
                        "efficiency": (_number(minimum=0, maximum=1), 1.0),
                        "seed": (_SEED, 0), "dim": _DIM},
-    "pauli-demo": {"grid": (_GRID, None)},
+    "pauli-demo": {"grid": (_grid, None)},
     "selfcheck": {},
 }
 
@@ -158,8 +170,8 @@ def resolve_config(experiment: str, raw: dict) -> dict:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose from {sorted(OPTIONS)}")
     options = OPTIONS[experiment]
-    _object({key: check for key, (check, _) in options.items()},
-            [key for key, (_, default) in options.items() if default is ...])(raw, "")
+    raw = _object({key: check for key, (check, _) in options.items()},
+                  [key for key, (_, default) in options.items() if default is ...])(raw, "")
     return {**{key: default for key, (_, default) in options.items() if default is not ...},
             **raw}
 
@@ -437,9 +449,9 @@ def run_selfcheck() -> list[tuple[str, bool, str]]:
     # one-photon values
     w_pt = wigner.wigner_point(one, 0.0)
     w_pos = wigner.wigner_position(one, 0.0, 0.0)
-    w_res = direct.variant_check(one, "resonant-2pi").estimate
+    w_res = direct.direct_point_exact(one, 0.0, variant="resonant-2pi").estimate
     mixed = fock.DensityOperator(np.diag([0.2, 0.8] + [0.0] * (spec.dim - 2)))
-    w_mix = direct.variant_check(mixed, "resonant-2pi").estimate
+    w_mix = direct.direct_point_exact(mixed, 0.0, variant="resonant-2pi").estimate
     ok = (abs(w_pt + 2) < 1e-9 and abs(w_pos + 2) < 1e-9
           and abs(w_res + 2) < 1e-9 and abs(w_mix + 1.2) < 1e-9)
     checks.append(("one-photon-origin", ok,

@@ -20,15 +20,14 @@ Detector inefficiency only erases shots, so the estimator stays unbiased.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import protocol
-from .dynamics import DampingModel, decoherence_time, evolve_trajectory
-from .errors import DomainError, NoDetectionError, SubspaceError
+from .dynamics import DampingModel, evolve_trajectory
+from .errors import DomainError, NoDetectionError
 from .fock import DensityOperator, displaced_rows
 from .protocol import ProtocolConfig
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
@@ -54,8 +53,9 @@ class MeasurementRecord:
             raise ValueError("n_detected cannot exceed n_shots")
 
 
-# the opposite-shift readout reproduces the pi-dispersive one at these angles
-_OPPOSITE_SHIFT = ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2)
+# the configs a variant runs at when none is given: the opposite-shift readout
+# reproduces the pi-dispersive one at phi = eta = pi/2
+_DEFAULT_CONFIG = {"opposite": ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2)}
 
 
 def _populations(rho0: DensityOperator, alpha, rows: int = 0) -> np.ndarray:
@@ -82,35 +82,37 @@ def _populations(rho0: DensityOperator, alpha, rows: int = 0) -> np.ndarray:
         rows *= 2
 
 
-def _born_probabilities(rho0: DensityOperator, alpha: complex,
-                        config: ProtocolConfig, variant: str) -> tuple[float, float]:
-    """P_s = sum_n |m_s(n)|^2 (D rho0 D^dag)_nn, m from ``protocol.field_kraus``."""
-    pops = _populations(rho0, alpha)
-    # the resonant probe refuses any field above one photon
-    protocol._require_parity(config, variant, 2 if variant == "resonant-2pi" else pops.size)
-    p_e, p_g = np.abs(protocol.field_kraus(config, variant, pops.size)) ** 2 @ pops
-    return float(p_e), float(p_g)
-
-
 def direct_point_exact(rho0: DensityOperator, alpha: complex,
-                       config: ProtocolConfig | None = None) -> MeasurementRecord:
-    """Exact Born probabilities of the standard (phi = pi) scheme at one alpha."""
-    p_e, p_g = _born_probabilities(rho0, alpha, config or ProtocolConfig(), "dispersive")
+                       config: ProtocolConfig | None = None,
+                       variant: str = "dispersive") -> MeasurementRecord:
+    """Exact Born probabilities of one probe atom at one alpha.
+
+    `variant` names the interaction as ``protocol.field_kraus`` does:
+    ``"dispersive"`` (phi = pi by default), ``"opposite"`` (phi = eta = pi/2
+    by default) or ``"resonant-2pi"``, which reads the origin only (alpha = 0,
+    DomainError otherwise) of a field supported on n <= 1 (SubspaceError).
+    """
+    if variant == "resonant-2pi" and alpha != 0:
+        raise DomainError("the resonant variant measures the origin only (alpha = 0)")
+    config = config or _DEFAULT_CONFIG.get(variant, ProtocolConfig())
+    pops = _populations(rho0, alpha)
+    p_e, p_g = protocol.detection_probabilities(pops, config, variant)
+    # the resonant probe refused any field above one photon
+    protocol._require_parity(config, variant, 2 if variant == "resonant-2pi" else pops.size)
     return MeasurementRecord(alpha, p_e, p_g, 0, 0, 2.0 * (p_g - p_e), 0.0)
 
 
-def direct_point_sampled(rho0: DensityOperator, alpha: complex, n_shots: int,
-                         efficiency: float, seed,
-                         config: ProtocolConfig | None = None) -> MeasurementRecord:
-    """Bernoulli shots with per-shot detection probability `efficiency`;
-    the estimate conditions on detected shots only and stays unbiased."""
+def _sample(exact: MeasurementRecord, n_shots: int, efficiency: float,
+            seed) -> MeasurementRecord:
+    """`n_shots` Bernoulli shots drawn from `exact`'s probabilities, each
+    detected with probability `efficiency`; the estimate conditions on
+    detected shots only and stays unbiased."""
     if n_shots < 1:
         raise DomainError(f"n_shots must be >= 1, got {n_shots}")
     if not 0.0 <= efficiency <= 1.0:
         raise DomainError(f"efficiency must lie in [0, 1], got {efficiency}")
-    p_e, p_g = _born_probabilities(rho0, alpha, config or ProtocolConfig(), "dispersive")
     rng = np.random.default_rng(seed)
-    outcomes_e = rng.random(n_shots) < p_e
+    outcomes_e = rng.random(n_shots) < exact.p_e
     detected = rng.random(n_shots) < efficiency
     n_det = int(detected.sum())
     if n_det == 0:
@@ -119,7 +121,16 @@ def direct_point_sampled(rho0: DensityOperator, alpha: complex, n_shots: int,
     frac_e = k_e / n_det
     estimate = 2.0 * (1.0 - 2.0 * frac_e)
     stderr = 4.0 * np.sqrt(max(frac_e * (1.0 - frac_e), 1.0 / (4.0 * n_det)) / n_det)
-    return MeasurementRecord(alpha, p_e, p_g, n_shots, n_det, estimate, float(stderr))
+    return MeasurementRecord(exact.alpha, exact.p_e, exact.p_g, n_shots, n_det,
+                             estimate, float(stderr))
+
+
+def direct_point_sampled(rho0: DensityOperator, alpha: complex, n_shots: int,
+                         efficiency: float, seed,
+                         config: ProtocolConfig | None = None) -> MeasurementRecord:
+    """Finite-shot estimate of the standard scheme at one alpha: `n_shots`
+    Bernoulli shots, each detected with probability `efficiency`."""
+    return _sample(direct_point_exact(rho0, alpha, config), n_shots, efficiency, seed)
 
 
 def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
@@ -134,8 +145,7 @@ def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
     where the displaced mean photon number, convex in alpha, peaks.  With no
     `config`, the ``"opposite"`` variant runs at phi = eta = pi/2.
     """
-    if config is None:
-        config = _OPPOSITE_SHIFT if variant == "opposite" else ProtocolConfig()
+    config = config or _DEFAULT_CONFIG.get(variant, ProtocolConfig())
     corners = np.add.outer([grid.q1_min, grid.q1_max], [1j * grid.q2_min, 1j * grid.q2_max])
     corners /= np.sqrt(2.0)
     # at the far corners one build of 4 rho0.dim rows settles N = 2 and 4 rho0.dim
@@ -155,9 +165,10 @@ class MonitorPoint:
 
 def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
                    config: ProtocolConfig | None = None,
-                   n_shots: int = 0, efficiency: float = 1.0, seed=None,
-                   shot_interval: float | None = None) -> list[MonitorPoint]:
-    """W(0) read out by the direct scheme along a damping trajectory.
+                   n_shots: int = 0, efficiency: float = 1.0,
+                   seed=None) -> list[MonitorPoint]:
+    """W(0) read out by the direct scheme along a damping trajectory, with a
+    finite-shot estimate from the same probabilities at each time if `n_shots` > 0.
 
     For an even cat the series starts near +2, collapses toward 0 on the
     decoherence timescale, and climbs back to +2 as the field empties.
@@ -167,48 +178,11 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) < 0) or np.any(times < 0):
         raise DomainError("times must be sorted and nonnegative")
-    if shot_interval is not None:
-        mean_n = rho0.mean_photon()
-        if mean_n > 0 and shot_interval > decoherence_time(model, mean_n):
-            warnings.warn(
-                f"shot interval {shot_interval} exceeds the decoherence time "
-                f"{decoherence_time(model, mean_n):.3g}; consecutive shots will not "
-                "resolve the coherence collapse", UserWarning)
     traj = evolve_trajectory(rho0, model, times)
     seq = np.random.SeedSequence(seed).spawn(len(traj)) if n_shots > 0 else None
     out = []
     for k, (t, rho_t) in enumerate(zip(times, traj)):
         exact = direct_point_exact(rho_t, 0.0, config)
-        sampled = None
-        if n_shots > 0:
-            sampled = direct_point_sampled(rho_t, 0.0, n_shots, efficiency,
-                                           seq[k], config)
+        sampled = _sample(exact, n_shots, efficiency, seq[k]) if n_shots > 0 else None
         out.append(MonitorPoint(float(t), exact, sampled))
     return out
-
-
-def variant_check(rho0: DensityOperator, variant: str, alpha: complex = 0.0,
-                  config: ProtocolConfig | None = None) -> MeasurementRecord:
-    """Run one of the alternative conditional-phase realizations.
-
-    * ``"resonant-2pi"``: exact sign flip of |e>|1>; requires alpha = 0 and a
-      field supported on the {0, 1} photon subspace.
-    * ``"opposite-shift"``: dephasings of opposite sign for the two levels
-      with phi = pi/2 and an eta = pi/2 dephasing on the second zone.
-
-    Both reproduce ``direct_point_exact``'s estimate.
-    """
-    if variant == "resonant-2pi":
-        if alpha != 0:
-            raise DomainError("the resonant variant measures the origin only (alpha = 0)")
-        tail = float(np.sum(np.abs(rho0.diagonal()[2:])))
-        if tail > 1e-8:
-            raise SubspaceError(
-                f"field population {tail:.3e} above one photon; resonant variant invalid"
-            )
-        p_e, p_g = _born_probabilities(rho0, 0.0, config or ProtocolConfig(), "resonant-2pi")
-    elif variant == "opposite-shift":
-        p_e, p_g = _born_probabilities(rho0, alpha, config or _OPPOSITE_SHIFT, "opposite")
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return MeasurementRecord(alpha, p_e, p_g, 0, 0, 2.0 * (p_g - p_e), 0.0)

@@ -117,6 +117,22 @@ class Branch:
         return self.field_after
 
 
+def detection_probabilities(pops: np.ndarray, config: ProtocolConfig,
+                            variant: str) -> tuple[float, float]:
+    """Born rule of one atom reading a field with photon-number populations
+    `pops`: (P_e, P_g), P_s = sum_n |m_s(n)|^2 pops_n with m from ``field_kraus``.
+    The resonant probe is exact only on n <= 1, so it refuses (SubspaceError)
+    a field with more than 1e-8 population above one photon."""
+    if variant == "resonant-2pi":
+        tail = float(np.sum(np.abs(pops[2:])))
+        if tail > 1e-8:
+            raise SubspaceError(
+                f"field population {tail:.3e} above one photon; resonant probe is not exact"
+            )
+    m = field_kraus(config, variant, pops.size)
+    return float(np.abs(m[_E]) ** 2 @ pops), float(np.abs(m[_G]) ** 2 @ pops)
+
+
 def probe_atom(field, config: ProtocolConfig | None = None,
                variant: str = "dispersive") -> dict[str, Branch]:
     """Send one atom (prepared in |e>) through R1 -> interaction -> R2 -> detector;
@@ -126,18 +142,11 @@ def probe_atom(field, config: ProtocolConfig | None = None,
         field = pure_to_density(field)
     elif not isinstance(field, DensityOperator):
         raise TypeError(f"field must be FieldState or DensityOperator, got {type(field)}")
-    pops = field.diagonal()
-    if variant == "resonant-2pi":
-        # R1 leaves half of every photon number in |e>
-        leak = 0.5 * float(np.sum(pops[2:]))
-        if leak > 1e-8:
-            raise SubspaceError(
-                f"|e>-sector population {leak:.3e} above n=1; resonant trick is not exact"
-            )
+    probs = detection_probabilities(field.diagonal(), config, variant)
     m = field_kraus(config, variant, field.dim)
     out = {}
     for idx, name in ((_E, "e"), (_G, "g")):
-        p = float(np.abs(m[idx]) ** 2 @ pops)
+        p = probs[idx]
         rho = None
         if p >= 1e-14:
             rho = DensityOperator(m[idx][:, None] * field.matrix * m[idx].conj() / p)
@@ -205,8 +214,8 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
     for k, delay in enumerate(delays):
         cond = {o: {"e": np.nan, "g": np.nan} for o in ("e", "g")}
         for o, traj in trajs.items():
-            second = probe_atom(traj[k], config)
-            cond[o] = {s: second[s].probability for s in ("e", "g")}
+            p_e2, p_g2 = detection_probabilities(traj[k].diagonal(), config, "dispersive")
+            cond[o] = {"e": p_e2, "g": p_g2}
         p_e2 = sum(first[o].probability * cond[o]["e"] for o in trajs)
         rows.append(ConditionalTable(
             alpha=alpha, delay=float(delay),
@@ -222,6 +231,4 @@ def two_atom_conditional(alpha: complex, delay: float, model: DampingModel,
                          config: ProtocolConfig | None = None,
                          spec: HilbertSpec | None = None) -> ConditionalTable:
     """Conditional probabilities P(o2 | o1) with a damping delay between atoms."""
-    if delay < 0:
-        raise DomainError(f"delay must be >= 0, got {delay}")
     return two_atom_scan(alpha, [delay], model, config, spec)[0]

@@ -39,7 +39,6 @@ from cavitylab import (
     separation_measure,
     two_atom_scan,
     uniform_angles,
-    variant_check,
     vacuum,
     wigner_map,
     wigner_point,
@@ -104,9 +103,9 @@ def test_criterion_02_one_photon_origin():
     one = pure_to_density(fock_state(spec, 1))
     w_pt = wigner_point(one, 0.0)
     w_pos = wigner_position(one, 0.0, 0.0)
-    w_res = variant_check(one, "resonant-2pi").estimate
+    w_res = direct_point_exact(one, 0.0, variant="resonant-2pi").estimate
     mixed = DensityOperator(np.diag([0.2, 0.8] + [0.0] * (spec.dim - 2)))
-    w_mix = variant_check(mixed, "resonant-2pi").estimate
+    w_mix = direct_point_exact(mixed, 0.0, variant="resonant-2pi").estimate
     # diagonal parity oracle: 2 * sum_n (-1)^n p_n
     oracle_mix = 2.0 * float(np.sum((-1.0) ** np.arange(spec.dim)
                                     * mixed.diagonal()))

@@ -442,6 +442,29 @@ def test_option_table_verdicts():
     assert wrong == []
 
 
+@pytest.mark.parametrize("experiment, as_int, as_float", [
+    ("wigner-map", {"state": {"kind": "vacuum"}, "grid": BOX, "dim": 24},
+     {"state": {"kind": "vacuum"}, "grid": BOX, "dim": 24.0}),
+    ("wigner-map", {"state": {"kind": "fock", "n": 2}, "grid": BOX},
+     {"state": {"kind": "fock", "n": 2.0}, "grid": BOX}),
+    ("wigner-map", {"state": {"kind": "vacuum"}, "grid": BOX},
+     {"state": {"kind": "vacuum"}, "grid": {**BOX, "n1": 5.0}}),
+    ("direct-monitor", {"state": S, "times": SPAN},
+     {"state": S, "times": {**SPAN, "steps": 5.0}}),
+    ("tomography", {"state": S, "grid": BOX, "angles": 8, "samples": 100},
+     {"state": S, "grid": BOX, "angles": 8, "samples": 100.0}),
+], ids=["dim", "fock-n", "grid-n1", "steps", "samples"])
+def test_integral_floats_run_as_ints(tmp_path, experiment, as_int, as_float):
+    # the option table takes 24.0 for an integer; the runners get 24
+    written = []
+    for k, config in enumerate((as_int, as_float)):
+        out = tmp_path / f"o{k}"
+        cfg = write_config(tmp_path, f"c{k}.json", config)
+        assert run_cli([experiment, "--config", cfg, "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+
+
 def test_resolved_defaults():
     state = {"kind": "cat", "alpha": 1.0}
     resolved = {name: cli.resolve_config(name, raw) for name, raw in (
@@ -489,14 +512,20 @@ def test_non_finite_config_number_is_config_error(tmp_path, capsys, experiment, 
 
 
 def test_fock_level_beyond_dim_is_config_error(tmp_path):
-    cfg = write_config(tmp_path, "c.json", {"state": {"kind": "fock", "n": 30}, "dim": 10})
     src = os.path.dirname(os.path.dirname(os.path.abspath(cavitylab.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "cavitylab.cli", "wigner-map", "--config",
-                           cfg, "--out", str(tmp_path / "o")], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 1
-    assert "config error: fock state n = 30 needs dim > 30, got dim 10" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for k, (config, message) in enumerate((
+            ({"state": {"kind": "fock", "n": 30}, "dim": 10},
+             "config error: fock state n = 30 needs dim > 30, got dim 10"),
+            # explicit extents with neither span nor step must give all six
+            ({"state": {"kind": "vacuum"}, "grid": {"q1_min": 0}},
+             "config error: invalid config: 'q1_max' is a required property (key grid)"))):
+        cfg = write_config(tmp_path, f"c{k}.json", config)
+        proc = subprocess.run([sys.executable, "-m", "cavitylab.cli", "wigner-map", "--config",
+                               cfg, "--out", str(tmp_path / f"o{k}")], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_config_error_names_the_offending_value(tmp_path, capsys):

@@ -23,7 +23,6 @@ from cavitylab import (
     pure_to_density,
     scan_map,
     vacuum,
-    variant_check,
     wigner_map,
     wigner_point,
     wigner_position,
@@ -90,7 +89,7 @@ def test_non_finite_injection_is_rejected(corpus):
         with pytest.raises(DomainError):
             direct_point_sampled(rho, alpha, 100, 1.0, seed=1)
         with pytest.raises(DomainError):
-            variant_check(rho, "opposite-shift", alpha)
+            direct_point_exact(rho, alpha, variant="opposite")
 
 
 def test_huge_injection_raises_before_allocating():
@@ -142,7 +141,7 @@ def test_requires_pi_phase(corpus):
     with pytest.raises(DomainError):
         direct_point_exact(corpus["cat_even"], 0.3, ProtocolConfig(eta=0.3))
     with pytest.raises(DomainError):
-        variant_check(fock_rho(1), "resonant-2pi", config=ProtocolConfig(eta=0.3))
+        direct_point_exact(fock_rho(1), 0.0, ProtocolConfig(eta=0.3), "resonant-2pi")
 
 
 def test_record_invariants():
@@ -303,21 +302,19 @@ def test_collapse_time_scales_inversely_with_photon_number():
         assert abs(measured / expected - 1.0) < 0.15
 
 
-def test_monitor_sampled_series_and_pacing_warning():
+def test_monitor_sampled_series():
     rho = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
     pts = monitor_origin(rho, MODEL, [0.0, 0.2], n_shots=500, efficiency=0.5, seed=4)
     assert pts[0].sampled is not None
     assert abs(pts[0].sampled.estimate - pts[0].exact.estimate) \
         < 4 * pts[0].sampled.stderr
-    with pytest.warns(UserWarning):
-        monitor_origin(rho, MODEL, [0.0], shot_interval=10.0)
 
 
 # -- alternative conditional-phase realizations --------------------------------------
 
 
 def test_resonant_variant_one_photon():
-    rec = variant_check(fock_rho(1, dim=12), "resonant-2pi")
+    rec = direct_point_exact(fock_rho(1, dim=12), 0.0, variant="resonant-2pi")
     assert abs(rec.estimate + 2.0) < 1e-9
 
 
@@ -326,16 +323,16 @@ def test_resonant_variant_imperfect_photon():
     rho = np.diag([0.2, 0.8] + [0.0] * 10).astype(complex)
     from cavitylab import DensityOperator
 
-    rec = variant_check(DensityOperator(rho), "resonant-2pi")
+    rec = direct_point_exact(DensityOperator(rho), 0.0, variant="resonant-2pi")
     assert abs(rec.estimate + 1.2) < 1e-9
 
 
 def test_resonant_variant_guards():
     with pytest.raises(SubspaceError):
-        variant_check(pure_to_density(coherent_state(HilbertSpec(16), 1.0)),
-                      "resonant-2pi")
+        direct_point_exact(pure_to_density(coherent_state(HilbertSpec(16), 1.0)), 0.0,
+                           variant="resonant-2pi")
     with pytest.raises(DomainError):
-        variant_check(fock_rho(1), "resonant-2pi", 0.5)
+        direct_point_exact(fock_rho(1), 0.5, variant="resonant-2pi")
 
 
 def test_opposite_shift_variant_matches_standard_readout(corpus):
@@ -343,7 +340,7 @@ def test_opposite_shift_variant_matches_standard_readout(corpus):
     rng = np.random.default_rng(11)
     for _ in range(6):
         alpha = complex(rng.normal(scale=0.7), rng.normal(scale=0.7))
-        rec = variant_check(rho, "opposite-shift", alpha)
+        rec = direct_point_exact(rho, alpha, variant="opposite")
         ref = direct_point_exact(rho, alpha)
         assert abs(rec.estimate - ref.estimate) < 1e-8
 
@@ -360,8 +357,8 @@ def test_opposite_shift_full_map_matches_pi_pipeline(corpus):
 
 def test_opposite_shift_requires_matched_angles(corpus):
     with pytest.raises(DomainError):
-        variant_check(fock_rho(1), "opposite-shift", 0.1,
-                      ProtocolConfig(phi=np.pi / 2, eta=0.0))
+        direct_point_exact(fock_rho(1), 0.1, ProtocolConfig(phi=np.pi / 2, eta=0.0),
+                           "opposite")
     # without the eta = pi/2 dephasing the map was off by 2
     grid = PhaseSpaceGrid(-2.2, 2.2, -2.2, 2.2, 5, 5)
     with pytest.raises(DomainError):

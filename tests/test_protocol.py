@@ -12,6 +12,7 @@ from cavitylab import (
     SubspaceError,
     cat_state,
     coherent_state,
+    direct_point_exact,
     evolve_trajectory,
     field_kraus,
     fock_state,
@@ -222,6 +223,21 @@ def test_resonant_2pi_guards_subspace():
     spec = HilbertSpec(12)
     with pytest.raises(SubspaceError):
         probe_atom(coherent_state(spec, 1.0), CFG, "resonant-2pi")
+
+
+def test_one_resonant_threshold_for_every_probe():
+    # both readers refuse more than 1e-8 population above one photon (the
+    # cat-preparation probe took up to 2e-8, since R1 leaves half in |e>)
+    for tail, refused in ((1.5e-8, True), (0.5e-8, False)):
+        field = DensityOperator(np.diag([0.3, 0.7 - tail, tail, 0.0, 0.0, 0.0]))
+        if refused:
+            with pytest.raises(SubspaceError):
+                probe_atom(field, CFG, "resonant-2pi")
+            with pytest.raises(SubspaceError):
+                direct_point_exact(field, 0.0, variant="resonant-2pi")
+        else:
+            probe_atom(field, CFG, "resonant-2pi")
+            direct_point_exact(field, 0.0, variant="resonant-2pi")
 
 
 def test_detection_after_entangling_projects_coherent_states():
