@@ -110,19 +110,20 @@ _STATE = _object({
     "n": _number(integral=True, minimum=0), "alpha": _ALPHA, "psi1": _NUMBER,
     "t": _number(minimum=0), "kappa": _POSITIVE,
 }, required=["kind"])
-_GRID_FIELDS = {
-    "span": _POSITIVE, "step": _POSITIVE,
+_EXTENTS = {
     "q1_min": _NUMBER, "q1_max": _NUMBER, "q2_min": _NUMBER, "q2_max": _NUMBER,
     "n1": _number(integral=True, minimum=2), "n2": _number(integral=True, minimum=2),
 }
-_DEFAULT_GRID = _object(_GRID_FIELDS)
-_EXPLICIT_GRID = _object(_GRID_FIELDS, ["q1_min", "q1_max", "q2_min", "q2_max", "n1", "n2"])
+_DEFAULT_GRID = _object({"span": _POSITIVE, "step": _POSITIVE})
+_EXPLICIT_GRID = _object(_EXTENTS, list(_EXTENTS))
 
 
 def _grid(value, where):
-    """A grid with neither `span` nor `step` gives all six extents."""
-    explicit = isinstance(value, dict) and value and not {"span", "step"} & value.keys()
-    return (_EXPLICIT_GRID if explicit else _DEFAULT_GRID)(value, where)
+    """All six extents, or the default grid with an optional `span` and `step`."""
+    extents = sorted(value.keys() & _EXTENTS.keys()) if isinstance(value, dict) else []
+    if extents and value.keys() & {"span", "step"}:
+        raise _refuse(where, f"extents {extents} given beside span or step")
+    return (_EXPLICIT_GRID if extents else _DEFAULT_GRID)(value, where)
 
 
 _TIMES = _or_list(
@@ -212,7 +213,7 @@ def _build_state(state_cfg: dict, dim_override) -> tuple[fock.DensityOperator, f
 def _build_grid(grid_cfg, scale: float) -> wigner.PhaseSpaceGrid:
     """Explicit extents, or the default grid with an optional span and step."""
     grid_cfg = grid_cfg or {}
-    if grid_cfg and "span" not in grid_cfg and "step" not in grid_cfg:
+    if grid_cfg.keys() & _EXTENTS.keys():
         return wigner.PhaseSpaceGrid(**grid_cfg)
     step = {"step": grid_cfg["step"]} if "step" in grid_cfg else {}
     if "span" in grid_cfg:  # a span of pad units about the origin
@@ -484,11 +485,10 @@ def run_selfcheck() -> list[tuple[str, bool, str]]:
 
     # marginal vs map line integral
     small = wigner.wigner_map(cat, wigner.default_grid(1.5, step=0.06))
-    dev = 0.0
-    for theta in (0.0, np.pi / 4, np.pi / 2, 2.2):
-        qs, pm = wigner.radon_of_map(small, theta)
-        dev = max(dev, float(np.max(np.abs(
-            pm - wigner.marginal_distribution(cat, theta, qs)))))
+    thetas = (0.0, np.pi / 4, np.pi / 2, 2.2)
+    lines = [wigner.radon_of_map(small, theta) for theta in thetas]
+    exact = wigner.marginal_distribution(cat, thetas, lines[0][0])  # one q grid per map
+    dev = max(float(np.max(np.abs(pm - row))) for (_, pm), row in zip(lines, exact))
     checks.append(("radon-consistency", dev < 5e-3, f"max dev {dev:.2e}"))
 
     # marginals-only incompleteness

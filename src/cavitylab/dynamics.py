@@ -155,10 +155,11 @@ def cat_coherence(rho: DensityOperator, alpha: complex) -> float:
 
 
 def decoherence_time(model: DampingModel, mean_n: float) -> float:
-    """Dissipation time divided by twice the mean photon number."""
+    """Dissipation time over 2 mean_n (2 n_thermal + 1): the e-folding time of
+    a cat's fringes (Kim & Buzek, PRA 46, 4239 (1992))."""
     if mean_n <= 0:
         raise DomainError(f"mean_n must be positive, got {mean_n}")
-    return model.dissipation_time / (2.0 * mean_n)
+    return model.dissipation_time / (2.0 * mean_n * (2.0 * model.n_thermal + 1.0))
 
 
 def separation_measure(d: float, mass: float, temperature: float) -> float:

@@ -114,9 +114,6 @@ class DensityOperator:
         v = state.amplitudes
         return float(np.real(np.vdot(v, self.matrix @ v)))
 
-    def expectation(self, op: np.ndarray) -> complex:
-        return complex(np.trace(self.matrix @ op))
-
     def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-10,
                  eig_tol: float = 1e-8) -> None:
         m = self.matrix

@@ -12,8 +12,7 @@ Pulse convention (fixed throughout): each Ramsey zone applies
     |e> -> (|e> + |g>)/sqrt(2),   |g> -> (-|e> + |g>)/sqrt(2),
 so two zones on an empty cavity act as a pi pulse, e -> g.  A nonzero
 `eta` inserts the relative phase e^{i eta} on |e> just before the second
-zone; a nonzero `ramsey_phase` rotates the microwave phase of both zones
-(detection probabilities are invariant under it).
+zone.
 """
 
 from __future__ import annotations
@@ -40,21 +39,19 @@ _E, _G = 0, 1  # atom level indices
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Per-photon conditional phase, Ramsey zone phase, and R2 dephasing."""
+    """Per-photon conditional phase and R2 dephasing."""
 
     phi: float = np.pi
-    ramsey_phase: float = 0.0
     eta: float = 0.0
 
     def __post_init__(self):
-        for name in ("phi", "ramsey_phase", "eta"):
+        for name in ("phi", "eta"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
 
 
-def _pulse_matrix(chi: float) -> np.ndarray:
-    return np.array([[1.0, -np.exp(1j * chi)],
-                     [np.exp(-1j * chi), 1.0]]) / np.sqrt(2.0)
+# one Ramsey zone in the (e, g) basis, by the pulse convention above
+_ZONE = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 
 
 def field_kraus(config: ProtocolConfig, variant: str, dim: int) -> np.ndarray:
@@ -81,9 +78,8 @@ def field_kraus(config: ProtocolConfig, variant: str, dim: int) -> np.ndarray:
         f[_E, 1] = -1.0
     else:
         raise ValueError(f"unknown interaction variant {variant!r}")
-    r1 = _pulse_matrix(config.ramsey_phase)
-    r2 = r1 @ np.diag([np.exp(1j * config.eta), 1.0])
-    return r2 @ (f * r1[:, _E, None])
+    r2 = _ZONE @ np.diag([np.exp(1j * config.eta), 1.0])
+    return r2 @ (f * _ZONE[:, _E, None])
 
 
 def _require_parity(config: ProtocolConfig, variant: str, dim: int) -> None:

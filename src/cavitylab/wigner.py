@@ -73,6 +73,12 @@ class PhaseSpaceGrid:
         return np.linspace(self.q2_min, self.q2_max, self.n2)
 
     @property
+    def corner_radius(self) -> float:
+        """Distance from the origin to the grid's farthest corner."""
+        return math.hypot(max(abs(self.q1_min), self.q1_max),
+                          max(abs(self.q2_min), self.q2_max))
+
+    @property
     def cell_area(self) -> float:
         d1 = (self.q1_max - self.q1_min) / (self.n1 - 1)
         d2 = (self.q2_max - self.q2_min) / (self.n2 - 1)
@@ -230,11 +236,11 @@ def _gh_nodes(order: int):
     return x, w * np.exp(x * x)  # total weights for integrands carrying e^{-x^2}
 
 
-def _rotated(rho: DensityOperator, theta: float) -> DensityOperator:
+def _rotated(mat: np.ndarray, theta: float) -> np.ndarray:
     """e^{-i theta n} rho e^{i theta n}: phase space turned by -theta, which
     brings the quadrature at angle theta onto the q1 axis."""
-    ph = np.exp(-1j * theta * np.arange(rho.dim))
-    return DensityOperator(rho.matrix * np.multiply.outer(ph, ph.conj()))
+    ph = np.exp(-1j * theta * np.arange(mat.shape[0]))
+    return mat * np.multiply.outer(ph, ph.conj())
 
 
 def _axis_position_integral(rho_mat: np.ndarray, q: float, order: int) -> float:
@@ -252,7 +258,7 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
     wigner_position(rho, q, p) == wigner_point(rho, (q + i p)/sqrt(2))."""
     if not (np.isfinite(q) and np.isfinite(p)):
         raise DomainError(f"(q, p) must be finite, got ({q}, {p})")
-    rotated, q_axis = _rotated(rho, math.atan2(p, q)).matrix, math.hypot(q, p)
+    rotated, q_axis = _rotated(rho.matrix, math.atan2(p, q)), math.hypot(q, p)
     order = rho.dim + 32
     val, imag = _axis_position_integral(rotated, q_axis, order)
     if imag > 1e-6:
@@ -269,22 +275,22 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
 # marginals
 
 
-def position_density(rho: DensityOperator, qs) -> np.ndarray:
-    """<q| rho |q> on an array of positions.  The Hermite functions are real,
-    so only Re(rho) contributes: one real matrix product."""
+def marginal_distribution(rho: DensityOperator, theta, q_theta) -> np.ndarray:
+    """P(q_theta) = <q_theta| rho |q_theta>, q_theta = q1 cos(theta) + q2 sin(theta),
+    shaped np.shape(theta) + np.shape(q_theta): one row per angle, all from one
+    Hermite table.  rho turned by -theta brings q_theta onto the q1 axis, where
+    the Hermite functions are real: each row is one real product with Re(rho)."""
+    thetas = np.asarray(theta, dtype=float)
+    bad = thetas[~((thetas >= 0.0) & (thetas < np.pi))]
+    if bad.size:
+        raise DomainError(f"theta must lie in [0, pi), got {bad[0]}")
     mat = require_hermitian(rho)
-    qs = np.atleast_1d(np.asarray(qs, dtype=float))
-    psi = hermite_functions(qs, rho.dim)
-    return np.sum(psi * (mat.real @ psi), axis=0)
-
-
-def marginal_distribution(rho: DensityOperator, theta: float, q_theta) -> np.ndarray:
-    """P(q_theta) = <q_theta| rho |q_theta> for the rotated quadrature
-    q_theta = q1 cos(theta) + q2 sin(theta)."""
-    if not 0.0 <= theta < np.pi:
-        raise DomainError(f"theta must lie in [0, pi), got {theta}")
-    out = position_density(_rotated(rho, theta), q_theta)
-    return out if np.ndim(q_theta) else float(out[0])
+    psi = hermite_functions(q_theta, rho.dim)
+    out = np.empty((thetas.size, psi.shape[1]))
+    for row, th in zip(out, thetas.ravel()):
+        row[:] = np.sum(psi * (_rotated(mat, th).real @ psi), axis=0)
+    out = out.reshape(thetas.shape + np.shape(q_theta))
+    return out if out.ndim else float(out)
 
 
 def radon_of_map(wmap: WignerMap, theta: float, q_out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -297,9 +303,8 @@ def radon_of_map(wmap: WignerMap, theta: float, q_out=None) -> tuple[np.ndarray,
         half = min(g.q1_max, g.q2_max)
         q_out = np.linspace(-half, half, max(g.n1, g.n2))
     q_out = np.atleast_1d(np.asarray(q_out, dtype=float))
-    radius = math.hypot(max(abs(g.q1_min), g.q1_max), max(abs(g.q2_min), g.q2_max))
     step = min((g.q1_max - g.q1_min) / (g.n1 - 1), (g.q2_max - g.q2_min) / (g.n2 - 1))
-    s = np.arange(-radius, radius + step, step)
+    s = np.arange(-g.corner_radius, g.corner_radius + step, step)
     c, sn = np.cos(theta), np.sin(theta)
     pts1 = q_out[:, None] * c - s[None, :] * sn
     pts2 = q_out[:, None] * sn + s[None, :] * c
@@ -432,13 +437,10 @@ def pauli_counterexample(spec: HilbertSpec) -> PauliPair:
     state_a = FieldState(amps)
     state_b = FieldState(amps.conj())
     rho_a, rho_b = pure_to_density(state_a), pure_to_density(state_b)
-    qs = np.linspace(-6.0, 6.0, 241)
-    dev0 = float(np.max(np.abs(marginal_distribution(rho_a, 0.0, qs)
-                               - marginal_distribution(rho_b, 0.0, qs))))
-    dev90 = float(np.max(np.abs(marginal_distribution(rho_a, np.pi / 2, qs)
-                                - marginal_distribution(rho_b, np.pi / 2, qs))))
-    dev45 = float(np.max(np.abs(marginal_distribution(rho_a, np.pi / 4, qs)
-                                - marginal_distribution(rho_b, np.pi / 4, qs))))
+    qs, angles = np.linspace(-6.0, 6.0, 241), [0.0, np.pi / 2, np.pi / 4]
+    dev0, dev90, dev45 = np.max(np.abs(marginal_distribution(rho_a, angles, qs)
+                                       - marginal_distribution(rho_b, angles, qs)),
+                                axis=1).tolist()
     probe = default_grid(2.0, step=0.15)
     wig_dev = float(np.max(np.abs(wigner_map(rho_a, probe).values
                                   - wigner_map(rho_b, probe).values)))

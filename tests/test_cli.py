@@ -177,9 +177,10 @@ def test_tomography_artifacts_and_determinism(tmp_path, monkeypatch):
         cfg = write_config(tmp_path, f"{label}.json", dict(TOMO_CFG))
         assert run_cli(["tomography", "--config", cfg, "--out", str(out)]) == 0
         outs.append(out)
-    # one sampling pass: each angle once per run
-    assert len(calls) == 2 * TOMO_CFG["angles"]
-    assert len(set(calls)) == TOMO_CFG["angles"]
+    # one sampling call per run, taking each angle once
+    assert len(calls) == 2
+    for thetas in calls:
+        assert np.unique(thetas).size == np.size(thetas) == TOMO_CFG["angles"]
     for name in ("sinogram.csv", "reconstruction.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     report = json.loads((outs[0] / "reconstruction_report.json").read_text())
@@ -380,6 +381,7 @@ VERDICTS = [
     ("wigner-map", {"state": S, "grid": BOX}, True),
     ("wigner-map", {"state": S, "grid": {"n1": 1}}, False),
     ("wigner-map", {"state": S, "grid": {"step": 0}}, False),
+    ("wigner-map", {"state": S, "grid": {**BOX, "span": 3.0}}, False),
     ("pauli-demo", {"grid": [3.0]}, False),
     # nested times
     ("direct-monitor", {"state": S, "times": [0.0, 0.5]}, True),
@@ -533,6 +535,15 @@ def test_config_error_names_the_offending_value(tmp_path, capsys):
     assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "config error: invalid config: -1.0 is less than or equal to the minimum of 0" \
         in capsys.readouterr().err
+
+
+def test_extents_beside_step_are_refused_not_dropped(tmp_path, capsys):
+    grid = {"step": 0.5, "q1_min": 0, "q1_max": 1, "q2_min": 0, "q2_max": 1, "n1": 3, "n2": 3}
+    cfg = write_config(tmp_path, "c.json", {"state": {"kind": "vacuum"}, "grid": grid})
+    assert run_cli(["wigner-map", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert ("invalid config: extents ['n1', 'n2', 'q1_max', 'q1_min', 'q2_max', 'q2_min'] "
+            "given beside span or step (key grid)") in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 # Modules the CLI must not load at start-up (import time is paid by every

@@ -284,6 +284,19 @@ def test_decoherence_time_formula():
         decoherence_time(MODEL, 0.0)
 
 
+@pytest.mark.parametrize("n_thermal", [0.05, 0.4, 1.0])
+def test_thermal_decoherence_time_matches_fit(n_thermal):
+    # thermal photons speed the fringe decay by 2 n_th + 1; at n_th = 0.4 the
+    # law gives 1/(2 kappa nbar (2 n_th + 1)) = 0.0556, not 0.1
+    model = DampingModel(kappa=1.0, n_thermal=n_thermal)
+    t_dec = decoherence_time(model, 5.0)
+    assert abs(t_dec - 1.0 / (2.0 * 5.0 * (2.0 * n_thermal + 1.0))) < 1e-15
+    alpha = np.sqrt(5.0)
+    rho0 = pure_to_density(cat_state(HilbertSpec(40), alpha, np.pi))
+    tau = fit_coherence_decay(rho0, model, alpha, 0.5 * t_dec)
+    assert abs(tau - t_dec) / t_dec < 0.05
+
+
 def test_fitted_decay_constant_at_n5():
     # full three-amplitude scan lives in the acceptance suite
     alpha = np.sqrt(5.0)

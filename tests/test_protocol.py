@@ -30,10 +30,10 @@ MODEL = DampingModel(kappa=1.0)
 VARIANTS = ("dispersive", "opposite", "resonant-2pi")
 
 
-def arms(m, chi=0.0):
+def arms(m):
     """The field phases carried by the atom's |e> and |g> arms between the
     zones (|e>'s including e^{i eta}); M_e and M_g are their recombinations."""
-    return np.exp(1j * chi) * m[1] + m[0], np.exp(1j * chi) * m[1] - m[0]
+    return m[1] + m[0], m[1] - m[0]
 
 
 def joint_oracle(rho, config, variant):
@@ -42,11 +42,8 @@ def joint_oracle(rho, config, variant):
     from the protocol docstring's pulse convention, then projected."""
     d = rho.dim
     n = np.arange(d)
-    # |e> -> (|e> + |g>)/sqrt2, |g> -> (-|e> + |g>)/sqrt2, with the microwave
-    # phase chi rotating the zone about z
-    zone0 = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-    z = np.diag([1.0, np.exp(-1j * config.ramsey_phase)])
-    r1 = z @ zone0 @ z.conj().T
+    # |e> -> (|e> + |g>)/sqrt2, |g> -> (-|e> + |g>)/sqrt2
+    r1 = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
     r2 = r1 @ np.diag([np.exp(1j * config.eta), 1.0])
     phi = config.phi
     if variant == "dispersive":
@@ -82,7 +79,7 @@ def test_probe_matches_joint_density_oracle():
         dim = int(rng.integers(2, 24))
         rank = int(rng.integers(1, 4))
         rho = random_mixed(rng, dim, rank, support=2 if variant == "resonant-2pi" else None)
-        cfg = ProtocolConfig(*rng.uniform(-np.pi, np.pi, size=3))
+        cfg = ProtocolConfig(*rng.uniform(-np.pi, np.pi, size=2))
         m = field_kraus(cfg, variant, dim)
         assert np.max(np.abs(np.sum(np.abs(m) ** 2, axis=0) - 1.0)) < 1e-12
         field = rho
@@ -102,7 +99,7 @@ def test_ramsey_splits_excited_atom():
     # Ramsey fringe P_e = sin^2(eta/2) for any field; eta = pi/2 splits 50/50
     field = coherent_state(HilbertSpec(20), 1.1)
     for eta in (0.0, 0.6, np.pi / 2, 2.5, np.pi):
-        branches = probe_atom(field, ProtocolConfig(phi=0.0, eta=eta, ramsey_phase=0.8))
+        branches = probe_atom(field, ProtocolConfig(phi=0.0, eta=eta))
         assert abs(branches["e"].probability - np.sin(eta / 2) ** 2) < 1e-12
 
 
@@ -121,41 +118,30 @@ def test_ramsey_unitary():
     rng = np.random.default_rng(3)
     for variant in VARIANTS:
         for _ in range(5):
-            m = field_kraus(ProtocolConfig(*rng.uniform(-4, 4, size=3)), variant, 20)
+            m = field_kraus(ProtocolConfig(*rng.uniform(-4, 4, size=2)), variant, 20)
             assert np.max(np.abs(np.sum(np.abs(m) ** 2, axis=0) - 1.0)) < 1e-12
-
-
-def test_ramsey_phase_is_a_gauge():
-    # detection statistics cannot depend on the shared microwave phase
-    spec = HilbertSpec(20)
-    field = coherent_state(spec, 1.0)
-    for chi in (0.0, 0.4, 1.9):
-        cfg = ProtocolConfig(ramsey_phase=chi)
-        branches = probe_atom(field, cfg)
-        ref = probe_atom(field, CFG)
-        assert abs(branches["e"].probability - ref["e"].probability) < 1e-12
 
 
 def test_dispersive_pi_rotates_coherent_on_excited_branch():
     # between the zones the |e> arm carries |-alpha>, the |g> arm |alpha>
     spec = HilbertSpec(26)
     amps = coherent_state(spec, 1.3).amplitudes
-    arm_e, arm_g = arms(field_kraus(ProtocolConfig(ramsey_phase=0.9), "dispersive", 26), 0.9)
+    arm_e, arm_g = arms(field_kraus(CFG, "dispersive", 26))
     np.testing.assert_allclose(arm_e * amps, coherent_state(spec, -1.3).amplitudes, atol=1e-9)
     np.testing.assert_allclose(arm_g * amps, amps, atol=1e-15)
 
 
 def test_dispersive_identity_on_ground():
-    # closed form: m_e = (e^{i(phi n + eta)} - 1)/2, m_g = e^{-i chi}(e^{i(phi n + eta)} + 1)/2,
+    # closed form: m_e = (e^{i(phi n + eta)} - 1)/2, m_g = (e^{i(phi n + eta)} + 1)/2,
     # the 1 being the untouched |g> arm
     rng = np.random.default_rng(17)
     n = np.arange(20)
     for _ in range(5):
-        phi, chi, eta = rng.uniform(-np.pi, np.pi, size=3)
-        m = field_kraus(ProtocolConfig(phi, chi, eta), "dispersive", 20)
+        phi, eta = rng.uniform(-np.pi, np.pi, size=2)
+        m = field_kraus(ProtocolConfig(phi, eta), "dispersive", 20)
         shifted = np.exp(1j * (phi * n + eta))
         np.testing.assert_allclose(m[0], (shifted - 1) / 2, atol=1e-15)
-        np.testing.assert_allclose(m[1], np.exp(-1j * chi) * (shifted + 1) / 2, atol=1e-15)
+        np.testing.assert_allclose(m[1], (shifted + 1) / 2, atol=1e-15)
 
 
 def test_even_cat_is_conditional_parity_eigenstate():
@@ -180,9 +166,9 @@ def test_opposite_shift_branches_rotate_oppositely():
     # with the constant Stark phase e^{i (eta - phi)}
     spec = HilbertSpec(26)
     n = np.arange(26)
-    phi, chi, eta = 0.7, -1.1, 0.4
-    m = field_kraus(ProtocolConfig(phi, chi, eta), "opposite", 26)
-    arm_e, arm_g = arms(m, chi)
+    phi, eta = 0.7, 0.4
+    m = field_kraus(ProtocolConfig(phi, eta), "opposite", 26)
+    arm_e, arm_g = arms(m)
     np.testing.assert_allclose(arm_e, np.exp(1j * (eta + phi * (n - 1))), atol=1e-15)
     np.testing.assert_allclose(arm_g, np.exp(-1j * phi * n), atol=1e-15)
     amps = coherent_state(spec, 1.1).amplitudes
@@ -196,9 +182,8 @@ def test_opposite_shift_branches_rotate_oppositely():
 
 def test_resonant_2pi_sign_rules():
     # only |e>|1> changes sign; the |g> arm is untouched
-    chi, eta = 0.3, 0.8
-    arm_e, arm_g = arms(field_kraus(ProtocolConfig(ramsey_phase=chi, eta=eta),
-                                    "resonant-2pi", 8), chi)
+    eta = 0.8
+    arm_e, arm_g = arms(field_kraus(ProtocolConfig(eta=eta), "resonant-2pi", 8))
     signs = np.ones(8)
     signs[1] = -1.0
     np.testing.assert_allclose(arm_e, np.exp(1j * eta) * signs, atol=1e-15)
@@ -241,16 +226,16 @@ def test_one_resonant_threshold_for_every_probe():
 
 
 def test_detection_after_entangling_projects_coherent_states():
-    # the pi shift sorts the photon numbers: M_g = e^{-i chi} P_even and
-    # M_e = -P_odd, so detection projects |alpha> onto its parity components
+    # the pi shift sorts the photon numbers: M_g = P_even and M_e = -P_odd,
+    # so detection projects |alpha> onto its parity components
     spec = HilbertSpec(30)
-    alpha, chi = 1.7, 0.5
-    m = field_kraus(ProtocolConfig(ramsey_phase=chi), "dispersive", 30)
+    alpha = 1.7
+    m = field_kraus(CFG, "dispersive", 30)
     even = np.arange(30) % 2 == 0
     # e^{i pi n} carries a rounding error that grows like n * 1e-16
-    np.testing.assert_allclose(m[1], np.exp(-1j * chi) * even, atol=1e-13)
+    np.testing.assert_allclose(m[1], 1.0 * even, atol=1e-13)
     np.testing.assert_allclose(m[0], -1.0 * ~even, atol=1e-13)
-    branches = probe_atom(coherent_state(spec, alpha), ProtocolConfig(ramsey_phase=chi))
+    branches = probe_atom(coherent_state(spec, alpha), CFG)
     amps = coherent_state(spec, alpha).amplitudes
     for outcome, part in (("g", amps * even), ("e", amps * ~even)):
         assert abs(branches[outcome].probability - np.vdot(part, part).real) < 1e-12

@@ -340,6 +340,8 @@ def test_radon_matches_grid_interpolator_on_asymmetric_grid():
                                      wm.values / (2 * np.pi),
                                      bounds_error=False, fill_value=0.0)
     radius = math.hypot(4.3, 5.0)
+    assert grid.corner_radius == radius
+    assert PhaseSpaceGrid(-6.0, 1.0, -2.0, 0.5, 3, 3).corner_radius == math.hypot(6.0, 2.0)
     step = min(7.4 / 36, 7.2 / 28)
     s = np.arange(-radius, radius + step, step)
     for theta in np.linspace(0, np.pi, 13, endpoint=False):
@@ -370,12 +372,32 @@ def test_marginal_matches_coherent_wave_packet_closed_form():
     rho = DensityOperator(np.outer(amps, amps.conj()))
     norm_sq = 2.0 * (1.0 + np.cos(psi1) * np.exp(-2.0 * abs(alpha) ** 2))
     xs = np.linspace(-7.0, 7.0, 281)
-    for theta in (0.0, 0.3, np.pi / 4, 1.2, np.pi / 2, 2.7):
+    thetas = np.array([0.0, 0.3, np.pi / 4, 1.2, np.pi / 2, 2.7])
+    every = marginal_distribution(rho, thetas, xs)  # all angles in one call
+    for theta, row in zip(thetas, every):
         beta = alpha * np.exp(-1j * theta)
         packet = (_coherent_wave_packet(beta, xs)
                   + np.exp(1j * psi1) * _coherent_wave_packet(-beta, xs))
         closed = np.abs(packet) ** 2 / norm_sq
         assert np.max(np.abs(marginal_distribution(rho, theta, xs) - closed)) < 1e-10
+        assert np.max(np.abs(row - closed)) < 1e-10
+
+
+def test_marginal_angle_array_matches_single_angles():
+    rho = pure_to_density(cat_state(HilbertSpec(30), 1.5 * np.exp(0.4j), 0.7))
+    thetas = np.linspace(0, np.pi, 36, endpoint=False)
+    qs = np.linspace(-6.0, 6.0, 301)
+    every = marginal_distribution(rho, thetas, qs)
+    assert every.shape == (36, 301)
+    assert np.array_equal(every, np.stack([marginal_distribution(rho, th, qs)
+                                           for th in thetas]))
+    # shapes: np.shape(theta) + np.shape(q)
+    assert marginal_distribution(rho, 0.3, qs).shape == (301,)
+    assert isinstance(marginal_distribution(rho, 0.3, 0.5), float)
+    assert marginal_distribution(rho, [0.3], qs).shape == (1, 301)
+    at_one_q = marginal_distribution(rho, thetas, 0.5)
+    assert at_one_q.shape == (36,)
+    assert np.array_equal(at_one_q, [marginal_distribution(rho, th, 0.5) for th in thetas])
 
 
 def test_marginal_domain():
@@ -387,6 +409,10 @@ def test_marginal_domain():
         marginal_distribution(rho, -0.1, 0.0)
     with pytest.raises(DomainError):
         marginal_distribution(rho, np.pi, 0.0)
+    # one bad angle in an array refuses the whole call
+    for bad in (-0.1, np.pi, np.nan):
+        with pytest.raises(DomainError):
+            marginal_distribution(rho, [0.0, 1.0, bad, 2.0], [0.0, 1.0])
     # Re(rho) alone is a valid-looking state: the marginals must still refuse it
     mat = np.zeros((6, 6), dtype=complex)
     mat[0, 0], mat[0, 1] = 1.0, 0.5j
