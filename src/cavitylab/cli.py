@@ -105,8 +105,11 @@ def _or_list(single, listed):
 _NUMBER = _number()
 _POSITIVE = _number(exclusive_minimum=0)
 _ALPHA = _or_list(_NUMBER, _list(_NUMBER, 2, exact=True))
+# the keys each state kind reads; `alpha` is required wherever it is read
+_READS = {"vacuum": set(), "fock": {"n"}, "coherent": {"alpha"}, "cat": {"alpha", "psi1"},
+          "mixture": {"alpha"}, "damped-cat": {"alpha", "psi1", "t", "kappa"}}
 _STATE = _object({
-    "kind": _one_of("vacuum", "fock", "coherent", "cat", "mixture", "damped-cat"),
+    "kind": _one_of(*_READS),
     "n": _number(integral=True, minimum=0), "alpha": _ALPHA, "psi1": _NUMBER,
     "t": _number(minimum=0), "kappa": _POSITIVE,
 }, required=["kind"])
@@ -116,6 +119,21 @@ _EXTENTS = {
 }
 _DEFAULT_GRID = _object({"span": _POSITIVE, "step": _POSITIVE})
 _EXPLICIT_GRID = _object(_EXTENTS, list(_EXTENTS))
+_TIMES = _or_list(
+    _object({"t_start": _number(minimum=0), "t_end": _POSITIVE,
+             "steps": _number(integral=True, minimum=1)},
+            required=["t_start", "t_end", "steps"]),
+    _list(_number(minimum=0), 1))
+
+
+def _state(value, where):
+    state = _STATE(value, where)
+    unread = sorted(state.keys() - _READS[state["kind"]] - {"kind"})
+    if unread:
+        raise _refuse(where, f"kind {state['kind']!r} does not read key {unread[0]!r}")
+    if "alpha" in _READS[state["kind"]] and "alpha" not in state:
+        raise _refuse(where, "'alpha' is a required property")
+    return state
 
 
 def _grid(value, where):
@@ -126,11 +144,15 @@ def _grid(value, where):
     return (_EXPLICIT_GRID if extents else _DEFAULT_GRID)(value, where)
 
 
-_TIMES = _or_list(
-    _object({"t_start": _number(minimum=0), "t_end": _POSITIVE,
-             "steps": _number(integral=True, minimum=1)},
-            required=["t_start", "t_end", "steps"]),
-    _list(_number(minimum=0), 1))
+def _forward_times(value, where):
+    """`_TIMES` that the damping takes: t_end > t_start, or a list that never decreases."""
+    times = _TIMES(value, where)
+    if (times["t_end"] <= times["t_start"] if isinstance(times, dict)
+            else any(b < a for a, b in zip(times, times[1:]))):
+        raise _refuse(where, f"t_end must exceed t_start, a list must not decrease: {value!r}")
+    return times
+
+
 _SEED = _number(integral=True, minimum=0)
 _DIM = (_number(integral=True, minimum=2, null=True), None)
 
@@ -139,18 +161,18 @@ OPTIONS = {
                     "eta": (_NUMBER, 0.0), "dim": _DIM},
     "decoherence-scan": {"alpha": (_ALPHA, ...), "kappa": (_POSITIVE, 1.0),
                          "n_thermal": (_number(minimum=0), 0.0), "dim": _DIM,
-                         "delays": (_TIMES, {"t_start": 0.0, "t_end": 8.0, "steps": 81})},
-    "wigner-map": {"state": (_STATE, ...), "grid": (_grid, None), "dim": _DIM},
-    "tomography": {"state": (_STATE, ...), "grid": (_grid, None),
+                         "delays": (_forward_times, {"t_start": 0.0, "t_end": 8.0, "steps": 81})},
+    "wigner-map": {"state": (_state, ...), "grid": (_grid, None), "dim": _DIM},
+    "tomography": {"state": (_state, ...), "grid": (_grid, None),
                    "angles": (_number(integral=True, minimum=8), 36),
                    "samples": (_number(integral=True, minimum=1), 100000),
                    "seed": (_SEED, 12345), "bin_width": (_POSITIVE, 0.05),
                    "q_range": (_POSITIVE, None), "dim": _DIM},
-    "direct-map": {"state": (_STATE, ...), "grid": (_grid, None), "dim": _DIM,
+    "direct-map": {"state": (_state, ...), "grid": (_grid, None), "dim": _DIM,
                    "variant": (_one_of("dispersive", "opposite-shift"), "dispersive")},
-    "direct-monitor": {"state": (_STATE, ...), "kappa": (_POSITIVE, 1.0),
+    "direct-monitor": {"state": (_state, ...), "kappa": (_POSITIVE, 1.0),
                        "n_thermal": (_number(minimum=0), 0.0),
-                       "times": (_TIMES, {"t_start": 0.0, "t_end": 2.0, "steps": 41}),
+                       "times": (_forward_times, {"t_start": 0.0, "t_end": 2.0, "steps": 41}),
                        "n_shots": (_number(integral=True, minimum=0), 0),
                        "efficiency": (_number(minimum=0, maximum=1), 1.0),
                        "seed": (_SEED, 0), "dim": _DIM},
@@ -179,20 +201,14 @@ def resolve_config(experiment: str, raw: dict) -> dict:
 
 def _build_state(state_cfg: dict, dim_override) -> tuple[fock.DensityOperator, float]:
     """Returns (density operator, phase-space amplitude scale for grid defaults)."""
-    kind = state_cfg["kind"]
-    alpha = _parse_alpha(state_cfg.get("alpha", 0.0))
-    if kind == "vacuum":
-        scale = 0.0
-    elif kind == "fock":
-        scale = float(np.sqrt(state_cfg.get("n", 1)))
-    else:
-        scale = abs(alpha)
+    kind, n = state_cfg["kind"], state_cfg.get("n", 1)
+    alpha = _parse_alpha(state_cfg.get("alpha", 0.0))  # vacuum and fock take none
+    scale = float(np.sqrt(n)) if kind == "fock" else abs(alpha)
     dim = dim_override or fock.default_dim(max(scale, 1.0))
     spec = fock.HilbertSpec(dim)
     if kind == "vacuum":
         rho = fock.pure_to_density(fock.vacuum(spec))
     elif kind == "fock":
-        n = state_cfg.get("n", 1)
         if n >= dim:
             raise ConfigError(f"fock state n = {n} needs dim > {n}, got dim {dim}")
         rho = fock.pure_to_density(fock.fock_state(spec, n))
@@ -477,8 +493,7 @@ def run_selfcheck() -> list[tuple[str, bool, str]]:
     checks.append(("decoherence-law", rel < 0.05, f"tau {tau:.5f} vs {t_dec:.5f} ({rel:.2%})"))
 
     # two-atom correlation endpoints
-    tab0 = protocol.two_atom_conditional(al, 0.0, model)
-    tab8 = protocol.two_atom_conditional(al, 8.0, model)
+    tab0, tab8 = protocol.two_atom_scan(al, [0.0, 8.0], model)
     checks.append(("two-atom-correlations",
                    tab0.p_e2_given_e1 > 1 - 1e-4 and tab8.p_e2_given_e1 < 0.02,
                    f"P(0) {tab0.p_e2_given_e1:.6f}, P(8/k) {tab8.p_e2_given_e1:.6f}"))

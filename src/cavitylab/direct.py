@@ -126,11 +126,10 @@ def _sample(exact: MeasurementRecord, n_shots: int, efficiency: float,
 
 
 def direct_point_sampled(rho0: DensityOperator, alpha: complex, n_shots: int,
-                         efficiency: float, seed,
-                         config: ProtocolConfig | None = None) -> MeasurementRecord:
+                         efficiency: float, seed) -> MeasurementRecord:
     """Finite-shot estimate of the standard scheme at one alpha: `n_shots`
     Bernoulli shots, each detected with probability `efficiency`."""
-    return _sample(direct_point_exact(rho0, alpha, config), n_shots, efficiency, seed)
+    return _sample(direct_point_exact(rho0, alpha), n_shots, efficiency, seed)
 
 
 def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
@@ -164,25 +163,20 @@ class MonitorPoint:
 
 
 def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
-                   config: ProtocolConfig | None = None,
                    n_shots: int = 0, efficiency: float = 1.0,
                    seed=None) -> list[MonitorPoint]:
-    """W(0) read out by the direct scheme along a damping trajectory, with a
-    finite-shot estimate from the same probabilities at each time if `n_shots` > 0.
+    """W(0) read by the pi-dispersive probe at the sorted `times` of a damping
+    trajectory, with a finite-shot estimate at each time if `n_shots` > 0.
 
     For an even cat the series starts near +2, collapses toward 0 on the
     decoherence timescale, and climbs back to +2 as the field empties.
     """
-    config = config or ProtocolConfig()
-    protocol._require_parity(config, "dispersive", rho0.dim)
     times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0) or np.any(times < 0):
-        raise DomainError("times must be sorted and nonnegative")
     traj = evolve_trajectory(rho0, model, times)
     seq = np.random.SeedSequence(seed).spawn(len(traj)) if n_shots > 0 else None
     out = []
     for k, (t, rho_t) in enumerate(zip(times, traj)):
-        exact = direct_point_exact(rho_t, 0.0, config)
+        exact = direct_point_exact(rho_t, 0.0)
         sampled = _sample(exact, n_shots, efficiency, seq[k]) if n_shots > 0 else None
         out.append(MonitorPoint(float(t), exact, sampled))
     return out

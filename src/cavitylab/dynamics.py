@@ -171,9 +171,9 @@ def separation_measure(d: float, mass: float, temperature: float) -> float:
 
 
 def fit_coherence_decay(rho0: DensityOperator, model: DampingModel, alpha: complex,
-                        t_max: float, n_points: int = 25) -> float:
-    """Log-linear fit of cat_coherence over [0, t_max]; returns the time constant."""
-    times = np.linspace(0.0, t_max, n_points)
+                        t_max: float) -> float:
+    """Time constant of a log-linear fit of cat_coherence at 25 times in [0, t_max]."""
+    times = np.linspace(0.0, t_max, 25)
     traj = evolve_trajectory(rho0, model, times)
     w = coherence_series(traj, alpha)
     w0 = w[0]

@@ -72,9 +72,9 @@ class FieldState:
     def mean_photon(self) -> float:
         return float(np.sum(np.arange(self.dim) * np.abs(self.amplitudes) ** 2))
 
-    def validate(self, tol: float = 1e-10) -> None:
-        if abs(self.norm() - 1.0) > tol:
-            raise ValueError(f"state norm {self.norm()} deviates from 1 beyond {tol}")
+    def validate(self) -> None:
+        if abs(self.norm() - 1.0) > 1e-10:
+            raise ValueError(f"state norm {self.norm()} deviates from 1 beyond 1e-10")
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,17 @@ class DensityOperator:
         v = state.amplitudes
         return float(np.real(np.vdot(v, self.matrix @ v)))
 
-    def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-10,
-                 eig_tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         m = self.matrix
         herm = np.max(np.abs(m - m.conj().T))
-        if herm > herm_tol:
-            raise ValueError(f"hermiticity deviation {herm:.3e} > {herm_tol}")
+        if herm > 1e-10:
+            raise ValueError(f"hermiticity deviation {herm:.3e} > 1e-10")
         tr = abs(np.trace(m) - 1.0)
-        if tr > trace_tol:
-            raise ValueError(f"trace deviation {tr:.3e} > {trace_tol}")
+        if tr > 1e-10:
+            raise ValueError(f"trace deviation {tr:.3e} > 1e-10")
         w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w.min() < -eig_tol:
-            raise ValueError(f"negative eigenvalue {w.min():.3e} < -{eig_tol}")
+        if w.min() < -1e-8:
+            raise ValueError(f"negative eigenvalue {w.min():.3e} < -1e-8")
 
 
 def require_hermitian(rho: DensityOperator) -> np.ndarray:

@@ -227,19 +227,17 @@ def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int
 
 
 def reconstruct_exact(rho: DensityOperator, angles, grid: PhaseSpaceGrid,
-                      q_range: float | None = None, n_q: int = 801) -> WignerMap:
-    """Noise-free reconstruction from exact marginals."""
+                      q_range: float | None = None) -> WignerMap:
+    """Noise-free reconstruction from exact marginals on 801 points of q."""
     q_range = q_range or _default_q_range(rho)
-    q = np.linspace(-q_range, q_range, n_q)
+    q = np.linspace(-q_range, q_range, 801)
     return inverse_radon(exact_sinogram(rho, angles, q), grid)
 
 
-def pauli_incompleteness_demo(grid: PhaseSpaceGrid,
-                              spec: HilbertSpec | None = None) -> dict:
+def pauli_incompleteness_demo(grid: PhaseSpaceGrid) -> dict:
     """Position+momentum marginals cannot distinguish the conjugate pair;
     the full tomographic angle set can."""
-    spec = spec or HilbertSpec(16)
-    pair = pauli_counterexample(spec)
+    pair = pauli_counterexample(HilbertSpec(16))
     rho_a = pure_to_density(pair.state_a)
     rho_b = pure_to_density(pair.state_b)
     q, two_angles = np.linspace(-6.0, 6.0, 481), [0.0, np.pi / 2]

@@ -126,11 +126,11 @@ class WignerMap:
     def normalization_sum(self) -> float:
         return float(self.values.sum() * self.grid.cell_area / (2.0 * np.pi))
 
-    def check_bound(self, tol: float = 1e-8) -> None:
+    def check_bound(self) -> None:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("W has non-finite values")
-        if self.max_abs() > BOUND + tol:
-            raise DomainError(f"|W| = {self.max_abs()} exceeds bound {BOUND} + {tol}")
+        if self.max_abs() > BOUND + 1e-8:
+            raise DomainError(f"|W| = {self.max_abs()} exceeds bound {BOUND} + 1e-8")
 
 
 # ---------------------------------------------------------------------------
@@ -353,28 +353,27 @@ def _symmetrized_word(dim: int, m: int, n: int) -> np.ndarray:
     return acc / len(orders)
 
 
-def _support_radius(rho: DensityOperator, tail: float = 1e-10) -> float:
+def _support_radius(rho: DensityOperator) -> float:
     """Fock-shell radius: sqrt(n_eff + 1) with n_eff the last level carrying
-    more than `tail` population.  Bounds the extent of quadrature marginals."""
+    more than 1e-10 population.  Bounds the extent of quadrature marginals."""
     p = np.abs(rho.diagonal())
-    idx = np.nonzero(p > tail)[0]
+    idx = np.nonzero(p > 1e-10)[0]
     n_eff = int(idx[-1]) if idx.size else 0
     return math.sqrt(n_eff + 1.0)
 
 
-def moyal_grid_integral(rho: DensityOperator, monomials, step: float = 0.2,
-                        pad: float = 4.0) -> dict[tuple[int, int], float]:
+def moyal_grid_integral(rho: DensityOperator, monomials) -> dict[tuple[int, int], float]:
     """Phase-space integrals int dq dp W_qp q^m p^n for several monomials,
-    sharing one Laguerre-series evaluation over a disc covering the state;
-    grid points outside the disc are not evaluated.
+    sharing one Laguerre-series evaluation on a grid of step 0.2 over a disc
+    covering the state; grid points outside the disc are not evaluated.
 
-    The disc is the state's Fock-shell radius plus `pad` (alpha units), which
-    controls the discarded Gaussian tail: contributions beyond the disc are
-    O(e^{-2 pad^2} poly) < 1e-9 for degree <= 4 at the default.
+    The disc is the state's Fock-shell radius plus 4 (alpha units), which
+    bounds the discarded Gaussian tail: contributions beyond the disc are
+    O(e^{-32} poly) < 1e-9 for degree <= 4.
     """
-    disc = _support_radius(rho) + pad
+    disc = _support_radius(rho) + 4.0
     extent = np.sqrt(2.0) * disc            # bounding square in quadrature units
-    axis = np.arange(-extent, extent + step / 2, step)
+    axis = np.arange(-extent, extent + 0.1, 0.2)  # step 0.2 out to +extent
     q1, q2 = np.meshgrid(axis, axis, indexing="ij")
     inside = (q1 ** 2 + q2 ** 2) / 2.0 <= disc ** 2
     w_vals = np.zeros(q1.shape)
@@ -382,12 +381,11 @@ def moyal_grid_integral(rho: DensityOperator, monomials, step: float = 0.2,
     out = {}
     for (m, n) in monomials:
         integrand = w_vals * q1 ** m * q2 ** n / (2.0 * np.pi)
-        out[(m, n)] = float(integrand.sum() * step * step)
+        out[(m, n)] = float(integrand.sum() * 0.2 * 0.2)
     return out
 
 
-def moyal_average(rho: DensityOperator, monomial: tuple[int, int],
-                  step: float = 0.2) -> MoyalResult:
+def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> MoyalResult:
     """Both sides of the symmetric-ordering correspondence for q^m p^n."""
     m, n = monomial
     if m < 0 or n < 0 or m + n > 4:
@@ -403,7 +401,7 @@ def moyal_average(rho: DensityOperator, monomial: tuple[int, int],
         )
     op = _symmetrized_word(rho.dim, m, n)
     op_val = float(np.real(np.trace(rho.matrix @ op)))
-    int_val = moyal_grid_integral(rho, [monomial], step=step)[monomial]
+    int_val = moyal_grid_integral(rho, [monomial])[monomial]
     return MoyalResult(op_val, int_val, abs(op_val - int_val))
 
 
@@ -456,13 +454,8 @@ def pauli_counterexample(spec: HilbertSpec) -> PauliPair:
 # fringe diagnostics (cat-state interference region)
 
 
-def fringe_region_mask(grid: PhaseSpaceGrid, half_width: float = 0.5) -> np.ndarray:
-    """Strip |q1| <= half_width between the lobes of a cat aligned with q1."""
-    return np.broadcast_to(np.abs(grid.q1_axis)[:, None] <= half_width, (grid.n1, grid.n2))
-
-
-def fringe_contrast(wmap: WignerMap, half_width: float = 0.5) -> float:
-    """Peak-to-trough swing of W inside the interference strip."""
-    m = fringe_region_mask(wmap.grid, half_width)
-    vals = wmap.values[m]
+def fringe_contrast(wmap: WignerMap) -> float:
+    """Peak-to-trough swing of W inside the interference strip |q1| <= 0.5
+    between the lobes of a cat aligned with q1."""
+    vals = wmap.values[np.abs(wmap.grid.q1_axis) <= 0.5]
     return float(vals.max() - vals.min())

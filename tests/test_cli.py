@@ -400,6 +400,29 @@ VERDICTS = [
     ("prepare-cat", {"alpha": [1.0, 2.0, 3.0]}, False),
     ("prepare-cat", {"alpha": ["a", 1.0]}, False),
     ("wigner-map", {"state": {"kind": "coherent", "alpha": [0.5, 0.5]}}, True),
+    # the keys each state kind reads, alpha required where read (the schemas took any)
+    ("wigner-map", {"state": {"kind": "coherent"}, "grid": {"span": 2.0, "step": 0.5}}, False),
+    ("wigner-map", {"state": {"kind": "mixture"}}, False),
+    ("wigner-map", {"state": {"kind": "cat", "psi1": 0.0}}, False),
+    ("wigner-map", {"state": {"kind": "damped-cat", "t": 0.1}}, False),
+    ("wigner-map", {"state": {"kind": "vacuum", "alpha": 3.0, "psi1": 2, "n": 4}}, False),
+    ("wigner-map", {"state": {"kind": "vacuum", "n": 4}}, False),
+    ("wigner-map", {"state": {"kind": "fock", "alpha": 1.0}}, False),
+    ("wigner-map", {"state": {"kind": "fock"}}, True),
+    ("wigner-map", {"state": {"kind": "coherent", "alpha": 1.0, "psi1": 0.0}}, False),
+    ("wigner-map", {"state": {"kind": "mixture", "alpha": 1.0, "psi1": 0.0}}, False),
+    ("wigner-map", {"state": {"kind": "cat", "alpha": 1.0, "t": 0.1}}, False),
+    ("wigner-map", {"state": {"kind": "damped-cat", "alpha": 1.0, "n": 1}}, False),
+    ("wigner-map", {"state": {"kind": "damped-cat", "alpha": 1.0, "psi1": 0.0, "t": 0.1,
+                              "kappa": 1.0}}, True),
+    # time order the damping takes (the schemas took any order)
+    ("decoherence-scan", {"alpha": 1.0, "delays": {"t_start": 5.0, "t_end": 2.0, "steps": 3}},
+     False),
+    ("decoherence-scan", {"alpha": 1.0, "delays": {"t_start": 2.0, "t_end": 2.0, "steps": 3}},
+     False),
+    ("decoherence-scan", {"alpha": 1.0, "delays": [0.5, 0.1, 0.0]}, False),
+    ("direct-monitor", {"state": S, "times": [1.0, 0.5]}, False),
+    ("decoherence-scan", {"alpha": 1.0, "delays": [0.0, 0.0, 0.3]}, True),
     # seed and dim where a runner reads them
     ("tomography", {"state": S, "seed": 3}, True),
     ("direct-monitor", {"state": S, "seed": 3}, True),
@@ -535,6 +558,22 @@ def test_config_error_names_the_offending_value(tmp_path, capsys):
     assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "config error: invalid config: -1.0 is less than or equal to the minimum of 0" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, config, message", [
+    ("wigner-map", {"state": {"kind": "coherent"}}, "'alpha' is a required property"),
+    ("wigner-map", {"state": {"kind": "vacuum", "alpha": 3.0}},
+     "kind 'vacuum' does not read key 'alpha'"),
+    ("decoherence-scan", {"alpha": 1.0, "delays": {"t_start": 5.0, "t_end": 2.0, "steps": 3}},
+     "t_end must exceed t_start"),
+], ids=["missing-alpha", "unread-key", "backward-delays"])
+def test_refused_state_and_times_exit_as_config_errors(tmp_path, capsys, experiment, config,
+                                                       message):
+    # refused by the option table, before a runner builds the state or the times
+    cfg = write_config(tmp_path, "c.json", config)
+    assert run_cli([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_extents_beside_step_are_refused_not_dropped(tmp_path, capsys):

@@ -302,6 +302,13 @@ def test_collapse_time_scales_inversely_with_photon_number():
         assert abs(measured / expected - 1.0) < 0.15
 
 
+def test_monitor_refuses_unsorted_times():
+    # refused by evolve_trajectory, the one place the times are checked
+    rho = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
+    with pytest.raises(DomainError, match="times must be finite, sorted and nonnegative"):
+        monitor_origin(rho, MODEL, [0.2, 0.1])
+
+
 def test_monitor_sampled_series():
     rho = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
     pts = monitor_origin(rho, MODEL, [0.0, 0.2], n_shots=500, efficiency=0.5, seed=4)

@@ -305,7 +305,7 @@ def test_type_invariants_after_preparation():
     spec = HilbertSpec(30)
     for st in (vacuum(spec), coherent_state(spec, 1.2), cat_state(spec, 1.5, 0.0),
                fock_state(spec, 4)):
-        st.validate(1e-10)
+        st.validate()
     for rho in (pure_to_density(coherent_state(spec, 1.2)),
                 mix([coherent_state(spec, 1.0), fock_state(spec, 2)], [0.3, 0.7])):
         rho.validate()
