@@ -14,6 +14,7 @@ import gc
 import hashlib
 import io
 import json
+import locale  # unused here, but argparse's gettext imports it on the first parse, inside a run
 import math
 import numbers
 import os
@@ -21,7 +22,6 @@ import sys
 import tempfile
 
 import numpy as np
-import scipy
 
 from . import __version__, direct, dynamics, fock, protocol, tomo, wigner
 from .errors import CavityLabError, ConfigError, DegenerateBranchError
@@ -298,7 +298,6 @@ class ArtifactWriter:
                 "cavitylab": __version__,
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "artifacts": dict(sorted(self.checksums.items())),
         }

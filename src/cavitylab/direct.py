@@ -10,8 +10,8 @@ When w is the photon-number parity (-1)^n,
 so 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  Every entry
 point checks w against parity and raises ``DomainError`` otherwise, since
 any other weights read a number that is not W.  The pointwise readouts
-inject with the exact elements <n|D(alpha)|j> of ``fock.displaced_rows``
-and read photon numbers n < N, N doubled past rho0.dim until the displaced
+inject with the exact elements <n|D(alpha)|j> (their real factors from
+``fock.radial_rows``, the phases moved onto rho0) and read photon numbers n < N, N doubled past rho0.dim until the displaced
 populations capture Tr rho0 within 1e-10, so the readout matches the exact
 W of the truncated rho0 to rounding.  ``scan_map`` evaluates the same
 identity on a whole grid with the Laguerre kernel of ``wigner_map``.
@@ -24,11 +24,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import protocol
 from .dynamics import DampingModel, evolve_trajectory
 from .errors import DomainError, NoDetectionError
-from .fock import DensityOperator, displaced_rows
+from .fock import DensityOperator, radial_rows
 from .protocol import ProtocolConfig
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
 
@@ -68,13 +69,16 @@ def _populations(rho0: DensityOperator, alpha, rows: int = 0) -> np.ndarray:
         return rho0.diagonal()
     mat = rho0.matrix
     total = float(np.real(np.trace(mat)))
+    # <n|D|j> = e^{i theta (n-j)} r_nj, so pops_n = r_n . Re(rho') . r_n with
+    # rho'_lj = e^{-i theta l} rho_lj e^{i theta j}: the Hermitian rho' has an
+    # antisymmetric imaginary part, which the real quadratic form drops
+    ph = np.exp(1j * np.angle(np.asarray(alpha))[..., None] * np.arange(rho0.dim))
+    turned = np.real(mat * (ph.conj()[..., :, None] * ph[..., None, :]))
     n = 2 * rho0.dim
     rows = max(rows, n)
     while True:
-        d = displaced_rows(alpha, rows, rho0.dim)
-        # one 2-D product for every alpha: the stacked matmul is slower
-        pops = np.real(np.sum((d.reshape(-1, rho0.dim) @ mat).reshape(d.shape) * d.conj(),
-                              axis=-1))
+        r = radial_rows(alpha, rows, rho0.dim)
+        pops = np.sum((r @ turned) * r, axis=-1)
         while n <= rows:
             if np.all(np.abs(total - pops[..., :n].sum(axis=-1)) <= 1e-10):
                 return pops[..., :n]
@@ -96,9 +100,10 @@ def direct_point_exact(rho0: DensityOperator, alpha: complex,
         raise DomainError("the resonant variant measures the origin only (alpha = 0)")
     config = config or _DEFAULT_CONFIG.get(variant, ProtocolConfig())
     pops = _populations(rho0, alpha)
-    p_e, p_g = protocol.detection_probabilities(pops, config, variant)
+    m = protocol.field_kraus(config, variant, pops.size)
+    p_e, p_g = protocol._born(m, pops, variant)
     # the resonant probe refused any field above one photon
-    protocol._require_parity(config, variant, 2 if variant == "resonant-2pi" else pops.size)
+    protocol._require_parity(m[:, :2] if variant == "resonant-2pi" else m, config, variant)
     return MeasurementRecord(alpha, p_e, p_g, 0, 0, 2.0 * (p_g - p_e), 0.0)
 
 
@@ -111,7 +116,7 @@ def _sample(exact: MeasurementRecord, n_shots: int, efficiency: float,
         raise DomainError(f"n_shots must be >= 1, got {n_shots}")
     if not 0.0 <= efficiency <= 1.0:
         raise DomainError(f"efficiency must lie in [0, 1], got {efficiency}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     outcomes_e = rng.random(n_shots) < exact.p_e
     detected = rng.random(n_shots) < efficiency
     n_det = int(detected.sum())
@@ -148,8 +153,8 @@ def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
     corners = np.add.outer([grid.q1_min, grid.q1_max], [1j * grid.q2_min, 1j * grid.q2_max])
     corners /= np.sqrt(2.0)
     # at the far corners one build of 4 rho0.dim rows settles N = 2 and 4 rho0.dim
-    protocol._require_parity(config, variant,
-                             _populations(rho0, corners, 4 * rho0.dim).shape[-1])
+    reach = _populations(rho0, corners, 4 * rho0.dim).shape[-1]
+    protocol._require_parity(protocol.field_kraus(config, variant, reach), config, variant)
     exact = wigner_map(rho0, grid.reflected())
     return WignerMap(grid, exact.values[::-1, ::-1], provenance="measured-direct",
                      diagnostics=dict(exact.diagnostics))
@@ -173,7 +178,7 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     """
     times = np.asarray(times, dtype=float)
     traj = evolve_trajectory(rho0, model, times)
-    seq = np.random.SeedSequence(seed).spawn(len(traj)) if n_shots > 0 else None
+    seq = SeedSequence(seed).spawn(len(traj)) if n_shots > 0 else None
     out = []
     for k, (t, rho_t) in enumerate(zip(times, traj)):
         exact = direct_point_exact(rho_t, 0.0)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import (DegenerateStateError, DomainError, NonHermitianError, TruncationError,
                      WeightError)
@@ -182,8 +181,12 @@ def laguerre_functions(x: np.ndarray, width: int, steps: int):
     lead = 2 * nn - 1 + k
     back = np.sqrt((nn - 1) * (nn - 1 + k))
     norm = np.sqrt(nn * (nn + k))
-    k = k[:, None]
-    ell = np.exp(xlogy(k / 2.0, x) - x / 2.0 - 0.5 * gammaln(k + 1.0))  # l_0^k(x)
+    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
+    # (k/2) log x, 0 at k = 0 and -inf above it at x = 0, so l_0^k(0) = [k = 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = k[:, None] / 2.0 * np.log(x)
+    power[0] = 0.0
+    ell = np.exp(power - x / 2.0 - 0.5 * log_factorial[:, None])  # l_0^k(x)
     ell_prev = np.zeros_like(ell)
     yield ell
     for n in range(1, steps):
@@ -194,13 +197,13 @@ def laguerre_functions(x: np.ndarray, width: int, steps: int):
         yield ell
 
 
-def displaced_rows(alpha, rows: int, cols: int) -> np.ndarray:
-    """Exact elements <n|D(alpha)|j>, n < rows, j < cols, of the untruncated
-    D(alpha) = exp(alpha a^dag - alpha* a), theta = arg(alpha) (Cahill &
-    Glauber, Phys. Rev. 177, 1857 (1969)); column 0 is |alpha>:
+def radial_rows(alpha, rows: int, cols: int) -> np.ndarray:
+    """The real factors r_nj of the exact elements <n|D(alpha)|j> = e^{i theta (n-j)} r_nj,
+    n < rows, j < cols, of the untruncated D(alpha) = exp(alpha a^dag - alpha* a),
+    theta = arg(alpha) (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)):
 
-        <n|D|j> = e^{i theta (n-j)} l_j^{n-j}(|alpha|^2)              (n >= j)
-        <n|D|j> = e^{i theta (n-j)} (-1)^{j-n} l_n^{j-n}(|alpha|^2)   (n < j)
+        r_nj = l_j^{n-j}(|alpha|^2)              (n >= j)
+        r_nj = (-1)^{j-n} l_n^{j-n}(|alpha|^2)   (n < j)
 
     For an array of alpha the result has shape alpha.shape + (rows, cols),
     with one recurrence per distinct |alpha|.  Raises DomainError for
@@ -221,12 +224,21 @@ def displaced_rows(alpha, rows: int, cols: int) -> np.ndarray:
     for j, ell in enumerate(laguerre_functions(radii, width, cols)):
         out[j:, j] = ell
     out = out.transpose(2, 0, 1)[which.reshape(x.shape)]
-    # the band n < j mirrors n > j: <n|D|j> = (-1)^(j-n) <j|D|n> before the phases
+    # the band n < j mirrors n > j: r_nj = (-1)^(j-n) r_jn
     n = np.arange(cols)
     square = out[..., :cols, :]
     square += np.swapaxes(square, -1, -2) * ((n[:, None] < n) * (-1.0) ** (n[:, None] + n))
-    phase = np.exp(1j * np.angle(alpha)[..., None] * np.arange(width))
-    return out[..., :rows, :] * phase[..., :rows, None] * phase[..., None, :cols].conj()
+    return out[..., :rows, :]
+
+
+def displaced_rows(alpha, rows: int, cols: int) -> np.ndarray:
+    """Exact elements <n|D(alpha)|j> = e^{i theta (n-j)} r_nj, n < rows, j < cols,
+    with r from ``radial_rows`` (shape, limits and errors as there); column 0
+    is |alpha>."""
+    alpha = np.asarray(alpha, dtype=complex)
+    r = radial_rows(alpha, rows, cols)
+    phase = np.exp(1j * np.angle(alpha)[..., None] * np.arange(max(rows, cols)))
+    return r * phase[..., :rows, None] * phase[..., None, :cols].conj()
 
 
 # ---------------------------------------------------------------------------

@@ -82,13 +82,13 @@ def field_kraus(config: ProtocolConfig, variant: str, dim: int) -> np.ndarray:
     return r2 @ (f * _ZONE[:, _E, None])
 
 
-def _require_parity(config: ProtocolConfig, variant: str, dim: int) -> None:
-    """Raise unless the atom's weights w = |m_g|^2 - |m_e|^2 equal (-1)^n for
-    n < dim within 1e-12, so that detecting it measures photon-number parity:
+def _require_parity(m: np.ndarray, config: ProtocolConfig, variant: str) -> None:
+    """Raise unless the weights w = |m_g|^2 - |m_e|^2 of the Kraus amplitudes
+    m = field_kraus(config, variant, dim) equal (-1)^n for n < dim within
+    1e-12, so that detecting the atom measures photon-number parity:
     |2 (P_g - P_e) - W(0)| is then below 2e-12 for any field supported there."""
-    m = field_kraus(config, variant, dim)
     w = np.abs(m[_G]) ** 2 - np.abs(m[_E]) ** 2
-    dev = float(np.max(np.abs(w - (-1.0) ** np.arange(dim))))
+    dev = float(np.max(np.abs(w - (-1.0) ** np.arange(w.size))))
     if dev > 1e-12:
         raise DomainError(
             f"{variant} probe with phi = {config.phi}, eta = {config.eta} weighs the "
@@ -119,13 +119,18 @@ def detection_probabilities(pops: np.ndarray, config: ProtocolConfig,
     `pops`: (P_e, P_g), P_s = sum_n |m_s(n)|^2 pops_n with m from ``field_kraus``.
     The resonant probe is exact only on n <= 1, so it refuses (SubspaceError)
     a field with more than 1e-8 population above one photon."""
+    return _born(field_kraus(config, variant, pops.size), pops, variant)
+
+
+def _born(m: np.ndarray, pops: np.ndarray, variant: str) -> tuple[float, float]:
+    """``detection_probabilities`` with the Kraus amplitudes m already built,
+    for a caller that also checks them against parity."""
     if variant == "resonant-2pi":
         tail = float(np.sum(np.abs(pops[2:])))
         if tail > 1e-8:
             raise SubspaceError(
                 f"field population {tail:.3e} above one photon; resonant probe is not exact"
             )
-    m = field_kraus(config, variant, pops.size)
     return float(np.abs(m[_E]) ** 2 @ pops), float(np.abs(m[_G]) ** 2 @ pops)
 
 
@@ -138,8 +143,8 @@ def probe_atom(field, config: ProtocolConfig | None = None,
         field = pure_to_density(field)
     elif not isinstance(field, DensityOperator):
         raise TypeError(f"field must be FieldState or DensityOperator, got {type(field)}")
-    probs = detection_probabilities(field.diagonal(), config, variant)
     m = field_kraus(config, variant, field.dim)
+    probs = _born(m, field.diagonal(), variant)
     out = {}
     for idx, name in ((_E, "e"), (_G, "g")):
         p = probs[idx]
@@ -159,7 +164,7 @@ def prepare_cat(alpha: complex, config: ProtocolConfig | None = None,
     """
     config = config or ProtocolConfig()
     spec = spec or HilbertSpec(default_dim(abs(alpha)))
-    _require_parity(config, "dispersive", spec.dim)
+    _require_parity(field_kraus(config, "dispersive", spec.dim), config, "dispersive")
     return probe_atom(coherent_state(spec, alpha), config)
 
 

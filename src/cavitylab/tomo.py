@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, fftfreq, ifft
+from numpy.random import SeedSequence, default_rng
 
 from .errors import CoverageError, DomainError, SamplingError
 from .fock import DensityOperator, HilbertSpec, pure_to_density
@@ -112,7 +113,7 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     dense = np.linspace(-q_range, q_range, 8192)
     n_bins = int(math.ceil(2.0 * q_range / bin_width))
     edges = -q_range + bin_width * np.arange(n_bins + 1)
-    children = np.random.SeedSequence(seed).spawn(thetas.size)
+    children = SeedSequence(seed).spawn(thetas.size)
     hists = []
     for th, pdf, child in zip(thetas, marginal_distribution(rho, thetas, dense), children):
         cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2.0 * np.diff(dense))])
@@ -121,7 +122,7 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
                                 f"{cdf[-1]}, off by > 1e-8")
         # rounding can dip a far tail's mass a hair below 0
         masses = np.clip(np.diff(np.interp(edges, dense, cdf / cdf[-1])), 0.0, None)
-        counts = np.random.default_rng(child).multinomial(n_samples, masses)
+        counts = default_rng(child).multinomial(n_samples, masses)
         hists.append(QuadratureHistogram(float(th), edges, counts, n_samples))
     return hists if np.ndim(theta) else hists[0]
 
@@ -139,8 +140,22 @@ def uniform_angles(count: int) -> np.ndarray:
 # filtered back-projection
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer (2^a 3^b 5^c 7^d 11^e) >= n >= 1, the
+    lengths pocketfft transforms fastest.  The padded length sets the ramp
+    filter's frequency grid, so it shows in the reconstruction."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _ramp_hann(n_pad: int, dq: float) -> np.ndarray:
-    freqs = np.fft.fftfreq(n_pad, d=dq)
+    freqs = fftfreq(n_pad, d=dq)
     f_c = 1.0 / (2.0 * dq)
     window = 0.5 * (1.0 + np.cos(np.pi * freqs / f_c))
     window[np.abs(freqs) > f_c] = 0.0
@@ -163,7 +178,7 @@ def inverse_radon(sino: SinogramSet, grid: PhaseSpaceGrid) -> WignerMap:
             f"cover the grid radius {radius:.2f}"
         )
     dq = float(sino.q[1] - sino.q[0])
-    n_pad = next_fast_len(4 * sino.q.size)
+    n_pad = _next_fast_len(4 * sino.q.size)
     filt = _ramp_hann(n_pad, dq)
     q1 = grid.q1_axis[:, None]
     q2 = grid.q2_axis[None, :]

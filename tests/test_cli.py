@@ -585,27 +585,48 @@ def test_extents_beside_step_are_refused_not_dropped(tmp_path, capsys):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
-# Modules the CLI must not load at start-up (import time is paid by every
-# run), nor when drawing a map's line integrals.
-UNLOADED = ("scipy.integrate", "scipy.constants", "scipy.interpolate", "scipy.optimize",
-            "jsonschema")
+# One small run of every experiment kind, and a map's line integrals: the
+# runtime needs numpy only, so none of them may load any scipy module.
+_SMALL_RUNS = [
+    ("prepare-cat", {"alpha": 1.0}),
+    ("wigner-map", {"state": {"kind": "cat", "alpha": 1.0}, "grid": {"span": 2.0, "step": 0.5}}),
+    ("tomography", {"state": {"kind": "cat", "alpha": 1.0}, "angles": 8, "samples": 200,
+                    "grid": {"span": 2.0, "step": 0.5}}),
+    ("decoherence-scan", {"alpha": 1.0, "n_thermal": 0.05,
+                          "delays": {"t_start": 0.0, "t_end": 1.0, "steps": 3}}),
+    ("direct-map", {"state": {"kind": "cat", "alpha": 1.0}, "grid": {"span": 2.0, "step": 1.0}}),
+    ("direct-monitor", {"state": {"kind": "cat", "alpha": 1.0}, "n_shots": 10,
+                        "times": {"t_start": 0.0, "t_end": 1.0, "steps": 3}}),
+    ("pauli-demo", {"grid": {"span": 2.0, "step": 0.5}}),
+    ("selfcheck", {}),
+]
 
 
-def test_cli_import_leaves_unused_scipy_modules_unloaded():
-    # a fresh interpreter: this test process has loaded them for its own oracles
+def test_cli_loads_no_scipy_module_and_numpy_random_at_import(tmp_path):
+    # a fresh interpreter: this test process has loaded scipy for its own oracles.
+    # numpy.random, and every other module a run needs, loads with the CLI, so
+    # no run pays for an import inside its session.
     code = f"""
-import sys
+import json, os, sys
 import cavitylab.cli
 from cavitylab import (HilbertSpec, cat_state, default_grid, pure_to_density,
                        radon_of_map, wigner_map)
-unloaded = {UNLOADED!r}
-print(sorted(m for m in unloaded if m in sys.modules))
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(scipy_loaded(), "numpy.random" in sys.modules)
+at_import = set(sys.modules)
 rho = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
 radon_of_map(wigner_map(rho, default_grid(1.0, step=0.5)), 0.3)
-print(sorted(m for m in unloaded if m in sys.modules))
+for k, (experiment, config) in enumerate({_SMALL_RUNS!r}):
+    path = os.path.join({str(tmp_path)!r}, f"{{k}}.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    out = os.path.join({str(tmp_path)!r}, f"out{{k}}")
+    assert cavitylab.cli.main([experiment, "--config", path, "--out", out]) == 0, experiment
+print(scipy_loaded(), sorted(set(sys.modules) - at_import))
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cavitylab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.split("\n")
-    assert out[:2] == ["[]", "[]"]
+                         text=True, check=True).stdout.splitlines()
+    assert (out[0], out[-1]) == ("[] True", "[] []")  # the runs print between the two

@@ -1,3 +1,4 @@
+import math
 from math import comb
 
 import numpy as np
@@ -22,7 +23,7 @@ from cavitylab import (
     separation_measure,
     vacuum,
 )
-from cavitylab.dynamics import fit_coherence_decay
+from cavitylab.dynamics import _diagonal_generator, _expm, fit_coherence_decay
 
 MODEL = DampingModel(kappa=1.0)
 
@@ -190,6 +191,32 @@ def test_zero_temperature_matches_walls_milburn_closed_form():
                               * rho0[m + l, n + l] for l in range(dim - max(m, n)))
                     want[m, n] = np.exp(-kappa * (m + n) * t / 2) * acc
             assert np.max(np.abs(rho_t.matrix - want)) < 1e-13
+
+
+@pytest.mark.parametrize("n_thermal", [0.0, 0.05, 0.4])
+@pytest.mark.parametrize("dim", [26, 46, 90])
+def test_propagators_match_scipy_expm(n_thermal, dim):
+    from scipy.linalg import expm
+
+    gaps = np.array([0.0, 0.1, 3.0, 8.0])[:, None, None]
+    model = DampingModel(kappa=1.0, n_thermal=n_thermal)
+    for k in range(dim):
+        block = gaps * _diagonal_generator(model, dim, k)
+        assert np.max(np.abs(_expm(block) - expm(block))) < 1e-12
+
+
+def test_coherent_trajectory_matches_walls_milburn_amplitude():
+    # at n_th = 0, |alpha> stays pure: |alpha e^{-kappa t/2}>, written from its
+    # Fock amplitudes e^{-|b|^2/2} b^n / sqrt(n!)
+    dim, kappa, alpha = 40, 1.3, 1.4 * np.exp(0.6j)
+    n = np.arange(dim)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    times = [0.0, 0.05, 0.05, 0.4, 1.7, 6.0]
+    rho0 = pure_to_density(coherent_state(HilbertSpec(dim), alpha))
+    for t, rho_t in zip(times, evolve_trajectory(rho0, DampingModel(kappa), times)):
+        b = alpha * np.exp(-kappa * t / 2)
+        v = np.exp(-abs(b) ** 2 / 2 + n * np.log(b) - log_fact / 2)
+        assert np.max(np.abs(rho_t.matrix - np.outer(v, v.conj()))) < 1e-13
 
 
 def test_truncated_thermal_state_is_fixed_point():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from cavitylab import (
     pure_to_density,
     vacuum,
 )
-from cavitylab.fock import (MAX_DISPLACED_ENTRIES, creation, number_operator, quadrature_q1,
-                            quadrature_q2)
+from cavitylab.fock import (MAX_DISPLACED_ENTRIES, creation, laguerre_functions,
+                            number_operator, quadrature_q1, quadrature_q2)
 
 from conftest import eigh_displacement
 
@@ -75,6 +76,16 @@ def test_operators_are_read_only():
         assert isinstance(op, np.ndarray) and op.shape == (5, 5)
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
+
+
+def test_laguerre_functions_at_zero_are_exact_without_warning():
+    # l_n^k(0) = [k = 0] at every n; log 0 must raise no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, ell in enumerate(laguerre_functions(np.array([0.0, 0.7]), 30, 12)):
+            want = np.zeros(30 - n)
+            want[0] = 1.0
+            np.testing.assert_array_equal(ell[:, 0], want)
 
 
 def test_displacement_zero_is_identity():

@@ -33,7 +33,7 @@ from cavitylab import (
     wigner_position,
 )
 from cavitylab.errors import DomainError
-from cavitylab.wigner import _BLOCK, WignerMap, hermite_functions
+from cavitylab.wigner import _BLOCK, WignerMap, _gh_nodes, hermite_functions
 
 from conftest import eigh_displacement
 
@@ -428,6 +428,18 @@ def test_hermite_functions_orthonormal():
     psi = hermite_functions(xs, 8)
     gram = psi @ psi.T * (xs[1] - xs[0])
     np.testing.assert_allclose(gram, np.eye(8), atol=1e-7)
+
+
+def test_gauss_hermite_nodes_match_scipy():
+    from scipy.special import roots_hermite
+
+    # wigner_position integrates at orders dim + 32 and dim + 56; the total
+    # weights w e^{x^2} of the two independent builds agree to 3e-12 up to order 205
+    for order in range(34, 206):
+        x, total = _gh_nodes(order)
+        ref_x, ref_w = roots_hermite(order)
+        np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(total, ref_w * np.exp(ref_x ** 2), rtol=1e-11, atol=0)
 
 
 # -- Moyal correspondence ---------------------------------------------------------
