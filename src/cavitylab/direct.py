@@ -101,7 +101,7 @@ def direct_point_exact(rho0: DensityOperator, alpha: complex,
     config = config or _DEFAULT_CONFIG.get(variant, ProtocolConfig())
     pops = _populations(rho0, alpha)
     m = protocol.field_kraus(config, variant, pops.size)
-    p_e, p_g = protocol._born(m, pops, variant)
+    p_e, p_g = map(float, protocol._born(m, pops, variant))
     # the resonant probe refused any field above one photon
     protocol._require_parity(m[:, :2] if variant == "resonant-2pi" else m, config, variant)
     return MeasurementRecord(alpha, p_e, p_g, 0, 0, 2.0 * (p_g - p_e), 0.0)

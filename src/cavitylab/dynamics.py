@@ -14,7 +14,10 @@ propagators expm(G_k t) are exact for the truncated generator at every
 n_th (Walls & Milburn, Quantum Optics, for n_th = 0; Briegel & Englert,
 Phys. Rev. A 47, 3311 (1993), for n_th > 0), so no ODE is integrated:
 the trace is kept to rounding, and filling the upper diagonals by
-conjugation keeps rho exactly Hermitian.
+conjugation keeps rho exactly Hermitian.  One pass carries a stack of
+matrices (both first-atom branches of a delay scan) through the same
+propagators: one expm per diagonal and per group of time steps that differ
+only by rounding.
 
 At n_thermal = 0 the vacuum is a fixed point, a coherent |alpha> stays
 coherent with amplitude alpha e^{-kappa t/2}, and <n>(t) = <n>(0) e^{-kappa t}.
@@ -122,34 +125,68 @@ def _diagonal_generator(model: DampingModel, dim: int, k: int) -> np.ndarray:
     return g
 
 
-def evolve_trajectory(rho: DensityOperator, model: DampingModel, times) -> list[DensityOperator]:
-    """Damped evolution sampled at the given (sorted, nonnegative) times.
+def _step_groups(times: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Groups of the gaps between sample times (the first from 0), so that
+    one propagator serves each group.  A gap joins the group of the smaller
+    gaps whose least member lies within 4 ulp of the last time: the times
+    carry that much rounding, and np.linspace's gaps differ only in their
+    last bits.  A zero gap stays alone.  Returns each group's step, the mean
+    of the gaps it stands for, so the sampled times do not drift, and the
+    group of each gap."""
+    diffs = np.diff(times, prepend=0.0)
+    gaps, gap_of = np.unique(diffs, return_inverse=True)
+    width = 4.0 * np.spacing(times[-1])
+    starts, group = [], []
+    for gap in gaps.tolist():
+        if not starts or starts[-1] == 0.0 or gap - starts[-1] > width:
+            starts.append(gap)
+        group.append(len(starts) - 1)
+    step_of = np.array(group)[gap_of]
+    lo = np.array(starts)
+    # the mean as an offset from the group's least gap: exact when all are equal
+    steps = lo + np.bincount(step_of, weights=diffs - lo[step_of]) / np.bincount(step_of)
+    return steps, step_of.tolist()
 
-    Each lower diagonal of rho is carried from one time to the next by
-    expm(G_k gap), computed once per distinct gap; the upper diagonals are
-    their conjugates.  Refuses a rho that is not Hermitian within 1e-6."""
+
+def _damp(mats: np.ndarray, model: DampingModel, times) -> np.ndarray:
+    """Damped evolution of a stack of Hermitian matrices, shape (B, dim, dim),
+    sampled at the sorted nonnegative `times`; returns shape (B, T, dim, dim).
+
+    Lower diagonal k of every matrix is carried from one time to the next by
+    expm(G_k step), one expm per diagonal and step group (``_step_groups``),
+    with the real and imaginary parts of all B diagonals as the 2B columns
+    of one product; the upper diagonals are their conjugates."""
     times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return []
     if not (np.all(np.isfinite(times)) and np.all(times >= 0) and np.all(np.diff(times) >= 0)):
         raise DomainError("times must be finite, sorted and nonnegative")
-    mat = require_hermitian(rho)
-    dim = rho.dim
-    gaps, step_gap = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
-    out = np.empty((times.size, dim, dim), dtype=complex)
-    step_gap = step_gap.tolist()
+    nb, dim = mats.shape[0], mats.shape[-1]
+    out = np.empty((nb, times.size, dim, dim), dtype=complex)
+    if times.size == 0:
+        return out
+    flat = out.reshape(nb, times.size, dim * dim)
+    steps, step_of = _step_groups(times)
     for k in range(dim):
-        props = list(_expm(gaps[:, None, None] * _diagonal_generator(model, dim, k)))
-        x = np.diagonal(mat, -k)
-        x = np.stack([x.real, x.imag if k else np.zeros(dim)], axis=1)  # real pairs
+        props = _expm(steps[:, None, None] * _diagonal_generator(model, dim, k))
+        props[steps == 0.0] = np.eye(dim - k)  # Pade's solve leaves 1e-16 on exp(0)
+        props = list(props)
+        x = np.diagonal(mats, -k, axis1=1, axis2=2).T
+        x = np.concatenate([x.real, x.imag if k else np.zeros(x.shape)], axis=1)
         xs = np.empty((times.size,) + x.shape)
-        for i, g in enumerate(step_gap):
+        for i, g in enumerate(step_of):
             x = np.dot(props[g], x, out=xs[i])
-        vals = xs[..., 0] + 1j * xs[..., 1]
-        rows = np.arange(k, dim)
-        out[:, rows - k, rows] = vals.conj()
-        out[:, rows, rows - k] = vals
-    return [DensityOperator(m) for m in out]
+        vals = np.moveaxis(xs[..., :nb] + 1j * xs[..., nb:], -1, 0)
+        # diagonal k sits at flat index k + j (dim + 1) above, k dim + j (dim + 1) below
+        flat[..., k:dim * (dim - k):dim + 1] = vals.conj()
+        flat[..., k * dim::dim + 1] = vals
+    return out
+
+
+def evolve_trajectory(rho: DensityOperator, model: DampingModel, times) -> list[DensityOperator]:
+    """Damped evolution sampled at the given (sorted, nonnegative) times:
+    ``_damp`` of the one matrix.  Refuses a rho that is not Hermitian
+    within 1e-6."""
+    mat = require_hermitian(rho)
+    return [DensityOperator(m) for m in _damp(mat[None], model, times)[0]]
 
 
 def evolve(rho: DensityOperator, model: DampingModel, t: float) -> DensityOperator:

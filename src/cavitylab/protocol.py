@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DampingModel, evolve_trajectory
+from .dynamics import DampingModel, _damp
 from .errors import DegenerateBranchError, DomainError, SubspaceError
 from .fock import (
     DensityOperator,
@@ -32,6 +32,7 @@ from .fock import (
     coherent_state,
     default_dim,
     pure_to_density,
+    require_hermitian,
 )
 
 _E, _G = 0, 1  # atom level indices
@@ -114,24 +115,26 @@ class Branch:
 
 
 def detection_probabilities(pops: np.ndarray, config: ProtocolConfig,
-                            variant: str) -> tuple[float, float]:
-    """Born rule of one atom reading a field with photon-number populations
-    `pops`: (P_e, P_g), P_s = sum_n |m_s(n)|^2 pops_n with m from ``field_kraus``.
-    The resonant probe is exact only on n <= 1, so it refuses (SubspaceError)
-    a field with more than 1e-8 population above one photon."""
-    return _born(field_kraus(config, variant, pops.size), pops, variant)
+                            variant: str) -> tuple:
+    """Born rule of one atom reading fields with photon-number populations
+    `pops`, shape (..., dim): (P_e, P_g), each of shape (...), with
+    P_s = sum_n |m_s(n)|^2 pops_n and m from ``field_kraus``.  The resonant
+    probe is exact only on n <= 1, so it refuses (SubspaceError) any field
+    with more than 1e-8 population above one photon."""
+    return _born(field_kraus(config, variant, pops.shape[-1]), pops, variant)
 
 
-def _born(m: np.ndarray, pops: np.ndarray, variant: str) -> tuple[float, float]:
+def _born(m: np.ndarray, pops: np.ndarray, variant: str) -> tuple:
     """``detection_probabilities`` with the Kraus amplitudes m already built,
-    for a caller that also checks them against parity."""
+    for a caller that also checks them against parity or reads many fields."""
     if variant == "resonant-2pi":
-        tail = float(np.sum(np.abs(pops[2:])))
+        tail = float(np.max(np.sum(np.abs(pops[..., 2:]), axis=-1), initial=0.0))
         if tail > 1e-8:
             raise SubspaceError(
                 f"field population {tail:.3e} above one photon; resonant probe is not exact"
             )
-    return float(np.abs(m[_E]) ** 2 @ pops), float(np.abs(m[_G]) ** 2 @ pops)
+    # a sum along each row rounds alike whatever the stack's shape
+    return (pops * np.abs(m[_E]) ** 2).sum(-1), (pops * np.abs(m[_G]) ** 2).sum(-1)
 
 
 def probe_atom(field, config: ProtocolConfig | None = None,
@@ -147,7 +150,7 @@ def probe_atom(field, config: ProtocolConfig | None = None,
     probs = _born(m, field.diagonal(), variant)
     out = {}
     for idx, name in ((_E, "e"), (_G, "g")):
-        p = probs[idx]
+        p = float(probs[idx])
         rho = None
         if p >= 1e-14:
             rho = DensityOperator(m[idx][:, None] * field.matrix * m[idx].conj() / p)
@@ -203,29 +206,29 @@ class TwoAtomScan(Sequence):
 def two_atom_scan(alpha: complex, delays, model: DampingModel,
                   config: ProtocolConfig | None = None,
                   spec: HilbertSpec | None = None) -> TwoAtomScan:
-    """Delay scan of the two-atom correlations, sharing one damping
-    trajectory per first-atom branch."""
+    """Delay scan of the two-atom correlations: both first-atom branches
+    are damped in one pass and read by one Born rule."""
     config = config or ProtocolConfig()
     delays = np.asarray(delays, dtype=float)
     first = prepare_cat(alpha, config, spec)
-    trajs = {o: evolve_trajectory(first[o].field_after, model, delays)
-             for o in ("e", "g") if first[o].field_after is not None}
+    live = [o for o in ("e", "g") if first[o].field_after is not None]
+    damped = _damp(np.stack([require_hermitian(first[o].field_after) for o in live]),
+                   model, delays)
+    trajs = {o: [DensityOperator(m) for m in damped[b]] for b, o in enumerate(live)}
+    p_e, p_g = detection_probabilities(np.diagonal(damped, axis1=2, axis2=3).real,
+                                       config, "dispersive")
+    nan = [np.nan] * delays.size
+    cond = {o: (nan, nan) for o in ("e", "g")}
+    cond.update({o: (p_e[b].tolist(), p_g[b].tolist()) for b, o in enumerate(live)})
+    p_e2 = sum(first[o].probability * p_e[b] for b, o in enumerate(live)).tolist()
     p_e1, p_g1 = first["e"].probability, first["g"].probability
-    rows = []
-    for k, delay in enumerate(delays):
-        cond = {o: {"e": np.nan, "g": np.nan} for o in ("e", "g")}
-        for o, traj in trajs.items():
-            p_e2, p_g2 = detection_probabilities(traj[k].diagonal(), config, "dispersive")
-            cond[o] = {"e": p_e2, "g": p_g2}
-        p_e2 = sum(first[o].probability * cond[o]["e"] for o in trajs)
-        rows.append(ConditionalTable(
-            alpha=alpha, delay=float(delay),
-            p_e1=p_e1, p_g1=p_g1,
-            p_e2_given_e1=cond["e"]["e"], p_g2_given_e1=cond["e"]["g"],
-            p_e2_given_g1=cond["g"]["e"], p_g2_given_g1=cond["g"]["g"],
-            p_e2=p_e2, p_g2=1.0 - p_e2,
-        ))
-    return TwoAtomScan(tuple(rows), trajs)
+    rows = tuple(ConditionalTable(
+        alpha=alpha, delay=delay, p_e1=p_e1, p_g1=p_g1,
+        p_e2_given_e1=cond["e"][0][k], p_g2_given_e1=cond["e"][1][k],
+        p_e2_given_g1=cond["g"][0][k], p_g2_given_g1=cond["g"][1][k],
+        p_e2=p_e2[k], p_g2=1.0 - p_e2[k],
+    ) for k, delay in enumerate(delays.tolist()))
+    return TwoAtomScan(rows, trajs)
 
 
 def two_atom_conditional(alpha: complex, delay: float, model: DampingModel,

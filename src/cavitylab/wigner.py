@@ -230,6 +230,9 @@ def hermite_functions(x, nmax: int) -> np.ndarray:
     return out
 
 
+_GH_MAX_ORDER = 370  # numpy's hermgauss overflows from order 371 on
+
+
 @lru_cache(maxsize=32)
 def _gh_nodes(order: int):
     x, w = hermgauss(order)
@@ -255,11 +258,18 @@ def _axis_position_integral(rho_mat: np.ndarray, q: float, order: int) -> float:
 
 def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
     """W from the position-representation integral, rescaled by 2pi so that
-    wigner_position(rho, q, p) == wigner_point(rho, (q + i p)/sqrt(2))."""
+    wigner_position(rho, q, p) == wigner_point(rho, (q + i p)/sqrt(2)).
+    Its Gauss-Hermite orders dim + 32 and dim + 56 limit it to dim <= 314
+    (QuadratureError above)."""
     if not (np.isfinite(q) and np.isfinite(p)):
         raise DomainError(f"(q, p) must be finite, got ({q}, {p})")
-    rotated, q_axis = _rotated(rho.matrix, math.atan2(p, q)), math.hypot(q, p)
     order = rho.dim + 32
+    if order + 24 > _GH_MAX_ORDER:
+        raise QuadratureError(
+            f"Gauss-Hermite order {order + 24} for dim {rho.dim} exceeds {_GH_MAX_ORDER}, "
+            "the largest numpy's hermgauss builds without overflow"
+        )
+    rotated, q_axis = _rotated(rho.matrix, math.atan2(p, q)), math.hypot(q, p)
     val, imag = _axis_position_integral(rotated, q_axis, order)
     if imag > 1e-6:
         raise NonHermitianError(f"position-integral imaginary residue {imag:.3e}")

@@ -98,25 +98,70 @@ def test_decoherence_scan_shape(tmp_path):
 
 
 def test_decoherence_scan_prepares_and_damps_once(tmp_path, monkeypatch):
-    calls = {"prepare_cat": 0, "evolve_trajectory": 0, "coherent_state": 0}
+    calls = {"prepare_cat": 0, "_damp": 0, "evolve_trajectory": 0, "field_kraus": 0,
+             "coherent_state": 0}
+    branches = []
 
     def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "_damp":
+                branches.append(len(args[0]))
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
     counted(protocol, "prepare_cat")
-    counted(protocol, "evolve_trajectory")
+    counted(protocol, "_damp")
     counted(dynamics, "evolve_trajectory")
+    counted(protocol, "field_kraus")
     counted(dynamics, "coherent_state")
     cfg = write_config(tmp_path, "c.json", {
         "alpha": 1.5, "delays": {"t_start": 0.0, "t_end": 2.0, "steps": 9}})
     assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    # one preparation, one trajectory per branch, |+-alpha> built once
-    assert calls == {"prepare_cat": 1, "evolve_trajectory": 2, "coherent_state": 2}
+    # one preparation (its parity check and probe build the Kraus amplitudes),
+    # one damping pass carrying both branches, one Born rule for every delay,
+    # |+-alpha> built once
+    assert calls == {"prepare_cat": 1, "_damp": 1, "evolve_trajectory": 0,
+                     "field_kraus": 3, "coherent_state": 2}
+    assert branches == [2]
+
+
+def _cat_parity_closed_form(alpha, psi1, kappa, n_th, t):
+    """<parity> of the damped cat N(|alpha> + e^{i psi1}|-alpha>) at times t,
+    W_t(0)/2 summed over its four coherent dyads |b><c|, each a complex
+    Gaussian under thermal damping (Kim & Buzek, PRA 46, 4239 (1992)):
+    W_t(0) = <c|b>/D_t exp(-b c* s^2/D_t), s = e^{-kappa t/2},
+    D_t = e^{-kappa t}/2 + (n_th + 1/2)(1 - e^{-kappa t})."""
+    decay = np.exp(-kappa * np.asarray(t, dtype=float))
+    d_t = decay / 2 + (n_th + 0.5) * (1 - decay)
+    amps = {alpha: 1.0, -alpha: np.exp(1j * psi1)}
+    norm2 = 1.0 / (2.0 * (1.0 + np.cos(psi1) * np.exp(-2.0 * abs(alpha) ** 2)))
+    total = 0.0
+    for b, cb in amps.items():
+        for c, cc in amps.items():
+            overlap = np.exp(-abs(b) ** 2 / 2 - abs(c) ** 2 / 2 + np.conj(c) * b)
+            w0 = overlap / d_t * np.exp(-b * np.conj(c) * decay / d_t)
+            total = total + norm2 * cb * np.conj(cc) * w0 / 2
+    return total.real
+
+
+@pytest.mark.parametrize("n_th, dim", [(0.05, None), (0.4, None), (1.0, 45)])
+def test_thermal_decoherence_scan_matches_closed_form(tmp_path, n_th, dim):
+    alpha, kappa = np.sqrt(5.0), 1.0
+    payload = {"alpha": alpha, "kappa": kappa, "n_thermal": n_th,
+               "delays": {"t_start": 0.0, "t_end": 8.0, "steps": 81}}
+    if dim is not None:
+        payload["dim"] = dim
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    _, body = read_csv(tmp_path / "o" / "decoherence_scan.csv")
+    delay, p_e_odd, p_g_even = np.array(body).T
+    odd = _cat_parity_closed_form(alpha, np.pi, kappa, n_th, delay)
+    even = _cat_parity_closed_form(alpha, 0.0, kappa, n_th, delay)
+    np.testing.assert_allclose(p_e_odd, (1 - odd) / 2, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(p_g_even, (1 + even) / 2, rtol=0, atol=1e-9)
 
 
 def test_decoherence_scan_degenerate_branch_exit_code(tmp_path):

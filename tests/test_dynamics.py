@@ -23,7 +23,7 @@ from cavitylab import (
     separation_measure,
     vacuum,
 )
-from cavitylab.dynamics import _diagonal_generator, _expm, fit_coherence_decay
+from cavitylab.dynamics import _diagonal_generator, _expm, _step_groups, fit_coherence_decay
 
 MODEL = DampingModel(kappa=1.0)
 
@@ -370,3 +370,62 @@ def test_separation_measure_quadratic():
     assert abs(v2 / v1 - 4.0) < 1e-12
     with pytest.raises(DomainError):
         separation_measure(-1.0, 1e-3, 300.0)
+
+
+# -- step groups ---------------------------------------------------------------
+
+
+def _one_step_states(rho0, model, times):
+    """rho(t) for each t by one propagator from 0, as ``evolve`` builds it,
+    batched over the times: expm(G_k t) for every t, one diagonal k at a time."""
+    dim = rho0.dim
+    out = np.zeros((len(times), dim, dim), dtype=complex)
+    for k in range(dim):
+        props = _expm(np.asarray(times)[:, None, None] * _diagonal_generator(model, dim, k))
+        x = np.diagonal(rho0.matrix, -k)
+        vals = props @ x.real + 1j * (props @ x.imag)
+        rows = np.arange(k, dim)
+        out[:, rows, rows - k] = vals
+        out[:, rows - k, rows] = vals.conj()
+    return out
+
+
+@pytest.mark.parametrize("alpha, dim", [(np.sqrt(5.0), 30), (3.0, 46)])
+@pytest.mark.parametrize("n_th", [0.0, 0.05, 0.4])
+def test_grouped_steps_match_one_step_evolution(alpha, dim, n_th):
+    # np.linspace's gaps differ in their last bits and share one propagator;
+    # each sample must still be the state at its own time
+    rho0 = pure_to_density(cat_state(HilbertSpec(dim), alpha, np.pi))
+    model = DampingModel(1.0, n_th)
+    grids = [np.linspace(0.0, 8.0, steps) for steps in (81, 161)]
+    every = np.unique(np.concatenate(grids))  # the coarse grid's times are among the fine
+    ref = _one_step_states(rho0, model, every)
+    for t, r in zip(every[::40], ref[::40]):  # the reference is what evolve returns
+        assert np.max(np.abs(evolve(rho0, model, t).matrix - r)) < 1e-15
+    for times in grids:
+        assert len(np.unique(np.diff(times))) > 2
+        traj = evolve_trajectory(rho0, model, times)
+        for rho_t, r in zip(traj, ref[np.searchsorted(every, times)]):
+            assert np.max(np.abs(rho_t.matrix - r)) < 1e-12
+
+
+def test_step_groups_keep_distinct_gaps_apart():
+    times = np.array([0.0, 0.1, 0.2 + 1e-9])
+    steps, step_of = _step_groups(times)
+    assert len(steps) == 3 and step_of == [0, 1, 2]
+    rho0 = pure_to_density(cat_state(HilbertSpec(30), np.sqrt(5.0), np.pi))
+    for t, rho_t in zip(times, evolve_trajectory(rho0, MODEL, times)):
+        assert np.max(np.abs(rho_t.matrix - evolve(rho0, MODEL, t).matrix)) < 1e-12
+    # linspace gaps within rounding of each other form one group, stepping by their mean
+    times = np.linspace(0.0, 8.0, 81)
+    steps, step_of = _step_groups(times)
+    assert len(steps) == 2 and steps[0] == 0.0
+    assert abs(steps[1] - 0.1) < 1e-16 and step_of == [0] + [1] * 80
+
+
+def test_repeated_times_and_zero_return_the_input_exactly():
+    rho0 = pure_to_density(cat_state(HilbertSpec(20), 1.5, 0.0))
+    traj = evolve_trajectory(rho0, DampingModel(1.0, 0.05), [0.0, 0.0, 0.3, 0.3])
+    assert np.array_equal(traj[0].matrix, rho0.matrix)
+    assert np.array_equal(traj[1].matrix, rho0.matrix)
+    assert np.array_equal(traj[2].matrix, traj[3].matrix)

@@ -32,7 +32,7 @@ from cavitylab import (
     wigner_point,
     wigner_position,
 )
-from cavitylab.errors import DomainError
+from cavitylab.errors import DomainError, QuadratureError
 from cavitylab.wigner import _BLOCK, WignerMap, _gh_nodes, hermite_functions
 
 from conftest import eigh_displacement
@@ -75,6 +75,17 @@ def test_truncation_guard():
     assert abs(wigner_position(rho, 3.0 * np.sqrt(2), 0.0) - exact) < 1e-12 * exact
     wm = wigner_map(rho, PhaseSpaceGrid(0.0, 3.0 * np.sqrt(2), -1.0, 1.0, 3, 3))
     assert abs(wm.values[2, 1] - exact) < 1e-12 * exact
+
+
+def test_wigner_position_refuses_orders_hermgauss_cannot_build():
+    # dim + 56 > 370 overflowed inside hermgauss (a RuntimeWarning) at dim 320
+    state = coherent_state(HilbertSpec(300), 1.2 - 0.4j)
+    q, p = 0.9, -0.3
+    want = wigner_point(pure_to_density(state), (q + 1j * p) / np.sqrt(2))
+    assert abs(wigner_position(pure_to_density(state), q, p) - want) < 1e-12
+    for dim in (315, 320):
+        with pytest.raises(QuadratureError):
+            wigner_position(pure_to_density(promote(state, HilbertSpec(dim))), q, p)
 
 
 def test_cross_construction_on_mixed_state():
