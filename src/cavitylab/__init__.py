@@ -58,9 +58,9 @@ from .protocol import (
     TwoAtomScan,
     detection_probabilities,
     field_kraus,
+    parity_config,
     prepare_cat,
     probe_atom,
-    two_atom_conditional,
     two_atom_scan,
 )
 from .wigner import (

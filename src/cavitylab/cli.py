@@ -157,8 +157,7 @@ _SEED = _number(integral=True, minimum=0)
 _DIM = (_number(integral=True, minimum=2, null=True), None)
 
 OPTIONS = {
-    "prepare-cat": {"alpha": (_ALPHA, ...), "phi": (_NUMBER, float(np.pi)),
-                    "eta": (_NUMBER, 0.0), "dim": _DIM},
+    "prepare-cat": {"alpha": (_ALPHA, ...), "dim": _DIM},
     "decoherence-scan": {"alpha": (_ALPHA, ...), "kappa": (_POSITIVE, 1.0),
                          "n_thermal": (_number(minimum=0), 0.0), "dim": _DIM,
                          "delays": (_forward_times, {"t_start": 0.0, "t_end": 8.0, "steps": 81})},
@@ -329,8 +328,7 @@ def _write_map(writer: ArtifactWriter, name: str, wmap: wigner.WignerMap) -> Non
 def _run_prepare_cat(cfg: dict, writer: ArtifactWriter) -> None:
     alpha = _parse_alpha(cfg["alpha"])
     spec = fock.HilbertSpec(cfg["dim"] or fock.default_dim(max(abs(alpha), 1.0)))
-    config = protocol.ProtocolConfig(phi=cfg["phi"], eta=cfg["eta"])
-    branches = protocol.prepare_cat(alpha, config, spec)
+    branches = protocol.prepare_cat(alpha, spec)
     rows = []
     for outcome, psi1 in (("g", 0.0), ("e", float(np.pi))):
         br = branches[outcome]

@@ -5,13 +5,13 @@ the detection probabilities.
 Defining identity (the module's executable contract): the atom reads the
 field through the weights w(n) = |m_g(n)|^2 - |m_e(n)|^2 of its Kraus
 operators (``protocol.field_kraus``), so P_g - P_e = Tr[D rho D^dag diag(w)].
-When w is the photon-number parity (-1)^n,
+Every readout runs its variant at the angles of ``protocol.parity_config``,
+where w is the photon-number parity (-1)^n, so
     P_g - P_e = W(-alpha, -alpha*) / 2,
-so 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  Every entry
-point checks w against parity and raises ``DomainError`` otherwise, since
-any other weights read a number that is not W.  The pointwise readouts
-inject with the exact elements <n|D(alpha)|j> (their real factors from
-``fock.radial_rows``, the phases moved onto rho0) and read photon numbers n < N, N doubled past rho0.dim until the displaced
+and 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  The
+pointwise readouts inject with the exact elements <n|D(alpha)|j> (their
+real factors from ``fock.radial_rows``, the phases moved onto rho0) and
+read photon numbers n < N, N doubled past rho0.dim until the displaced
 populations capture Tr rho0 within 1e-10, so the readout matches the exact
 W of the truncated rho0 to rounding.  ``scan_map`` evaluates the same
 identity on a whole grid with the Laguerre kernel of ``wigner_map``.
@@ -30,7 +30,6 @@ from . import protocol
 from .dynamics import DampingModel, evolve_trajectory
 from .errors import DomainError, NoDetectionError
 from .fock import DensityOperator, radial_rows
-from .protocol import ProtocolConfig
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
 
 
@@ -54,17 +53,11 @@ class MeasurementRecord:
             raise ValueError("n_detected cannot exceed n_shots")
 
 
-# the configs a variant runs at when none is given: the opposite-shift readout
-# reproduces the pi-dispersive one at phi = eta = pi/2
-_DEFAULT_CONFIG = {"opposite": ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2)}
-
-
-def _populations(rho0: DensityOperator, alpha, rows: int = 0) -> np.ndarray:
+def _populations(rho0: DensityOperator, alpha) -> np.ndarray:
     """Populations of D(alpha) rho0 D(alpha)^dag on n < N, the first N = 2, 4,
     8, ... times rho0.dim capturing Tr rho0 within 1e-10 at every alpha; at
     alpha = 0, rho0's own.  The readout errs by at most twice the uncaptured
-    mass, which N = rho0.dim could leave just under 1e-10.  A build of R rows
-    settles every N <= R; the first has max(`rows`, 2 rho0.dim) rows."""
+    mass, which N = rho0.dim could leave just under 1e-10."""
     if np.all(np.asarray(alpha) == 0):
         return rho0.diagonal()
     mat = rho0.matrix
@@ -75,35 +68,28 @@ def _populations(rho0: DensityOperator, alpha, rows: int = 0) -> np.ndarray:
     ph = np.exp(1j * np.angle(np.asarray(alpha))[..., None] * np.arange(rho0.dim))
     turned = np.real(mat * (ph.conj()[..., :, None] * ph[..., None, :]))
     n = 2 * rho0.dim
-    rows = max(rows, n)
     while True:
-        r = radial_rows(alpha, rows, rho0.dim)
+        r = radial_rows(alpha, n, rho0.dim)
         pops = np.sum((r @ turned) * r, axis=-1)
-        while n <= rows:
-            if np.all(np.abs(total - pops[..., :n].sum(axis=-1)) <= 1e-10):
-                return pops[..., :n]
-            n *= 2
-        rows *= 2
+        if np.all(np.abs(total - pops.sum(axis=-1)) <= 1e-10):
+            return pops
+        n *= 2
 
 
 def direct_point_exact(rho0: DensityOperator, alpha: complex,
-                       config: ProtocolConfig | None = None,
                        variant: str = "dispersive") -> MeasurementRecord:
     """Exact Born probabilities of one probe atom at one alpha.
 
     `variant` names the interaction as ``protocol.field_kraus`` does:
-    ``"dispersive"`` (phi = pi by default), ``"opposite"`` (phi = eta = pi/2
-    by default) or ``"resonant-2pi"``, which reads the origin only (alpha = 0,
-    DomainError otherwise) of a field supported on n <= 1 (SubspaceError).
+    ``"dispersive"``, ``"opposite"`` or ``"resonant-2pi"``, which reads the
+    origin only (alpha = 0, DomainError otherwise) of a field supported on
+    n <= 1 (SubspaceError).
     """
+    config = protocol.parity_config(variant)
     if variant == "resonant-2pi" and alpha != 0:
         raise DomainError("the resonant variant measures the origin only (alpha = 0)")
-    config = config or _DEFAULT_CONFIG.get(variant, ProtocolConfig())
-    pops = _populations(rho0, alpha)
-    m = protocol.field_kraus(config, variant, pops.size)
-    p_e, p_g = map(float, protocol._born(m, pops, variant))
-    # the resonant probe refused any field above one photon
-    protocol._require_parity(m[:, :2] if variant == "resonant-2pi" else m, config, variant)
+    p_e, p_g = map(float, protocol.detection_probabilities(_populations(rho0, alpha),
+                                                           config, variant))
     return MeasurementRecord(alpha, p_e, p_g, 0, 0, 2.0 * (p_g - p_e), 0.0)
 
 
@@ -138,23 +124,17 @@ def direct_point_sampled(rho0: DensityOperator, alpha: complex, n_shots: int,
 
 
 def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
-             config: ProtocolConfig | None = None,
              variant: str = "dispersive") -> WignerMap:
-    """Exact direct-scheme estimates over an injection grid.
+    """Exact direct-scheme estimates over an injection grid, for the
+    ``"dispersive"`` or ``"opposite"`` variant.
 
     The readout at alpha is W(-alpha), so the map is ``wigner_map`` on the
     reflected grid, flipped back onto `grid`, in rho0's own dimension.  The
-    atom's weights are checked against parity on every photon number the
-    injection reaches: the largest readout N over the grid's four corners,
-    where the displaced mean photon number, convex in alpha, peaks.  With no
-    `config`, the ``"opposite"`` variant runs at phi = eta = pi/2.
+    ``"resonant-2pi"`` variant reads the origin only (DomainError).
     """
-    config = config or _DEFAULT_CONFIG.get(variant, ProtocolConfig())
-    corners = np.add.outer([grid.q1_min, grid.q1_max], [1j * grid.q2_min, 1j * grid.q2_max])
-    corners /= np.sqrt(2.0)
-    # at the far corners one build of 4 rho0.dim rows settles N = 2 and 4 rho0.dim
-    reach = _populations(rho0, corners, 4 * rho0.dim).shape[-1]
-    protocol._require_parity(protocol.field_kraus(config, variant, reach), config, variant)
+    protocol.parity_config(variant)  # ValueError for an unknown variant
+    if variant == "resonant-2pi":
+        raise DomainError("the resonant variant measures the origin only (alpha = 0)")
     exact = wigner_map(rho0, grid.reflected())
     return WignerMap(grid, exact.values[::-1, ::-1], provenance="measured-direct",
                      diagnostics=dict(exact.diagnostics))

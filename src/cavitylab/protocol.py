@@ -13,6 +13,11 @@ Pulse convention (fixed throughout): each Ramsey zone applies
 so two zones on an empty cavity act as a pi pulse, e -> g.  A nonzero
 `eta` inserts the relative phase e^{i eta} on |e> just before the second
 zone.
+
+Cat preparation, the two-atom monitor and the direct readouts measure
+photon-number parity: they run each variant at the angles of
+``parity_config``, where the weights |m_g(n)|^2 - |m_e(n)|^2 equal (-1)^n
+(the tests check this to 1e-12 for n < 2^19).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DampingModel, _damp
-from .errors import DegenerateBranchError, DomainError, SubspaceError
+from .errors import DegenerateBranchError, DomainError, SubspaceError, TruncationError
 from .fock import (
     DensityOperator,
     FieldState,
@@ -83,18 +88,21 @@ def field_kraus(config: ProtocolConfig, variant: str, dim: int) -> np.ndarray:
     return r2 @ (f * _ZONE[:, _E, None])
 
 
-def _require_parity(m: np.ndarray, config: ProtocolConfig, variant: str) -> None:
-    """Raise unless the weights w = |m_g|^2 - |m_e|^2 of the Kraus amplitudes
-    m = field_kraus(config, variant, dim) equal (-1)^n for n < dim within
-    1e-12, so that detecting the atom measures photon-number parity:
-    |2 (P_g - P_e) - W(0)| is then below 2e-12 for any field supported there."""
-    w = np.abs(m[_G]) ** 2 - np.abs(m[_E]) ** 2
-    dev = float(np.max(np.abs(w - (-1.0) ** np.arange(w.size))))
-    if dev > 1e-12:
-        raise DomainError(
-            f"{variant} probe with phi = {config.phi}, eta = {config.eta} weighs the "
-            f"photon numbers {dev:.3e} away from parity; it is not a parity measurement"
-        )
+# the angles at which each variant reads photon-number parity; the opposite
+# shift reproduces the pi-dispersive readout at phi = eta = pi/2 (Lutterbach
+# & Davidovich, PRL 78, 2547 (1997)), and phi does not enter the resonant one
+_PARITY = {
+    "dispersive": ProtocolConfig(phi=np.pi, eta=0.0),
+    "opposite": ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2),
+    "resonant-2pi": ProtocolConfig(eta=0.0),
+}
+
+
+def parity_config(variant: str) -> ProtocolConfig:
+    """The angles at which `variant` measures photon-number parity."""
+    if variant not in _PARITY:
+        raise ValueError(f"unknown interaction variant {variant!r}")
+    return _PARITY[variant]
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,7 @@ def detection_probabilities(pops: np.ndarray, config: ProtocolConfig,
 
 def _born(m: np.ndarray, pops: np.ndarray, variant: str) -> tuple:
     """``detection_probabilities`` with the Kraus amplitudes m already built,
-    for a caller that also checks them against parity or reads many fields."""
+    for a caller that also reads the post-measurement fields."""
     if variant == "resonant-2pi":
         tail = float(np.max(np.sum(np.abs(pops[..., 2:]), axis=-1), initial=0.0))
         if tail > 1e-8:
@@ -158,17 +166,13 @@ def probe_atom(field, config: ProtocolConfig | None = None,
     return out
 
 
-def prepare_cat(alpha: complex, config: ProtocolConfig | None = None,
-                spec: HilbertSpec | None = None) -> dict[str, Branch]:
-    """Inject |alpha>, run one atom through the interferometer, detect.
-    The probe must measure photon-number parity (DomainError otherwise):
-    then detecting g leaves the even cat (psi1 = 0), detecting e the odd
+def prepare_cat(alpha: complex, spec: HilbertSpec | None = None) -> dict[str, Branch]:
+    """Inject |alpha>, run one pi-dispersive atom through the interferometer,
+    detect: detecting g leaves the even cat (psi1 = 0), detecting e the odd
     cat (psi1 = pi), with probabilities (1 +- e^{-2|alpha|^2})/2.
     """
-    config = config or ProtocolConfig()
     spec = spec or HilbertSpec(default_dim(abs(alpha)))
-    _require_parity(field_kraus(config, "dispersive", spec.dim), config, "dispersive")
-    return probe_atom(coherent_state(spec, alpha), config)
+    return probe_atom(coherent_state(spec, alpha), _PARITY["dispersive"])
 
 
 @dataclass(frozen=True)
@@ -204,19 +208,23 @@ class TwoAtomScan(Sequence):
 
 
 def two_atom_scan(alpha: complex, delays, model: DampingModel,
-                  config: ProtocolConfig | None = None,
                   spec: HilbertSpec | None = None) -> TwoAtomScan:
     """Delay scan of the two-atom correlations: both first-atom branches
-    are damped in one pass and read by one Born rule."""
-    config = config or ProtocolConfig()
+    are damped in one pass and read by one pi-dispersive Born rule.  Raises
+    TruncationError when a damped branch puts more than 1e-8 on its top
+    Fock level (thermal photons outgrow the truncation)."""
     delays = np.asarray(delays, dtype=float)
-    first = prepare_cat(alpha, config, spec)
+    first = prepare_cat(alpha, spec)
     live = [o for o in ("e", "g") if first[o].field_after is not None]
     damped = _damp(np.stack([require_hermitian(first[o].field_after) for o in live]),
                    model, delays)
     trajs = {o: [DensityOperator(m) for m in damped[b]] for b, o in enumerate(live)}
-    p_e, p_g = detection_probabilities(np.diagonal(damped, axis1=2, axis2=3).real,
-                                       config, "dispersive")
+    pops = np.diagonal(damped, axis1=2, axis2=3).real
+    top = float(np.max(pops[..., -1]))
+    if top > 1e-8:
+        raise TruncationError(f"damped field holds {top:.3e} > 1e-8 on its top Fock level "
+                              f"(dim {pops.shape[-1]}); increase dim")
+    p_e, p_g = detection_probabilities(pops, _PARITY["dispersive"], "dispersive")
     nan = [np.nan] * delays.size
     cond = {o: (nan, nan) for o in ("e", "g")}
     cond.update({o: (p_e[b].tolist(), p_g[b].tolist()) for b, o in enumerate(live)})
@@ -229,10 +237,3 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
         p_e2=p_e2[k], p_g2=1.0 - p_e2[k],
     ) for k, delay in enumerate(delays.tolist()))
     return TwoAtomScan(rows, trajs)
-
-
-def two_atom_conditional(alpha: complex, delay: float, model: DampingModel,
-                         config: ProtocolConfig | None = None,
-                         spec: HilbertSpec | None = None) -> ConditionalTable:
-    """Conditional probabilities P(o2 | o1) with a damping delay between atoms."""
-    return two_atom_scan(alpha, [delay], model, config, spec)[0]

@@ -112,6 +112,9 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     q_range = q_range or _default_q_range(rho)
     dense = np.linspace(-q_range, q_range, 8192)
     n_bins = int(math.ceil(2.0 * q_range / bin_width))
+    if n_bins < 2:
+        raise DomainError(f"bin_width {bin_width} leaves {n_bins} bin in "
+                          f"[-{q_range}, {q_range}]; a sinogram needs at least 2")
     edges = -q_range + bin_width * np.arange(n_bins + 1)
     children = SeedSequence(seed).spawn(thetas.size)
     hists = []

@@ -49,13 +49,13 @@ def test_non_object_config_rejected(tmp_path):
 
 def test_numerical_failure_exit_code(tmp_path):
     # alpha far beyond what dim = 8 can carry -> truncation failure, exit 2;
-    # a probe that does not measure parity cannot prepare a cat -> exit 2
-    for k, bad in enumerate(({"alpha": 3.0, "dim": 8},
-                             {"alpha": 1.5, "phi": float(np.pi / 2)},
-                             {"alpha": 1.5, "eta": 0.3})):
+    # the probe's angles are fixed, so phi and eta are unknown keys -> exit 1
+    for k, (bad, code) in enumerate((({"alpha": 3.0, "dim": 8}, 2),
+                                     ({"alpha": 1.5, "phi": float(np.pi / 2)}, 1),
+                                     ({"alpha": 1.5, "eta": 0.3}, 1))):
         cfg = write_config(tmp_path, f"c{k}.json", bad)
         assert run_cli(["prepare-cat", "--config", cfg,
-                        "--out", str(tmp_path / f"o{k}")]) == 2
+                        "--out", str(tmp_path / f"o{k}")]) == code
 
 
 def test_prepare_cat_artifacts(tmp_path):
@@ -120,11 +120,11 @@ def test_decoherence_scan_prepares_and_damps_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "c.json", {
         "alpha": 1.5, "delays": {"t_start": 0.0, "t_end": 2.0, "steps": 9}})
     assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    # one preparation (its parity check and probe build the Kraus amplitudes),
-    # one damping pass carrying both branches, one Born rule for every delay,
-    # |+-alpha> built once
+    # one preparation (its probe builds the Kraus amplitudes), one damping
+    # pass carrying both branches, one Born rule for every delay, |+-alpha>
+    # built once
     assert calls == {"prepare_cat": 1, "_damp": 1, "evolve_trajectory": 0,
-                     "field_kraus": 3, "coherent_state": 2}
+                     "field_kraus": 2, "coherent_state": 2}
     assert branches == [2]
 
 
@@ -162,6 +162,20 @@ def test_thermal_decoherence_scan_matches_closed_form(tmp_path, n_th, dim):
     even = _cat_parity_closed_form(alpha, 0.0, kappa, n_th, delay)
     np.testing.assert_allclose(p_e_odd, (1 - odd) / 2, rtol=0, atol=1e-9)
     np.testing.assert_allclose(p_g_even, (1 + even) / 2, rtol=0, atol=1e-9)
+
+
+def test_thermal_scan_beyond_its_truncation_exit_code(tmp_path):
+    # at n_th = 1.0 the default dim 31 leaves 1.03e-8 on the top Fock level and
+    # read 1.7e-9 off the closed form; dim 45 (above) reads it to 1e-13
+    cfg = write_config(tmp_path, "c.json", {"alpha": float(np.sqrt(5.0)), "n_thermal": 1.0})
+    assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_single_bin_tomography_exit_code(tmp_path):
+    # a bin wider than [-q_range, q_range] crashed SinogramSet with an IndexError
+    cfg = write_config(tmp_path, "c.json", {"state": {"kind": "cat", "alpha": 1.0},
+                                            "samples": 100, "bin_width": 100})
+    assert run_cli(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_decoherence_scan_degenerate_branch_exit_code(tmp_path):
@@ -371,7 +385,7 @@ VERDICTS = [
     # type
     ("prepare-cat", {"alpha": "1"}, False),
     ("prepare-cat", {"alpha": True}, False),
-    ("prepare-cat", {"alpha": 1.0, "phi": None}, False),
+    ("decoherence-scan", {"alpha": 1.0, "n_thermal": None}, False),
     ("decoherence-scan", {"alpha": 1, "kappa": 2}, True),
     # integral
     ("tomography", {"state": S, "angles": 12}, True),
@@ -543,7 +557,7 @@ def test_resolved_defaults():
         ("direct-map", {"state": state}), ("direct-monitor", {"state": state}),
         ("pauli-demo", {}), ("selfcheck", {}))}
     assert resolved == {
-        "prepare-cat": {"alpha": 1.0, "phi": 3.141592653589793, "eta": 0.0, "dim": None},
+        "prepare-cat": {"alpha": 1.0, "dim": None},
         "decoherence-scan": {"alpha": 1.0, "kappa": 1.0, "n_thermal": 0.0, "dim": None,
                              "delays": {"t_start": 0.0, "t_end": 8.0, "steps": 81}},
         "wigner-map": {"state": state, "grid": None, "dim": None},

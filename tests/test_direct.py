@@ -8,7 +8,6 @@ from cavitylab import (
     MeasurementRecord,
     NoDetectionError,
     PhaseSpaceGrid,
-    ProtocolConfig,
     SubspaceError,
     TruncationError,
     cat_state,
@@ -130,18 +129,6 @@ def test_estimate_bounded_by_two(corpus):
         alpha = complex(rng.normal(scale=0.9), rng.normal(scale=0.9))
         rec = direct_point_exact(rho, alpha)
         assert abs(rec.estimate) <= 2.0 + 1e-12
-
-
-def test_requires_pi_phase(corpus):
-    with pytest.raises(DomainError):
-        direct_point_exact(fock_rho(1), 0.0, ProtocolConfig(phi=np.pi / 2))
-    # a dephased second zone or a resonant readout off eta = 0 weigh the
-    # photon numbers away from parity (they read 1.598 against W = 1.673,
-    # and -1.911 against W = -2)
-    with pytest.raises(DomainError):
-        direct_point_exact(corpus["cat_even"], 0.3, ProtocolConfig(eta=0.3))
-    with pytest.raises(DomainError):
-        direct_point_exact(fock_rho(1), 0.0, ProtocolConfig(eta=0.3), "resonant-2pi")
 
 
 def test_record_invariants():
@@ -340,6 +327,18 @@ def test_resonant_variant_guards():
                            variant="resonant-2pi")
     with pytest.raises(DomainError):
         direct_point_exact(fock_rho(1), 0.5, variant="resonant-2pi")
+    # the resonant probe reads the origin only, so it scans no map
+    with pytest.raises(DomainError):
+        scan_map(fock_rho(1), PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3),
+                 variant="resonant-2pi")
+
+
+def test_unknown_variant_is_refused():
+    grid = PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)
+    with pytest.raises(ValueError, match="unknown interaction variant"):
+        direct_point_exact(fock_rho(1), 0.0, variant="opposite-shift")
+    with pytest.raises(ValueError, match="unknown interaction variant"):
+        scan_map(fock_rho(1), grid, variant="opposite-shift")
 
 
 def test_opposite_shift_variant_matches_standard_readout(corpus):
@@ -355,18 +354,5 @@ def test_opposite_shift_variant_matches_standard_readout(corpus):
 def test_opposite_shift_full_map_matches_pi_pipeline(corpus):
     rho = corpus["cat_even"]
     grid = PhaseSpaceGrid(-2.2, 2.2, -2.2, 2.2, 9, 9)
-    cfg = ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2)
-    rhs = scan_map(rho, grid)
-    for lhs in (scan_map(rho, grid, cfg, variant="opposite"),
-                scan_map(rho, grid, variant="opposite")):
-        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-8
-
-
-def test_opposite_shift_requires_matched_angles(corpus):
-    with pytest.raises(DomainError):
-        direct_point_exact(fock_rho(1), 0.1, ProtocolConfig(phi=np.pi / 2, eta=0.0),
-                           "opposite")
-    # without the eta = pi/2 dephasing the map was off by 2
-    grid = PhaseSpaceGrid(-2.2, 2.2, -2.2, 2.2, 5, 5)
-    with pytest.raises(DomainError):
-        scan_map(corpus["cat_even"], grid, ProtocolConfig(phi=np.pi / 2), variant="opposite")
+    lhs = scan_map(rho, grid, variant="opposite")
+    assert np.max(np.abs(lhs.values - scan_map(rho, grid).values)) < 1e-8

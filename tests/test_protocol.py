@@ -18,13 +18,14 @@ from cavitylab import (
     field_kraus,
     fock_state,
     mix,
+    parity_config,
     prepare_cat,
     probe_atom,
     pure_to_density,
-    two_atom_conditional,
     two_atom_scan,
     vacuum,
 )
+from cavitylab.fock import MAX_DISPLACED_ENTRIES
 
 CFG = ProtocolConfig()
 MODEL = DampingModel(kappa=1.0)
@@ -107,11 +108,24 @@ def test_ramsey_splits_excited_atom():
 def test_two_pulses_make_a_pi_pulse():
     # empty cavity: R1 then R2 send |e> to |g>, whatever the interaction
     vac = vacuum(HilbertSpec(6))
-    for variant, cfg in (("dispersive", CFG), ("resonant-2pi", CFG),
-                         ("opposite", ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2))):
-        branches = probe_atom(vac, cfg, variant)
+    for variant in VARIANTS:
+        branches = probe_atom(vac, parity_config(variant), variant)
         assert abs(branches["g"].probability - 1.0) < 1e-12
         assert branches["e"].probability < 1e-24
+
+
+def test_parity_angles_weigh_photon_numbers_by_parity():
+    # the readouts run at these angles unchecked, so their weights
+    # |m_g|^2 - |m_e|^2 must be (-1)^n on every photon number a readout can
+    # reach: radial_rows builds at most MAX_DISPLACED_ENTRIES / 2 rows
+    # (measured 4.4e-16); the resonant probe reads n <= 1 only
+    for variant, reach in (("dispersive", MAX_DISPLACED_ENTRIES // 2),
+                           ("opposite", MAX_DISPLACED_ENTRIES // 2), ("resonant-2pi", 2)):
+        m = field_kraus(parity_config(variant), variant, reach)
+        w = np.abs(m[1]) ** 2 - np.abs(m[0]) ** 2
+        assert np.max(np.abs(w - (-1.0) ** np.arange(reach))) <= 1e-12
+    with pytest.raises(ValueError, match="unknown interaction variant"):
+        parity_config("opposite-shift")
 
 
 def test_ramsey_unitary():
@@ -266,7 +280,7 @@ def test_detection_after_entangling_projects_coherent_states():
 def test_detection_after_r2_projects_onto_cats():
     spec = HilbertSpec(30)
     alpha = 1.7
-    branches = prepare_cat(alpha, CFG, spec)
+    branches = prepare_cat(alpha, spec)
     overlap = np.exp(-2 * alpha ** 2)
     # branch probabilities equal the brute-force joint-state ones and (1 +- e^{-2|a|^2})/2
     oracle = joint_oracle(pure_to_density(coherent_state(spec, alpha)), CFG, "dispersive")
@@ -281,31 +295,23 @@ def test_detection_after_r2_projects_onto_cats():
 
 def test_prepare_cat_high_fidelity_alpha3():
     spec = HilbertSpec(46)
-    branches = prepare_cat(3.0, CFG, spec)
+    branches = prepare_cat(3.0, spec)
     assert branches["g"].field().fidelity_pure(cat_state(spec, 3.0, 0.0)) >= 1 - 1e-9
 
 
 def test_prepare_cat_empty_cavity_is_deterministic():
-    branches = prepare_cat(0.0, CFG, HilbertSpec(8))
+    branches = prepare_cat(0.0, HilbertSpec(8))
     assert abs(branches["g"].probability - 1.0) < 1e-12
     assert branches["e"].probability < 1e-14
     with pytest.raises(DegenerateBranchError):
         branches["e"].field()
 
 
-def test_prepare_cat_requires_pi_shift():
-    with pytest.raises(DomainError):
-        prepare_cat(1.0, ProtocolConfig(phi=np.pi / 2))
-    # a dephased second zone leaves cats of the wrong phase (fidelity 0.978)
-    with pytest.raises(DomainError):
-        prepare_cat(1.5, ProtocolConfig(eta=0.3), HilbertSpec(30))
-
-
 # -- two-atom correlation monitor ---------------------------------------------
 
 
 def test_perfect_correlations_at_zero_delay():
-    table = two_atom_conditional(3.0, 0.0, MODEL, CFG, HilbertSpec(46))
+    table = two_atom_scan(3.0, [0.0], MODEL, HilbertSpec(46))[0]
     assert table.p_e2_given_e1 > 1 - 1e-6
     assert table.p_g2_given_g1 > 1 - 1e-6
 
@@ -313,8 +319,8 @@ def test_perfect_correlations_at_zero_delay():
 def test_prepare_cat_is_first_half_of_two_atom_run():
     spec = HilbertSpec(30)
     alpha = 1.6
-    table = two_atom_conditional(alpha, 0.0, MODEL, CFG, spec)
-    branches = prepare_cat(alpha, CFG, spec)
+    table = two_atom_scan(alpha, [0.0], MODEL, spec)[0]
+    branches = prepare_cat(alpha, spec)
     assert abs(table.p_e1 - branches["e"].probability) < 1e-14
     assert abs(table.p_g1 - branches["g"].probability) < 1e-14
 
@@ -331,7 +337,7 @@ def test_statistical_mixture_gives_even_odds():
 
 
 def test_correlation_decays_to_zero():
-    table = two_atom_conditional(np.sqrt(5.0), 8.0, MODEL, CFG, HilbertSpec(30))
+    table = two_atom_scan(np.sqrt(5.0), [8.0], MODEL, HilbertSpec(30))[0]
     assert table.p_e2_given_e1 < 0.02
 
 
@@ -341,7 +347,7 @@ def test_correlation_curve_monotone_with_plateau():
     n_mean = 5.0
     t_dec = 1.0 / (2 * n_mean)
     delays = np.array([0.0, 1.0, 2.0, 3.0, 4.2, 6.0, 8.0, 10.0]) * t_dec
-    rows = two_atom_scan(np.sqrt(n_mean), delays, MODEL, CFG, HilbertSpec(30))
+    rows = two_atom_scan(np.sqrt(n_mean), delays, MODEL, HilbertSpec(30))
     probs = np.array([r.p_e2_given_e1 for r in rows])
     assert np.all(np.diff(probs) < 1e-9)  # monotone decay
     for row in rows:
@@ -352,8 +358,8 @@ def test_correlation_curve_monotone_with_plateau():
 def test_scan_hands_back_its_branch_trajectories():
     alpha, spec = 1.5, HilbertSpec(26)
     delays = [0.0, 0.1, 0.35]
-    scan = two_atom_scan(alpha, delays, MODEL, CFG, spec)
-    first = prepare_cat(alpha, CFG, spec)
+    scan = two_atom_scan(alpha, delays, MODEL, spec)
+    first = prepare_cat(alpha, spec)
     for o in ("e", "g"):
         want = evolve_trajectory(first[o].field(), MODEL, delays)
         for got, ref in zip(scan.trajectories[o], want):
@@ -363,13 +369,13 @@ def test_scan_hands_back_its_branch_trajectories():
                 == probe_atom(want[1], CFG)["e"].probability)
     assert [row.delay for row in scan] == delays and len(scan) == 3
     # a degenerate first-atom branch has no trajectory and reads nan
-    vac = two_atom_scan(0.0, [0.0, 0.2], MODEL, CFG, HilbertSpec(8))
+    vac = two_atom_scan(0.0, [0.0, 0.2], MODEL, HilbertSpec(8))
     assert set(vac.trajectories) == {"g"} and np.isnan(vac[1].p_e2_given_e1)
 
 
 def test_two_atom_rejects_negative_delay():
     with pytest.raises(DomainError):
-        two_atom_conditional(1.0, -0.5, MODEL, CFG)
+        two_atom_scan(1.0, [-0.5], MODEL)
 
 
 def test_branch_probabilities_sum_to_one():
