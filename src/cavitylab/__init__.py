@@ -46,7 +46,7 @@ from .dynamics import (
     DampingModel,
     TimeGrid,
     cat_coherence,
-    coherence_series,
+    coherence_trajectory,
     decoherence_time,
     evolve,
     evolve_trajectory,

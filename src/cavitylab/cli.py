@@ -344,21 +344,21 @@ def _run_decoherence_scan(cfg: dict, writer: ArtifactWriter) -> None:
     alpha = _parse_alpha(cfg["alpha"])
     model = dynamics.DampingModel(kappa=cfg["kappa"], n_thermal=cfg["n_thermal"])
     delays = _times_array(cfg["delays"])
-    spec = fock.HilbertSpec(cfg["dim"] or fock.default_dim(max(abs(alpha), 1.0)))
+    spec = fock.HilbertSpec(cfg["dim"] or fock.default_dim(max(abs(alpha), 1.0),
+                                                           model.n_thermal))
     scan = protocol.two_atom_scan(alpha, delays, model, spec=spec)
     writer.csv("decoherence_scan.csv",
                ["delay", "P_e2_given_e1", "P_g2_given_g1"],
                ((r.delay, r.p_e2_given_e1, r.p_g2_given_g1) for r in scan))
     # damping trajectory of the post-e1 conditional field
-    if "e" not in scan.trajectories:
+    if "e" not in scan.fields:
         raise DegenerateBranchError(
             f"branch 'e' has probability {scan[0].p_e1:.3e}; "
             "no normalized post-measurement state exists")
-    traj = scan.trajectories["e"]
-    coherence = dynamics.coherence_series(traj, alpha)
+    coherence, mean_n, trace = dynamics.coherence_trajectory(scan.fields["e"], model,
+                                                             delays, alpha)
     writer.csv("trajectory.csv", ["t", "coherence", "mean_n", "trace_error"],
-               ([t, float(c), rho_t.mean_photon(), abs(rho_t.trace() - 1.0)]
-                for t, c, rho_t in zip(delays, coherence, traj)))
+               np.column_stack([delays, coherence, mean_n, np.abs(trace - 1.0)]))
 
 
 def _run_wigner_map(cfg: dict, writer: ArtifactWriter) -> None:

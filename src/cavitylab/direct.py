@@ -29,7 +29,7 @@ from numpy.random import SeedSequence, default_rng
 from . import protocol
 from .dynamics import DampingModel, evolve_trajectory
 from .errors import DomainError, NoDetectionError
-from .fock import DensityOperator, radial_rows
+from .fock import DensityOperator, radial_rows, require_hermitian
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
 
 
@@ -153,15 +153,22 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     """W(0) read by the pi-dispersive probe at the sorted `times` of a damping
     trajectory, with a finite-shot estimate at each time if `n_shots` > 0.
 
-    For an even cat the series starts near +2, collapses toward 0 on the
-    decoherence timescale, and climbs back to +2 as the field empties.
+    The probe reads photon-number populations only, and damping carries
+    them apart from the coherences, so the trajectory is that of diag(rho0)
+    and every time is read by one Born-rule call.  For an even cat the
+    series starts near +2, collapses toward 0 on the decoherence timescale,
+    and climbs back to +2 as the field empties.
     """
     times = np.asarray(times, dtype=float)
-    traj = evolve_trajectory(rho0, model, times)
-    seq = SeedSequence(seed).spawn(len(traj)) if n_shots > 0 else None
+    diag = np.diag(np.diag(require_hermitian(rho0)).real)
+    traj = evolve_trajectory(DensityOperator(diag), model, times)
+    p_e, p_g = protocol.detection_probabilities(
+        np.array([rho_t.diagonal() for rho_t in traj]).reshape(times.size, rho0.dim),
+        protocol.parity_config("dispersive"), "dispersive")
+    seq = SeedSequence(seed).spawn(times.size) if n_shots > 0 else None
     out = []
-    for k, (t, rho_t) in enumerate(zip(times, traj)):
-        exact = direct_point_exact(rho_t, 0.0)
+    for k, (t, pe, pg) in enumerate(zip(times.tolist(), p_e.tolist(), p_g.tolist())):
+        exact = MeasurementRecord(0.0, pe, pg, 0, 0, 2.0 * (pg - pe), 0.0)
         sampled = _sample(exact, n_shots, efficiency, seq[k]) if n_shots > 0 else None
-        out.append(MonitorPoint(float(t), exact, sampled))
+        out.append(MonitorPoint(t, exact, sampled))
     return out

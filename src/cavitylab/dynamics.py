@@ -14,10 +14,15 @@ propagators expm(G_k t) are exact for the truncated generator at every
 n_th (Walls & Milburn, Quantum Optics, for n_th = 0; Briegel & Englert,
 Phys. Rev. A 47, 3311 (1993), for n_th > 0), so no ODE is integrated:
 the trace is kept to rounding, and filling the upper diagonals by
-conjugation keeps rho exactly Hermitian.  One pass carries a stack of
-matrices (both first-atom branches of a delay scan) through the same
-propagators: one expm per diagonal and per group of time steps that differ
-only by rounding.
+conjugation keeps rho exactly Hermitian.  One pass (``_diagonals``)
+carries a stack of matrices (both first-atom branches of a delay scan)
+through the same propagators, one expm per diagonal and per group of time
+steps that differ only by rounding, and hands out the damped diagonals one
+at a time, k = 0 first.  A diagonal that is zero in every input stays zero
+and is skipped.  Readers of a few functionals take the diagonals without
+forming matrices: the Born rule reads k = 0 alone (``protocol``), and
+``coherence_trajectory`` reads the cat coherence, <n> and the trace;
+``evolve_trajectory`` assembles the matrices.
 
 At n_thermal = 0 the vacuum is a fixed point, a coherent |alpha> stays
 coherent with amplitude alpha e^{-kappa t/2}, and <n>(t) = <n>(0) e^{-kappa t}.
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .fock import DensityOperator, coherent_state, require_hermitian
+from .fock import DensityOperator, HilbertSpec, coherent_state, require_hermitian
 
 # exact in the 2019 SI
 PLANCK = 6.62607015e-34  # J s
@@ -148,45 +153,54 @@ def _step_groups(times: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return steps, step_of.tolist()
 
 
-def _damp(mats: np.ndarray, model: DampingModel, times) -> np.ndarray:
-    """Damped evolution of a stack of Hermitian matrices, shape (B, dim, dim),
-    sampled at the sorted nonnegative `times`; returns shape (B, T, dim, dim).
+def _diagonals(mats: np.ndarray, model: DampingModel, times):
+    """Damped lower diagonals of a stack of Hermitian matrices, shape
+    (B, dim, dim), sampled at the sorted nonnegative `times`: yields
+    (k, x) for k = 0, 1, ..., with x of shape (B, T, dim - k) holding
+    rho_{j+k, j}(t).  A caller that reads only the first diagonals stops
+    the generator there.
 
-    Lower diagonal k of every matrix is carried from one time to the next by
-    expm(G_k step), one expm per diagonal and step group (``_step_groups``),
-    with the real and imaginary parts of all B diagonals as the 2B columns
-    of one product; the upper diagonals are their conjugates."""
+    Diagonal k is carried from one time to the next by expm(G_k step), one
+    expm per diagonal and step group (``_step_groups``), with the real and
+    imaginary parts of all B diagonals as the 2B columns of one product.  A
+    diagonal that is zero in every matrix stays zero, because the channel
+    commutes with phase rotation, so it is skipped."""
     times = np.asarray(times, dtype=float)
     if not (np.all(np.isfinite(times)) and np.all(times >= 0) and np.all(np.diff(times) >= 0)):
         raise DomainError("times must be finite, sorted and nonnegative")
-    nb, dim = mats.shape[0], mats.shape[-1]
-    out = np.empty((nb, times.size, dim, dim), dtype=complex)
     if times.size == 0:
-        return out
-    flat = out.reshape(nb, times.size, dim * dim)
+        return
+    nb, dim = mats.shape[0], mats.shape[-1]
     steps, step_of = _step_groups(times)
     for k in range(dim):
+        x = np.diagonal(mats, -k, axis1=1, axis2=2).T
+        if not x.any():
+            continue
         props = _expm(steps[:, None, None] * _diagonal_generator(model, dim, k))
         props[steps == 0.0] = np.eye(dim - k)  # Pade's solve leaves 1e-16 on exp(0)
         props = list(props)
-        x = np.diagonal(mats, -k, axis1=1, axis2=2).T
         x = np.concatenate([x.real, x.imag if k else np.zeros(x.shape)], axis=1)
         xs = np.empty((times.size,) + x.shape)
         for i, g in enumerate(step_of):
             x = np.dot(props[g], x, out=xs[i])
-        vals = np.moveaxis(xs[..., :nb] + 1j * xs[..., nb:], -1, 0)
-        # diagonal k sits at flat index k + j (dim + 1) above, k dim + j (dim + 1) below
-        flat[..., k:dim * (dim - k):dim + 1] = vals.conj()
-        flat[..., k * dim::dim + 1] = vals
-    return out
+        # contiguous, so a sum along each row rounds as it does for one matrix
+        yield k, np.ascontiguousarray(np.moveaxis(xs[..., :nb] + 1j * xs[..., nb:], -1, 0))
 
 
 def evolve_trajectory(rho: DensityOperator, model: DampingModel, times) -> list[DensityOperator]:
     """Damped evolution sampled at the given (sorted, nonnegative) times:
-    ``_damp`` of the one matrix.  Refuses a rho that is not Hermitian
-    within 1e-6."""
+    the matrices assembled from ``_diagonals``, each upper diagonal the
+    conjugate of the lower one.  Refuses a rho that is not Hermitian within
+    1e-6."""
     mat = require_hermitian(rho)
-    return [DensityOperator(m) for m in _damp(mat[None], model, times)[0]]
+    dim = rho.dim
+    out = np.zeros((np.size(times), dim, dim), dtype=complex)
+    flat = out.reshape(np.size(times), dim * dim)
+    for k, vals in _diagonals(mat[None], model, times):
+        # diagonal k sits at flat index k + j (dim + 1) above, k dim + j (dim + 1) below
+        flat[:, k:dim * (dim - k):dim + 1] = vals[0].conj()
+        flat[:, k * dim::dim + 1] = vals[0]
+    return [DensityOperator(m) for m in out]
 
 
 def evolve(rho: DensityOperator, model: DampingModel, t: float) -> DensityOperator:
@@ -203,15 +217,12 @@ def evolve(rho: DensityOperator, model: DampingModel, t: float) -> DensityOperat
     return out
 
 
-def coherence_series(states, alpha: complex) -> np.ndarray:
-    """cat_coherence of each state of a trajectory (one truncation), with
-    |alpha> and |-alpha> built once."""
-    spec = states[0].spec
-    plus = coherent_state(spec, alpha).amplitudes
-    minus = coherent_state(spec, -alpha).amplitudes
-    element = (np.stack([r.matrix for r in states]) @ minus) @ plus.conj()
-    ceiling = (1.0 + np.exp(-2.0 * abs(alpha) ** 2)) / 2.0
-    return np.abs(element) / ceiling
+def _witness(spec: HilbertSpec, alpha: complex) -> tuple:
+    """<alpha| and |-alpha> in `spec`, and the coherence ceiling
+    (1 + e^{-2|alpha|^2})/2 that a fresh even cat attains."""
+    bra = coherent_state(spec, alpha).amplitudes.conj()
+    ket = coherent_state(spec, -alpha).amplitudes
+    return bra, ket, (1.0 + np.exp(-2.0 * abs(alpha) ** 2)) / 2.0
 
 
 def cat_coherence(rho: DensityOperator, alpha: complex) -> float:
@@ -221,7 +232,31 @@ def cat_coherence(rho: DensityOperator, alpha: complex) -> float:
     even cat, so a freshly prepared psi1=0 cat reads exactly 1 and a
     50/50 statistical mixture reads ~2 e^{-2|alpha|^2}.
     """
-    return float(coherence_series([rho], alpha)[0])
+    bra, ket, ceiling = _witness(rho.spec, alpha)
+    return float(abs(bra @ rho.matrix @ ket) / ceiling)
+
+
+def coherence_trajectory(rho: DensityOperator, model: DampingModel, times,
+                         alpha: complex) -> tuple:
+    """cat_coherence, <n> and Tr rho(t) of rho damped to each of the sorted
+    `times`, each of shape (T,), read off the damped diagonals in one pass
+    (``_diagonals``) without forming a matrix.  Lower diagonal k adds
+    sum_j <alpha|j+k> rho_{j+k,j} <j|-alpha> to <alpha|rho|-alpha>, and its
+    conjugate upper diagonal the same with the roles of j and j+k swapped.
+    Refuses a rho that is not Hermitian within 1e-6."""
+    mat = require_hermitian(rho)
+    bra, ket, ceiling = _witness(rho.spec, alpha)
+    dim = rho.dim
+    element = np.zeros(np.size(times), dtype=complex)
+    pops = np.zeros((np.size(times), dim))
+    for k, x in _diagonals(mat[None], model, times):
+        x = x[0]
+        element += x @ (bra[k:] * ket[:dim - k])
+        if k:
+            element += x.conj() @ (bra[:dim - k] * ket[k:])
+        else:
+            pops = x.real
+    return np.abs(element) / ceiling, (pops * np.arange(dim)).sum(-1), pops.sum(-1)
 
 
 def decoherence_time(model: DampingModel, mean_n: float) -> float:
@@ -244,8 +279,7 @@ def fit_coherence_decay(rho0: DensityOperator, model: DampingModel, alpha: compl
                         t_max: float) -> float:
     """Time constant of a log-linear fit of cat_coherence at 25 times in [0, t_max]."""
     times = np.linspace(0.0, t_max, 25)
-    traj = evolve_trajectory(rho0, model, times)
-    w = coherence_series(traj, alpha)
+    w = coherence_trajectory(rho0, model, times, alpha)[0]
     w0 = w[0]
     if w0 <= 0:
         raise DomainError("initial coherence vanishes; nothing to fit")

@@ -22,9 +22,17 @@ DIM_MARGIN = 10
 MAX_DISPLACED_ENTRIES = 1 << 20
 
 
-def default_dim(alpha_max: float) -> int:
-    """Truncation dimension for experiments reaching amplitude |alpha_max|."""
-    return int(math.ceil(4.0 * abs(alpha_max) ** 2 + DIM_MARGIN))
+def default_dim(alpha_max: float, n_thermal: float = 0.0) -> int:
+    """Truncation dimension for experiments reaching amplitude |alpha_max|,
+    in a cavity damped toward `n_thermal` thermal photons: the larger of
+    4 |alpha_max|^2 + DIM_MARGIN and |alpha_max|^2 plus the number of levels
+    over which a thermal distribution, p_n ~ (n_th / (n_th + 1))^n, falls by
+    1e-10."""
+    dim = 4.0 * abs(alpha_max) ** 2 + DIM_MARGIN
+    if n_thermal > 0:
+        tail = math.log(1e-10) / math.log(n_thermal / (n_thermal + 1.0))
+        dim = max(dim, abs(alpha_max) ** 2 + tail)
+    return int(math.ceil(dim))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

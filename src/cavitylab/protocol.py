@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DampingModel, _damp
+from .dynamics import DampingModel, _diagonals
 from .errors import DegenerateBranchError, DomainError, SubspaceError, TruncationError
 from .fock import (
     DensityOperator,
@@ -148,8 +148,9 @@ def _born(m: np.ndarray, pops: np.ndarray, variant: str) -> tuple:
 def probe_atom(field, config: ProtocolConfig | None = None,
                variant: str = "dispersive") -> dict[str, Branch]:
     """Send one atom (prepared in |e>) through R1 -> interaction -> R2 -> detector;
-    returns both branches with Born probabilities and post-measurement fields."""
-    config = config or ProtocolConfig()
+    returns both branches with Born probabilities and post-measurement fields.
+    The angles default to the variant's parity angles (``parity_config``)."""
+    config = config or parity_config(variant)
     if isinstance(field, FieldState):
         field = pure_to_density(field)
     elif not isinstance(field, DensityOperator):
@@ -194,11 +195,11 @@ class ConditionalTable:
 @dataclass(frozen=True)
 class TwoAtomScan(Sequence):
     """A delay scan: one ConditionalTable per delay (indexable like a list),
-    plus the damped field after each non-degenerate first-atom outcome
-    ("e", "g") at every delay."""
+    plus the field left by each non-degenerate first-atom outcome ("e", "g")
+    at zero delay."""
 
     rows: tuple[ConditionalTable, ...]
-    trajectories: dict[str, list[DensityOperator]]
+    fields: dict[str, DensityOperator]
 
     def __getitem__(self, k):
         return self.rows[k]
@@ -209,17 +210,20 @@ class TwoAtomScan(Sequence):
 
 def two_atom_scan(alpha: complex, delays, model: DampingModel,
                   spec: HilbertSpec | None = None) -> TwoAtomScan:
-    """Delay scan of the two-atom correlations: both first-atom branches
-    are damped in one pass and read by one pi-dispersive Born rule.  Raises
-    TruncationError when a damped branch puts more than 1e-8 on its top
-    Fock level (thermal photons outgrow the truncation)."""
+    """Delay scan of the two-atom correlations: the populations of both
+    first-atom branches are damped in one pass (the first diagonal of
+    ``dynamics._diagonals``; the Born rule reads nothing else) and read by
+    one pi-dispersive Born rule.  The default truncation allows for the
+    model's thermal photons (``fock.default_dim``).  Raises TruncationError
+    when a damped branch puts more than 1e-8 on its top Fock level."""
     delays = np.asarray(delays, dtype=float)
-    first = prepare_cat(alpha, spec)
-    live = [o for o in ("e", "g") if first[o].field_after is not None]
-    damped = _damp(np.stack([require_hermitian(first[o].field_after) for o in live]),
-                   model, delays)
-    trajs = {o: [DensityOperator(m) for m in damped[b]] for b, o in enumerate(live)}
-    pops = np.diagonal(damped, axis1=2, axis2=3).real
+    if delays.size == 0:
+        raise DomainError("a delay scan needs at least one delay")
+    first = prepare_cat(alpha, spec or HilbertSpec(default_dim(abs(alpha), model.n_thermal)))
+    fields = {o: first[o].field_after for o in ("e", "g") if first[o].field_after is not None}
+    # diagonal 0 comes first and is never zero in a field of unit trace
+    pops = next(_diagonals(np.stack([require_hermitian(f) for f in fields.values()]),
+                           model, delays))[1].real
     top = float(np.max(pops[..., -1]))
     if top > 1e-8:
         raise TruncationError(f"damped field holds {top:.3e} > 1e-8 on its top Fock level "
@@ -227,8 +231,8 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
     p_e, p_g = detection_probabilities(pops, _PARITY["dispersive"], "dispersive")
     nan = [np.nan] * delays.size
     cond = {o: (nan, nan) for o in ("e", "g")}
-    cond.update({o: (p_e[b].tolist(), p_g[b].tolist()) for b, o in enumerate(live)})
-    p_e2 = sum(first[o].probability * p_e[b] for b, o in enumerate(live)).tolist()
+    cond.update({o: (p_e[b].tolist(), p_g[b].tolist()) for b, o in enumerate(fields)})
+    p_e2 = sum(first[o].probability * p_e[b] for b, o in enumerate(fields)).tolist()
     p_e1, p_g1 = first["e"].probability, first["g"].probability
     rows = tuple(ConditionalTable(
         alpha=alpha, delay=delay, p_e1=p_e1, p_g1=p_g1,
@@ -236,4 +240,4 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
         p_e2_given_g1=cond["g"][0][k], p_g2_given_g1=cond["g"][1][k],
         p_e2=p_e2[k], p_g2=1.0 - p_e2[k],
     ) for k, delay in enumerate(delays.tolist()))
-    return TwoAtomScan(rows, trajs)
+    return TwoAtomScan(rows, fields)

@@ -98,22 +98,30 @@ def test_decoherence_scan_shape(tmp_path):
 
 
 def test_decoherence_scan_prepares_and_damps_once(tmp_path, monkeypatch):
-    calls = {"prepare_cat": 0, "_damp": 0, "evolve_trajectory": 0, "field_kraus": 0,
-             "coherent_state": 0}
-    branches = []
+    calls = {}
+    drawn = {}
 
     def counted(module, name):
         original = getattr(module, name)
+        key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+        calls[key] = 0
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            if name == "_damp":
-                branches.append(len(args[0]))
+            calls[key] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+
+        def diagonals(mats, *args):
+            # record the batch size and every diagonal the caller draws
+            calls[key] += 1
+            drawn[key] = (len(mats), [])
+            for k, x in original(mats, *args):
+                drawn[key][1].append(k)
+                yield k, x
+        monkeypatch.setattr(module, name, diagonals if name == "_diagonals" else wrapper)
 
     counted(protocol, "prepare_cat")
-    counted(protocol, "_damp")
+    counted(protocol, "_diagonals")
+    counted(dynamics, "_diagonals")
     counted(dynamics, "evolve_trajectory")
     counted(protocol, "field_kraus")
     counted(dynamics, "coherent_state")
@@ -121,11 +129,15 @@ def test_decoherence_scan_prepares_and_damps_once(tmp_path, monkeypatch):
         "alpha": 1.5, "delays": {"t_start": 0.0, "t_end": 2.0, "steps": 9}})
     assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     # one preparation (its probe builds the Kraus amplitudes), one damping
-    # pass carrying both branches, one Born rule for every delay, |+-alpha>
-    # built once
-    assert calls == {"prepare_cat": 1, "_damp": 1, "evolve_trajectory": 0,
-                     "field_kraus": 2, "coherent_state": 2}
-    assert branches == [2]
+    # pass over both branches that stops after their populations, one Born
+    # rule for every delay, one pass over the e branch's diagonals for
+    # trajectory.csv, |+-alpha> built once, and no matrix stack
+    assert calls == {"protocol.prepare_cat": 1, "protocol._diagonals": 1,
+                     "dynamics._diagonals": 1, "dynamics.evolve_trajectory": 0,
+                     "protocol.field_kraus": 2, "dynamics.coherent_state": 2}
+    assert drawn["protocol._diagonals"] == (2, [0])
+    batch, diagonals = drawn["dynamics._diagonals"]
+    assert batch == 1 and diagonals[0] == 0 and len(diagonals) > 1
 
 
 def _cat_parity_closed_form(alpha, psi1, kappa, n_th, t):
@@ -147,7 +159,7 @@ def _cat_parity_closed_form(alpha, psi1, kappa, n_th, t):
     return total.real
 
 
-@pytest.mark.parametrize("n_th, dim", [(0.05, None), (0.4, None), (1.0, 45)])
+@pytest.mark.parametrize("n_th, dim", [(0.05, None), (0.4, None), (1.0, 45), (1.0, None)])
 def test_thermal_decoherence_scan_matches_closed_form(tmp_path, n_th, dim):
     alpha, kappa = np.sqrt(5.0), 1.0
     payload = {"alpha": alpha, "kappa": kappa, "n_thermal": n_th,
@@ -165,9 +177,11 @@ def test_thermal_decoherence_scan_matches_closed_form(tmp_path, n_th, dim):
 
 
 def test_thermal_scan_beyond_its_truncation_exit_code(tmp_path):
-    # at n_th = 1.0 the default dim 31 leaves 1.03e-8 on the top Fock level and
-    # read 1.7e-9 off the closed form; dim 45 (above) reads it to 1e-13
-    cfg = write_config(tmp_path, "c.json", {"alpha": float(np.sqrt(5.0)), "n_thermal": 1.0})
+    # at n_th = 1.0 dim 31 (the default at n_th = 0) leaves 1.03e-8 on the top
+    # Fock level and read 1.7e-9 off the closed form; dim 45 (above) reads it
+    # to 1e-13, and so does the thermal default (above)
+    cfg = write_config(tmp_path, "c.json", {"alpha": float(np.sqrt(5.0)), "n_thermal": 1.0,
+                                            "dim": 31})
     assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 

@@ -13,7 +13,6 @@ from cavitylab import (
     TimeGrid,
     cat_coherence,
     cat_state,
-    coherence_series,
     coherent_state,
     decoherence_time,
     evolve,
@@ -23,9 +22,28 @@ from cavitylab import (
     separation_measure,
     vacuum,
 )
-from cavitylab.dynamics import _diagonal_generator, _expm, _step_groups, fit_coherence_decay
+from cavitylab.dynamics import (
+    _diagonal_generator,
+    _diagonals,
+    _expm,
+    _step_groups,
+    coherence_trajectory,
+    fit_coherence_decay,
+)
 
 MODEL = DampingModel(kappa=1.0)
+
+
+def coherence_series(states, alpha):
+    """cat_coherence of each state of a trajectory by the matrix path:
+    <alpha| rho |-alpha> from the full matrices, an oracle for the
+    diagonal-by-diagonal ``coherence_trajectory``."""
+    spec = states[0].spec
+    plus = coherent_state(spec, alpha).amplitudes
+    minus = coherent_state(spec, -alpha).amplitudes
+    element = (np.stack([r.matrix for r in states]) @ minus) @ plus.conj()
+    ceiling = (1.0 + np.exp(-2.0 * abs(alpha) ** 2)) / 2.0
+    return np.abs(element) / ceiling
 
 
 def test_damping_model_validation():
@@ -302,6 +320,66 @@ def test_coherence_series_matches_pointwise_witness():
     series = coherence_series(traj, alpha)
     for w, rho_t in zip(series, traj):
         assert abs(w - cat_coherence(rho_t, alpha)) < 1e-15
+
+
+def _damped_cat_closed_form(alpha, psi1, kappa, t):
+    """cat_coherence and <n> of the cat N(|alpha> + e^{i psi1}|-alpha>) damped
+    at n_th = 0, summed over its coherent dyads |b><c|, each of which
+    damps to <c|b>^{1 - s^2} |b s><c s| with s = e^{-kappa t/2} (Walls &
+    Milburn, Quantum Optics)."""
+    s = np.exp(-kappa * np.asarray(t, dtype=float) / 2)
+
+    def overlap(a, b):  # <a|b> for coherent amplitudes
+        return np.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + np.conj(a) * b)
+
+    amps = {alpha: 1.0, -alpha: np.exp(1j * psi1)}
+    norm2 = 1.0 / (2.0 * (1.0 + np.cos(psi1) * np.exp(-2.0 * abs(alpha) ** 2)))
+    element, mean_n = 0.0, 0.0
+    for b, cb in amps.items():
+        for c, cc in amps.items():
+            weight = norm2 * cb * np.conj(cc) * overlap(c, b) ** (1 - s ** 2)
+            element = element + weight * overlap(alpha, b * s) * overlap(c * s, -alpha)
+            mean_n = mean_n + weight * np.conj(c) * b * s ** 2 * overlap(c * s, b * s)
+    ceiling = (1.0 + np.exp(-2.0 * abs(alpha) ** 2)) / 2.0
+    return np.abs(element) / ceiling, mean_n.real
+
+
+def test_coherence_trajectory_matches_damped_odd_cat_closed_form():
+    # dim 70 leaves the |alpha|^2 = 5 cat no tail at double precision
+    alpha, kappa = np.sqrt(5.0), 1.3
+    times = np.linspace(0.0, 3.0, 31)
+    rho0 = pure_to_density(cat_state(HilbertSpec(70), alpha, np.pi))
+    coherence, mean_n, trace = coherence_trajectory(rho0, DampingModel(kappa), times, alpha)
+    want_c, want_n = _damped_cat_closed_form(alpha, np.pi, kappa, times)
+    np.testing.assert_allclose(coherence, want_c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mean_n, want_n, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace, 1.0, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_thermal", [0.05, 0.4, 1.0])
+def test_thermal_coherence_trajectory_matches_matrix_path(n_thermal):
+    alpha, dim = np.sqrt(5.0), 40
+    model = DampingModel(kappa=1.0, n_thermal=n_thermal)
+    times = np.linspace(0.0, 2.0, 21)
+    rho0 = DensityOperator(_cat_matrix(dim, alpha * np.exp(0.4j), np.pi))
+    coherence, mean_n, trace = coherence_trajectory(rho0, model, times, alpha)
+    traj = evolve_trajectory(rho0, model, times)
+    np.testing.assert_allclose(coherence, coherence_series(traj, alpha), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(mean_n, [r.mean_photon() for r in traj], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(trace, [r.trace().real for r in traj], rtol=0, atol=1e-14)
+
+
+def test_zero_diagonal_skip_returns_the_populations_exactly():
+    # damping carries the populations apart from the coherences, so a
+    # diagonal input is carried as diagonal 0 alone, with the same numbers
+    rho0 = _cat_matrix(30, 1.8, 0.0)
+    times = np.linspace(0.0, 2.0, 9)
+    model = DampingModel(kappa=1.0, n_thermal=0.2)
+    diag = np.diag(np.diag(rho0))
+    assert [k for k, _ in _diagonals(diag[None], model, times)] == [0]
+    full = evolve_trajectory(DensityOperator(rho0), model, times)
+    for rho_t, pop_t in zip(full, evolve_trajectory(DensityOperator(diag), model, times)):
+        assert np.array_equal(pop_t.matrix, np.diag(np.diag(rho_t.matrix)))
 
 
 def test_decoherence_time_formula():

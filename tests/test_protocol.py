@@ -114,6 +114,17 @@ def test_two_pulses_make_a_pi_pulse():
         assert branches["e"].probability < 1e-24
 
 
+def test_probe_defaults_to_the_parity_angles_of_its_variant():
+    # the coherent state's W(0) = 2 e^{-2|alpha|^2}; read at the dispersive
+    # angles the opposite probe gave P_e = 1 for every field
+    alpha = 1.1 * np.exp(0.7j)
+    field = coherent_state(HilbertSpec(20), alpha)
+    for variant in ("dispersive", "opposite"):
+        branches = probe_atom(field, variant=variant)
+        assert abs(branches["g"].probability - branches["e"].probability
+                   - np.exp(-2.0 * abs(alpha) ** 2)) < 1e-12
+
+
 def test_parity_angles_weigh_photon_numbers_by_parity():
     # the readouts run at these angles unchecked, so their weights
     # |m_g|^2 - |m_e|^2 must be (-1)^n on every photon number a readout can
@@ -356,26 +367,32 @@ def test_correlation_curve_monotone_with_plateau():
 
 
 def test_scan_hands_back_its_branch_trajectories():
+    # the scan keeps each first-atom field at zero delay; its rows read the
+    # populations of that field's damping trajectory
     alpha, spec = 1.5, HilbertSpec(26)
     delays = [0.0, 0.1, 0.35]
     scan = two_atom_scan(alpha, delays, MODEL, spec)
     first = prepare_cat(alpha, spec)
     for o in ("e", "g"):
-        want = evolve_trajectory(first[o].field(), MODEL, delays)
-        for got, ref in zip(scan.trajectories[o], want):
-            # one product over both branches rounds apart from one over each
-            np.testing.assert_allclose(got.matrix, ref.matrix, rtol=0, atol=1e-15)
-        assert (getattr(scan[1], f"p_e2_given_{o}1")
-                == probe_atom(want[1], CFG)["e"].probability)
+        assert np.array_equal(scan.fields[o].matrix, first[o].field().matrix)
+        want = evolve_trajectory(scan.fields[o], MODEL, delays)
+        for k, ref in enumerate(want):
+            assert (getattr(scan[k], f"p_e2_given_{o}1")
+                    == probe_atom(ref, CFG)["e"].probability)
     assert [row.delay for row in scan] == delays and len(scan) == 3
-    # a degenerate first-atom branch has no trajectory and reads nan
+    # a degenerate first-atom branch has no field and reads nan
     vac = two_atom_scan(0.0, [0.0, 0.2], MODEL, HilbertSpec(8))
-    assert set(vac.trajectories) == {"g"} and np.isnan(vac[1].p_e2_given_e1)
+    assert set(vac.fields) == {"g"} and np.isnan(vac[1].p_e2_given_e1)
 
 
 def test_two_atom_rejects_negative_delay():
     with pytest.raises(DomainError):
         two_atom_scan(1.0, [-0.5], MODEL)
+
+
+def test_two_atom_scan_refuses_an_empty_delay_list():
+    with pytest.raises(DomainError):
+        two_atom_scan(1.0, [], MODEL)
 
 
 def test_branch_probabilities_sum_to_one():
