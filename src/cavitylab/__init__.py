@@ -54,11 +54,9 @@ from .dynamics import (
 )
 from .protocol import (
     ConditionalTable,
-    ProtocolConfig,
     TwoAtomScan,
     detection_probabilities,
     field_kraus,
-    parity_config,
     prepare_cat,
     probe_atom,
     two_atom_scan,

@@ -198,12 +198,15 @@ def resolve_config(experiment: str, raw: dict) -> dict:
             **raw}
 
 
-def _build_state(state_cfg: dict, dim_override) -> tuple[fock.DensityOperator, float]:
-    """Returns (density operator, phase-space amplitude scale for grid defaults)."""
+def _build_state(cfg: dict) -> tuple[fock.DensityOperator, float]:
+    """Returns (density operator, phase-space amplitude scale for grid defaults)
+    of an experiment's `state`, in its `dim` or by default in a truncation
+    that allows for the thermal photons of its damping, if any."""
+    state_cfg = cfg["state"]
     kind, n = state_cfg["kind"], state_cfg.get("n", 1)
     alpha = _parse_alpha(state_cfg.get("alpha", 0.0))  # vacuum and fock take none
     scale = float(np.sqrt(n)) if kind == "fock" else abs(alpha)
-    dim = dim_override or fock.default_dim(max(scale, 1.0))
+    dim = cfg["dim"] or fock.default_dim(max(scale, 1.0), cfg.get("n_thermal", 0.0))
     spec = fock.HilbertSpec(dim)
     if kind == "vacuum":
         rho = fock.pure_to_density(fock.vacuum(spec))
@@ -362,13 +365,13 @@ def _run_decoherence_scan(cfg: dict, writer: ArtifactWriter) -> None:
 
 
 def _run_wigner_map(cfg: dict, writer: ArtifactWriter) -> None:
-    rho, scale = _build_state(cfg["state"], cfg["dim"])
+    rho, scale = _build_state(cfg)
     grid = _build_grid(cfg["grid"], scale)
     _write_map(writer, "wigner_map", wigner.wigner_map(rho, grid))
 
 
 def _run_tomography(cfg: dict, writer: ArtifactWriter) -> None:
-    rho, scale = _build_state(cfg["state"], cfg["dim"])
+    rho, scale = _build_state(cfg)
     grid = _build_grid(cfg["grid"], scale)
     angles = tomo.uniform_angles(cfg["angles"])
     q_range = cfg["q_range"] or tomo._default_q_range(rho)
@@ -400,7 +403,7 @@ def _run_tomography(cfg: dict, writer: ArtifactWriter) -> None:
 
 
 def _run_direct_map(cfg: dict, writer: ArtifactWriter) -> None:
-    rho, scale = _build_state(cfg["state"], cfg["dim"])
+    rho, scale = _build_state(cfg)
     grid = _build_grid(cfg["grid"], scale)
     variant = "opposite" if cfg["variant"] == "opposite-shift" else "dispersive"
     wmap = direct.scan_map(rho, grid, variant=variant)
@@ -408,7 +411,7 @@ def _run_direct_map(cfg: dict, writer: ArtifactWriter) -> None:
 
 
 def _run_direct_monitor(cfg: dict, writer: ArtifactWriter) -> None:
-    rho, _ = _build_state(cfg["state"], cfg["dim"])
+    rho, _ = _build_state(cfg)
     model = dynamics.DampingModel(kappa=cfg["kappa"], n_thermal=cfg["n_thermal"])
     times = _times_array(cfg["times"])
     points = direct.monitor_origin(rho, model, times, n_shots=cfg["n_shots"],

@@ -5,8 +5,8 @@ the detection probabilities.
 Defining identity (the module's executable contract): the atom reads the
 field through the weights w(n) = |m_g(n)|^2 - |m_e(n)|^2 of its Kraus
 operators (``protocol.field_kraus``), so P_g - P_e = Tr[D rho D^dag diag(w)].
-Every readout runs its variant at the angles of ``protocol.parity_config``,
-where w is the photon-number parity (-1)^n, so
+Every variant runs at its parity angles, where w is exactly the
+photon-number parity (-1)^n, so
     P_g - P_e = W(-alpha, -alpha*) / 2,
 and 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  The
 pointwise readouts inject with the exact elements <n|D(alpha)|j> (their
@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from . import protocol
-from .dynamics import DampingModel, evolve_trajectory
+from .dynamics import DampingModel, _check_top_level, evolve_trajectory
 from .errors import DomainError, NoDetectionError
 from .fock import DensityOperator, radial_rows, require_hermitian
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
@@ -85,11 +85,10 @@ def direct_point_exact(rho0: DensityOperator, alpha: complex,
     origin only (alpha = 0, DomainError otherwise) of a field supported on
     n <= 1 (SubspaceError).
     """
-    config = protocol.parity_config(variant)
     if variant == "resonant-2pi" and alpha != 0:
         raise DomainError("the resonant variant measures the origin only (alpha = 0)")
     p_e, p_g = map(float, protocol.detection_probabilities(_populations(rho0, alpha),
-                                                           config, variant))
+                                                           variant))
     return MeasurementRecord(alpha, p_e, p_g, 0, 0, 2.0 * (p_g - p_e), 0.0)
 
 
@@ -132,8 +131,8 @@ def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
     reflected grid, flipped back onto `grid`, in rho0's own dimension.  The
     ``"resonant-2pi"`` variant reads the origin only (DomainError).
     """
-    protocol.parity_config(variant)  # ValueError for an unknown variant
-    if variant == "resonant-2pi":
+    if variant not in ("dispersive", "opposite"):
+        protocol.field_kraus(variant, 0)  # ValueError for an unknown variant
         raise DomainError("the resonant variant measures the origin only (alpha = 0)")
     exact = wigner_map(rho0, grid.reflected())
     return WignerMap(grid, exact.values[::-1, ::-1], provenance="measured-direct",
@@ -157,14 +156,15 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     them apart from the coherences, so the trajectory is that of diag(rho0)
     and every time is read by one Born-rule call.  For an even cat the
     series starts near +2, collapses toward 0 on the decoherence timescale,
-    and climbs back to +2 as the field empties.
+    and climbs back to +2 as the field empties.  Raises TruncationError when
+    the damped populations put more than 1e-8 on the top Fock level.
     """
     times = np.asarray(times, dtype=float)
     diag = np.diag(np.diag(require_hermitian(rho0)).real)
     traj = evolve_trajectory(DensityOperator(diag), model, times)
-    p_e, p_g = protocol.detection_probabilities(
-        np.array([rho_t.diagonal() for rho_t in traj]).reshape(times.size, rho0.dim),
-        protocol.parity_config("dispersive"), "dispersive")
+    pops = np.array([rho_t.diagonal() for rho_t in traj]).reshape(times.size, rho0.dim)
+    _check_top_level(pops)
+    p_e, p_g = protocol.detection_probabilities(pops, "dispersive")
     seq = SeedSequence(seed).spawn(times.size) if n_shots > 0 else None
     out = []
     for k, (t, pe, pg) in enumerate(zip(times.tolist(), p_e.tolist(), p_g.tolist())):

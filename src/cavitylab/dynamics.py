@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError, IntegrationError, TruncationError
 from .fock import DensityOperator, HilbertSpec, coherent_state, require_hermitian
 
 # exact in the 2019 SI
@@ -185,6 +185,16 @@ def _diagonals(mats: np.ndarray, model: DampingModel, times):
             x = np.dot(props[g], x, out=xs[i])
         # contiguous, so a sum along each row rounds as it does for one matrix
         yield k, np.ascontiguousarray(np.moveaxis(xs[..., :nb] + 1j * xs[..., nb:], -1, 0))
+
+
+def _check_top_level(pops: np.ndarray) -> None:
+    """Refuse damped populations, shape (..., dim), that hold more than 1e-8
+    on the top Fock level anywhere: the truncation is too small for the
+    damping (TruncationError)."""
+    top = float(np.max(pops[..., -1]))
+    if top > 1e-8:
+        raise TruncationError(f"damped field holds {top:.3e} > 1e-8 on its top Fock level "
+                              f"(dim {pops.shape[-1]}); increase dim")
 
 
 def evolve_trajectory(rho: DensityOperator, model: DampingModel, times) -> list[DensityOperator]:

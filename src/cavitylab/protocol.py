@@ -10,14 +10,15 @@ M_s = diag(m_s(n)) built by ``field_kraus``:
 
 Pulse convention (fixed throughout): each Ramsey zone applies
     |e> -> (|e> + |g>)/sqrt(2),   |g> -> (-|e> + |g>)/sqrt(2),
-so two zones on an empty cavity act as a pi pulse, e -> g.  A nonzero
-`eta` inserts the relative phase e^{i eta} on |e> just before the second
-zone.
+so two zones on an empty cavity act as a pi pulse, e -> g.  A dephasing
+eta puts the relative phase e^{i eta} on |e> just before the second zone.
 
-Cat preparation, the two-atom monitor and the direct readouts measure
-photon-number parity: they run each variant at the angles of
-``parity_config``, where the weights |m_g(n)|^2 - |m_e(n)|^2 equal (-1)^n
-(the tests check this to 1e-12 for n < 2^19).
+Every reader of an atom (cat preparation, the two-atom monitor, the
+direct readouts) measures photon-number parity, so each variant runs at
+the one pair of angles (phi, eta) at which its weights
+|m_g(n)|^2 - |m_e(n)|^2 equal (-1)^n.  There every arm phase is a quarter
+turn, and ``field_kraus`` writes the amplitudes exactly: the weights are
+(-1)^n with no rounding (the tests check every n < 2^19).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DampingModel, _diagonals
-from .errors import DegenerateBranchError, DomainError, SubspaceError, TruncationError
+from .dynamics import DampingModel, _check_top_level, _diagonals
+from .errors import DegenerateBranchError, DomainError, SubspaceError
 from .fock import (
     DensityOperator,
     FieldState,
@@ -43,66 +44,41 @@ from .fock import (
 _E, _G = 0, 1  # atom level indices
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Per-photon conditional phase and R2 dephasing."""
-
-    phi: float = np.pi
-    eta: float = 0.0
-
-    def __post_init__(self):
-        for name in ("phi", "eta"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+# e^{i pi k / 2} for k = 0, 1, 2, 3: a quarter-turn phase, exact
+_QUARTER = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-# one Ramsey zone in the (e, g) basis, by the pulse convention above
-_ZONE = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-
-
-def field_kraus(config: ProtocolConfig, variant: str, dim: int) -> np.ndarray:
+def field_kraus(variant: str, dim: int) -> np.ndarray:
     """Kraus amplitudes m[s, n] (s = 0 for e, 1 for g) of one atom crossing
-    R1 -> interaction -> R2 in a field truncated to `dim`:
-    m = R2 . diag(f[:, n]) . R1|e>, where f[s, n] is the phase the
-    interaction puts on atom level s with n photons.
+    R1 -> interaction -> R2 at the angles where `variant` reads photon-number
+    parity, in a field truncated to `dim`.  With arm_s(n) the phase that
+    the atom's |s> arm carries between the zones (|e>'s including the R2
+    dephasing e^{i eta}), the pulse convention gives
+    m = R2 . diag(arm) . R1|e> = (arm_e - arm_g, arm_e + arm_g) / 2.
 
-    * ``"dispersive"``: e^{i phi n} on |e>, nothing on |g>.
+    * ``"dispersive"`` (phi = pi, eta = 0): arm_e = (-1)^n, arm_g = 1.
     * ``"opposite"``: dispersive shifts of opposite sign, e^{-i phi n} on
-      |g> and e^{+i phi n} on |e> times the constant differential Stark
-      phase e^{-i phi}.  That constant is what makes the phi = pi/2 shift,
-      read out with an eta = pi/2 dephasing on the second zone, reproduce
-      the standard phi = pi conditional-parity measurement.
-    * ``"resonant-2pi"``: sign flip of |e>|1>; exact only on n <= 1.
+      |g> and e^{i eta} e^{i phi (n - 1)} on |e>, the e^{-i phi} being the
+      constant differential Stark phase.  At phi = eta = pi/2 this reads
+      the same parity as the pi-dispersive probe (Lutterbach & Davidovich,
+      PRL 78, 2547 (1997)): arm_e = i^n, arm_g = (-i)^n.
+    * ``"resonant-2pi"`` (eta = 0): sign flip of |e>|1> only; exact only on
+      n <= 1.
+
+    The arm phases are quarter turns read from a table, not ``np.exp``, so
+    every amplitude is exactly 0, +-1 or +-i.
     """
     n = np.arange(dim)
     if variant == "dispersive":
-        f = np.stack([np.exp(1j * config.phi * n), np.ones(dim)])
+        turns = (2 * n, 0 * n)
     elif variant == "opposite":
-        f = np.stack([np.exp(1j * config.phi * (n - 1)), np.exp(-1j * config.phi * n)])
+        turns = (n, -n)
     elif variant == "resonant-2pi":
-        f = np.ones((2, dim), dtype=complex)
-        f[_E, 1] = -1.0
+        turns = (2 * (n == 1), 0 * n)
     else:
         raise ValueError(f"unknown interaction variant {variant!r}")
-    r2 = _ZONE @ np.diag([np.exp(1j * config.eta), 1.0])
-    return r2 @ (f * _ZONE[:, _E, None])
-
-
-# the angles at which each variant reads photon-number parity; the opposite
-# shift reproduces the pi-dispersive readout at phi = eta = pi/2 (Lutterbach
-# & Davidovich, PRL 78, 2547 (1997)), and phi does not enter the resonant one
-_PARITY = {
-    "dispersive": ProtocolConfig(phi=np.pi, eta=0.0),
-    "opposite": ProtocolConfig(phi=np.pi / 2, eta=np.pi / 2),
-    "resonant-2pi": ProtocolConfig(eta=0.0),
-}
-
-
-def parity_config(variant: str) -> ProtocolConfig:
-    """The angles at which `variant` measures photon-number parity."""
-    if variant not in _PARITY:
-        raise ValueError(f"unknown interaction variant {variant!r}")
-    return _PARITY[variant]
+    arm_e, arm_g = _QUARTER[np.array(turns) % 4]
+    return 0.5 * np.stack([arm_e - arm_g, arm_e + arm_g])
 
 
 @dataclass(frozen=True)
@@ -122,14 +98,13 @@ class Branch:
         return self.field_after
 
 
-def detection_probabilities(pops: np.ndarray, config: ProtocolConfig,
-                            variant: str) -> tuple:
+def detection_probabilities(pops: np.ndarray, variant: str) -> tuple:
     """Born rule of one atom reading fields with photon-number populations
     `pops`, shape (..., dim): (P_e, P_g), each of shape (...), with
     P_s = sum_n |m_s(n)|^2 pops_n and m from ``field_kraus``.  The resonant
     probe is exact only on n <= 1, so it refuses (SubspaceError) any field
     with more than 1e-8 population above one photon."""
-    return _born(field_kraus(config, variant, pops.shape[-1]), pops, variant)
+    return _born(field_kraus(variant, pops.shape[-1]), pops, variant)
 
 
 def _born(m: np.ndarray, pops: np.ndarray, variant: str) -> tuple:
@@ -145,17 +120,14 @@ def _born(m: np.ndarray, pops: np.ndarray, variant: str) -> tuple:
     return (pops * np.abs(m[_E]) ** 2).sum(-1), (pops * np.abs(m[_G]) ** 2).sum(-1)
 
 
-def probe_atom(field, config: ProtocolConfig | None = None,
-               variant: str = "dispersive") -> dict[str, Branch]:
+def probe_atom(field, variant: str = "dispersive") -> dict[str, Branch]:
     """Send one atom (prepared in |e>) through R1 -> interaction -> R2 -> detector;
-    returns both branches with Born probabilities and post-measurement fields.
-    The angles default to the variant's parity angles (``parity_config``)."""
-    config = config or parity_config(variant)
+    returns both branches with Born probabilities and post-measurement fields."""
     if isinstance(field, FieldState):
         field = pure_to_density(field)
     elif not isinstance(field, DensityOperator):
         raise TypeError(f"field must be FieldState or DensityOperator, got {type(field)}")
-    m = field_kraus(config, variant, field.dim)
+    m = field_kraus(variant, field.dim)
     probs = _born(m, field.diagonal(), variant)
     out = {}
     for idx, name in ((_E, "e"), (_G, "g")):
@@ -173,7 +145,7 @@ def prepare_cat(alpha: complex, spec: HilbertSpec | None = None) -> dict[str, Br
     cat (psi1 = pi), with probabilities (1 +- e^{-2|alpha|^2})/2.
     """
     spec = spec or HilbertSpec(default_dim(abs(alpha)))
-    return probe_atom(coherent_state(spec, alpha), _PARITY["dispersive"])
+    return probe_atom(coherent_state(spec, alpha))
 
 
 @dataclass(frozen=True)
@@ -224,11 +196,8 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
     # diagonal 0 comes first and is never zero in a field of unit trace
     pops = next(_diagonals(np.stack([require_hermitian(f) for f in fields.values()]),
                            model, delays))[1].real
-    top = float(np.max(pops[..., -1]))
-    if top > 1e-8:
-        raise TruncationError(f"damped field holds {top:.3e} > 1e-8 on its top Fock level "
-                              f"(dim {pops.shape[-1]}); increase dim")
-    p_e, p_g = detection_probabilities(pops, _PARITY["dispersive"], "dispersive")
+    _check_top_level(pops)
+    p_e, p_g = detection_probabilities(pops, "dispersive")
     nan = [np.nan] * delays.size
     cond = {o: (nan, nan) for o in ("e", "g")}
     cond.update({o: (p_e[b].tolist(), p_g[b].tolist()) for b, o in enumerate(fields)})

@@ -138,6 +138,8 @@ def test_decoherence_scan_prepares_and_damps_once(tmp_path, monkeypatch):
     assert drawn["protocol._diagonals"] == (2, [0])
     batch, diagonals = drawn["dynamics._diagonals"]
     assert batch == 1 and diagonals[0] == 0 and len(diagonals) > 1
+    # the odd cat's odd diagonals are exactly zero, so the pass skips them
+    assert all(k % 2 == 0 for k in diagonals)
 
 
 def _cat_parity_closed_form(alpha, psi1, kappa, n_th, t):
@@ -183,6 +185,27 @@ def test_thermal_scan_beyond_its_truncation_exit_code(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"alpha": float(np.sqrt(5.0)), "n_thermal": 1.0,
                                             "dim": 31})
     assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_thermal_direct_monitor_matches_closed_form(tmp_path):
+    # the default truncation allows for the thermal photons (dim 38, 2e-11
+    # off the closed form); the coherent rule's dim 26 leaves up to 1.4e-7
+    # on the top Fock level, read W(0) 9e-8 off it and is refused (below)
+    alpha, kappa, n_th = 2.0, 1.0, 1.0
+    cfg = write_config(tmp_path, "c.json", {
+        "state": {"kind": "cat", "alpha": alpha, "psi1": 0.0}, "kappa": kappa,
+        "n_thermal": n_th, "times": {"t_start": 0.0, "t_end": 2.0, "steps": 21}})
+    assert run_cli(["direct-monitor", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    _, body = read_csv(tmp_path / "o" / "direct_monitor.csv")
+    t, w0 = np.array(body)[:, :2].T
+    np.testing.assert_allclose(w0, 2 * _cat_parity_closed_form(alpha, 0.0, kappa, n_th, t),
+                               rtol=0, atol=1e-9)
+
+
+def test_thermal_direct_monitor_beyond_its_truncation_exit_code(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "state": {"kind": "cat", "alpha": 2.0, "psi1": 0.0}, "n_thermal": 1.0, "dim": 26})
+    assert run_cli(["direct-monitor", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_single_bin_tomography_exit_code(tmp_path):

@@ -8,7 +8,6 @@ from cavitylab import (
     DomainError,
     FieldState,
     HilbertSpec,
-    ProtocolConfig,
     SubspaceError,
     cat_state,
     coherent_state,
@@ -18,7 +17,6 @@ from cavitylab import (
     field_kraus,
     fock_state,
     mix,
-    parity_config,
     prepare_cat,
     probe_atom,
     pure_to_density,
@@ -27,7 +25,6 @@ from cavitylab import (
 )
 from cavitylab.fock import MAX_DISPLACED_ENTRIES
 
-CFG = ProtocolConfig()
 MODEL = DampingModel(kappa=1.0)
 VARIANTS = ("dispersive", "opposite", "resonant-2pi")
 
@@ -38,16 +35,24 @@ def arms(m):
     return m[1] + m[0], m[1] - m[0]
 
 
-def joint_oracle(rho, config, variant):
+# the parity angles (phi, eta) of each variant: pi-dispersive, the opposite
+# shift of Lutterbach & Davidovich (PRL 78, 2547 (1997)), and the resonant
+# 2pi probe, which phi does not enter
+PARITY_ANGLES = {"dispersive": (np.pi, 0.0), "opposite": (np.pi / 2, np.pi / 2),
+                 "resonant-2pi": (None, 0.0)}
+
+
+def joint_oracle(rho, variant):
     """Brute-force probe: the 2d x 2d atom (x) field density (atom index
-    first, e before g), evolved by R1, the conditional phases and R2 built
-    from the protocol docstring's pulse convention, then projected."""
+    first, e before g), evolved by R1, the conditional phases at the
+    variant's parity angles and R2 built from the protocol docstring's pulse
+    convention, then projected."""
     d = rho.dim
     n = np.arange(d)
+    phi, eta = PARITY_ANGLES[variant]
     # |e> -> (|e> + |g>)/sqrt2, |g> -> (-|e> + |g>)/sqrt2
     r1 = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-    r2 = r1 @ np.diag([np.exp(1j * config.eta), 1.0])
-    phi = config.phi
+    r2 = r1 @ np.diag([np.exp(1j * eta), 1.0])
     if variant == "dispersive":
         f_e, f_g = np.exp(1j * phi * n), np.ones(d)
     elif variant == "opposite":
@@ -81,14 +86,13 @@ def test_probe_matches_joint_density_oracle():
         dim = int(rng.integers(2, 24))
         rank = int(rng.integers(1, 4))
         rho = random_mixed(rng, dim, rank, support=2 if variant == "resonant-2pi" else None)
-        cfg = ProtocolConfig(*rng.uniform(-np.pi, np.pi, size=2))
-        m = field_kraus(cfg, variant, dim)
-        assert np.max(np.abs(np.sum(np.abs(m) ** 2, axis=0) - 1.0)) < 1e-12
+        m = field_kraus(variant, dim)
+        assert np.array_equal(np.sum(np.abs(m) ** 2, axis=0), np.ones(dim))
         field = rho
         if rank == 1:  # pure input goes through the FieldState path
             field = FieldState(np.linalg.eigh(rho.matrix)[1][:, -1])
-        branches = probe_atom(field, cfg, variant)
-        oracle = joint_oracle(rho, cfg, variant)
+        branches = probe_atom(field, variant)
+        oracle = joint_oracle(rho, variant)
         for s in ("e", "g"):
             p, post = oracle[s]
             assert abs(branches[s].probability - p) < 1e-12
@@ -96,20 +100,11 @@ def test_probe_matches_joint_density_oracle():
                 assert np.max(np.abs(branches[s].field().matrix - post)) < 1e-12
 
 
-def test_ramsey_splits_excited_atom():
-    # with no conditional phase the two balanced zones give the full-contrast
-    # Ramsey fringe P_e = sin^2(eta/2) for any field; eta = pi/2 splits 50/50
-    field = coherent_state(HilbertSpec(20), 1.1)
-    for eta in (0.0, 0.6, np.pi / 2, 2.5, np.pi):
-        branches = probe_atom(field, ProtocolConfig(phi=0.0, eta=eta))
-        assert abs(branches["e"].probability - np.sin(eta / 2) ** 2) < 1e-12
-
-
 def test_two_pulses_make_a_pi_pulse():
     # empty cavity: R1 then R2 send |e> to |g>, whatever the interaction
     vac = vacuum(HilbertSpec(6))
     for variant in VARIANTS:
-        branches = probe_atom(vac, parity_config(variant), variant)
+        branches = probe_atom(vac, variant)
         assert abs(branches["g"].probability - 1.0) < 1e-12
         assert branches["e"].probability < 1e-24
 
@@ -126,55 +121,50 @@ def test_probe_defaults_to_the_parity_angles_of_its_variant():
 
 
 def test_parity_angles_weigh_photon_numbers_by_parity():
-    # the readouts run at these angles unchecked, so their weights
-    # |m_g|^2 - |m_e|^2 must be (-1)^n on every photon number a readout can
-    # reach: radial_rows builds at most MAX_DISPLACED_ENTRIES / 2 rows
-    # (measured 4.4e-16); the resonant probe reads n <= 1 only
+    # the readouts take the weights |m_g|^2 - |m_e|^2 to be (-1)^n on every
+    # photon number they can reach: radial_rows builds at most
+    # MAX_DISPLACED_ENTRIES / 2 rows; the resonant probe reads n <= 1 only
     for variant, reach in (("dispersive", MAX_DISPLACED_ENTRIES // 2),
                            ("opposite", MAX_DISPLACED_ENTRIES // 2), ("resonant-2pi", 2)):
-        m = field_kraus(parity_config(variant), variant, reach)
+        m = field_kraus(variant, reach)
         w = np.abs(m[1]) ** 2 - np.abs(m[0]) ** 2
-        assert np.max(np.abs(w - (-1.0) ** np.arange(reach))) <= 1e-12
+        assert np.array_equal(w, (-1.0) ** np.arange(reach))
     with pytest.raises(ValueError, match="unknown interaction variant"):
-        parity_config("opposite-shift")
+        field_kraus("opposite-shift", 4)
 
 
 def test_ramsey_unitary():
-    # the Kraus operators of each variant resolve the identity
-    rng = np.random.default_rng(3)
+    # the Kraus operators of each variant resolve the identity exactly: every
+    # amplitude is 0, +-1 or +-i
     for variant in VARIANTS:
-        for _ in range(5):
-            m = field_kraus(ProtocolConfig(*rng.uniform(-4, 4, size=2)), variant, 20)
-            assert np.max(np.abs(np.sum(np.abs(m) ** 2, axis=0) - 1.0)) < 1e-12
+        m = field_kraus(variant, 20)
+        assert np.array_equal(np.sum(np.abs(m) ** 2, axis=0), np.ones(20))
+        assert np.isin(m, [0, 1, -1, 1j, -1j]).all()
 
 
 def test_dispersive_pi_rotates_coherent_on_excited_branch():
     # between the zones the |e> arm carries |-alpha>, the |g> arm |alpha>
     spec = HilbertSpec(26)
     amps = coherent_state(spec, 1.3).amplitudes
-    arm_e, arm_g = arms(field_kraus(CFG, "dispersive", 26))
+    arm_e, arm_g = arms(field_kraus("dispersive", 26))
     np.testing.assert_allclose(arm_e * amps, coherent_state(spec, -1.3).amplitudes, atol=1e-9)
     np.testing.assert_allclose(arm_g * amps, amps, atol=1e-15)
 
 
 def test_dispersive_identity_on_ground():
-    # closed form: m_e = (e^{i(phi n + eta)} - 1)/2, m_g = (e^{i(phi n + eta)} + 1)/2,
-    # the 1 being the untouched |g> arm
-    rng = np.random.default_rng(17)
-    n = np.arange(20)
-    for _ in range(5):
-        phi, eta = rng.uniform(-np.pi, np.pi, size=2)
-        m = field_kraus(ProtocolConfig(phi, eta), "dispersive", 20)
-        shifted = np.exp(1j * (phi * n + eta))
-        np.testing.assert_allclose(m[0], (shifted - 1) / 2, atol=1e-15)
-        np.testing.assert_allclose(m[1], (shifted + 1) / 2, atol=1e-15)
+    # closed form at phi = pi, eta = 0: m_e = ((-1)^n - 1)/2,
+    # m_g = ((-1)^n + 1)/2, the 1 being the untouched |g> arm
+    shifted = (-1.0) ** np.arange(20)
+    m = field_kraus("dispersive", 20)
+    np.testing.assert_array_equal(m[0], (shifted - 1) / 2)
+    np.testing.assert_array_equal(m[1], (shifted + 1) / 2)
 
 
 def test_even_cat_is_conditional_parity_eigenstate():
     spec = HilbertSpec(26)
     for psi1, outcome in ((0.0, "g"), (np.pi, "e")):
         cat = cat_state(spec, 1.4, psi1)
-        branches = probe_atom(cat, CFG)
+        branches = probe_atom(cat)
         assert abs(branches[outcome].probability - 1.0) < 1e-12
         assert branches[outcome].field().fidelity_pure(cat) >= 1 - 1e-12
 
@@ -182,48 +172,43 @@ def test_even_cat_is_conditional_parity_eigenstate():
 def test_opposite_shift_rotates_ground_branch():
     spec = HilbertSpec(26)
     amps = coherent_state(spec, 1.2).amplitudes
-    _, arm_g = arms(field_kraus(ProtocolConfig(phi=np.pi / 2), "opposite", 26))
+    _, arm_g = arms(field_kraus("opposite", 26))
     np.testing.assert_allclose(arm_g * amps, coherent_state(spec, -1.2j).amplitudes, atol=1e-9)
 
 
 def test_opposite_shift_branches_rotate_oppositely():
     # closed form: the |e> arm is e^{i eta} e^{i phi (n - 1)}, the |g> arm
-    # e^{-i phi n}; on a coherent state they rotate it by +-phi, the |e> arm
-    # with the constant Stark phase e^{i (eta - phi)}
+    # e^{-i phi n}; at phi = eta = pi/2 they are i^n and (-i)^n (products
+    # of i, so exact), and on a coherent state they rotate it by +-pi/2, the
+    # constant Stark phase e^{i (eta - phi)} being 1
     spec = HilbertSpec(26)
-    n = np.arange(26)
-    phi, eta = 0.7, 0.4
-    m = field_kraus(ProtocolConfig(phi, eta), "opposite", 26)
-    arm_e, arm_g = arms(m)
-    np.testing.assert_allclose(arm_e, np.exp(1j * (eta + phi * (n - 1))), atol=1e-15)
-    np.testing.assert_allclose(arm_g, np.exp(-1j * phi * n), atol=1e-15)
+    arm_e, arm_g = arms(field_kraus("opposite", 26))
+    np.testing.assert_array_equal(arm_e, np.cumprod([1.0] + [1j] * 25))
+    np.testing.assert_array_equal(arm_g, np.cumprod([1.0] + [-1j] * 25))
     amps = coherent_state(spec, 1.1).amplitudes
-    np.testing.assert_allclose(arm_e * amps, np.exp(1j * (eta - phi))
-                               * coherent_state(spec, 1.1 * np.exp(1j * phi)).amplitudes,
+    np.testing.assert_allclose(arm_e * amps, coherent_state(spec, 1.1j).amplitudes,
                                atol=1e-9)
-    np.testing.assert_allclose(arm_g * amps,
-                               coherent_state(spec, 1.1 * np.exp(-1j * phi)).amplitudes,
+    np.testing.assert_allclose(arm_g * amps, coherent_state(spec, -1.1j).amplitudes,
                                atol=1e-9)
 
 
 def test_resonant_2pi_sign_rules():
     # only |e>|1> changes sign; the |g> arm is untouched
-    eta = 0.8
-    arm_e, arm_g = arms(field_kraus(ProtocolConfig(eta=eta), "resonant-2pi", 8))
+    arm_e, arm_g = arms(field_kraus("resonant-2pi", 8))
     signs = np.ones(8)
     signs[1] = -1.0
-    np.testing.assert_allclose(arm_e, np.exp(1j * eta) * signs, atol=1e-15)
-    np.testing.assert_allclose(arm_g, np.ones(8), atol=1e-15)
+    np.testing.assert_array_equal(arm_e, signs)
+    np.testing.assert_array_equal(arm_g, np.ones(8))
 
 
 def test_resonant_2pi_equals_pi_shift_on_low_subspace():
     spec = HilbertSpec(9)
     amps = np.zeros(spec.dim, dtype=complex)
     amps[0], amps[1] = np.sqrt(0.3), np.sqrt(0.7) * np.exp(0.4j)
-    np.testing.assert_allclose(field_kraus(CFG, "resonant-2pi", 9)[:, :2],
-                               field_kraus(CFG, "dispersive", 9)[:, :2], atol=1e-15)
-    resonant = probe_atom(FieldState(amps), CFG, "resonant-2pi")
-    dispersive = probe_atom(FieldState(amps), CFG)
+    np.testing.assert_allclose(field_kraus("resonant-2pi", 9)[:, :2],
+                               field_kraus("dispersive", 9)[:, :2], atol=1e-15)
+    resonant = probe_atom(FieldState(amps), "resonant-2pi")
+    dispersive = probe_atom(FieldState(amps))
     for s in ("e", "g"):
         assert abs(resonant[s].probability - dispersive[s].probability) < 1e-12
         np.testing.assert_allclose(resonant[s].field().matrix,
@@ -233,7 +218,7 @@ def test_resonant_2pi_equals_pi_shift_on_low_subspace():
 def test_resonant_2pi_guards_subspace():
     spec = HilbertSpec(12)
     with pytest.raises(SubspaceError):
-        probe_atom(coherent_state(spec, 1.0), CFG, "resonant-2pi")
+        probe_atom(coherent_state(spec, 1.0), "resonant-2pi")
 
 
 def test_one_resonant_threshold_for_every_probe():
@@ -243,11 +228,11 @@ def test_one_resonant_threshold_for_every_probe():
         field = DensityOperator(np.diag([0.3, 0.7 - tail, tail, 0.0, 0.0, 0.0]))
         if refused:
             with pytest.raises(SubspaceError):
-                probe_atom(field, CFG, "resonant-2pi")
+                probe_atom(field, "resonant-2pi")
             with pytest.raises(SubspaceError):
                 direct_point_exact(field, 0.0, variant="resonant-2pi")
         else:
-            probe_atom(field, CFG, "resonant-2pi")
+            probe_atom(field, "resonant-2pi")
             direct_point_exact(field, 0.0, variant="resonant-2pi")
 
 
@@ -257,17 +242,17 @@ def test_stacked_populations_read_row_by_row():
     rng = np.random.default_rng(7)
     pops = rng.dirichlet(np.ones(12), size=(2, 3))
     for variant in ("dispersive", "opposite"):
-        p_e, p_g = detection_probabilities(pops, CFG, variant)
+        p_e, p_g = detection_probabilities(pops, variant)
         assert p_e.shape == p_g.shape == (2, 3)
         for i in np.ndindex(2, 3):
-            assert (p_e[i], p_g[i]) == detection_probabilities(pops[i], CFG, variant)
+            assert (p_e[i], p_g[i]) == detection_probabilities(pops[i], variant)
     low = np.zeros((3, 6))
     low[:, :2] = rng.dirichlet(np.ones(2), size=3)
-    p_e, p_g = detection_probabilities(low, CFG, "resonant-2pi")
+    p_e, p_g = detection_probabilities(low, "resonant-2pi")
     np.testing.assert_allclose(p_e + p_g, 1.0, rtol=0, atol=1e-15)
     low[1, :3] = [0.3, 0.7 - 1.5e-8, 1.5e-8]
     with pytest.raises(SubspaceError):
-        detection_probabilities(low, CFG, "resonant-2pi")
+        detection_probabilities(low, "resonant-2pi")
 
 
 def test_detection_after_entangling_projects_coherent_states():
@@ -275,12 +260,11 @@ def test_detection_after_entangling_projects_coherent_states():
     # so detection projects |alpha> onto its parity components
     spec = HilbertSpec(30)
     alpha = 1.7
-    m = field_kraus(CFG, "dispersive", 30)
+    m = field_kraus("dispersive", 30)
     even = np.arange(30) % 2 == 0
-    # e^{i pi n} carries a rounding error that grows like n * 1e-16
-    np.testing.assert_allclose(m[1], 1.0 * even, atol=1e-13)
-    np.testing.assert_allclose(m[0], -1.0 * ~even, atol=1e-13)
-    branches = probe_atom(coherent_state(spec, alpha), CFG)
+    np.testing.assert_array_equal(m[1], 1.0 * even)
+    np.testing.assert_array_equal(m[0], -1.0 * ~even)
+    branches = probe_atom(coherent_state(spec, alpha))
     amps = coherent_state(spec, alpha).amplitudes
     for outcome, part in (("g", amps * even), ("e", amps * ~even)):
         assert abs(branches[outcome].probability - np.vdot(part, part).real) < 1e-12
@@ -294,7 +278,7 @@ def test_detection_after_r2_projects_onto_cats():
     branches = prepare_cat(alpha, spec)
     overlap = np.exp(-2 * alpha ** 2)
     # branch probabilities equal the brute-force joint-state ones and (1 +- e^{-2|a|^2})/2
-    oracle = joint_oracle(pure_to_density(coherent_state(spec, alpha)), CFG, "dispersive")
+    oracle = joint_oracle(pure_to_density(coherent_state(spec, alpha)), "dispersive")
     assert abs(branches["g"].probability - oracle["g"][0]) < 1e-12
     assert abs(branches["g"].probability - (1 + overlap) / 2) < 1e-10
     assert abs(branches["e"].probability - (1 - overlap) / 2) < 1e-10
@@ -308,6 +292,20 @@ def test_prepare_cat_high_fidelity_alpha3():
     spec = HilbertSpec(46)
     branches = prepare_cat(3.0, spec)
     assert branches["g"].field().fidelity_pure(cat_state(spec, 3.0, 0.0)) >= 1 - 1e-9
+
+
+def test_prepared_cats_have_exact_zeros_on_odd_diagonals():
+    # each branch keeps one parity of photon numbers, and the Kraus
+    # amplitudes of the other are exactly 0, so every odd diagonal (one
+    # photon-number parity against the other) is exactly zero, and the
+    # damping pass can skip it
+    for alpha, dim in ((np.sqrt(5.0), 31), (3.0, 46), (1.5, 19)):
+        branches = prepare_cat(alpha, HilbertSpec(dim))
+        for outcome in ("e", "g"):
+            mat = branches[outcome].field().matrix
+            for k in range(1, dim, 2):
+                assert np.all(np.diagonal(mat, -k) == 0)
+                assert np.all(np.diagonal(mat, k) == 0)
 
 
 def test_prepare_cat_empty_cavity_is_deterministic():
@@ -343,7 +341,7 @@ def test_statistical_mixture_gives_even_odds():
     spec = HilbertSpec(55)
     mixture = mix([coherent_state(spec, alpha), coherent_state(spec, -alpha)],
                   [0.5, 0.5])
-    branches = probe_atom(mixture, CFG)
+    branches = probe_atom(mixture)
     assert abs(branches["e"].probability - 0.5) < 1e-9
 
 
@@ -378,7 +376,7 @@ def test_scan_hands_back_its_branch_trajectories():
         want = evolve_trajectory(scan.fields[o], MODEL, delays)
         for k, ref in enumerate(want):
             assert (getattr(scan[k], f"p_e2_given_{o}1")
-                    == probe_atom(ref, CFG)["e"].probability)
+                    == probe_atom(ref)["e"].probability)
     assert [row.delay for row in scan] == delays and len(scan) == 3
     # a degenerate first-atom branch has no field and reads nan
     vac = two_atom_scan(0.0, [0.0, 0.2], MODEL, HilbertSpec(8))
@@ -398,6 +396,6 @@ def test_two_atom_scan_refuses_an_empty_delay_list():
 def test_branch_probabilities_sum_to_one():
     spec = HilbertSpec(26)
     for field in (coherent_state(spec, 1.2), cat_state(spec, 1.0, 0.0)):
-        branches = probe_atom(field, CFG)
+        branches = probe_atom(field)
         total = branches["e"].probability + branches["g"].probability
         assert abs(total - 1.0) < 1e-10
