@@ -69,7 +69,6 @@ from .wigner import (
     marginal_distribution,
     moyal_average,
     pauli_counterexample,
-    photon_number_distribution,
     radon_of_map,
     wigner_map,
     wigner_point,

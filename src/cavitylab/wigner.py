@@ -10,8 +10,10 @@ cross-checked by the test suite:
   truncated state, so it runs in rho's own dimension with no displacement.
   Its costly radial part (a Laguerre recurrence) depends on |alpha| only:
   points are grouped by exactly equal x = 4|alpha|^2 and the recurrence
-  runs once per distinct radius; each point then sums its angular factors
-  e^{ik arg(alpha)} by Horner.
+  runs once per distinct radius, summing Re rho and (when nonzero) Im rho
+  in real arithmetic; each point then sums its angular factors
+  e^{ik arg(alpha)} by Horner.  Grid axes are exactly antisymmetric on
+  symmetric extents, so mirror points share one radius.
 * ``wigner_position`` -- the position-representation integral
   (1/2pi) int e^{ipx} <q-x/2| rho |q+x/2> dx, evaluated with Hermite
   functions and Gauss-Hermite quadrature, then rescaled by 2pi to the
@@ -47,7 +49,15 @@ BOUND = 2.0  # |W| <= 2 in this normalization
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Uniform rectangular grid in the quadrature plane (q1, q2)."""
+    """Uniform rectangular grid in the quadrature plane (q1, q2).
+
+    Each axis is c + h u_i with c and h the midpoint and half-width of its
+    extents and u_i = (2i - (n - 1))/(n - 1), its ends set to exactly the
+    extents.  On symmetric extents an axis is therefore bitwise
+    antisymmetric (axis == -axis[::-1], centre exactly 0.0 at odd n), so
+    mirror points share |alpha| exactly and share one radial recurrence in
+    the map kernel; a reflected grid's axes are the negated, reversed axes.
+    """
 
     q1_min: float
     q1_max: float
@@ -66,11 +76,17 @@ class PhaseSpaceGrid:
 
     @property
     def q1_axis(self) -> np.ndarray:
-        return np.linspace(self.q1_min, self.q1_max, self.n1)
+        return _axis(self.q1_min, self.q1_max, self.n1)
 
     @property
     def q2_axis(self) -> np.ndarray:
-        return np.linspace(self.q2_min, self.q2_max, self.n2)
+        return _axis(self.q2_min, self.q2_max, self.n2)
+
+    @property
+    def spacing(self) -> tuple[float, float]:
+        """The steps (dq1, dq2) between neighbouring nodes."""
+        return ((self.q1_max - self.q1_min) / (self.n1 - 1),
+                (self.q2_max - self.q2_min) / (self.n2 - 1))
 
     @property
     def corner_radius(self) -> float:
@@ -80,8 +96,7 @@ class PhaseSpaceGrid:
 
     @property
     def cell_area(self) -> float:
-        d1 = (self.q1_max - self.q1_min) / (self.n1 - 1)
-        d2 = (self.q2_max - self.q2_min) / (self.n2 - 1)
+        d1, d2 = self.spacing
         return d1 * d2
 
     def alpha_grid(self) -> np.ndarray:
@@ -93,6 +108,13 @@ class PhaseSpaceGrid:
     def reflected(self) -> "PhaseSpaceGrid":
         return PhaseSpaceGrid(-self.q1_max, -self.q1_min, -self.q2_max, -self.q2_min,
                               self.n1, self.n2)
+
+
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    u = (2.0 * np.arange(n) - (n - 1)) / (n - 1)
+    axis = (0.5 * lo + 0.5 * hi) + (0.5 * hi - 0.5 * lo) * u
+    axis[0], axis[-1] = lo, hi
+    return axis
 
 
 def default_grid(alpha_max: float, step: float = 0.075, pad: float = 4.0) -> PhaseSpaceGrid:
@@ -136,19 +158,25 @@ class WignerMap:
 # ---------------------------------------------------------------------------
 # Laguerre-series construction
 
-# distinct radii per radial block, times dim: keeps each
-# (dim, radii) work array near 4 MB however large the grid
+# distinct radii per radial block, times dim: keeps each real
+# (dim, radii) work array near 2 MB however large the grid
 _BLOCK = 1 << 18
 
 
-def _radial_sums(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _radial_sums(mat: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
     """S_k(x) = sum_n (-1)^n rho_{n,n+k} l_n^k(x) for every diagonal k < dim,
-    shape (dim, x.size)."""
+    as real arrays of shape (dim, x.size): [Re S], or [Re S, Im S] when rho
+    has an imaginary part.  Both sum on one real recurrence; an exactly
+    real rho has no Im pass."""
     dim = mat.shape[0]
+    signed = mat * (-1.0) ** np.arange(dim)[:, None]
+    parts = [signed.real] + ([signed.imag] if signed.imag.any() else [])
     ells = laguerre_functions(x, dim, dim)
-    sums = mat[0, :, None] * next(ells)
+    ell = next(ells)
+    sums = [part[0, :, None] * ell for part in parts]
     for n, ell in enumerate(ells, start=1):
-        sums[:dim - n] += (-1) ** n * mat[n, n:, None] * ell
+        for acc, part in zip(sums, parts):
+            acc[:dim - n] += part[n, n:, None] * ell
     return sums
 
 
@@ -167,8 +195,9 @@ def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
     on x alone.  The points are sorted by x and grouped by exact float
     equality (no tolerance, so every point sees the x it would have had on
     its own); the recurrence runs once per distinct x, in blocks of at most
-    _BLOCK // dim radii.  Each point then sums its angles by Horner in z.
-    Returns the values, shaped as `alphas`, and the number of distinct radii.
+    _BLOCK // dim radii, in real arithmetic.  Each point then sums its
+    angles by Horner in z.  Returns the values, shaped as `alphas`, and the
+    number of distinct radii.
     """
     mat = require_hermitian(rho)
     alphas = np.asarray(alphas, dtype=complex)
@@ -191,10 +220,11 @@ def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
         which = np.repeat(np.arange(runs.size - 1), np.diff(runs))
         z = np.exp(1j * np.angle(flat[pts]))
         acc = np.zeros(pts.size, dtype=complex)  # sum_{k>=1} S_k z^k by Horner
-        for row in sums[:0:-1]:
-            acc += row[which]
+        for k in range(rho.dim - 1, 0, -1):
+            for acc_part, part in zip((acc.real, acc.imag), sums):
+                acc_part += part[k, which]
             acc *= z
-        out[pts] = 2.0 * (sums[0, which].real + 2.0 * acc.real)
+        out[pts] = 2.0 * (sums[0][0, which] + 2.0 * acc.real)
     return out.reshape(alphas.shape), radii
 
 
@@ -303,6 +333,11 @@ def marginal_distribution(rho: DensityOperator, theta, q_theta) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
+# line points per block of radon_of_map: keeps its work arrays near 64 kB,
+# in cache, however long the lines and however many there are
+_LINE_BLOCK = 1 << 13
+
+
 def radon_of_map(wmap: WignerMap, theta: float, q_out=None) -> tuple[np.ndarray, np.ndarray]:
     """Line-integral marginal of a sampled map: P(q_theta) = int W_qp ds along
     the direction conjugate to theta.  Returns (q_theta values, P values)."""
@@ -313,28 +348,39 @@ def radon_of_map(wmap: WignerMap, theta: float, q_out=None) -> tuple[np.ndarray,
         half = min(g.q1_max, g.q2_max)
         q_out = np.linspace(-half, half, max(g.n1, g.n2))
     q_out = np.atleast_1d(np.asarray(q_out, dtype=float))
-    step = min((g.q1_max - g.q1_min) / (g.n1 - 1), (g.q2_max - g.q2_min) / (g.n2 - 1))
+    step = min(g.spacing)
     s = np.arange(-g.corner_radius, g.corner_radius + step, step)
     c, sn = np.cos(theta), np.sin(theta)
-    pts1 = q_out[:, None] * c - s[None, :] * sn
-    pts2 = q_out[:, None] * sn + s[None, :] * c
-    vals = _bilinear(g.q1_axis, g.q2_axis, wmap.values / (2.0 * np.pi), pts1, pts2)
-    return q_out, np.trapezoid(vals, dx=step, axis=1)
+    values = wmap.values / (2.0 * np.pi)
+    out = np.empty(q_out.size)
+    rows = max(1, _LINE_BLOCK // s.size)
+    for r in range(0, q_out.size, rows):
+        q = q_out[r:r + rows, None]
+        vals = _bilinear(g, values, q * c - s * sn, q * sn + s * c)
+        out[r:r + rows] = np.trapezoid(vals, dx=step, axis=1)
+    return q_out, out
 
 
-def _bilinear(axis1: np.ndarray, axis2: np.ndarray, values: np.ndarray,
+def _bilinear(grid: PhaseSpaceGrid, values: np.ndarray,
               pts1: np.ndarray, pts2: np.ndarray) -> np.ndarray:
-    """values[i, j] on (axis1[i], axis2[j]) interpolated bilinearly at the
-    points (pts1, pts2); zero outside the grid."""
-    i = np.clip(np.searchsorted(axis1, pts1) - 1, 0, axis1.size - 2)
-    j = np.clip(np.searchsorted(axis2, pts2) - 1, 0, axis2.size - 2)
-    t = (pts1 - axis1[i]) / (axis1[i + 1] - axis1[i])
-    u = (pts2 - axis2[j]) / (axis2[j + 1] - axis2[j])
-    out = ((values[i, j] * (1 - t) + values[i + 1, j] * t) * (1 - u)
-           + (values[i, j + 1] * (1 - t) + values[i + 1, j + 1] * t) * u)
-    outside = ((pts1 < axis1[0]) | (pts1 > axis1[-1])
-               | (pts2 < axis2[0]) | (pts2 > axis2[-1]))
-    return np.where(outside, 0.0, out)
+    """values[i, j] at (q1_axis[i], q2_axis[j]) interpolated bilinearly at the
+    points (pts1, pts2); zero outside the grid.  The grid is uniform, so each
+    point's cell is floor((p - q_min)/dq), clipped to the grid's cells."""
+    d1, d2 = grid.spacing
+    t = (pts1 - grid.q1_min) / d1
+    u = (pts2 - grid.q2_min) / d2
+    i = np.minimum(np.maximum(np.floor(t), 0), grid.n1 - 2)
+    j = np.minimum(np.maximum(np.floor(u), 0), grid.n2 - 2)
+    t -= i
+    u -= j
+    corner = (i * grid.n2 + j).astype(np.intp)
+    flat = values.ravel()
+    lo = flat[corner] * (1 - t) + flat[corner + grid.n2] * t
+    hi = flat[corner + 1] * (1 - t) + flat[corner + grid.n2 + 1] * t
+    out = lo * (1 - u) + hi * u
+    out[(pts1 < grid.q1_min) | (pts1 > grid.q1_max)
+        | (pts2 < grid.q2_min) | (pts2 > grid.q2_max)] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +421,17 @@ def _support_radius(rho: DensityOperator) -> float:
 def moyal_grid_integral(rho: DensityOperator, monomials) -> dict[tuple[int, int], float]:
     """Phase-space integrals int dq dp W_qp q^m p^n for several monomials,
     sharing one Laguerre-series evaluation on a grid of step 0.2 over a disc
-    covering the state; grid points outside the disc are not evaluated.
+    covering the state; grid points outside the disc are not evaluated.  The
+    grid is 0.2 times integers, symmetric about the origin, so mirror points
+    share one radial recurrence.
 
     The disc is the state's Fock-shell radius plus 4 (alpha units), which
     bounds the discarded Gaussian tail: contributions beyond the disc are
     O(e^{-32} poly) < 1e-9 for degree <= 4.
     """
     disc = _support_radius(rho) + 4.0
-    extent = np.sqrt(2.0) * disc            # bounding square in quadrature units
-    axis = np.arange(-extent, extent + 0.1, 0.2)  # step 0.2 out to +extent
+    half = math.ceil(np.sqrt(2.0) * disc / 0.2)  # nodes out to the disc's bounding square
+    axis = 0.2 * np.arange(-half, half + 1)
     q1, q2 = np.meshgrid(axis, axis, indexing="ij")
     inside = (q1 ** 2 + q2 ** 2) / 2.0 <= disc ** 2
     w_vals = np.zeros(q1.shape)
@@ -416,14 +464,7 @@ def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> MoyalResul
 
 
 # ---------------------------------------------------------------------------
-# photon statistics and the marginals-only ambiguity
-
-
-def photon_number_distribution(rho: DensityOperator) -> np.ndarray:
-    p = rho.diagonal()
-    if abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError(f"diagonal sums to {p.sum()}, not 1 within 1e-10")
-    return p
+# the marginals-only ambiguity
 
 
 @dataclass(frozen=True)

@@ -245,8 +245,7 @@ def test_wigner_map_records_evaluation_health(tmp_path):
                        {"state": {"kind": "cat", "alpha": 1.5}, "dim": 30, "grid": grid})
     assert run_cli(["wigner-map", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     diagnostics = json.loads((tmp_path / "o" / "wigner_map.json").read_text())["diagnostics"]
-    axis = np.linspace(-2.0, 2.0, 9)
-    alphas = (axis[:, None] + 1j * axis[None, :]) / np.sqrt(2.0)
+    alphas = wigner.PhaseSpaceGrid(**grid).alpha_grid()
     assert diagnostics["eval_dim"] == 30
     assert diagnostics["distinct_radii"] == np.unique(4.0 * np.abs(alphas) ** 2).size
 

@@ -223,6 +223,18 @@ def test_scan_map_equals_reflected_parity_map():
     assert np.max(np.abs(scan.values - direct_map.values[::-1, ::-1])) < 1e-8
 
 
+def test_scan_map_on_symmetric_grid_is_the_map_at_negated_points_bitwise():
+    # symmetric extents make the reflected grid the grid itself and its
+    # alphas exactly the negated alphas, so no rounding separates the two
+    rho = pure_to_density(cat_state(HilbertSpec(30), 1.5 * np.exp(0.4j), 0.7))
+    for n1, n2 in ((21, 21), (20, 13)):
+        grid = PhaseSpaceGrid(-3.3, 3.3, -2.9, 2.9, n1, n2)
+        alphas = grid.alpha_grid()
+        assert np.array_equal(alphas[::-1, ::-1], -alphas)
+        scan = scan_map(rho, grid)
+        assert np.array_equal(scan.values, wigner_map(rho, grid).values[::-1, ::-1])
+
+
 def test_scan_map_reflection_on_asymmetric_grid():
     rho = pure_to_density(coherent_state(HilbertSpec(26), 1.2))
     grid = PhaseSpaceGrid(-1.0, 2.2, -0.6, 1.8, 9, 7)

@@ -23,7 +23,6 @@ from cavitylab import (
     mix,
     moyal_average,
     pauli_counterexample,
-    photon_number_distribution,
     promote,
     pure_to_density,
     radon_of_map,
@@ -32,8 +31,10 @@ from cavitylab import (
     wigner_point,
     wigner_position,
 )
+from cavitylab import wigner
 from cavitylab.errors import DomainError, QuadratureError
-from cavitylab.wigner import _BLOCK, WignerMap, _gh_nodes, hermite_functions
+from cavitylab.fock import laguerre_functions
+from cavitylab.wigner import _BLOCK, WignerMap, _bilinear, _gh_nodes, hermite_functions
 
 from conftest import eigh_displacement
 
@@ -160,6 +161,84 @@ def test_map_on_shared_radii_against_position_construction():
     for i, q in enumerate(grid.q1_axis):
         for j, p in enumerate(grid.q2_axis):
             assert abs(wm.values[i, j] - wigner_position(rho, q, p)) < 1e-10
+
+
+def test_axes_are_bitwise_antisymmetric_with_exact_endpoints():
+    # symmetric extents give axis == -axis[::-1] bitwise at odd and even n,
+    # with the odd centre at exactly 0.0, so mirror points share x = 4|alpha|^2
+    for n in (2, 7, 8, 55, 206):
+        for span in (1.0, 0.3, 8.0 / 3.0, 5.3033008588991066):
+            axis = PhaseSpaceGrid(-span, span, -1.0, 1.0, n, 2).q1_axis
+            assert np.array_equal(axis, -axis[::-1])
+            assert axis[0] == -span and axis[-1] == span
+            if n % 2:
+                assert axis[n // 2] == 0.0
+    # off-centre extents keep their endpoints exactly and step uniformly
+    grid = PhaseSpaceGrid(-3.1, 4.3, -2.2, 5.0, 37, 29)
+    for axis, lo, hi, n in ((grid.q1_axis, -3.1, 4.3, 37), (grid.q2_axis, -2.2, 5.0, 29)):
+        assert axis.size == n and axis[0] == lo and axis[-1] == hi
+        assert np.max(np.abs(axis - np.linspace(lo, hi, n))) < 4e-15
+    # a reflected grid's axes are the negated, reversed axes
+    flipped = grid.reflected()
+    assert np.array_equal(flipped.q1_axis, -grid.q1_axis[::-1])
+    assert np.array_equal(flipped.q2_axis, -grid.q2_axis[::-1])
+
+
+def test_mirror_points_share_one_radial_recurrence():
+    # the selfcheck's radon grid: 206 x 206 points on 4,491 distinct radii
+    # (8,114 when mirror points missed each other by one ulp of x)
+    rho = pure_to_density(cat_state(HilbertSpec(26), 1.5, 0.0))
+    grid = default_grid(1.5, step=0.06)
+    assert grid.n1 == 206
+    wm = wigner_map(rho, grid)
+    assert wm.diagnostics["distinct_radii"] <= 4491
+    assert wm.diagnostics["distinct_radii"] == np.unique(4.0 * np.abs(grid.alpha_grid()) ** 2).size
+
+
+def _complex_radial_sums(mat, x):
+    """The radial sums S_k accumulated in complex arithmetic, as one
+    (dim, x.size) complex array: the reference for the real accumulation."""
+    dim = mat.shape[0]
+    ells = laguerre_functions(x, dim, dim)
+    sums = mat[0, :, None] * next(ells)
+    for n, ell in enumerate(ells, start=1):
+        sums[:dim - n] += (-1) ** n * mat[n, n:, None] * ell
+    return sums
+
+
+def test_real_accumulation_matches_complex_accumulation_bitwise(monkeypatch):
+    rho = mix([cat_state(HilbertSpec(30), 1.5, 0.0), fock_state(HilbertSpec(30), 3)], [0.7, 0.3])
+    assert not np.any(rho.matrix.imag)
+    grid = PhaseSpaceGrid(-4.0, 4.3, -3.7, 4.0, 41, 37)
+    got = wigner_map(rho, grid).values
+
+    def complex_parts(mat, x):
+        sums = _complex_radial_sums(mat, x)
+        return [sums.real, sums.imag]
+
+    monkeypatch.setattr(wigner, "_radial_sums", complex_parts)
+    want = wigner_map(rho, grid).values
+    assert np.array_equal(got, want)
+
+
+def test_imaginary_part_on_one_far_diagonal_is_summed():
+    # rho's only imaginary entries are rho_{0,k} and rho_{k,0} at k = dim - 1:
+    # the Im pass must run, and its one nonzero diagonal must reach the map
+    dim, k = 24, 23
+    psi = np.zeros(dim, dtype=complex)
+    psi[0], psi[k] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
+    mat = 0.5 * np.outer(psi, psi.conj()) + 0.5 * pure_to_density(
+        cat_state(HilbertSpec(dim), 1.2, 0.0)).matrix
+    assert set(zip(*np.nonzero(mat.imag))) == {(0, k), (k, 0)}
+    rho = DensityOperator(mat)
+    grid = PhaseSpaceGrid(-6.0, 6.0, -6.0, 6.0, 25, 25)
+    wm = wigner_map(rho, grid)
+    real_part = wigner_map(DensityOperator(mat.real), grid)
+    assert np.max(np.abs(wm.values - real_part.values)) > 1e-3
+    for i in range(0, 25, 3):
+        for j in range(1, 25, 4):
+            want = wigner_position(rho, grid.q1_axis[i], grid.q2_axis[j])
+            assert abs(wm.values[i, j] - want) < 1e-10
 
 
 def test_map_across_radial_blocks_against_position_construction():
@@ -363,6 +442,23 @@ def test_radon_matches_grid_interpolator_on_asymmetric_grid():
             vals = interp(np.stack([pts1.ravel(), pts2.ravel()], axis=-1))
             want = np.trapezoid(vals.reshape(pts1.shape), dx=step, axis=1)
             assert np.max(np.abs(got - want)) < 1e-14
+    # the interpolation itself at every node, along all four edges (the last
+    # row and column included) and one ulp outside each edge, where it reads 0
+    values = wm.values / (2 * np.pi)
+    nodes = np.meshgrid(grid.q1_axis, grid.q2_axis, indexing="ij")
+    along1, along2 = np.linspace(-3.1, 4.3, 50), np.linspace(-2.2, 5.0, 50)
+    edges = [(np.full(50, -3.1), along2), (np.full(50, 4.3), along2),
+             (along1, np.full(50, -2.2)), (along1, np.full(50, 5.0))]
+    for pts1, pts2 in [nodes] + edges:
+        want = interp(np.stack([pts1.ravel(), pts2.ravel()], axis=-1)).reshape(pts1.shape)
+        assert np.max(np.abs(_bilinear(grid, values, pts1, pts2) - want)) < 1e-14
+    assert np.max(np.abs(_bilinear(grid, values, *nodes) - values)) < 1e-14
+    beyond = [(np.full(50, np.nextafter(-3.1, -np.inf)), along2),
+              (np.full(50, np.nextafter(4.3, np.inf)), along2),
+              (along1, np.full(50, np.nextafter(-2.2, -np.inf))),
+              (along1, np.full(50, np.nextafter(5.0, np.inf)))]
+    for pts1, pts2 in beyond:
+        assert not np.any(_bilinear(grid, values, pts1, pts2))
 
 
 def _coherent_wave_packet(beta, x):
@@ -497,6 +593,14 @@ def test_moyal_degree_guard():
 
 
 # -- photon statistics -------------------------------------------------------------
+
+
+def photon_number_distribution(rho):
+    """Photon-number populations, refused unless they sum to 1 within 1e-10."""
+    p = rho.diagonal()
+    if abs(p.sum() - 1.0) > 1e-10:
+        raise ValueError(f"diagonal sums to {p.sum()}, not 1 within 1e-10")
+    return p
 
 
 def test_photon_number_distribution_fock():
