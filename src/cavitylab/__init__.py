@@ -36,7 +36,6 @@ from .fock import (
     displaced_rows,
     fock_state,
     mix,
-    number_operator,
     parity,
     promote,
     pure_to_density,
@@ -53,7 +52,6 @@ from .dynamics import (
     separation_measure,
 )
 from .protocol import (
-    ConditionalTable,
     TwoAtomScan,
     detection_probabilities,
     field_kraus,
@@ -75,7 +73,6 @@ from .wigner import (
     wigner_position,
 )
 from .tomo import (
-    QuadratureHistogram,
     SinogramSet,
     inverse_radon,
     pauli_incompleteness_demo,
@@ -86,7 +83,6 @@ from .tomo import (
 )
 from .direct import (
     MeasurementRecord,
-    MonitorPoint,
     direct_point_exact,
     direct_point_sampled,
     monitor_origin,

@@ -21,14 +21,13 @@ Detector inefficiency only erases shots, so the estimator stays unbiased.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from . import protocol
 from .dynamics import DampingModel, _check_top_level, evolve_trajectory
-from .errors import DomainError, NoDetectionError
+from .errors import DomainError, IntegrationError, NoDetectionError
 from .fock import DensityOperator, radial_rows, require_hermitian
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
 
@@ -92,17 +91,16 @@ def direct_point_exact(rho0: DensityOperator, alpha: complex,
     return MeasurementRecord(alpha, p_e, p_g, 0, 0, 2.0 * (p_g - p_e), 0.0)
 
 
-def _sample(exact: MeasurementRecord, n_shots: int, efficiency: float,
-            seed) -> MeasurementRecord:
-    """`n_shots` Bernoulli shots drawn from `exact`'s probabilities, each
-    detected with probability `efficiency`; the estimate conditions on
-    detected shots only and stays unbiased."""
+def _sample(p_e: float, n_shots: int, efficiency: float, seed) -> tuple:
+    """`n_shots` Bernoulli shots reading e with probability `p_e`, each
+    detected with probability `efficiency`: (n_detected, estimate, stderr),
+    the estimate conditioned on detected shots only and unbiased."""
     if n_shots < 1:
         raise DomainError(f"n_shots must be >= 1, got {n_shots}")
     if not 0.0 <= efficiency <= 1.0:
         raise DomainError(f"efficiency must lie in [0, 1], got {efficiency}")
     rng = default_rng(seed)
-    outcomes_e = rng.random(n_shots) < exact.p_e
+    outcomes_e = rng.random(n_shots) < p_e
     detected = rng.random(n_shots) < efficiency
     n_det = int(detected.sum())
     if n_det == 0:
@@ -111,15 +109,16 @@ def _sample(exact: MeasurementRecord, n_shots: int, efficiency: float,
     frac_e = k_e / n_det
     estimate = 2.0 * (1.0 - 2.0 * frac_e)
     stderr = 4.0 * np.sqrt(max(frac_e * (1.0 - frac_e), 1.0 / (4.0 * n_det)) / n_det)
-    return MeasurementRecord(exact.alpha, exact.p_e, exact.p_g, n_shots, n_det,
-                             estimate, float(stderr))
+    return n_det, estimate, float(stderr)
 
 
 def direct_point_sampled(rho0: DensityOperator, alpha: complex, n_shots: int,
                          efficiency: float, seed) -> MeasurementRecord:
     """Finite-shot estimate of the standard scheme at one alpha: `n_shots`
     Bernoulli shots, each detected with probability `efficiency`."""
-    return _sample(direct_point_exact(rho0, alpha), n_shots, efficiency, seed)
+    exact = direct_point_exact(rho0, alpha)
+    return MeasurementRecord(alpha, exact.p_e, exact.p_g, n_shots,
+                             *_sample(exact.p_e, n_shots, efficiency, seed))
 
 
 def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
@@ -139,25 +138,20 @@ def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
                      diagnostics=dict(exact.diagnostics))
 
 
-@dataclass(frozen=True)
-class MonitorPoint:
-    t: float
-    exact: MeasurementRecord
-    sampled: Optional[MeasurementRecord]
-
-
 def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
-                   n_shots: int = 0, efficiency: float = 1.0,
-                   seed=None) -> list[MonitorPoint]:
+                   n_shots: int = 0, efficiency: float = 1.0, seed=None) -> np.ndarray:
     """W(0) read by the pi-dispersive probe at the sorted `times` of a damping
-    trajectory, with a finite-shot estimate at each time if `n_shots` > 0.
+    trajectory: a (3, T) array whose rows are the exact W(0), the finite-shot
+    estimate and its stderr, the last two NaN unless `n_shots` > 0.  Time k
+    draws its shots from child k of SeedSequence(seed).spawn(T).
 
     The probe reads photon-number populations only, and damping carries
     them apart from the coherences, so the trajectory is that of diag(rho0)
     and every time is read by one Born-rule call.  For an even cat the
     series starts near +2, collapses toward 0 on the decoherence timescale,
     and climbs back to +2 as the field empties.  Raises TruncationError when
-    the damped populations put more than 1e-8 on the top Fock level.
+    the damped populations put more than 1e-8 on the top Fock level, and
+    IntegrationError when P_e + P_g strays from 1 by more than 1e-10.
     """
     times = np.asarray(times, dtype=float)
     diag = np.diag(np.diag(require_hermitian(rho0)).real)
@@ -165,10 +159,12 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     pops = np.array([rho_t.diagonal() for rho_t in traj]).reshape(times.size, rho0.dim)
     _check_top_level(pops)
     p_e, p_g = protocol.detection_probabilities(pops, "dispersive")
-    seq = SeedSequence(seed).spawn(times.size) if n_shots > 0 else None
-    out = []
-    for k, (t, pe, pg) in enumerate(zip(times.tolist(), p_e.tolist(), p_g.tolist())):
-        exact = MeasurementRecord(0.0, pe, pg, 0, 0, 2.0 * (pg - pe), 0.0)
-        sampled = _sample(exact, n_shots, efficiency, seq[k]) if n_shots > 0 else None
-        out.append(MonitorPoint(t, exact, sampled))
-    return out
+    drift = float(np.max(np.abs(p_e + p_g - 1.0), initial=0.0))
+    if drift > 1e-10:
+        raise IntegrationError(f"P_e + P_g deviates from 1 by {drift:.3e}")
+    w0 = np.full((3, times.size), np.nan)
+    w0[0] = 2.0 * (p_g - p_e)
+    if n_shots > 0:
+        for k, child in enumerate(SeedSequence(seed).spawn(times.size)):
+            w0[1:, k] = _sample(float(p_e[k]), n_shots, efficiency, child)[1:]
+    return w0

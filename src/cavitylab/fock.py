@@ -24,14 +24,15 @@ MAX_DISPLACED_ENTRIES = 1 << 20
 
 def default_dim(alpha_max: float, n_thermal: float = 0.0) -> int:
     """Truncation dimension for experiments reaching amplitude |alpha_max|,
-    in a cavity damped toward `n_thermal` thermal photons: the larger of
-    4 |alpha_max|^2 + DIM_MARGIN and |alpha_max|^2 plus the number of levels
-    over which a thermal distribution, p_n ~ (n_th / (n_th + 1))^n, falls by
-    1e-10."""
-    dim = 4.0 * abs(alpha_max) ** 2 + DIM_MARGIN
+    floored at 1, in a cavity damped toward `n_thermal` thermal photons: the
+    larger of 4 |alpha_max|^2 + DIM_MARGIN and |alpha_max|^2 plus the number
+    of levels over which a thermal distribution, p_n ~ (n_th / (n_th + 1))^n,
+    falls by 1e-10."""
+    reach = max(abs(alpha_max), 1.0) ** 2
+    dim = 4.0 * reach + DIM_MARGIN
     if n_thermal > 0:
         tail = math.log(1e-10) / math.log(n_thermal / (n_thermal + 1.0))
-        dim = max(dim, abs(alpha_max) ** 2 + tail)
+        dim = max(dim, reach + tail)
     return int(math.ceil(dim))
 
 
@@ -107,9 +108,6 @@ class DensityOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
     def mean_photon(self) -> float:
         return float(np.real(np.sum(np.arange(self.dim) * np.diag(self.matrix))))
 
@@ -156,10 +154,6 @@ def annihilation(spec: HilbertSpec) -> np.ndarray:
 
 def creation(spec: HilbertSpec) -> np.ndarray:
     return _readonly(annihilation(spec).T)
-
-
-def number_operator(spec: HilbertSpec) -> np.ndarray:
-    return _readonly(np.diag(np.arange(spec.dim, dtype=float)))
 
 
 def quadrature_q1(spec: HilbertSpec) -> np.ndarray:

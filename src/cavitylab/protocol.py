@@ -23,7 +23,6 @@ turn, and ``field_kraus`` writes the amplitudes exactly: the weights are
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,35 +148,20 @@ def prepare_cat(alpha: complex, spec: HilbertSpec | None = None) -> dict[str, Br
 
 
 @dataclass(frozen=True)
-class ConditionalTable:
-    """Two-atom outcome statistics at one delay."""
+class TwoAtomScan:
+    """A delay scan of the two-atom correlations.  Each probability is a
+    (T,) array indexed like `delays`; `branches` is the first atom's
+    ``prepare_cat`` outcome (P(e1) and P(g1) are their probabilities, and
+    P(g2) = 1 - p_e2).  A conditional on a first-atom outcome of
+    probability 0 reads NaN."""
 
-    alpha: complex
-    delay: float
-    p_e1: float
-    p_g1: float
-    p_e2_given_e1: float
-    p_g2_given_e1: float
-    p_e2_given_g1: float
-    p_g2_given_g1: float
-    p_e2: float
-    p_g2: float
-
-
-@dataclass(frozen=True)
-class TwoAtomScan(Sequence):
-    """A delay scan: one ConditionalTable per delay (indexable like a list),
-    plus the field left by each non-degenerate first-atom outcome ("e", "g")
-    at zero delay."""
-
-    rows: tuple[ConditionalTable, ...]
-    fields: dict[str, DensityOperator]
-
-    def __getitem__(self, k):
-        return self.rows[k]
-
-    def __len__(self) -> int:
-        return len(self.rows)
+    delays: np.ndarray
+    branches: dict[str, Branch]
+    p_e2_given_e1: np.ndarray
+    p_g2_given_e1: np.ndarray
+    p_e2_given_g1: np.ndarray
+    p_g2_given_g1: np.ndarray
+    p_e2: np.ndarray
 
 
 def two_atom_scan(alpha: complex, delays, model: DampingModel,
@@ -185,28 +169,22 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
     """Delay scan of the two-atom correlations: the populations of both
     first-atom branches are damped in one pass (the first diagonal of
     ``dynamics._diagonals``; the Born rule reads nothing else) and read by
-    one pi-dispersive Born rule.  The default truncation allows for the
-    model's thermal photons (``fock.default_dim``).  Raises TruncationError
-    when a damped branch puts more than 1e-8 on its top Fock level."""
+    one pi-dispersive Born rule, so the scan returns one array per
+    probability, indexed like `delays`.  The default truncation allows for
+    the model's thermal photons (``fock.default_dim``).  Raises
+    TruncationError when a damped branch puts more than 1e-8 on its top Fock
+    level."""
     delays = np.asarray(delays, dtype=float)
     if delays.size == 0:
         raise DomainError("a delay scan needs at least one delay")
     first = prepare_cat(alpha, spec or HilbertSpec(default_dim(abs(alpha), model.n_thermal)))
-    fields = {o: first[o].field_after for o in ("e", "g") if first[o].field_after is not None}
+    live = [o for o in ("e", "g") if first[o].field_after is not None]
     # diagonal 0 comes first and is never zero in a field of unit trace
-    pops = next(_diagonals(np.stack([require_hermitian(f) for f in fields.values()]),
+    pops = next(_diagonals(np.stack([require_hermitian(first[o].field_after) for o in live]),
                            model, delays))[1].real
     _check_top_level(pops)
     p_e, p_g = detection_probabilities(pops, "dispersive")
-    nan = [np.nan] * delays.size
-    cond = {o: (nan, nan) for o in ("e", "g")}
-    cond.update({o: (p_e[b].tolist(), p_g[b].tolist()) for b, o in enumerate(fields)})
-    p_e2 = sum(first[o].probability * p_e[b] for b, o in enumerate(fields)).tolist()
-    p_e1, p_g1 = first["e"].probability, first["g"].probability
-    rows = tuple(ConditionalTable(
-        alpha=alpha, delay=delay, p_e1=p_e1, p_g1=p_g1,
-        p_e2_given_e1=cond["e"][0][k], p_g2_given_e1=cond["e"][1][k],
-        p_e2_given_g1=cond["g"][0][k], p_g2_given_g1=cond["g"][1][k],
-        p_e2=p_e2[k], p_g2=1.0 - p_e2[k],
-    ) for k, delay in enumerate(delays.tolist()))
-    return TwoAtomScan(rows, fields)
+    cond = {o: np.full((2, delays.size), np.nan) for o in ("e", "g")}
+    cond.update({o: (p_e[b], p_g[b]) for b, o in enumerate(live)})
+    p_e2 = sum(first[o].probability * p_e[b] for b, o in enumerate(live))
+    return TwoAtomScan(delays, first, *cond["e"], *cond["g"], p_e2)

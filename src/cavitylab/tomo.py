@@ -36,37 +36,6 @@ from .wigner import (
 
 
 @dataclass(frozen=True)
-class QuadratureHistogram:
-    """Binned samples of the rotated quadrature q_theta."""
-
-    theta: float
-    edges: np.ndarray
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("histogram edges must be strictly increasing")
-        if counts.sum() != self.total:
-            raise ValueError(f"counts sum {counts.sum()} != total {self.total}")
-        if np.any(counts < 0):
-            raise ValueError("negative counts")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return (self.edges[:-1] + self.edges[1:]) / 2.0
-
-    def density_estimate(self) -> np.ndarray:
-        """Bin-centered density: counts / (total * bin width)."""
-        widths = np.diff(self.edges)
-        return self.counts / (self.total * widths)
-
-
-@dataclass(frozen=True)
 class SinogramSet:
     """Quadrature densities on a common q grid for a set of angles."""
 
@@ -99,7 +68,9 @@ def _default_q_range(rho: DensityOperator) -> float:
 def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
                     bin_width: float = 0.05, q_range: float | None = None):
     """Histograms of n_samples i.i.d. draws of q_theta at one angle or a 1-D
-    array of angles: a QuadratureHistogram per angle (one for a scalar theta).
+    array of angles: (edges, counts), the n_bins + 1 bin edges running from
+    -q_range in steps of `bin_width`, and int64 counts of shape
+    np.shape(theta) + (n_bins,), each row summing to n_samples.
 
     Every marginal is tabulated on 8,192 nodes in one call and integrated by
     the trapezoid rule.  Inverse-CDF sampling of that piecewise-linear CDF
@@ -117,17 +88,16 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
                           f"[-{q_range}, {q_range}]; a sinogram needs at least 2")
     edges = -q_range + bin_width * np.arange(n_bins + 1)
     children = SeedSequence(seed).spawn(thetas.size)
-    hists = []
-    for th, pdf, child in zip(thetas, marginal_distribution(rho, thetas, dense), children):
+    counts = np.empty((thetas.size, n_bins), dtype=np.int64)
+    for k, pdf in enumerate(marginal_distribution(rho, thetas, dense)):
         cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2.0 * np.diff(dense))])
         if abs(cdf[-1] - 1.0) > 1e-8:
-            raise SamplingError(f"tabulated density at theta = {th} integrates to "
+            raise SamplingError(f"tabulated density at theta = {thetas[k]} integrates to "
                                 f"{cdf[-1]}, off by > 1e-8")
         # rounding can dip a far tail's mass a hair below 0
         masses = np.clip(np.diff(np.interp(edges, dense, cdf / cdf[-1])), 0.0, None)
-        counts = default_rng(child).multinomial(n_samples, masses)
-        hists.append(QuadratureHistogram(float(th), edges, counts, n_samples))
-    return hists if np.ndim(theta) else hists[0]
+        counts[k] = default_rng(children[k]).multinomial(n_samples, masses)
+    return edges, counts.reshape(np.shape(theta) + (n_bins,))
 
 
 def exact_sinogram(rho: DensityOperator, thetas, q) -> SinogramSet:
@@ -219,10 +189,10 @@ def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int
     """sample_homodyne at every angle -> density estimates -> inverse_radon,
     with an error report against the exact (Laguerre-series) Wigner map."""
     angles = np.asarray(angles, dtype=float)
-    hists = sample_homodyne(rho_true, angles, n_per_angle, seed, bin_width=bin_width,
-                            q_range=q_range)
-    sino = SinogramSet(angles, hists[0].centers,
-                       np.stack([h.density_estimate() for h in hists]))
+    edges, counts = sample_homodyne(rho_true, angles, n_per_angle, seed,
+                                    bin_width=bin_width, q_range=q_range)
+    sino = SinogramSet(angles, (edges[:-1] + edges[1:]) / 2.0,
+                       counts / (n_per_angle * np.diff(edges)))
     recon = inverse_radon(sino, grid)
     truth = wigner_map(rho_true, grid)
     resid = recon.values - truth.values

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
 
 from cavitylab import (
     DampingModel,
     DomainError,
     HilbertSpec,
+    IntegrationError,
     MeasurementRecord,
     NoDetectionError,
     PhaseSpaceGrid,
@@ -26,6 +28,7 @@ from cavitylab import (
     wigner_point,
     wigner_position,
 )
+from cavitylab import protocol
 
 MODEL = DampingModel(kappa=1.0)
 
@@ -260,15 +263,15 @@ def test_scan_distinguishes_cat_from_mixture(corpus):
 def test_monitor_starts_at_plus_two_for_even_cat():
     alpha = np.sqrt(5.0)
     rho = pure_to_density(cat_state(HilbertSpec(default_dim(alpha)), alpha, 0.0))
-    point = monitor_origin(rho, MODEL, [0.0])[0]
-    assert abs(point.exact.estimate - 2.0) < 1e-6
+    w0 = monitor_origin(rho, MODEL, [0.0])
+    assert abs(w0[0, 0] - 2.0) < 1e-6
 
 
 def test_monitor_returns_to_plus_two_at_long_times():
     alpha = np.sqrt(5.0)
     rho = pure_to_density(cat_state(HilbertSpec(default_dim(alpha)), alpha, 0.0))
-    point = monitor_origin(rho, MODEL, [20.0])[0]
-    assert abs(point.exact.estimate - 2.0) < 1e-6
+    w0 = monitor_origin(rho, MODEL, [20.0])
+    assert abs(w0[0, 0] - 2.0) < 1e-6
 
 
 def _collapse_time(n_mean):
@@ -280,8 +283,8 @@ def _collapse_time(n_mean):
                   [0.5, 0.5])
     t_dec = decoherence_time(MODEL, n_mean)
     times = np.linspace(0, 3.0 * t_dec, 60)
-    w_cat = np.array([p.exact.estimate for p in monitor_origin(cat, MODEL, times)])
-    w_mix = np.array([p.exact.estimate for p in monitor_origin(mixture, MODEL, times)])
+    w_cat = monitor_origin(cat, MODEL, times)[0]
+    w_mix = monitor_origin(mixture, MODEL, times)[0]
     signal = (w_cat - w_mix) / (w_cat[0] - w_mix[0])
     k = int(np.argmax(signal < np.exp(-1)))
     return float(np.interp(np.exp(-1), signal[k:k - 2:-1], times[k:k - 2:-1]))
@@ -310,10 +313,39 @@ def test_monitor_refuses_unsorted_times():
 
 def test_monitor_sampled_series():
     rho = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
-    pts = monitor_origin(rho, MODEL, [0.0, 0.2], n_shots=500, efficiency=0.5, seed=4)
-    assert pts[0].sampled is not None
-    assert abs(pts[0].sampled.estimate - pts[0].exact.estimate) \
-        < 4 * pts[0].sampled.stderr
+    exact, sampled, stderr = monitor_origin(rho, MODEL, [0.0, 0.2], n_shots=500,
+                                            efficiency=0.5, seed=4)
+    assert not np.isnan(sampled).any()
+    assert abs(sampled[0] - exact[0]) < 4 * stderr[0]
+    # without shots the last two rows are NaN
+    assert np.isnan(monitor_origin(rho, MODEL, [0.0, 0.2])[1:]).all()
+
+
+def test_monitor_draws_each_time_from_its_own_child_seed():
+    # time k: outcomes e with probability P_e, then detections, both from
+    # child k of SeedSequence(seed).spawn(T)
+    rho = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
+    times, n_shots, efficiency, seed = [0.0, 0.1, 0.3, 0.3], 400, 0.6, 21
+    w0 = monitor_origin(rho, MODEL, times, n_shots=n_shots, efficiency=efficiency,
+                        seed=seed)
+    p_e = (1.0 - w0[0] / 2.0) / 2.0  # W(0) = 2 (P_g - P_e), P_g = 1 - P_e
+    for k, child in enumerate(SeedSequence(seed).spawn(len(times))):
+        rng = default_rng(child)
+        outcomes_e = rng.random(n_shots) < p_e[k]
+        detected = rng.random(n_shots) < efficiency
+        frac_e = np.sum(outcomes_e & detected) / detected.sum()
+        assert w0[1, k] == 2.0 * (1.0 - 2.0 * frac_e)
+        assert w0[2, k] == 4.0 * np.sqrt(max(frac_e * (1.0 - frac_e),
+                                             1.0 / (4.0 * detected.sum())) / detected.sum())
+
+
+def test_monitor_refuses_probabilities_that_do_not_sum_to_one(monkeypatch):
+    def leaky(pops, variant):
+        return 0.5 * pops.sum(-1), 0.5 * pops.sum(-1) + 1e-9
+    monkeypatch.setattr(protocol, "detection_probabilities", leaky)
+    rho = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
+    with pytest.raises(IntegrationError, match="P_e \\+ P_g"):
+        monitor_origin(rho, MODEL, [0.0, 0.2])
 
 
 # -- alternative conditional-phase realizations --------------------------------------

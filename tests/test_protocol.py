@@ -308,6 +308,11 @@ def test_prepared_cats_have_exact_zeros_on_odd_diagonals():
                 assert np.all(np.diagonal(mat, k) == 0)
 
 
+def test_prepare_cat_default_truncation_is_floored_below_alpha_one():
+    branches = prepare_cat(0.5)
+    assert branches["g"].field().dim == branches["e"].field().dim == 14
+
+
 def test_prepare_cat_empty_cavity_is_deterministic():
     branches = prepare_cat(0.0, HilbertSpec(8))
     assert abs(branches["g"].probability - 1.0) < 1e-12
@@ -320,18 +325,18 @@ def test_prepare_cat_empty_cavity_is_deterministic():
 
 
 def test_perfect_correlations_at_zero_delay():
-    table = two_atom_scan(3.0, [0.0], MODEL, HilbertSpec(46))[0]
-    assert table.p_e2_given_e1 > 1 - 1e-6
-    assert table.p_g2_given_g1 > 1 - 1e-6
+    scan = two_atom_scan(3.0, [0.0], MODEL, HilbertSpec(46))
+    assert scan.p_e2_given_e1[0] > 1 - 1e-6
+    assert scan.p_g2_given_g1[0] > 1 - 1e-6
 
 
 def test_prepare_cat_is_first_half_of_two_atom_run():
     spec = HilbertSpec(30)
     alpha = 1.6
-    table = two_atom_scan(alpha, [0.0], MODEL, spec)[0]
+    scan = two_atom_scan(alpha, [0.0], MODEL, spec)
     branches = prepare_cat(alpha, spec)
-    assert abs(table.p_e1 - branches["e"].probability) < 1e-14
-    assert abs(table.p_g1 - branches["g"].probability) < 1e-14
+    assert abs(scan.branches["e"].probability - branches["e"].probability) < 1e-14
+    assert abs(scan.branches["g"].probability - branches["g"].probability) < 1e-14
 
 
 def test_statistical_mixture_gives_even_odds():
@@ -346,8 +351,8 @@ def test_statistical_mixture_gives_even_odds():
 
 
 def test_correlation_decays_to_zero():
-    table = two_atom_scan(np.sqrt(5.0), [8.0], MODEL, HilbertSpec(30))[0]
-    assert table.p_e2_given_e1 < 0.02
+    scan = two_atom_scan(np.sqrt(5.0), [8.0], MODEL, HilbertSpec(30))
+    assert scan.p_e2_given_e1[0] < 0.02
 
 
 def test_correlation_curve_monotone_with_plateau():
@@ -356,31 +361,32 @@ def test_correlation_curve_monotone_with_plateau():
     n_mean = 5.0
     t_dec = 1.0 / (2 * n_mean)
     delays = np.array([0.0, 1.0, 2.0, 3.0, 4.2, 6.0, 8.0, 10.0]) * t_dec
-    rows = two_atom_scan(np.sqrt(n_mean), delays, MODEL, HilbertSpec(30))
-    probs = np.array([r.p_e2_given_e1 for r in rows])
+    probs = two_atom_scan(np.sqrt(n_mean), delays, MODEL, HilbertSpec(30)).p_e2_given_e1
     assert np.all(np.diff(probs) < 1e-9)  # monotone decay
-    for row in rows:
-        if 4.0 * t_dec <= row.delay <= 10.5 * t_dec:
-            assert abs(row.p_e2_given_e1 - 0.5) <= 0.02
+    plateau = (4.0 * t_dec <= delays) & (delays <= 10.5 * t_dec)
+    assert np.all(np.abs(probs[plateau] - 0.5) <= 0.02)
 
 
 def test_scan_hands_back_its_branch_trajectories():
-    # the scan keeps each first-atom field at zero delay; its rows read the
+    # the scan keeps each first-atom field at zero delay; its arrays read the
     # populations of that field's damping trajectory
     alpha, spec = 1.5, HilbertSpec(26)
     delays = [0.0, 0.1, 0.35]
     scan = two_atom_scan(alpha, delays, MODEL, spec)
     first = prepare_cat(alpha, spec)
     for o in ("e", "g"):
-        assert np.array_equal(scan.fields[o].matrix, first[o].field().matrix)
-        want = evolve_trajectory(scan.fields[o], MODEL, delays)
+        field = scan.branches[o].field()
+        assert np.array_equal(field.matrix, first[o].field().matrix)
+        want = evolve_trajectory(field, MODEL, delays)
         for k, ref in enumerate(want):
-            assert (getattr(scan[k], f"p_e2_given_{o}1")
+            assert (getattr(scan, f"p_e2_given_{o}1")[k]
                     == probe_atom(ref)["e"].probability)
-    assert [row.delay for row in scan] == delays and len(scan) == 3
+    assert scan.delays.tolist() == delays
     # a degenerate first-atom branch has no field and reads nan
     vac = two_atom_scan(0.0, [0.0, 0.2], MODEL, HilbertSpec(8))
-    assert set(vac.fields) == {"g"} and np.isnan(vac[1].p_e2_given_e1)
+    assert vac.branches["e"].field_after is None
+    assert np.isnan(vac.p_e2_given_e1).all() and np.isnan(vac.p_g2_given_e1).all()
+    assert np.array_equal(vac.p_e2, vac.p_e2_given_g1)
 
 
 def test_two_atom_rejects_negative_delay():

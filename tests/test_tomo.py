@@ -19,7 +19,6 @@ from cavitylab import (
     wigner_map,
 )
 from cavitylab.tomo import (
-    QuadratureHistogram,
     SinogramSet,
     _next_fast_len,
     exact_sinogram,
@@ -41,22 +40,24 @@ def rmse(a, b):
 def test_vacuum_sample_variance():
     # vacuum quadrature variance is 1/2; allow 3 sigma of the variance estimator
     rho = pure_to_density(vacuum(HilbertSpec(10)))
-    hist = sample_homodyne(rho, 0.0, 100000, seed=11)
-    centers, dens = hist.centers, hist.density_estimate()
-    width = hist.edges[1] - hist.edges[0]
+    n = 100000
+    edges, counts = sample_homodyne(rho, 0.0, n, seed=11)
+    centers, width = (edges[:-1] + edges[1:]) / 2, edges[1] - edges[0]
+    dens = counts / (n * width)
     mean = np.sum(centers * dens) * width
     var = np.sum((centers - mean) ** 2 * dens) * width
-    sigma_var = 0.5 * np.sqrt(2.0 / (hist.total - 1))
+    sigma_var = 0.5 * np.sqrt(2.0 / (n - 1))
     assert abs(var - 0.5) < 3 * sigma_var + width ** 2 / 12
 
 
-def _ks_distance(rho, hist):
-    """Kolmogorov-Smirnov distance at the bin edges between a histogram and
-    the exact marginal, integrated on an independent 4,001-point grid."""
-    cdf_hist = np.concatenate([[0.0], np.cumsum(hist.counts) / hist.total])
-    dense = np.linspace(hist.edges[0], hist.edges[-1], 4001)
-    pdf = marginal_distribution(rho, hist.theta, dense)
-    cdf_exact = np.interp(hist.edges,
+def _ks_distance(rho, theta, edges, counts):
+    """Kolmogorov-Smirnov distance at the bin edges between the histogram
+    `counts` at angle `theta` and the exact marginal, integrated on an
+    independent 4,001-point grid."""
+    cdf_hist = np.concatenate([[0.0], np.cumsum(counts) / counts.sum()])
+    dense = np.linspace(edges[0], edges[-1], 4001)
+    pdf = marginal_distribution(rho, theta, dense)
+    cdf_exact = np.interp(edges,
                           dense,
                           np.concatenate([[0.0], np.cumsum(
                               (pdf[1:] + pdf[:-1]) / 2 * np.diff(dense))]))
@@ -66,40 +67,38 @@ def _ks_distance(rho, hist):
 def test_sampled_histogram_tracks_exact_density():
     # Kolmogorov-Smirnov distance at the bin edges stays below 0.01 at 1e5 draws
     rho = pure_to_density(cat_state(HilbertSpec(26), 1.5, 0.0))
-    hist = sample_homodyne(rho, 0.6, 100000, seed=3)
-    assert hist.theta == 0.6
-    assert _ks_distance(rho, hist) < 0.01
+    edges, counts = sample_homodyne(rho, 0.6, 100000, seed=3)
+    assert _ks_distance(rho, 0.6, edges, counts) < 0.01
 
 
 def test_every_histogram_of_an_angle_array_tracks_exact_density():
     rho = pure_to_density(cat_state(HilbertSpec(26), 1.5, 0.0))
     angles = uniform_angles(36)
-    hists = sample_homodyne(rho, angles, 100000, seed=3)
-    assert [h.theta for h in hists] == list(angles)
-    for hist in hists:
-        assert _ks_distance(rho, hist) < 0.01
+    edges, counts = sample_homodyne(rho, angles, 100000, seed=3)
+    for theta, row in zip(angles, counts):
+        assert _ks_distance(rho, theta, edges, row) < 0.01
     # angle k draws from the k-th spawned child of the seed, so a lone angle
     # repeats angle 0 of an array and the angles' counts are not copies
-    alone = sample_homodyne(rho, angles[0], 100000, seed=3)
-    assert np.array_equal(alone.counts, hists[0].counts)
-    assert not np.array_equal(hists[0].counts, hists[1].counts)
+    alone_edges, alone = sample_homodyne(rho, angles[0], 100000, seed=3)
+    assert np.array_equal(alone_edges, edges) and np.array_equal(alone, counts[0])
+    assert not np.array_equal(counts[0], counts[1])
 
 
 def test_rounding_below_zero_in_a_far_tail_is_not_a_negative_bin_mass():
     # the alpha = 3 even cat's tabulated marginals dip to -3e-19 in the tails,
     # which leaves bin masses near -1e-21 that multinomial would refuse
     rho = pure_to_density(cat_state(HilbertSpec(46), 3.0, 0.0))
-    hists = sample_homodyne(rho, uniform_angles(36), 1000, seed=0)
-    assert all(h.counts.sum() == 1000 for h in hists)
+    _, counts = sample_homodyne(rho, uniform_angles(36), 1000, seed=0)
+    assert np.all(counts.sum(axis=-1) == 1000)
 
 
 def test_seed_repeatability():
     rho = pure_to_density(coherent_state(HilbertSpec(20), 1.0))
-    h1 = sample_homodyne(rho, 0.9, 5000, seed=77)
-    h2 = sample_homodyne(rho, 0.9, 5000, seed=77)
-    assert np.array_equal(h1.counts, h2.counts)
-    h3 = sample_homodyne(rho, 0.9, 5000, seed=78)
-    assert not np.array_equal(h1.counts, h3.counts)
+    _, counts1 = sample_homodyne(rho, 0.9, 5000, seed=77)
+    _, counts2 = sample_homodyne(rho, 0.9, 5000, seed=77)
+    assert np.array_equal(counts1, counts2)
+    _, counts3 = sample_homodyne(rho, 0.9, 5000, seed=78)
+    assert not np.array_equal(counts1, counts3)
 
 
 def test_sampling_normalization_guard():
@@ -117,11 +116,22 @@ def test_sampling_domain_checks():
         sample_homodyne(rho, 0.0, 0, seed=0)
 
 
-def test_histogram_invariants():
-    with pytest.raises(ValueError):
-        QuadratureHistogram(0.0, np.array([0.0, 1.0, 0.5]), np.array([1, 2]), 3)
-    with pytest.raises(ValueError):
-        QuadratureHistogram(0.0, np.array([0.0, 1.0, 2.0]), np.array([1, 2]), 4)
+def test_sampled_counts_and_edges():
+    # scalar theta -> (n_bins,), an angle array -> (n_angles, n_bins); every
+    # row is nonnegative and sums to n_samples; the n_bins + 1 edges step by
+    # bin_width from -q_range
+    rho = pure_to_density(cat_state(HilbertSpec(26), 1.5, 0.0))
+    q_range, bin_width, n = 9.0, 0.25, 3000
+    n_bins = int(np.ceil(2 * q_range / bin_width))
+    edges, one = sample_homodyne(rho, 0.4, n, seed=5, bin_width=bin_width, q_range=q_range)
+    _, many = sample_homodyne(rho, uniform_angles(8), n, seed=5, bin_width=bin_width,
+                              q_range=q_range)
+    assert one.shape == (n_bins,) and many.shape == (8, n_bins)
+    for counts in (one, many):
+        assert counts.dtype == np.int64
+        assert np.all(counts >= 0) and np.all(counts.sum(axis=-1) == n)
+    assert edges.shape == (n_bins + 1,) and edges[0] == -q_range
+    np.testing.assert_allclose(np.diff(edges), bin_width, rtol=0, atol=1e-12)
 
 
 def test_sinogram_invariants():
