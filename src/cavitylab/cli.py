@@ -249,6 +249,11 @@ def _times_array(times_cfg) -> np.ndarray:
 # artifact plumbing
 
 
+def _g17(axis) -> list[str]:
+    """Each value of a 1-D float array as ArtifactWriter.csv writes a float."""
+    return ["%.17g" % x for x in np.asarray(axis, dtype=float).tolist()]
+
+
 class ArtifactWriter:
     """Atomic CSV/JSON artifact writer with a closing manifest."""
 
@@ -273,11 +278,26 @@ class ArtifactWriter:
     def csv(self, name: str, header: list[str], rows) -> None:
         """Floats (numpy's too) to 17 significant digits, so they round-trip;
         other cells as csv.writer writes them.  A 2-D float array is written
-        by one format string per block of 256 rows, which keeps RSS flat."""
+        by one format string per block of 256 rows, which keeps RSS flat.
+
+        `rows` may also be the product form (a_axis, b_axis, values): one row
+        (a_i, b_j, values[i, j]) per pair, a-major, the bytes the table
+        np.column_stack([np.repeat(a_axis, nb), np.tile(b_axis, na),
+        values.ravel()]) gives.  Each axis value is formatted once and spliced
+        into the row format as literal text, so only `values` is formatted
+        per row, again in blocks of at most 256 rows."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):
+        if isinstance(rows, tuple):
+            a_axis, b_axis, values = rows
+            values = np.reshape(values, (len(a_axis), len(b_axis)))
+            tails = [f",{b},%.17g\n" for b in _g17(b_axis)]
+            for a, row in zip(_g17(a_axis), values):
+                for start in range(0, len(tails), 256):
+                    line = a.join(["", *tails[start:start + 256]])
+                    buf.write(line % tuple(row[start:start + 256].tolist()))
+        elif isinstance(rows, np.ndarray):
             line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
             for start in range(0, len(rows), 256):
                 block = rows[start:start + 256]
@@ -308,10 +328,8 @@ class ArtifactWriter:
 
 
 def _write_map(writer: ArtifactWriter, name: str, wmap: wigner.WignerMap) -> None:
-    q1, q2 = wmap.grid.q1_axis, wmap.grid.q2_axis
     writer.csv(f"{name}.csv", ["q1", "q2", "W"],
-               np.column_stack([np.repeat(q1, q2.size), np.tile(q2, q1.size),
-                                wmap.values.ravel()]))
+               (wmap.grid.q1_axis, wmap.grid.q2_axis, wmap.values))
     writer.json(f"{name}.json", {
         "grid": {"q1_min": wmap.grid.q1_min, "q1_max": wmap.grid.q1_max,
                  "q2_min": wmap.grid.q2_min, "q2_max": wmap.grid.q2_max,
@@ -374,9 +392,7 @@ def _run_tomography(cfg: dict, writer: ArtifactWriter) -> None:
                                            q_range=q_range)
     sino = result.sinogram
     writer.csv("sinogram.csv", ["theta", "q", "density"],
-               np.column_stack([np.repeat(sino.thetas, sino.q.size),
-                                np.tile(sino.q, sino.thetas.size),
-                                sino.densities.ravel()]))
+               (sino.thetas, sino.q, sino.densities))
     writer.json("sinogram_meta.json", {
         "n_samples": cfg["samples"], "seed": cfg["seed"],
         "bin_width": cfg["bin_width"],

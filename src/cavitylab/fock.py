@@ -134,8 +134,8 @@ class DensityOperator:
 
 def require_hermitian(rho: DensityOperator) -> np.ndarray:
     """rho's matrix, refused unless Hermitian within 1e-6: the Laguerre
-    series reads only its upper triangle, the marginals only its real part
-    and the damping propagators only its lower triangle."""
+    series reads only its upper triangle, the marginals and the damping
+    propagators only its lower triangle."""
     mat = rho.matrix
     herm = float(np.max(np.abs(mat - mat.conj().T)))
     if herm > 1e-6:

@@ -70,7 +70,9 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     """Histograms of n_samples i.i.d. draws of q_theta at one angle or a 1-D
     array of angles: (edges, counts), the n_bins + 1 bin edges running from
     -q_range in steps of `bin_width`, and int64 counts of shape
-    np.shape(theta) + (n_bins,), each row summing to n_samples.
+    np.shape(theta) + (n_bins,), each row summing to n_samples.  `bin_width`
+    and `q_range` must be finite and positive; q_range=None takes the
+    default range.
 
     Every marginal is tabulated on 8,192 nodes in one call and integrated by
     the trapezoid rule.  Inverse-CDF sampling of that piecewise-linear CDF
@@ -80,7 +82,11 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    q_range = q_range or _default_q_range(rho)
+    if q_range is None:
+        q_range = _default_q_range(rho)
+    for name, value in (("bin_width", bin_width), ("q_range", q_range)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
     dense = np.linspace(-q_range, q_range, 8192)
     n_bins = int(math.ceil(2.0 * q_range / bin_width))
     if n_bins < 2:

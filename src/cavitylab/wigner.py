@@ -315,20 +315,52 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
 # marginals
 
 
+# nodes per block of the Hermite table in marginal_distribution: the table
+# lives one block at a time, so the c_k and the output are the call's only
+# full-size arrays
+_NODE_BLOCK = 1 << 10
+
+
 def marginal_distribution(rho: DensityOperator, theta, q_theta) -> np.ndarray:
     """P(q_theta) = <q_theta| rho |q_theta>, q_theta = q1 cos(theta) + q2 sin(theta),
-    shaped np.shape(theta) + np.shape(q_theta): one row per angle, all from one
-    Hermite table.  rho turned by -theta brings q_theta onto the q1 axis, where
-    the Hermite functions are real: each row is one real product with Re(rho)."""
+    shaped np.shape(theta) + np.shape(q_theta): one row per angle.  rho turned
+    by -theta brings q_theta onto the q1 axis, where the Hermite functions psi_n
+    are real, and the turn multiplies the k-th lower diagonal of rho by
+    e^{-ik theta}, so each row sums the diagonals of rho:
+
+        P_theta(q) = sum_k w_k [cos(k theta) Re c_k(q) + sin(k theta) Im c_k(q)],
+        c_k(q) = sum_n rho_{n+k,n} psi_n(q) psi_{n+k}(q),
+
+    with w_0 = 1 and w_k = 2 (the upper diagonals are the conjugates).  The
+    c_k are built once for every angle, from one Hermite table taken
+    _NODE_BLOCK nodes at a time; a lower diagonal that is exactly zero (the
+    odd ones of a parity cat) is skipped, and the sine half is dropped when
+    rho has no imaginary part below its diagonal.  Each row is then one
+    product of its own angle's factors with the c_k, so an angle's row does
+    not depend on the other angles in the call."""
     thetas = np.asarray(theta, dtype=float)
     bad = thetas[~((thetas >= 0.0) & (thetas < np.pi))]
     if bad.size:
         raise DomainError(f"theta must lie in [0, pi), got {bad[0]}")
     mat = require_hermitian(rho)
-    psi = hermite_functions(q_theta, rho.dim)
-    out = np.empty((thetas.size, psi.shape[1]))
-    for row, th in zip(out, thetas.ravel()):
-        row[:] = np.sum(psi * (_rotated(mat, th).real @ psi), axis=0)
+    lower = [np.diagonal(mat, -k) for k in range(rho.dim)]
+    ks = np.flatnonzero([diag.any() for diag in lower])
+    halves = 2 if any(lower[k].imag.any() for k in ks if k) else 1
+    coefs = [np.array([lower[k].real, lower[k].imag][:halves]) for k in ks]
+    nodes = np.asarray(q_theta, dtype=float).ravel()
+    c = np.empty((ks.size, halves, nodes.size))  # Re c_k and (halves == 2) Im c_k
+    for s in range(0, nodes.size, _NODE_BLOCK):
+        psi = hermite_functions(nodes[s:s + _NODE_BLOCK], rho.dim)
+        for i, k in enumerate(ks):
+            c[i, :, s:s + _NODE_BLOCK] = np.dot(coefs[i], psi[:rho.dim - k] * psi[k:])
+    c = c.reshape(ks.size * halves, nodes.size)
+    turns = np.multiply.outer(thetas.ravel(), ks)
+    weights = np.where(ks > 0, 2.0, 1.0)
+    factors = np.stack([weights * np.cos(turns), weights * np.sin(turns)][:halves],
+                       axis=-1).reshape(thetas.size, c.shape[0])
+    out = np.empty((thetas.size, c.shape[1]))
+    for e_row, row in zip(factors, out):
+        np.dot(e_row, c, out=row)
     out = out.reshape(thetas.shape + np.shape(q_theta))
     return out if out.ndim else float(out)
 

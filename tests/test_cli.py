@@ -316,6 +316,24 @@ def test_csv_rows_match_csv_writer_reference(tmp_path):
     writer.csv("table.csv", ["x", "y", "z"], table)
     assert (tmp_path / "rows.csv").read_text() == reference(["a", "b", "c", "d"], rows)
     assert (tmp_path / "table.csv").read_text() == reference(["x", "y", "z"], table)
+    # the product form (a_axis, b_axis, values) writes the a-major table of
+    # every (a, b) pair, byte for byte
+    rng = np.random.default_rng(4)
+    special = np.array([np.nan, np.inf, -np.inf, 5e-324, -0.0, 0.0, 1 / 3, -2.5e-300])
+    cases = [(np.linspace(-1, 2, 7), np.linspace(0, 5, 13), rng.normal(size=(7, 13))),
+             (np.array([-0.0, 0.0, 0.1]), np.array([0.0, 1e-320, -0.0, np.pi]),
+              rng.normal(size=(3, 4))),
+             (np.array([0.5, -1.5]), np.array([2.0, -7.0, 1e17, 0.3]), special.reshape(2, 4)),
+             (np.array([0.25]), rng.normal(size=9), rng.normal(size=(1, 9))),
+             (rng.normal(size=9), np.array([-3.0]), rng.normal(size=(9, 1))),
+             (np.array([1.0]), np.array([2.0]), np.array([[np.nan]])),
+             (np.arange(3.0), np.linspace(-8, 8, 601), rng.normal(size=(3, 601))),
+             (np.linspace(0, 3, 300), np.array([-1 / 3, 1 / 3]), rng.normal(size=(300, 2)))]
+    for k, (a_axis, b_axis, values) in enumerate(cases):
+        writer.csv(f"grid{k}.csv", ["a", "b", "v"], (a_axis, b_axis, values))
+        stacked = np.column_stack([np.repeat(a_axis, b_axis.size), np.tile(b_axis, a_axis.size),
+                                   values.ravel()])
+        assert (tmp_path / f"grid{k}.csv").read_text() == reference(["a", "b", "v"], stacked)
 
 
 def test_seed_override_changes_samples(tmp_path):

@@ -116,6 +116,15 @@ def test_sampling_domain_checks():
         sample_homodyne(rho, 0.0, 0, seed=0)
 
 
+@pytest.mark.parametrize("key", ["bin_width", "q_range"])
+@pytest.mark.parametrize("value", [0.0, -3.0, np.nan, np.inf, -np.inf])
+def test_sampling_refuses_bin_width_and_q_range_not_finite_and_positive(key, value):
+    # only q_range=None means the default range; 0.0 is refused, not defaulted
+    rho = pure_to_density(vacuum(HilbertSpec(6)))
+    with pytest.raises(DomainError, match=f"{key} must be finite and positive"):
+        sample_homodyne(rho, 0.0, 100, seed=0, **{key: value})
+
+
 def test_sampled_counts_and_edges():
     # scalar theta -> (n_bins,), an angle array -> (n_angles, n_bins); every
     # row is nonnegative and sums to n_samples; the n_bins + 1 edges step by

@@ -490,6 +490,35 @@ def test_marginal_matches_coherent_wave_packet_closed_form():
         assert np.max(np.abs(row - closed)) < 1e-10
 
 
+def _marginal_by_turned_rho(rho, theta, qs):
+    """The per-angle product: sum_n psi_n (Re(e^{-i theta n} rho e^{i theta n}) @ psi)_n."""
+    psi = hermite_functions(qs, rho.dim)
+    phase = np.exp(-1j * theta * np.arange(rho.dim))
+    turned = phase[:, None] * rho.matrix * phase.conj()[None, :]
+    return np.sum(psi * (turned.real @ psi), axis=0)
+
+
+def test_marginal_by_diagonals_matches_turned_rho_product():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    mixed = DensityOperator(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    assert np.min(np.abs(np.tril(mixed.matrix.imag, -1)[np.tril_indices(40, -1)])) > 0
+    # cat_state at psi1 = pi leaves rounding residues of e^{i pi} on the even
+    # levels, so the odd cat is built from exact parity amplitudes
+    plus = coherent_state(HilbertSpec(26), 2.0).amplitudes
+    even, odd = (DensityOperator(np.outer(amps, amps.conj()) / np.vdot(amps, amps).real)
+                 for amps in (plus + plus * (-1.0) ** np.arange(26),
+                              plus - plus * (-1.0) ** np.arange(26)))
+    for cat in (even, odd):  # the odd lower diagonals are exact zeros, and skipped
+        assert not any(np.diagonal(cat.matrix, -k).any() for k in range(1, 26, 2))
+    thetas = np.concatenate([np.linspace(0, np.pi, 36, endpoint=False), [0.3, 1.9, 3.1]])
+    qs = np.linspace(-9.0, 9.0, 1201)
+    for rho in (mixed, even, odd):
+        every = marginal_distribution(rho, thetas, qs)
+        for theta, row in zip(thetas, every):
+            assert np.max(np.abs(row - _marginal_by_turned_rho(rho, theta, qs))) < 1e-13
+
+
 def test_marginal_angle_array_matches_single_angles():
     rho = pure_to_density(cat_state(HilbertSpec(30), 1.5 * np.exp(0.4j), 0.7))
     thetas = np.linspace(0, np.pi, 36, endpoint=False)
