@@ -84,7 +84,6 @@ from .tomo import (
 from .direct import (
     MeasurementRecord,
     direct_point_exact,
-    direct_point_sampled,
     monitor_origin,
     scan_map,
 )

@@ -386,7 +386,7 @@ def _run_tomography(cfg: dict, writer: ArtifactWriter) -> None:
     rho, scale = _build_state(cfg)
     grid = _build_grid(cfg["grid"], scale)
     angles = tomo.uniform_angles(cfg["angles"])
-    q_range = cfg["q_range"] or tomo._default_q_range(rho)
+    q_range = tomo._q_range(rho, cfg["q_range"])
     result = tomo.reconstruct_from_samples(rho, angles, cfg["samples"], cfg["seed"],
                                            grid, bin_width=cfg["bin_width"],
                                            q_range=q_range)

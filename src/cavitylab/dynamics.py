@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationError, TruncationError
-from .fock import DensityOperator, HilbertSpec, coherent_state, require_hermitian
+from .fock import DensityOperator, HilbertSpec, coherent_state
 
 # exact in the 2019 SI
 PLANCK = 6.62607015e-34  # J s
@@ -200,13 +200,11 @@ def _check_top_level(pops: np.ndarray) -> None:
 def evolve_trajectory(rho: DensityOperator, model: DampingModel, times) -> list[DensityOperator]:
     """Damped evolution sampled at the given (sorted, nonnegative) times:
     the matrices assembled from ``_diagonals``, each upper diagonal the
-    conjugate of the lower one.  Refuses a rho that is not Hermitian within
-    1e-6."""
-    mat = require_hermitian(rho)
+    conjugate of the lower one."""
     dim = rho.dim
     out = np.zeros((np.size(times), dim, dim), dtype=complex)
     flat = out.reshape(np.size(times), dim * dim)
-    for k, vals in _diagonals(mat[None], model, times):
+    for k, vals in _diagonals(rho.matrix[None], model, times):
         # diagonal k sits at flat index k + j (dim + 1) above, k dim + j (dim + 1) below
         flat[:, k:dim * (dim - k):dim + 1] = vals[0].conj()
         flat[:, k * dim::dim + 1] = vals[0]
@@ -252,14 +250,12 @@ def coherence_trajectory(rho: DensityOperator, model: DampingModel, times,
     `times`, each of shape (T,), read off the damped diagonals in one pass
     (``_diagonals``) without forming a matrix.  Lower diagonal k adds
     sum_j <alpha|j+k> rho_{j+k,j} <j|-alpha> to <alpha|rho|-alpha>, and its
-    conjugate upper diagonal the same with the roles of j and j+k swapped.
-    Refuses a rho that is not Hermitian within 1e-6."""
-    mat = require_hermitian(rho)
+    conjugate upper diagonal the same with the roles of j and j+k swapped."""
     bra, ket, ceiling = _witness(rho.spec, alpha)
     dim = rho.dim
     element = np.zeros(np.size(times), dtype=complex)
     pops = np.zeros((np.size(times), dim))
-    for k, x in _diagonals(mat[None], model, times):
+    for k, x in _diagonals(rho.matrix[None], model, times):
         x = x[0]
         element += x @ (bra[k:] * ket[:dim - k])
         if k:

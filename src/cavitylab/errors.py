@@ -38,7 +38,8 @@ class QuadratureError(CavityLabError):
 
 
 class NonHermitianError(CavityLabError):
-    """A real-valued quantity came out with too large an imaginary residue."""
+    """A density matrix is not Hermitian, or a real-valued quantity came out
+    with too large an imaginary residue."""
 
 
 class SamplingError(CavityLabError):

@@ -18,8 +18,12 @@ from .errors import (DegenerateStateError, DomainError, NonHermitianError, Trunc
 # Tail mass of a coherent state stays below ~1e-10 with this truncation rule.
 DIM_MARGIN = 10
 
-# largest <n|D|j> block displaced_rows builds: 16 MB of complex entries
+# largest <n|D|j> block displaced_rows builds, and largest density matrix
+# pure_to_density builds (dim <= 1024): 16 MB of complex entries
 MAX_DISPLACED_ENTRIES = 1 << 20
+
+# e^{i pi k / 2} for k = 0, 1, 2, 3: a quarter-turn phase, exact
+_QUARTER = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 def default_dim(alpha_max: float, n_thermal: float = 0.0) -> int:
@@ -80,21 +84,32 @@ class FieldState:
     def mean_photon(self) -> float:
         return float(np.sum(np.arange(self.dim) * np.abs(self.amplitudes) ** 2))
 
-    def validate(self) -> None:
-        if abs(self.norm() - 1.0) > 1e-10:
-            raise ValueError(f"state norm {self.norm()} deviates from 1 beyond 1e-10")
-
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Field density operator on the truncated Fock space."""
+    """Field density operator on the truncated Fock space, refused at
+    construction for a non-finite entry or max |rho - rho^dag| > 1e-6
+    (NonHermitianError: readers take one triangle only), and for a trace
+    off 1 by more than 1e-8 or a population below -1e-12 (DomainError)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
+            raise ValueError(f"density matrix must be square and nonempty, got shape {m.shape}")
+        # NaN for a non-finite entry (inf - inf), which no comparison passes
+        herm = float(np.abs(m - m.conj().T).max())
+        if not herm <= 1e-6:
+            raise NonHermitianError(f"density matrix hermiticity deviation {herm:.3e} "
+                                    "exceeds 1e-6 or is not finite")
+        # the diagonal's imaginary part is bounded by the Hermiticity residue
+        pops = m.real.diagonal()
+        trace_err = abs(pops.sum() - 1.0)
+        if trace_err > 1e-8:
+            raise DomainError(f"density matrix trace is off 1 by {trace_err:.3e} > 1e-8")
+        if pops.min() < -1e-12:
+            raise DomainError(f"density matrix population {pops.min():.3e} < -1e-12")
         object.__setattr__(self, "matrix", _readonly(m))
 
     @property
@@ -118,29 +133,6 @@ class DensityOperator:
         """<psi| rho |psi> against a pure reference."""
         v = state.amplitudes
         return float(np.real(np.vdot(v, self.matrix @ v)))
-
-    def validate(self) -> None:
-        m = self.matrix
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > 1e-10:
-            raise ValueError(f"hermiticity deviation {herm:.3e} > 1e-10")
-        tr = abs(np.trace(m) - 1.0)
-        if tr > 1e-10:
-            raise ValueError(f"trace deviation {tr:.3e} > 1e-10")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w.min() < -1e-8:
-            raise ValueError(f"negative eigenvalue {w.min():.3e} < -1e-8")
-
-
-def require_hermitian(rho: DensityOperator) -> np.ndarray:
-    """rho's matrix, refused unless Hermitian within 1e-6: the Laguerre
-    series reads only its upper triangle, the marginals and the damping
-    propagators only its lower triangle."""
-    mat = rho.matrix
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm > 1e-6:
-        raise NonHermitianError(f"density matrix hermiticity deviation {herm:.3e} exceeds 1e-6")
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +268,26 @@ def coherent_state(spec: HilbertSpec, alpha: complex) -> FieldState:
 
 
 def cat_state(spec: HilbertSpec, alpha: complex, psi1: float) -> FieldState:
-    """(|alpha> + e^{i psi1} |-alpha>) / N1, N1 = sqrt(2[1 + cos(psi1) e^{-2|alpha|^2}])."""
+    """(|alpha> + e^{i psi1} |-alpha>) / N1, N1 = sqrt(2[1 + cos(psi1) e^{-2|alpha|^2}]).
+    At psi1 = k pi/2, |k| <= 4, e^{i psi1} is an exact quarter turn, so the
+    even (psi1 = 0) and odd (psi1 = pi) cats are exactly zero on the odd and
+    even levels."""
     if not math.isfinite(psi1):
         raise DomainError(f"psi1 must be finite, got {psi1}")
     plus = coherent_state(spec, alpha).amplitudes  # refuses a non-finite alpha
-    n1_sq = 2.0 * (1.0 + np.cos(psi1) * np.exp(-2.0 * abs(alpha) ** 2))
+    turns = psi1 / (math.pi / 2.0)
+    if turns.is_integer() and abs(turns) <= 4:
+        phase = _QUARTER[int(turns) % 4]
+    else:
+        phase = np.exp(1j * psi1)
+    n1_sq = 2.0 * (1.0 + phase.real * np.exp(-2.0 * abs(alpha) ** 2))
     n1 = np.sqrt(max(n1_sq, 0.0))
     if n1 < 1e-6:
         raise DegenerateStateError(
             f"cat normalization N1 = {n1:.2e} vanishes (psi1={psi1}, alpha={alpha})"
         )
     minus = plus * (-1.0) ** np.arange(spec.dim)  # <n|-alpha> = (-1)^n <n|alpha>
-    amps = (plus + np.exp(1j * psi1) * minus) / n1
+    amps = (plus + phase * minus) / n1
     resid = abs(np.linalg.norm(amps) - 1.0)
     if resid > 1e-10:
         raise TruncationError(
@@ -297,7 +297,12 @@ def cat_state(spec: HilbertSpec, alpha: complex, psi1: float) -> FieldState:
 
 
 def pure_to_density(state: FieldState) -> DensityOperator:
+    """|psi><psi|.  Raises TruncationError, before building it, for a matrix
+    of more than MAX_DISPLACED_ENTRIES entries (dim > 1024)."""
     v = state.amplitudes
+    if v.size ** 2 > MAX_DISPLACED_ENTRIES:
+        raise TruncationError(f"a dim {v.size} density matrix exceeds the limit of "
+                              f"{MAX_DISPLACED_ENTRIES} entries")
     return DensityOperator(np.outer(v, v.conj()))
 
 

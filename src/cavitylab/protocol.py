@@ -31,20 +31,16 @@ import numpy as np
 from .dynamics import DampingModel, _check_top_level, _diagonals
 from .errors import DegenerateBranchError, DomainError, SubspaceError
 from .fock import (
+    _QUARTER,
     DensityOperator,
     FieldState,
     HilbertSpec,
     coherent_state,
     default_dim,
     pure_to_density,
-    require_hermitian,
 )
 
 _E, _G = 0, 1  # atom level indices
-
-
-# e^{i pi k / 2} for k = 0, 1, 2, 3: a quarter-turn phase, exact
-_QUARTER = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 def field_kraus(variant: str, dim: int) -> np.ndarray:
@@ -180,7 +176,7 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
     first = prepare_cat(alpha, spec or HilbertSpec(default_dim(abs(alpha), model.n_thermal)))
     live = [o for o in ("e", "g") if first[o].field_after is not None]
     # diagonal 0 comes first and is never zero in a field of unit trace
-    pops = next(_diagonals(np.stack([require_hermitian(first[o].field_after) for o in live]),
+    pops = next(_diagonals(np.stack([first[o].field_after.matrix for o in live]),
                            model, delays))[1].real
     _check_top_level(pops)
     p_e, p_g = detection_probabilities(pops, "dispersive")

@@ -61,8 +61,18 @@ class SinogramSet:
         object.__setattr__(self, "densities", dens)
 
 
-def _default_q_range(rho: DensityOperator) -> float:
-    return float(np.sqrt(2.0) * _support_radius(rho) + 5.0)
+def _finite_positive(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def _q_range(rho: DensityOperator, q_range: float | None) -> float:
+    """The half-width of a marginal window: `q_range`, refused unless finite
+    and positive, or for None a default from rho's support."""
+    if q_range is None:
+        return float(np.sqrt(2.0) * _support_radius(rho) + 5.0)
+    return _finite_positive("q_range", q_range)
 
 
 def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
@@ -82,11 +92,8 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    if q_range is None:
-        q_range = _default_q_range(rho)
-    for name, value in (("bin_width", bin_width), ("q_range", q_range)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{name} must be finite and positive, got {value}")
+    _finite_positive("bin_width", bin_width)
+    q_range = _q_range(rho, q_range)
     dense = np.linspace(-q_range, q_range, 8192)
     n_bins = int(math.ceil(2.0 * q_range / bin_width))
     if n_bins < 2:
@@ -222,8 +229,10 @@ def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int
 
 def reconstruct_exact(rho: DensityOperator, angles, grid: PhaseSpaceGrid,
                       q_range: float | None = None) -> WignerMap:
-    """Noise-free reconstruction from exact marginals on 801 points of q."""
-    q_range = q_range or _default_q_range(rho)
+    """Noise-free reconstruction from exact marginals on 801 points of q in
+    [-q_range, q_range]; `q_range` must be finite and positive, and None
+    takes the default range."""
+    q_range = _q_range(rho, q_range)
     q = np.linspace(-q_range, q_range, 801)
     return inverse_radon(exact_sinogram(rho, angles, q), grid)
 

@@ -38,7 +38,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError, NonHermitianError, QuadratureError, TruncationError
 from .fock import (DensityOperator, FieldState, HilbertSpec, laguerre_functions,
-                   pure_to_density, quadrature_q1, quadrature_q2, require_hermitian)
+                   pure_to_density, quadrature_q1, quadrature_q2)
 
 BOUND = 2.0  # |W| <= 2 in this normalization
 
@@ -199,7 +199,7 @@ def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
     angles by Horner in z.  Returns the values, shaped as `alphas`, and the
     number of distinct radii.
     """
-    mat = require_hermitian(rho)
+    mat = rho.matrix
     alphas = np.asarray(alphas, dtype=complex)
     flat = alphas.ravel()
     with np.errstate(over="ignore"):
@@ -342,7 +342,7 @@ def marginal_distribution(rho: DensityOperator, theta, q_theta) -> np.ndarray:
     bad = thetas[~((thetas >= 0.0) & (thetas < np.pi))]
     if bad.size:
         raise DomainError(f"theta must lie in [0, pi), got {bad[0]}")
-    mat = require_hermitian(rho)
+    mat = rho.matrix
     lower = [np.diagonal(mat, -k) for k in range(rho.dim)]
     ks = np.flatnonzero([diag.any() for diag in lower])
     halves = 2 if any(lower[k].imag.any() for k in ks if k) else 1

@@ -29,7 +29,6 @@ from cavitylab import (
     decoherence_time,
     default_grid,
     direct_point_exact,
-    direct_point_sampled,
     fock_state,
     mix,
     pauli_counterexample,
@@ -44,6 +43,7 @@ from cavitylab import (
     wigner_point,
     wigner_position,
 )
+from cavitylab.direct import _sample
 from cavitylab.dynamics import evolve_trajectory, fit_coherence_decay
 from cavitylab.tomo import reconstruct_exact, reconstruct_from_samples
 from cavitylab.wigner import _symmetrized_word, moyal_grid_integral
@@ -338,7 +338,7 @@ def test_criterion_09_efficiency_insensitivity():
     means, sems = {}, {}
     for label, (eff, base_seed) in {"full": (1.0, 1000), "lossy": (0.25, 5000)}.items():
         ests = np.array([
-            direct_point_sampled(rho, alpha, 400, eff, seed=base_seed + k).estimate
+            _sample(direct_point_exact(rho, alpha).p_e, 400, eff, base_seed + k)[1]
             for k in range(200)
         ])
         means[label] = ests.mean()

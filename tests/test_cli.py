@@ -689,6 +689,22 @@ def test_refused_state_and_times_exit_as_config_errors(tmp_path, capsys, experim
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("experiment, config", [
+    ("wigner-map", {"state": {"kind": "coherent", "alpha": 16.1}}),
+    ("prepare-cat", {"alpha": 16.1}),
+    ("wigner-map", {"state": {"kind": "vacuum"}, "dim": 1025}),
+], ids=["coherent-alpha", "prepare-cat-alpha", "dim"])
+def test_oversized_dimension_exits_as_numerical_failure(tmp_path, capsys, experiment,
+                                                        config):
+    # |alpha| = 16.1 takes dim 1047 by default: pure_to_density refuses any
+    # dim > 1024 before it builds the dense matrix
+    cfg = write_config(tmp_path, "c.json", config)
+    assert run_cli([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: TruncationError" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_extents_beside_step_are_refused_not_dropped(tmp_path, capsys):
     grid = {"step": 0.5, "q1_min": 0, "q1_max": 1, "q2_min": 0, "q2_max": 1, "n1": 3, "n2": 3}
     cfg = write_config(tmp_path, "c.json", {"state": {"kind": "vacuum"}, "grid": grid})

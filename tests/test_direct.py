@@ -4,6 +4,7 @@ from numpy.random import SeedSequence, default_rng
 
 from cavitylab import (
     DampingModel,
+    DensityOperator,
     DomainError,
     HilbertSpec,
     IntegrationError,
@@ -17,7 +18,6 @@ from cavitylab import (
     decoherence_time,
     default_dim,
     direct_point_exact,
-    direct_point_sampled,
     fock_state,
     mix,
     monitor_origin,
@@ -29,6 +29,7 @@ from cavitylab import (
     wigner_position,
 )
 from cavitylab import protocol
+from cavitylab.direct import _sample
 
 MODEL = DampingModel(kappa=1.0)
 
@@ -89,8 +90,6 @@ def test_non_finite_injection_is_rejected(corpus):
         with pytest.raises(DomainError):
             direct_point_exact(rho, alpha)
         with pytest.raises(DomainError):
-            direct_point_sampled(rho, alpha, 100, 1.0, seed=1)
-        with pytest.raises(DomainError):
             direct_point_exact(rho, alpha, variant="opposite")
 
 
@@ -135,61 +134,65 @@ def test_estimate_bounded_by_two(corpus):
 
 
 def test_record_invariants():
-    with pytest.raises(ValueError):
-        MeasurementRecord(0.0, 0.7, 0.7, 0, 0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        MeasurementRecord(0.0, 0.5, 0.5, 10, 11, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        MeasurementRecord(0.0, 0.7, 0.7)
+    # the state gate lets a trace off 1 by up to 1e-8 through; the record does not
+    m = np.diag([0.5 + 2.5e-9, 0.5 + 2.5e-9, 0.0])
+    assert abs(np.trace(m) - 1.0) == pytest.approx(5e-9)
+    with pytest.raises(DomainError, match="P_e \\+ P_g"):
+        direct_point_exact(DensityOperator(m), 0.3)
 
 
 # -- finite shots and detector inefficiency ---------------------------------------
 
 
+def sampled(rho, alpha, n_shots, efficiency, seed):
+    """(n_detected, estimate, stderr) of `n_shots` shots at one alpha."""
+    return _sample(direct_point_exact(rho, alpha).p_e, n_shots, efficiency, seed)
+
+
 def test_sampled_matches_exact_within_errorbars():
     rho = fock_rho(1)
-    rec = direct_point_sampled(rho, 0.35, 20000, 1.0, seed=42)
+    _, estimate, stderr = sampled(rho, 0.35, 20000, 1.0, seed=42)
     exact = direct_point_exact(rho, 0.35).estimate
-    assert abs(rec.estimate - exact) < 3 * rec.stderr
+    assert abs(estimate - exact) < 3 * stderr
 
 
 def test_efficiency_insensitivity_at_matched_counts():
     # eff = 1 and eff = 0.4 with matched detected counts agree within 3 sigma
     rho = fock_rho(1)
-    r_full = direct_point_sampled(rho, 0.35, 4000, 1.0, seed=101)
-    r_lossy = direct_point_sampled(rho, 0.35, 10000, 0.4, seed=202)
-    assert abs(r_full.estimate - r_lossy.estimate) \
-        < 3 * np.hypot(r_full.stderr, r_lossy.stderr)
-    assert 3500 < r_lossy.n_detected < 4500
+    _, est_full, err_full = sampled(rho, 0.35, 4000, 1.0, seed=101)
+    n_lossy, est_lossy, err_lossy = sampled(rho, 0.35, 10000, 0.4, seed=202)
+    assert abs(est_full - est_lossy) < 3 * np.hypot(err_full, err_lossy)
+    assert 3500 < n_lossy < 4500
 
 
 def test_estimator_unbiased_under_loss():
     # 200 repetitions at 25% detection: the mean stays on the exact value
     rho = fock_rho(1)
     exact = direct_point_exact(rho, 0.35).estimate
-    ests = np.array([direct_point_sampled(rho, 0.35, 400, 0.25, seed=3000 + k).estimate
-                     for k in range(200)])
+    ests = np.array([sampled(rho, 0.35, 400, 0.25, seed=3000 + k)[1] for k in range(200)])
     sem = ests.std(ddof=1) / np.sqrt(ests.size)
     assert abs(ests.mean() - exact) < 3 * sem
 
 
 def test_stderr_scales_like_root_n():
     rho = fock_rho(1)
-    s_small = direct_point_sampled(rho, 0.35, 500, 1.0, seed=7).stderr
-    s_large = direct_point_sampled(rho, 0.35, 50000, 1.0, seed=7).stderr
+    s_small = sampled(rho, 0.35, 500, 1.0, seed=7)[2]
+    s_large = sampled(rho, 0.35, 50000, 1.0, seed=7)[2]
     ratio = s_small / s_large
     assert 10.0 / 1.5 < ratio < 10.0 * 1.5
 
 
 def test_sampling_determinism_and_guards():
     rho = fock_rho(1)
-    a = direct_point_sampled(rho, 0.2, 1000, 0.8, seed=5)
-    b = direct_point_sampled(rho, 0.2, 1000, 0.8, seed=5)
-    assert a.estimate == b.estimate and a.n_detected == b.n_detected
+    assert sampled(rho, 0.2, 1000, 0.8, seed=5) == sampled(rho, 0.2, 1000, 0.8, seed=5)
     with pytest.raises(NoDetectionError):
-        direct_point_sampled(rho, 0.2, 50, 0.0, seed=5)
+        sampled(rho, 0.2, 50, 0.0, seed=5)
     with pytest.raises(DomainError):
-        direct_point_sampled(rho, 0.2, 50, 1.5, seed=5)
+        sampled(rho, 0.2, 50, 1.5, seed=5)
     with pytest.raises(DomainError):
-        direct_point_sampled(rho, 0.2, 0, 1.0, seed=5)
+        sampled(rho, 0.2, 0, 1.0, seed=5)
 
 
 # -- grid scans -------------------------------------------------------------------
@@ -359,8 +362,6 @@ def test_resonant_variant_one_photon():
 def test_resonant_variant_imperfect_photon():
     # p(1) = 0.8, p(0) = 0.2: the origin value is the diagonal parity sum
     rho = np.diag([0.2, 0.8] + [0.0] * 10).astype(complex)
-    from cavitylab import DensityOperator
-
     rec = direct_point_exact(DensityOperator(rho), 0.0, variant="resonant-2pi")
     assert abs(rec.estimate + 1.2) < 1e-9
 

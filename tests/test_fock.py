@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from cavitylab import (
+    CavityLabError,
     DegenerateStateError,
     DensityOperator,
+    FieldState,
     HilbertSpec,
+    NonHermitianError,
     TruncationError,
     WeightError,
     annihilation,
@@ -19,6 +22,7 @@ from cavitylab import (
     fock_state,
     mix,
     parity,
+    probe_atom,
     promote,
     pure_to_density,
     vacuum,
@@ -264,8 +268,9 @@ def test_cat_parity_structure():
     spec = HilbertSpec(30)
     even = cat_state(spec, 1.5, 0.0).amplitudes
     odd = cat_state(spec, 1.5, np.pi).amplitudes
-    assert np.max(np.abs(even[1::2])) < 1e-12
-    assert np.max(np.abs(odd[0::2])) < 1e-12
+    # e^{i psi1} is an exact quarter turn, so the other parity is exactly 0
+    assert not even[1::2].any()
+    assert not odd[0::2].any()
 
 
 def test_cat_degenerate():
@@ -285,7 +290,6 @@ def test_mixture_of_opposite_coherent_states():
     alpha0 = 3.0
     spec = HilbertSpec(default_dim(alpha0))
     rho = mix([coherent_state(spec, alpha0), coherent_state(spec, -alpha0)], [0.5, 0.5])
-    rho.validate()
     assert abs(rho.mean_photon() - alpha0 ** 2) < 1e-7
 
 
@@ -311,19 +315,75 @@ def test_mix_weight_validation():
 
 
 def test_type_invariants_after_preparation():
+    # the prepared states meet tighter bounds than the state gate's
     spec = HilbertSpec(30)
     for st in (vacuum(spec), coherent_state(spec, 1.2), cat_state(spec, 1.5, 0.0),
                fock_state(spec, 4)):
-        st.validate()
+        assert abs(st.norm() - 1.0) <= 1e-10
     for rho in (pure_to_density(coherent_state(spec, 1.2)),
                 mix([coherent_state(spec, 1.0), fock_state(spec, 2)], [0.3, 0.7])):
-        rho.validate()
+        m = rho.matrix
+        assert np.max(np.abs(m - m.conj().T)) <= 1e-10
+        assert abs(np.trace(m) - 1.0) <= 1e-10
+        assert np.linalg.eigvalsh(m).min() >= -1e-8
 
 
-def test_density_validation_catches_corruption():
-    bad = DensityOperator(np.array([[0.7, 0.5], [0.1, 0.3]], dtype=complex))
-    with pytest.raises(ValueError):
-        bad.validate()
+def _cat_matrix(scale=1.0):
+    return scale * pure_to_density(cat_state(HilbertSpec(20), 1.5, 0.0)).matrix
+
+
+def _with_entry(mat, index, value):
+    mat = mat.copy()
+    mat[index] = value
+    return mat
+
+
+@pytest.mark.parametrize("matrix, error", [
+    (_with_entry(_cat_matrix(), (3, 3), np.nan), NonHermitianError),
+    (_with_entry(_cat_matrix(), (0, 2), np.inf), NonHermitianError),
+    (_cat_matrix(2.0), DomainError),
+    (np.diag([1.5, -0.5]), DomainError),
+    (np.array([[0.7, 0.5], [0.1, 0.3]]), NonHermitianError),
+], ids=["nan-entry", "inf-entry", "twice-a-cat", "negative-population", "corrupt"])
+def test_density_operator_refuses_at_construction(matrix, error):
+    # unrefused, these read as plausible numbers: the NaN entry gives W = NaN,
+    # twice a cat W(0) = 4 past the |W| <= 2 bound, diag(1.5, -0.5) P_e = -0.5
+    with pytest.raises(error):
+        DensityOperator(matrix)
+    assert issubclass(error, CavityLabError)
+
+
+def test_density_operator_gate_thresholds():
+    # a Hermiticity residue up to 1e-6, a trace off 1 by up to 1e-8 and a
+    # population down to -1e-12 pass; just past each is refused
+    base = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    DensityOperator(_with_entry(base, (0, 1), 0.9e-6))
+    DensityOperator(base + np.diag([0.9e-8, 0.0, 0.0]))
+    DensityOperator(base + np.diag([0.5e-12, 0.5e-12, -1e-12]))
+    with pytest.raises(NonHermitianError):
+        DensityOperator(_with_entry(base, (0, 1), 1.1e-6))
+    with pytest.raises(DomainError):
+        DensityOperator(base + np.diag([1.1e-8, 0.0, 0.0]))
+    with pytest.raises(DomainError):
+        DensityOperator(base + np.diag([1e-12, 1e-12, -2e-12]))
+
+
+def test_unnormalised_field_state_is_refused_where_read_as_rho():
+    spec = HilbertSpec(20)
+    doubled = FieldState(2.0 * coherent_state(spec, 1.0).amplitudes)
+    with pytest.raises(DomainError):
+        pure_to_density(doubled)
+    with pytest.raises(DomainError):
+        mix([doubled, vacuum(spec)], [0.5, 0.5])
+    with pytest.raises(DomainError):
+        probe_atom(doubled)
+
+
+def test_pure_to_density_refuses_an_oversized_dimension():
+    # dim^2 past MAX_DISPLACED_ENTRIES (dim > 1024) is refused before the
+    # dense matrix exists
+    with pytest.raises(TruncationError, match=f"limit of {MAX_DISPLACED_ENTRIES}"):
+        pure_to_density(vacuum(HilbertSpec(1025)))
 
 
 def test_promote_preserves_amplitudes():

@@ -125,6 +125,14 @@ def test_sampling_refuses_bin_width_and_q_range_not_finite_and_positive(key, val
         sample_homodyne(rho, 0.0, 100, seed=0, **{key: value})
 
 
+@pytest.mark.parametrize("value", [0.0, -5.0, np.nan, np.inf])
+def test_exact_reconstruction_refuses_q_range_not_finite_and_positive(value):
+    # 0.0 took the default range, -5.0 gave an all-zero map, nan and inf all-NaN
+    rho = pure_to_density(vacuum(HilbertSpec(6)))
+    with pytest.raises(DomainError, match="q_range must be finite and positive"):
+        reconstruct_exact(rho, uniform_angles(8), GRID, q_range=value)
+
+
 def test_sampled_counts_and_edges():
     # scalar theta -> (n_bins,), an angle array -> (n_angles, n_bins); every
     # row is nonnegative and sums to n_samples; the n_bins + 1 edges step by
