@@ -43,12 +43,11 @@ from .fock import (
 )
 from .dynamics import (
     DampingModel,
-    TimeGrid,
     cat_coherence,
     coherence_trajectory,
+    damped_populations,
     decoherence_time,
     evolve,
-    evolve_trajectory,
     separation_measure,
 )
 from .protocol import (

@@ -240,8 +240,9 @@ def _build_grid(grid_cfg, scale: float) -> wigner.PhaseSpaceGrid:
 
 
 def _times_array(times_cfg) -> np.ndarray:
+    """The times of a checked `_forward_times` option."""
     if isinstance(times_cfg, dict):
-        return dynamics.TimeGrid(**times_cfg).times
+        return np.linspace(times_cfg["t_start"], times_cfg["t_end"], times_cfg["steps"])
     return np.asarray(times_cfg, dtype=float)
 
 

@@ -20,9 +20,10 @@ through the same propagators, one expm per diagonal and per group of time
 steps that differ only by rounding, and hands out the damped diagonals one
 at a time, k = 0 first.  A diagonal that is zero in every input stays zero
 and is skipped.  Readers of a few functionals take the diagonals without
-forming matrices: the Born rule reads k = 0 alone (``protocol``), and
+forming matrices: ``damped_populations`` reads k = 0 alone, all that the
+atom's Born rule needs (``protocol``, ``direct``), and
 ``coherence_trajectory`` reads the cat coherence, <n> and the trace;
-``evolve_trajectory`` assembles the matrices.
+``evolve`` assembles the matrices.
 
 At n_thermal = 0 the vacuum is a fixed point, a coherent |alpha> stays
 coherent with amplitude alpha e^{-kappa t/2}, and <n>(t) = <n>(0) e^{-kappa t}.
@@ -58,26 +59,6 @@ class DampingModel:
     @property
     def dissipation_time(self) -> float:
         return 1.0 / self.kappa
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform sample times from t_start to t_end (steps = number of samples)."""
-
-    t_start: float
-    t_end: float
-    steps: int
-
-    def __post_init__(self):
-        if not (np.inf > self.t_end > self.t_start >= 0):
-            raise DomainError(f"need finite t_end > t_start >= 0, "
-                              f"got [{self.t_start}, {self.t_end}]")
-        if self.steps < 1:
-            raise DomainError(f"steps must be >= 1, got {self.steps}")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.steps)
 
 
 # Pade-13 numerator coefficients b_0 .. b_13 and the largest 1-norm at which
@@ -187,42 +168,45 @@ def _diagonals(mats: np.ndarray, model: DampingModel, times):
         yield k, np.ascontiguousarray(np.moveaxis(xs[..., :nb] + 1j * xs[..., nb:], -1, 0))
 
 
-def _check_top_level(pops: np.ndarray) -> None:
-    """Refuse damped populations, shape (..., dim), that hold more than 1e-8
-    on the top Fock level anywhere: the truncation is too small for the
-    damping (TruncationError)."""
+def damped_populations(mats: np.ndarray, model: DampingModel, times) -> np.ndarray:
+    """Photon-number populations of a stack of unit-trace Hermitian matrices,
+    shape (B, dim, dim), damped to the sorted nonnegative `times`: shape
+    (B, T, dim), the first diagonal of ``_diagonals``, which the damping
+    carries apart from the coherences.  Refuses no times (DomainError), and
+    populations that hold more than 1e-8 on the top Fock level at any time:
+    the truncation is too small for the damping (TruncationError)."""
+    if np.size(times) == 0:
+        raise DomainError("need at least one time")
+    # diagonal 0 comes first and is never zero in a matrix of unit trace
+    pops = next(_diagonals(mats, model, times))[1].real
     top = float(np.max(pops[..., -1]))
     if top > 1e-8:
         raise TruncationError(f"damped field holds {top:.3e} > 1e-8 on its top Fock level "
                               f"(dim {pops.shape[-1]}); increase dim")
+    return pops
 
 
-def evolve_trajectory(rho: DensityOperator, model: DampingModel, times) -> list[DensityOperator]:
-    """Damped evolution sampled at the given (sorted, nonnegative) times:
-    the matrices assembled from ``_diagonals``, each upper diagonal the
-    conjugate of the lower one."""
+def evolve(rho: DensityOperator, model: DampingModel, t):
+    """rho damped to time `t`: one DensityOperator for a scalar `t` (rho itself
+    at t = 0), or a list of them for a sorted 1-D array of nonnegative times.
+    Each matrix is assembled from ``_diagonals``, its upper diagonals the
+    conjugates of the lower ones.  The propagators keep the trace to
+    rounding, and a drift above 1e-9 at any time raises IntegrationError."""
+    if np.ndim(t) == 0 and t == 0:
+        return rho
+    times = np.atleast_1d(t)
     dim = rho.dim
-    out = np.zeros((np.size(times), dim, dim), dtype=complex)
-    flat = out.reshape(np.size(times), dim * dim)
+    out = np.zeros((times.size, dim, dim), dtype=complex)
+    flat = out.reshape(times.size, dim * dim)
     for k, vals in _diagonals(rho.matrix[None], model, times):
         # diagonal k sits at flat index k + j (dim + 1) above, k dim + j (dim + 1) below
         flat[:, k:dim * (dim - k):dim + 1] = vals[0].conj()
         flat[:, k * dim::dim + 1] = vals[0]
-    return [DensityOperator(m) for m in out]
-
-
-def evolve(rho: DensityOperator, model: DampingModel, t: float) -> DensityOperator:
-    """rho(t) under cavity damping; the propagators keep the trace to
-    rounding, and a drift above 1e-9 raises IntegrationError."""
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    if t == 0:
-        return rho
-    out = evolve_trajectory(rho, model, [t])[0]
-    tr_err = abs(out.trace() - rho.trace())
+    tr_err = float(np.max(np.abs(np.trace(out, axis1=1, axis2=2) - rho.trace()), initial=0.0))
     if tr_err > 1e-9:
         raise IntegrationError(f"trace drift {tr_err:.3e} exceeds 1e-9")
-    return out
+    traj = [DensityOperator(m) for m in out]
+    return traj if np.ndim(t) else traj[0]
 
 
 def _witness(spec: HilbertSpec, alpha: complex) -> tuple:

@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DampingModel, _check_top_level, _diagonals
-from .errors import DegenerateBranchError, DomainError, SubspaceError
+from .dynamics import DampingModel, damped_populations
+from .errors import DegenerateBranchError, SubspaceError
 from .fock import (
     _QUARTER,
     DensityOperator,
@@ -163,22 +163,18 @@ class TwoAtomScan:
 def two_atom_scan(alpha: complex, delays, model: DampingModel,
                   spec: HilbertSpec | None = None) -> TwoAtomScan:
     """Delay scan of the two-atom correlations: the populations of both
-    first-atom branches are damped in one pass (the first diagonal of
-    ``dynamics._diagonals``; the Born rule reads nothing else) and read by
-    one pi-dispersive Born rule, so the scan returns one array per
+    first-atom branches are damped in one pass
+    (``dynamics.damped_populations``; the Born rule reads nothing else) and
+    read by one pi-dispersive Born rule, so the scan returns one array per
     probability, indexed like `delays`.  The default truncation allows for
-    the model's thermal photons (``fock.default_dim``).  Raises
-    TruncationError when a damped branch puts more than 1e-8 on its top Fock
-    level."""
+    the model's thermal photons (``fock.default_dim``).  Raises DomainError
+    for no delays and TruncationError when a damped branch puts more than
+    1e-8 on its top Fock level."""
     delays = np.asarray(delays, dtype=float)
-    if delays.size == 0:
-        raise DomainError("a delay scan needs at least one delay")
     first = prepare_cat(alpha, spec or HilbertSpec(default_dim(abs(alpha), model.n_thermal)))
     live = [o for o in ("e", "g") if first[o].field_after is not None]
-    # diagonal 0 comes first and is never zero in a field of unit trace
-    pops = next(_diagonals(np.stack([first[o].field_after.matrix for o in live]),
-                           model, delays))[1].real
-    _check_top_level(pops)
+    pops = damped_populations(np.stack([first[o].field_after.matrix for o in live]),
+                              model, delays)
     p_e, p_g = detection_probabilities(pops, "dispersive")
     cond = {o: np.full((2, delays.size), np.nan) for o in ("e", "g")}
     cond.update({o: (p_e[b], p_g[b]) for b, o in enumerate(live)})

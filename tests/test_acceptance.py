@@ -44,7 +44,7 @@ from cavitylab import (
     wigner_position,
 )
 from cavitylab.direct import _sample
-from cavitylab.dynamics import evolve_trajectory, fit_coherence_decay
+from cavitylab.dynamics import evolve, fit_coherence_decay
 from cavitylab.tomo import reconstruct_exact, reconstruct_from_samples
 from cavitylab.wigner import _symmetrized_word, moyal_grid_integral
 
@@ -266,7 +266,7 @@ def test_criterion_06d_mixture_reads_even_odds():
                   [0.5, 0.5])
     errs = {}
     for delay in (0.0, 2 * T_DEC6, 8.0):
-        rho_t = evolve_trajectory(mixture, MODEL, [delay])[0]
+        rho_t = evolve(mixture, MODEL, [delay])[0]
         p_e2 = probe_atom(rho_t)["e"].probability
         n_t = N6 * np.exp(-MODEL.kappa * delay)
         errs[delay] = abs(p_e2 - 0.5 * (1.0 - np.exp(-2.0 * n_t)))

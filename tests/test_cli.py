@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cavitylab
-from cavitylab import cli, dynamics, protocol, tomo, wigner
+from cavitylab import cli, dynamics, fock, protocol, tomo, wigner
 from cavitylab.errors import ConfigError
 
 
@@ -97,13 +97,16 @@ def test_decoherence_scan_shape(tmp_path):
     assert max(row[3] for row in t_body) < 1e-9
 
 
-def test_decoherence_scan_prepares_and_damps_once(tmp_path, monkeypatch):
+def _count_calls(monkeypatch, targets):
+    """Count the calls of each (owner, name) in `targets` under the key
+    "<owner>.<name>"; each call of a ``_diagonals`` also records its batch
+    size and every diagonal the caller draws in `drawn`."""
     calls = {}
-    drawn = {}
+    drawn = []
 
-    def counted(module, name):
-        original = getattr(module, name)
-        key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+    def counted(owner, name):
+        original = getattr(owner, name)
+        key = f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
         calls[key] = 0
 
         def wrapper(*args, **kwargs):
@@ -111,35 +114,54 @@ def test_decoherence_scan_prepares_and_damps_once(tmp_path, monkeypatch):
             return original(*args, **kwargs)
 
         def diagonals(mats, *args):
-            # record the batch size and every diagonal the caller draws
             calls[key] += 1
-            drawn[key] = (len(mats), [])
+            drawn.append((len(mats), []))
             for k, x in original(mats, *args):
-                drawn[key][1].append(k)
+                drawn[-1][1].append(k)
                 yield k, x
-        monkeypatch.setattr(module, name, diagonals if name == "_diagonals" else wrapper)
+        monkeypatch.setattr(owner, name, diagonals if name == "_diagonals" else wrapper)
 
-    counted(protocol, "prepare_cat")
-    counted(protocol, "_diagonals")
-    counted(dynamics, "_diagonals")
-    counted(dynamics, "evolve_trajectory")
-    counted(protocol, "field_kraus")
-    counted(dynamics, "coherent_state")
+    for owner, name in targets:
+        counted(owner, name)
+    return calls, drawn
+
+
+def test_decoherence_scan_prepares_and_damps_once(tmp_path, monkeypatch):
+    calls, drawn = _count_calls(monkeypatch, [
+        (protocol, "prepare_cat"), (dynamics, "_diagonals"), (dynamics, "evolve"),
+        (protocol, "field_kraus"), (dynamics, "coherent_state"),
+        (fock.DensityOperator, "__post_init__")])
     cfg = write_config(tmp_path, "c.json", {
         "alpha": 1.5, "delays": {"t_start": 0.0, "t_end": 2.0, "steps": 9}})
     assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     # one preparation (its probe builds the Kraus amplitudes), one damping
     # pass over both branches that stops after their populations, one Born
     # rule for every delay, one pass over the e branch's diagonals for
-    # trajectory.csv, |+-alpha> built once, and no matrix stack
-    assert calls == {"protocol.prepare_cat": 1, "protocol._diagonals": 1,
-                     "dynamics._diagonals": 1, "dynamics.evolve_trajectory": 0,
-                     "protocol.field_kraus": 2, "dynamics.coherent_state": 2}
-    assert drawn["protocol._diagonals"] == (2, [0])
-    batch, diagonals = drawn["dynamics._diagonals"]
+    # trajectory.csv, |+-alpha> built once, and no matrix stack: the only
+    # density operators are the injected field and its two branches
+    assert calls == {"protocol.prepare_cat": 1, "dynamics._diagonals": 2,
+                     "dynamics.evolve": 0, "protocol.field_kraus": 2,
+                     "dynamics.coherent_state": 2, "DensityOperator.__post_init__": 3}
+    (branches, populations), (batch, diagonals) = drawn
+    assert (branches, populations) == (2, [0])
     assert batch == 1 and diagonals[0] == 0 and len(diagonals) > 1
     # the odd cat's odd diagonals are exactly zero, so the pass skips them
     assert all(k % 2 == 0 for k in diagonals)
+
+
+def test_direct_monitor_damps_populations_once(tmp_path, monkeypatch):
+    calls, drawn = _count_calls(monkeypatch, [
+        (dynamics, "_diagonals"), (dynamics, "evolve"), (protocol, "field_kraus"),
+        (fock.DensityOperator, "__post_init__")])
+    cfg = write_config(tmp_path, "c.json", {
+        "state": {"kind": "cat", "alpha": 1.5}, "n_thermal": 0.05,
+        "times": {"t_start": 0.0, "t_end": 2.0, "steps": 9}, "n_shots": 50})
+    assert run_cli(["direct-monitor", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    # one damping pass over the state's populations alone, one Born rule for
+    # every time, and no density operator but the state itself
+    assert calls == {"dynamics._diagonals": 1, "dynamics.evolve": 0,
+                     "protocol.field_kraus": 1, "DensityOperator.__post_init__": 1}
+    assert drawn == [(1, [0])]
 
 
 def _cat_parity_closed_form(alpha, psi1, kappa, n_th, t):
@@ -640,7 +662,10 @@ def test_seed_and_dim_flags_only_where_read(tmp_path, capsys):
     ("prepare-cat", {"alpha": nan}),
     ("direct-monitor", {"state": {"kind": "cat", "alpha": 1.0}, "kappa": nan}),
     ("direct-monitor", {"state": {"kind": "cat", "alpha": 1.0}, "times": [0.0, nan]}),
-], ids=["kappa-nan", "n-thermal-inf", "alpha-nan", "monitor-kappa-nan", "times-nan"])
+    ("direct-monitor", {"state": {"kind": "cat", "alpha": 1.0},
+                        "times": {"t_start": 0.0, "t_end": inf, "steps": 3}}),
+], ids=["kappa-nan", "n-thermal-inf", "alpha-nan", "monitor-kappa-nan", "times-nan",
+        "t-end-inf"])
 def test_non_finite_config_number_is_config_error(tmp_path, capsys, experiment, config):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))  # NaN and Infinity, as json.load takes them
@@ -679,7 +704,10 @@ def test_config_error_names_the_offending_value(tmp_path, capsys):
      "kind 'vacuum' does not read key 'alpha'"),
     ("decoherence-scan", {"alpha": 1.0, "delays": {"t_start": 5.0, "t_end": 2.0, "steps": 3}},
      "t_end must exceed t_start"),
-], ids=["missing-alpha", "unread-key", "backward-delays"])
+    ("direct-monitor", {"state": {"kind": "cat", "alpha": 1.0},
+                        "times": {"t_start": 0.0, "t_end": 1.0, "steps": 0}},
+     "0 is less than the minimum of 1"),
+], ids=["missing-alpha", "unread-key", "backward-delays", "zero-steps"])
 def test_refused_state_and_times_exit_as_config_errors(tmp_path, capsys, experiment, config,
                                                        message):
     # refused by the option table, before a runner builds the state or the times

@@ -7,7 +7,6 @@ from cavitylab import (
     DensityOperator,
     DomainError,
     HilbertSpec,
-    IntegrationError,
     MeasurementRecord,
     NoDetectionError,
     PhaseSpaceGrid,
@@ -18,6 +17,7 @@ from cavitylab import (
     decoherence_time,
     default_dim,
     direct_point_exact,
+    evolve,
     fock_state,
     mix,
     monitor_origin,
@@ -134,13 +134,14 @@ def test_estimate_bounded_by_two(corpus):
 
 
 def test_record_invariants():
-    with pytest.raises(DomainError):
-        MeasurementRecord(0.0, 0.7, 0.7)
-    # the state gate lets a trace off 1 by up to 1e-8 through; the record does not
+    assert MeasurementRecord(0.0, 0.25, 0.75).estimate == 1.0
+    # the state gate lets a trace off 1 by up to 1e-8 through, and the atom
+    # reads such a state as the Wigner kernel does: P_e + P_g is its trace
     m = np.diag([0.5 + 2.5e-9, 0.5 + 2.5e-9, 0.0])
     assert abs(np.trace(m) - 1.0) == pytest.approx(5e-9)
-    with pytest.raises(DomainError, match="P_e \\+ P_g"):
-        direct_point_exact(DensityOperator(m), 0.3)
+    rho = DensityOperator(m)
+    assert abs(direct_point_exact(rho, 0.3).estimate - wigner_point(rho, -0.3)) < 1e-12
+    assert abs(monitor_origin(rho, MODEL, [0.0])[0, 0] - wigner_point(rho, 0.0)) < 1e-12
 
 
 # -- finite shots and detector inefficiency ---------------------------------------
@@ -308,10 +309,12 @@ def test_collapse_time_scales_inversely_with_photon_number():
 
 
 def test_monitor_refuses_unsorted_times():
-    # refused by evolve_trajectory, the one place the times are checked
+    # refused by dynamics._diagonals, the one place the times are checked
     rho = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
     with pytest.raises(DomainError, match="times must be finite, sorted and nonnegative"):
         monitor_origin(rho, MODEL, [0.2, 0.1])
+    with pytest.raises(DomainError, match="at least one time"):
+        monitor_origin(rho, MODEL, [])
 
 
 def test_monitor_sampled_series():
@@ -342,13 +345,17 @@ def test_monitor_draws_each_time_from_its_own_child_seed():
                                              1.0 / (4.0 * detected.sum())) / detected.sum())
 
 
-def test_monitor_refuses_probabilities_that_do_not_sum_to_one(monkeypatch):
-    def leaky(pops, variant):
-        return 0.5 * pops.sum(-1), 0.5 * pops.sum(-1) + 1e-9
-    monkeypatch.setattr(protocol, "detection_probabilities", leaky)
-    rho = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
-    with pytest.raises(IntegrationError, match="P_e \\+ P_g"):
-        monitor_origin(rho, MODEL, [0.0, 0.2])
+@pytest.mark.parametrize("n_th", [0.0, 0.05])
+def test_monitor_reads_the_populations_of_the_damped_state(n_th):
+    # the monitor forms only the damped populations; its exact row is the
+    # Born rule on the diagonals of the full damped matrices, bit for bit
+    rho = pure_to_density(cat_state(HilbertSpec(20), 1.2, 0.0))
+    model = DampingModel(1.0, n_th)
+    times = [0.0, 0.0, 0.15, 0.15, 0.6, 2.0]
+    w0 = monitor_origin(rho, model, times)[0]
+    for k, rho_t in enumerate(evolve(rho, model, times)):
+        p_e, p_g = protocol.detection_probabilities(rho_t.diagonal(), "dispersive")
+        assert w0[k] == 2.0 * (p_g - p_e)
 
 
 # -- alternative conditional-phase realizations --------------------------------------

@@ -9,19 +9,19 @@ from cavitylab import (
     DensityOperator,
     DomainError,
     HilbertSpec,
+    IntegrationError,
     NonHermitianError,
-    TimeGrid,
     cat_coherence,
     cat_state,
     coherent_state,
     decoherence_time,
     evolve,
-    evolve_trajectory,
     mix,
     pure_to_density,
     separation_measure,
     vacuum,
 )
+from cavitylab import dynamics
 from cavitylab.dynamics import (
     _diagonal_generator,
     _diagonals,
@@ -54,15 +54,6 @@ def test_damping_model_validation():
     assert DampingModel(kappa=4.0).dissipation_time == 0.25
 
 
-def test_time_grid():
-    grid = TimeGrid(0.0, 2.0, 5)
-    np.testing.assert_allclose(grid.times, [0, 0.5, 1.0, 1.5, 2.0])
-    with pytest.raises(DomainError):
-        TimeGrid(1.0, 0.5, 3)
-    with pytest.raises(DomainError):
-        TimeGrid(0.0, 1.0, 0)
-
-
 def test_vacuum_is_fixed_point():
     rho = pure_to_density(vacuum(HilbertSpec(12)))
     out = evolve(rho, MODEL, 2.5)
@@ -89,7 +80,7 @@ def test_energy_decay():
 def test_trajectory_preserves_density_invariants():
     spec = HilbertSpec(22)
     rho0 = pure_to_density(cat_state(spec, 1.3, 0.0))
-    for rho_t in evolve_trajectory(rho0, MODEL, np.linspace(0, 2.0, 9)):
+    for rho_t in evolve(rho0, MODEL, np.linspace(0, 2.0, 9)):
         assert abs(rho_t.trace() - 1.0) < 1e-9
         herm = np.max(np.abs(rho_t.matrix - rho_t.matrix.conj().T))
         assert herm < 1e-10
@@ -107,7 +98,7 @@ def test_semigroup_property():
 def test_energy_monotone():
     spec = HilbertSpec(20)
     rho0 = pure_to_density(cat_state(spec, 1.5, 0.0))
-    traj = evolve_trajectory(rho0, MODEL, np.linspace(0, 3.0, 16))
+    traj = evolve(rho0, MODEL, np.linspace(0, 3.0, 16))
     energies = np.array([r.mean_photon() for r in traj])
     assert np.all(np.diff(energies) <= 1e-10)
 
@@ -133,15 +124,27 @@ def test_infinite_thermal_occupation_rejected():
         DampingModel(kappa=1.0, n_thermal=float("inf"))
 
 
-def test_infinite_time_grid_end_rejected():
-    # np.linspace would return [nan, inf, inf]
-    with pytest.raises(DomainError):
-        TimeGrid(0.0, float("inf"), 3)
+def test_evolve_takes_one_time_or_a_trajectory_and_checks_every_trace(monkeypatch):
+    rho0 = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
+    assert evolve(rho0, MODEL, 0.0) is rho0
+    one, traj = evolve(rho0, MODEL, 0.4), evolve(rho0, MODEL, np.array([0.4, 0.8]))
+    assert isinstance(one, DensityOperator) and len(traj) == 2
+    assert np.array_equal(one.matrix, traj[0].matrix)
+    original = dynamics._diagonals
+
+    def leaky(mats, model, times):  # the last time gains 1e-8 of trace
+        for k, x in original(mats, model, times):
+            if k == 0:
+                x[:, -1, 0] += 1e-8
+            yield k, x
+    monkeypatch.setattr(dynamics, "_diagonals", leaky)
+    with pytest.raises(IntegrationError, match="trace drift"):
+        evolve(rho0, MODEL, [0.4, 0.8])
 
 
 def test_nan_trajectory_time_rejected():
     with pytest.raises(DomainError):
-        evolve_trajectory(pure_to_density(vacuum(HilbertSpec(4))), MODEL, [0.0, float("nan")])
+        evolve(pure_to_density(vacuum(HilbertSpec(4))), MODEL, [0.0, float("nan")])
 
 
 def test_non_hermitian_state_is_refused():
@@ -196,7 +199,7 @@ def test_zero_temperature_matches_walls_milburn_closed_form():
     model = DampingModel(kappa=kappa)
     times = [0.0, 0.07, 0.5, 0.5, 2.0]
     for rho0 in (_cat_matrix(dim, 1.5 * np.exp(0.4j), 0.7), _random_density(dim, 3, 5)):
-        traj = evolve_trajectory(DensityOperator(rho0), model, times)
+        traj = evolve(DensityOperator(rho0), model, times)
         for t, rho_t in zip(times, traj):
             p = 1.0 - np.exp(-kappa * t)
             want = np.zeros((dim, dim), dtype=complex)
@@ -228,7 +231,7 @@ def test_coherent_trajectory_matches_walls_milburn_amplitude():
     log_fact = np.array([math.lgamma(k + 1.0) for k in n])
     times = [0.0, 0.05, 0.05, 0.4, 1.7, 6.0]
     rho0 = pure_to_density(coherent_state(HilbertSpec(dim), alpha))
-    for t, rho_t in zip(times, evolve_trajectory(rho0, DampingModel(kappa), times)):
+    for t, rho_t in zip(times, evolve(rho0, DampingModel(kappa), times)):
         b = alpha * np.exp(-kappa * t / 2)
         v = np.exp(-abs(b) ** 2 / 2 + n * np.log(b) - log_fact / 2)
         assert np.max(np.abs(rho_t.matrix - np.outer(v, v.conj()))) < 1e-13
@@ -250,7 +253,7 @@ def test_mean_photon_relaxes_to_thermal_occupation():
     rho0 = DensityOperator(_cat_matrix(40, 1.5, 0.0))
     n0 = float(np.real(np.sum(np.arange(40) * np.diag(rho0.matrix))))
     times = np.array([0.0, 0.3, 1.0, 2.5])
-    traj = evolve_trajectory(rho0, DampingModel(kappa, n_th), times)
+    traj = evolve(rho0, DampingModel(kappa, n_th), times)
     got = np.array([r.mean_photon() for r in traj])
     np.testing.assert_allclose(got, n_th + (n0 - n_th) * np.exp(-kappa * times),
                                rtol=0, atol=1e-12)
@@ -267,7 +270,7 @@ def test_thermal_damping_matches_ode_solution_on_nonuniform_times():
                     rho0.ravel(), method="DOP853", t_eval=unique,
                     rtol=1e-12, atol=1e-14)
     assert sol.success
-    traj = evolve_trajectory(DensityOperator(rho0), DampingModel(kappa, n_th), times)
+    traj = evolve(DensityOperator(rho0), DampingModel(kappa, n_th), times)
     for k, rho_t in enumerate(traj):
         want = sol.y[:, where[k]].reshape(dim, dim)
         assert np.max(np.abs(rho_t.matrix - want)) < 1e-10
@@ -277,7 +280,7 @@ def test_trajectory_stays_positive_and_exactly_hermitian():
     alpha = np.sqrt(5.0)
     rho0 = pure_to_density(cat_state(HilbertSpec(31), alpha, np.pi))
     for n_th in (0.0, 0.05):
-        traj = evolve_trajectory(rho0, DampingModel(1.0, n_th), np.linspace(0, 8, 81))
+        traj = evolve(rho0, DampingModel(1.0, n_th), np.linspace(0, 8, 81))
         for rho_t in traj:
             assert np.array_equal(rho_t.matrix, rho_t.matrix.conj().T)
             assert np.linalg.eigvalsh(rho_t.matrix).min() >= -1e-14
@@ -313,7 +316,7 @@ def test_coherence_e_fold_at_decoherence_time():
 def test_coherence_series_matches_pointwise_witness():
     alpha = 1.5
     rho0 = pure_to_density(cat_state(HilbertSpec(26), alpha, 0.0))
-    traj = evolve_trajectory(rho0, MODEL, [0.0, 0.1, 0.4])
+    traj = evolve(rho0, MODEL, [0.0, 0.1, 0.4])
     series = coherence_series(traj, alpha)
     for w, rho_t in zip(series, traj):
         assert abs(w - cat_coherence(rho_t, alpha)) < 1e-15
@@ -360,7 +363,7 @@ def test_thermal_coherence_trajectory_matches_matrix_path(n_thermal):
     times = np.linspace(0.0, 2.0, 21)
     rho0 = DensityOperator(_cat_matrix(dim, alpha * np.exp(0.4j), np.pi))
     coherence, mean_n, trace = coherence_trajectory(rho0, model, times, alpha)
-    traj = evolve_trajectory(rho0, model, times)
+    traj = evolve(rho0, model, times)
     np.testing.assert_allclose(coherence, coherence_series(traj, alpha), rtol=0, atol=1e-14)
     np.testing.assert_allclose(mean_n, [r.mean_photon() for r in traj], rtol=0, atol=1e-13)
     np.testing.assert_allclose(trace, [r.trace().real for r in traj], rtol=0, atol=1e-14)
@@ -374,8 +377,8 @@ def test_zero_diagonal_skip_returns_the_populations_exactly():
     model = DampingModel(kappa=1.0, n_thermal=0.2)
     diag = np.diag(np.diag(rho0))
     assert [k for k, _ in _diagonals(diag[None], model, times)] == [0]
-    full = evolve_trajectory(DensityOperator(rho0), model, times)
-    for rho_t, pop_t in zip(full, evolve_trajectory(DensityOperator(diag), model, times)):
+    full = evolve(DensityOperator(rho0), model, times)
+    for rho_t, pop_t in zip(full, evolve(DensityOperator(diag), model, times)):
         assert np.array_equal(pop_t.matrix, np.diag(np.diag(rho_t.matrix)))
 
 
@@ -416,7 +419,7 @@ def test_coherence_decays_faster_than_energy():
     t_dec = decoherence_time(MODEL, n_mean)
     tau_coh = fit_coherence_decay(rho0, MODEL, alpha, 0.5 * t_dec)
     times = np.linspace(0, 0.5 * t_dec, 12)
-    traj = evolve_trajectory(rho0, MODEL, times)
+    traj = evolve(rho0, MODEL, times)
     energies = np.array([r.mean_photon() for r in traj])
     energy_rate = -np.polyfit(times, np.log(energies), 1)[0]
     ratio = (1.0 / tau_coh) / energy_rate
@@ -479,7 +482,7 @@ def test_grouped_steps_match_one_step_evolution(alpha, dim, n_th):
         assert np.max(np.abs(evolve(rho0, model, t).matrix - r)) < 1e-15
     for times in grids:
         assert len(np.unique(np.diff(times))) > 2
-        traj = evolve_trajectory(rho0, model, times)
+        traj = evolve(rho0, model, times)
         for rho_t, r in zip(traj, ref[np.searchsorted(every, times)]):
             assert np.max(np.abs(rho_t.matrix - r)) < 1e-12
 
@@ -489,7 +492,7 @@ def test_step_groups_keep_distinct_gaps_apart():
     steps, step_of = _step_groups(times)
     assert len(steps) == 3 and step_of == [0, 1, 2]
     rho0 = pure_to_density(cat_state(HilbertSpec(30), np.sqrt(5.0), np.pi))
-    for t, rho_t in zip(times, evolve_trajectory(rho0, MODEL, times)):
+    for t, rho_t in zip(times, evolve(rho0, MODEL, times)):
         assert np.max(np.abs(rho_t.matrix - evolve(rho0, MODEL, t).matrix)) < 1e-12
     # linspace gaps within rounding of each other form one group, stepping by their mean
     times = np.linspace(0.0, 8.0, 81)
@@ -500,7 +503,7 @@ def test_step_groups_keep_distinct_gaps_apart():
 
 def test_repeated_times_and_zero_return_the_input_exactly():
     rho0 = pure_to_density(cat_state(HilbertSpec(20), 1.5, 0.0))
-    traj = evolve_trajectory(rho0, DampingModel(1.0, 0.05), [0.0, 0.0, 0.3, 0.3])
+    traj = evolve(rho0, DampingModel(1.0, 0.05), [0.0, 0.0, 0.3, 0.3])
     assert np.array_equal(traj[0].matrix, rho0.matrix)
     assert np.array_equal(traj[1].matrix, rho0.matrix)
     assert np.array_equal(traj[2].matrix, traj[3].matrix)

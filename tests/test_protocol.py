@@ -13,7 +13,7 @@ from cavitylab import (
     coherent_state,
     detection_probabilities,
     direct_point_exact,
-    evolve_trajectory,
+    evolve,
     field_kraus,
     fock_state,
     mix,
@@ -377,7 +377,7 @@ def test_scan_hands_back_its_branch_trajectories():
     for o in ("e", "g"):
         field = scan.branches[o].field()
         assert np.array_equal(field.matrix, first[o].field().matrix)
-        want = evolve_trajectory(field, MODEL, delays)
+        want = evolve(field, MODEL, delays)
         for k, ref in enumerate(want):
             assert (getattr(scan, f"p_e2_given_{o}1")[k]
                     == probe_atom(ref)["e"].probability)

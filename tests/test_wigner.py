@@ -17,7 +17,6 @@ from cavitylab import (
     coherent_state,
     default_grid,
     evolve,
-    evolve_trajectory,
     fock_state,
     marginal_distribution,
     mix,
@@ -680,6 +679,6 @@ def test_fringe_amplitude_decays_at_decoherence_rate():
     rho0 = pure_to_density(cat_state(HilbertSpec(32), alpha, 0.0))
     t_dec = 1.0 / (2 * n_mean)
     times = np.linspace(0, 0.5 * t_dec, 11)
-    w0 = np.array([wigner_point(r, 0.0) for r in evolve_trajectory(rho0, model, times)])
+    w0 = np.array([wigner_point(r, 0.0) for r in evolve(rho0, model, times)])
     rate = -np.polyfit(times, np.log(w0 / w0[0]), 1)[0]
     assert abs(rate * t_dec - 1.0) < 0.10
