@@ -36,7 +36,6 @@ from .fock import (
     displaced_rows,
     fock_state,
     mix,
-    parity,
     promote,
     pure_to_density,
     vacuum,

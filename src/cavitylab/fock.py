@@ -78,12 +78,6 @@ class FieldState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "FieldState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def mean_photon(self) -> float:
-        return float(np.sum(np.arange(self.dim) * np.abs(self.amplitudes) ** 2))
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -123,9 +117,6 @@ class DensityOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def mean_photon(self) -> float:
-        return float(np.real(np.sum(np.arange(self.dim) * np.diag(self.matrix))))
-
     def diagonal(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()
 
@@ -156,35 +147,34 @@ def quadrature_q2(spec: HilbertSpec) -> np.ndarray:
     return _readonly((annihilation(spec) - creation(spec)) / (1j * np.sqrt(2.0)))
 
 
-def parity(spec: HilbertSpec) -> np.ndarray:
-    """Photon-number parity: diag((-1)^n)."""
-    return _readonly(np.diag((-1.0) ** np.arange(spec.dim)))
-
-
 # ---------------------------------------------------------------------------
 # normalised Laguerre functions and the displacement they build
 
 
-def laguerre_functions(x: np.ndarray, width: int, steps: int):
+def laguerre_functions(x: np.ndarray, ks: np.ndarray, steps: int):
     """Normalised Laguerre functions l_n^k(x) = sqrt(n!/(n+k)!) x^{k/2} e^{-x/2} L_n^k(x)
-    on a 1-D array of x >= 0, by upward recurrence in n from l_0^k in log form:
-    yields l_n^k(x) over k < width - n, shape (width - n, x.size), for n < steps."""
-    k = np.arange(width, dtype=float)
+    on a 1-D array of x >= 0, by upward recurrence in n from l_0^k in log form,
+    each k on its own: for n < steps, yields l_n^k(x) over the leading entries
+    of the sorted integer array `ks` that keep n + k < max(steps, ks[-1] + 1),
+    shape (rows, x.size).  A k missing from `ks` costs nothing."""
+    k = np.asarray(ks, dtype=float)
     # the recurrence's coefficients at every (n, k), built once; row n - 1 serves step n
     nn = np.arange(1, steps, dtype=float)[:, None]
     lead = 2 * nn - 1 + k
     back = np.sqrt((nn - 1) * (nn - 1 + k))
     norm = np.sqrt(nn * (nn + k))
-    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
+    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, k[-1] + 1)))])
+    # rows[n]: how many of the ks stay inside the triangle at step n
+    rows = np.searchsorted(ks, max(steps, int(ks[-1]) + 1) - np.arange(steps))
     # (k/2) log x, 0 at k = 0 and -inf above it at x = 0, so l_0^k(0) = [k = 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         power = k[:, None] / 2.0 * np.log(x)
-    power[0] = 0.0
-    ell = np.exp(power - x / 2.0 - 0.5 * log_factorial[:, None])  # l_0^k(x)
+    power[k == 0] = 0.0
+    ell = np.exp(power - x / 2.0 - 0.5 * log_factorial[ks, None])  # l_0^k(x)
     ell_prev = np.zeros_like(ell)
     yield ell
     for n in range(1, steps):
-        m = width - n
+        m = rows[n]
         ell, ell_prev = (((lead[n - 1, :m, None] - x) * ell[:m]
                           - back[n - 1, :m, None] * ell_prev[:m])
                          / norm[n - 1, :m, None]), ell[:m]
@@ -215,7 +205,7 @@ def radial_rows(alpha, rows: int, cols: int) -> np.ndarray:
     # one recurrence per distinct radius (the corners of a symmetric grid share one)
     radii, which = np.unique(x, return_inverse=True)
     out = np.zeros((width, cols, radii.size))
-    for j, ell in enumerate(laguerre_functions(radii, width, cols)):
+    for j, ell in enumerate(laguerre_functions(radii, np.arange(width), cols)):
         out[j:, j] = ell
     out = out.transpose(2, 0, 1)[which.reshape(x.shape)]
     # the band n < j mirrors n > j: r_nj = (-1)^(j-n) r_jn

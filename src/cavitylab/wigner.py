@@ -7,13 +7,16 @@ cross-checked by the test suite:
   normalized so that integral(d^2alpha/pi) W = 1 and |W| <= 2, evaluated
   by its Laguerre series over the diagonals of rho (Cahill & Glauber,
   Phys. Rev. 177, 1857 and 1882 (1969)).  The series is exact for the
-  truncated state, so it runs in rho's own dimension with no displacement.
-  Its costly radial part (a Laguerre recurrence) depends on |alpha| only:
-  points are grouped by exactly equal x = 4|alpha|^2 and the recurrence
-  runs once per distinct radius, summing Re rho and (when nonzero) Im rho
-  in real arithmetic; each point then sums its angular factors
-  e^{ik arg(alpha)} by Horner.  Grid axes are exactly antisymmetric on
-  symmetric extents, so mirror points share one radius.
+  truncated state, so it runs in rho's own dimension with no displacement,
+  and only over the diagonals k of rho that are not exactly zero (the even
+  k of a parity cat, k = 0 alone for a Fock state).  Its costly radial
+  part (a Laguerre recurrence) depends on |alpha| only: points are grouped
+  by exactly equal x = 4|alpha|^2 and the recurrence runs once per
+  distinct radius, summing Re rho and (when nonzero) Im rho in real
+  arithmetic; each point then sums its angular factors e^{ik arg(alpha)}
+  by Horner in e^{ig arg(alpha)}, g the gcd of the live k.  Grid axes are
+  exactly antisymmetric on symmetric extents, so mirror points share one
+  radius, and a real rho's map is evaluated on q2 <= 0 and reflected.
 * ``wigner_position`` -- the position-representation integral
   (1/2pi) int e^{ipx} <q-x/2| rho |q+x/2> dx, evaluated with Hermite
   functions and Gauss-Hermite quadrature, then rescaled by 2pi to the
@@ -158,25 +161,38 @@ class WignerMap:
 # ---------------------------------------------------------------------------
 # Laguerre-series construction
 
-# distinct radii per radial block, times dim: keeps each real
-# (dim, radii) work array near 2 MB however large the grid
+# distinct radii per radial block, times the number of live diagonals:
+# keeps each real (diagonals, radii) work array near 2 MB however large the grid
 _BLOCK = 1 << 18
 
 
-def _radial_sums(mat: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
-    """S_k(x) = sum_n (-1)^n rho_{n,n+k} l_n^k(x) for every diagonal k < dim,
-    as real arrays of shape (dim, x.size): [Re S], or [Re S, Im S] when rho
-    has an imaginary part.  Both sum on one real recurrence; an exactly
-    real rho has no Im pass."""
+def _live_diagonals(mat: np.ndarray) -> np.ndarray:
+    """The k >= 0 whose upper diagonal rho_{n,n+k} holds a nonzero entry,
+    ascending, from one pass over the nonzero entries of rho."""
+    rows, cols = np.nonzero(mat)
+    offsets = cols - rows
+    live = np.zeros(mat.shape[0], dtype=bool)
+    live[offsets[offsets >= 0]] = True
+    return np.flatnonzero(live)
+
+
+def _radial_sums(mat: np.ndarray, ks: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+    """S_k(x) = sum_n (-1)^n rho_{n,n+k} l_n^k(x) for the diagonals k in `ks`,
+    as real arrays of shape (ks.size, x.size): [Re S], or [Re S, Im S] when
+    rho has an imaginary part.  Both sum on one real recurrence over those k
+    alone; an exactly real rho has no Im pass."""
     dim = mat.shape[0]
-    signed = mat * (-1.0) ** np.arange(dim)[:, None]
-    parts = [signed.real] + ([signed.imag] if signed.imag.any() else [])
-    ells = laguerre_functions(x, dim, dim)
+    rows = np.arange(dim)[:, None]
+    # coefs[n, i] = (-1)^n rho_{n, n + ks[i]}; entries past the edge are never read
+    coefs = mat[rows, np.minimum(rows + ks, dim - 1)] * (-1.0) ** rows
+    parts = [coefs.real] + ([coefs.imag] if mat.imag.any() else [])
+    ells = laguerre_functions(x, ks, dim)
     ell = next(ells)
     sums = [part[0, :, None] * ell for part in parts]
     for n, ell in enumerate(ells, start=1):
+        m = ell.shape[0]  # the live k with n + k < dim
         for acc, part in zip(sums, parts):
-            acc[:dim - n] += part[n, n:, None] * ell
+            acc[:m] += part[n, :m, None] * ell
     return sums
 
 
@@ -189,17 +205,25 @@ def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
 
     with x = 4|alpha|^2, z = e^{i arg(alpha)} and the normalised Laguerre
     functions l_n^k of ``fock.laguerre_functions``.  The series is exact for
-    the truncated state, so it runs in rho's own dimension.
+    the truncated state, so it runs in rho's own dimension, and only over the
+    live diagonals: the k whose diagonal of rho is not exactly zero (the even
+    k of a parity cat, k = 0 alone for a Fock state or a number mixture).
 
     Only the radial sums S_k need the O(dim^2) recurrence, and they depend
     on x alone.  The points are sorted by x and grouped by exact float
     equality (no tolerance, so every point sees the x it would have had on
     its own); the recurrence runs once per distinct x, in blocks of at most
-    _BLOCK // dim radii, in real arithmetic.  Each point then sums its
-    angles by Horner in z.  Returns the values, shaped as `alphas`, and the
-    number of distinct radii.
+    _BLOCK // (live diagonals) radii, in real arithmetic.  Each point then
+    sums its angles by Horner in w = z^g, g the gcd of the live k > 0: a
+    multiple of g whose diagonal is zero adds nothing at its step.  Returns
+    the values, shaped as `alphas`, and the number of distinct radii.
     """
     mat = rho.matrix
+    ks = _live_diagonals(mat)
+    g = int(np.gcd.reduce(ks)) or 1
+    # slot[j]: the row of S_{jg} among the live diagonals, -1 where that one is zero
+    slot = np.full(ks[-1] // g + 1, -1)
+    slot[ks // g] = np.arange(ks.size)
     alphas = np.asarray(alphas, dtype=complex)
     flat = alphas.ravel()
     with np.errstate(over="ignore"):
@@ -212,18 +236,24 @@ def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
     bounds = np.flatnonzero(np.diff(x, prepend=-1.0, append=np.inf))
     radii = bounds.size - 1
     out = np.empty(flat.size)
-    step = max(1, _BLOCK // rho.dim)
+    step = max(1, _BLOCK // ks.size)
     for r in range(0, radii, step):
         runs = bounds[r:r + step + 1]
-        sums = _radial_sums(mat, x[runs[:-1]])
+        sums = _radial_sums(mat, ks, x[runs[:-1]])
         pts = order[runs[0]:runs[-1]]
         which = np.repeat(np.arange(runs.size - 1), np.diff(runs))
-        z = np.exp(1j * np.angle(flat[pts]))
-        acc = np.zeros(pts.size, dtype=complex)  # sum_{k>=1} S_k z^k by Horner
-        for k in range(rho.dim - 1, 0, -1):
-            for acc_part, part in zip((acc.real, acc.imag), sums):
-                acc_part += part[k, which]
-            acc *= z
+        acc = np.zeros(pts.size, dtype=complex)  # sum_{k>=1} S_k z^k by Horner in z^g
+        if slot.size > 1:
+            w = np.exp(1j * (g * np.angle(flat[pts])))
+            # the product goes to a second buffer: numpy's in-place complex
+            # product rounds a one-element array differently, and a point
+            # must read as its map
+            spare = np.empty_like(acc)
+            for i in slot[:0:-1]:
+                if i >= 0:
+                    for acc_part, part in zip((acc.real, acc.imag), sums):
+                        acc_part += part[i, which]
+                acc, spare = np.multiply(acc, w, out=spare), acc
         out[pts] = 2.0 * (sums[0][0, which] + 2.0 * acc.real)
     return out.reshape(alphas.shape), radii
 
@@ -234,8 +264,20 @@ def wigner_point(rho: DensityOperator, alpha: complex) -> float:
 
 
 def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
-    """W over the grid by the Laguerre series, with bound/normalization checks."""
-    values, radii = _laguerre_series(rho, grid.alpha_grid())
+    """W over the grid by the Laguerre series, with bound/normalization checks.
+
+    A real rho has W(conj alpha) = W(alpha), and on a q2 axis that is bitwise
+    antisymmetric (every symmetric grid) the series gives it bit for bit:
+    arg, sin and the conjugate products of the Horner sum all change sign
+    exactly.  There only the columns with q2 <= 0 are evaluated, and the
+    others are filled by reversal."""
+    alphas = grid.alpha_grid()
+    q2 = grid.q2_axis
+    if not rho.matrix.imag.any() and np.array_equal(q2, -q2[::-1]):
+        half, radii = _laguerre_series(rho, alphas[:, :(q2.size + 1) // 2])
+        values = np.concatenate([half, half[:, ::-1][:, q2.size % 2:]], axis=1)
+    else:
+        values, radii = _laguerre_series(rho, alphas)
     wm = WignerMap(grid, values,
                    diagnostics={"max_abs": float(np.max(np.abs(values))),
                                 "eval_dim": rho.dim, "distinct_radii": radii})

@@ -37,6 +37,12 @@ def build_corpus(dim: int = CORPUS_DIM) -> dict:
     return states
 
 
+def mean_photon(populations) -> float:
+    """<n> = sum_n n p_n from photon-number populations p_n: rho.diagonal(),
+    or |amplitudes|^2 of a pure state."""
+    return float(np.arange(len(populations)) @ populations)
+
+
 def eigh_displacement(dim: int, alpha: complex) -> np.ndarray:
     """Oracle D(alpha) on a dim-truncated space, independent of the Laguerre
     recurrence: exp(-i|alpha| G) with G = i(a^dag - a) by eigendecomposition,

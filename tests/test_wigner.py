@@ -10,6 +10,7 @@ import cavitylab
 from cavitylab import (
     DampingModel,
     DensityOperator,
+    FieldState,
     HilbertSpec,
     PhaseSpaceGrid,
     TruncationError,
@@ -194,14 +195,16 @@ def test_mirror_points_share_one_radial_recurrence():
     assert wm.diagnostics["distinct_radii"] == np.unique(4.0 * np.abs(grid.alpha_grid()) ** 2).size
 
 
-def _complex_radial_sums(mat, x):
-    """The radial sums S_k accumulated in complex arithmetic, as one
-    (dim, x.size) complex array: the reference for the real accumulation."""
+def _complex_radial_sums(mat, ks, x):
+    """The radial sums S_k over the diagonals `ks`, accumulated in complex
+    arithmetic, as one (ks.size, x.size) complex array: the reference for
+    the real accumulation."""
     dim = mat.shape[0]
-    ells = laguerre_functions(x, dim, dim)
-    sums = mat[0, :, None] * next(ells)
+    ells = laguerre_functions(x, ks, dim)
+    sums = mat[0, ks, None] * next(ells)
     for n, ell in enumerate(ells, start=1):
-        sums[:dim - n] += (-1) ** n * mat[n, n:, None] * ell
+        m = ell.shape[0]
+        sums[:m] += (-1) ** n * mat[n, n + ks[:m], None] * ell
     return sums
 
 
@@ -211,8 +214,8 @@ def test_real_accumulation_matches_complex_accumulation_bitwise(monkeypatch):
     grid = PhaseSpaceGrid(-4.0, 4.3, -3.7, 4.0, 41, 37)
     got = wigner_map(rho, grid).values
 
-    def complex_parts(mat, x):
-        sums = _complex_radial_sums(mat, x)
+    def complex_parts(mat, ks, x):
+        sums = _complex_radial_sums(mat, ks, x)
         return [sums.real, sums.imag]
 
     monkeypatch.setattr(wigner, "_radial_sums", complex_parts)
@@ -277,6 +280,73 @@ def test_map_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def _superposition(dim, amplitudes):
+    """The normalised pure state sum_n amplitudes[n] |n> as a density operator."""
+    psi = np.zeros(dim, dtype=complex)
+    for n, amp in amplitudes.items():
+        psi[n] = amp
+    return pure_to_density(FieldState(psi / np.linalg.norm(psi)))
+
+
+def test_live_diagonal_patterns_against_position_construction():
+    # the kernel runs only the diagonals k of rho that are not exactly zero
+    # and sums their angles by Horner in z^g, g the gcd of the live k > 0;
+    # each pattern is checked against the position integral of rho embedded
+    # in dim + 10, on a symmetric grid through alpha = 0 and an asymmetric one
+    dim = 20
+    spec = HilbertSpec(dim)
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    full = a @ a.conj().T
+    cases = [
+        (pure_to_density(fock_state(spec, 3)), [0]),
+        (pure_to_density(cat_state(spec, 1.3, 0.0)), list(range(0, dim, 2))),
+        (pure_to_density(cat_state(spec, 1.3, np.pi)), list(range(0, dim, 2))),
+        (_superposition(dim, {0: 1.0, 3: 1.0}), [0, 3]),
+        (pure_to_density(pauli_counterexample(spec).state_a), [0, 2]),
+        # gcd 2 with a gap at k = 2, where Horner multiplies and adds nothing
+        (mix([_superposition(dim, {0: 1.0, 4: 1j}),
+              _superposition(dim, {1: 1.0, 7: np.exp(0.3j)})], [0.6, 0.4]), [0, 4, 6]),
+        (DensityOperator(full / np.trace(full).real), list(range(dim))),
+    ]
+    grids = (PhaseSpaceGrid(-4.0, 4.0, -4.0, 4.0, 9, 9),
+             PhaseSpaceGrid(-3.1, 4.3, -2.2, 5.0, 8, 7))
+    for rho, live in cases:
+        assert wigner._live_diagonals(rho.matrix).tolist() == live
+        oracle = promote(rho, HilbertSpec(dim + 10))
+        for grid in grids:
+            values = wigner_map(rho, grid).values
+            for i, q in enumerate(grid.q1_axis):
+                for j, p in enumerate(grid.q2_axis):
+                    assert abs(values[i, j] - wigner_position(oracle, q, p)) < 1e-10
+        for alpha in (0.0, 0.7 - 0.4j, -1.1 + 0.9j):
+            q, p = np.sqrt(2) * alpha.real, np.sqrt(2) * alpha.imag
+            assert abs(wigner_point(rho, alpha) - wigner_position(oracle, q, p)) < 1e-10
+
+
+def test_map_nodes_equal_points_bitwise_and_real_maps_mirror():
+    # every node of a map is, bit for bit, wigner_point at its alpha; a real
+    # rho's map on a symmetric q2 axis (odd n2 through q2 = 0, and even n2)
+    # is evaluated on q2 <= 0 alone and is its own column reversal bit for bit
+    spec = HilbertSpec(26)
+    real = [pure_to_density(cat_state(spec, 1.5, 0.0)),
+            pure_to_density(coherent_state(spec, 1.1)),
+            mix([cat_state(spec, 1.5, np.pi), fock_state(spec, 2)], [0.7, 0.3])]
+    complex_cat = pure_to_density(cat_state(spec, 1.2 * np.exp(0.4j), 0.7))
+    symmetric = [PhaseSpaceGrid(-4.0, 4.0, -4.0, 4.0, 11, 11),
+                 PhaseSpaceGrid(-3.1, 4.3, -3.0, 3.0, 9, 10)]
+    asymmetric = PhaseSpaceGrid(-3.1, 4.3, -2.2, 5.0, 9, 8)
+    for rho in real + [complex_cat]:
+        for grid in symmetric + [asymmetric]:
+            values = wigner_map(rho, grid).values
+            points = [[wigner_point(rho, alpha) for alpha in row] for row in grid.alpha_grid()]
+            assert np.array_equal(values, points)
+    for rho in real:
+        for grid in symmetric:
+            values = wigner_map(rho, grid).values
+            assert np.array_equal(values, values[:, ::-1])
 
 
 def test_map_matches_promoted_displaced_parity():
