@@ -64,7 +64,6 @@ from .wigner import (
     fringe_contrast,
     marginal_distribution,
     moyal_average,
-    pauli_counterexample,
     radon_of_map,
     wigner_map,
     wigner_point,

@@ -335,7 +335,7 @@ def _write_map(writer: ArtifactWriter, name: str, wmap: wigner.WignerMap) -> Non
         "grid": {"q1_min": wmap.grid.q1_min, "q1_max": wmap.grid.q1_max,
                  "q2_min": wmap.grid.q2_min, "q2_max": wmap.grid.q2_max,
                  "n1": wmap.grid.n1, "n2": wmap.grid.n2},
-        "convention": wmap.convention,
+        "convention": "alpha-normalized",
         "provenance": wmap.provenance,
         "diagnostics": wmap.diagnostics,
         "values_sha256": hashlib.sha256(
@@ -387,30 +387,19 @@ def _run_tomography(cfg: dict, writer: ArtifactWriter) -> None:
     rho, scale = _build_state(cfg)
     grid = _build_grid(cfg["grid"], scale)
     angles = tomo.uniform_angles(cfg["angles"])
-    q_range = tomo._q_range(rho, cfg["q_range"])
     result = tomo.reconstruct_from_samples(rho, angles, cfg["samples"], cfg["seed"],
                                            grid, bin_width=cfg["bin_width"],
-                                           q_range=q_range)
+                                           q_range=cfg["q_range"])
     sino = result.sinogram
     writer.csv("sinogram.csv", ["theta", "q", "density"],
                (sino.thetas, sino.q, sino.densities))
     writer.json("sinogram_meta.json", {
         "n_samples": cfg["samples"], "seed": cfg["seed"],
         "bin_width": cfg["bin_width"],
-        "q_range": q_range, "angles": cfg["angles"],
+        "q_range": result.q_range, "angles": cfg["angles"],
     })
     _write_map(writer, "reconstruction", result.map)
-    writer.json("reconstruction_report.json", {
-        "rmse": result.error_report["rmse"],
-        "fringe_contrast": result.error_report["fringe_contrast_recon"],
-        "fringe_contrast_true": result.error_report["fringe_contrast_true"],
-        "angles": result.error_report["angles"],
-        "n": result.error_report["n_per_angle"],
-        "max_abs_error": result.error_report["max_abs_error"],
-        "marginal_consistency_residuals":
-            {str(k): v for k, v in
-             result.error_report["marginal_consistency_residuals"].items()},
-    })
+    writer.json("reconstruction_report.json", result.error_report)
 
 
 def _run_direct_map(cfg: dict, writer: ArtifactWriter) -> None:

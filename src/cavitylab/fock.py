@@ -218,10 +218,15 @@ def radial_rows(alpha, rows: int, cols: int) -> np.ndarray:
 def displaced_rows(alpha, rows: int, cols: int) -> np.ndarray:
     """Exact elements <n|D(alpha)|j> = e^{i theta (n-j)} r_nj, n < rows, j < cols,
     with r from ``radial_rows`` (shape, limits and errors as there); column 0
-    is |alpha>."""
+    is |alpha>.  At theta = k pi/2 each e^{i theta n} is an exact +-1 or +-i,
+    so |-alpha> is bitwise (-1)^n |alpha> and |i alpha> is i^n |alpha>."""
     alpha = np.asarray(alpha, dtype=complex)
     r = radial_rows(alpha, rows, cols)
-    phase = np.exp(1j * np.angle(alpha)[..., None] * np.arange(max(rows, cols)))
+    theta, m = np.angle(alpha), np.arange(max(rows, cols))
+    phase = np.exp(1j * theta[..., None] * m)
+    turns = theta / (math.pi / 2.0)
+    quarter = turns == np.round(turns)
+    phase[quarter] = _QUARTER[(turns[quarter].astype(int)[:, None] * m) % 4]
     return r * phase[..., :rows, None] * phase[..., None, :cols].conj()
 
 

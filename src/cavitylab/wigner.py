@@ -40,8 +40,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError, NonHermitianError, QuadratureError, TruncationError
-from .fock import (DensityOperator, FieldState, HilbertSpec, laguerre_functions,
-                   pure_to_density, quadrature_q1, quadrature_q2)
+from .fock import (DensityOperator, HilbertSpec, laguerre_functions, quadrature_q1,
+                   quadrature_q2)
 
 BOUND = 2.0  # |W| <= 2 in this normalization
 
@@ -135,7 +135,6 @@ class WignerMap:
 
     grid: PhaseSpaceGrid
     values: np.ndarray
-    convention: str = "alpha-normalized"
     provenance: str = "exact"
     diagnostics: dict = field(default_factory=dict)
 
@@ -535,44 +534,6 @@ def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> MoyalResul
     op_val = float(np.real(np.trace(rho.matrix @ op)))
     int_val = moyal_grid_integral(rho, [monomial])[monomial]
     return MoyalResult(op_val, int_val, abs(op_val - int_val))
-
-
-# ---------------------------------------------------------------------------
-# the marginals-only ambiguity
-
-
-@dataclass(frozen=True)
-class PauliPair:
-    """Two states sharing both position and momentum marginals."""
-
-    state_a: FieldState
-    state_b: FieldState
-    evidence: dict
-
-
-def pauli_counterexample(spec: HilbertSpec) -> PauliPair:
-    """Conjugate pair (|0> + i|2>)/sqrt(2), (|0> - i|2>)/sqrt(2): identical
-    position AND momentum marginals, different Wigner functions."""
-    if spec.dim < 3:
-        raise DomainError("need dim >= 3 for the counterexample")
-    amps = np.zeros(spec.dim, dtype=complex)
-    amps[0], amps[2] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
-    state_a = FieldState(amps)
-    state_b = FieldState(amps.conj())
-    rho_a, rho_b = pure_to_density(state_a), pure_to_density(state_b)
-    qs, angles = np.linspace(-6.0, 6.0, 241), [0.0, np.pi / 2, np.pi / 4]
-    dev0, dev90, dev45 = np.max(np.abs(marginal_distribution(rho_a, angles, qs)
-                                       - marginal_distribution(rho_b, angles, qs)),
-                                axis=1).tolist()
-    probe = default_grid(2.0, step=0.15)
-    wig_dev = float(np.max(np.abs(wigner_map(rho_a, probe).values
-                                  - wigner_map(rho_b, probe).values)))
-    return PauliPair(state_a, state_b, {
-        "marginal_dev_theta_0": dev0,
-        "marginal_dev_theta_90": dev90,
-        "marginal_dev_theta_45": dev45,
-        "wigner_sup_deviation": wig_dev,
-    })
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,31 @@ def test_tomography_artifacts_and_determinism(tmp_path, monkeypatch):
     assert np.max(np.abs(tomo.inverse_radon(sino, grid).values - written)) < 1e-12
 
 
+@pytest.mark.parametrize("q_range", [None, 7])
+def test_tomography_writes_the_library_report(tmp_path, monkeypatch, q_range):
+    # reconstruction_report.json is the library's error report as it is, and
+    # sinogram_meta.json records the window the library sampled
+    results = []
+    reconstruct = tomo.reconstruct_from_samples
+
+    def kept(*args, **kwargs):
+        results.append(reconstruct(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(tomo, "reconstruct_from_samples", kept)
+    out = tmp_path / "o"
+    given = {} if q_range is None else {"q_range": q_range}
+    cfg = write_config(tmp_path, "c.json", {**TOMO_CFG, **given})
+    assert run_cli(["tomography", "--config", cfg, "--out", str(out)]) == 0
+    (result,) = results
+    report = json.loads((out / "reconstruction_report.json").read_text())
+    assert report == json.loads(json.dumps(result.error_report))
+    meta = json.loads((out / "sinogram_meta.json").read_text())
+    assert meta["q_range"] == result.q_range
+    if q_range is not None:
+        assert result.q_range == q_range
+
+
 def test_csv_rows_match_csv_writer_reference(tmp_path):
     def reference(header, rows):
         buf = io.StringIO()

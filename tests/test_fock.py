@@ -146,6 +146,22 @@ def test_parity_conjugates_displacement():
     np.testing.assert_allclose(lhs, displaced_rows(-alpha, 40, 26), atol=1e-14)
 
 
+def test_quarter_turn_coherent_states_are_exact():
+    # at arg(alpha) = k pi/2 the phases e^{ik n pi/2} are exact, so |-alpha> and
+    # |i alpha> are bitwise sign and quarter-turn multiples of |alpha>, and the
+    # +-alpha mixture is real with exactly zero odd diagonals
+    spec, n = HilbertSpec(46), np.arange(46)
+    plus = coherent_state(spec, 3.0).amplitudes
+    for alpha, factor in ((-3.0, (-1.0) ** n), (-(3.0 + 0j), (-1.0) ** n),
+                          (3j, 1j ** n), (-3j, (-1j) ** n)):
+        np.testing.assert_array_equal(coherent_state(spec, alpha).amplitudes, factor * plus)
+    alpha = complex(3.0)
+    rho = mix([coherent_state(spec, alpha), coherent_state(spec, -alpha)], [0.5, 0.5]).matrix
+    assert np.all(rho.imag == 0.0)
+    for k in range(1, 46, 2):
+        assert np.all(np.diagonal(rho, k) == 0.0)
+
+
 def test_non_finite_amplitudes_are_rejected():
     # nan read as an all-NaN state; 1e160 overflows |alpha|^2
     for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf), 1e160):

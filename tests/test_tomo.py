@@ -4,11 +4,13 @@ import pytest
 from cavitylab import (
     CoverageError,
     DomainError,
+    FieldState,
     HilbertSpec,
     PhaseSpaceGrid,
     SamplingError,
     cat_state,
     coherent_state,
+    default_grid,
     fock_state,
     marginal_distribution,
     pauli_incompleteness_demo,
@@ -240,7 +242,7 @@ def test_sampled_cat_reconstruction_fringe_contrast():
     grid = PhaseSpaceGrid(-4.2, 4.2, -4.2, 4.2, 113, 113)
     res = reconstruct_from_samples(cat, uniform_angles(72), 200000, 20250809, grid)
     true_c = res.error_report["fringe_contrast_true"]
-    recon_c = res.error_report["fringe_contrast_recon"]
+    recon_c = res.error_report["fringe_contrast"]
     assert abs(recon_c - true_c) / true_c < 0.15
     assert set(res.error_report) >= {"rmse", "max_abs_error",
                                      "marginal_consistency_residuals"}
@@ -281,6 +283,24 @@ def test_pauli_incompleteness_report():
     assert report["full_reconstruction_sup_dev"] > 0.05
     assert report["theta_45_marginal_dev"] > 0.01
     assert report["marginals_only_incomplete"] is True
+
+
+def test_pauli_pair_marginals_identical_wigner_different():
+    report = pauli_incompleteness_demo(PhaseSpaceGrid(-4, 4, -4, 4, 61, 61))
+    assert report["two_angle_sinogram_sup_dev"] < 1e-10
+    assert report["wigner_sup_dev"] > 0.1
+    assert report["theta_45_marginal_dev"] > 0.01
+
+
+def test_pauli_pair_is_conjugate():
+    # W of the conjugate state is W(conj alpha): on a grid whose q2 axis is
+    # antisymmetric, the pair's Wigner deviation is |0> + i|2>'s map against
+    # its own reflection in q2
+    amps = np.zeros(16, dtype=complex)
+    amps[0], amps[2] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
+    w = wigner_map(pure_to_density(FieldState(amps)), default_grid(2.0, step=0.15)).values
+    report = pauli_incompleteness_demo(PhaseSpaceGrid(-4, 4, -4, 4, 61, 61))
+    assert abs(report["wigner_sup_dev"] - np.max(np.abs(w - w[:, ::-1]))) < 1e-12
 
 
 def test_padding_length_matches_scipy_next_fast_len():

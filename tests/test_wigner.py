@@ -22,7 +22,6 @@ from cavitylab import (
     marginal_distribution,
     mix,
     moyal_average,
-    pauli_counterexample,
     promote,
     pure_to_density,
     radon_of_map,
@@ -305,7 +304,7 @@ def test_live_diagonal_patterns_against_position_construction():
         (pure_to_density(cat_state(spec, 1.3, 0.0)), list(range(0, dim, 2))),
         (pure_to_density(cat_state(spec, 1.3, np.pi)), list(range(0, dim, 2))),
         (_superposition(dim, {0: 1.0, 3: 1.0}), [0, 3]),
-        (pure_to_density(pauli_counterexample(spec).state_a), [0, 2]),
+        (_superposition(dim, {0: 1.0, 2: 1j}), [0, 2]),  # the Pauli pair's |0> + i|2>
         # gcd 2 with a gap at k = 2, where Horner multiplies and adds nothing
         (mix([_superposition(dim, {0: 1.0, 4: 1j}),
               _superposition(dim, {1: 1.0, 7: np.exp(0.3j)})], [0.6, 0.4]), [0, 4, 6]),
@@ -719,23 +718,6 @@ def test_photon_number_distribution_damped_one_photon():
     assert abs(p[1] - np.exp(-t)) < 1e-7
     assert abs(p[0] - (1 - np.exp(-t))) < 1e-7
     assert np.all(p[2:] < 1e-10)
-
-
-# -- the marginals-only ambiguity ---------------------------------------------------
-
-
-def test_pauli_pair_marginals_identical_wigner_different():
-    pair = pauli_counterexample(HilbertSpec(16))
-    assert pair.evidence["marginal_dev_theta_0"] < 1e-10
-    assert pair.evidence["marginal_dev_theta_90"] < 1e-10
-    assert pair.evidence["wigner_sup_deviation"] > 0.1
-    assert pair.evidence["marginal_dev_theta_45"] > 0.01
-
-
-def test_pauli_pair_is_conjugate():
-    pair = pauli_counterexample(HilbertSpec(16))
-    np.testing.assert_allclose(pair.state_a.amplitudes,
-                               pair.state_b.amplitudes.conj(), atol=1e-15)
 
 
 # -- decoherence visible in the fringes ----------------------------------------------
