@@ -33,7 +33,6 @@ from .fock import (
     coherent_state,
     creation,
     default_dim,
-    displaced_rows,
     fock_state,
     mix,
     promote,
@@ -42,7 +41,6 @@ from .fock import (
 )
 from .dynamics import (
     DampingModel,
-    cat_coherence,
     coherence_trajectory,
     damped_populations,
     decoherence_time,

@@ -209,34 +209,21 @@ def evolve(rho: DensityOperator, model: DampingModel, t):
     return traj if np.ndim(t) else traj[0]
 
 
-def _witness(spec: HilbertSpec, alpha: complex) -> tuple:
-    """<alpha| and |-alpha> in `spec`, and the coherence ceiling
-    (1 + e^{-2|alpha|^2})/2 that a fresh even cat attains."""
-    bra = coherent_state(spec, alpha).amplitudes.conj()
-    ket = coherent_state(spec, -alpha).amplitudes
-    return bra, ket, (1.0 + np.exp(-2.0 * abs(alpha) ** 2)) / 2.0
-
-
-def cat_coherence(rho: DensityOperator, alpha: complex) -> float:
-    """Normalized off-diagonal coherence |<alpha| rho |-alpha>|.
-
-    Normalized by the ceiling (1 + e^{-2|alpha|^2})/2 attained by a fresh
-    even cat, so a freshly prepared psi1=0 cat reads exactly 1 and a
-    50/50 statistical mixture reads ~2 e^{-2|alpha|^2}.
-    """
-    bra, ket, ceiling = _witness(rho.spec, alpha)
-    return float(abs(bra @ rho.matrix @ ket) / ceiling)
-
-
 def coherence_trajectory(rho: DensityOperator, model: DampingModel, times,
                          alpha: complex) -> tuple:
-    """cat_coherence, <n> and Tr rho(t) of rho damped to each of the sorted
-    `times`, each of shape (T,), read off the damped diagonals in one pass
-    (``_diagonals``) without forming a matrix.  Lower diagonal k adds
+    """The cat coherence |<alpha| rho |-alpha>|, <n> and Tr rho(t) of rho damped
+    to each of the sorted `times`, each of shape (T,), read off the damped
+    diagonals in one pass (``_diagonals``) without forming a matrix.  The
+    coherence is normalized by the ceiling (1 + e^{-2|alpha|^2})/2 that a
+    fresh even cat attains, so such a cat reads 1 and a 50/50 mixture of
+    |+-alpha> about 2 e^{-2|alpha|^2}.  Lower diagonal k adds
     sum_j <alpha|j+k> rho_{j+k,j} <j|-alpha> to <alpha|rho|-alpha>, and its
     conjugate upper diagonal the same with the roles of j and j+k swapped."""
-    bra, ket, ceiling = _witness(rho.spec, alpha)
     dim = rho.dim
+    spec = HilbertSpec(dim)
+    bra = coherent_state(spec, alpha).amplitudes.conj()
+    ket = coherent_state(spec, -alpha).amplitudes
+    ceiling = (1.0 + np.exp(-2.0 * abs(alpha) ** 2)) / 2.0
     element = np.zeros(np.size(times), dtype=complex)
     pops = np.zeros((np.size(times), dim))
     for k, x in _diagonals(rho.matrix[None], model, times):
@@ -267,7 +254,8 @@ def separation_measure(d: float, mass: float, temperature: float) -> float:
 
 def fit_coherence_decay(rho0: DensityOperator, model: DampingModel, alpha: complex,
                         t_max: float) -> float:
-    """Time constant of a log-linear fit of cat_coherence at 25 times in [0, t_max]."""
+    """Time constant of a log-linear fit of the cat coherence of
+    ``coherence_trajectory`` at 25 times in [0, t_max]."""
     times = np.linspace(0.0, t_max, 25)
     w = coherence_trajectory(rho0, model, times, alpha)[0]
     w0 = w[0]

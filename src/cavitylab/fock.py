@@ -18,11 +18,11 @@ from .errors import (DegenerateStateError, DomainError, NonHermitianError, Trunc
 # Tail mass of a coherent state stays below ~1e-10 with this truncation rule.
 DIM_MARGIN = 10
 
-# largest <n|D|j> block displaced_rows builds, and largest density matrix
+# largest <n|D|j> block radial_rows builds, and largest density matrix
 # pure_to_density builds (dim <= 1024): 16 MB of complex entries
 MAX_DISPLACED_ENTRIES = 1 << 20
 
-# e^{i pi k / 2} for k = 0, 1, 2, 3: a quarter-turn phase, exact
+# e^{i pi k / 2} for k = 0, 1, 2, 3: the quarter-turn phases ``turn`` reads, exact
 _QUARTER = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
@@ -71,13 +71,6 @@ class FieldState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    @property
-    def spec(self) -> HilbertSpec:
-        return HilbertSpec(self.dim)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -109,10 +102,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def spec(self) -> HilbertSpec:
-        return HilbertSpec(self.dim)
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -215,19 +204,14 @@ def radial_rows(alpha, rows: int, cols: int) -> np.ndarray:
     return out[..., :rows, :]
 
 
-def displaced_rows(alpha, rows: int, cols: int) -> np.ndarray:
-    """Exact elements <n|D(alpha)|j> = e^{i theta (n-j)} r_nj, n < rows, j < cols,
-    with r from ``radial_rows`` (shape, limits and errors as there); column 0
-    is |alpha>.  At theta = k pi/2 each e^{i theta n} is an exact +-1 or +-i,
-    so |-alpha> is bitwise (-1)^n |alpha> and |i alpha> is i^n |alpha>."""
-    alpha = np.asarray(alpha, dtype=complex)
-    r = radial_rows(alpha, rows, cols)
-    theta, m = np.angle(alpha), np.arange(max(rows, cols))
-    phase = np.exp(1j * theta[..., None] * m)
-    turns = theta / (math.pi / 2.0)
-    quarter = turns == np.round(turns)
-    phase[quarter] = _QUARTER[(turns[quarter].astype(int)[:, None] * m) % 4]
-    return r * phase[..., :rows, None] * phase[..., None, :cols].conj()
+def turn(theta: float, n) -> np.ndarray:
+    """e^{i theta n} for integers n.  At theta = k pi/2 with |k| <= 4 each
+    factor is read from the quarter-turn table, so it is exactly +-1 or +-i;
+    elsewhere it is np.exp(1j theta n)."""
+    turns = float(theta) / (math.pi / 2.0)
+    if turns.is_integer() and abs(turns) <= 4:
+        return _QUARTER[(int(turns) * np.asarray(n)) % 4]
+    return np.exp(1j * theta * np.asarray(n))
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +231,13 @@ def vacuum(spec: HilbertSpec) -> FieldState:
 
 
 def coherent_state(spec: HilbertSpec, alpha: complex) -> FieldState:
-    """Coherent state D(alpha)|0>, c_n = e^{i theta n} l_0^n(|alpha|^2) with each
-    term in log form (column 0 of ``displaced_rows``), renormalized.  Raises
-    DomainError for non-finite alpha, TruncationError for a tail above 1e-8.
+    """Coherent state D(alpha)|0>, c_n = e^{i theta n} l_0^n(|alpha|^2), theta =
+    arg(alpha), with each term in log form (column 0 of ``radial_rows``) and
+    e^{i theta n} from ``turn``, so |-alpha> is bitwise (-1)^n |alpha> and
+    |i alpha> is i^n |alpha>; renormalized.  Raises DomainError for
+    non-finite alpha, TruncationError for a tail above 1e-8.
     """
-    amps = displaced_rows(alpha, spec.dim, 1)[:, 0]
+    amps = radial_rows(alpha, spec.dim, 1)[:, 0] * turn(np.angle(alpha), np.arange(spec.dim))
     norm = np.linalg.norm(amps)
     correction = abs(1.0 - norm)
     if correction > 1e-8:
@@ -264,17 +250,13 @@ def coherent_state(spec: HilbertSpec, alpha: complex) -> FieldState:
 
 def cat_state(spec: HilbertSpec, alpha: complex, psi1: float) -> FieldState:
     """(|alpha> + e^{i psi1} |-alpha>) / N1, N1 = sqrt(2[1 + cos(psi1) e^{-2|alpha|^2}]).
-    At psi1 = k pi/2, |k| <= 4, e^{i psi1} is an exact quarter turn, so the
-    even (psi1 = 0) and odd (psi1 = pi) cats are exactly zero on the odd and
-    even levels."""
+    At psi1 = k pi/2, |k| <= 4, e^{i psi1} is an exact quarter turn (``turn``),
+    so the even (psi1 = 0) and odd (psi1 = pi) cats are exactly zero on the
+    odd and even levels."""
     if not math.isfinite(psi1):
         raise DomainError(f"psi1 must be finite, got {psi1}")
     plus = coherent_state(spec, alpha).amplitudes  # refuses a non-finite alpha
-    turns = psi1 / (math.pi / 2.0)
-    if turns.is_integer() and abs(turns) <= 4:
-        phase = _QUARTER[int(turns) % 4]
-    else:
-        phase = np.exp(1j * psi1)
+    phase = turn(psi1, 1)
     n1_sq = 2.0 * (1.0 + phase.real * np.exp(-2.0 * abs(alpha) ** 2))
     n1 = np.sqrt(max(n1_sq, 0.0))
     if n1 < 1e-6:

@@ -31,13 +31,13 @@ import numpy as np
 from .dynamics import DampingModel, damped_populations
 from .errors import DegenerateBranchError, SubspaceError
 from .fock import (
-    _QUARTER,
     DensityOperator,
     FieldState,
     HilbertSpec,
     coherent_state,
     default_dim,
     pure_to_density,
+    turn,
 )
 
 _E, _G = 0, 1  # atom level indices
@@ -60,19 +60,18 @@ def field_kraus(variant: str, dim: int) -> np.ndarray:
     * ``"resonant-2pi"`` (eta = 0): sign flip of |e>|1> only; exact only on
       n <= 1.
 
-    The arm phases are quarter turns read from a table, not ``np.exp``, so
-    every amplitude is exactly 0, +-1 or +-i.
+    The arm phases are quarter turns (``fock.turn``), read from a table, not
+    ``np.exp``, so every amplitude is exactly 0, +-1 or +-i.
     """
     n = np.arange(dim)
     if variant == "dispersive":
-        turns = (2 * n, 0 * n)
+        arm_e, arm_g = turn(np.pi, n), turn(0.0, n)
     elif variant == "opposite":
-        turns = (n, -n)
+        arm_e, arm_g = turn(np.pi / 2, n), turn(-np.pi / 2, n)
     elif variant == "resonant-2pi":
-        turns = (2 * (n == 1), 0 * n)
+        arm_e, arm_g = turn(np.pi, n == 1), turn(0.0, n)
     else:
         raise ValueError(f"unknown interaction variant {variant!r}")
-    arm_e, arm_g = _QUARTER[np.array(turns) % 4]
     return 0.5 * np.stack([arm_e - arm_g, arm_e + arm_g])
 
 

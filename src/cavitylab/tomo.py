@@ -37,7 +37,9 @@ from .wigner import (
 
 @dataclass(frozen=True)
 class SinogramSet:
-    """Quadrature densities on a common q grid for a set of angles."""
+    """Quadrature densities on a common q grid for a set of angles: distinct
+    angles in [0, pi), and q at least 2 strictly increasing, uniformly spaced
+    points (DomainError otherwise)."""
 
     thetas: np.ndarray
     q: np.ndarray
@@ -51,11 +53,14 @@ class SinogramSet:
             raise DomainError("angles must lie in [0, pi)")
         if len(set(np.round(thetas, 12))) != thetas.size:
             raise DomainError("angles must be distinct")
+        # inverse_radon interpolates on q and filters at its step: a
+        # decreasing q would read as zeros, a zero step divide by zero
+        dq = np.diff(q)
+        if (q.ndim != 1 or q.size < 2 or not np.all(dq > 0)
+                or np.any(np.abs(dq - dq[0]) > 1e-9 * dq[0])):
+            raise DomainError("q must be at least 2 strictly increasing, uniformly spaced points")
         if dens.shape != (thetas.size, q.size):
             raise ValueError(f"densities shape {dens.shape} != ({thetas.size}, {q.size})")
-        dq = np.diff(q)
-        if np.any(np.abs(dq - dq[0]) > 1e-9 * abs(dq[0])):
-            raise ValueError("q grid must be uniform")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "densities", dens)
@@ -111,11 +116,6 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
         masses = np.clip(np.diff(np.interp(edges, dense, cdf / cdf[-1])), 0.0, None)
         counts[k] = default_rng(children[k]).multinomial(n_samples, masses)
     return edges, counts.reshape(np.shape(theta) + (n_bins,))
-
-
-def exact_sinogram(rho: DensityOperator, thetas, q) -> SinogramSet:
-    """Noise-free quadrature densities (the n -> infinity limit)."""
-    return SinogramSet(thetas, q, marginal_distribution(rho, thetas, q))
 
 
 def uniform_angles(count: int) -> np.ndarray:
@@ -217,10 +217,9 @@ def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int
     truth = wigner_map(rho_true, grid)
     resid = recon.values - truth.values
     picked = angles[:: max(1, angles.size // 4)]
-    lines = [radon_of_map(recon, float(theta)) for theta in picked]
-    exact = marginal_distribution(rho_true, picked, lines[0][0])  # one q grid per map
-    marg_resid = {str(float(theta)): float(np.max(np.abs(p_m - row)))
-                  for theta, (_, p_m), row in zip(picked, lines, exact)}
+    q, lines = radon_of_map(recon, picked)
+    marg_resid = np.max(np.abs(lines - marginal_distribution(rho_true, picked, q)), axis=1)
+    marg_resid = dict(zip(map(str, picked.tolist()), marg_resid.tolist()))
     report = {
         "rmse": float(np.sqrt(np.mean(resid ** 2))),
         "max_abs_error": float(np.max(np.abs(resid))),
@@ -240,7 +239,7 @@ def reconstruct_exact(rho: DensityOperator, angles, grid: PhaseSpaceGrid,
     takes the default range."""
     q_range = _q_range(rho, q_range)
     q = np.linspace(-q_range, q_range, 801)
-    return inverse_radon(exact_sinogram(rho, angles, q), grid)
+    return inverse_radon(SinogramSet(angles, q, marginal_distribution(rho, angles, q)), grid)
 
 
 def pauli_incompleteness_demo(grid: PhaseSpaceGrid) -> dict:

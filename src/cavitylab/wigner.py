@@ -45,6 +45,10 @@ from .fock import (DensityOperator, HilbertSpec, laguerre_functions, quadrature_
 
 BOUND = 2.0  # |W| <= 2 in this normalization
 
+# most nodes a PhaseSpaceGrid may hold (2048^2): a map's complex alpha array
+# is then 64 MB
+MAX_GRID_NODES = 1 << 22
+
 
 # ---------------------------------------------------------------------------
 # grids and maps
@@ -60,6 +64,8 @@ class PhaseSpaceGrid:
     antisymmetric (axis == -axis[::-1], centre exactly 0.0 at odd n), so
     mirror points share |alpha| exactly and share one radial recurrence in
     the map kernel; a reflected grid's axes are the negated, reversed axes.
+    A grid of more than MAX_GRID_NODES nodes is refused (DomainError) before
+    any array is built.
     """
 
     q1_min: float
@@ -76,6 +82,9 @@ class PhaseSpaceGrid:
             raise DomainError("grid extents must satisfy max > min")
         if self.n1 < 2 or self.n2 < 2:
             raise DomainError("grid needs at least 2 points per axis")
+        if int(self.n1) * int(self.n2) > MAX_GRID_NODES:
+            raise DomainError(f"grid of {self.n1} x {self.n2} nodes exceeds the limit of "
+                              f"{MAX_GRID_NODES}")
 
     @property
     def q1_axis(self) -> np.ndarray:
@@ -121,10 +130,13 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def default_grid(alpha_max: float, step: float = 0.075, pad: float = 4.0) -> PhaseSpaceGrid:
-    """Figure-class grid: spans the state's lobes plus `pad` quadrature units."""
+    """Figure-class grid: spans the state's lobes plus `pad` quadrature units,
+    at a `step` that must be finite and positive (DomainError)."""
     span = np.sqrt(2.0) * abs(alpha_max) + pad
     if not math.isfinite(span):
         raise DomainError(f"grid span must be finite, got alpha_max {alpha_max}, pad {pad}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"grid step must be finite and positive, got {step}")
     n = int(math.ceil(2.0 * span / step)) + 1
     return PhaseSpaceGrid(-span, span, -span, span, n, n)
 
@@ -411,27 +423,31 @@ def marginal_distribution(rho: DensityOperator, theta, q_theta) -> np.ndarray:
 _LINE_BLOCK = 1 << 13
 
 
-def radon_of_map(wmap: WignerMap, theta: float, q_out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Line-integral marginal of a sampled map: P(q_theta) = int W_qp ds along
-    the direction conjugate to theta.  Returns (q_theta values, P values)."""
-    if not 0.0 <= theta < np.pi:
-        raise DomainError(f"theta must lie in [0, pi), got {theta}")
+def radon_of_map(wmap: WignerMap, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Line-integral marginals of a sampled map: P(q_theta) = int W_qp ds along
+    the direction conjugate to theta, at one angle or an array of angles in
+    [0, pi).  Returns (q, P): the q_theta values, max(n1, n2) points over
+    [-h, h] with h = min(q1_max, q2_max), and P shaped np.shape(theta) + q.shape,
+    one row per angle, each computed as the one-angle call computes it."""
+    thetas = np.asarray(theta, dtype=float)
+    bad = thetas[~((thetas >= 0.0) & (thetas < np.pi))]
+    if bad.size:
+        raise DomainError(f"theta must lie in [0, pi), got {bad[0]}")
     g = wmap.grid
-    if q_out is None:
-        half = min(g.q1_max, g.q2_max)
-        q_out = np.linspace(-half, half, max(g.n1, g.n2))
-    q_out = np.atleast_1d(np.asarray(q_out, dtype=float))
+    half = min(g.q1_max, g.q2_max)
+    qs = np.linspace(-half, half, max(g.n1, g.n2))
     step = min(g.spacing)
     s = np.arange(-g.corner_radius, g.corner_radius + step, step)
-    c, sn = np.cos(theta), np.sin(theta)
     values = wmap.values / (2.0 * np.pi)
-    out = np.empty(q_out.size)
+    out = np.empty((thetas.size, qs.size))
     rows = max(1, _LINE_BLOCK // s.size)
-    for r in range(0, q_out.size, rows):
-        q = q_out[r:r + rows, None]
-        vals = _bilinear(g, values, q * c - s * sn, q * sn + s * c)
-        out[r:r + rows] = np.trapezoid(vals, dx=step, axis=1)
-    return q_out, out
+    for angle, line in zip(thetas.ravel().tolist(), out):
+        c, sn = np.cos(angle), np.sin(angle)
+        for r in range(0, qs.size, rows):
+            q = qs[r:r + rows, None]
+            vals = _bilinear(g, values, q * c - s * sn, q * sn + s * c)
+            line[r:r + rows] = np.trapezoid(vals, dx=step, axis=1)
+    return qs, out.reshape(thetas.shape + qs.shape)
 
 
 def _bilinear(grid: PhaseSpaceGrid, values: np.ndarray,

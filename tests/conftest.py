@@ -13,6 +13,7 @@ from cavitylab import (
     pure_to_density,
     vacuum,
 )
+from cavitylab.fock import radial_rows, turn
 
 CORPUS_DIM = 40  # covers every corpus state (largest amplitude 2 -> 26) with room
 
@@ -53,6 +54,24 @@ def eigh_displacement(dim: int, alpha: complex) -> np.ndarray:
     d = (v * np.exp(-1j * abs(alpha) * w)) @ v.conj().T
     ph = np.exp(1j * np.angle(alpha) * np.arange(dim))
     return ph[:, None] * d * ph.conj()[None, :]
+
+
+def displaced(alpha: complex, rows: int, cols: int) -> np.ndarray:
+    """<n|D(alpha)|j> = e^{i theta (n-j)} r_nj, n < rows, j < cols, theta =
+    arg(alpha): the real factors of ``fock.radial_rows`` with the phases of
+    ``fock.turn``; column 0 is |alpha>."""
+    phase = turn(np.angle(alpha), np.arange(max(rows, cols)))
+    return radial_rows(alpha, rows, cols) * phase[:rows, None] * phase[:cols].conj()
+
+
+def cat_coherence(rho, alpha: complex) -> float:
+    """|<alpha| rho |-alpha>| by the matrix path, normalized by the ceiling
+    (1 + e^{-2|alpha|^2})/2 that a fresh even cat attains: the one-state
+    reference for ``dynamics.coherence_trajectory``."""
+    spec = HilbertSpec(rho.dim)
+    bra = coherent_state(spec, alpha).amplitudes.conj()
+    ket = coherent_state(spec, -alpha).amplitudes
+    return float(abs(bra @ rho.matrix @ ket) / ((1.0 + np.exp(-2.0 * abs(alpha) ** 2)) / 2.0))
 
 
 @pytest.fixture(scope="session")

@@ -758,6 +758,20 @@ def test_oversized_dimension_exits_as_numerical_failure(tmp_path, capsys, experi
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("grid", [
+    {"step": 1e-4}, {"q1_min": -1, "q1_max": 1, "q2_min": -1, "q2_max": 1,
+                     "n1": 100000, "n2": 100000},
+], ids=["step", "extents"])
+def test_oversized_grid_exits_as_numerical_failure(tmp_path, capsys, grid):
+    # a 160,001^2 default grid or a 10^10-node explicit one is refused
+    # before its alpha array exists
+    cfg = write_config(tmp_path, "c.json", {"state": {"kind": "vacuum"}, "grid": grid})
+    assert run_cli(["wigner-map", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: DomainError" in err and "exceeds the limit" in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_extents_beside_step_are_refused_not_dropped(tmp_path, capsys):
     grid = {"step": 0.5, "q1_min": 0, "q1_max": 1, "q2_min": 0, "q2_max": 1, "n1": 3, "n2": 3}
     cfg = write_config(tmp_path, "c.json", {"state": {"kind": "vacuum"}, "grid": grid})

@@ -11,7 +11,6 @@ from cavitylab import (
     HilbertSpec,
     IntegrationError,
     NonHermitianError,
-    cat_coherence,
     cat_state,
     coherent_state,
     decoherence_time,
@@ -31,7 +30,7 @@ from cavitylab.dynamics import (
     fit_coherence_decay,
 )
 
-from conftest import mean_photon
+from conftest import cat_coherence, mean_photon
 
 MODEL = DampingModel(kappa=1.0)
 
@@ -40,7 +39,7 @@ def coherence_series(states, alpha):
     """cat_coherence of each state of a trajectory by the matrix path:
     <alpha| rho |-alpha> from the full matrices, an oracle for the
     diagonal-by-diagonal ``coherence_trajectory``."""
-    spec = states[0].spec
+    spec = HilbertSpec(states[0].dim)
     plus = coherent_state(spec, alpha).amplitudes
     minus = coherent_state(spec, -alpha).amplitudes
     element = (np.stack([r.matrix for r in states]) @ minus) @ plus.conj()
@@ -316,12 +315,16 @@ def test_coherence_e_fold_at_decoherence_time():
 
 
 def test_coherence_series_matches_pointwise_witness():
-    alpha = 1.5
+    # the stacked matrix path and the diagonal path of coherence_trajectory
+    # both read the one-state witness
+    alpha, times = 1.5, [0.0, 0.1, 0.4]
     rho0 = pure_to_density(cat_state(HilbertSpec(26), alpha, 0.0))
-    traj = evolve(rho0, MODEL, [0.0, 0.1, 0.4])
+    traj = evolve(rho0, MODEL, times)
     series = coherence_series(traj, alpha)
-    for w, rho_t in zip(series, traj):
-        assert abs(w - cat_coherence(rho_t, alpha)) < 1e-15
+    diagonal = coherence_trajectory(rho0, MODEL, times, alpha)[0]
+    for w, v, rho_t in zip(series, diagonal, traj):
+        witness = cat_coherence(rho_t, alpha)
+        assert abs(w - witness) < 1e-15 and abs(v - witness) < 1e-15
 
 
 def _damped_cat_closed_form(alpha, psi1, kappa, t):

@@ -18,7 +18,6 @@ from cavitylab import (
     coherent_state,
     DomainError,
     default_dim,
-    displaced_rows,
     fock_state,
     mix,
     probe_atom,
@@ -26,10 +25,10 @@ from cavitylab import (
     pure_to_density,
     vacuum,
 )
-from cavitylab.fock import (MAX_DISPLACED_ENTRIES, creation, laguerre_functions,
-                            quadrature_q1, quadrature_q2)
+from cavitylab.fock import (_QUARTER, MAX_DISPLACED_ENTRIES, creation, laguerre_functions,
+                            quadrature_q1, quadrature_q2, radial_rows, turn)
 
-from conftest import eigh_displacement, mean_photon
+from conftest import displaced, eigh_displacement, mean_photon
 
 
 def brute_coherent_amplitudes(alpha, dim):
@@ -92,8 +91,8 @@ def test_laguerre_functions_at_zero_are_exact_without_warning():
 
 
 def test_displacement_zero_is_identity():
-    np.testing.assert_array_equal(displaced_rows(0.0, 9, 9), np.eye(9))
-    np.testing.assert_array_equal(displaced_rows(0.0, 12, 5), np.eye(12, 5))
+    np.testing.assert_array_equal(displaced(0.0, 9, 9), np.eye(9))
+    np.testing.assert_array_equal(displaced(0.0, 12, 5), np.eye(12, 5))
 
 
 def test_displacement_matches_eigh_oracle():
@@ -103,14 +102,14 @@ def test_displacement_matches_eigh_oracle():
     for alpha in [0.3 - 0.2j, -3.0, 4.9j] + list(rng.normal(scale=2.5, size=(4, 2)) @ [1, 1j]):
         oracle = eigh_displacement(200, alpha)
         for rows, cols in ((120, 59), (40, 90)):
-            err = np.max(np.abs(displaced_rows(alpha, rows, cols) - oracle[:rows, :cols]))
+            err = np.max(np.abs(displaced(alpha, rows, cols) - oracle[:rows, :cols]))
             assert err < 1e-13, (alpha, rows, cols, err)
 
 
 def test_displacement_generates_coherent_state():
     # column 0 is |alpha>, against the package-independent amplitudes
     for alpha in (1.3 - 0.4j, -2.2, 0.7j):
-        col = displaced_rows(alpha, 40, 3)[:, 0]
+        col = displaced(alpha, 40, 3)[:, 0]
         np.testing.assert_allclose(col, brute_coherent_amplitudes(alpha, 40), atol=1e-14)
 
 
@@ -118,13 +117,13 @@ def test_displacement_inverse():
     # D(-alpha) D(alpha) = 1 on the first columns once the middle index
     # covers the displaced states
     alpha = 1.1 + 0.5j
-    d_minus, d_plus = displaced_rows(-alpha, 24, 80), displaced_rows(alpha, 80, 24)
+    d_minus, d_plus = displaced(-alpha, 24, 80), displaced(alpha, 80, 24)
     np.testing.assert_allclose(d_minus @ d_plus, np.eye(24), atol=1e-12)
 
 
 def test_displacement_unitary():
     # a tall rectangle is an isometry: its columns are orthonormal
-    d = displaced_rows(0.9 + 1.2j, 90, 30)
+    d = displaced(0.9 + 1.2j, 90, 30)
     np.testing.assert_allclose(d.conj().T @ d, np.eye(30), atol=1e-12)
 
 
@@ -134,16 +133,28 @@ def test_displacement_composition(seed):
     # to carry every column of D(b)
     rng = np.random.default_rng(seed)
     a, b = (rng.normal(scale=0.7) + 1j * rng.normal(scale=0.7) for _ in range(2))
-    lhs = displaced_rows(a, 30, 120) @ displaced_rows(b, 120, 30)
-    rhs = np.exp(1j * np.imag(a * np.conj(b))) * displaced_rows(a + b, 30, 30)
+    lhs = displaced(a, 30, 120) @ displaced(b, 120, 30)
+    rhs = np.exp(1j * np.imag(a * np.conj(b))) * displaced(a + b, 30, 30)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_parity_conjugates_displacement():
     sign = (-1.0) ** np.arange(40)
     alpha = 0.8 + 0.9j
-    lhs = sign[:, None] * displaced_rows(alpha, 40, 26) * sign[:26]
-    np.testing.assert_allclose(lhs, displaced_rows(-alpha, 40, 26), atol=1e-14)
+    lhs = sign[:, None] * displaced(alpha, 40, 26) * sign[:26]
+    np.testing.assert_allclose(lhs, displaced(-alpha, 40, 26), atol=1e-14)
+
+
+def test_turn_reads_the_quarter_table_at_quarter_turns():
+    # theta = k pi/2, |k| <= 4: every factor is the table's exact +-1 or +-i;
+    # any other theta (and k pi/2 past |k| = 4) takes np.exp
+    n = np.arange(-9, 40)
+    for k in range(-4, 5):
+        np.testing.assert_array_equal(turn(k * np.pi / 2, n), _QUARTER[(k * n) % 4])
+        assert turn(k * np.pi / 2, 3) == _QUARTER[(3 * k) % 4]
+    for theta in (0.3, -2.0, np.pi / 3, 5 * np.pi / 2, -6 * np.pi / 2, np.nextafter(np.pi, 4.0)):
+        np.testing.assert_array_equal(turn(theta, n), np.exp(1j * theta * n))
+    assert turn(np.pi, 7) == -1.0 and turn(np.pi / 2, 1) == 1j
 
 
 def test_quarter_turn_coherent_states_are_exact():
@@ -170,14 +181,14 @@ def test_non_finite_amplitudes_are_rejected():
         with pytest.raises(DomainError):
             cat_state(HilbertSpec(10), alpha, 0.0)
         with pytest.raises(DomainError):
-            displaced_rows(alpha, 10, 10)
+            radial_rows(alpha, 10, 10)
     with pytest.raises(DomainError):
         cat_state(HilbertSpec(10), 1.0, np.nan)
 
 
 def test_displacement_block_is_capped():
     with pytest.raises(TruncationError):
-        displaced_rows(1.0, MAX_DISPLACED_ENTRIES // 2 + 1, 2)
+        radial_rows(1.0, MAX_DISPLACED_ENTRIES // 2 + 1, 2)
 
 
 def test_coherent_state_at_large_amplitude():
@@ -187,7 +198,7 @@ def test_coherent_state_at_large_amplitude():
     alpha = 38.0 * np.exp(0.3j)
     st = coherent_state(HilbertSpec(6000), alpha)
     assert np.all(np.isfinite(st.amplitudes))
-    assert abs(st.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
     assert abs(mean_photon(np.abs(st.amplitudes) ** 2) - 38.0 ** 2) < 1e-9 * 38.0 ** 2
     n = 1444
     log_c = n * math.log(38.0) - 38.0 ** 2 / 2 - 0.5 * math.lgamma(n + 1)
@@ -276,7 +287,7 @@ def test_cat_normalization_against_brute_norm():
     n1 = np.sqrt(2 * (1 + np.exp(-2 * abs(alpha) ** 2)))
     summed = coherent_state(spec, alpha).amplitudes + coherent_state(spec, -alpha).amplitudes
     assert abs(np.linalg.norm(summed) - n1) < 1e-10
-    assert abs(cat_state(spec, alpha, 0.0).norm() - 1.0) < 1e-10
+    assert abs(np.linalg.norm(cat_state(spec, alpha, 0.0).amplitudes) - 1.0) < 1e-10
 
 
 def test_cat_parity_structure():
@@ -334,7 +345,7 @@ def test_type_invariants_after_preparation():
     spec = HilbertSpec(30)
     for st in (vacuum(spec), coherent_state(spec, 1.2), cat_state(spec, 1.5, 0.0),
                fock_state(spec, 4)):
-        assert abs(st.norm() - 1.0) <= 1e-10
+        assert abs(np.linalg.norm(st.amplitudes) - 1.0) <= 1e-10
     for rho in (pure_to_density(coherent_state(spec, 1.2)),
                 mix([coherent_state(spec, 1.0), fock_state(spec, 2)], [0.3, 0.7])):
         m = rho.matrix

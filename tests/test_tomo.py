@@ -23,7 +23,6 @@ from cavitylab import (
 from cavitylab.tomo import (
     SinogramSet,
     _next_fast_len,
-    exact_sinogram,
     inverse_radon,
     reconstruct_exact,
     reconstruct_from_samples,
@@ -162,6 +161,19 @@ def test_sinogram_invariants():
         SinogramSet(np.array([0.3, 0.3]), q, dens)
 
 
+@pytest.mark.parametrize("q", [
+    np.linspace(11.0, -11.0, 601), np.array([0.5]), np.array([1.0, 1.0]),
+    np.array([0.0, 1.0, 1.5]), np.array([0.0, np.nan, 2.0]),
+], ids=["decreasing", "one-point", "zero-step", "non-uniform", "nan"])
+def test_sinogram_refuses_a_q_grid_inverse_radon_cannot_read(q):
+    # inverse_radon interpolates on q and filters at q[1] - q[0]: a decreasing
+    # grid would reconstruct a cat as all zeros, one point would raise a bare
+    # IndexError, and a zero step would divide by zero in the ramp filter
+    angles = uniform_angles(24)
+    with pytest.raises(DomainError):
+        SinogramSet(angles, q, np.zeros((angles.size, q.size)))
+
+
 # -- filtered back-projection ------------------------------------------------------
 
 
@@ -188,7 +200,7 @@ def test_rotational_covariance():
     angles = uniform_angles(36)
     delta = np.pi / 72  # half the spacing keeps labels inside [0, pi)
     q = np.linspace(-7, 7, 701)
-    sino = exact_sinogram(rho, angles, q)
+    sino = SinogramSet(angles, q, marginal_distribution(rho, angles, q))
     base = inverse_radon(sino, GRID)
     relabeled = SinogramSet(angles + delta, q, sino.densities)
     rotated_recon = inverse_radon(relabeled, GRID)
@@ -209,7 +221,7 @@ def test_rotational_covariance():
 def test_too_few_angles_raises():
     rho = pure_to_density(vacuum(HilbertSpec(8)))
     q = np.linspace(-6, 6, 301)
-    sino = exact_sinogram(rho, uniform_angles(4), q)
+    sino = SinogramSet(uniform_angles(4), q, marginal_distribution(rho, uniform_angles(4), q))
     with pytest.raises(CoverageError):
         inverse_radon(sino, GRID)
 
@@ -217,7 +229,7 @@ def test_too_few_angles_raises():
 def test_insufficient_support_raises():
     rho = pure_to_density(vacuum(HilbertSpec(8)))
     q = np.linspace(-2, 2, 101)  # grid radius is 4*sqrt(2) > 2
-    sino = exact_sinogram(rho, uniform_angles(12), q)
+    sino = SinogramSet(uniform_angles(12), q, marginal_distribution(rho, uniform_angles(12), q))
     with pytest.raises(CoverageError):
         inverse_radon(sino, GRID)
 

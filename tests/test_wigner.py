@@ -138,6 +138,21 @@ def test_grid_rejects_non_finite_extents():
             default_grid(alpha_max)
 
 
+def test_grid_size_and_step_are_bounded_before_any_array():
+    # a grid past MAX_GRID_NODES (2048^2) and a step that is not finite and
+    # positive are refused; a 1e-4 step over span 8 would ask for 160,001^2 nodes
+    assert wigner.MAX_GRID_NODES == 2048 ** 2
+    PhaseSpaceGrid(-1, 1, -1, 1, 2048, 2048)
+    for n1, n2 in ((2049, 2048), (2, 2 ** 21 + 1), (10 ** 12, 10 ** 12)):
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            PhaseSpaceGrid(-1, 1, -1, 1, n1, n2)
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        default_grid(0.0, step=1e-4, pad=8.0)
+    for step in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(DomainError, match="step"):
+            default_grid(1.0, step=step)
+
+
 def test_check_bound_fails_on_non_finite_values():
     grid = PhaseSpaceGrid(-1, 1, -1, 1, 3, 3)
     for bad in (np.nan, np.inf, -np.inf):
@@ -486,6 +501,26 @@ def test_marginal_equals_map_line_integral():
         assert np.max(np.abs(p_map - p_quantum)) < 5e-3
 
 
+def test_radon_rows_equal_the_one_angle_call_bitwise():
+    # one call over an angle array returns np.shape(theta) + q.shape, each
+    # row bit for bit the one-angle call's, on the default q axis
+    # [-min(q1_max, q2_max), min(q1_max, q2_max)] of max(n1, n2) points
+    rho = pure_to_density(cat_state(HilbertSpec(30), 1.5 * np.exp(0.4j), 0.7))
+    wm = wigner_map(rho, PhaseSpaceGrid(-3.1, 4.3, -2.2, 5.0, 37, 29))
+    thetas = np.linspace(0, np.pi, 12, endpoint=False).reshape(3, 4)
+    qs, every = radon_of_map(wm, thetas)
+    np.testing.assert_array_equal(qs, np.linspace(-4.3, 4.3, 37))
+    assert every.shape == (3, 4, 37)
+    for theta, row in zip(thetas.ravel(), every.reshape(12, 37)):
+        q_one, one = radon_of_map(wm, float(theta))
+        np.testing.assert_array_equal(q_one, qs)
+        np.testing.assert_array_equal(row, one)
+    assert radon_of_map(wm, [0.3])[1].shape == (1, 37)
+    for bad in (np.pi, -0.1, np.nan, [0.2, np.pi]):
+        with pytest.raises(DomainError):
+            radon_of_map(wm, bad)
+
+
 def test_radon_matches_grid_interpolator_on_asymmetric_grid():
     # reference: scipy's linear RegularGridInterpolator (zero outside the
     # grid) sampled along the same lines as radon_of_map
@@ -503,13 +538,12 @@ def test_radon_matches_grid_interpolator_on_asymmetric_grid():
     step = min(7.4 / 36, 7.2 / 28)
     s = np.arange(-radius, radius + step, step)
     for theta in np.linspace(0, np.pi, 13, endpoint=False):
-        for q_out in (None, np.linspace(-6.0, 6.0, 25)):
-            qs, got = radon_of_map(wm, float(theta), q_out)
-            pts1 = qs[:, None] * np.cos(theta) - s * np.sin(theta)
-            pts2 = qs[:, None] * np.sin(theta) + s * np.cos(theta)
-            vals = interp(np.stack([pts1.ravel(), pts2.ravel()], axis=-1))
-            want = np.trapezoid(vals.reshape(pts1.shape), dx=step, axis=1)
-            assert np.max(np.abs(got - want)) < 1e-14
+        qs, got = radon_of_map(wm, float(theta))
+        pts1 = qs[:, None] * np.cos(theta) - s * np.sin(theta)
+        pts2 = qs[:, None] * np.sin(theta) + s * np.cos(theta)
+        vals = interp(np.stack([pts1.ravel(), pts2.ravel()], axis=-1))
+        want = np.trapezoid(vals.reshape(pts1.shape), dx=step, axis=1)
+        assert np.max(np.abs(got - want)) < 1e-14
     # the interpolation itself at every node, along all four edges (the last
     # row and column included) and one ulp outside each edge, where it reads 0
     values = wm.values / (2 * np.pi)
