@@ -28,10 +28,8 @@ from .fock import (
     DensityOperator,
     FieldState,
     HilbertSpec,
-    annihilation,
     cat_state,
     coherent_state,
-    creation,
     default_dim,
     fock_state,
     mix,
@@ -71,13 +69,11 @@ from .tomo import (
     SinogramSet,
     inverse_radon,
     pauli_incompleteness_demo,
-    reconstruct_exact,
     reconstruct_from_samples,
     sample_homodyne,
     uniform_angles,
 )
 from .direct import (
-    MeasurementRecord,
     direct_point_exact,
     monitor_origin,
     scan_map,

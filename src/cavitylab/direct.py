@@ -8,12 +8,13 @@ operators (``protocol.field_kraus``), so P_g - P_e = Tr[D rho D^dag diag(w)].
 Every variant runs at its parity angles, where w is exactly the
 photon-number parity (-1)^n, so
     P_g - P_e = W(-alpha, -alpha*) / 2,
-and 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  The
-pointwise readouts inject with the exact elements <n|D(alpha)|j> (their
-real factors from ``fock.radial_rows``, the phases moved onto rho0) and
-read photon numbers n < N, N doubled past rho0.dim until the displaced
-populations capture Tr rho0 within 1e-10, so the readout matches the exact
-W of the truncated rho0 to rounding.  ``scan_map`` evaluates the same
+and 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  One
+``direct_point_exact`` call reads one alpha or an array of them: each alpha
+is injected with the exact elements <n|D(alpha)|j> (their real factors from
+``fock.radial_rows``, the phases moved onto rho0) and read on photon numbers
+n < N, its own N doubled past rho0.dim until the displaced populations
+capture Tr rho0 within 1e-10, so the readout matches the exact W of the
+truncated rho0 to rounding.  ``scan_map`` evaluates the same
 identity on a whole grid with the Laguerre kernel of ``wigner_map``, and
 ``monitor_origin`` at alpha = 0 along a damping trajectory, from the damped
 populations alone (``dynamics.damped_populations``).  The Kraus amplitudes
@@ -25,80 +26,76 @@ unbiased.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from . import protocol
 from .dynamics import DampingModel, damped_populations
 from .errors import DomainError, NoDetectionError
-from .fock import DensityOperator, radial_rows
+from .fock import MAX_DISPLACED_ENTRIES, DensityOperator, radial_rows
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One point of the direct scheme: exact Born probabilities and the W
-    they read."""
-
-    alpha: complex
-    p_e: float
-    p_g: float
-
-    @property
-    def estimate(self) -> float:
-        """2 (P_g - P_e), which equals W(-alpha)."""
-        return 2.0 * (self.p_g - self.p_e)
-
-
-def _populations(rho0: DensityOperator, alpha) -> np.ndarray:
-    """Populations of D(alpha) rho0 D(alpha)^dag on n < N, the first N = 2, 4,
-    8, ... times rho0.dim capturing Tr rho0 within 1e-10 at every alpha; at
-    alpha = 0, rho0's own.  The readout errs by at most twice the uncaptured
-    mass, which N = rho0.dim could leave just under 1e-10."""
-    if np.all(np.asarray(alpha) == 0):
-        return rho0.diagonal()
+def _populations(rho0: DensityOperator, alpha):
+    """Populations of D(alpha) rho0 D(alpha)^dag for the flat array `alpha`,
+    yielded as (index, pops) groups: pops[i] holds the populations at
+    alpha[index[i]] on n < N, N the first of 2, 4, 8, ... times rho0.dim that
+    captures Tr rho0 within 1e-10 at that alpha alone.  The alpha = 0 entries
+    share one row, rho0's own diagonal.  The readout errs by at most twice
+    the uncaptured mass, which N = rho0.dim could leave just under 1e-10.
+    Each ``radial_rows`` call holds at most MAX_DISPLACED_ENTRIES entries, so
+    an alpha whose own N breaks that cap raises TruncationError."""
+    origin = alpha == 0
+    if origin.any():
+        yield np.flatnonzero(origin), rho0.diagonal()[None]
     mat = rho0.matrix
     total = float(np.real(np.trace(mat)))
-    # <n|D|j> = e^{i theta (n-j)} r_nj, so pops_n = r_n . Re(rho') . r_n with
-    # rho'_lj = e^{-i theta l} rho_lj e^{i theta j}: the Hermitian rho' has an
-    # antisymmetric imaginary part, which the real quadratic form drops
-    ph = np.exp(1j * np.angle(np.asarray(alpha))[..., None] * np.arange(rho0.dim))
-    turned = np.real(mat * (ph.conj()[..., :, None] * ph[..., None, :]))
+    pending = np.flatnonzero(~origin)
     n = 2 * rho0.dim
-    while True:
-        r = radial_rows(alpha, n, rho0.dim)
-        pops = np.sum((r @ turned) * r, axis=-1)
-        if np.all(np.abs(total - pops.sum(axis=-1)) <= 1e-10):
-            return pops
+    while pending.size:
+        unsettled = []
+        block = max(1, MAX_DISPLACED_ENTRIES // (n * rho0.dim))
+        for start in range(0, pending.size, block):
+            index = pending[start:start + block]
+            # <n|D|j> = e^{i theta (n-j)} r_nj, so pops_n = r_n . Re(rho') . r_n with
+            # rho'_lj = e^{-i theta l} rho_lj e^{i theta j}: the Hermitian rho' has an
+            # antisymmetric imaginary part, which the real quadratic form drops
+            ph = np.exp(1j * np.angle(alpha[index])[:, None] * np.arange(rho0.dim))
+            turned = np.real(mat * (ph.conj()[:, :, None] * ph[:, None, :]))
+            r = radial_rows(alpha[index], n, rho0.dim)
+            pops = np.sum((r @ turned) * r, axis=-1)
+            settled = np.abs(total - pops.sum(axis=-1)) <= 1e-10
+            yield index[settled], pops[settled]
+            unsettled.append(index[~settled])
+        pending = np.concatenate(unsettled)
         n *= 2
 
 
-def direct_point_exact(rho0: DensityOperator, alpha: complex,
-                       variant: str = "dispersive") -> MeasurementRecord:
-    """Exact Born probabilities of one probe atom at one alpha.
+def direct_point_exact(rho0: DensityOperator, alpha, variant: str = "dispersive") -> tuple:
+    """Exact Born probabilities (P_e, P_g) of one probe atom at each injection
+    alpha, shaped like `alpha` (NumPy scalars for a scalar alpha); the atom
+    reads W(-alpha) = 2 (P_g - P_e).  Every alpha reads what its own
+    one-point call reads, bit for bit.
 
     `variant` names the interaction as ``protocol.field_kraus`` does:
     ``"dispersive"``, ``"opposite"`` or ``"resonant-2pi"``, which reads the
     origin only (alpha = 0, DomainError otherwise) of a field supported on
     n <= 1 (SubspaceError).
     """
-    if variant == "resonant-2pi" and alpha != 0:
+    alpha = np.asarray(alpha, dtype=complex)
+    if variant == "resonant-2pi" and np.any(alpha != 0):
         raise DomainError("the resonant variant measures the origin only (alpha = 0)")
-    p_e, p_g = map(float, protocol.detection_probabilities(_populations(rho0, alpha),
-                                                           variant))
-    return MeasurementRecord(alpha, p_e, p_g)
+    probs = np.empty((2,) + alpha.shape)
+    p_e, p_g = probs.reshape(2, -1)
+    for index, pops in _populations(rho0, alpha.ravel()):
+        p_e[index], p_g[index] = protocol.detection_probabilities(pops, variant)
+    return probs[0][()], probs[1][()]
 
 
 def _sample(p_e: float, n_shots: int, efficiency: float, seed) -> tuple:
     """`n_shots` Bernoulli shots reading e with probability `p_e`, each
     detected with probability `efficiency`: (n_detected, estimate, stderr),
     the estimate conditioned on detected shots only and unbiased."""
-    if n_shots < 1:
-        raise DomainError(f"n_shots must be >= 1, got {n_shots}")
-    if not 0.0 <= efficiency <= 1.0:
-        raise DomainError(f"efficiency must lie in [0, 1], got {efficiency}")
     rng = default_rng(seed)
     outcomes_e = rng.random(n_shots) < p_e
     detected = rng.random(n_shots) < efficiency
@@ -141,10 +138,15 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     (``dynamics.damped_populations``) are formed, and every time is read by
     one Born-rule call.  For an even cat the series starts near +2,
     collapses toward 0 on the decoherence timescale, and climbs back to +2
-    as the field empties.  Raises DomainError for no times and
+    as the field empties.  Raises DomainError for no times, an `n_shots`
+    that is not an integer >= 0 or an `efficiency` outside [0, 1], and
     TruncationError when the damped populations put more than 1e-8 on the
     top Fock level.
     """
+    if not (float(n_shots).is_integer() and n_shots >= 0):
+        raise DomainError(f"n_shots must be an integer >= 0, got {n_shots}")
+    if not 0.0 <= efficiency <= 1.0:
+        raise DomainError(f"efficiency must lie in [0, 1], got {efficiency}")
     times = np.asarray(times, dtype=float)
     pops = damped_populations(rho0.matrix[None], model, times)[0]
     p_e, p_g = protocol.detection_probabilities(pops, "dispersive")
@@ -152,5 +154,5 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     w0[0] = 2.0 * (p_g - p_e)
     if n_shots > 0:
         for k, child in enumerate(SeedSequence(seed).spawn(times.size)):
-            w0[1:, k] = _sample(float(p_e[k]), n_shots, efficiency, child)[1:]
+            w0[1:, k] = _sample(float(p_e[k]), int(n_shots), efficiency, child)[1:]
     return w0

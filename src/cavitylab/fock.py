@@ -116,24 +116,22 @@ class DensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# canonical operators (read-only arrays)
+# quadrature operators (read-only arrays)
 
 
-def annihilation(spec: HilbertSpec) -> np.ndarray:
-    """Annihilation operator: <n-1| a |n> = sqrt(n)."""
-    return _readonly(np.diag(np.sqrt(np.arange(1, spec.dim, dtype=float)), k=1))
-
-
-def creation(spec: HilbertSpec) -> np.ndarray:
-    return _readonly(annihilation(spec).T)
+def _lowering(dim: int) -> np.ndarray:
+    """The annihilation operator a: <n-1| a |n> = sqrt(n); a^dag is its transpose."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
 
 
 def quadrature_q1(spec: HilbertSpec) -> np.ndarray:
-    return _readonly((annihilation(spec) + creation(spec)) / np.sqrt(2.0))
+    a = _lowering(spec.dim)
+    return _readonly((a + a.T) / np.sqrt(2.0))
 
 
 def quadrature_q2(spec: HilbertSpec) -> np.ndarray:
-    return _readonly((annihilation(spec) - creation(spec)) / (1j * np.sqrt(2.0)))
+    a = _lowering(spec.dim)
+    return _readonly((a - a.T) / (1j * np.sqrt(2.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,10 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
 
 
 def uniform_angles(count: int) -> np.ndarray:
+    """`count` angles k pi / count, k < count, for an integer `count` >= 1
+    (DomainError otherwise)."""
+    if not (float(count).is_integer() and count >= 1):
+        raise DomainError(f"count must be an integer >= 1, got {count}")
     return np.arange(count) * np.pi / count
 
 
@@ -188,20 +192,15 @@ def inverse_radon(sino: SinogramSet, grid: PhaseSpaceGrid) -> WignerMap:
 # end-to-end pipelines
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    map: WignerMap
-    error_report: dict
-    sinogram: SinogramSet  # the sampled densities the map inverts
-    q_range: float  # the half-width of the sampled window
-
-
 def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int,
                              seed, grid: PhaseSpaceGrid,
                              bin_width: float = 0.05,
-                             q_range: float | None = None) -> ReconstructionResult:
+                             q_range: float | None = None) -> tuple:
     """sample_homodyne at every angle -> density estimates -> inverse_radon,
     with an error report against the exact (Laguerre-series) Wigner map.
+    Returns (map, report, sinogram, q_range): the reconstruction, its
+    report, the sampled densities it inverts and the half-width of the
+    sampled window.
 
     The report is the CLI's `reconstruction_report.json`: `rmse`,
     `max_abs_error`, the recovered and true `fringe_contrast` and
@@ -229,7 +228,7 @@ def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int
         "angles": int(angles.size),
         "n": int(n_per_angle),
     }
-    return ReconstructionResult(recon, report, sino, q_range)
+    return recon, report, sino, q_range
 
 
 def reconstruct_exact(rho: DensityOperator, angles, grid: PhaseSpaceGrid,

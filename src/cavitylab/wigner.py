@@ -64,8 +64,8 @@ class PhaseSpaceGrid:
     antisymmetric (axis == -axis[::-1], centre exactly 0.0 at odd n), so
     mirror points share |alpha| exactly and share one radial recurrence in
     the map kernel; a reflected grid's axes are the negated, reversed axes.
-    A grid of more than MAX_GRID_NODES nodes is refused (DomainError) before
-    any array is built.
+    A grid of more than MAX_GRID_NODES nodes, or with a node count that is
+    not an integer, is refused (DomainError) before any array is built.
     """
 
     q1_min: float
@@ -80,6 +80,8 @@ class PhaseSpaceGrid:
             raise DomainError("grid extents must be finite")
         if not (self.q1_max > self.q1_min and self.q2_max > self.q2_min):
             raise DomainError("grid extents must satisfy max > min")
+        if not (float(self.n1).is_integer() and float(self.n2).is_integer()):
+            raise DomainError(f"grid node counts must be integers, got {self.n1}, {self.n2}")
         if self.n1 < 2 or self.n2 < 2:
             raise DomainError("grid needs at least 2 points per axis")
         if int(self.n1) * int(self.n2) > MAX_GRID_NODES:
@@ -269,9 +271,11 @@ def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
     return out.reshape(alphas.shape), radii
 
 
-def wigner_point(rho: DensityOperator, alpha: complex) -> float:
-    """W(alpha) = 2 Tr[rho D(alpha) P D(alpha)^-1], by the Laguerre series."""
-    return float(_laguerre_series(rho, alpha)[0])
+def wigner_point(rho: DensityOperator, alpha):
+    """W(alpha) = 2 Tr[rho D(alpha) P D(alpha)^-1], by the Laguerre series, at
+    one alpha (a float) or an array of them (an array shaped like `alpha`),
+    each value bit for bit the one-point call's."""
+    return _laguerre_series(rho, alpha)[0][()]
 
 
 def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
@@ -476,13 +480,6 @@ def _bilinear(grid: PhaseSpaceGrid, values: np.ndarray,
 # Moyal averages
 
 
-@dataclass(frozen=True)
-class MoyalResult:
-    operator_value: float
-    integral_value: float
-    discrepancy: float
-
-
 def _symmetrized_word(dim: int, m: int, n: int) -> np.ndarray:
     """Average of all distinct orderings of m factors q1 and n factors q2."""
     spec = HilbertSpec(dim)
@@ -532,8 +529,10 @@ def moyal_grid_integral(rho: DensityOperator, monomials) -> dict[tuple[int, int]
     return out
 
 
-def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> MoyalResult:
-    """Both sides of the symmetric-ordering correspondence for q^m p^n."""
+def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> tuple[float, float]:
+    """Both sides of the symmetric-ordering correspondence for q^m p^n:
+    (operator_value, integral_value), Tr[rho S(q^m p^n)] and the phase-space
+    integral of W q^m p^n."""
     m, n = monomial
     if m < 0 or n < 0 or m + n > 4:
         raise TruncationError(f"monomial degree {m + n} outside the guarded range (<= 4)")
@@ -549,7 +548,7 @@ def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> MoyalResul
     op = _symmetrized_word(rho.dim, m, n)
     op_val = float(np.real(np.trace(rho.matrix @ op)))
     int_val = moyal_grid_integral(rho, [monomial])[monomial]
-    return MoyalResult(op_val, int_val, abs(op_val - int_val))
+    return op_val, int_val
 
 
 # ---------------------------------------------------------------------------

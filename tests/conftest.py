@@ -4,7 +4,6 @@ import pytest
 from cavitylab import (
     DampingModel,
     HilbertSpec,
-    annihilation,
     cat_state,
     coherent_state,
     evolve,
@@ -44,12 +43,18 @@ def mean_photon(populations) -> float:
     return float(np.arange(len(populations)) @ populations)
 
 
+def annihilation(dim: int) -> np.ndarray:
+    """The ladder operator a on a dim-truncated space: <n-1| a |n> = sqrt(n);
+    its transpose is a^dag."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
+
+
 def eigh_displacement(dim: int, alpha: complex) -> np.ndarray:
     """Oracle D(alpha) on a dim-truncated space, independent of the Laguerre
     recurrence: exp(-i|alpha| G) with G = i(a^dag - a) by eigendecomposition,
     conjugated by the phase rotation e^{i arg(alpha) n}.  Exact away from the
     last rows and columns, which the truncation of G corrupts."""
-    a = annihilation(HilbertSpec(dim))
+    a = annihilation(dim)
     w, v = np.linalg.eigh(1j * (a.T - a))
     d = (v * np.exp(-1j * abs(alpha) * w)) @ v.conj().T
     ph = np.exp(1j * np.angle(alpha) * np.arange(dim))

@@ -332,13 +332,13 @@ def test_tomography_writes_the_library_report(tmp_path, monkeypatch, q_range):
     given = {} if q_range is None else {"q_range": q_range}
     cfg = write_config(tmp_path, "c.json", {**TOMO_CFG, **given})
     assert run_cli(["tomography", "--config", cfg, "--out", str(out)]) == 0
-    (result,) = results
+    ((_, error_report, _, sampled_range),) = results
     report = json.loads((out / "reconstruction_report.json").read_text())
-    assert report == json.loads(json.dumps(result.error_report))
+    assert report == json.loads(json.dumps(error_report))
     meta = json.loads((out / "sinogram_meta.json").read_text())
-    assert meta["q_range"] == result.q_range
+    assert meta["q_range"] == sampled_range
     if q_range is not None:
-        assert result.q_range == q_range
+        assert sampled_range == q_range
 
 
 def test_csv_rows_match_csv_writer_reference(tmp_path):

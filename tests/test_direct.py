@@ -7,7 +7,6 @@ from cavitylab import (
     DensityOperator,
     DomainError,
     HilbertSpec,
-    MeasurementRecord,
     NoDetectionError,
     PhaseSpaceGrid,
     SubspaceError,
@@ -38,20 +37,26 @@ def fock_rho(n, dim=16):
     return pure_to_density(fock_state(HilbertSpec(dim), n))
 
 
+def readout(rho, alpha, variant="dispersive"):
+    """2 (P_g - P_e) of the probe atom at `alpha`: W(-alpha)."""
+    p_e, p_g = direct_point_exact(rho, alpha, variant)
+    return 2.0 * (p_g - p_e)
+
+
 # -- exact readout --------------------------------------------------------------
 
 
 def test_empty_cavity_reads_plus_two():
-    rec = direct_point_exact(pure_to_density(vacuum(HilbertSpec(10))), 0.0)
-    assert abs(rec.p_g - 1.0) < 1e-12
-    assert rec.p_e < 1e-12
-    assert abs(rec.estimate - 2.0) < 1e-12
+    p_e, p_g = direct_point_exact(pure_to_density(vacuum(HilbertSpec(10))), 0.0)
+    assert abs(p_g - 1.0) < 1e-12
+    assert p_e < 1e-12
+    assert abs(2.0 * (p_g - p_e) - 2.0) < 1e-12
 
 
 def test_one_photon_reads_minus_two():
-    rec = direct_point_exact(fock_rho(1), 0.0)
-    assert abs(rec.p_e - 1.0) < 1e-12
-    assert abs(rec.estimate + 2.0) < 1e-12
+    p_e, p_g = direct_point_exact(fock_rho(1), 0.0)
+    assert abs(p_e - 1.0) < 1e-12
+    assert abs(2.0 * (p_g - p_e) + 2.0) < 1e-12
 
 
 def test_readout_identity_along_fringe_line(corpus):
@@ -60,8 +65,7 @@ def test_readout_identity_along_fringe_line(corpus):
     rho = corpus["cat_even"]
     for q2 in np.linspace(-1.5, 1.5, 11):
         alpha = 1j * q2 / np.sqrt(2)
-        rec = direct_point_exact(rho, alpha)
-        assert abs(rec.estimate - wigner_point(rho, -alpha)) < 1e-8
+        assert abs(readout(rho, alpha) - wigner_point(rho, -alpha)) < 1e-8
 
 
 def test_readout_identity_over_corpus(corpus):
@@ -69,8 +73,7 @@ def test_readout_identity_over_corpus(corpus):
     for name, rho in corpus.items():
         for _ in range(4):
             alpha = complex(rng.normal(scale=0.8), rng.normal(scale=0.8))
-            rec = direct_point_exact(rho, alpha)
-            assert abs(rec.estimate - wigner_point(rho, -alpha)) < 1e-8, name
+            assert abs(readout(rho, alpha) - wigner_point(rho, -alpha)) < 1e-8, name
 
 
 def test_readout_at_guard_edge_matches_position_oracle(corpus):
@@ -80,7 +83,7 @@ def test_readout_at_guard_edge_matches_position_oracle(corpus):
     rho = corpus["cat_even"]
     oracle = wigner_position(rho, 3.15 * np.sqrt(2), 0.0)
     assert abs(oracle - 0.07098) < 1e-5
-    assert abs(direct_point_exact(rho, -3.15).estimate - oracle) < 1e-8
+    assert abs(readout(rho, -3.15) - oracle) < 1e-8
 
 
 def test_non_finite_injection_is_rejected(corpus):
@@ -103,6 +106,8 @@ def test_huge_injection_raises_before_allocating():
     try:
         with pytest.raises(TruncationError):
             direct_point_exact(rho, 1e4)
+        with pytest.raises(TruncationError):
+            direct_point_exact(rho, [0.0, 0.5, 1e4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -115,32 +120,60 @@ def test_readout_truncation_is_the_smallest_capturing_one(corpus):
     from cavitylab.direct import _populations
 
     rho = corpus["cat_even"]
-    assert _populations(rho, 0.0).size == rho.dim
-    assert _populations(rho, 0.1).size == 2 * rho.dim
-    pops = _populations(rho, 4.0 - 1.0j)
+
+    def settled(alpha):
+        # the one group that holds alpha; earlier passes yield empty ones
+        return next(pops[0] for index, pops in _populations(rho, np.array([alpha + 0j]))
+                    if index.size)
+
+    assert settled(0.0).size == rho.dim
+    assert settled(0.1).size == 2 * rho.dim
+    pops = settled(4.0 - 1.0j)
     assert pops.size == 4 * rho.dim
     assert abs(1.0 - pops.sum()) <= 1e-10
     assert 1.0 - pops[:pops.size // 2].sum() > 1e-10
     oracle = wigner_position(rho, -4.0 * np.sqrt(2), 1.0 * np.sqrt(2))
-    assert abs(direct_point_exact(rho, 4.0 - 1.0j).estimate - oracle) < 1e-9
+    assert abs(readout(rho, 4.0 - 1.0j) - oracle) < 1e-9
+
+
+def test_array_readout_equals_one_point_calls_bitwise(corpus):
+    # every alpha of an array keeps the N of its own one-point call: alpha = 0
+    # reads rho's diagonal, 0.1 settles at N = 2 dim, 4 - 1j and -3.9 + 1.2j
+    # at N = 4 dim; both variants, both probabilities, bit for bit
+    from cavitylab.direct import _populations
+
+    rng = np.random.default_rng(13)
+    scattered = rng.normal(scale=1.5, size=(2, 19))
+    alphas = np.concatenate([[0.0, 4.0 - 1.0j, 0.1, 0.0, -3.9 + 1.2j, 0.0],
+                             scattered[0] + 1j * scattered[1]]).reshape(5, 5)
+    rho = corpus["cat_even"]
+    sizes = {pops.shape[-1] for index, pops in _populations(rho, alphas.ravel())
+             if index.size}
+    assert sizes == {rho.dim, 2 * rho.dim, 4 * rho.dim}
+    for name in ("cat_even", "damped_cat", "coherent2", "fock3"):
+        for variant in ("dispersive", "opposite"):
+            p_e, p_g = direct_point_exact(corpus[name], alphas, variant)
+            assert p_e.shape == p_g.shape == alphas.shape
+            for k in np.ndindex(alphas.shape):
+                one_e, one_g = direct_point_exact(corpus[name], alphas[k], variant)
+                assert np.ndim(one_e) == np.ndim(one_g) == 0
+                assert (one_e, one_g) == (p_e[k], p_g[k]), (name, variant, k)
 
 
 def test_estimate_bounded_by_two(corpus):
     rng = np.random.default_rng(8)
     for rho in corpus.values():
         alpha = complex(rng.normal(scale=0.9), rng.normal(scale=0.9))
-        rec = direct_point_exact(rho, alpha)
-        assert abs(rec.estimate) <= 2.0 + 1e-12
+        assert abs(readout(rho, alpha)) <= 2.0 + 1e-12
 
 
 def test_record_invariants():
-    assert MeasurementRecord(0.0, 0.25, 0.75).estimate == 1.0
     # the state gate lets a trace off 1 by up to 1e-8 through, and the atom
     # reads such a state as the Wigner kernel does: P_e + P_g is its trace
     m = np.diag([0.5 + 2.5e-9, 0.5 + 2.5e-9, 0.0])
     assert abs(np.trace(m) - 1.0) == pytest.approx(5e-9)
     rho = DensityOperator(m)
-    assert abs(direct_point_exact(rho, 0.3).estimate - wigner_point(rho, -0.3)) < 1e-12
+    assert abs(readout(rho, 0.3) - wigner_point(rho, -0.3)) < 1e-12
     assert abs(monitor_origin(rho, MODEL, [0.0])[0, 0] - wigner_point(rho, 0.0)) < 1e-12
 
 
@@ -149,13 +182,13 @@ def test_record_invariants():
 
 def sampled(rho, alpha, n_shots, efficiency, seed):
     """(n_detected, estimate, stderr) of `n_shots` shots at one alpha."""
-    return _sample(direct_point_exact(rho, alpha).p_e, n_shots, efficiency, seed)
+    return _sample(direct_point_exact(rho, alpha)[0], n_shots, efficiency, seed)
 
 
 def test_sampled_matches_exact_within_errorbars():
     rho = fock_rho(1)
     _, estimate, stderr = sampled(rho, 0.35, 20000, 1.0, seed=42)
-    exact = direct_point_exact(rho, 0.35).estimate
+    exact = readout(rho, 0.35)
     assert abs(estimate - exact) < 3 * stderr
 
 
@@ -171,7 +204,7 @@ def test_efficiency_insensitivity_at_matched_counts():
 def test_estimator_unbiased_under_loss():
     # 200 repetitions at 25% detection: the mean stays on the exact value
     rho = fock_rho(1)
-    exact = direct_point_exact(rho, 0.35).estimate
+    exact = readout(rho, 0.35)
     ests = np.array([sampled(rho, 0.35, 400, 0.25, seed=3000 + k)[1] for k in range(200)])
     sem = ests.std(ddof=1) / np.sqrt(ests.size)
     assert abs(ests.mean() - exact) < 3 * sem
@@ -190,10 +223,14 @@ def test_sampling_determinism_and_guards():
     assert sampled(rho, 0.2, 1000, 0.8, seed=5) == sampled(rho, 0.2, 1000, 0.8, seed=5)
     with pytest.raises(NoDetectionError):
         sampled(rho, 0.2, 50, 0.0, seed=5)
-    with pytest.raises(DomainError):
-        sampled(rho, 0.2, 50, 1.5, seed=5)
-    with pytest.raises(DomainError):
-        sampled(rho, 0.2, 0, 1.0, seed=5)
+    # the monitor checks its counts and efficiency on entry, with or without shots
+    for n_shots, efficiency in ((50, 1.5), (0, 5.0), (0, np.nan), (2.5, 1.0), (-1, 1.0),
+                                (np.inf, 1.0)):
+        with pytest.raises(DomainError):
+            monitor_origin(rho, MODEL, [0.0], n_shots=n_shots, efficiency=efficiency,
+                           seed=5)
+    assert np.array_equal(monitor_origin(rho, MODEL, [0.0], n_shots=10.0, seed=5),
+                          monitor_origin(rho, MODEL, [0.0], n_shots=10, seed=5))
 
 
 # -- grid scans -------------------------------------------------------------------
@@ -250,7 +287,7 @@ def test_scan_map_reflection_on_asymmetric_grid():
     assert np.max(np.abs(scan.values - reflected.values[::-1, ::-1])) < 1e-8
     # the map kernel against the atom probe after a real injection
     alphas = grid.alpha_grid()
-    probed = np.array([[direct_point_exact(rho, a).estimate for a in row] for row in alphas])
+    probed = np.array([[readout(rho, a) for a in row] for row in alphas])
     assert np.max(np.abs(scan.values - probed)) < 1e-8
 
 
@@ -362,15 +399,13 @@ def test_monitor_reads_the_populations_of_the_damped_state(n_th):
 
 
 def test_resonant_variant_one_photon():
-    rec = direct_point_exact(fock_rho(1, dim=12), 0.0, variant="resonant-2pi")
-    assert abs(rec.estimate + 2.0) < 1e-9
+    assert abs(readout(fock_rho(1, dim=12), 0.0, "resonant-2pi") + 2.0) < 1e-9
 
 
 def test_resonant_variant_imperfect_photon():
     # p(1) = 0.8, p(0) = 0.2: the origin value is the diagonal parity sum
     rho = np.diag([0.2, 0.8] + [0.0] * 10).astype(complex)
-    rec = direct_point_exact(DensityOperator(rho), 0.0, variant="resonant-2pi")
-    assert abs(rec.estimate + 1.2) < 1e-9
+    assert abs(readout(DensityOperator(rho), 0.0, "resonant-2pi") + 1.2) < 1e-9
 
 
 def test_resonant_variant_guards():
@@ -379,6 +414,10 @@ def test_resonant_variant_guards():
                            variant="resonant-2pi")
     with pytest.raises(DomainError):
         direct_point_exact(fock_rho(1), 0.5, variant="resonant-2pi")
+    with pytest.raises(DomainError):
+        direct_point_exact(fock_rho(1), [0.0, 0.5], variant="resonant-2pi")
+    p_e, p_g = direct_point_exact(fock_rho(1), np.zeros((2, 3)), variant="resonant-2pi")
+    assert np.array_equal(2.0 * (p_g - p_e), np.full((2, 3), -2.0))
     # the resonant probe reads the origin only, so it scans no map
     with pytest.raises(DomainError):
         scan_map(fock_rho(1), PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3),
@@ -398,9 +437,7 @@ def test_opposite_shift_variant_matches_standard_readout(corpus):
     rng = np.random.default_rng(11)
     for _ in range(6):
         alpha = complex(rng.normal(scale=0.7), rng.normal(scale=0.7))
-        rec = direct_point_exact(rho, alpha, variant="opposite")
-        ref = direct_point_exact(rho, alpha)
-        assert abs(rec.estimate - ref.estimate) < 1e-8
+        assert abs(readout(rho, alpha, "opposite") - readout(rho, alpha)) < 1e-8
 
 
 def test_opposite_shift_full_map_matches_pi_pipeline(corpus):

@@ -13,7 +13,6 @@ from cavitylab import (
     NonHermitianError,
     TruncationError,
     WeightError,
-    annihilation,
     cat_state,
     coherent_state,
     DomainError,
@@ -25,10 +24,10 @@ from cavitylab import (
     pure_to_density,
     vacuum,
 )
-from cavitylab.fock import (_QUARTER, MAX_DISPLACED_ENTRIES, creation, laguerre_functions,
+from cavitylab.fock import (_QUARTER, MAX_DISPLACED_ENTRIES, laguerre_functions,
                             quadrature_q1, quadrature_q2, radial_rows, turn)
 
-from conftest import displaced, eigh_displacement, mean_photon
+from conftest import annihilation, displaced, eigh_displacement, mean_photon
 
 
 def brute_coherent_amplitudes(alpha, dim):
@@ -43,16 +42,22 @@ def test_spec_validation():
     assert HilbertSpec(2).dim == 2
 
 
+def quadrature_lowering(dim):
+    """a = (q1 + i q2)/sqrt(2), from the package's quadratures."""
+    spec = HilbertSpec(dim)
+    return (quadrature_q1(spec) + 1j * quadrature_q2(spec)) / np.sqrt(2.0)
+
+
 def test_annihilation_dim2():
-    a = annihilation(HilbertSpec(2))
-    np.testing.assert_allclose(a, [[0, 1], [0, 0]], atol=1e-15)
+    np.testing.assert_allclose(annihilation(2), [[0, 1], [0, 0]], atol=1e-15)
+    np.testing.assert_allclose(quadrature_lowering(2), [[0, 1], [0, 0]], atol=1e-15)
 
 
 def test_annihilation_sqrt_elements():
-    a = annihilation(HilbertSpec(4))
-    assert abs(a[2, 3] - np.sqrt(3)) < 1e-15
-    for n in range(1, 4):
-        assert abs(a[n - 1, n] - np.sqrt(n)) < 1e-15
+    for a in (annihilation(4), quadrature_lowering(4)):
+        assert abs(a[2, 3] - np.sqrt(3)) < 1e-15
+        for n in range(1, 4):
+            assert abs(a[n - 1, n] - np.sqrt(n)) < 1e-15
 
 
 def test_quadrature_commutator():
@@ -66,8 +71,7 @@ def test_quadrature_commutator():
 
 def test_operators_are_read_only():
     spec = HilbertSpec(5)
-    for op in (annihilation(spec), creation(spec), quadrature_q1(spec),
-               quadrature_q2(spec)):
+    for op in (quadrature_q1(spec), quadrature_q2(spec)):
         assert isinstance(op, np.ndarray) and op.shape == (5, 5)
         with pytest.raises(ValueError):
             op[0, 0] = 1.0

@@ -66,7 +66,8 @@ def test_point_value_equals_position_integral(case):
 @given(states_and_points())
 def test_direct_readout_equals_reflected_wigner(case):
     rho, alpha = case
-    assert abs(direct_point_exact(rho, alpha).estimate - wigner_point(rho, -alpha)) < 1e-8
+    p_e, p_g = direct_point_exact(rho, alpha)
+    assert abs(2.0 * (p_g - p_e) - wigner_point(rho, -alpha)) < 1e-8
 
 
 @PROPERTY_SETTINGS

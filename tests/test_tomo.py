@@ -152,6 +152,16 @@ def test_sampled_counts_and_edges():
     np.testing.assert_allclose(np.diff(edges), bin_width, rtol=0, atol=1e-12)
 
 
+def test_uniform_angles_refuses_a_count_that_is_not_an_integer_of_at_least_one():
+    # 0 returned no angles and 2.5 three; an integral float is taken
+    for count in (0, -3, 2.5, np.nan, np.inf):
+        with pytest.raises(DomainError, match="count must be an integer >= 1"):
+            uniform_angles(count)
+    np.testing.assert_array_equal(uniform_angles(4.0), uniform_angles(4))
+    np.testing.assert_array_equal(uniform_angles(1), [0.0])
+    assert np.all(np.diff(uniform_angles(36)) > 0) and uniform_angles(36)[-1] < np.pi
+
+
 def test_sinogram_invariants():
     q = np.linspace(-1, 1, 5)
     dens = np.zeros((2, 5))
@@ -252,20 +262,20 @@ def test_sampled_cat_reconstruction_fringe_contrast():
     spec = HilbertSpec(36)
     cat = pure_to_density(cat_state(spec, 2.0, 0.0))
     grid = PhaseSpaceGrid(-4.2, 4.2, -4.2, 4.2, 113, 113)
-    res = reconstruct_from_samples(cat, uniform_angles(72), 200000, 20250809, grid)
-    true_c = res.error_report["fringe_contrast_true"]
-    recon_c = res.error_report["fringe_contrast"]
+    _, report, _, _ = reconstruct_from_samples(cat, uniform_angles(72), 200000, 20250809,
+                                               grid)
+    true_c = report["fringe_contrast_true"]
+    recon_c = report["fringe_contrast"]
     assert abs(recon_c - true_c) / true_c < 0.15
-    assert set(res.error_report) >= {"rmse", "max_abs_error",
-                                     "marginal_consistency_residuals"}
+    assert set(report) >= {"rmse", "max_abs_error", "marginal_consistency_residuals"}
 
 
 def test_rmse_scales_like_root_n():
     # two decades of samples: RMSE drops by ~10, accepted within a factor 2
     rho = pure_to_density(coherent_state(HilbertSpec(26), 1.5))
-    r_small = reconstruct_from_samples(rho, uniform_angles(36), 2000, 7, GRID)
-    r_large = reconstruct_from_samples(rho, uniform_angles(36), 200000, 7, GRID)
-    ratio = r_small.error_report["rmse"] / r_large.error_report["rmse"]
+    r_small = reconstruct_from_samples(rho, uniform_angles(36), 2000, 7, GRID)[1]
+    r_large = reconstruct_from_samples(rho, uniform_angles(36), 200000, 7, GRID)[1]
+    ratio = r_small["rmse"] / r_large["rmse"]
     assert 5.0 < ratio < 20.0
 
 
@@ -274,16 +284,16 @@ def test_large_n_approaches_noise_free_error():
     exact = reconstruct_exact(rho, uniform_angles(36), GRID)
     gaps = []
     for n in (2000, 20000, 200000):
-        res = reconstruct_from_samples(rho, uniform_angles(36), n, 5, GRID)
-        gaps.append(rmse(res.map.values, exact.values))
+        recon = reconstruct_from_samples(rho, uniform_angles(36), n, 5, GRID)[0]
+        gaps.append(rmse(recon.values, exact.values))
     assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_master_seed_determinism():
     rho = pure_to_density(coherent_state(HilbertSpec(20), 1.0))
-    a = reconstruct_from_samples(rho, uniform_angles(12), 4000, 99, GRID)
-    b = reconstruct_from_samples(rho, uniform_angles(12), 4000, 99, GRID)
-    np.testing.assert_array_equal(a.map.values, b.map.values)
+    a = reconstruct_from_samples(rho, uniform_angles(12), 4000, 99, GRID)[0]
+    b = reconstruct_from_samples(rho, uniform_angles(12), 4000, 99, GRID)[0]
+    np.testing.assert_array_equal(a.values, b.values)
 
 
 # -- the marginals-only demonstration ------------------------------------------------
