@@ -80,8 +80,10 @@ def direct_point_exact(rho0: DensityOperator, alpha, variant: str = "dispersive"
     `variant` names the interaction as ``protocol.field_kraus`` does:
     ``"dispersive"``, ``"opposite"`` or ``"resonant-2pi"``, which reads the
     origin only (alpha = 0, DomainError otherwise) of a field supported on
-    n <= 1 (SubspaceError).
+    n <= 1 (SubspaceError).  Any other name raises ValueError, even with
+    no alpha to read.
     """
+    protocol.field_kraus(variant, 0)  # ValueError for an unknown variant
     alpha = np.asarray(alpha, dtype=complex)
     if variant == "resonant-2pi" and np.any(alpha != 0):
         raise DomainError("the resonant variant measures the origin only (alpha = 0)")

@@ -308,12 +308,17 @@ def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
 def hermite_functions(x, nmax: int) -> np.ndarray:
     """Oscillator eigenfunctions psi_n(x), n < nmax, by stable upward recurrence."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros((nmax, x.size))
+    out = np.empty((nmax, x.size))
     out[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
     if nmax > 1:
         out[1] = np.sqrt(2.0) * x * out[0]
+    # psi_n = sqrt(2/n) x psi_{n-1} - sqrt((n-1)/n) psi_{n-2}, in place
+    tmp = np.empty(x.size)
     for n in range(2, nmax):
-        out[n] = np.sqrt(2.0 / n) * x * out[n - 1] - np.sqrt((n - 1) / n) * out[n - 2]
+        np.multiply(x, math.sqrt(2.0 / n), out=tmp)
+        tmp *= out[n - 1]
+        np.multiply(out[n - 2], math.sqrt((n - 1) / n), out=out[n])
+        np.subtract(tmp, out[n], out=out[n])
     return out
 
 

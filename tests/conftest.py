@@ -8,11 +8,14 @@ from cavitylab import (
     coherent_state,
     evolve,
     fock_state,
+    inverse_radon,
+    marginal_distribution,
     mix,
     pure_to_density,
     vacuum,
 )
 from cavitylab.fock import radial_rows, turn
+from cavitylab.tomo import SinogramSet, _next_fast_len, _q_range, _ramp_hann
 
 CORPUS_DIM = 40  # covers every corpus state (largest amplitude 2 -> 26) with room
 
@@ -77,6 +80,30 @@ def cat_coherence(rho, alpha: complex) -> float:
     bra = coherent_state(spec, alpha).amplitudes.conj()
     ket = coherent_state(spec, -alpha).amplitudes
     return float(abs(bra @ rho.matrix @ ket) / ((1.0 + np.exp(-2.0 * abs(alpha) ** 2)) / 2.0))
+
+
+def reconstruct_exact(rho, angles, grid, q_range=None):
+    """Noise-free reconstruction from exact marginals on 801 points of q in
+    [-q_range, q_range]; `q_range` must be finite and positive (DomainError),
+    and None takes the sampler's default range."""
+    q_range = _q_range(rho, q_range)
+    q = np.linspace(-q_range, q_range, 801)
+    return inverse_radon(SinogramSet(angles, q, marginal_distribution(rho, angles, q)), grid)
+
+
+def complex_fft_back_projection(sino, grid) -> np.ndarray:
+    """The filtered back-projection of ``tomo.inverse_radon``, one angle at a
+    time with a complex FFT over the two-sided ramp-Hann filter: the
+    reference for its one real FFT per block of angles.  Returns the values."""
+    n_pad = _next_fast_len(4 * sino.q.size)
+    filt = _ramp_hann(n_pad, float(sino.q[1] - sino.q[0]))
+    q1, q2 = grid.q1_axis[:, None], grid.q2_axis[None, :]
+    acc = np.zeros((grid.n1, grid.n2))
+    for theta, density in zip(sino.thetas, sino.densities):
+        filtered = np.real(np.fft.ifft(np.fft.fft(density, n_pad) * filt))[: sino.q.size]
+        acc += np.interp(q1 * np.cos(theta) + q2 * np.sin(theta), sino.q, filtered,
+                         left=0.0, right=0.0)
+    return 2.0 * np.pi * acc * np.pi / sino.thetas.size
 
 
 @pytest.fixture(scope="session")

@@ -44,11 +44,10 @@ from cavitylab import (
 )
 from cavitylab.direct import _sample
 from cavitylab.dynamics import evolve, fit_coherence_decay
-from cavitylab.tomo import (pauli_incompleteness_demo, reconstruct_exact,
-                            reconstruct_from_samples)
+from cavitylab.tomo import pauli_incompleteness_demo, reconstruct_from_samples
 from cavitylab.wigner import _symmetrized_word, moyal_grid_integral
 
-from conftest import build_corpus
+from conftest import build_corpus, reconstruct_exact
 
 MODEL = DampingModel(kappa=1.0)
 

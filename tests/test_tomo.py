@@ -10,6 +10,7 @@ from cavitylab import (
     SamplingError,
     cat_state,
     coherent_state,
+    default_dim,
     default_grid,
     fock_state,
     marginal_distribution,
@@ -24,15 +25,23 @@ from cavitylab.tomo import (
     SinogramSet,
     _next_fast_len,
     inverse_radon,
-    reconstruct_exact,
     reconstruct_from_samples,
 )
+
+from conftest import complex_fft_back_projection, reconstruct_exact
 
 GRID = PhaseSpaceGrid(-4, 4, -4, 4, 81, 81)
 
 
 def rmse(a, b):
     return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
+def pauli_pair():
+    """The demo's conjugate pair (|0> + i|2>)/sqrt(2), (|0> - i|2>)/sqrt(2) at dim 16."""
+    amps = np.zeros(16, dtype=complex)
+    amps[0], amps[2] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
+    return pure_to_density(FieldState(amps)), pure_to_density(FieldState(amps.conj()))
 
 
 # -- sampling -------------------------------------------------------------------
@@ -228,6 +237,24 @@ def test_rotational_covariance():
     assert np.max(np.abs(at_rotated - base.values[inner])) < 2e-2
 
 
+def test_block_real_fft_matches_per_angle_complex_fft():
+    # the benchmark's tomography sinogram (even cat at alpha = 2, 36 angles of
+    # 50,000 samples) and the Pauli demo's exact one at the selfcheck's grid;
+    # each spans more than one filtering block
+    cat = pure_to_density(cat_state(HilbertSpec(default_dim(2.0)), 2.0, 0.0))
+    grid = default_grid(2.0, step=0.2)
+    sampled = reconstruct_from_samples(cat, uniform_angles(36), 50000, 104729, grid)[2]
+    pauli_grid = default_grid(1.5, step=0.15)
+    q_range = pauli_grid.corner_radius + 0.5
+    q = np.linspace(-q_range, q_range, 801)
+    angles = uniform_angles(36)
+    pauli = SinogramSet(angles, q, marginal_distribution(pauli_pair()[0], angles, q))
+    for sino, on in ((sampled, grid), (pauli, pauli_grid)):
+        assert sino.thetas.size * _next_fast_len(4 * sino.q.size) > 1 << 15
+        ref = complex_fft_back_projection(sino, on)
+        assert np.max(np.abs(inverse_radon(sino, on).values - ref)) < 1e-13
+
+
 def test_too_few_angles_raises():
     rho = pure_to_density(vacuum(HilbertSpec(8)))
     q = np.linspace(-6, 6, 301)
@@ -307,6 +334,16 @@ def test_pauli_incompleteness_report():
     assert report["marginals_only_incomplete"] is True
 
 
+def test_pauli_demo_back_projects_the_sinogram_difference():
+    # the back-projection is linear: one back-projection of the pair's
+    # marginal difference deviates as their two reconstructions do
+    grid = PhaseSpaceGrid(-4, 4, -4, 4, 61, 61)
+    a, b = (reconstruct_exact(rho, uniform_angles(36), grid,
+                              q_range=grid.corner_radius + 0.5).values for rho in pauli_pair())
+    report = pauli_incompleteness_demo(grid)
+    assert abs(report["full_reconstruction_sup_dev"] - np.max(np.abs(a - b))) < 1e-12
+
+
 def test_pauli_pair_marginals_identical_wigner_different():
     report = pauli_incompleteness_demo(PhaseSpaceGrid(-4, 4, -4, 4, 61, 61))
     assert report["two_angle_sinogram_sup_dev"] < 1e-10
@@ -318,9 +355,7 @@ def test_pauli_pair_is_conjugate():
     # W of the conjugate state is W(conj alpha): on a grid whose q2 axis is
     # antisymmetric, the pair's Wigner deviation is |0> + i|2>'s map against
     # its own reflection in q2
-    amps = np.zeros(16, dtype=complex)
-    amps[0], amps[2] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
-    w = wigner_map(pure_to_density(FieldState(amps)), default_grid(2.0, step=0.15)).values
+    w = wigner_map(pauli_pair()[0], default_grid(2.0, step=0.15)).values
     report = pauli_incompleteness_demo(PhaseSpaceGrid(-4, 4, -4, 4, 61, 61))
     assert abs(report["wigner_sup_dev"] - np.max(np.abs(w - w[:, ::-1]))) < 1e-12
 

@@ -687,6 +687,24 @@ def test_hermite_functions_orthonormal():
     np.testing.assert_allclose(gram, np.eye(8), atol=1e-7)
 
 
+def test_hermite_recurrence_in_place_is_bitwise_the_expression():
+    # the rows are written in place, by the same operations in the same order
+    def by_expression(x, nmax):
+        out = np.zeros((nmax, x.size))
+        out[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
+        if nmax > 1:
+            out[1] = np.sqrt(2.0) * x * out[0]
+        for n in range(2, nmax):
+            out[n] = np.sqrt(2.0 / n) * x * out[n - 1] - np.sqrt((n - 1) / n) * out[n - 2]
+        return out
+
+    rng = np.random.default_rng(5)
+    for size in (1, 58, 801, 1024):
+        xs = rng.uniform(-12.0, 12.0, size)
+        for nmax in (1, 2, 26, 82):
+            assert np.array_equal(hermite_functions(xs, nmax), by_expression(xs, nmax))
+
+
 def test_gauss_hermite_nodes_match_scipy():
     from scipy.special import roots_hermite
 
