@@ -15,8 +15,6 @@ import hashlib
 import io
 import json
 import locale  # unused here, but argparse's gettext imports it on the first parse, inside a run
-import math
-import numbers
 import os
 import sys
 import tempfile
@@ -24,7 +22,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, direct, dynamics, fock, protocol, tomo, wigner
-from .errors import CavityLabError, ConfigError
+from .errors import CavityLabError, ConfigError, DomainError, number
 
 gc.freeze()  # keep the import-time objects out of the experiments' full collections
 
@@ -38,27 +36,13 @@ def _refuse(where: str, what: str) -> ConfigError:
     return ConfigError(f"invalid config: {what}" + (f" (key {where})" if where else ""))
 
 
-def _number(integral=False, minimum=None, exclusive_minimum=None, maximum=None, null=False):
-    """A finite JSON number; `integral` also takes floats with no fraction."""
-    kind = "integer" if integral else "number"
-
+def _number(**rule):
+    """A config number, checked by the package's number rule (``errors.number``)."""
     def check(value, where):
-        if value is None and null:
-            return
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise _refuse(where, f"{value!r} is not of type {kind!r}")
-        if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
-            raise _refuse(where, f"{value!r} is not a finite number")
-        if integral and not (isinstance(value, numbers.Integral) or value.is_integer()):
-            raise _refuse(where, f"{value!r} is not of type {kind!r}")
-        if minimum is not None and value < minimum:
-            raise _refuse(where, f"{value!r} is less than the minimum of {minimum!r}")
-        if exclusive_minimum is not None and value <= exclusive_minimum:
-            raise _refuse(where, f"{value!r} is less than or equal to the minimum "
-                                 f"of {exclusive_minimum!r}")
-        if maximum is not None and value > maximum:
-            raise _refuse(where, f"{value!r} is greater than the maximum of {maximum!r}")
-        return int(value) if integral else value
+        try:
+            return number(value, f"key {where}", **rule)
+        except DomainError as exc:
+            raise ConfigError(f"invalid config: {exc}") from None
     return check
 
 
@@ -154,7 +138,8 @@ def _forward_times(value, where):
 
 
 _SEED = _number(integral=True, minimum=0)
-_DIM = (_number(integral=True, minimum=2, null=True), None)
+_DIM_NUMBER = _number(integral=True, minimum=2)
+_DIM = (lambda value, where: None if value is None else _DIM_NUMBER(value, where), None)
 
 OPTIONS = {
     "prepare-cat": {"alpha": (_ALPHA, ...), "dim": _DIM},

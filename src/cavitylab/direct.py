@@ -31,7 +31,7 @@ from numpy.random import SeedSequence, default_rng
 
 from . import protocol
 from .dynamics import DampingModel, damped_populations
-from .errors import DomainError, NoDetectionError
+from .errors import DomainError, NoDetectionError, number
 from .fock import MAX_DISPLACED_ENTRIES, DensityOperator, radial_rows
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
 
@@ -80,10 +80,10 @@ def direct_point_exact(rho0: DensityOperator, alpha, variant: str = "dispersive"
     `variant` names the interaction as ``protocol.field_kraus`` does:
     ``"dispersive"``, ``"opposite"`` or ``"resonant-2pi"``, which reads the
     origin only (alpha = 0, DomainError otherwise) of a field supported on
-    n <= 1 (SubspaceError).  Any other name raises ValueError, even with
+    n <= 1 (SubspaceError).  Any other name raises DomainError, even with
     no alpha to read.
     """
-    protocol.field_kraus(variant, 0)  # ValueError for an unknown variant
+    protocol.field_kraus(variant, 0)  # DomainError for an unknown variant
     alpha = np.asarray(alpha, dtype=complex)
     if variant == "resonant-2pi" and np.any(alpha != 0):
         raise DomainError("the resonant variant measures the origin only (alpha = 0)")
@@ -121,7 +121,7 @@ def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
     ``"resonant-2pi"`` variant reads the origin only (DomainError).
     """
     if variant not in ("dispersive", "opposite"):
-        protocol.field_kraus(variant, 0)  # ValueError for an unknown variant
+        protocol.field_kraus(variant, 0)  # DomainError for an unknown variant
         raise DomainError("the resonant variant measures the origin only (alpha = 0)")
     exact = wigner_map(rho0, grid.reflected())
     return WignerMap(grid, exact.values[::-1, ::-1], provenance="measured-direct",
@@ -141,14 +141,13 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     one Born-rule call.  For an even cat the series starts near +2,
     collapses toward 0 on the decoherence timescale, and climbs back to +2
     as the field empties.  Raises DomainError for no times, an `n_shots`
-    that is not an integer >= 0 or an `efficiency` outside [0, 1], and
-    TruncationError when the damped populations put more than 1e-8 on the
-    top Fock level.
+    that is not an integer >= 0, an `efficiency` outside [0, 1] or a `seed`
+    that is neither None nor an integer >= 0, and TruncationError when the
+    damped populations put more than 1e-8 on the top Fock level.
     """
-    if not (float(n_shots).is_integer() and n_shots >= 0):
-        raise DomainError(f"n_shots must be an integer >= 0, got {n_shots}")
-    if not 0.0 <= efficiency <= 1.0:
-        raise DomainError(f"efficiency must lie in [0, 1], got {efficiency}")
+    n_shots = number(n_shots, "n_shots", integral=True, minimum=0)
+    seed = seed if seed is None else number(seed, "seed", integral=True, minimum=0)
+    number(efficiency, "efficiency", minimum=0, maximum=1)
     times = np.asarray(times, dtype=float)
     pops = damped_populations(rho0.matrix[None], model, times)[0]
     p_e, p_g = protocol.detection_probabilities(pops, "dispersive")
@@ -156,5 +155,5 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     w0[0] = 2.0 * (p_g - p_e)
     if n_shots > 0:
         for k, child in enumerate(SeedSequence(seed).spawn(times.size)):
-            w0[1:, k] = _sample(float(p_e[k]), int(n_shots), efficiency, child)[1:]
+            w0[1:, k] = _sample(float(p_e[k]), n_shots, efficiency, child)[1:]
     return w0

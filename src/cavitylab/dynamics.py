@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, TruncationError
+from .errors import DomainError, IntegrationError, TruncationError, number
 from .fock import DensityOperator, HilbertSpec, coherent_state
 
 # exact in the 2019 SI
@@ -45,16 +45,14 @@ BOLTZMANN = 1.380649e-23  # J / K
 
 @dataclass(frozen=True)
 class DampingModel:
-    """Cavity energy-decay rate and thermal occupation."""
+    """Cavity energy-decay rate kappa > 0 and thermal occupation n_thermal >= 0, finite."""
 
     kappa: float
     n_thermal: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.kappa < np.inf:
-            raise DomainError(f"kappa must be positive and finite, got {self.kappa}")
-        if not 0 <= self.n_thermal < np.inf:
-            raise DomainError(f"n_thermal must be >= 0 and finite, got {self.n_thermal}")
+        number(self.kappa, "kappa", exclusive_minimum=0)
+        number(self.n_thermal, "n_thermal", minimum=0)
 
     @property
     def dissipation_time(self) -> float:
@@ -238,16 +236,15 @@ def coherence_trajectory(rho: DensityOperator, model: DampingModel, times,
 
 def decoherence_time(model: DampingModel, mean_n: float) -> float:
     """Dissipation time over 2 mean_n (2 n_thermal + 1): the e-folding time of
-    a cat's fringes (Kim & Buzek, PRA 46, 4239 (1992))."""
-    if mean_n <= 0:
-        raise DomainError(f"mean_n must be positive, got {mean_n}")
+    a cat's fringes (Kim & Buzek, PRA 46, 4239 (1992)), for a finite mean_n > 0."""
+    number(mean_n, "mean_n", exclusive_minimum=0)
     return model.dissipation_time / (2.0 * mean_n * (2.0 * model.n_thermal + 1.0))
 
 
 def separation_measure(d: float, mass: float, temperature: float) -> float:
-    """(d / lambda_dB)^2 with the thermal de Broglie wavelength h/sqrt(2 pi m k T)."""
-    if d <= 0 or mass <= 0 or temperature <= 0:
-        raise DomainError("d, mass and temperature must all be positive")
+    """(d / lambda_dB)^2, lambda_dB = h/sqrt(2 pi m k T), for finite d, mass, temperature > 0."""
+    for value, name in ((d, "d"), (mass, "mass"), (temperature, "temperature")):
+        number(value, name, exclusive_minimum=0)
     lam = PLANCK / np.sqrt(2.0 * np.pi * mass * BOLTZMANN * temperature)
     return float((d / lam) ** 2)
 

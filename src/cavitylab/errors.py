@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``number``: the one rule by
+which every entry point, and the CLI's option table, checks a scalar argument."""
+
+import math
+import numbers
 
 
 class CavityLabError(Exception):
@@ -56,3 +60,25 @@ class NoDetectionError(CavityLabError):
 
 class ConfigError(CavityLabError):
     """Experiment configuration is invalid."""
+
+
+def number(value, name, integral=False, minimum=None, exclusive_minimum=None, maximum=None):
+    """`value` unchanged, or as an int if `integral`, when it is a finite real
+    number (not a bool), integral if `integral` (10.0 is taken), at least
+    `minimum`, above `exclusive_minimum` and at most `maximum`; otherwise a
+    DomainError that ends with `name` in parentheses."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    whole = isinstance(value, numbers.Integral)
+    if real and not (whole or math.isfinite(value)):
+        what = "is not a finite number"
+    elif not real or integral and not (whole or value.is_integer()):
+        what = f"is not of type {'integer' if integral else 'number'!r}"
+    elif minimum is not None and value < minimum:
+        what = f"is less than the minimum of {minimum!r}"
+    elif exclusive_minimum is not None and value <= exclusive_minimum:
+        what = f"is less than or equal to the minimum of {exclusive_minimum!r}"
+    elif maximum is not None and value > maximum:
+        what = f"is greater than the maximum of {maximum!r}"
+    else:
+        return int(value) if integral else value
+    raise DomainError(f"{value!r} {what} ({name})")

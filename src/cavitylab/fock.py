@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateStateError, DomainError, NonHermitianError, TruncationError,
-                     WeightError)
+                     WeightError, number)
 
 # Tail mass of a coherent state stays below ~1e-10 with this truncation rule.
 DIM_MARGIN = 10
@@ -31,10 +31,10 @@ def default_dim(alpha_max: float, n_thermal: float = 0.0) -> int:
     floored at 1, in a cavity damped toward `n_thermal` thermal photons: the
     larger of 4 |alpha_max|^2 + DIM_MARGIN and |alpha_max|^2 plus the number
     of levels over which a thermal distribution, p_n ~ (n_th / (n_th + 1))^n,
-    falls by 1e-10."""
-    reach = max(abs(alpha_max), 1.0) ** 2
+    falls by 1e-10.  Both must be finite and `n_thermal` >= 0 (DomainError)."""
+    reach = max(abs(number(alpha_max, "alpha_max")), 1.0) ** 2
     dim = 4.0 * reach + DIM_MARGIN
-    if n_thermal > 0:
+    if number(n_thermal, "n_thermal", minimum=0) > 0:
         tail = math.log(1e-10) / math.log(n_thermal / (n_thermal + 1.0))
         dim = max(dim, reach + tail)
     return int(math.ceil(dim))
@@ -48,13 +48,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HilbertSpec:
-    """Fock-space truncation: basis |0> ... |dim-1>."""
+    """Fock-space truncation: basis |0> ... |dim-1>, dim an integer >= 2 kept as an int."""
 
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
+        object.__setattr__(self, "dim", number(self.dim, "dim", integral=True, minimum=2))
 
 
 @dataclass(frozen=True)
@@ -217,10 +216,9 @@ def turn(theta: float, n) -> np.ndarray:
 
 
 def fock_state(spec: HilbertSpec, n: int) -> FieldState:
-    if not 0 <= n < spec.dim:
-        raise IndexError(f"Fock index {n} outside [0, {spec.dim})")
+    """|n>, for an integer 0 <= n < spec.dim (DomainError otherwise)."""
     amps = np.zeros(spec.dim, dtype=complex)
-    amps[n] = 1.0
+    amps[number(n, "n", integral=True, minimum=0, maximum=spec.dim - 1)] = 1.0
     return FieldState(amps)
 
 
@@ -250,11 +248,9 @@ def cat_state(spec: HilbertSpec, alpha: complex, psi1: float) -> FieldState:
     """(|alpha> + e^{i psi1} |-alpha>) / N1, N1 = sqrt(2[1 + cos(psi1) e^{-2|alpha|^2}]).
     At psi1 = k pi/2, |k| <= 4, e^{i psi1} is an exact quarter turn (``turn``),
     so the even (psi1 = 0) and odd (psi1 = pi) cats are exactly zero on the
-    odd and even levels."""
-    if not math.isfinite(psi1):
-        raise DomainError(f"psi1 must be finite, got {psi1}")
-    plus = coherent_state(spec, alpha).amplitudes  # refuses a non-finite alpha
-    phase = turn(psi1, 1)
+    odd and even levels.  A non-finite psi1 or alpha raises DomainError."""
+    phase = turn(number(psi1, "psi1"), 1)
+    plus = coherent_state(spec, alpha).amplitudes
     n1_sq = 2.0 * (1.0 + phase.real * np.exp(-2.0 * abs(alpha) ** 2))
     n1 = np.sqrt(max(n1_sq, 0.0))
     if n1 < 1e-6:

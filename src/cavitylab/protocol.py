@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DampingModel, damped_populations
-from .errors import DegenerateBranchError, SubspaceError
+from .errors import DegenerateBranchError, DomainError, SubspaceError, number
 from .fock import (
     DensityOperator,
     FieldState,
@@ -61,9 +61,10 @@ def field_kraus(variant: str, dim: int) -> np.ndarray:
       n <= 1.
 
     The arm phases are quarter turns (``fock.turn``), read from a table, not
-    ``np.exp``, so every amplitude is exactly 0, +-1 or +-i.
+    ``np.exp``, so every amplitude is exactly 0, +-1 or +-i.  An unknown
+    variant, or a `dim` that is not an integer >= 0, raises DomainError.
     """
-    n = np.arange(dim)
+    n = np.arange(number(dim, "dim", integral=True, minimum=0))
     if variant == "dispersive":
         arm_e, arm_g = turn(np.pi, n), turn(0.0, n)
     elif variant == "opposite":
@@ -71,7 +72,7 @@ def field_kraus(variant: str, dim: int) -> np.ndarray:
     elif variant == "resonant-2pi":
         arm_e, arm_g = turn(np.pi, n == 1), turn(0.0, n)
     else:
-        raise ValueError(f"unknown interaction variant {variant!r}")
+        raise DomainError(f"unknown interaction variant {variant!r}")
     return 0.5 * np.stack([arm_e - arm_g, arm_e + arm_g])
 
 

@@ -24,11 +24,12 @@ import numpy as np
 from numpy.fft import fftfreq, irfft, rfft
 from numpy.random import SeedSequence, default_rng
 
-from .errors import CoverageError, DomainError, SamplingError
+from .errors import CoverageError, DomainError, SamplingError, number
 from .fock import DensityOperator, FieldState, pure_to_density
 from .wigner import (
     PhaseSpaceGrid,
     WignerMap,
+    _angles,
     _support_radius,
     default_grid,
     fringe_contrast,
@@ -49,11 +50,9 @@ class SinogramSet:
     densities: np.ndarray  # shape (n_angles, len(q))
 
     def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
+        thetas = _angles(self.thetas)
         q = np.asarray(self.q, dtype=float)
         dens = np.asarray(self.densities, dtype=float)
-        if np.any(thetas < 0) or np.any(thetas >= np.pi):
-            raise DomainError("angles must lie in [0, pi)")
         if len(set(np.round(thetas, 12))) != thetas.size:
             raise DomainError("angles must be distinct")
         # inverse_radon interpolates on q and filters at its step: a
@@ -69,18 +68,12 @@ class SinogramSet:
         object.__setattr__(self, "densities", dens)
 
 
-def _finite_positive(name: str, value: float) -> float:
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and positive, got {value}")
-    return value
-
-
 def _q_range(rho: DensityOperator, q_range: float | None) -> float:
     """The half-width of a marginal window: `q_range`, refused unless finite
     and positive, or for None a default from rho's support."""
     if q_range is None:
         return float(np.sqrt(2.0) * _support_radius(rho) + 5.0)
-    return _finite_positive("q_range", q_range)
+    return number(q_range, "q_range", exclusive_minimum=0)
 
 
 def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
@@ -88,8 +81,9 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     """Histograms of n_samples i.i.d. draws of q_theta at one angle or a 1-D
     array of angles: (edges, counts), the n_bins + 1 bin edges running from
     -q_range in steps of `bin_width`, and int64 counts of shape
-    np.shape(theta) + (n_bins,), each row summing to n_samples.  `bin_width`
-    and `q_range` must be finite and positive; q_range=None takes the
+    np.shape(theta) + (n_bins,), each row summing to n_samples.  `n_samples`
+    must be an integer >= 1, `seed` None or an integer >= 0, and `bin_width`
+    and `q_range` finite and positive (DomainError); q_range=None takes the
     default range.
 
     Every marginal is tabulated on 8,192 nodes in one call and integrated by
@@ -97,10 +91,10 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     puts a draw in a bin with the CDF's increment across the bin, so each
     histogram is one multinomial draw of those bin masses.  Angle k draws
     from the k-th child of SeedSequence(seed).spawn(number of angles)."""
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = number(n_samples, "n_samples", integral=True, minimum=1)
+    seed = seed if seed is None else number(seed, "seed", integral=True, minimum=0)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    _finite_positive("bin_width", bin_width)
+    number(bin_width, "bin_width", exclusive_minimum=0)
     q_range = _q_range(rho, q_range)
     dense = np.linspace(-q_range, q_range, 8192)
     n_bins = int(math.ceil(2.0 * q_range / bin_width))
@@ -124,8 +118,7 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
 def uniform_angles(count: int) -> np.ndarray:
     """`count` angles k pi / count, k < count, for an integer `count` >= 1
     (DomainError otherwise)."""
-    if not (float(count).is_integer() and count >= 1):
-        raise DomainError(f"count must be an integer >= 1, got {count}")
+    count = number(count, "count", integral=True, minimum=1)
     return np.arange(count) * np.pi / count
 
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import DomainError, NonHermitianError, QuadratureError, TruncationError
+from .errors import DomainError, NonHermitianError, QuadratureError, TruncationError, number
 from .fock import (DensityOperator, HilbertSpec, laguerre_functions, quadrature_q1,
                    quadrature_q2)
 
@@ -64,8 +64,9 @@ class PhaseSpaceGrid:
     antisymmetric (axis == -axis[::-1], centre exactly 0.0 at odd n), so
     mirror points share |alpha| exactly and share one radial recurrence in
     the map kernel; a reflected grid's axes are the negated, reversed axes.
-    A grid of more than MAX_GRID_NODES nodes, or with a node count that is
-    not an integer, is refused (DomainError) before any array is built.
+    Non-finite extents or max <= min, node counts that are not integers >= 2
+    (kept as ints) and more than MAX_GRID_NODES nodes are refused
+    (DomainError) before any array is built.
     """
 
     q1_min: float
@@ -76,15 +77,14 @@ class PhaseSpaceGrid:
     n2: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.q1_min, self.q1_max, self.q2_min, self.q2_max])):
-            raise DomainError("grid extents must be finite")
+        for name in ("q1_min", "q1_max", "q2_min", "q2_max"):
+            number(getattr(self, name), name)
+        for name in ("n1", "n2"):
+            object.__setattr__(self, name,
+                               number(getattr(self, name), name, integral=True, minimum=2))
         if not (self.q1_max > self.q1_min and self.q2_max > self.q2_min):
             raise DomainError("grid extents must satisfy max > min")
-        if not (float(self.n1).is_integer() and float(self.n2).is_integer()):
-            raise DomainError(f"grid node counts must be integers, got {self.n1}, {self.n2}")
-        if self.n1 < 2 or self.n2 < 2:
-            raise DomainError("grid needs at least 2 points per axis")
-        if int(self.n1) * int(self.n2) > MAX_GRID_NODES:
+        if self.n1 * self.n2 > MAX_GRID_NODES:
             raise DomainError(f"grid of {self.n1} x {self.n2} nodes exceeds the limit of "
                               f"{MAX_GRID_NODES}")
 
@@ -132,14 +132,11 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def default_grid(alpha_max: float, step: float = 0.075, pad: float = 4.0) -> PhaseSpaceGrid:
-    """Figure-class grid: spans the state's lobes plus `pad` quadrature units,
-    at a `step` that must be finite and positive (DomainError)."""
-    span = np.sqrt(2.0) * abs(alpha_max) + pad
-    if not math.isfinite(span):
-        raise DomainError(f"grid span must be finite, got alpha_max {alpha_max}, pad {pad}")
-    if not (math.isfinite(step) and step > 0.0):
-        raise DomainError(f"grid step must be finite and positive, got {step}")
-    n = int(math.ceil(2.0 * span / step)) + 1
+    """Figure-class grid: spans the state's lobes plus `pad` >= 0 quadrature
+    units, at a `step` > 0, each finite, as is the node count (DomainError)."""
+    span = np.sqrt(2.0) * abs(number(alpha_max, "alpha_max")) + number(pad, "pad", minimum=0)
+    cells = 2.0 * span / number(step, "step", exclusive_minimum=0)
+    n = int(math.ceil(number(cells, "2 span / step"))) + 1
     return PhaseSpaceGrid(-span, span, -span, span, n, n)
 
 
@@ -352,9 +349,8 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
     """W from the position-representation integral, rescaled by 2pi so that
     wigner_position(rho, q, p) == wigner_point(rho, (q + i p)/sqrt(2)).
     Its Gauss-Hermite orders dim + 32 and dim + 56 limit it to dim <= 314
-    (QuadratureError above)."""
-    if not (np.isfinite(q) and np.isfinite(p)):
-        raise DomainError(f"(q, p) must be finite, got ({q}, {p})")
+    (QuadratureError above), and q and p must be finite (DomainError)."""
+    q, p = number(q, "q"), number(p, "p")
     order = rho.dim + 32
     if order + 24 > _GH_MAX_ORDER:
         raise QuadratureError(
@@ -375,6 +371,15 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
 
 # ---------------------------------------------------------------------------
 # marginals
+
+
+def _angles(theta) -> np.ndarray:
+    """`theta` as a float array, refused (DomainError) unless every angle lies in [0, pi)."""
+    thetas = np.asarray(theta, dtype=float)
+    bad = thetas[~((thetas >= 0.0) & (thetas < np.pi))]
+    if bad.size:
+        raise DomainError(f"theta must lie in [0, pi), got {bad[0]}")
+    return thetas
 
 
 # nodes per block of the Hermite table in marginal_distribution: the table
@@ -399,17 +404,17 @@ def marginal_distribution(rho: DensityOperator, theta, q_theta) -> np.ndarray:
     odd ones of a parity cat) is skipped, and the sine half is dropped when
     rho has no imaginary part below its diagonal.  Each row is then one
     product of its own angle's factors with the c_k, so an angle's row does
-    not depend on the other angles in the call."""
-    thetas = np.asarray(theta, dtype=float)
-    bad = thetas[~((thetas >= 0.0) & (thetas < np.pi))]
-    if bad.size:
-        raise DomainError(f"theta must lie in [0, pi), got {bad[0]}")
+    not depend on the other angles in the call.  An angle outside [0, pi) or
+    a non-finite q_theta raises DomainError."""
+    thetas = _angles(theta)
+    nodes = np.asarray(q_theta, dtype=float).ravel()
+    if not np.all(np.isfinite(nodes)):
+        raise DomainError("q_theta must be finite")
     mat = rho.matrix
     lower = [np.diagonal(mat, -k) for k in range(rho.dim)]
     ks = np.flatnonzero([diag.any() for diag in lower])
     halves = 2 if any(lower[k].imag.any() for k in ks if k) else 1
     coefs = [np.array([lower[k].real, lower[k].imag][:halves]) for k in ks]
-    nodes = np.asarray(q_theta, dtype=float).ravel()
     c = np.empty((ks.size, halves, nodes.size))  # Re c_k and (halves == 2) Im c_k
     for s in range(0, nodes.size, _NODE_BLOCK):
         psi = hermite_functions(nodes[s:s + _NODE_BLOCK], rho.dim)
@@ -438,10 +443,7 @@ def radon_of_map(wmap: WignerMap, theta) -> tuple[np.ndarray, np.ndarray]:
     [0, pi).  Returns (q, P): the q_theta values, max(n1, n2) points over
     [-h, h] with h = min(q1_max, q2_max), and P shaped np.shape(theta) + q.shape,
     one row per angle, each computed as the one-angle call computes it."""
-    thetas = np.asarray(theta, dtype=float)
-    bad = thetas[~((thetas >= 0.0) & (thetas < np.pi))]
-    if bad.size:
-        raise DomainError(f"theta must lie in [0, pi), got {bad[0]}")
+    thetas = _angles(theta)
     g = wmap.grid
     half = min(g.q1_max, g.q2_max)
     qs = np.linspace(-half, half, max(g.n1, g.n2))
@@ -538,8 +540,8 @@ def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> tuple[floa
     """Both sides of the symmetric-ordering correspondence for q^m p^n:
     (operator_value, integral_value), Tr[rho S(q^m p^n)] and the phase-space
     integral of W q^m p^n."""
-    m, n = monomial
-    if m < 0 or n < 0 or m + n > 4:
+    m, n = (number(k, "monomial power", integral=True, minimum=0) for k in monomial)
+    if m + n > 4:
         raise TruncationError(f"monomial degree {m + n} outside the guarded range (<= 4)")
     # the symmetrized word couples levels at most (degree) apart, so only the
     # top few levels can feed truncation error into the operator-side trace

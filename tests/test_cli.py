@@ -724,6 +724,32 @@ def test_config_error_names_the_offending_value(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("experiment, config, message", [
+    ("decoherence-scan", {"alpha": 1.0, "kappa": -1.0},
+     "-1.0 is less than or equal to the minimum of 0 (key kappa)"),
+    ("wigner-map", {"state": {"kind": "fock", "n": 2.5}},
+     "2.5 is not of type 'integer' (key state.n)"),
+    ("wigner-map", {"state": {"kind": "cat", "alpha": 1.0}, "grid": {"step": -0.1}},
+     "-0.1 is less than or equal to the minimum of 0 (key grid.step)"),
+    ("tomography", {"state": {"kind": "cat", "alpha": 1.0}, "angles": True},
+     "True is not of type 'integer' (key angles)"),
+    ("tomography", {"state": {"kind": "cat", "alpha": 1.0}, "bin_width": "x"},
+     "'x' is not of type 'number' (key bin_width)"),
+    ("direct-monitor", {"state": {"kind": "cat", "alpha": 1.0}, "efficiency": 1.5},
+     "1.5 is greater than the maximum of 1 (key efficiency)"),
+    ("direct-monitor", {"state": {"kind": "cat", "alpha": 1.0}, "times": [0.0, -1.0]},
+     "-1.0 is less than the minimum of 0 (key times[1])"),
+    ("prepare-cat", {"alpha": 1.0, "dim": 1}, "1 is less than the minimum of 2 (key dim)"),
+])
+def test_config_number_refusal_is_the_whole_message_with_its_key(tmp_path, capsys, experiment,
+                                                                  config, message):
+    # the option table checks numbers by the library's rule (errors.number) and
+    # reports each refusal as this exact config error
+    cfg = write_config(tmp_path, "c.json", config)
+    assert run_cli([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: invalid config: {message}\n"
+
+
+@pytest.mark.parametrize("experiment, config, message", [
     ("wigner-map", {"state": {"kind": "coherent"}}, "'alpha' is a required property"),
     ("wigner-map", {"state": {"kind": "vacuum", "alpha": 3.0}},
      "kind 'vacuum' does not read key 'alpha'"),

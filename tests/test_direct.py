@@ -426,13 +426,13 @@ def test_resonant_variant_guards():
 
 def test_unknown_variant_is_refused():
     grid = PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)
-    with pytest.raises(ValueError, match="unknown interaction variant"):
+    with pytest.raises(DomainError, match="unknown interaction variant"):
         direct_point_exact(fock_rho(1), 0.0, variant="opposite-shift")
-    with pytest.raises(ValueError, match="unknown interaction variant"):
+    with pytest.raises(DomainError, match="unknown interaction variant"):
         scan_map(fock_rho(1), grid, variant="opposite-shift")
     # an empty alpha array reaches no Born rule: the variant is refused on entry
     for alpha in ([], np.zeros((0, 3))):
-        with pytest.raises(ValueError, match="unknown interaction variant"):
+        with pytest.raises(DomainError, match="unknown interaction variant"):
             direct_point_exact(fock_rho(1), alpha, variant="bogus")
 
 

@@ -1,0 +1,301 @@
+"""Every numeric parameter of every package export, swept over NaN, inf, -1,
+0 and 2.5 one at a time in an otherwise valid call.
+
+Each call must raise a CavityLabError, or, where the function documents the
+value as valid (VALID), return a finite result.  No call may raise a bare
+exception or return NaN, except the NaN a function documents (PARTLY_NAN).
+Array parameters take the substitute as one of their entries.  Below the
+sweep, each hole the sweep closed has a named test of its own.
+"""
+
+import dataclasses
+import inspect
+
+import numpy as np
+import pytest
+
+import cavitylab
+from cavitylab import (
+    CavityLabError,
+    DampingModel,
+    DomainError,
+    HilbertSpec,
+    PhaseSpaceGrid,
+    SinogramSet,
+    cat_state,
+    coherence_trajectory,
+    coherent_state,
+    damped_populations,
+    decoherence_time,
+    default_dim,
+    default_grid,
+    direct_point_exact,
+    evolve,
+    field_kraus,
+    fock_state,
+    marginal_distribution,
+    mix,
+    monitor_origin,
+    moyal_average,
+    prepare_cat,
+    pure_to_density,
+    radon_of_map,
+    reconstruct_from_samples,
+    sample_homodyne,
+    separation_measure,
+    two_atom_scan,
+    uniform_angles,
+    vacuum,
+    wigner_map,
+    wigner_point,
+    wigner_position,
+)
+
+SUBSTITUTES = {"nan": float("nan"), "inf": float("inf"), "-1": -1, "0": 0, "2.5": 2.5}
+
+SPEC = HilbertSpec(40)
+RHO = pure_to_density(cat_state(SPEC, 1.0, 0.0))
+MODEL = DampingModel(1.0)
+GRID = PhaseSpaceGrid(-1.5, 1.5, -1.5, 1.5, 7, 7)
+WMAP = wigner_map(RHO, GRID)
+Q = np.linspace(-1.0, 1.0, 3)
+
+
+# "export.parameter" -> the call with x in that parameter
+CALLS = {
+    "HilbertSpec.dim": lambda x: HilbertSpec(x),
+    "cat_state.alpha": lambda x: cat_state(SPEC, x, 0.0),
+    "cat_state.psi1": lambda x: cat_state(SPEC, 1.0, x),
+    "coherent_state.alpha": lambda x: coherent_state(SPEC, x),
+    "default_dim.alpha_max": lambda x: default_dim(x),
+    "default_dim.n_thermal": lambda x: default_dim(1.0, x),
+    "fock_state.n": lambda x: fock_state(SPEC, x),
+    "mix.weights": lambda x: mix([vacuum(SPEC), RHO], [x, 1 - x]),
+    "DampingModel.kappa": lambda x: DampingModel(x),
+    "DampingModel.n_thermal": lambda x: DampingModel(1.0, x),
+    "coherence_trajectory.times": lambda x: coherence_trajectory(RHO, MODEL, [0.0, x], 1.0),
+    "coherence_trajectory.alpha": lambda x: coherence_trajectory(RHO, MODEL, [0.0, 1.0], x),
+    "damped_populations.times": lambda x: damped_populations(RHO.matrix[None], MODEL,
+                                                             [0.0, x]),
+    "decoherence_time.mean_n": lambda x: decoherence_time(MODEL, x),
+    "evolve.t": lambda x: evolve(RHO, MODEL, x),
+    "separation_measure.d": lambda x: separation_measure(x, 1.0, 1.0),
+    "separation_measure.mass": lambda x: separation_measure(1.0, x, 1.0),
+    "separation_measure.temperature": lambda x: separation_measure(1.0, 1.0, x),
+    "field_kraus.dim": lambda x: field_kraus("dispersive", x),
+    "prepare_cat.alpha": lambda x: prepare_cat(x),
+    "two_atom_scan.alpha": lambda x: two_atom_scan(x, [0.0, 1.0], MODEL),
+    "two_atom_scan.delays": lambda x: two_atom_scan(1.0, [0.0, x], MODEL),
+    "PhaseSpaceGrid.q1_min": lambda x: PhaseSpaceGrid(x, 3, -3, 3, 5, 5),
+    "PhaseSpaceGrid.q1_max": lambda x: PhaseSpaceGrid(-3, x, -3, 3, 5, 5),
+    "PhaseSpaceGrid.q2_min": lambda x: PhaseSpaceGrid(-3, 3, x, 3, 5, 5),
+    "PhaseSpaceGrid.q2_max": lambda x: PhaseSpaceGrid(-3, 3, -3, x, 5, 5),
+    "PhaseSpaceGrid.n1": lambda x: PhaseSpaceGrid(-3, 3, -3, 3, x, 5),
+    "PhaseSpaceGrid.n2": lambda x: PhaseSpaceGrid(-3, 3, -3, 3, 5, x),
+    "default_grid.alpha_max": lambda x: default_grid(x),
+    "default_grid.step": lambda x: default_grid(1.0, step=x),
+    "default_grid.pad": lambda x: default_grid(1.0, pad=x),
+    "marginal_distribution.theta": lambda x: marginal_distribution(RHO, x, Q),
+    "marginal_distribution.q_theta": lambda x: marginal_distribution(RHO, 0.3, [0.0, x]),
+    "moyal_average.monomial": lambda x: moyal_average(RHO, (x, 1)),
+    "radon_of_map.theta": lambda x: radon_of_map(WMAP, x),
+    "wigner_point.alpha": lambda x: wigner_point(RHO, x),
+    "wigner_position.q": lambda x: wigner_position(RHO, x, 0.5),
+    "wigner_position.p": lambda x: wigner_position(RHO, 0.5, x),
+    "SinogramSet.thetas": lambda x: SinogramSet([1.0, x], Q, np.zeros((2, Q.size))),
+    "SinogramSet.q": lambda x: SinogramSet([1.0], [0.0, 1.0, x], np.zeros((1, 3))),
+    "reconstruct_from_samples.angles": lambda x: reconstruct_from_samples(
+        RHO, np.r_[0.0, x, uniform_angles(8)[2:]], 200, 1, GRID),
+    "reconstruct_from_samples.n_per_angle": lambda x: reconstruct_from_samples(
+        RHO, uniform_angles(8), x, 1, GRID),
+    "reconstruct_from_samples.seed": lambda x: reconstruct_from_samples(
+        RHO, uniform_angles(8), 200, x, GRID),
+    "reconstruct_from_samples.bin_width": lambda x: reconstruct_from_samples(
+        RHO, uniform_angles(8), 200, 1, GRID, bin_width=x),
+    "reconstruct_from_samples.q_range": lambda x: reconstruct_from_samples(
+        RHO, uniform_angles(8), 200, 1, GRID, q_range=x),
+    "sample_homodyne.theta": lambda x: sample_homodyne(RHO, x, 100, 1),
+    "sample_homodyne.n_samples": lambda x: sample_homodyne(RHO, 0.3, x, 1),
+    "sample_homodyne.seed": lambda x: sample_homodyne(RHO, 0.3, 100, x),
+    "sample_homodyne.bin_width": lambda x: sample_homodyne(RHO, 0.3, 100, 1, bin_width=x),
+    "sample_homodyne.q_range": lambda x: sample_homodyne(RHO, 0.3, 100, 1, q_range=x),
+    "uniform_angles.count": lambda x: uniform_angles(x),
+    "direct_point_exact.alpha": lambda x: direct_point_exact(RHO, x),
+    "monitor_origin.times": lambda x: monitor_origin(RHO, MODEL, [0.0, x], 50, 0.9, 1),
+    "monitor_origin.n_shots": lambda x: monitor_origin(RHO, MODEL, [0.0, 0.5], x, 0.9, 1),
+    "monitor_origin.efficiency": lambda x: monitor_origin(RHO, MODEL, [0.0, 0.5], 50, x, 1),
+    "monitor_origin.seed": lambda x: monitor_origin(RHO, MODEL, [0.0, 0.5], 50, 0.9, x),
+}
+
+# the substitutes each function documents as valid; every other one is refused
+VALID = {
+    "cat_state.alpha": {"-1", "0", "2.5"},  # 0: the even cat at alpha = 0 is the vacuum
+    "cat_state.psi1": {"-1", "0", "2.5"},
+    "coherent_state.alpha": {"-1", "0", "2.5"},
+    "default_dim.alpha_max": {"-1", "0", "2.5"},  # |alpha_max|, floored at 1
+    "default_dim.n_thermal": {"0", "2.5"},
+    "fock_state.n": {"0"},
+    "mix.weights": {"0"},  # weights 0 and 1
+    "DampingModel.kappa": {"2.5"},
+    "DampingModel.n_thermal": {"0", "2.5"},
+    "coherence_trajectory.times": {"0", "2.5"},
+    "coherence_trajectory.alpha": {"-1", "0", "2.5"},
+    "damped_populations.times": {"0", "2.5"},
+    "decoherence_time.mean_n": {"2.5"},
+    "evolve.t": {"0", "2.5"},
+    "separation_measure.d": {"2.5"},
+    "separation_measure.mass": {"2.5"},
+    "separation_measure.temperature": {"2.5"},
+    "field_kraus.dim": {"0"},  # no levels: the variant check alone
+    "prepare_cat.alpha": {"-1", "0", "2.5"},  # 0: the e branch has probability 0
+    "two_atom_scan.alpha": {"-1", "0", "2.5"},
+    "two_atom_scan.delays": {"0", "2.5"},
+    "PhaseSpaceGrid.q1_min": {"-1", "0", "2.5"},
+    "PhaseSpaceGrid.q1_max": {"-1", "0", "2.5"},
+    "PhaseSpaceGrid.q2_min": {"-1", "0", "2.5"},
+    "PhaseSpaceGrid.q2_max": {"-1", "0", "2.5"},
+    "default_grid.alpha_max": {"-1", "0", "2.5"},
+    "default_grid.step": {"2.5"},
+    "default_grid.pad": {"0", "2.5"},
+    "marginal_distribution.theta": {"0", "2.5"},
+    "marginal_distribution.q_theta": {"-1", "0", "2.5"},
+    "moyal_average.monomial": {"0"},
+    "radon_of_map.theta": {"0", "2.5"},
+    "wigner_point.alpha": {"-1", "0", "2.5"},
+    "wigner_position.q": {"-1", "0", "2.5"},
+    "wigner_position.p": {"-1", "0", "2.5"},
+    "SinogramSet.thetas": {"0", "2.5"},
+    "reconstruct_from_samples.angles": {"2.5"},  # 0 repeats the angle 0
+    "reconstruct_from_samples.seed": {"0"},
+    "reconstruct_from_samples.bin_width": {"2.5"},
+    "sample_homodyne.theta": {"0", "2.5"},
+    "sample_homodyne.seed": {"0"},
+    "sample_homodyne.bin_width": {"2.5"},
+    # no q_range here: a window of 2.5 holds 95 % of RHO's marginal, and
+    # sample_homodyne refuses (SamplingError) any window losing more than 1e-8
+    "direct_point_exact.alpha": {"-1", "0", "2.5"},
+    "monitor_origin.times": {"0", "2.5"},
+    "monitor_origin.n_shots": {"0"},
+    "monitor_origin.seed": {"0"},
+}
+
+# valid calls whose result is documented to hold NaN: the parts that must be finite
+PARTLY_NAN = {
+    # the conditionals on a first atom in e, which alpha = 0 never detects, read NaN
+    ("two_atom_scan.alpha", "0"): lambda scan: (scan.delays, scan.branches, scan.p_e2,
+                                                 scan.p_e2_given_g1, scan.p_g2_given_g1),
+    # no shots: the estimate and its stderr read NaN
+    ("monitor_origin.n_shots", "0"): lambda w0: w0[0],
+}
+
+# exports with no number to sweep
+NOT_SWEPT = {
+    "DensityOperator": "takes a matrix; its gate refuses a non-finite entry",
+    "FieldState": "takes an amplitude array, the value record of the constructors",
+    "WignerMap": "takes a grid and a values array",
+    "TwoAtomScan": "a record of two_atom_scan's results",
+    "promote": "takes a state and a HilbertSpec",
+    "pure_to_density": "takes a state",
+    "vacuum": "takes a HilbertSpec",
+    "detection_probabilities": "takes an array of populations and a variant name",
+    "probe_atom": "takes a state and a variant name",
+    "fringe_contrast": "takes a WignerMap",
+    "wigner_map": "takes a state and a PhaseSpaceGrid",
+    "inverse_radon": "takes a SinogramSet and a PhaseSpaceGrid",
+    "pauli_incompleteness_demo": "takes a PhaseSpaceGrid",
+    "scan_map": "takes a state, a PhaseSpaceGrid and a variant name",
+}
+
+
+def _finite(result) -> bool:
+    if result is None or isinstance(result, (str, bool)):
+        return True
+    if isinstance(result, dict):
+        return all(_finite(v) for v in result.values())
+    if isinstance(result, (tuple, list)):
+        return all(_finite(v) for v in result)
+    if dataclasses.is_dataclass(result):
+        return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    return bool(np.all(np.isfinite(result)))
+
+
+def test_every_export_is_swept_or_has_no_number():
+    exports = {name for name, obj in vars(cavitylab).items()
+               if not name.startswith("_") and not inspect.ismodule(obj)
+               and not (inspect.isclass(obj) and issubclass(obj, Exception))}
+    swept = {key.split(".")[0] for key in CALLS}
+    assert exports == swept | NOT_SWEPT.keys()
+    assert not swept & NOT_SWEPT.keys()
+    assert VALID.keys() <= CALLS.keys()
+    assert all(labels <= SUBSTITUTES.keys() for labels in VALID.values())
+
+
+@pytest.mark.parametrize("label", list(SUBSTITUTES))
+@pytest.mark.parametrize("key", list(CALLS))
+def test_entry_point_refuses_or_returns_a_documented_finite_result(key, label):
+    try:
+        result = CALLS[key](SUBSTITUTES[label])
+    except CavityLabError:
+        assert label not in VALID.get(key, ()), f"{key} = {label} is documented as valid"
+        return
+    assert label in VALID.get(key, ()), f"{key} = {label} was not refused"
+    part = PARTLY_NAN.get((key, label), lambda r: r)
+    assert _finite(part(result)), f"{key} = {label} returned a non-finite result"
+
+
+# -- the holes the sweep closed ----------------------------------------------------
+
+
+def test_default_dim_refuses_a_non_finite_amplitude_so_its_callers_do():
+    # nan raised a bare ValueError ("cannot convert float NaN to integer"), inf
+    # an OverflowError, and prepare_cat and two_atom_scan passed both on
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match=r"\(alpha_max\)"):
+            default_dim(bad)
+        with pytest.raises(DomainError):
+            prepare_cat(bad)
+        with pytest.raises(DomainError):
+            two_atom_scan(bad, [0.0, 1.0], MODEL)
+    # a NaN n_thermal read as no thermal photons
+    with pytest.raises(DomainError, match=r"\(n_thermal\)"):
+        default_dim(1.0, np.nan)
+
+
+def test_hilbert_spec_and_fock_state_refuse_a_non_integral_level():
+    # HilbertSpec(2.5) and HilbertSpec(0) raised a bare ValueError, and
+    # fock_state(spec, 2.5) and fock_state(spec, -1) a bare IndexError
+    for dim in (2.5, 0):
+        with pytest.raises(DomainError, match=r"\(dim\)"):
+            HilbertSpec(dim)
+    for n in (2.5, -1):
+        with pytest.raises(DomainError, match=r"\(n\)"):
+            fock_state(SPEC, n)
+    # an integral float is taken and kept as an int
+    assert HilbertSpec(4.0) == HilbertSpec(4) and type(HilbertSpec(4.0).dim) is int
+    assert np.array_equal(fock_state(SPEC, 3.0).amplitudes, fock_state(SPEC, 3).amplitudes)
+
+
+def test_decoherence_time_and_separation_measure_refuse_nan():
+    # both returned NaN
+    with pytest.raises(DomainError, match=r"\(mean_n\)"):
+        decoherence_time(MODEL, np.nan)
+    with pytest.raises(DomainError, match=r"\(d\)"):
+        separation_measure(np.nan, 1.0, 1.0)
+
+
+def test_default_grid_refuses_a_negative_pad():
+    # pad = -1 returned a grid of +-0.41
+    with pytest.raises(DomainError, match=r"\(pad\)"):
+        default_grid(1.0, pad=-1)
+
+
+def test_sample_homodyne_refuses_a_non_integral_sample_count():
+    # 2.5 samples returned a histogram
+    with pytest.raises(DomainError, match=r"\(n_samples\)"):
+        sample_homodyne(RHO, 0.0, 2.5, 1)
+
+
+def test_moyal_average_refuses_a_non_integral_power():
+    # (1.5, 1) raised a bare TypeError from the symmetrized word
+    with pytest.raises(DomainError, match=r"\(monomial power\)"):
+        moyal_average(RHO, (1.5, 1))

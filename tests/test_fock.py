@@ -37,7 +37,7 @@ def brute_coherent_amplitudes(alpha, dim):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         HilbertSpec(1)
     assert HilbertSpec(2).dim == 2
 
@@ -258,9 +258,9 @@ def test_fock_state_basics():
     one = fock_state(spec, 1)
     assert one.amplitudes[1] == 1.0 and np.count_nonzero(one.amplitudes) == 1
     assert mean_photon(np.abs(fock_state(spec, 5).amplitudes) ** 2) == 5.0
-    with pytest.raises(IndexError):
+    with pytest.raises(DomainError):
         fock_state(spec, 8)
-    with pytest.raises(IndexError):
+    with pytest.raises(DomainError):
         fock_state(spec, -1)
 
 

@@ -129,7 +129,7 @@ def test_parity_angles_weigh_photon_numbers_by_parity():
         m = field_kraus(variant, reach)
         w = np.abs(m[1]) ** 2 - np.abs(m[0]) ** 2
         assert np.array_equal(w, (-1.0) ** np.arange(reach))
-    with pytest.raises(ValueError, match="unknown interaction variant"):
+    with pytest.raises(DomainError, match="unknown interaction variant"):
         field_kraus("opposite-shift", 4)
 
 

@@ -135,7 +135,7 @@ def test_grid_rejects_non_finite_extents():
             PhaseSpaceGrid(*extents, 3, 3)
     # a non-integral node count built a 4-point axis for 3.5; 3.0 is taken
     for n1, n2 in ((3.5, 3), (3, 2.5), (np.nan, 3), (3, np.inf)):
-        with pytest.raises(DomainError, match="node counts must be integers"):
+        with pytest.raises(DomainError, match=r"\(n[12]\)"):
             PhaseSpaceGrid(-1, 1, -1, 1, n1, n2)
     grid = PhaseSpaceGrid(-1, 1, -1, 1, 3.0, 3)
     assert grid.q1_axis.size == 3
@@ -658,6 +658,16 @@ def test_marginal_angle_array_matches_single_angles():
     at_one_q = marginal_distribution(rho, thetas, 0.5)
     assert at_one_q.shape == (36,)
     assert np.array_equal(at_one_q, [marginal_distribution(rho, th, 0.5) for th in thetas])
+
+
+def test_marginal_refuses_a_non_finite_q_node():
+    # a NaN node read NaN there, and an infinite one warned and read NaN
+    rho = pure_to_density(vacuum(HilbertSpec(6)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="q_theta must be finite"):
+            marginal_distribution(rho, 0.0, [bad, 0.0])
+        with pytest.raises(DomainError, match="q_theta must be finite"):
+            marginal_distribution(rho, [0.0, 1.0], [[0.0, 1.0], [2.0, bad]])
 
 
 def test_marginal_domain():
