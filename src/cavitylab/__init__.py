@@ -66,7 +66,6 @@ from .wigner import (
     wigner_position,
 )
 from .tomo import (
-    SinogramSet,
     inverse_radon,
     pauli_incompleteness_demo,
     reconstruct_from_samples,

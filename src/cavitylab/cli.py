@@ -375,8 +375,7 @@ def _run_tomography(cfg: dict, writer: ArtifactWriter) -> None:
     recon, report, sino, q_range = tomo.reconstruct_from_samples(
         rho, angles, cfg["samples"], cfg["seed"], grid, bin_width=cfg["bin_width"],
         q_range=cfg["q_range"])
-    writer.csv("sinogram.csv", ["theta", "q", "density"],
-               (sino.thetas, sino.q, sino.densities))
+    writer.csv("sinogram.csv", ["theta", "q", "density"], sino)
     writer.json("sinogram_meta.json", {
         "n_samples": cfg["samples"], "seed": cfg["seed"],
         "bin_width": cfg["bin_width"],

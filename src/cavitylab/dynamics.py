@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, TruncationError, number
+from .errors import DomainError, IntegrationError, TruncationError, array, number
 from .fock import DensityOperator, HilbertSpec, coherent_state
 
 # exact in the 2019 SI
@@ -134,22 +134,22 @@ def _step_groups(times: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def _diagonals(mats: np.ndarray, model: DampingModel, times):
     """Damped lower diagonals of a stack of Hermitian matrices, shape
-    (B, dim, dim), sampled at the sorted nonnegative `times`: yields
-    (k, x) for k = 0, 1, ..., with x of shape (B, T, dim - k) holding
-    rho_{j+k, j}(t).  A caller that reads only the first diagonals stops
-    the generator there.
+    (B, dim, dim), sampled at the sorted nonnegative `times` (a scalar is
+    one time): yields (k, x) for k = 0, 1, ..., with x of shape
+    (B, T, dim - k) holding rho_{j+k, j}(t).  A caller that reads only the
+    first diagonals stops the generator there.
 
     Diagonal k is carried from one time to the next by expm(G_k step), one
     expm per diagonal and step group (``_step_groups``), with the real and
     imaginary parts of all B diagonals as the 2B columns of one product.  A
     diagonal that is zero in every matrix stays zero, because the channel
-    commutes with phase rotation, so it is skipped."""
-    times = np.asarray(times, dtype=float)
-    if not (np.all(np.isfinite(times)) and np.all(times >= 0) and np.all(np.diff(times) >= 0)):
-        raise DomainError("times must be finite, sorted and nonnegative")
+    commutes with phase rotation, so it is skipped.  Unsorted, negative or
+    non-finite times raise DomainError."""
+    times = array(np.atleast_1d(times), "times", minimum=0)
+    array(np.diff(times), "time steps", minimum=0)
     if times.size == 0:
         return
-    nb, dim = mats.shape[0], mats.shape[-1]
+    nb, dim = np.shape(mats)[0], np.shape(mats)[-1]
     steps, step_of = _step_groups(times)
     for k in range(dim):
         x = np.diagonal(mats, -k, axis1=1, axis2=2).T
@@ -170,11 +170,12 @@ def damped_populations(mats: np.ndarray, model: DampingModel, times) -> np.ndarr
     """Photon-number populations of a stack of unit-trace Hermitian matrices,
     shape (B, dim, dim), damped to the sorted nonnegative `times`: shape
     (B, T, dim), the first diagonal of ``_diagonals``, which the damping
-    carries apart from the coherences.  Refuses no times (DomainError), and
-    populations that hold more than 1e-8 on the top Fock level at any time:
-    the truncation is too small for the damping (TruncationError)."""
+    carries apart from the coherences.  Refuses no times or a non-finite
+    entry of `mats` (DomainError), and more than 1e-8 on the top Fock level
+    at any time: the truncation is too small for the damping (TruncationError)."""
     if np.size(times) == 0:
         raise DomainError("need at least one time")
+    array(np.abs(mats), "mats")
     # diagonal 0 comes first and is never zero in a matrix of unit trace
     pops = next(_diagonals(mats, model, times))[1].real
     top = float(np.max(pops[..., -1]))
@@ -252,8 +253,8 @@ def separation_measure(d: float, mass: float, temperature: float) -> float:
 def fit_coherence_decay(rho0: DensityOperator, model: DampingModel, alpha: complex,
                         t_max: float) -> float:
     """Time constant of a log-linear fit of the cat coherence of
-    ``coherence_trajectory`` at 25 times in [0, t_max]."""
-    times = np.linspace(0.0, t_max, 25)
+    ``coherence_trajectory`` at 25 times in [0, t_max], t_max > 0 (DomainError)."""
+    times = np.linspace(0.0, number(t_max, "t_max", exclusive_minimum=0), 25)
     w = coherence_trajectory(rho0, model, times, alpha)[0]
     w0 = w[0]
     if w0 <= 0:

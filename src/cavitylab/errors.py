@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and ``number``: the one rule by
-which every entry point, and the CLI's option table, checks a scalar argument."""
+"""Exception types shared across the package, and the rules by which every
+entry point checks its arguments: ``number`` for a scalar (the CLI's option
+table too), ``array`` for the entries of an array."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class CavityLabError(Exception):
@@ -82,3 +85,24 @@ def number(value, name, integral=False, minimum=None, exclusive_minimum=None, ma
     else:
         return int(value) if integral else value
     raise DomainError(f"{value!r} {what} ({name})")
+
+
+def array(value, name, minimum=None, below=None):
+    """`value` as a float array when its entries are finite real numbers, at
+    least `minimum` and below `below`; otherwise a DomainError that quotes
+    the first refused entry and ends with `(name)`, as ``number``'s do."""
+    values = np.asarray(value)
+    if values.dtype.kind not in "iuf":
+        raise DomainError(f"entries of dtype {values.dtype} are not of type 'number' ({name})")
+    values = values.astype(float, copy=False)
+    refused = ~np.isfinite(values)
+    if minimum is not None:
+        refused |= values < minimum
+    if below is not None:
+        refused |= values >= below
+    if refused.any():
+        entry = values.flat[np.argmax(refused)].item()
+        number(entry, name, minimum=minimum)
+        raise DomainError(f"{entry!r} is greater than or equal to the maximum of {below!r} "
+                          f"({name})")
+    return values

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateStateError, DomainError, NonHermitianError, TruncationError,
-                     WeightError, number)
+                     WeightError, array, number)
 
 # Tail mass of a coherent state stays below ~1e-10 with this truncation rule.
 DIM_MARGIN = 10
@@ -31,8 +31,9 @@ def default_dim(alpha_max: float, n_thermal: float = 0.0) -> int:
     floored at 1, in a cavity damped toward `n_thermal` thermal photons: the
     larger of 4 |alpha_max|^2 + DIM_MARGIN and |alpha_max|^2 plus the number
     of levels over which a thermal distribution, p_n ~ (n_th / (n_th + 1))^n,
-    falls by 1e-10.  Both must be finite and `n_thermal` >= 0 (DomainError)."""
-    reach = max(abs(number(alpha_max, "alpha_max")), 1.0) ** 2
+    falls by 1e-10.  Both must be finite, |alpha_max| <= 1e150 (so its square
+    stays in float range) and `n_thermal` >= 0 (DomainError)."""
+    reach = max(abs(number(alpha_max, "alpha_max", minimum=-1e150, maximum=1e150)), 1.0) ** 2
     dim = 4.0 * reach + DIM_MARGIN
     if number(n_thermal, "n_thermal", minimum=0) > 0:
         tail = math.log(1e-10) / math.log(n_thermal / (n_thermal + 1.0))
@@ -75,15 +76,16 @@ class FieldState:
 class DensityOperator:
     """Field density operator on the truncated Fock space, refused at
     construction for a non-finite entry or max |rho - rho^dag| > 1e-6
-    (NonHermitianError: readers take one triangle only), and for a trace
-    off 1 by more than 1e-8 or a population below -1e-12 (DomainError)."""
+    (NonHermitianError: readers take one triangle only), and for an empty or
+    non-square matrix, a trace off 1 by more than 1e-8 or a population below
+    -1e-12 (DomainError)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
-            raise ValueError(f"density matrix must be square and nonempty, got shape {m.shape}")
+            raise DomainError(f"density matrix must be square and nonempty, got shape {m.shape}")
         # NaN for a non-finite entry (inf - inf), which no comparison passes
         herm = float(np.abs(m - m.conj().T).max())
         if not herm <= 1e-6:
@@ -181,9 +183,7 @@ def radial_rows(alpha, rows: int, cols: int) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=complex)
     with np.errstate(over="ignore"):
-        x = np.abs(alpha) ** 2
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"alpha must be finite with |alpha|^2 in float range, got {alpha}")
+        x = array(np.abs(alpha) ** 2, "|alpha|^2")
     width = max(rows, cols)
     if alpha.size * width * cols > MAX_DISPLACED_ENTRIES:
         raise TruncationError(f"{alpha.size} blocks of {width} x {cols} entries of D(alpha) "
@@ -278,10 +278,11 @@ def pure_to_density(state: FieldState) -> DensityOperator:
 
 
 def mix(states, weights) -> DensityOperator:
-    """Statistical mixture of pure states and/or density operators."""
+    """Statistical mixture of pure states and/or density operators of one
+    dimension (DomainError), by weights >= 0 summing to 1 (WeightError)."""
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise WeightError(f"negative weight in {weights}")
+    if not np.all(weights >= 0):
+        raise WeightError(f"negative or NaN weight in {weights}")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise WeightError(f"weights sum to {weights.sum()!r}, not 1")
     if len(states) != weights.size:
@@ -290,16 +291,16 @@ def mix(states, weights) -> DensityOperator:
     out = np.zeros((dim, dim), dtype=complex)
     for st, w in zip(states, weights):
         if st.dim != dim:
-            raise ValueError("all mixture components must share one dimension")
+            raise DomainError("all mixture components must share one dimension")
         rho = pure_to_density(st) if isinstance(st, FieldState) else st
         out += w * rho.matrix
     return DensityOperator(out)
 
 
 def promote(obj, spec: HilbertSpec):
-    """Zero-pad a state or density operator into a larger truncated space."""
+    """Zero-pad a state or density operator into a larger space (DomainError if smaller)."""
     if spec.dim < obj.dim:
-        raise ValueError(f"cannot promote dim {obj.dim} down to {spec.dim}")
+        raise DomainError(f"cannot promote dim {obj.dim} down to {spec.dim}")
     if spec.dim == obj.dim:
         return obj
     if isinstance(obj, FieldState):

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DampingModel, damped_populations
-from .errors import DegenerateBranchError, DomainError, SubspaceError, number
+from .errors import DegenerateBranchError, DomainError, SubspaceError, array, number
 from .fock import (
     DensityOperator,
     FieldState,
@@ -93,12 +93,14 @@ class Branch:
         return self.field_after
 
 
-def detection_probabilities(pops: np.ndarray, variant: str) -> tuple:
+def detection_probabilities(pops, variant: str) -> tuple:
     """Born rule of one atom reading fields with photon-number populations
     `pops`, shape (..., dim): (P_e, P_g), each of shape (...), with
-    P_s = sum_n |m_s(n)|^2 pops_n and m from ``field_kraus``.  The resonant
-    probe is exact only on n <= 1, so it refuses (SubspaceError) any field
-    with more than 1e-8 population above one photon."""
+    P_s = sum_n |m_s(n)|^2 pops_n and m from ``field_kraus``.  A population
+    that is not finite or is below -1e-12 (the DensityOperator gate's floor)
+    raises DomainError.  The resonant probe is exact only on n <= 1, so it
+    refuses (SubspaceError) a field with more than 1e-8 above one photon."""
+    pops = array(pops, "pops", minimum=-1e-12)
     return _born(field_kraus(variant, pops.shape[-1]), pops, variant)
 
 
@@ -117,11 +119,12 @@ def _born(m: np.ndarray, pops: np.ndarray, variant: str) -> tuple:
 
 def probe_atom(field, variant: str = "dispersive") -> dict[str, Branch]:
     """Send one atom (prepared in |e>) through R1 -> interaction -> R2 -> detector;
-    returns both branches with Born probabilities and post-measurement fields."""
+    returns both branches with Born probabilities and post-measurement fields.
+    A `field` that is not a FieldState or DensityOperator raises DomainError."""
     if isinstance(field, FieldState):
         field = pure_to_density(field)
     elif not isinstance(field, DensityOperator):
-        raise TypeError(f"field must be FieldState or DensityOperator, got {type(field)}")
+        raise DomainError(f"field must be FieldState or DensityOperator, got {type(field)}")
     m = field_kraus(variant, field.dim)
     probs = _born(m, field.diagonal(), variant)
     out = {}

@@ -18,18 +18,16 @@ interpolates linearly in q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fftfreq, irfft, rfft
 from numpy.random import SeedSequence, default_rng
 
-from .errors import CoverageError, DomainError, SamplingError, number
+from .errors import CoverageError, DomainError, SamplingError, array, number
 from .fock import DensityOperator, FieldState, pure_to_density
 from .wigner import (
     PhaseSpaceGrid,
     WignerMap,
-    _angles,
     _support_radius,
     default_grid,
     fringe_contrast,
@@ -37,35 +35,6 @@ from .wigner import (
     radon_of_map,
     wigner_map,
 )
-
-
-@dataclass(frozen=True)
-class SinogramSet:
-    """Quadrature densities on a common q grid for a set of angles: distinct
-    angles in [0, pi), and q at least 2 strictly increasing, uniformly spaced
-    points (DomainError otherwise)."""
-
-    thetas: np.ndarray
-    q: np.ndarray
-    densities: np.ndarray  # shape (n_angles, len(q))
-
-    def __post_init__(self):
-        thetas = _angles(self.thetas)
-        q = np.asarray(self.q, dtype=float)
-        dens = np.asarray(self.densities, dtype=float)
-        if len(set(np.round(thetas, 12))) != thetas.size:
-            raise DomainError("angles must be distinct")
-        # inverse_radon interpolates on q and filters at its step: a
-        # decreasing q would read as zeros, a zero step divide by zero
-        dq = np.diff(q)
-        if (q.ndim != 1 or q.size < 2 or not np.all(dq > 0)
-                or np.any(np.abs(dq - dq[0]) > 1e-9 * dq[0])):
-            raise DomainError("q must be at least 2 strictly increasing, uniformly spaced points")
-        if dens.shape != (thetas.size, q.size):
-            raise ValueError(f"densities shape {dens.shape} != ({thetas.size}, {q.size})")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "densities", dens)
 
 
 def _q_range(rho: DensityOperator, q_range: float | None) -> float:
@@ -78,9 +47,9 @@ def _q_range(rho: DensityOperator, q_range: float | None) -> float:
 
 def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
                     bin_width: float = 0.05, q_range: float | None = None):
-    """Histograms of n_samples i.i.d. draws of q_theta at one angle or a 1-D
-    array of angles: (edges, counts), the n_bins + 1 bin edges running from
-    -q_range in steps of `bin_width`, and int64 counts of shape
+    """Histograms of n_samples i.i.d. draws of q_theta at one angle or an
+    array of angles of any shape: (edges, counts), the n_bins + 1 bin edges
+    running from -q_range in steps of `bin_width`, and int64 counts of shape
     np.shape(theta) + (n_bins,), each row summing to n_samples.  `n_samples`
     must be an integer >= 1, `seed` None or an integer >= 0, and `bin_width`
     and `q_range` finite and positive (DomainError); q_range=None takes the
@@ -89,11 +58,11 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     Every marginal is tabulated on 8,192 nodes in one call and integrated by
     the trapezoid rule.  Inverse-CDF sampling of that piecewise-linear CDF
     puts a draw in a bin with the CDF's increment across the bin, so each
-    histogram is one multinomial draw of those bin masses.  Angle k draws
-    from the k-th child of SeedSequence(seed).spawn(number of angles)."""
+    histogram is one multinomial draw of those bin masses.  Angle k (of the
+    flattened array) draws from child k of SeedSequence(seed).spawn(angles)."""
     n_samples = number(n_samples, "n_samples", integral=True, minimum=1)
     seed = seed if seed is None else number(seed, "seed", integral=True, minimum=0)
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    thetas = np.ravel(theta)
     number(bin_width, "bin_width", exclusive_minimum=0)
     q_range = _q_range(rho, q_range)
     dense = np.linspace(-q_range, q_range, 8192)
@@ -153,38 +122,52 @@ def _ramp_hann(n_pad: int, dq: float) -> np.ndarray:
     return np.abs(freqs) * window
 
 
-def inverse_radon(sino: SinogramSet, grid: PhaseSpaceGrid) -> WignerMap:
-    """Filtered back-projection of quadrature densities onto a phase-space grid.
+def inverse_radon(thetas, q, densities, grid: PhaseSpaceGrid) -> WignerMap:
+    """Filtered back-projection onto `grid` of finite quadrature densities,
+    one row per angle of `thetas` (read flattened: distinct, in [0, pi)) on
+    `q`, at least 2 strictly increasing, uniformly spaced points (DomainError
+    otherwise); CoverageError for under 8 angles or a q short of the grid.
 
     Output is alpha-normalized like the exact maps; bound and normalization
     are recorded in diagnostics, not asserted (reconstruction noise may
     violate them slightly).
     """
-    if sino.thetas.size < 8:
-        raise CoverageError(f"need at least 8 angles, got {sino.thetas.size}")
+    thetas = array(thetas, "thetas", minimum=0, below=np.pi).ravel()
+    q, densities = array(q, "q"), array(densities, "densities")
+    if len(set(np.round(thetas, 12))) != thetas.size:
+        raise DomainError("angles must be distinct")
+    # the back-projection interpolates on q and filters at its step: a
+    # decreasing q would read as zeros, a zero step divide by zero
+    dq = np.diff(np.atleast_1d(q))
+    if (q.ndim != 1 or q.size < 2 or not np.all(dq > 0)
+            or np.any(np.abs(dq - dq[0]) > 1e-9 * dq[0])):
+        raise DomainError("q must be at least 2 strictly increasing, uniformly spaced points")
+    if densities.shape != (thetas.size, q.size):
+        raise DomainError(f"densities shape {densities.shape} != ({thetas.size}, {q.size})")
+    if thetas.size < 8:
+        raise CoverageError(f"need at least 8 angles, got {thetas.size}")
     radius = grid.corner_radius
-    if sino.q.max() < radius or sino.q.min() > -radius:
+    if q.max() < radius or q.min() > -radius:
         raise CoverageError(
-            f"sinogram q range [{sino.q.min():.2f}, {sino.q.max():.2f}] does not "
+            f"sinogram q range [{q.min():.2f}, {q.max():.2f}] does not "
             f"cover the grid radius {radius:.2f}"
         )
-    dq = float(sino.q[1] - sino.q[0])
-    n_pad = _next_fast_len(4 * sino.q.size)
-    filt = _ramp_hann(n_pad, dq)[: n_pad // 2 + 1]
+    n_pad = _next_fast_len(4 * q.size)
+    filt = _ramp_hann(n_pad, float(q[1] - q[0]))[: n_pad // 2 + 1]
     block = max(1, _PAD_BLOCK // n_pad)
     q1 = grid.q1_axis[:, None]
     q2 = grid.q2_axis[None, :]
     acc = np.zeros((grid.n1, grid.n2))
-    for s in range(0, sino.thetas.size, block):
-        rows = irfft(rfft(sino.densities[s:s + block], n_pad) * filt, n_pad)
-        for theta, filtered in zip(sino.thetas[s:s + block], rows[:, : sino.q.size]):
+    for s in range(0, thetas.size, block):
+        rows = irfft(rfft(densities[s:s + block], n_pad) * filt, n_pad)
+        for theta, filtered in zip(thetas[s:s + block], rows[:, : q.size]):
             t = q1 * np.cos(theta) + q2 * np.sin(theta)
-            acc += np.interp(t, sino.q, filtered, left=0.0, right=0.0)
-    w_qp = acc * np.pi / sino.thetas.size
+            acc += np.interp(t, q, filtered, left=0.0, right=0.0)
+    w_qp = acc * np.pi / thetas.size
     values = 2.0 * np.pi * w_qp
     wm = WignerMap(grid, values, provenance="reconstructed",
                    diagnostics={"max_abs": float(np.max(np.abs(values))),
-                                "n_angles": int(sino.thetas.size)})
+                                "n_angles": int(thetas.size)})
     wm.diagnostics["normalization_sum"] = wm.normalization_sum()
     wm.diagnostics["bound_excess"] = max(0.0, wm.max_abs() - 2.0)
     return wm
@@ -198,23 +181,25 @@ def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int
                              seed, grid: PhaseSpaceGrid,
                              bin_width: float = 0.05,
                              q_range: float | None = None) -> tuple:
-    """sample_homodyne at every angle -> density estimates -> inverse_radon,
-    with an error report against the exact (Laguerre-series) Wigner map.
-    Returns (map, report, sinogram, q_range): the reconstruction, its
-    report, the sampled densities it inverts and the half-width of the
-    sampled window.
+    """sample_homodyne at every angle of the 1-D array `angles` (DomainError
+    for any other shape) -> density estimates -> inverse_radon, with an
+    error report against the exact (Laguerre-series) Wigner map.  Returns
+    (map, report, sinogram, q_range): the reconstruction, its report, the
+    sampled sinogram (thetas, q, densities) it inverts and the half-width
+    of the sampled window.
 
     The report is the CLI's `reconstruction_report.json`: `rmse`,
     `max_abs_error`, the recovered and true `fringe_contrast` and
     `fringe_contrast_true`, the `angles` count, `n` samples per angle, and
     `marginal_consistency_residuals` keyed by str(float(theta))."""
-    angles = np.asarray(angles, dtype=float)
+    angles = array(angles, "angles", minimum=0, below=np.pi)
+    if angles.ndim != 1:
+        raise DomainError(f"angles must be a 1-D array, got shape {angles.shape}")
     q_range = _q_range(rho_true, q_range)
     edges, counts = sample_homodyne(rho_true, angles, n_per_angle, seed,
                                     bin_width=bin_width, q_range=q_range)
-    sino = SinogramSet(angles, (edges[:-1] + edges[1:]) / 2.0,
-                       counts / (n_per_angle * np.diff(edges)))
-    recon = inverse_radon(sino, grid)
+    sino = (angles, (edges[:-1] + edges[1:]) / 2.0, counts / (n_per_angle * np.diff(edges)))
+    recon = inverse_radon(*sino, grid)
     truth = wigner_map(rho_true, grid)
     resid = recon.values - truth.values
     picked = angles[:: max(1, angles.size // 4)]
@@ -254,7 +239,7 @@ def pauli_incompleteness_demo(grid: PhaseSpaceGrid) -> dict:
     angles, q_range = uniform_angles(36), grid.corner_radius + 0.5
     q = np.linspace(-q_range, q_range, 801)
     diff = marginal_distribution(rho_a, angles, q) - marginal_distribution(rho_b, angles, q)
-    full_dev = float(np.max(np.abs(inverse_radon(SinogramSet(angles, q, diff), grid).values)))
+    full_dev = float(np.max(np.abs(inverse_radon(angles, q, diff, grid).values)))
     probe = default_grid(2.0, step=0.15)
     return {
         "two_angle_sinogram_sup_dev": two_angle_dev,

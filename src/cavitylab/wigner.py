@@ -39,7 +39,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import DomainError, NonHermitianError, QuadratureError, TruncationError, number
+from .errors import (DomainError, NonHermitianError, QuadratureError, TruncationError, array,
+                     number)
 from .fock import (DensityOperator, HilbertSpec, laguerre_functions, quadrature_q1,
                    quadrature_q2)
 
@@ -152,7 +153,7 @@ class WignerMap:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n1, self.grid.n2):
-            raise ValueError(f"values shape {v.shape} != grid ({self.grid.n1}, {self.grid.n2})")
+            raise DomainError(f"values shape {v.shape} != grid ({self.grid.n1}, {self.grid.n2})")
         object.__setattr__(self, "values", v)
 
     def max_abs(self) -> float:
@@ -162,8 +163,7 @@ class WignerMap:
         return float(self.values.sum() * self.grid.cell_area / (2.0 * np.pi))
 
     def check_bound(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("W has non-finite values")
+        array(self.values, "W")
         if self.max_abs() > BOUND + 1e-8:
             raise DomainError(f"|W| = {self.max_abs()} exceeds bound {BOUND} + 1e-8")
 
@@ -237,9 +237,7 @@ def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
     alphas = np.asarray(alphas, dtype=complex)
     flat = alphas.ravel()
     with np.errstate(over="ignore"):
-        x = 4.0 * np.abs(flat) ** 2
-    if not np.all(np.isfinite(x)):
-        raise DomainError("alpha must be finite, with 4|alpha|^2 in float range")
+        x = array(4.0 * np.abs(flat) ** 2, "4|alpha|^2")
     order = np.argsort(x, kind="stable")
     x = x[order]
     # bounds[r]:bounds[r + 1] is the run of sorted points at the r-th distinct x
@@ -373,15 +371,6 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
 # marginals
 
 
-def _angles(theta) -> np.ndarray:
-    """`theta` as a float array, refused (DomainError) unless every angle lies in [0, pi)."""
-    thetas = np.asarray(theta, dtype=float)
-    bad = thetas[~((thetas >= 0.0) & (thetas < np.pi))]
-    if bad.size:
-        raise DomainError(f"theta must lie in [0, pi), got {bad[0]}")
-    return thetas
-
-
 # nodes per block of the Hermite table in marginal_distribution: the table
 # lives one block at a time, so the c_k and the output are the call's only
 # full-size arrays
@@ -406,10 +395,8 @@ def marginal_distribution(rho: DensityOperator, theta, q_theta) -> np.ndarray:
     product of its own angle's factors with the c_k, so an angle's row does
     not depend on the other angles in the call.  An angle outside [0, pi) or
     a non-finite q_theta raises DomainError."""
-    thetas = _angles(theta)
-    nodes = np.asarray(q_theta, dtype=float).ravel()
-    if not np.all(np.isfinite(nodes)):
-        raise DomainError("q_theta must be finite")
+    thetas = array(theta, "theta", minimum=0, below=np.pi)
+    nodes = array(q_theta, "q_theta").ravel()
     mat = rho.matrix
     lower = [np.diagonal(mat, -k) for k in range(rho.dim)]
     ks = np.flatnonzero([diag.any() for diag in lower])
@@ -443,7 +430,7 @@ def radon_of_map(wmap: WignerMap, theta) -> tuple[np.ndarray, np.ndarray]:
     [0, pi).  Returns (q, P): the q_theta values, max(n1, n2) points over
     [-h, h] with h = min(q1_max, q2_max), and P shaped np.shape(theta) + q.shape,
     one row per angle, each computed as the one-angle call computes it."""
-    thetas = _angles(theta)
+    thetas = array(theta, "theta", minimum=0, below=np.pi)
     g = wmap.grid
     half = min(g.q1_max, g.q2_max)
     qs = np.linspace(-half, half, max(g.n1, g.n2))

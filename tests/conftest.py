@@ -15,7 +15,7 @@ from cavitylab import (
     vacuum,
 )
 from cavitylab.fock import radial_rows, turn
-from cavitylab.tomo import SinogramSet, _next_fast_len, _q_range, _ramp_hann
+from cavitylab.tomo import _next_fast_len, _q_range, _ramp_hann
 
 CORPUS_DIM = 40  # covers every corpus state (largest amplitude 2 -> 26) with room
 
@@ -88,22 +88,22 @@ def reconstruct_exact(rho, angles, grid, q_range=None):
     and None takes the sampler's default range."""
     q_range = _q_range(rho, q_range)
     q = np.linspace(-q_range, q_range, 801)
-    return inverse_radon(SinogramSet(angles, q, marginal_distribution(rho, angles, q)), grid)
+    return inverse_radon(angles, q, marginal_distribution(rho, angles, q), grid)
 
 
-def complex_fft_back_projection(sino, grid) -> np.ndarray:
+def complex_fft_back_projection(thetas, q, densities, grid) -> np.ndarray:
     """The filtered back-projection of ``tomo.inverse_radon``, one angle at a
     time with a complex FFT over the two-sided ramp-Hann filter: the
     reference for its one real FFT per block of angles.  Returns the values."""
-    n_pad = _next_fast_len(4 * sino.q.size)
-    filt = _ramp_hann(n_pad, float(sino.q[1] - sino.q[0]))
+    n_pad = _next_fast_len(4 * q.size)
+    filt = _ramp_hann(n_pad, float(q[1] - q[0]))
     q1, q2 = grid.q1_axis[:, None], grid.q2_axis[None, :]
     acc = np.zeros((grid.n1, grid.n2))
-    for theta, density in zip(sino.thetas, sino.densities):
-        filtered = np.real(np.fft.ifft(np.fft.fft(density, n_pad) * filt))[: sino.q.size]
-        acc += np.interp(q1 * np.cos(theta) + q2 * np.sin(theta), sino.q, filtered,
+    for theta, density in zip(thetas, densities):
+        filtered = np.real(np.fft.ifft(np.fft.fft(density, n_pad) * filt))[: q.size]
+        acc += np.interp(q1 * np.cos(theta) + q2 * np.sin(theta), q, filtered,
                          left=0.0, right=0.0)
-    return 2.0 * np.pi * acc * np.pi / sino.thetas.size
+    return 2.0 * np.pi * acc * np.pi / thetas.size
 
 
 @pytest.fixture(scope="session")

@@ -308,12 +308,12 @@ def test_tomography_artifacts_and_determinism(tmp_path, monkeypatch):
     sino_rows = np.array(sino_rows)
     thetas = np.unique(sino_rows[:, 0])
     q = sino_rows[sino_rows[:, 0] == thetas[0], 1]
-    sino = tomo.SinogramSet(thetas, q, sino_rows[:, 2].reshape(thetas.size, q.size))
+    sino = (thetas, q, sino_rows[:, 2].reshape(thetas.size, q.size))
     grid = wigner.PhaseSpaceGrid(
         **json.loads((outs[0] / "reconstruction.json").read_text())["grid"])
     _, recon_rows = read_csv(outs[0] / "reconstruction.csv")
     written = np.array(recon_rows)[:, 2].reshape(grid.n1, grid.n2)
-    assert np.max(np.abs(tomo.inverse_radon(sino, grid).values - written)) < 1e-12
+    assert np.max(np.abs(tomo.inverse_radon(*sino, grid).values - written)) < 1e-12
 
 
 @pytest.mark.parametrize("q_range", [None, 7])

@@ -348,7 +348,7 @@ def test_collapse_time_scales_inversely_with_photon_number():
 def test_monitor_refuses_unsorted_times():
     # refused by dynamics._diagonals, the one place the times are checked
     rho = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
-    with pytest.raises(DomainError, match="times must be finite, sorted and nonnegative"):
+    with pytest.raises(DomainError, match=r"less than the minimum of 0 \(time steps\)"):
         monitor_origin(rho, MODEL, [0.2, 0.1])
     with pytest.raises(DomainError, match="at least one time"):
         monitor_origin(rho, MODEL, [])

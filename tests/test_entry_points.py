@@ -21,7 +21,7 @@ from cavitylab import (
     DomainError,
     HilbertSpec,
     PhaseSpaceGrid,
-    SinogramSet,
+    WeightError,
     cat_state,
     coherence_trajectory,
     coherent_state,
@@ -29,15 +29,18 @@ from cavitylab import (
     decoherence_time,
     default_dim,
     default_grid,
+    detection_probabilities,
     direct_point_exact,
     evolve,
     field_kraus,
     fock_state,
+    inverse_radon,
     marginal_distribution,
     mix,
     monitor_origin,
     moyal_average,
     prepare_cat,
+    probe_atom,
     pure_to_density,
     radon_of_map,
     reconstruct_from_samples,
@@ -50,6 +53,8 @@ from cavitylab import (
     wigner_point,
     wigner_position,
 )
+from cavitylab.dynamics import fit_coherence_decay
+from cavitylab.fock import DensityOperator
 
 SUBSTITUTES = {"nan": float("nan"), "inf": float("inf"), "-1": -1, "0": 0, "2.5": 2.5}
 
@@ -59,6 +64,17 @@ MODEL = DampingModel(1.0)
 GRID = PhaseSpaceGrid(-1.5, 1.5, -1.5, 1.5, 7, 7)
 WMAP = wigner_map(RHO, GRID)
 Q = np.linspace(-1.0, 1.0, 3)
+# a sinogram inverse_radon reads onto GRID: 8 angles, q over [-3, 3]
+ANGLES = uniform_angles(8)
+SINO_Q = np.linspace(-3.0, 3.0, 61)
+DENSITIES = marginal_distribution(RHO, ANGLES, SINO_Q)
+
+
+def _with(values, index, x):
+    """A float copy of `values` with x at `index`."""
+    out = np.array(values, dtype=float)
+    out[index] = x
+    return out
 
 
 # "export.parameter" -> the call with x in that parameter
@@ -77,12 +93,15 @@ CALLS = {
     "coherence_trajectory.alpha": lambda x: coherence_trajectory(RHO, MODEL, [0.0, 1.0], x),
     "damped_populations.times": lambda x: damped_populations(RHO.matrix[None], MODEL,
                                                              [0.0, x]),
+    "damped_populations.mats": lambda x: damped_populations(
+        np.diag(np.r_[x, 1 - x, np.zeros(8)])[None], MODEL, [0.0, 1.0]),
     "decoherence_time.mean_n": lambda x: decoherence_time(MODEL, x),
     "evolve.t": lambda x: evolve(RHO, MODEL, x),
     "separation_measure.d": lambda x: separation_measure(x, 1.0, 1.0),
     "separation_measure.mass": lambda x: separation_measure(1.0, x, 1.0),
     "separation_measure.temperature": lambda x: separation_measure(1.0, 1.0, x),
     "field_kraus.dim": lambda x: field_kraus("dispersive", x),
+    "detection_probabilities.pops": lambda x: detection_probabilities([x, 1 - x], "dispersive"),
     "prepare_cat.alpha": lambda x: prepare_cat(x),
     "two_atom_scan.alpha": lambda x: two_atom_scan(x, [0.0, 1.0], MODEL),
     "two_atom_scan.delays": lambda x: two_atom_scan(1.0, [0.0, x], MODEL),
@@ -102,8 +121,11 @@ CALLS = {
     "wigner_point.alpha": lambda x: wigner_point(RHO, x),
     "wigner_position.q": lambda x: wigner_position(RHO, x, 0.5),
     "wigner_position.p": lambda x: wigner_position(RHO, 0.5, x),
-    "SinogramSet.thetas": lambda x: SinogramSet([1.0, x], Q, np.zeros((2, Q.size))),
-    "SinogramSet.q": lambda x: SinogramSet([1.0], [0.0, 1.0, x], np.zeros((1, 3))),
+    "inverse_radon.thetas": lambda x: inverse_radon(_with(ANGLES, 0, x), SINO_Q, DENSITIES,
+                                                    GRID),
+    "inverse_radon.q": lambda x: inverse_radon(ANGLES, _with(SINO_Q, 0, x), DENSITIES, GRID),
+    "inverse_radon.densities": lambda x: inverse_radon(ANGLES, SINO_Q,
+                                                       _with(DENSITIES, (3, 30), x), GRID),
     "reconstruct_from_samples.angles": lambda x: reconstruct_from_samples(
         RHO, np.r_[0.0, x, uniform_angles(8)[2:]], 200, 1, GRID),
     "reconstruct_from_samples.n_per_angle": lambda x: reconstruct_from_samples(
@@ -141,12 +163,14 @@ VALID = {
     "coherence_trajectory.times": {"0", "2.5"},
     "coherence_trajectory.alpha": {"-1", "0", "2.5"},
     "damped_populations.times": {"0", "2.5"},
+    "damped_populations.mats": {"-1", "0", "2.5"},  # still unit-trace Hermitian matrices
     "decoherence_time.mean_n": {"2.5"},
     "evolve.t": {"0", "2.5"},
     "separation_measure.d": {"2.5"},
     "separation_measure.mass": {"2.5"},
     "separation_measure.temperature": {"2.5"},
     "field_kraus.dim": {"0"},  # no levels: the variant check alone
+    "detection_probabilities.pops": {"0"},  # 2.5 leaves a population of -1.5
     "prepare_cat.alpha": {"-1", "0", "2.5"},  # 0: the e branch has probability 0
     "two_atom_scan.alpha": {"-1", "0", "2.5"},
     "two_atom_scan.delays": {"0", "2.5"},
@@ -164,7 +188,8 @@ VALID = {
     "wigner_point.alpha": {"-1", "0", "2.5"},
     "wigner_position.q": {"-1", "0", "2.5"},
     "wigner_position.p": {"-1", "0", "2.5"},
-    "SinogramSet.thetas": {"0", "2.5"},
+    "inverse_radon.thetas": {"0", "2.5"},  # 0 is the angle it replaces
+    "inverse_radon.densities": {"-1", "0", "2.5"},
     "reconstruct_from_samples.angles": {"2.5"},  # 0 repeats the angle 0
     "reconstruct_from_samples.seed": {"0"},
     "reconstruct_from_samples.bin_width": {"2.5"},
@@ -197,11 +222,9 @@ NOT_SWEPT = {
     "promote": "takes a state and a HilbertSpec",
     "pure_to_density": "takes a state",
     "vacuum": "takes a HilbertSpec",
-    "detection_probabilities": "takes an array of populations and a variant name",
     "probe_atom": "takes a state and a variant name",
     "fringe_contrast": "takes a WignerMap",
     "wigner_map": "takes a state and a PhaseSpaceGrid",
-    "inverse_radon": "takes a SinogramSet and a PhaseSpaceGrid",
     "pauli_incompleteness_demo": "takes a PhaseSpaceGrid",
     "scan_map": "takes a state, a PhaseSpaceGrid and a variant name",
 }
@@ -299,3 +322,71 @@ def test_moyal_average_refuses_a_non_integral_power():
     # (1.5, 1) raised a bare TypeError from the symmetrized word
     with pytest.raises(DomainError, match=r"\(monomial power\)"):
         moyal_average(RHO, (1.5, 1))
+
+
+def test_detection_probabilities_refuses_populations_no_state_has():
+    # [-1, 2] read P_e = 2 and P_g = -1, [nan, 1] read NaN, and a plain list
+    # raised a bare AttributeError
+    with pytest.raises(DomainError, match=r"-1.0 is less than the minimum of -1e-12 \(pops\)"):
+        detection_probabilities(np.array([-1.0, 2.0]), "dispersive")
+    with pytest.raises(DomainError, match=r"nan is not a finite number \(pops\)"):
+        detection_probabilities(np.array([np.nan, 1.0]), "dispersive")
+    listed = detection_probabilities([0.25, 0.75], "dispersive")
+    assert np.array_equal(listed, detection_probabilities(np.array([0.25, 0.75]), "dispersive"))
+
+
+def test_damped_populations_refuses_a_non_finite_matrix_entry():
+    # one NaN entry in the stack read as NaN populations
+    mats = np.stack([RHO.matrix, RHO.matrix])
+    mats[1, 0, 0] = np.nan
+    with pytest.raises(DomainError, match=r"\(mats\)"):
+        damped_populations(mats, MODEL, [0.0, 1.0])
+
+
+def test_inverse_radon_refuses_a_non_finite_density():
+    # one NaN density read NaN at every node, with a bound_excess of 0.0
+    with pytest.raises(DomainError, match=r"nan is not a finite number \(densities\)"):
+        inverse_radon(ANGLES, SINO_Q, _with(DENSITIES, (2, 7), np.nan), GRID)
+
+
+def test_default_dim_refuses_an_amplitude_whose_square_overflows():
+    # 1e200 raised a bare OverflowError; 16.1 stays a (too large) dimension
+    for bad in (1e200, -1e200):
+        with pytest.raises(DomainError, match=r"\(alpha_max\)"):
+            default_dim(bad)
+    assert default_dim(16.1) == 1047
+
+
+def test_fit_coherence_decay_refuses_an_empty_window():
+    # t_max = 0 warned, printed LAPACK errors and raised a bare LinAlgError
+    with pytest.raises(DomainError, match=r"\(t_max\)"):
+        fit_coherence_decay(RHO, MODEL, 1.0, 0.0)
+
+
+def test_structural_misuse_raises_typed_errors():
+    # each raised a bare ValueError or TypeError (promote and WignerMap: see
+    # test_fock and test_wigner)
+    with pytest.raises(DomainError, match="square"):
+        DensityOperator(np.eye(3)[:2] / 2.0)
+    with pytest.raises(DomainError, match="one dimension"):
+        mix([vacuum(SPEC), vacuum(HilbertSpec(8))], [0.5, 0.5])
+    with pytest.raises(DomainError, match="FieldState or DensityOperator"):
+        probe_atom(RHO.matrix)
+
+
+def test_mix_refuses_nan_weights():
+    # [nan, nan] passed the weight checks and raised a NonHermitianError
+    with pytest.raises(WeightError):
+        mix([RHO, RHO], [np.nan, np.nan])
+
+
+def test_reconstruct_from_samples_refuses_a_two_dimensional_angle_array():
+    with pytest.raises(DomainError, match="1-D"):
+        reconstruct_from_samples(RHO, ANGLES.reshape(2, 4), 200, 1, GRID)
+
+
+def test_damping_reads_a_scalar_time_as_one_time():
+    # a scalar time raised a bare ValueError from np.diff
+    for read in (lambda t: coherence_trajectory(RHO, MODEL, t, 1.0),
+                 lambda t: damped_populations(RHO.matrix[None], MODEL, t)):
+        assert np.array_equal(np.asarray(read(0.5)), np.asarray(read([0.5])))

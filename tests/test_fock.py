@@ -422,7 +422,7 @@ def test_promote_preserves_amplitudes():
     assert big.dim == 32
     np.testing.assert_allclose(big.amplitudes[:20], small.amplitudes)
     assert np.all(big.amplitudes[20:] == 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         promote(big, HilbertSpec(8))
 
 

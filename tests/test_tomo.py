@@ -23,7 +23,6 @@ from cavitylab import (
     wigner_map,
 )
 from cavitylab.tomo import (
-    SinogramSet,
     _next_fast_len,
     inverse_radon,
     reconstruct_from_samples,
@@ -162,6 +161,18 @@ def test_sampled_counts_and_edges():
     np.testing.assert_allclose(np.diff(edges), bin_width, rtol=0, atol=1e-12)
 
 
+def test_sample_homodyne_takes_angles_of_any_shape():
+    # a (2, 2) theta raised a bare broadcast ValueError; its rows are the flat
+    # call's, bit for bit
+    rho = pure_to_density(cat_state(HilbertSpec(20), 1.5, 0.0))
+    thetas = [[0.1, 0.2], [0.3, 0.4]]
+    edges, grid = sample_homodyne(rho, thetas, 1000, 3)
+    flat_edges, flat = sample_homodyne(rho, np.ravel(thetas), 1000, 3)
+    assert np.array_equal(edges, flat_edges)
+    assert grid.shape == (2, 2, flat.shape[-1])
+    assert np.array_equal(grid, flat.reshape(grid.shape))
+
+
 def test_uniform_angles_refuses_a_count_that_is_not_an_integer_of_at_least_one():
     # 0 returned no angles and 2.5 three; an integral float is taken
     for count in (0, -3, 2.5, np.nan, np.inf):
@@ -189,9 +200,9 @@ def test_sinogram_invariants():
     q = np.linspace(-1, 1, 5)
     dens = np.zeros((2, 5))
     with pytest.raises(DomainError):
-        SinogramSet(np.array([0.0, np.pi]), q, dens)
+        inverse_radon(np.array([0.0, np.pi]), q, dens, GRID)
     with pytest.raises(DomainError):
-        SinogramSet(np.array([0.3, 0.3]), q, dens)
+        inverse_radon(np.array([0.3, 0.3]), q, dens, GRID)
 
 
 @pytest.mark.parametrize("q", [
@@ -204,7 +215,7 @@ def test_sinogram_refuses_a_q_grid_inverse_radon_cannot_read(q):
     # IndexError, and a zero step would divide by zero in the ramp filter
     angles = uniform_angles(24)
     with pytest.raises(DomainError):
-        SinogramSet(angles, q, np.zeros((angles.size, q.size)))
+        inverse_radon(angles, q, np.zeros((angles.size, q.size)), GRID)
 
 
 # -- filtered back-projection ------------------------------------------------------
@@ -233,10 +244,9 @@ def test_rotational_covariance():
     angles = uniform_angles(36)
     delta = np.pi / 72  # half the spacing keeps labels inside [0, pi)
     q = np.linspace(-7, 7, 701)
-    sino = SinogramSet(angles, q, marginal_distribution(rho, angles, q))
-    base = inverse_radon(sino, GRID)
-    relabeled = SinogramSet(angles + delta, q, sino.densities)
-    rotated_recon = inverse_radon(relabeled, GRID)
+    densities = marginal_distribution(rho, angles, q)
+    base = inverse_radon(angles, q, densities, GRID)
+    rotated_recon = inverse_radon(angles + delta, q, densities, GRID)
     from scipy.interpolate import RegularGridInterpolator
 
     interp = RegularGridInterpolator((GRID.q1_axis, GRID.q2_axis),
@@ -262,27 +272,27 @@ def test_block_real_fft_matches_per_angle_complex_fft():
     q_range = pauli_grid.corner_radius + 0.5
     q = np.linspace(-q_range, q_range, 801)
     angles = uniform_angles(36)
-    pauli = SinogramSet(angles, q, marginal_distribution(pauli_pair()[0], angles, q))
+    pauli = (angles, q, marginal_distribution(pauli_pair()[0], angles, q))
     for sino, on in ((sampled, grid), (pauli, pauli_grid)):
-        assert sino.thetas.size * _next_fast_len(4 * sino.q.size) > 1 << 15
-        ref = complex_fft_back_projection(sino, on)
-        assert np.max(np.abs(inverse_radon(sino, on).values - ref)) < 1e-13
+        assert sino[0].size * _next_fast_len(4 * sino[1].size) > 1 << 15
+        ref = complex_fft_back_projection(*sino, on)
+        assert np.max(np.abs(inverse_radon(*sino, on).values - ref)) < 1e-13
 
 
 def test_too_few_angles_raises():
     rho = pure_to_density(vacuum(HilbertSpec(8)))
     q = np.linspace(-6, 6, 301)
-    sino = SinogramSet(uniform_angles(4), q, marginal_distribution(rho, uniform_angles(4), q))
     with pytest.raises(CoverageError):
-        inverse_radon(sino, GRID)
+        inverse_radon(uniform_angles(4), q, marginal_distribution(rho, uniform_angles(4), q),
+                      GRID)
 
 
 def test_insufficient_support_raises():
     rho = pure_to_density(vacuum(HilbertSpec(8)))
     q = np.linspace(-2, 2, 101)  # grid radius is 4*sqrt(2) > 2
-    sino = SinogramSet(uniform_angles(12), q, marginal_distribution(rho, uniform_angles(12), q))
     with pytest.raises(CoverageError):
-        inverse_radon(sino, GRID)
+        inverse_radon(uniform_angles(12), q, marginal_distribution(rho, uniform_angles(12), q),
+                      GRID)
 
 
 def test_angle_count_monotonicity():
