@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the rules by which every
-entry point checks its arguments: ``number`` for a scalar (the CLI's option
-table too), ``array`` for the entries of an array."""
+"""Exception types shared across the package, the rules by which every
+entry point checks its arguments (``number`` for a scalar, the CLI's option
+table too, and ``array`` for the entries of an array), and ``bound``, the
+one place a measured value meets its tolerance."""
 
 import math
 import numbers
@@ -91,7 +92,10 @@ def array(value, name, minimum=None, below=None):
     """`value` as a float array when its entries are finite real numbers, at
     least `minimum` and below `below`; otherwise a DomainError that quotes
     the first refused entry and ends with `(name)`, as ``number``'s do."""
-    values = np.asarray(value)
+    try:
+        values = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged nesting of sequences
+        raise DomainError(f"ragged entries do not form an array ({name})") from None
     if values.dtype.kind not in "iuf":
         raise DomainError(f"entries of dtype {values.dtype} are not of type 'number' ({name})")
     values = values.astype(float, copy=False)
@@ -106,3 +110,11 @@ def array(value, name, minimum=None, below=None):
         raise DomainError(f"{entry!r} is greater than or equal to the maximum of {below!r} "
                           f"({name})")
     return values
+
+
+def bound(value, limit, name, error):
+    """`value` when it is at most `limit`; otherwise, NaN and inf included,
+    an `error` that names the measured `name`, its value and the limit."""
+    if value <= limit:
+        return value
+    raise error(f"{name} {value:.4g} exceeds the limit of {limit!r}")

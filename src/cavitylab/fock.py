@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateStateError, DomainError, NonHermitianError, TruncationError,
-                     WeightError, array, number)
+                     WeightError, array, bound, number)
 
 # Tail mass of a coherent state stays below ~1e-10 with this truncation rule.
 DIM_MARGIN = 10
@@ -86,18 +86,13 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
             raise DomainError(f"density matrix must be square and nonempty, got shape {m.shape}")
-        # NaN for a non-finite entry (inf - inf), which no comparison passes
-        herm = float(np.abs(m - m.conj().T).max())
-        if not herm <= 1e-6:
-            raise NonHermitianError(f"density matrix hermiticity deviation {herm:.3e} "
-                                    "exceeds 1e-6 or is not finite")
+        # NaN for a non-finite entry (inf - inf), which the bound refuses
+        bound(float(np.abs(m - m.conj().T).max()), 1e-6, "density matrix hermiticity deviation",
+              NonHermitianError)
         # the diagonal's imaginary part is bounded by the Hermiticity residue
         pops = m.real.diagonal()
-        trace_err = abs(pops.sum() - 1.0)
-        if trace_err > 1e-8:
-            raise DomainError(f"density matrix trace is off 1 by {trace_err:.3e} > 1e-8")
-        if pops.min() < -1e-12:
-            raise DomainError(f"density matrix population {pops.min():.3e} < -1e-12")
+        bound(abs(pops.sum() - 1.0), 1e-8, "density matrix trace error", DomainError)
+        array(pops, "density matrix population", minimum=-1e-12)
         object.__setattr__(self, "matrix", _readonly(m))
 
     @property
@@ -185,9 +180,8 @@ def radial_rows(alpha, rows: int, cols: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         x = array(np.abs(alpha) ** 2, "|alpha|^2")
     width = max(rows, cols)
-    if alpha.size * width * cols > MAX_DISPLACED_ENTRIES:
-        raise TruncationError(f"{alpha.size} blocks of {width} x {cols} entries of D(alpha) "
-                              f"exceed the limit of {MAX_DISPLACED_ENTRIES}")
+    bound(alpha.size * width * cols, MAX_DISPLACED_ENTRIES, "entry count of D(alpha)",
+          TruncationError)
     # one recurrence per distinct radius (the corners of a symmetric grid share one)
     radii, which = np.unique(x, return_inverse=True)
     out = np.zeros((width, cols, radii.size))
@@ -235,12 +229,7 @@ def coherent_state(spec: HilbertSpec, alpha: complex) -> FieldState:
     """
     amps = radial_rows(alpha, spec.dim, 1)[:, 0] * turn(np.angle(alpha), np.arange(spec.dim))
     norm = np.linalg.norm(amps)
-    correction = abs(1.0 - norm)
-    if correction > 1e-8:
-        raise TruncationError(
-            f"coherent-state truncation correction {correction:.3e} > 1e-8 "
-            f"(alpha={alpha}, dim={spec.dim}); increase dim"
-        )
+    bound(abs(1.0 - norm), 1e-8, f"coherent-state tail (dim {spec.dim})", TruncationError)
     return FieldState(amps / norm)
 
 
@@ -259,11 +248,8 @@ def cat_state(spec: HilbertSpec, alpha: complex, psi1: float) -> FieldState:
         )
     minus = plus * (-1.0) ** np.arange(spec.dim)  # <n|-alpha> = (-1)^n <n|alpha>
     amps = (plus + phase * minus) / n1
-    resid = abs(np.linalg.norm(amps) - 1.0)
-    if resid > 1e-10:
-        raise TruncationError(
-            f"cat-state norm residual {resid:.3e} > 1e-10 after truncation"
-        )
+    bound(abs(np.linalg.norm(amps) - 1.0), 1e-10, "cat-state norm residual after truncation",
+          TruncationError)
     return FieldState(amps)
 
 
@@ -271,9 +257,8 @@ def pure_to_density(state: FieldState) -> DensityOperator:
     """|psi><psi|.  Raises TruncationError, before building it, for a matrix
     of more than MAX_DISPLACED_ENTRIES entries (dim > 1024)."""
     v = state.amplitudes
-    if v.size ** 2 > MAX_DISPLACED_ENTRIES:
-        raise TruncationError(f"a dim {v.size} density matrix exceeds the limit of "
-                              f"{MAX_DISPLACED_ENTRIES} entries")
+    bound(v.size ** 2, MAX_DISPLACED_ENTRIES, f"entry count of a density matrix (dim {v.size})",
+          TruncationError)
     return DensityOperator(np.outer(v, v.conj()))
 
 
@@ -283,8 +268,7 @@ def mix(states, weights) -> DensityOperator:
     weights = np.asarray(weights, dtype=float)
     if not np.all(weights >= 0):
         raise WeightError(f"negative or NaN weight in {weights}")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise WeightError(f"weights sum to {weights.sum()!r}, not 1")
+    bound(abs(weights.sum() - 1.0), 1e-12, "|sum of weights - 1|", WeightError)
     if len(states) != weights.size:
         raise WeightError("states and weights differ in length")
     dim = states[0].dim

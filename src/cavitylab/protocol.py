@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DampingModel, damped_populations
-from .errors import DegenerateBranchError, DomainError, SubspaceError, array, number
+from .errors import DegenerateBranchError, DomainError, SubspaceError, array, bound, number
 from .fock import (
     DensityOperator,
     FieldState,
@@ -97,22 +97,21 @@ def detection_probabilities(pops, variant: str) -> tuple:
     """Born rule of one atom reading fields with photon-number populations
     `pops`, shape (..., dim): (P_e, P_g), each of shape (...), with
     P_s = sum_n |m_s(n)|^2 pops_n and m from ``field_kraus``.  A population
-    that is not finite or is below -1e-12 (the DensityOperator gate's floor)
-    raises DomainError.  The resonant probe is exact only on n <= 1, so it
-    refuses (SubspaceError) a field with more than 1e-8 above one photon."""
+    that is not finite or is below -1e-12 (the DensityOperator gate's floor),
+    and populations with no level axis or no levels, raise DomainError.  The
+    resonant probe is exact only on n <= 1, so it refuses (SubspaceError) a
+    field with more than 1e-8 above one photon."""
     pops = array(pops, "pops", minimum=-1e-12)
-    return _born(field_kraus(variant, pops.shape[-1]), pops, variant)
+    levels = number(pops.shape[-1] if pops.ndim else 0, "levels of pops", minimum=1)
+    return _born(field_kraus(variant, levels), pops, variant)
 
 
 def _born(m: np.ndarray, pops: np.ndarray, variant: str) -> tuple:
     """``detection_probabilities`` with the Kraus amplitudes m already built,
     for a caller that also reads the post-measurement fields."""
     if variant == "resonant-2pi":
-        tail = float(np.max(np.sum(np.abs(pops[..., 2:]), axis=-1), initial=0.0))
-        if tail > 1e-8:
-            raise SubspaceError(
-                f"field population {tail:.3e} above one photon; resonant probe is not exact"
-            )
+        bound(float(np.max(np.sum(np.abs(pops[..., 2:]), axis=-1), initial=0.0)), 1e-8,
+              "resonant probe's field population above one photon", SubspaceError)
     # a sum along each row rounds alike whatever the stack's shape
     return (pops * np.abs(m[_E]) ** 2).sum(-1), (pops * np.abs(m[_G]) ** 2).sum(-1)
 

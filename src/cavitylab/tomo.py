@@ -23,7 +23,7 @@ import numpy as np
 from numpy.fft import fftfreq, irfft, rfft
 from numpy.random import SeedSequence, default_rng
 
-from .errors import CoverageError, DomainError, SamplingError, array, number
+from .errors import CoverageError, DomainError, SamplingError, array, bound, number
 from .fock import DensityOperator, FieldState, pure_to_density
 from .wigner import (
     PhaseSpaceGrid,
@@ -75,9 +75,8 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     counts = np.empty((thetas.size, n_bins), dtype=np.int64)
     for k, pdf in enumerate(marginal_distribution(rho, thetas, dense)):
         cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2.0 * np.diff(dense))])
-        if abs(cdf[-1] - 1.0) > 1e-8:
-            raise SamplingError(f"tabulated density at theta = {thetas[k]} integrates to "
-                                f"{cdf[-1]}, off by > 1e-8")
+        bound(abs(cdf[-1] - 1.0), 1e-8, f"normalisation error of the tabulated density "
+              f"(theta = {thetas[k]})", SamplingError)
         # rounding can dip a far tail's mass a hair below 0
         masses = np.clip(np.diff(np.interp(edges, dense, cdf / cdf[-1])), 0.0, None)
         counts[k] = default_rng(children[k]).multinomial(n_samples, masses)

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import (DomainError, NonHermitianError, QuadratureError, TruncationError, array,
-                     number)
+                     bound, number)
 from .fock import (DensityOperator, HilbertSpec, laguerre_functions, quadrature_q1,
                    quadrature_q2)
 
@@ -85,9 +85,8 @@ class PhaseSpaceGrid:
                                number(getattr(self, name), name, integral=True, minimum=2))
         if not (self.q1_max > self.q1_min and self.q2_max > self.q2_min):
             raise DomainError("grid extents must satisfy max > min")
-        if self.n1 * self.n2 > MAX_GRID_NODES:
-            raise DomainError(f"grid of {self.n1} x {self.n2} nodes exceeds the limit of "
-                              f"{MAX_GRID_NODES}")
+        bound(self.n1 * self.n2, MAX_GRID_NODES, f"node count of a grid ({self.n1} x {self.n2})",
+              DomainError)
 
     @property
     def q1_axis(self) -> np.ndarray:
@@ -163,9 +162,8 @@ class WignerMap:
         return float(self.values.sum() * self.grid.cell_area / (2.0 * np.pi))
 
     def check_bound(self) -> None:
-        array(self.values, "W")
-        if self.max_abs() > BOUND + 1e-8:
-            raise DomainError(f"|W| = {self.max_abs()} exceeds bound {BOUND} + 1e-8")
+        # a non-finite value makes max |W| NaN or inf, which the bound refuses
+        bound(self.max_abs(), BOUND + 1e-8, "max |W|", DomainError)
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +348,13 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
     (QuadratureError above), and q and p must be finite (DomainError)."""
     q, p = number(q, "q"), number(p, "p")
     order = rho.dim + 32
-    if order + 24 > _GH_MAX_ORDER:
-        raise QuadratureError(
-            f"Gauss-Hermite order {order + 24} for dim {rho.dim} exceeds {_GH_MAX_ORDER}, "
-            "the largest numpy's hermgauss builds without overflow"
-        )
+    bound(order + 24, _GH_MAX_ORDER, f"Gauss-Hermite order (dim {rho.dim})", QuadratureError)
     rotated, q_axis = _rotated(rho.matrix, math.atan2(p, q)), math.hypot(q, p)
     val, imag = _axis_position_integral(rotated, q_axis, order)
-    if imag > 1e-6:
-        raise NonHermitianError(f"position-integral imaginary residue {imag:.3e}")
+    bound(imag, 1e-6, "position-integral imaginary residue", NonHermitianError)
     check, _ = _axis_position_integral(rotated, q_axis, order + 24)
-    if abs(check - val) > 1e-9 * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"Gauss-Hermite orders {order}/{order + 24} disagree by {abs(check - val):.3e}"
-        )
+    bound(abs(check - val), 1e-9 * max(1.0, abs(val)),
+          f"Gauss-Hermite disagreement (orders {order}, {order + 24})", QuadratureError)
     return val
 
 
@@ -528,17 +519,12 @@ def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> tuple[floa
     (operator_value, integral_value), Tr[rho S(q^m p^n)] and the phase-space
     integral of W q^m p^n."""
     m, n = (number(k, "monomial power", integral=True, minimum=0) for k in monomial)
-    if m + n > 4:
-        raise TruncationError(f"monomial degree {m + n} outside the guarded range (<= 4)")
+    bound(m + n, 4, "monomial degree", TruncationError)
     # the symmetrized word couples levels at most (degree) apart, so only the
     # top few levels can feed truncation error into the operator-side trace
     margin = m + n + 2
-    margin_pop = float(np.sum(np.abs(rho.diagonal()[max(0, rho.dim - margin):])))
-    if margin_pop > 1e-10:
-        raise TruncationError(
-            f"state occupies the top {margin} Fock levels (mass {margin_pop:.2e}); "
-            "enlarge dim"
-        )
+    bound(float(np.sum(np.abs(rho.diagonal()[max(0, rho.dim - margin):]))), 1e-10,
+          f"mass on the top {margin} Fock levels", TruncationError)
     op = _symmetrized_word(rho.dim, m, n)
     op_val = float(np.real(np.trace(rho.matrix @ op)))
     int_val = moyal_grid_integral(rho, [monomial])[monomial]

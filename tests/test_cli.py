@@ -784,6 +784,16 @@ def test_oversized_dimension_exits_as_numerical_failure(tmp_path, capsys, experi
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_decoherence_scan_past_the_damping_range_exits_as_numerical_failure(tmp_path, capsys):
+    # at a delay of 1e20 the damping loses the trace: the scan wrote
+    # P(e2|e1) = P(g2|g1) = 0 there and exited 0
+    cfg = write_config(tmp_path, "c.json", {"alpha": 2.0, "delays": [0.0, 1e20]})
+    assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: IntegrationError" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("grid", [
     {"step": 1e-4}, {"q1_min": -1, "q1_max": 1, "q2_min": -1, "q2_max": 1,
                      "n1": 100000, "n2": 100000},

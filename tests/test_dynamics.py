@@ -125,22 +125,22 @@ def test_infinite_thermal_occupation_rejected():
         DampingModel(kappa=1.0, n_thermal=float("inf"))
 
 
-def test_evolve_takes_one_time_or_a_trajectory_and_checks_every_trace(monkeypatch):
+def test_evolve_takes_one_time_or_a_trajectory_and_checks_every_trace():
     rho0 = pure_to_density(cat_state(HilbertSpec(16), 1.0, 0.0))
     assert evolve(rho0, MODEL, 0.0) is rho0
     one, traj = evolve(rho0, MODEL, 0.4), evolve(rho0, MODEL, np.array([0.4, 0.8]))
     assert isinstance(one, DensityOperator) and len(traj) == 2
     assert np.array_equal(one.matrix, traj[0].matrix)
-    original = dynamics._diagonals
-
-    def leaky(mats, model, times):  # the last time gains 1e-8 of trace
-        for k, x in original(mats, model, times):
-            if k == 0:
-                x[:, -1, 0] += 1e-8
-            yield k, x
-    monkeypatch.setattr(dynamics, "_diagonals", leaky)
-    with pytest.raises(IntegrationError, match="trace drift"):
-        evolve(rho0, MODEL, [0.4, 0.8])
+    # at kappa t = 1e8 scaling and squaring loses 1.2e-7 of the trace; every
+    # reader of the damped diagonals refuses it (damped_populations and
+    # coherence_trajectory returned the drifted values, only evolve refused)
+    cat = pure_to_density(cat_state(HilbertSpec(20), 1.5, 0.0))
+    times = [0.0, 1e8]
+    for read in (lambda: evolve(cat, MODEL, times),
+                 lambda: dynamics.damped_populations(cat.matrix[None], MODEL, times),
+                 lambda: coherence_trajectory(cat, MODEL, times, 1.5)):
+        with pytest.raises(IntegrationError, match="trace drift"):
+            read()
 
 
 def test_nan_trajectory_time_rejected():

@@ -20,7 +20,9 @@ from cavitylab import (
     DampingModel,
     DomainError,
     HilbertSpec,
+    IntegrationError,
     PhaseSpaceGrid,
+    TruncationError,
     WeightError,
     cat_state,
     coherence_trajectory,
@@ -54,6 +56,7 @@ from cavitylab import (
     wigner_position,
 )
 from cavitylab.dynamics import fit_coherence_decay
+from cavitylab.errors import bound
 from cavitylab.fock import DensityOperator
 
 SUBSTITUTES = {"nan": float("nan"), "inf": float("inf"), "-1": -1, "0": 0, "2.5": 2.5}
@@ -390,3 +393,48 @@ def test_damping_reads_a_scalar_time_as_one_time():
     for read in (lambda t: coherence_trajectory(RHO, MODEL, t, 1.0),
                  lambda t: damped_populations(RHO.matrix[None], MODEL, t)):
         assert np.array_equal(np.asarray(read(0.5)), np.asarray(read([0.5])))
+
+
+def test_bound_passes_at_the_limit_and_refuses_above_it_nan_and_inf():
+    assert bound(1e-8, 1e-8, "tail", TruncationError) == 1e-8
+    assert bound(4, 4, "degree", TruncationError) == 4
+    for value in (1.1e-8, np.nan, np.inf):
+        with pytest.raises(TruncationError, match=r"^tail .+ exceeds the limit of 1e-08$"):
+            bound(value, 1e-8, "tail", TruncationError)
+
+
+def test_array_rule_refuses_a_ragged_nesting():
+    # numpy's bare ValueError ("inhomogeneous shape") came through the rule
+    with pytest.raises(DomainError, match=r"\(theta\)"):
+        marginal_distribution(RHO, [[0.1], [0.2, 0.3]], [0.0])
+
+
+def test_detection_probabilities_refuses_populations_with_no_levels():
+    # a scalar raised a bare IndexError, and zero levels read P_e = P_g = 0
+    for pops in (0.5, np.zeros((3, 0))):
+        with pytest.raises(DomainError, match=r"\(levels of pops\)"):
+            detection_probabilities(pops, "dispersive")
+
+
+def test_decoherence_time_and_separation_measure_refuse_an_infinite_result():
+    # both returned inf
+    with pytest.raises(DomainError, match=r"inf is not a finite number \(decoherence time\)"):
+        decoherence_time(DampingModel(1e-300), 1e-300)
+    with pytest.raises(DomainError, match=r"inf is not a finite number \(separation measure\)"):
+        separation_measure(1e308, 1e-3, 300.0)
+
+
+def test_damping_refuses_a_time_at_which_the_trace_is_lost():
+    # at kappa t = 1e20 the damped populations summed to 0, and at 1e308 they
+    # were NaN (numpy warns of the overflow first); evolve named the NaN a
+    # Hermiticity failure
+    rho = pure_to_density(cat_state(HilbertSpec(20), 1.5, 0.0))
+    reads = (lambda t: damped_populations(rho.matrix[None], MODEL, [0.0, t]),
+             lambda t: coherence_trajectory(rho, MODEL, [0.0, t], 1.5),
+             lambda t: evolve(rho, MODEL, [0.0, t]))
+    for read in reads:
+        with pytest.raises(IntegrationError, match="trace drift 1 exceeds"):
+            read(1e20)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(IntegrationError, match="trace drift nan exceeds"):
+                read(1e308)
