@@ -46,7 +46,6 @@ from .dynamics import (
     separation_measure,
 )
 from .protocol import (
-    TwoAtomScan,
     detection_probabilities,
     field_kraus,
     prepare_cat,

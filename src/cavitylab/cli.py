@@ -148,8 +148,10 @@ OPTIONS = {
                          "delays": (_forward_times, {"t_start": 0.0, "t_end": 8.0, "steps": 81})},
     "wigner-map": {"state": (_state, ...), "grid": (_grid, None), "dim": _DIM},
     "tomography": {"state": (_state, ...), "grid": (_grid, None),
-                   "angles": (_number(integral=True, minimum=8), 36),
-                   "samples": (_number(integral=True, minimum=1), 100000),
+                   "angles": (_number(integral=True, minimum=8,
+                                      maximum=wigner.MAX_GRID_NODES), 36),
+                   "samples": (_number(integral=True, minimum=1, maximum=tomo.MAX_SAMPLES),
+                               100000),
                    "seed": (_SEED, 12345), "bin_width": (_POSITIVE, 0.05),
                    "q_range": (_POSITIVE, None), "dim": _DIM},
     "direct-map": {"state": (_state, ...), "grid": (_grid, None), "dim": _DIM,
@@ -354,9 +356,9 @@ def _run_decoherence_scan(cfg: dict, writer: ArtifactWriter) -> None:
     spec = fock.HilbertSpec(cfg["dim"]) if cfg["dim"] else None
     scan = protocol.two_atom_scan(alpha, delays, model, spec=spec)
     writer.csv("decoherence_scan.csv", ["delay", "P_e2_given_e1", "P_g2_given_g1"],
-               np.column_stack([scan.delays, scan.p_e2_given_e1, scan.p_g2_given_g1]))
+               np.column_stack([delays, scan["p_e2_given_e1"], scan["p_g2_given_g1"]]))
     # damping trajectory of the post-e1 conditional field
-    coherence, mean_n, trace = dynamics.coherence_trajectory(scan.branches["e"].field(),
+    coherence, mean_n, trace = dynamics.coherence_trajectory(scan["branches"]["e"].field(),
                                                              model, delays, alpha)
     writer.csv("trajectory.csv", ["t", "coherence", "mean_n", "trace_error"],
                np.column_stack([delays, coherence, mean_n, np.abs(trace - 1.0)]))
@@ -388,9 +390,9 @@ def _run_tomography(cfg: dict, writer: ArtifactWriter) -> None:
 def _run_direct_map(cfg: dict, writer: ArtifactWriter) -> None:
     rho, scale = _build_state(cfg)
     grid = _build_grid(cfg["grid"], scale)
-    variant = "opposite" if cfg["variant"] == "opposite-shift" else "dispersive"
-    wmap = direct.scan_map(rho, grid, variant=variant)
-    _write_map(writer, "direct_map", wmap)
+    # both variants read parity with the same Born probabilities, so the
+    # `variant` key is checked and recorded in the manifest but changes no value
+    _write_map(writer, "direct_map", direct.scan_map(rho, grid))
 
 
 def _run_direct_monitor(cfg: dict, writer: ArtifactWriter) -> None:
@@ -446,10 +448,10 @@ def run_selfcheck() -> list[tuple[str, bool, str]]:
     # one-photon values
     w_pt = wigner.wigner_point(one, 0.0)
     w_pos = wigner.wigner_position(one, 0.0, 0.0)
-    p_e, p_g = direct.direct_point_exact(one, 0.0, variant="resonant-2pi")
+    p_e, p_g = protocol.detection_probabilities(one.diagonal(), "resonant-2pi")
     w_res = 2.0 * (p_g - p_e)
     mixed = fock.DensityOperator(np.diag([0.2, 0.8] + [0.0] * (spec.dim - 2)))
-    p_e, p_g = direct.direct_point_exact(mixed, 0.0, variant="resonant-2pi")
+    p_e, p_g = protocol.detection_probabilities(mixed.diagonal(), "resonant-2pi")
     w_mix = 2.0 * (p_g - p_e)
     ok = (abs(w_pt + 2) < 1e-9 and abs(w_pos + 2) < 1e-9
           and abs(w_res + 2) < 1e-9 and abs(w_mix + 1.2) < 1e-9)
@@ -475,7 +477,7 @@ def run_selfcheck() -> list[tuple[str, bool, str]]:
     checks.append(("decoherence-law", rel < 0.05, f"tau {tau:.5f} vs {t_dec:.5f} ({rel:.2%})"))
 
     # two-atom correlation endpoints
-    p0, p8 = protocol.two_atom_scan(al, [0.0, 8.0], model).p_e2_given_e1.tolist()
+    p0, p8 = protocol.two_atom_scan(al, [0.0, 8.0], model)["p_e2_given_e1"].tolist()
     checks.append(("two-atom-correlations", p0 > 1 - 1e-4 and p8 < 0.02,
                    f"P(0) {p0:.6f}, P(8/k) {p8:.6f}"))
 

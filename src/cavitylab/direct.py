@@ -5,10 +5,14 @@ the detection probabilities.
 Defining identity (the module's executable contract): the atom reads the
 field through the weights w(n) = |m_g(n)|^2 - |m_e(n)|^2 of its Kraus
 operators (``protocol.field_kraus``), so P_g - P_e = Tr[D rho D^dag diag(w)].
-Every variant runs at its parity angles, where w is exactly the
-photon-number parity (-1)^n, so
+The readouts use the pi-dispersive weights, which at the parity angles are
+exactly the photon-number parity (-1)^n, so
     P_g - P_e = W(-alpha, -alpha*) / 2,
-and 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  One
+and 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  No readout
+names its interaction: the opposite-shift probe has the same |m_s(n)|^2 bit
+for bit, so it reads the same probabilities, and the resonant probe reads
+the origin alone, where its readout is ``protocol.detection_probabilities``
+on rho0's own diagonal.  One
 ``direct_point_exact`` call reads one alpha or an array of them: each alpha
 is injected with the exact elements <n|D(alpha)|j> (their real factors from
 ``fock.radial_rows``, the phases moved onto rho0) and read on photon numbers
@@ -31,7 +35,7 @@ from numpy.random import SeedSequence, default_rng
 
 from . import protocol
 from .dynamics import DampingModel, damped_populations
-from .errors import DomainError, NoDetectionError, number
+from .errors import NoDetectionError, number
 from .fock import MAX_DISPLACED_ENTRIES, DensityOperator, radial_rows
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
 
@@ -71,26 +75,16 @@ def _populations(rho0: DensityOperator, alpha):
         n *= 2
 
 
-def direct_point_exact(rho0: DensityOperator, alpha, variant: str = "dispersive") -> tuple:
-    """Exact Born probabilities (P_e, P_g) of one probe atom at each injection
-    alpha, shaped like `alpha` (NumPy scalars for a scalar alpha); the atom
-    reads W(-alpha) = 2 (P_g - P_e).  Every alpha reads what its own
-    one-point call reads, bit for bit.
-
-    `variant` names the interaction as ``protocol.field_kraus`` does:
-    ``"dispersive"``, ``"opposite"`` or ``"resonant-2pi"``, which reads the
-    origin only (alpha = 0, DomainError otherwise) of a field supported on
-    n <= 1 (SubspaceError).  Any other name raises DomainError, even with
-    no alpha to read.
-    """
-    protocol.field_kraus(variant, 0)  # DomainError for an unknown variant
+def direct_point_exact(rho0: DensityOperator, alpha) -> tuple:
+    """Exact Born probabilities (P_e, P_g) of one pi-dispersive probe atom at
+    each injection alpha, shaped like `alpha` (NumPy scalars for a scalar
+    alpha); the atom reads W(-alpha) = 2 (P_g - P_e).  Every alpha reads what
+    its own one-point call reads, bit for bit."""
     alpha = np.asarray(alpha, dtype=complex)
-    if variant == "resonant-2pi" and np.any(alpha != 0):
-        raise DomainError("the resonant variant measures the origin only (alpha = 0)")
     probs = np.empty((2,) + alpha.shape)
     p_e, p_g = probs.reshape(2, -1)
     for index, pops in _populations(rho0, alpha.ravel()):
-        p_e[index], p_g[index] = protocol.detection_probabilities(pops, variant)
+        p_e[index], p_g[index] = protocol.detection_probabilities(pops, "dispersive")
     return probs[0][()], probs[1][()]
 
 
@@ -111,18 +105,12 @@ def _sample(p_e: float, n_shots: int, efficiency: float, seed) -> tuple:
     return n_det, estimate, float(stderr)
 
 
-def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid,
-             variant: str = "dispersive") -> WignerMap:
-    """Exact direct-scheme estimates over an injection grid, for the
-    ``"dispersive"`` or ``"opposite"`` variant.
+def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
+    """Exact direct-scheme estimates over an injection grid.
 
     The readout at alpha is W(-alpha), so the map is ``wigner_map`` on the
-    reflected grid, flipped back onto `grid`, in rho0's own dimension.  The
-    ``"resonant-2pi"`` variant reads the origin only (DomainError).
+    reflected grid, flipped back onto `grid`, in rho0's own dimension.
     """
-    if variant not in ("dispersive", "opposite"):
-        protocol.field_kraus(variant, 0)  # DomainError for an unknown variant
-        raise DomainError("the resonant variant measures the origin only (alpha = 0)")
     exact = wigner_map(rho0, grid.reflected())
     return WignerMap(grid, exact.values[::-1, ::-1], provenance="measured-direct",
                      diagnostics=dict(exact.diagnostics))

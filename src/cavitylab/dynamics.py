@@ -76,7 +76,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     gap is not squared as often as the longest one in the stack."""
     with np.errstate(divide="ignore"):  # a zero matrix: log2 0 = -inf, s = 0
         s = np.log2(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
-    s = np.maximum(0, np.ceil(s)).astype(int)
+    # no scaling makes a non-finite norm finite: such a matrix is not squared
+    s = np.where(np.isfinite(s), np.maximum(0, np.ceil(s)), 0).astype(int)
     a = a * np.exp2(-s)[..., None, None]
     b = _PADE13
     ident = np.eye(a.shape[-1])
@@ -159,7 +160,11 @@ def _diagonals(mats: np.ndarray, model: DampingModel, times):
         x = np.diagonal(mats, -k, axis1=1, axis2=2).T
         if not x.any():
             continue
-        props = _expm(steps[:, None, None] * _diagonal_generator(model, dim, k))
+        # a step too long for scaling and squaring overflows: its propagator
+        # reads NaN, which carries without a warning to the trace bound below
+        with np.errstate(over="ignore", invalid="ignore"):
+            props = _expm(steps[:, None, None] * _diagonal_generator(model, dim, k))
+        props[~np.isfinite(props).all(axis=(1, 2))] = np.nan
         props[steps == 0.0] = np.eye(dim - k)  # Pade's solve leaves 1e-16 on exp(0)
         props = list(props)
         x = np.concatenate([x.real, x.imag if k else np.zeros(x.shape)], axis=1)

@@ -32,12 +32,15 @@ def default_dim(alpha_max: float, n_thermal: float = 0.0) -> int:
     larger of 4 |alpha_max|^2 + DIM_MARGIN and |alpha_max|^2 plus the number
     of levels over which a thermal distribution, p_n ~ (n_th / (n_th + 1))^n,
     falls by 1e-10.  Both must be finite, |alpha_max| <= 1e150 (so its square
-    stays in float range) and `n_thermal` >= 0 (DomainError)."""
+    stays in float range) and `n_thermal` >= 0, with a tail of finite length
+    (DomainError)."""
     reach = max(abs(number(alpha_max, "alpha_max", minimum=-1e150, maximum=1e150)), 1.0) ** 2
     dim = 4.0 * reach + DIM_MARGIN
     if number(n_thermal, "n_thermal", minimum=0) > 0:
-        tail = math.log(1e-10) / math.log(n_thermal / (n_thermal + 1.0))
-        dim = max(dim, reach + tail)
+        decay = math.log(n_thermal / (n_thermal + 1.0))
+        if decay == 0.0:  # n_th / (n_th + 1) rounds to 1 from about 2^53 on
+            raise DomainError(f"{n_thermal!r} has a thermal tail too long to count (n_thermal)")
+        dim = max(dim, reach + math.log(1e-10) / decay)
     return int(math.ceil(dim))
 
 

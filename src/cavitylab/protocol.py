@@ -145,33 +145,20 @@ def prepare_cat(alpha: complex, spec: HilbertSpec | None = None) -> dict[str, Br
     return probe_atom(coherent_state(spec, alpha))
 
 
-@dataclass(frozen=True)
-class TwoAtomScan:
-    """A delay scan of the two-atom correlations.  Each probability is a
-    (T,) array indexed like `delays`; `branches` is the first atom's
-    ``prepare_cat`` outcome (P(e1) and P(g1) are their probabilities, and
-    P(g2) = 1 - p_e2).  A conditional on a first-atom outcome of
-    probability 0 reads NaN."""
-
-    delays: np.ndarray
-    branches: dict[str, Branch]
-    p_e2_given_e1: np.ndarray
-    p_g2_given_e1: np.ndarray
-    p_e2_given_g1: np.ndarray
-    p_g2_given_g1: np.ndarray
-    p_e2: np.ndarray
-
-
 def two_atom_scan(alpha: complex, delays, model: DampingModel,
-                  spec: HilbertSpec | None = None) -> TwoAtomScan:
+                  spec: HilbertSpec | None = None) -> dict:
     """Delay scan of the two-atom correlations: the populations of both
     first-atom branches are damped in one pass
     (``dynamics.damped_populations``; the Born rule reads nothing else) and
-    read by one pi-dispersive Born rule, so the scan returns one array per
-    probability, indexed like `delays`.  The default truncation allows for
-    the model's thermal photons (``fock.default_dim``).  Raises DomainError
-    for no delays and TruncationError when a damped branch puts more than
-    1e-8 on its top Fock level."""
+    read by one pi-dispersive Born rule.  Returns a dict: `branches`, the
+    first atom's ``prepare_cat`` outcome (P(e1) and P(g1) are their
+    probabilities), and the (T,) arrays `p_e2_given_e1`, `p_g2_given_e1`,
+    `p_e2_given_g1`, `p_g2_given_g1` and `p_e2` (P(g2) = 1 - p_e2), indexed
+    like `delays`.  A conditional on a first-atom outcome of probability 0
+    reads NaN.  The default truncation allows for the model's thermal
+    photons (``fock.default_dim``).  Raises DomainError for no delays and
+    TruncationError when a damped branch puts more than 1e-8 on its top
+    Fock level."""
     delays = np.asarray(delays, dtype=float)
     first = prepare_cat(alpha, spec or HilbertSpec(default_dim(abs(alpha), model.n_thermal)))
     live = [o for o in ("e", "g") if first[o].field_after is not None]
@@ -180,5 +167,7 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
     p_e, p_g = detection_probabilities(pops, "dispersive")
     cond = {o: np.full((2, delays.size), np.nan) for o in ("e", "g")}
     cond.update({o: (p_e[b], p_g[b]) for b, o in enumerate(live)})
-    p_e2 = sum(first[o].probability * p_e[b] for b, o in enumerate(live))
-    return TwoAtomScan(delays, first, *cond["e"], *cond["g"], p_e2)
+    return {"branches": first,
+            "p_e2_given_e1": cond["e"][0], "p_g2_given_e1": cond["e"][1],
+            "p_e2_given_g1": cond["g"][0], "p_g2_given_g1": cond["g"][1],
+            "p_e2": sum(first[o].probability * p_e[b] for b, o in enumerate(live))}

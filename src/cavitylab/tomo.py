@@ -26,6 +26,7 @@ from numpy.random import SeedSequence, default_rng
 from .errors import CoverageError, DomainError, SamplingError, array, bound, number
 from .fock import DensityOperator, FieldState, pure_to_density
 from .wigner import (
+    MAX_GRID_NODES,
     PhaseSpaceGrid,
     WignerMap,
     _support_radius,
@@ -35,6 +36,9 @@ from .wigner import (
     radon_of_map,
     wigner_map,
 )
+
+# numpy's multinomial draws counts up to the int64 limit
+MAX_SAMPLES = int(np.iinfo(np.int64).max)
 
 
 def _q_range(rho: DensityOperator, q_range: float | None) -> float:
@@ -51,22 +55,31 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     array of angles of any shape: (edges, counts), the n_bins + 1 bin edges
     running from -q_range in steps of `bin_width`, and int64 counts of shape
     np.shape(theta) + (n_bins,), each row summing to n_samples.  `n_samples`
-    must be an integer >= 1, `seed` None or an integer >= 0, and `bin_width`
-    and `q_range` finite and positive (DomainError); q_range=None takes the
-    default range.
+    must be an integer in [1, MAX_SAMPLES], `seed` None or an integer >= 0,
+    and `bin_width` and `q_range` finite and positive (DomainError);
+    q_range=None takes the default range.  Before any array is built, a
+    window 2 q_range that is not finite, or more angles x bins than
+    MAX_GRID_NODES (a sinogram is a table of a map's size), raises
+    DomainError.
 
     Every marginal is tabulated on 8,192 nodes in one call and integrated by
     the trapezoid rule.  Inverse-CDF sampling of that piecewise-linear CDF
     puts a draw in a bin with the CDF's increment across the bin, so each
     histogram is one multinomial draw of those bin masses.  Angle k (of the
     flattened array) draws from child k of SeedSequence(seed).spawn(angles)."""
-    n_samples = number(n_samples, "n_samples", integral=True, minimum=1)
+    n_samples = number(n_samples, "n_samples", integral=True, minimum=1, maximum=MAX_SAMPLES)
     seed = seed if seed is None else number(seed, "seed", integral=True, minimum=0)
     thetas = np.ravel(theta)
     number(bin_width, "bin_width", exclusive_minimum=0)
     q_range = _q_range(rho, q_range)
+    # Python floats: a window that overflows has an infinite bin count
+    n_bins = bound(2.0 * float(q_range) / float(bin_width), MAX_GRID_NODES,
+                   f"bin count of a sinogram (window 2 x {q_range!r}, bin_width {bin_width!r})",
+                   DomainError)
+    n_bins = int(math.ceil(n_bins))
+    bound(thetas.size * n_bins, MAX_GRID_NODES,
+          f"node count of a sinogram ({thetas.size} angles x {n_bins} bins)", DomainError)
     dense = np.linspace(-q_range, q_range, 8192)
-    n_bins = int(math.ceil(2.0 * q_range / bin_width))
     if n_bins < 2:
         raise DomainError(f"bin_width {bin_width} leaves {n_bins} bin in "
                           f"[-{q_range}, {q_range}]; a sinogram needs at least 2")
@@ -84,9 +97,9 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
 
 
 def uniform_angles(count: int) -> np.ndarray:
-    """`count` angles k pi / count, k < count, for an integer `count` >= 1
-    (DomainError otherwise)."""
-    count = number(count, "count", integral=True, minimum=1)
+    """`count` angles k pi / count, k < count, for an integer `count` in
+    [1, MAX_GRID_NODES] (DomainError otherwise)."""
+    count = number(count, "count", integral=True, minimum=1, maximum=MAX_GRID_NODES)
     return np.arange(count) * np.pi / count
 
 

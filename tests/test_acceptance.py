@@ -28,6 +28,7 @@ from cavitylab import (
     coherent_state,
     decoherence_time,
     default_grid,
+    detection_probabilities,
     direct_point_exact,
     fock_state,
     mix,
@@ -104,10 +105,11 @@ def test_criterion_02_one_photon_origin():
     one = pure_to_density(fock_state(spec, 1))
     w_pt = wigner_point(one, 0.0)
     w_pos = wigner_position(one, 0.0, 0.0)
-    p_e, p_g = direct_point_exact(one, 0.0, variant="resonant-2pi")
+    # the resonant probe reads the origin alone: the Born rule on the diagonal
+    p_e, p_g = detection_probabilities(one.diagonal(), "resonant-2pi")
     w_res = 2.0 * (p_g - p_e)
     mixed = DensityOperator(np.diag([0.2, 0.8] + [0.0] * (spec.dim - 2)))
-    p_e, p_g = direct_point_exact(mixed, 0.0, variant="resonant-2pi")
+    p_e, p_g = detection_probabilities(mixed.diagonal(), "resonant-2pi")
     w_mix = 2.0 * (p_g - p_e)
     # diagonal parity oracle: 2 * sum_n (-1)^n p_n
     oracle_mix = 2.0 * float(np.sum((-1.0) ** np.arange(spec.dim)
@@ -214,7 +216,7 @@ T_DEC6 = 1.0 / (2.0 * N6)
 
 
 def test_criterion_06a_perfect_initial_correlation():
-    p = two_atom_scan(ALPHA6, [0.0], MODEL).p_e2_given_e1[0]
+    p = two_atom_scan(ALPHA6, [0.0], MODEL)["p_e2_given_e1"][0]
     ok = p > 1 - 1e-4
     assert report("6a", "two-atom correlation at zero delay", ok,
                   f"P(e2|e1)(0) = {p:.8f}")
@@ -240,9 +242,9 @@ def test_criterion_06b_plateau_band():
     hi = brentq(lambda t: _p_e2_given_e1_exact(t) - 0.48, t_half, 8.0 / MODEL.kappa)
     stated = np.array([2.0, 3.0, 4.0]) * T_DEC6
     plateau = np.linspace(lo, hi, 9)[1:-1]
-    probs = two_atom_scan(ALPHA6, stated, MODEL).p_e2_given_e1
+    probs = two_atom_scan(ALPHA6, stated, MODEL)["p_e2_given_e1"]
     errs = np.abs(probs - _p_e2_given_e1_exact(stated))
-    devs = np.abs(two_atom_scan(ALPHA6, plateau, MODEL).p_e2_given_e1 - 0.5)
+    devs = np.abs(two_atom_scan(ALPHA6, plateau, MODEL)["p_e2_given_e1"] - 0.5)
     ok = bool(np.all(errs <= 1e-9) and np.all(devs <= 0.02))
     report("6b", "exact P(e2|e1) at 2,3,4 t_dec; within 0.02 of 1/2 on "
            f"[{lo / T_DEC6:.2f},{hi / T_DEC6:.2f}] t_dec", ok,
@@ -253,7 +255,7 @@ def test_criterion_06b_plateau_band():
 
 
 def test_criterion_06c_late_time_decay():
-    p = two_atom_scan(ALPHA6, [8.0], MODEL).p_e2_given_e1[0]
+    p = two_atom_scan(ALPHA6, [8.0], MODEL)["p_e2_given_e1"][0]
     ok = p < 0.02
     assert report("6c", "correlation gone by 8/kappa", ok,
                   f"P(e2|e1)(8/k) = {p:.5f}")

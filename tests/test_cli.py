@@ -429,19 +429,23 @@ def test_pauli_demo(tmp_path):
 
 
 def test_direct_map_variant(tmp_path):
+    # both probes read parity with the same Born probabilities, so the two
+    # variants write the same map, byte for byte; the manifest records which
     grids = {"grid": {"span": 1.5, "step": 0.25}}
-    vals = {}
+    written = {}
     for variant in ("dispersive", "opposite-shift"):
         out = tmp_path / variant
         cfg = write_config(tmp_path, f"{variant}.json", {
             "state": {"kind": "fock", "n": 1}, "variant": variant, **grids,
         })
         assert run_cli(["direct-map", "--config", cfg, "--out", str(out)]) == 0
-        _, body = read_csv(out / "direct_map.csv")
-        vals[variant] = np.array([row[2] for row in body])
         meta = json.loads((out / "direct_map.json").read_text())
         assert meta["provenance"] == "measured-direct"
-    np.testing.assert_allclose(vals["dispersive"], vals["opposite-shift"], atol=1e-8)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["variant"] == variant
+        written[variant] = [(out / name).read_bytes()
+                            for name in ("direct_map.csv", "direct_map.json")]
+    assert written["dispersive"] == written["opposite-shift"]
 
 
 def test_selfcheck_passes_on_clean_tree(tmp_path):
@@ -739,6 +743,12 @@ def test_config_error_names_the_offending_value(tmp_path, capsys):
     ("direct-monitor", {"state": {"kind": "cat", "alpha": 1.0}, "times": [0.0, -1.0]},
      "-1.0 is less than the minimum of 0 (key times[1])"),
     ("prepare-cat", {"alpha": 1.0, "dim": 1}, "1 is less than the minimum of 2 (key dim)"),
+    # 1e308 samples raised a bare OverflowError in numpy's multinomial, and
+    # 1e308 angles a bare ValueError; the table takes the library's maxima
+    ("tomography", {"state": {"kind": "cat", "alpha": 1.0}, "samples": 1e308},
+     "1e+308 is greater than the maximum of 9223372036854775807 (key samples)"),
+    ("tomography", {"state": {"kind": "cat", "alpha": 1.0}, "angles": 1e308},
+     "1e+308 is greater than the maximum of 4194304 (key angles)"),
 ])
 def test_config_number_refusal_is_the_whole_message_with_its_key(tmp_path, capsys, experiment,
                                                                   config, message):
@@ -791,6 +801,31 @@ def test_decoherence_scan_past_the_damping_range_exits_as_numerical_failure(tmp_
     assert run_cli(["decoherence-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "numerical failure: IntegrationError" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+CAT2 = {"kind": "cat", "alpha": 2.0}
+
+
+@pytest.mark.parametrize("experiment, config, error", [
+    ("decoherence-scan", {"alpha": 2.0, "delays": [0.0, 1e308]}, "IntegrationError"),
+    ("decoherence-scan", {"alpha": 2.0, "n_thermal": 0.05, "delays": [0.0, 1e20]},
+     "IntegrationError"),
+    ("tomography", {"state": CAT2, "bin_width": 1e-300}, "DomainError"),
+    ("tomography", {"state": CAT2, "q_range": 1e308}, "DomainError"),
+    ("decoherence-scan", {"alpha": 2.0, "n_thermal": 1e308}, "DomainError"),
+    ("direct-monitor", {"state": CAT2, "n_thermal": 1e308}, "DomainError"),
+], ids=["far-delay", "far-thermal-delay", "bin-width", "q-range", "scan-n-thermal",
+        "monitor-n-thermal"])
+def test_sizes_that_overflow_exit_as_numerical_failures(tmp_path, capsys, experiment,
+                                                        config, error):
+    # each printed a traceback and exited 1: numpy's overflow warning (under
+    # the RuntimeWarning filter the suite and CI run with), a bare ValueError
+    # from np.arange, or a ZeroDivisionError in default_dim
+    cfg = write_config(tmp_path, "c.json", config)
+    assert run_cli([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {error}: ") and "Traceback" not in err
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 

@@ -9,7 +9,6 @@ from cavitylab import (
     HilbertSpec,
     NoDetectionError,
     PhaseSpaceGrid,
-    SubspaceError,
     TruncationError,
     cat_state,
     coherent_state,
@@ -37,9 +36,9 @@ def fock_rho(n, dim=16):
     return pure_to_density(fock_state(HilbertSpec(dim), n))
 
 
-def readout(rho, alpha, variant="dispersive"):
+def readout(rho, alpha):
     """2 (P_g - P_e) of the probe atom at `alpha`: W(-alpha)."""
-    p_e, p_g = direct_point_exact(rho, alpha, variant)
+    p_e, p_g = direct_point_exact(rho, alpha)
     return 2.0 * (p_g - p_e)
 
 
@@ -92,8 +91,6 @@ def test_non_finite_injection_is_rejected(corpus):
     for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf), 1e160):
         with pytest.raises(DomainError):
             direct_point_exact(rho, alpha)
-        with pytest.raises(DomainError):
-            direct_point_exact(rho, alpha, variant="opposite")
 
 
 def test_huge_injection_raises_before_allocating():
@@ -139,7 +136,7 @@ def test_readout_truncation_is_the_smallest_capturing_one(corpus):
 def test_array_readout_equals_one_point_calls_bitwise(corpus):
     # every alpha of an array keeps the N of its own one-point call: alpha = 0
     # reads rho's diagonal, 0.1 settles at N = 2 dim, 4 - 1j and -3.9 + 1.2j
-    # at N = 4 dim; both variants, both probabilities, bit for bit
+    # at N = 4 dim; both probabilities, bit for bit
     from cavitylab.direct import _populations
 
     rng = np.random.default_rng(13)
@@ -151,13 +148,12 @@ def test_array_readout_equals_one_point_calls_bitwise(corpus):
              if index.size}
     assert sizes == {rho.dim, 2 * rho.dim, 4 * rho.dim}
     for name in ("cat_even", "damped_cat", "coherent2", "fock3"):
-        for variant in ("dispersive", "opposite"):
-            p_e, p_g = direct_point_exact(corpus[name], alphas, variant)
-            assert p_e.shape == p_g.shape == alphas.shape
-            for k in np.ndindex(alphas.shape):
-                one_e, one_g = direct_point_exact(corpus[name], alphas[k], variant)
-                assert np.ndim(one_e) == np.ndim(one_g) == 0
-                assert (one_e, one_g) == (p_e[k], p_g[k]), (name, variant, k)
+        p_e, p_g = direct_point_exact(corpus[name], alphas)
+        assert p_e.shape == p_g.shape == alphas.shape
+        for k in np.ndindex(alphas.shape):
+            one_e, one_g = direct_point_exact(corpus[name], alphas[k])
+            assert np.ndim(one_e) == np.ndim(one_g) == 0
+            assert (one_e, one_g) == (p_e[k], p_g[k]), (name, k)
 
 
 def test_estimate_bounded_by_two(corpus):
@@ -398,54 +394,32 @@ def test_monitor_reads_the_populations_of_the_damped_state(n_th):
 # -- alternative conditional-phase realizations --------------------------------------
 
 
+def resonant_origin(rho):
+    """2 (P_g - P_e) of the resonant probe, which reads the origin alone:
+    the Born rule on rho's own diagonal."""
+    p_e, p_g = protocol.detection_probabilities(rho.diagonal(), "resonant-2pi")
+    return 2.0 * (p_g - p_e)
+
+
 def test_resonant_variant_one_photon():
-    assert abs(readout(fock_rho(1, dim=12), 0.0, "resonant-2pi") + 2.0) < 1e-9
+    assert abs(resonant_origin(fock_rho(1, dim=12)) + 2.0) < 1e-9
 
 
 def test_resonant_variant_imperfect_photon():
     # p(1) = 0.8, p(0) = 0.2: the origin value is the diagonal parity sum
     rho = np.diag([0.2, 0.8] + [0.0] * 10).astype(complex)
-    assert abs(readout(DensityOperator(rho), 0.0, "resonant-2pi") + 1.2) < 1e-9
-
-
-def test_resonant_variant_guards():
-    with pytest.raises(SubspaceError):
-        direct_point_exact(pure_to_density(coherent_state(HilbertSpec(16), 1.0)), 0.0,
-                           variant="resonant-2pi")
-    with pytest.raises(DomainError):
-        direct_point_exact(fock_rho(1), 0.5, variant="resonant-2pi")
-    with pytest.raises(DomainError):
-        direct_point_exact(fock_rho(1), [0.0, 0.5], variant="resonant-2pi")
-    p_e, p_g = direct_point_exact(fock_rho(1), np.zeros((2, 3)), variant="resonant-2pi")
-    assert np.array_equal(2.0 * (p_g - p_e), np.full((2, 3), -2.0))
-    # the resonant probe reads the origin only, so it scans no map
-    with pytest.raises(DomainError):
-        scan_map(fock_rho(1), PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3),
-                 variant="resonant-2pi")
-
-
-def test_unknown_variant_is_refused():
-    grid = PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)
-    with pytest.raises(DomainError, match="unknown interaction variant"):
-        direct_point_exact(fock_rho(1), 0.0, variant="opposite-shift")
-    with pytest.raises(DomainError, match="unknown interaction variant"):
-        scan_map(fock_rho(1), grid, variant="opposite-shift")
-    # an empty alpha array reaches no Born rule: the variant is refused on entry
-    for alpha in ([], np.zeros((0, 3))):
-        with pytest.raises(DomainError, match="unknown interaction variant"):
-            direct_point_exact(fock_rho(1), alpha, variant="bogus")
+    assert abs(resonant_origin(DensityOperator(rho)) + 1.2) < 1e-9
 
 
 def test_opposite_shift_variant_matches_standard_readout(corpus):
+    # the opposite-shift probe reads the displaced populations with the
+    # pi-dispersive probe's probabilities, bit for bit
+    from cavitylab.direct import _populations
+
     rho = corpus["cat_even"]
     rng = np.random.default_rng(11)
-    for _ in range(6):
-        alpha = complex(rng.normal(scale=0.7), rng.normal(scale=0.7))
-        assert abs(readout(rho, alpha, "opposite") - readout(rho, alpha)) < 1e-8
-
-
-def test_opposite_shift_full_map_matches_pi_pipeline(corpus):
-    rho = corpus["cat_even"]
-    grid = PhaseSpaceGrid(-2.2, 2.2, -2.2, 2.2, 9, 9)
-    lhs = scan_map(rho, grid, variant="opposite")
-    assert np.max(np.abs(lhs.values - scan_map(rho, grid).values)) < 1e-8
+    alphas = rng.normal(scale=0.7, size=6) + 1j * rng.normal(scale=0.7, size=6)
+    p_e, p_g = direct_point_exact(rho, alphas)
+    for index, pops in _populations(rho, alphas):
+        opp_e, opp_g = protocol.detection_probabilities(pops, "opposite")
+        assert np.array_equal(opp_e, p_e[index]) and np.array_equal(opp_g, p_g[index])

@@ -10,6 +10,7 @@ sweep, each hole the sweep closed has a named test of its own.
 
 import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,7 @@ from cavitylab import (
 from cavitylab.dynamics import fit_coherence_decay
 from cavitylab.errors import bound
 from cavitylab.fock import DensityOperator
+from cavitylab.wigner import MAX_GRID_NODES
 
 SUBSTITUTES = {"nan": float("nan"), "inf": float("inf"), "-1": -1, "0": 0, "2.5": 2.5}
 
@@ -210,8 +212,8 @@ VALID = {
 # valid calls whose result is documented to hold NaN: the parts that must be finite
 PARTLY_NAN = {
     # the conditionals on a first atom in e, which alpha = 0 never detects, read NaN
-    ("two_atom_scan.alpha", "0"): lambda scan: (scan.delays, scan.branches, scan.p_e2,
-                                                 scan.p_e2_given_g1, scan.p_g2_given_g1),
+    ("two_atom_scan.alpha", "0"): lambda scan: (scan["branches"], scan["p_e2"],
+                                                 scan["p_e2_given_g1"], scan["p_g2_given_g1"]),
     # no shots: the estimate and its stderr read NaN
     ("monitor_origin.n_shots", "0"): lambda w0: w0[0],
 }
@@ -221,7 +223,6 @@ NOT_SWEPT = {
     "DensityOperator": "takes a matrix; its gate refuses a non-finite entry",
     "FieldState": "takes an amplitude array, the value record of the constructors",
     "WignerMap": "takes a grid and a values array",
-    "TwoAtomScan": "a record of two_atom_scan's results",
     "promote": "takes a state and a HilbertSpec",
     "pure_to_density": "takes a state",
     "vacuum": "takes a HilbertSpec",
@@ -229,7 +230,7 @@ NOT_SWEPT = {
     "fringe_contrast": "takes a WignerMap",
     "wigner_map": "takes a state and a PhaseSpaceGrid",
     "pauli_incompleteness_demo": "takes a PhaseSpaceGrid",
-    "scan_map": "takes a state, a PhaseSpaceGrid and a variant name",
+    "scan_map": "takes a state and a PhaseSpaceGrid",
 }
 
 
@@ -426,15 +427,69 @@ def test_decoherence_time_and_separation_measure_refuse_an_infinite_result():
 
 def test_damping_refuses_a_time_at_which_the_trace_is_lost():
     # at kappa t = 1e20 the damped populations summed to 0, and at 1e308 they
-    # were NaN (numpy warns of the overflow first); evolve named the NaN a
-    # Hermiticity failure
+    # were NaN after numpy warned of the overflow (with thermal photons it
+    # warned at 1e20 too); evolve named the NaN a Hermiticity failure.  The
+    # overflow now reaches the trace bound as NaN, with no warning
     rho = pure_to_density(cat_state(HilbertSpec(20), 1.5, 0.0))
-    reads = (lambda t: damped_populations(rho.matrix[None], MODEL, [0.0, t]),
-             lambda t: coherence_trajectory(rho, MODEL, [0.0, t], 1.5),
-             lambda t: evolve(rho, MODEL, [0.0, t]))
-    for read in reads:
-        with pytest.raises(IntegrationError, match="trace drift 1 exceeds"):
-            read(1e20)
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(IntegrationError, match="trace drift nan exceeds"):
-                read(1e308)
+    for model in (MODEL, DampingModel(1.0, 0.05)):
+        reads = (lambda t: damped_populations(rho.matrix[None], model, [0.0, t]),
+                 lambda t: coherence_trajectory(rho, model, [0.0, t], 1.5),
+                 lambda t: evolve(rho, model, [0.0, t]))
+        for read in reads:
+            for t in (1e20, 1e308):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(IntegrationError, match="trace drift .+ exceeds"):
+                        read(t)
+        with pytest.raises(IntegrationError, match="trace drift nan exceeds"):
+            damped_populations(rho.matrix[None], model, [0.0, 1e308])
+
+
+def test_expm_does_not_square_a_matrix_of_non_finite_norm():
+    # the scaling exponent of an infinite norm was the cast of inf to int,
+    # which happens to be negative on x86; no scaling makes it finite, so
+    # the matrix is not squared, and its exponential reads NaN
+    from cavitylab.dynamics import _expm
+
+    stack = np.array([[[np.inf, 0.0], [0.0, -1.0]], [[-1.0, 0.0], [0.0, -2.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _expm(stack)
+    assert np.isnan(out[0]).any()
+    np.testing.assert_allclose(out[1], np.diag(np.exp([-1.0, -2.0])), rtol=1e-14)
+
+
+def test_sample_homodyne_refuses_a_sinogram_too_large_to_build():
+    # a bin_width of 1e-300 raised a bare ValueError from np.arange, and a
+    # q_range of 1e308 a bare OverflowError (a RuntimeWarning from np.linspace
+    # under the warning filter): the window and the table are refused as an
+    # oversized grid is, before any array is built
+    for kwargs, what in (({"bin_width": 1e-300}, r"2\.\d+e\+301"),
+                         ({"q_range": 1e308}, "inf")):
+        with pytest.raises(DomainError, match=rf"^bin count of a sinogram .+ {what} exceeds"):
+            sample_homodyne(RHO, 0.3, 100, 1, **kwargs)
+    # 2 x 10 / 2e-5 = 10^6 bins stay in range for one angle, not for five
+    sample_homodyne(RHO, 0.3, 100, 1, bin_width=2e-5, q_range=10.0)
+    with pytest.raises(DomainError, match=r"node count of a sinogram \(5 angles x 1000000 bins\)"):
+        sample_homodyne(RHO, uniform_angles(5), 100, 1, bin_width=2e-5, q_range=10.0)
+
+
+def test_sample_and_angle_counts_have_a_maximum():
+    # 1e308 samples raised a bare OverflowError in numpy's multinomial, and
+    # 1e308 angles a bare ValueError from np.arange
+    with pytest.raises(DomainError, match=r"greater than the maximum of 9223372036854775807 "
+                                          r"\(n_samples\)"):
+        sample_homodyne(RHO, 0.3, 1e308, 1)
+    for count in (1e308, MAX_GRID_NODES + 1):
+        with pytest.raises(DomainError, match=r"greater than the maximum of 4194304 \(count\)"):
+            uniform_angles(count)
+
+
+def test_default_dim_refuses_a_thermal_tail_too_long_to_count():
+    # from about n_th = 2^53 on, n_th / (n_th + 1) rounds to 1, and the tail
+    # raised a bare ZeroDivisionError, in two_atom_scan too
+    for n_th in (1e308, 2.0 ** 60):
+        with pytest.raises(DomainError, match=r"thermal tail too long to count \(n_thermal\)"):
+            default_dim(1.0, n_th)
+        with pytest.raises(DomainError, match=r"\(n_thermal\)"):
+            two_atom_scan(1.0, [0.0, 1.0], DampingModel(1.0, n_th))
+    assert default_dim(1.0, 1e15) > 1e15

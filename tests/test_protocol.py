@@ -12,7 +12,6 @@ from cavitylab import (
     cat_state,
     coherent_state,
     detection_probabilities,
-    direct_point_exact,
     evolve,
     field_kraus,
     fock_state,
@@ -129,6 +128,11 @@ def test_parity_angles_weigh_photon_numbers_by_parity():
         m = field_kraus(variant, reach)
         w = np.abs(m[1]) ** 2 - np.abs(m[0]) ** 2
         assert np.array_equal(w, (-1.0) ** np.arange(reach))
+    # the opposite shift weighs each photon number as the pi shift does,
+    # |m_s(n)|^2 for both s bit for bit, so no readout needs to tell them apart
+    reach = MAX_DISPLACED_ENTRIES // 2
+    assert np.array_equal(np.abs(field_kraus("opposite", reach)) ** 2,
+                          np.abs(field_kraus("dispersive", reach)) ** 2)
     with pytest.raises(DomainError, match="unknown interaction variant"):
         field_kraus("opposite-shift", 4)
 
@@ -222,18 +226,19 @@ def test_resonant_2pi_guards_subspace():
 
 
 def test_one_resonant_threshold_for_every_probe():
-    # both readers refuse more than 1e-8 population above one photon (the
-    # cat-preparation probe took up to 2e-8, since R1 leaves half in |e>)
+    # both readers, the probe and the origin readout on the diagonal, refuse
+    # more than 1e-8 population above one photon (the cat-preparation probe
+    # took up to 2e-8, since R1 leaves half in |e>)
     for tail, refused in ((1.5e-8, True), (0.5e-8, False)):
         field = DensityOperator(np.diag([0.3, 0.7 - tail, tail, 0.0, 0.0, 0.0]))
         if refused:
             with pytest.raises(SubspaceError):
                 probe_atom(field, "resonant-2pi")
             with pytest.raises(SubspaceError):
-                direct_point_exact(field, 0.0, variant="resonant-2pi")
+                detection_probabilities(field.diagonal(), "resonant-2pi")
         else:
             probe_atom(field, "resonant-2pi")
-            direct_point_exact(field, 0.0, variant="resonant-2pi")
+            detection_probabilities(field.diagonal(), "resonant-2pi")
 
 
 def test_stacked_populations_read_row_by_row():
@@ -326,8 +331,8 @@ def test_prepare_cat_empty_cavity_is_deterministic():
 
 def test_perfect_correlations_at_zero_delay():
     scan = two_atom_scan(3.0, [0.0], MODEL, HilbertSpec(46))
-    assert scan.p_e2_given_e1[0] > 1 - 1e-6
-    assert scan.p_g2_given_g1[0] > 1 - 1e-6
+    assert scan["p_e2_given_e1"][0] > 1 - 1e-6
+    assert scan["p_g2_given_g1"][0] > 1 - 1e-6
 
 
 def test_prepare_cat_is_first_half_of_two_atom_run():
@@ -335,8 +340,8 @@ def test_prepare_cat_is_first_half_of_two_atom_run():
     alpha = 1.6
     scan = two_atom_scan(alpha, [0.0], MODEL, spec)
     branches = prepare_cat(alpha, spec)
-    assert abs(scan.branches["e"].probability - branches["e"].probability) < 1e-14
-    assert abs(scan.branches["g"].probability - branches["g"].probability) < 1e-14
+    assert abs(scan["branches"]["e"].probability - branches["e"].probability) < 1e-14
+    assert abs(scan["branches"]["g"].probability - branches["g"].probability) < 1e-14
 
 
 def test_statistical_mixture_gives_even_odds():
@@ -352,7 +357,7 @@ def test_statistical_mixture_gives_even_odds():
 
 def test_correlation_decays_to_zero():
     scan = two_atom_scan(np.sqrt(5.0), [8.0], MODEL, HilbertSpec(30))
-    assert scan.p_e2_given_e1[0] < 0.02
+    assert scan["p_e2_given_e1"][0] < 0.02
 
 
 def test_correlation_curve_monotone_with_plateau():
@@ -361,7 +366,7 @@ def test_correlation_curve_monotone_with_plateau():
     n_mean = 5.0
     t_dec = 1.0 / (2 * n_mean)
     delays = np.array([0.0, 1.0, 2.0, 3.0, 4.2, 6.0, 8.0, 10.0]) * t_dec
-    probs = two_atom_scan(np.sqrt(n_mean), delays, MODEL, HilbertSpec(30)).p_e2_given_e1
+    probs = two_atom_scan(np.sqrt(n_mean), delays, MODEL, HilbertSpec(30))["p_e2_given_e1"]
     assert np.all(np.diff(probs) < 1e-9)  # monotone decay
     plateau = (4.0 * t_dec <= delays) & (delays <= 10.5 * t_dec)
     assert np.all(np.abs(probs[plateau] - 0.5) <= 0.02)
@@ -375,18 +380,18 @@ def test_scan_hands_back_its_branch_trajectories():
     scan = two_atom_scan(alpha, delays, MODEL, spec)
     first = prepare_cat(alpha, spec)
     for o in ("e", "g"):
-        field = scan.branches[o].field()
+        field = scan["branches"][o].field()
         assert np.array_equal(field.matrix, first[o].field().matrix)
         want = evolve(field, MODEL, delays)
         for k, ref in enumerate(want):
-            assert (getattr(scan, f"p_e2_given_{o}1")[k]
-                    == probe_atom(ref)["e"].probability)
-    assert scan.delays.tolist() == delays
+            assert scan[f"p_e2_given_{o}1"][k] == probe_atom(ref)["e"].probability
+    assert sorted(scan) == ["branches", "p_e2", "p_e2_given_e1", "p_e2_given_g1",
+                            "p_g2_given_e1", "p_g2_given_g1"]
     # a degenerate first-atom branch has no field and reads nan
     vac = two_atom_scan(0.0, [0.0, 0.2], MODEL, HilbertSpec(8))
-    assert vac.branches["e"].field_after is None
-    assert np.isnan(vac.p_e2_given_e1).all() and np.isnan(vac.p_g2_given_e1).all()
-    assert np.array_equal(vac.p_e2, vac.p_e2_given_g1)
+    assert vac["branches"]["e"].field_after is None
+    assert np.isnan(vac["p_e2_given_e1"]).all() and np.isnan(vac["p_g2_given_e1"]).all()
+    assert np.array_equal(vac["p_e2"], vac["p_e2_given_g1"])
 
 
 def test_two_atom_rejects_negative_delay():
