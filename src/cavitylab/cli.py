@@ -89,9 +89,10 @@ def _or_list(single, listed):
 _NUMBER = _number()
 _POSITIVE = _number(exclusive_minimum=0)
 _ALPHA = _or_list(_NUMBER, _list(_NUMBER, 2, exact=True))
-# the keys each state kind reads; `alpha` is required wherever it is read
-_READS = {"vacuum": set(), "fock": {"n"}, "coherent": {"alpha"}, "cat": {"alpha", "psi1"},
-          "mixture": {"alpha"}, "damped-cat": {"alpha", "psi1", "t", "kappa"}}
+# the keys each state kind reads, with their defaults; `...` marks a required key
+_READS = {"vacuum": {}, "fock": {"n": 1}, "coherent": {"alpha": ...},
+          "cat": {"alpha": ..., "psi1": 0.0}, "mixture": {"alpha": ...},
+          "damped-cat": {"alpha": ..., "psi1": 0.0, "t": 0.1, "kappa": 1.0}}
 _STATE = _object({
     "kind": _one_of(*_READS),
     "n": _number(integral=True, minimum=0), "alpha": _ALPHA, "psi1": _NUMBER,
@@ -112,12 +113,12 @@ _TIMES = _or_list(
 
 def _state(value, where):
     state = _STATE(value, where)
-    unread = sorted(state.keys() - _READS[state["kind"]] - {"kind"})
+    unread = sorted(state.keys() - _READS[state["kind"]].keys() - {"kind"})
     if unread:
         raise _refuse(where, f"kind {state['kind']!r} does not read key {unread[0]!r}")
     if "alpha" in _READS[state["kind"]] and "alpha" not in state:
         raise _refuse(where, "'alpha' is a required property")
-    return state
+    return {**_READS[state["kind"]], **state}
 
 
 def _grid(value, where):
@@ -190,28 +191,29 @@ def _build_state(cfg: dict) -> tuple[fock.DensityOperator, float]:
     of an experiment's `state`, in its `dim` or by default in a truncation
     that allows for the thermal photons of its damping, if any."""
     state_cfg = cfg["state"]
-    kind, n = state_cfg["kind"], state_cfg.get("n", 1)
+    kind = state_cfg["kind"]
     alpha = _parse_alpha(state_cfg.get("alpha", 0.0))  # vacuum and fock take none
-    scale = float(np.sqrt(n)) if kind == "fock" else abs(alpha)
+    scale = float(np.sqrt(state_cfg["n"])) if kind == "fock" else abs(alpha)
     dim = cfg["dim"] or fock.default_dim(scale, cfg.get("n_thermal", 0.0))
     spec = fock.HilbertSpec(dim)
     if kind == "vacuum":
         rho = fock.pure_to_density(fock.vacuum(spec))
     elif kind == "fock":
+        n = state_cfg["n"]
         if n >= dim:
             raise ConfigError(f"fock state n = {n} needs dim > {n}, got dim {dim}")
         rho = fock.pure_to_density(fock.fock_state(spec, n))
     elif kind == "coherent":
         rho = fock.pure_to_density(fock.coherent_state(spec, alpha))
     elif kind == "cat":
-        rho = fock.pure_to_density(fock.cat_state(spec, alpha, state_cfg.get("psi1", 0.0)))
+        rho = fock.pure_to_density(fock.cat_state(spec, alpha, state_cfg["psi1"]))
     elif kind == "mixture":
         rho = fock.mix([fock.coherent_state(spec, alpha),
                         fock.coherent_state(spec, -alpha)], [0.5, 0.5])
     else:  # damped-cat
-        pure = fock.cat_state(spec, alpha, state_cfg.get("psi1", 0.0))
-        model = dynamics.DampingModel(kappa=state_cfg.get("kappa", 1.0))
-        rho = dynamics.evolve(fock.pure_to_density(pure), model, state_cfg.get("t", 0.1))
+        pure = fock.cat_state(spec, alpha, state_cfg["psi1"])
+        model = dynamics.DampingModel(kappa=state_cfg["kappa"])
+        rho = dynamics.evolve(fock.pure_to_density(pure), model, state_cfg["t"])
     return rho, scale
 
 
@@ -448,11 +450,9 @@ def run_selfcheck() -> list[tuple[str, bool, str]]:
     # one-photon values
     w_pt = wigner.wigner_point(one, 0.0)
     w_pos = wigner.wigner_position(one, 0.0, 0.0)
-    p_e, p_g = protocol.detection_probabilities(one.diagonal(), "resonant-2pi")
-    w_res = 2.0 * (p_g - p_e)
     mixed = fock.DensityOperator(np.diag([0.2, 0.8] + [0.0] * (spec.dim - 2)))
-    p_e, p_g = protocol.detection_probabilities(mixed.diagonal(), "resonant-2pi")
-    w_mix = 2.0 * (p_g - p_e)
+    w_res, w_mix = (2.0 * (b["g"].probability - b["e"].probability)
+                    for b in (protocol.probe_atom(rho, "resonant-2pi") for rho in (one, mixed)))
     ok = (abs(w_pt + 2) < 1e-9 and abs(w_pos + 2) < 1e-9
           and abs(w_res + 2) < 1e-9 and abs(w_mix + 1.2) < 1e-9)
     checks.append(("one-photon-origin", ok,

@@ -10,22 +10,20 @@ exactly the photon-number parity (-1)^n, so
     P_g - P_e = W(-alpha, -alpha*) / 2,
 and 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  No readout
 names its interaction: the opposite-shift probe has the same |m_s(n)|^2 bit
-for bit, so it reads the same probabilities, and the resonant probe reads
-the origin alone, where its readout is ``protocol.detection_probabilities``
-on rho0's own diagonal.  One
-``direct_point_exact`` call reads one alpha or an array of them: each alpha
-is injected with the exact elements <n|D(alpha)|j> (their real factors from
-``fock.radial_rows``, the phases moved onto rho0) and read on photon numbers
-n < N, its own N doubled past rho0.dim until the displaced populations
-capture Tr rho0 within 1e-10, so the readout matches the exact W of the
-truncated rho0 to rounding.  ``scan_map`` evaluates the same
+for bit, and the resonant probe reads the origin alone, through
+``protocol.probe_atom(rho0, "resonant-2pi")``, which guards its subspace.
+One ``direct_point_exact`` call reads one alpha or an array of them: each
+alpha is injected with the exact elements <n|D(alpha)|j> (their real
+factors from ``fock.radial_rows``, the phases moved onto rho0) and read on
+photon numbers n < N, its own N doubled past rho0.dim until the displaced
+populations capture Tr rho0 within 1e-10, so the readout matches the exact
+W of the truncated rho0 to rounding.  ``scan_map`` evaluates the same
 identity on a whole grid with the Laguerre kernel of ``wigner_map``, and
 ``monitor_origin`` at alpha = 0 along a damping trajectory, from the damped
-populations alone (``dynamics.damped_populations``).  The Kraus amplitudes
-satisfy |m_e(n)|^2 + |m_g(n)|^2 = 1 exactly, so P_e + P_g is Tr rho0 to
-rounding, which the DensityOperator gate already bounds; it is not checked
-again.  Detector inefficiency only erases shots, so the estimator stays
-unbiased.
+populations alone (``dynamics.damped_populations``).  As |m_e(n)|^2 +
+|m_g(n)|^2 = 1 exactly, P_e + P_g is Tr rho0 to rounding, which the
+DensityOperator gate already bounds; it is not checked again.  Detector
+inefficiency only erases shots, so the estimator stays unbiased.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ def direct_point_exact(rho0: DensityOperator, alpha) -> tuple:
     probs = np.empty((2,) + alpha.shape)
     p_e, p_g = probs.reshape(2, -1)
     for index, pops in _populations(rho0, alpha.ravel()):
-        p_e[index], p_g[index] = protocol.detection_probabilities(pops, "dispersive")
+        p_e[index], p_g[index] = protocol.detection_probabilities(pops)
     return probs[0][()], probs[1][()]
 
 
@@ -123,22 +121,21 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     estimate and its stderr, the last two NaN unless `n_shots` > 0.  Time k
     draws its shots from child k of SeedSequence(seed).spawn(T).
 
-    The probe reads photon-number populations only, and damping carries
-    them apart from the coherences, so only the damped populations
+    The probe reads photon-number populations only, and damping carries them
+    apart from the coherences, so only the damped populations
     (``dynamics.damped_populations``) are formed, and every time is read by
-    one Born-rule call.  For an even cat the series starts near +2,
-    collapses toward 0 on the decoherence timescale, and climbs back to +2
-    as the field empties.  Raises DomainError for no times, an `n_shots`
-    that is not an integer >= 0, an `efficiency` outside [0, 1] or a `seed`
-    that is neither None nor an integer >= 0, and TruncationError when the
-    damped populations put more than 1e-8 on the top Fock level.
-    """
+    one Born-rule call.  For an even cat the series starts near +2, collapses
+    toward 0 on the decoherence timescale, and climbs back to +2 as the field
+    empties.  Raises DomainError for a `rho0` that is not a DensityOperator,
+    no times, an `n_shots` that is not an integer >= 0, an `efficiency`
+    outside [0, 1] or a `seed` that is neither None nor an integer >= 0, and
+    TruncationError when the damped populations put more than 1e-8 on the
+    top Fock level."""
     n_shots = number(n_shots, "n_shots", integral=True, minimum=0)
     seed = seed if seed is None else number(seed, "seed", integral=True, minimum=0)
     number(efficiency, "efficiency", minimum=0, maximum=1)
     times = np.asarray(times, dtype=float)
-    pops = damped_populations(rho0.matrix[None], model, times)[0]
-    p_e, p_g = protocol.detection_probabilities(pops, "dispersive")
+    p_e, p_g = protocol.detection_probabilities(damped_populations([rho0], model, times)[0])
     w0 = np.full((3, times.size), np.nan)
     w0[0] = 2.0 * (p_g - p_e)
     if n_shots > 0:

@@ -20,11 +20,11 @@ first-atom branches of a delay scan) through the same propagators, one
 expm per diagonal and per group of time steps that differ only by
 rounding, checks the trace, and hands out the damped diagonals one at a
 time, k = 0 first.  A diagonal that is zero in every input stays zero
-and is skipped.  Readers of a few functionals take the diagonals without
-forming matrices: ``damped_populations`` reads k = 0 alone, all that the
-atom's Born rule needs (``protocol``, ``direct``), and
-``coherence_trajectory`` reads the cat coherence, <n> and the trace;
-``evolve`` assembles the matrices.
+and is skipped.  Every public reader takes DensityOperators, whose gate
+alone decides what is a state.  ``damped_populations`` reads k = 0 alone,
+all that the atom's Born rule needs (``protocol``, ``direct``), and
+``coherence_trajectory`` the cat coherence, <n> and the trace, without
+forming matrices; ``evolve`` assembles the matrices.
 
 At n_thermal = 0 the vacuum is a fixed point, a coherent |alpha> stays
 coherent with amplitude alpha e^{-kappa t/2}, and <n>(t) = <n>(0) e^{-kappa t}.
@@ -179,19 +179,18 @@ def _diagonals(mats: np.ndarray, model: DampingModel, times):
         yield k, x
 
 
-def damped_populations(mats: np.ndarray, model: DampingModel, times) -> np.ndarray:
-    """Photon-number populations of a stack of unit-trace Hermitian matrices,
-    shape (B, dim, dim), damped to the sorted nonnegative `times`: shape
-    (B, T, dim), the first diagonal of ``_diagonals``, which the damping
-    carries apart from the coherences.  Refuses no times or a non-finite
-    entry of `mats` (DomainError), a trace drift (``_diagonals``) and more
-    than 1e-8 on the top Fock level at any time: the truncation is too small
-    for the damping (TruncationError)."""
+def damped_populations(rhos, model: DampingModel, times) -> np.ndarray:
+    """Photon-number populations, shape (B, T, dim), of B DensityOperators of
+    one dimension (a list or tuple) damped to the sorted nonnegative `times`.
+    Refuses other `rhos` or no times (DomainError), a trace drift
+    (IntegrationError) and more than 1e-8 on the top level (TruncationError)."""
     if np.size(times) == 0:
         raise DomainError("need at least one time")
-    array(np.abs(mats), "mats")
+    if not (isinstance(rhos, (list, tuple)) and all(isinstance(r, DensityOperator) for r in rhos)
+            and len({r.dim for r in rhos}) == 1):
+        raise DomainError(f"rhos must be DensityOperators of one dimension, got {type(rhos)}")
     # diagonal 0 comes first and is never zero in a matrix of unit trace
-    pops = next(_diagonals(mats, model, times))[1].real
+    pops = next(_diagonals(np.stack([r.matrix for r in rhos]), model, times))[1].real
     bound(float(np.max(pops[..., -1])), 1e-8,
           f"damped top-level population (dim {pops.shape[-1]})", TruncationError)
     return pops

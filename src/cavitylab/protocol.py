@@ -18,7 +18,9 @@ direct readouts) measures photon-number parity, so each variant runs at
 the one pair of angles (phi, eta) at which its weights
 |m_g(n)|^2 - |m_e(n)|^2 equal (-1)^n.  There every arm phase is a quarter
 turn, and ``field_kraus`` writes the amplitudes exactly: the weights are
-(-1)^n with no rounding (the tests check every n < 2^19).
+(-1)^n with no rounding (the tests check every n < 2^19).  The variants
+share |m_s(n)|^2 there, so the Born rule names no interaction; only
+``probe_atom`` does, and it guards the resonant probe's subspace.
 """
 
 from __future__ import annotations
@@ -93,25 +95,21 @@ class Branch:
         return self.field_after
 
 
-def detection_probabilities(pops, variant: str) -> tuple:
-    """Born rule of one atom reading fields with photon-number populations
-    `pops`, shape (..., dim): (P_e, P_g), each of shape (...), with
-    P_s = sum_n |m_s(n)|^2 pops_n and m from ``field_kraus``.  A population
-    that is not finite or is below -1e-12 (the DensityOperator gate's floor),
-    and populations with no level axis or no levels, raise DomainError.  The
-    resonant probe is exact only on n <= 1, so it refuses (SubspaceError) a
-    field with more than 1e-8 above one photon."""
+def detection_probabilities(pops) -> tuple:
+    """Born rule of one parity probe reading fields with photon-number
+    populations `pops`, shape (..., dim): (P_e, P_g), each of shape (...),
+    with P_s = sum_n |m_s(n)|^2 pops_n and m the pi-dispersive amplitudes of
+    ``field_kraus``, whose |m_s|^2 every variant shares.  A population not
+    finite or below -1e-12 (the DensityOperator gate's floor), and
+    populations with no level axis or no levels, raise DomainError."""
     pops = array(pops, "pops", minimum=-1e-12)
     levels = number(pops.shape[-1] if pops.ndim else 0, "levels of pops", minimum=1)
-    return _born(field_kraus(variant, levels), pops, variant)
+    return _born(field_kraus("dispersive", levels), pops)
 
 
-def _born(m: np.ndarray, pops: np.ndarray, variant: str) -> tuple:
+def _born(m: np.ndarray, pops: np.ndarray) -> tuple:
     """``detection_probabilities`` with the Kraus amplitudes m already built,
     for a caller that also reads the post-measurement fields."""
-    if variant == "resonant-2pi":
-        bound(float(np.max(np.sum(np.abs(pops[..., 2:]), axis=-1), initial=0.0)), 1e-8,
-              "resonant probe's field population above one photon", SubspaceError)
     # a sum along each row rounds alike whatever the stack's shape
     return (pops * np.abs(m[_E]) ** 2).sum(-1), (pops * np.abs(m[_G]) ** 2).sum(-1)
 
@@ -119,13 +117,19 @@ def _born(m: np.ndarray, pops: np.ndarray, variant: str) -> tuple:
 def probe_atom(field, variant: str = "dispersive") -> dict[str, Branch]:
     """Send one atom (prepared in |e>) through R1 -> interaction -> R2 -> detector;
     returns both branches with Born probabilities and post-measurement fields.
-    A `field` that is not a FieldState or DensityOperator raises DomainError."""
+    A `field` that is not a FieldState or DensityOperator raises DomainError;
+    the resonant probe, exact only on n <= 1, refuses (SubspaceError) a field
+    with more than 1e-8 above one photon."""
     if isinstance(field, FieldState):
         field = pure_to_density(field)
     elif not isinstance(field, DensityOperator):
         raise DomainError(f"field must be FieldState or DensityOperator, got {type(field)}")
+    pops = field.diagonal()
+    if variant == "resonant-2pi":
+        bound(float(np.sum(np.abs(pops[2:]))), 1e-8,
+              "resonant probe's field population above one photon", SubspaceError)
     m = field_kraus(variant, field.dim)
-    probs = _born(m, field.diagonal(), variant)
+    probs = _born(m, pops)
     out = {}
     for idx, name in ((_E, "e"), (_G, "g")):
         p = float(probs[idx])
@@ -162,9 +166,8 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
     delays = np.asarray(delays, dtype=float)
     first = prepare_cat(alpha, spec or HilbertSpec(default_dim(abs(alpha), model.n_thermal)))
     live = [o for o in ("e", "g") if first[o].field_after is not None]
-    pops = damped_populations(np.stack([first[o].field_after.matrix for o in live]),
-                              model, delays)
-    p_e, p_g = detection_probabilities(pops, "dispersive")
+    pops = damped_populations([first[o].field_after for o in live], model, delays)
+    p_e, p_g = detection_probabilities(pops)
     cond = {o: np.full((2, delays.size), np.nan) for o in ("e", "g")}
     cond.update({o: (p_e[b], p_g[b]) for b, o in enumerate(live)})
     return {"branches": first,

@@ -302,7 +302,8 @@ def hermite_functions(x, nmax: int) -> np.ndarray:
     """Oscillator eigenfunctions psi_n(x), n < nmax, by stable upward recurrence."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax, x.size))
-    out[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
+    with np.errstate(over="ignore"):  # past |x| ~ 1e154, x^2 is inf and psi_0 reads 0
+        out[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
     if nmax > 1:
         out[1] = np.sqrt(2.0) * x * out[0]
     # psi_n = sqrt(2/n) x psi_{n-1} - sqrt((n-1)/n) psi_{n-2}, in place

@@ -28,7 +28,6 @@ from cavitylab import (
     coherent_state,
     decoherence_time,
     default_grid,
-    detection_probabilities,
     direct_point_exact,
     fock_state,
     mix,
@@ -105,12 +104,10 @@ def test_criterion_02_one_photon_origin():
     one = pure_to_density(fock_state(spec, 1))
     w_pt = wigner_point(one, 0.0)
     w_pos = wigner_position(one, 0.0, 0.0)
-    # the resonant probe reads the origin alone: the Born rule on the diagonal
-    p_e, p_g = detection_probabilities(one.diagonal(), "resonant-2pi")
-    w_res = 2.0 * (p_g - p_e)
+    # the resonant probe reads the origin alone
     mixed = DensityOperator(np.diag([0.2, 0.8] + [0.0] * (spec.dim - 2)))
-    p_e, p_g = detection_probabilities(mixed.diagonal(), "resonant-2pi")
-    w_mix = 2.0 * (p_g - p_e)
+    w_res, w_mix = (2.0 * (b["g"].probability - b["e"].probability)
+                    for b in (probe_atom(rho, "resonant-2pi") for rho in (one, mixed)))
     # diagonal parity oracle: 2 * sum_n (-1)^n p_n
     oracle_mix = 2.0 * float(np.sum((-1.0) ** np.arange(spec.dim)
                                     * mixed.diagonal()))

@@ -655,11 +655,12 @@ def test_integral_floats_run_as_ints(tmp_path, experiment, as_int, as_float):
 
 
 def test_resolved_defaults():
-    state = {"kind": "cat", "alpha": 1.0}
+    given = {"kind": "cat", "alpha": 1.0}
+    state = {**given, "psi1": 0.0}  # the state's own default is resolved too
     resolved = {name: cli.resolve_config(name, raw) for name, raw in (
         ("prepare-cat", {"alpha": 1.0}), ("decoherence-scan", {"alpha": 1.0}),
-        ("wigner-map", {"state": state}), ("tomography", {"state": state}),
-        ("direct-map", {"state": state}), ("direct-monitor", {"state": state}),
+        ("wigner-map", {"state": given}), ("tomography", {"state": given}),
+        ("direct-map", {"state": given}), ("direct-monitor", {"state": given}),
         ("pauli-demo", {}), ("selfcheck", {}))}
     assert resolved == {
         "prepare-cat": {"alpha": 1.0, "dim": None},
@@ -675,6 +676,24 @@ def test_resolved_defaults():
         "pauli-demo": {"grid": None},
         "selfcheck": {},
     }
+
+
+def test_manifest_records_every_state_default(tmp_path):
+    # n, psi1, t and kappa were applied through dict.get and left out of the
+    # resolved config, so omitting them wrote another manifest and config hash
+    for omitted, stated in (({"kind": "damped-cat", "alpha": 2.0},
+                             {"kind": "damped-cat", "alpha": 2.0, "psi1": 0.0, "t": 0.1,
+                              "kappa": 1.0}),
+                            ({"kind": "fock"}, {"kind": "fock", "n": 1})):
+        manifests = []
+        for k, state in enumerate((omitted, stated)):
+            out = tmp_path / f"{state['kind']}{k}"
+            cfg = write_config(tmp_path, f"{state['kind']}{k}.json",
+                               {"state": state, "grid": {"span": 2.0, "step": 0.5}})
+            assert run_cli(["wigner-map", "--config", cfg, "--out", str(out)]) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["config"]["state"] == stated
 
 
 def test_seed_and_dim_flags_only_where_read(tmp_path, capsys):
@@ -815,8 +834,10 @@ CAT2 = {"kind": "cat", "alpha": 2.0}
     ("tomography", {"state": CAT2, "q_range": 1e308}, "DomainError"),
     ("decoherence-scan", {"alpha": 2.0, "n_thermal": 1e308}, "DomainError"),
     ("direct-monitor", {"state": CAT2, "n_thermal": 1e308}, "DomainError"),
+    # past |q| ~ 1e154 the Hermite functions' x^2 overflowed: numpy warned
+    ("tomography", {"state": CAT2, "q_range": 1e200, "bin_width": 1e199}, "SamplingError"),
 ], ids=["far-delay", "far-thermal-delay", "bin-width", "q-range", "scan-n-thermal",
-        "monitor-n-thermal"])
+        "monitor-n-thermal", "huge-window"])
 def test_sizes_that_overflow_exit_as_numerical_failures(tmp_path, capsys, experiment,
                                                         config, error):
     # each printed a traceback and exited 1: numpy's overflow warning (under

@@ -387,7 +387,7 @@ def test_monitor_reads_the_populations_of_the_damped_state(n_th):
     times = [0.0, 0.0, 0.15, 0.15, 0.6, 2.0]
     w0 = monitor_origin(rho, model, times)[0]
     for k, rho_t in enumerate(evolve(rho, model, times)):
-        p_e, p_g = protocol.detection_probabilities(rho_t.diagonal(), "dispersive")
+        p_e, p_g = protocol.detection_probabilities(rho_t.diagonal())
         assert w0[k] == 2.0 * (p_g - p_e)
 
 
@@ -395,10 +395,9 @@ def test_monitor_reads_the_populations_of_the_damped_state(n_th):
 
 
 def resonant_origin(rho):
-    """2 (P_g - P_e) of the resonant probe, which reads the origin alone:
-    the Born rule on rho's own diagonal."""
-    p_e, p_g = protocol.detection_probabilities(rho.diagonal(), "resonant-2pi")
-    return 2.0 * (p_g - p_e)
+    """2 (P_g - P_e) of the resonant probe, which reads the origin alone."""
+    branches = protocol.probe_atom(rho, "resonant-2pi")
+    return 2.0 * (branches["g"].probability - branches["e"].probability)
 
 
 def test_resonant_variant_one_photon():
@@ -413,7 +412,8 @@ def test_resonant_variant_imperfect_photon():
 
 def test_opposite_shift_variant_matches_standard_readout(corpus):
     # the opposite-shift probe reads the displaced populations with the
-    # pi-dispersive probe's probabilities, bit for bit
+    # pi-dispersive probe's probabilities, bit for bit: the Born rule with its
+    # own Kraus weights gives what the readout gives
     from cavitylab.direct import _populations
 
     rho = corpus["cat_even"]
@@ -421,5 +421,6 @@ def test_opposite_shift_variant_matches_standard_readout(corpus):
     alphas = rng.normal(scale=0.7, size=6) + 1j * rng.normal(scale=0.7, size=6)
     p_e, p_g = direct_point_exact(rho, alphas)
     for index, pops in _populations(rho, alphas):
-        opp_e, opp_g = protocol.detection_probabilities(pops, "opposite")
+        weights = np.abs(protocol.field_kraus("opposite", pops.shape[-1])) ** 2
+        opp_e, opp_g = (pops * weights[0]).sum(-1), (pops * weights[1]).sum(-1)
         assert np.array_equal(opp_e, p_e[index]) and np.array_equal(opp_g, p_g[index])

@@ -137,7 +137,7 @@ def test_evolve_takes_one_time_or_a_trajectory_and_checks_every_trace():
     cat = pure_to_density(cat_state(HilbertSpec(20), 1.5, 0.0))
     times = [0.0, 1e8]
     for read in (lambda: evolve(cat, MODEL, times),
-                 lambda: dynamics.damped_populations(cat.matrix[None], MODEL, times),
+                 lambda: dynamics.damped_populations([cat], MODEL, times),
                  lambda: coherence_trajectory(cat, MODEL, times, 1.5)):
         with pytest.raises(IntegrationError, match="trace drift"):
             read()

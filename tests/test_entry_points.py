@@ -96,17 +96,14 @@ CALLS = {
     "DampingModel.n_thermal": lambda x: DampingModel(1.0, x),
     "coherence_trajectory.times": lambda x: coherence_trajectory(RHO, MODEL, [0.0, x], 1.0),
     "coherence_trajectory.alpha": lambda x: coherence_trajectory(RHO, MODEL, [0.0, 1.0], x),
-    "damped_populations.times": lambda x: damped_populations(RHO.matrix[None], MODEL,
-                                                             [0.0, x]),
-    "damped_populations.mats": lambda x: damped_populations(
-        np.diag(np.r_[x, 1 - x, np.zeros(8)])[None], MODEL, [0.0, 1.0]),
+    "damped_populations.times": lambda x: damped_populations([RHO], MODEL, [0.0, x]),
     "decoherence_time.mean_n": lambda x: decoherence_time(MODEL, x),
     "evolve.t": lambda x: evolve(RHO, MODEL, x),
     "separation_measure.d": lambda x: separation_measure(x, 1.0, 1.0),
     "separation_measure.mass": lambda x: separation_measure(1.0, x, 1.0),
     "separation_measure.temperature": lambda x: separation_measure(1.0, 1.0, x),
     "field_kraus.dim": lambda x: field_kraus("dispersive", x),
-    "detection_probabilities.pops": lambda x: detection_probabilities([x, 1 - x], "dispersive"),
+    "detection_probabilities.pops": lambda x: detection_probabilities([x, 1 - x]),
     "prepare_cat.alpha": lambda x: prepare_cat(x),
     "two_atom_scan.alpha": lambda x: two_atom_scan(x, [0.0, 1.0], MODEL),
     "two_atom_scan.delays": lambda x: two_atom_scan(1.0, [0.0, x], MODEL),
@@ -168,7 +165,6 @@ VALID = {
     "coherence_trajectory.times": {"0", "2.5"},
     "coherence_trajectory.alpha": {"-1", "0", "2.5"},
     "damped_populations.times": {"0", "2.5"},
-    "damped_populations.mats": {"-1", "0", "2.5"},  # still unit-trace Hermitian matrices
     "decoherence_time.mean_n": {"2.5"},
     "evolve.t": {"0", "2.5"},
     "separation_measure.d": {"2.5"},
@@ -218,8 +214,9 @@ PARTLY_NAN = {
     ("monitor_origin.n_shots", "0"): lambda w0: w0[0],
 }
 
-# exports with no number to sweep
+# exports, or parameters of a swept export, with no number to sweep
 NOT_SWEPT = {
+    "damped_populations.rhos": "takes density operators",
     "DensityOperator": "takes a matrix; its gate refuses a non-finite entry",
     "FieldState": "takes an amplitude array, the value record of the constructors",
     "WignerMap": "takes a grid and a values array",
@@ -251,8 +248,8 @@ def test_every_export_is_swept_or_has_no_number():
                if not name.startswith("_") and not inspect.ismodule(obj)
                and not (inspect.isclass(obj) and issubclass(obj, Exception))}
     swept = {key.split(".")[0] for key in CALLS}
-    assert exports == swept | NOT_SWEPT.keys()
-    assert not swept & NOT_SWEPT.keys()
+    assert exports == swept | {key.split(".")[0] for key in NOT_SWEPT}
+    assert not (swept | CALLS.keys()) & NOT_SWEPT.keys()
     assert VALID.keys() <= CALLS.keys()
     assert all(labels <= SUBSTITUTES.keys() for labels in VALID.values())
 
@@ -332,19 +329,33 @@ def test_detection_probabilities_refuses_populations_no_state_has():
     # [-1, 2] read P_e = 2 and P_g = -1, [nan, 1] read NaN, and a plain list
     # raised a bare AttributeError
     with pytest.raises(DomainError, match=r"-1.0 is less than the minimum of -1e-12 \(pops\)"):
-        detection_probabilities(np.array([-1.0, 2.0]), "dispersive")
+        detection_probabilities(np.array([-1.0, 2.0]))
     with pytest.raises(DomainError, match=r"nan is not a finite number \(pops\)"):
-        detection_probabilities(np.array([np.nan, 1.0]), "dispersive")
-    listed = detection_probabilities([0.25, 0.75], "dispersive")
-    assert np.array_equal(listed, detection_probabilities(np.array([0.25, 0.75]), "dispersive"))
+        detection_probabilities(np.array([np.nan, 1.0]))
+    listed = detection_probabilities([0.25, 0.75])
+    assert np.array_equal(listed, detection_probabilities(np.array([0.25, 0.75])))
 
 
-def test_damped_populations_refuses_a_non_finite_matrix_entry():
-    # one NaN entry in the stack read as NaN populations
-    mats = np.stack([RHO.matrix, RHO.matrix])
-    mats[1, 0, 0] = np.nan
-    with pytest.raises(DomainError, match=r"\(mats\)"):
-        damped_populations(mats, MODEL, [0.0, 1.0])
+@pytest.mark.parametrize("diag", [[1.0, 1.0, 0, 0], [0.5, 0.5j, 0, 0], [1.5, -0.5, 0, 0]],
+                         ids=["trace-2", "imaginary-population", "negative-population"])
+def test_damped_populations_refuses_a_raw_stack_that_holds_no_state(diag):
+    # a raw stack was read as states: a trace of 2 read populations [1, 1]
+    # then [1.39, 0.61], an imaginary population was dropped and a negative
+    # one stayed negative; the DensityOperator gate refuses each matrix
+    with pytest.raises(DomainError, match="DensityOperators of one dimension"):
+        damped_populations(np.array([np.diag(diag)]), MODEL, [0.0, 0.5])
+    with pytest.raises(CavityLabError):
+        DensityOperator(np.diag(diag))
+
+
+@pytest.mark.parametrize("rhos", [[], [RHO, RHO.matrix],
+                                  [RHO, pure_to_density(vacuum(HilbertSpec(4)))]],
+                         ids=["empty", "non-state-element", "two-dimensions"])
+def test_damped_populations_takes_density_operators_of_one_dimension(rhos):
+    with pytest.raises(DomainError, match="DensityOperators of one dimension"):
+        damped_populations(rhos, MODEL, [0.0, 0.5])
+    assert np.array_equal(damped_populations((RHO, RHO), MODEL, [0.0, 0.5]),
+                          damped_populations([RHO, RHO], MODEL, [0.0, 0.5]))
 
 
 def test_inverse_radon_refuses_a_non_finite_density():
@@ -392,7 +403,7 @@ def test_reconstruct_from_samples_refuses_a_two_dimensional_angle_array():
 def test_damping_reads_a_scalar_time_as_one_time():
     # a scalar time raised a bare ValueError from np.diff
     for read in (lambda t: coherence_trajectory(RHO, MODEL, t, 1.0),
-                 lambda t: damped_populations(RHO.matrix[None], MODEL, t)):
+                 lambda t: damped_populations([RHO], MODEL, t)):
         assert np.array_equal(np.asarray(read(0.5)), np.asarray(read([0.5])))
 
 
@@ -414,7 +425,7 @@ def test_detection_probabilities_refuses_populations_with_no_levels():
     # a scalar raised a bare IndexError, and zero levels read P_e = P_g = 0
     for pops in (0.5, np.zeros((3, 0))):
         with pytest.raises(DomainError, match=r"\(levels of pops\)"):
-            detection_probabilities(pops, "dispersive")
+            detection_probabilities(pops)
 
 
 def test_decoherence_time_and_separation_measure_refuse_an_infinite_result():
@@ -432,7 +443,7 @@ def test_damping_refuses_a_time_at_which_the_trace_is_lost():
     # overflow now reaches the trace bound as NaN, with no warning
     rho = pure_to_density(cat_state(HilbertSpec(20), 1.5, 0.0))
     for model in (MODEL, DampingModel(1.0, 0.05)):
-        reads = (lambda t: damped_populations(rho.matrix[None], model, [0.0, t]),
+        reads = (lambda t: damped_populations([rho], model, [0.0, t]),
                  lambda t: coherence_trajectory(rho, model, [0.0, t], 1.5),
                  lambda t: evolve(rho, model, [0.0, t]))
         for read in reads:
@@ -442,7 +453,7 @@ def test_damping_refuses_a_time_at_which_the_trace_is_lost():
                     with pytest.raises(IntegrationError, match="trace drift .+ exceeds"):
                         read(t)
         with pytest.raises(IntegrationError, match="trace drift nan exceeds"):
-            damped_populations(rho.matrix[None], model, [0.0, 1e308])
+            damped_populations([rho], model, [0.0, 1e308])
 
 
 def test_expm_does_not_square_a_matrix_of_non_finite_norm():

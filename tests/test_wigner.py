@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,13 +26,14 @@ from cavitylab import (
     promote,
     pure_to_density,
     radon_of_map,
+    sample_homodyne,
     vacuum,
     wigner_map,
     wigner_point,
     wigner_position,
 )
 from cavitylab import wigner
-from cavitylab.errors import DomainError, QuadratureError
+from cavitylab.errors import DomainError, QuadratureError, SamplingError
 from cavitylab.fock import laguerre_functions
 from cavitylab.wigner import _BLOCK, WignerMap, _bilinear, _gh_nodes, hermite_functions
 
@@ -713,6 +715,19 @@ def test_hermite_recurrence_in_place_is_bitwise_the_expression():
         xs = rng.uniform(-12.0, 12.0, size)
         for nmax in (1, 2, 26, 82):
             assert np.array_equal(hermite_functions(xs, nmax), by_expression(xs, nmax))
+
+
+def test_hermite_functions_vanish_without_a_warning_past_the_square_overflow():
+    # past |x| ~ 1e154, x * x overflowed and numpy warned; psi_n there is 0,
+    # so sample_homodyne's CDF bound refuses such a window with a typed error
+    rho = pure_to_density(cat_state(HilbertSpec(30), 2.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = hermite_functions(np.array([-1e200, 1e155, 3.0]), 6)
+        with pytest.raises(SamplingError):
+            sample_homodyne(rho, 0.0, 100, 1, bin_width=1e199, q_range=1e200)
+    assert not psi[:, :2].any()
+    np.testing.assert_array_equal(psi[:, 2], hermite_functions(3.0, 6)[:, 0])
 
 
 def test_gauss_hermite_nodes_match_scipy():
