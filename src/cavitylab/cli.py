@@ -169,9 +169,7 @@ OPTIONS = {
 
 
 def _parse_alpha(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    return complex(value[0], value[1])
+    return complex(*value) if isinstance(value, list) else complex(value)
 
 
 def resolve_config(experiment: str, raw: dict) -> dict:
@@ -408,9 +406,7 @@ def _run_direct_monitor(cfg: dict, writer: ArtifactWriter) -> None:
 
 
 def _run_pauli_demo(cfg: dict, writer: ArtifactWriter) -> None:
-    grid = _build_grid(cfg["grid"], 2.0)
-    report = tomo.pauli_incompleteness_demo(grid)
-    writer.json("pauli_demo.json", report)
+    writer.json("pauli_demo.json", tomo.pauli_incompleteness_demo(_build_grid(cfg["grid"], 2.0)))
 
 
 def _run_selfcheck(cfg: dict, writer: ArtifactWriter) -> int:

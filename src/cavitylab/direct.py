@@ -1,6 +1,6 @@
-"""Direct Wigner measurement: inject a coherent amplitude, run one atom
-through the Ramsey interferometer with a conditional phase shift, and read
-the detection probabilities.
+"""Direct Wigner measurement (Lutterbach & Davidovich, PRL 78, 2547 (1997)):
+inject a coherent amplitude, run one atom through the Ramsey interferometer
+with a conditional phase shift, and read the detection probabilities.
 
 Defining identity (the module's executable contract): the atom reads the
 field through the weights w(n) = |m_g(n)|^2 - |m_e(n)|^2 of its Kraus
@@ -8,7 +8,9 @@ operators (``protocol.field_kraus``), so P_g - P_e = Tr[D rho D^dag diag(w)].
 The readouts use the pi-dispersive weights, which at the parity angles are
 exactly the photon-number parity (-1)^n, so
     P_g - P_e = W(-alpha, -alpha*) / 2,
-and 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)``.  No readout
+and 2 (P_g - P_e) equals ``wigner.wigner_point(rho0, -alpha)`` to rounding
+for every state the DensityOperator gate passes: it keeps rho0's Hermitian
+part, which this readout and the Laguerre series both read.  No readout
 names its interaction: the opposite-shift probe has the same |m_s(n)|^2 bit
 for bit, and the resonant probe reads the origin alone, through
 ``protocol.probe_atom(rho0, "resonant-2pi")``, which guards its subspace.
@@ -16,14 +18,13 @@ One ``direct_point_exact`` call reads one alpha or an array of them: each
 alpha is injected with the exact elements <n|D(alpha)|j> (their real
 factors from ``fock.radial_rows``, the phases moved onto rho0) and read on
 photon numbers n < N, its own N doubled past rho0.dim until the displaced
-populations capture Tr rho0 within 1e-10, so the readout matches the exact
-W of the truncated rho0 to rounding.  ``scan_map`` evaluates the same
+populations capture Tr rho0 within 1e-10.  ``scan_map`` evaluates the same
 identity on a whole grid with the Laguerre kernel of ``wigner_map``, and
 ``monitor_origin`` at alpha = 0 along a damping trajectory, from the damped
 populations alone (``dynamics.damped_populations``).  As |m_e(n)|^2 +
 |m_g(n)|^2 = 1 exactly, P_e + P_g is Tr rho0 to rounding, which the
-DensityOperator gate already bounds; it is not checked again.  Detector
-inefficiency only erases shots, so the estimator stays unbiased.
+DensityOperator gate already bounds.  Detector inefficiency only erases
+shots, so the estimator stays unbiased.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from numpy.random import SeedSequence, default_rng
 
 from . import protocol
 from .dynamics import DampingModel, damped_populations
-from .errors import NoDetectionError, number
+from .errors import NoDetectionError, complex_array, number
 from .fock import MAX_DISPLACED_ENTRIES, DensityOperator, radial_rows
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
 
@@ -77,8 +78,9 @@ def direct_point_exact(rho0: DensityOperator, alpha) -> tuple:
     """Exact Born probabilities (P_e, P_g) of one pi-dispersive probe atom at
     each injection alpha, shaped like `alpha` (NumPy scalars for a scalar
     alpha); the atom reads W(-alpha) = 2 (P_g - P_e).  Every alpha reads what
-    its own one-point call reads, bit for bit."""
-    alpha = np.asarray(alpha, dtype=complex)
+    its own one-point call reads, bit for bit; DomainError for an alpha that
+    is not a finite number."""
+    alpha = complex_array(alpha, "alpha")
     probs = np.empty((2,) + alpha.shape)
     p_e, p_g = probs.reshape(2, -1)
     for index, pops in _populations(rho0, alpha.ravel()):
@@ -127,18 +129,18 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     one Born-rule call.  For an even cat the series starts near +2, collapses
     toward 0 on the decoherence timescale, and climbs back to +2 as the field
     empties.  Raises DomainError for a `rho0` that is not a DensityOperator,
-    no times, an `n_shots` that is not an integer >= 0, an `efficiency`
+    no times or times that are not sorted finite numbers >= 0, an `n_shots`
+    that is not an integer >= 0, an `efficiency`
     outside [0, 1] or a `seed` that is neither None nor an integer >= 0, and
     TruncationError when the damped populations put more than 1e-8 on the
     top Fock level."""
     n_shots = number(n_shots, "n_shots", integral=True, minimum=0)
     seed = seed if seed is None else number(seed, "seed", integral=True, minimum=0)
     number(efficiency, "efficiency", minimum=0, maximum=1)
-    times = np.asarray(times, dtype=float)
     p_e, p_g = protocol.detection_probabilities(damped_populations([rho0], model, times)[0])
-    w0 = np.full((3, times.size), np.nan)
+    w0 = np.full((3, p_e.size), np.nan)
     w0[0] = 2.0 * (p_g - p_e)
     if n_shots > 0:
-        for k, child in enumerate(SeedSequence(seed).spawn(times.size)):
+        for k, child in enumerate(SeedSequence(seed).spawn(p_e.size)):
             w0[1:, k] = _sample(float(p_e[k]), n_shots, efficiency, child)[1:]
     return w0

@@ -1,7 +1,8 @@
 """Exception types shared across the package, the rules by which every
 entry point checks its arguments (``number`` for a scalar, the CLI's option
-table too, and ``array`` for the entries of an array), and ``bound``, the
-one place a measured value meets its tolerance."""
+table too, ``array`` for the entries of a real array and ``complex_array``
+for those of a complex one), and ``bound``, the one place a measured value
+meets its tolerance."""
 
 import math
 import numbers
@@ -88,17 +89,27 @@ def number(value, name, integral=False, minimum=None, exclusive_minimum=None, ma
     raise DomainError(f"{value!r} {what} ({name})")
 
 
-def array(value, name, minimum=None, below=None):
-    """`value` as a float array when its entries are finite real numbers, at
-    least `minimum` and below `below`; otherwise a DomainError that quotes
-    the first refused entry and ends with `(name)`, as ``number``'s do."""
+def _entries(value, name, kinds):
     try:
         values = np.asarray(value)
     except ValueError:  # numpy refuses a ragged nesting of sequences
         raise DomainError(f"ragged entries do not form an array ({name})") from None
-    if values.dtype.kind not in "iuf":
+    if values.dtype.kind not in kinds:
         raise DomainError(f"entries of dtype {values.dtype} are not of type 'number' ({name})")
-    values = values.astype(float, copy=False)
+    return values
+
+
+def array(value, name, minimum=None, below=None):
+    """`value` as a float array when its entries are finite real numbers, at
+    least `minimum` and below `below`; otherwise a DomainError that quotes
+    the first refused entry and ends with `(name)`, as ``number``'s do."""
+    values = _entries(value, name, "iuf").astype(float, copy=False)
+    # a finite sum of squares (which may overflow) and extremes within the
+    # bounds pass every entry; only an array that fails is searched
+    if (math.isfinite(np.vdot(values, values))
+            and (minimum is None or values.min(initial=np.inf) >= minimum)
+            and (below is None or values.max(initial=-np.inf) < below)):
+        return values
     refused = ~np.isfinite(values)
     if minimum is not None:
         refused |= values < minimum
@@ -110,6 +121,12 @@ def array(value, name, minimum=None, below=None):
         raise DomainError(f"{entry!r} is greater than or equal to the maximum of {below!r} "
                           f"({name})")
     return values
+
+
+def complex_array(value, name):
+    """`value` as a complex array when its entries are numbers (not bools), finite
+    or not; otherwise a DomainError that ends with `(name)`."""
+    return _entries(value, name, "iufc").astype(complex, copy=False)
 
 
 def bound(value, limit, name, error):

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (DegenerateStateError, DomainError, NonHermitianError, TruncationError,
-                     WeightError, array, bound, number)
+                     WeightError, array, bound, complex_array, number)
 
 # Tail mass of a coherent state stays below ~1e-10 with this truncation rule.
 DIM_MARGIN = 10
@@ -79,9 +80,10 @@ class FieldState:
 class DensityOperator:
     """Field density operator on the truncated Fock space, refused at
     construction for a non-finite entry or max |rho - rho^dag| > 1e-6
-    (NonHermitianError: readers take one triangle only), and for an empty or
-    non-square matrix, a trace off 1 by more than 1e-8 or a population below
-    -1e-12 (DomainError)."""
+    (NonHermitianError), and for an empty or non-square matrix, a trace off
+    1 by more than 1e-8 or a population below -1e-12 (DomainError).  It keeps
+    the Hermitian part m - (m - m^dag)/2 of the matrix m it is given (m bit
+    for bit when m is exactly Hermitian), so every triangle reads one state."""
 
     matrix: np.ndarray
 
@@ -89,14 +91,30 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
             raise DomainError(f"density matrix must be square and nonempty, got shape {m.shape}")
+        skew = m - m.conj().T
         # NaN for a non-finite entry (inf - inf), which the bound refuses
-        bound(float(np.abs(m - m.conj().T).max()), 1e-6, "density matrix hermiticity deviation",
-              NonHermitianError)
-        # the diagonal's imaginary part is bounded by the Hermiticity residue
+        residue = bound(float(np.abs(skew).max()), 1e-6, "density matrix hermiticity deviation",
+                        NonHermitianError)
+        if residue:  # an exactly Hermitian m stays as it is, signed zeros included
+            m = m - 0.5 * skew  # not (m + m^dag)/2: a skew of at most 1e-6 cannot overflow
         pops = m.real.diagonal()
         bound(abs(pops.sum() - 1.0), 1e-8, "density matrix trace error", DomainError)
         array(pops, "density matrix population", minimum=-1e-12)
         object.__setattr__(self, "matrix", _readonly(m))
+
+    @cached_property
+    def live(self) -> np.ndarray:
+        """The k >= 0 whose diagonal holds a nonzero entry, ascending (read-only),
+        from one pass over the nonzero entries of rho."""
+        rows, cols = np.nonzero(self.matrix)
+        return _readonly(np.flatnonzero(np.bincount(np.abs(cols - rows))))
+
+    @cached_property
+    def support_radius(self) -> float:
+        """Fock-shell radius: sqrt(n_eff + 1) with n_eff the last level carrying
+        more than 1e-10 population.  Bounds the extent of quadrature marginals."""
+        idx = np.flatnonzero(np.abs(self.diagonal()) > 1e-10)
+        return math.sqrt((int(idx[-1]) if idx.size else 0) + 1.0)
 
     @property
     def dim(self) -> int:
@@ -176,10 +194,11 @@ def radial_rows(alpha, rows: int, cols: int) -> np.ndarray:
         r_nj = (-1)^{j-n} l_n^{j-n}(|alpha|^2)   (n < j)
 
     For an array of alpha the result has shape alpha.shape + (rows, cols),
-    with one recurrence per distinct |alpha|.  Raises DomainError for
-    non-finite |alpha|^2 and TruncationError past MAX_DISPLACED_ENTRIES.
+    with one recurrence per distinct |alpha|.  Raises DomainError for a
+    non-number alpha or a non-finite |alpha|^2, and TruncationError past
+    MAX_DISPLACED_ENTRIES.
     """
-    alpha = np.asarray(alpha, dtype=complex)
+    alpha = complex_array(alpha, "alpha")
     with np.errstate(over="ignore"):
         x = array(np.abs(alpha) ** 2, "|alpha|^2")
     width = max(rows, cols)
@@ -227,8 +246,8 @@ def coherent_state(spec: HilbertSpec, alpha: complex) -> FieldState:
     """Coherent state D(alpha)|0>, c_n = e^{i theta n} l_0^n(|alpha|^2), theta =
     arg(alpha), with each term in log form (column 0 of ``radial_rows``) and
     e^{i theta n} from ``turn``, so |-alpha> is bitwise (-1)^n |alpha> and
-    |i alpha> is i^n |alpha>; renormalized.  Raises DomainError for
-    non-finite alpha, TruncationError for a tail above 1e-8.
+    |i alpha> is i^n |alpha>; renormalized.  Raises DomainError for an
+    alpha that is not a finite number, TruncationError for a tail above 1e-8.
     """
     amps = radial_rows(alpha, spec.dim, 1)[:, 0] * turn(np.angle(alpha), np.arange(spec.dim))
     norm = np.linalg.norm(amps)

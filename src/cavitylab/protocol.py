@@ -160,15 +160,14 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
     `p_e2_given_g1`, `p_g2_given_g1` and `p_e2` (P(g2) = 1 - p_e2), indexed
     like `delays`.  A conditional on a first-atom outcome of probability 0
     reads NaN.  The default truncation allows for the model's thermal
-    photons (``fock.default_dim``).  Raises DomainError for no delays and
-    TruncationError when a damped branch puts more than 1e-8 on its top
-    Fock level."""
-    delays = np.asarray(delays, dtype=float)
+    photons (``fock.default_dim``).  Raises DomainError for the delays that
+    ``damped_populations`` refuses as times, and TruncationError when a
+    damped branch puts more than 1e-8 on its top Fock level."""
     first = prepare_cat(alpha, spec or HilbertSpec(default_dim(abs(alpha), model.n_thermal)))
     live = [o for o in ("e", "g") if first[o].field_after is not None]
     pops = damped_populations([first[o].field_after for o in live], model, delays)
     p_e, p_g = detection_probabilities(pops)
-    cond = {o: np.full((2, delays.size), np.nan) for o in ("e", "g")}
+    cond = {o: np.full((2, pops.shape[1]), np.nan) for o in ("e", "g")}
     cond.update({o: (p_e[b], p_g[b]) for b, o in enumerate(live)})
     return {"branches": first,
             "p_e2_given_e1": cond["e"][0], "p_g2_given_e1": cond["e"][1],

@@ -29,7 +29,6 @@ from .wigner import (
     MAX_GRID_NODES,
     PhaseSpaceGrid,
     WignerMap,
-    _support_radius,
     default_grid,
     fringe_contrast,
     marginal_distribution,
@@ -45,7 +44,7 @@ def _q_range(rho: DensityOperator, q_range: float | None) -> float:
     """The half-width of a marginal window: `q_range`, refused unless finite
     and positive, or for None a default from rho's support."""
     if q_range is None:
-        return float(np.sqrt(2.0) * _support_radius(rho) + 5.0)
+        return float(np.sqrt(2.0) * rho.support_radius + 5.0)
     return number(q_range, "q_range", exclusive_minimum=0)
 
 

@@ -5,18 +5,11 @@ cross-checked by the test suite:
 
 * ``wigner_point`` / ``wigner_map`` -- W(alpha) = 2 Tr[rho D(alpha) P D(alpha)^-1],
   normalized so that integral(d^2alpha/pi) W = 1 and |W| <= 2, evaluated
-  by its Laguerre series over the diagonals of rho (Cahill & Glauber,
-  Phys. Rev. 177, 1857 and 1882 (1969)).  The series is exact for the
-  truncated state, so it runs in rho's own dimension with no displacement,
-  and only over the diagonals k of rho that are not exactly zero (the even
-  k of a parity cat, k = 0 alone for a Fock state).  Its costly radial
-  part (a Laguerre recurrence) depends on |alpha| only: points are grouped
-  by exactly equal x = 4|alpha|^2 and the recurrence runs once per
-  distinct radius, summing Re rho and (when nonzero) Im rho in real
-  arithmetic; each point then sums its angular factors e^{ik arg(alpha)}
-  by Horner in e^{ig arg(alpha)}, g the gcd of the live k.  Grid axes are
-  exactly antisymmetric on symmetric extents, so mirror points share one
-  radius, and a real rho's map is evaluated on q2 <= 0 and reflected.
+  by its Laguerre series over the live diagonals of rho (Cahill & Glauber,
+  Phys. Rev. 177, 1857 and 1882 (1969)), in rho's own dimension with no
+  displacement, one radial recurrence per distinct |alpha| (``_laguerre_series``).
+  Grid axes are exactly antisymmetric on symmetric extents, so mirror points
+  share one radius, and a real rho's map is evaluated on q2 <= 0 and reflected.
 * ``wigner_position`` -- the position-representation integral
   (1/2pi) int e^{ipx} <q-x/2| rho |q+x/2> dx, evaluated with Hermite
   functions and Gauss-Hermite quadrature, then rescaled by 2pi to the
@@ -40,7 +33,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import (DomainError, NonHermitianError, QuadratureError, TruncationError, array,
-                     bound, number)
+                     bound, complex_array, number)
 from .fock import (DensityOperator, HilbertSpec, laguerre_functions, quadrature_q1,
                    quadrature_q2)
 
@@ -174,16 +167,6 @@ class WignerMap:
 _BLOCK = 1 << 18
 
 
-def _live_diagonals(mat: np.ndarray) -> np.ndarray:
-    """The k >= 0 whose upper diagonal rho_{n,n+k} holds a nonzero entry,
-    ascending, from one pass over the nonzero entries of rho."""
-    rows, cols = np.nonzero(mat)
-    offsets = cols - rows
-    live = np.zeros(mat.shape[0], dtype=bool)
-    live[offsets[offsets >= 0]] = True
-    return np.flatnonzero(live)
-
-
 def _radial_sums(mat: np.ndarray, ks: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
     """S_k(x) = sum_n (-1)^n rho_{n,n+k} l_n^k(x) for the diagonals k in `ks`,
     as real arrays of shape (ks.size, x.size): [Re S], or [Re S, Im S] when
@@ -214,8 +197,9 @@ def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
     with x = 4|alpha|^2, z = e^{i arg(alpha)} and the normalised Laguerre
     functions l_n^k of ``fock.laguerre_functions``.  The series is exact for
     the truncated state, so it runs in rho's own dimension, and only over the
-    live diagonals: the k whose diagonal of rho is not exactly zero (the even
-    k of a parity cat, k = 0 alone for a Fock state or a number mixture).
+    live diagonals (``DensityOperator.live``): the k whose diagonal of rho is
+    not exactly zero (the even k of a parity cat, k = 0 alone for a Fock
+    state or a number mixture).
 
     Only the radial sums S_k need the O(dim^2) recurrence, and they depend
     on x alone.  The points are sorted by x and grouped by exact float
@@ -226,13 +210,12 @@ def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
     multiple of g whose diagonal is zero adds nothing at its step.  Returns
     the values, shaped as `alphas`, and the number of distinct radii.
     """
-    mat = rho.matrix
-    ks = _live_diagonals(mat)
+    mat, ks = rho.matrix, rho.live
     g = int(np.gcd.reduce(ks)) or 1
     # slot[j]: the row of S_{jg} among the live diagonals, -1 where that one is zero
     slot = np.full(ks[-1] // g + 1, -1)
     slot[ks // g] = np.arange(ks.size)
-    alphas = np.asarray(alphas, dtype=complex)
+    alphas = complex_array(alphas, "alpha")
     flat = alphas.ravel()
     with np.errstate(over="ignore"):
         x = array(4.0 * np.abs(flat) ** 2, "4|alpha|^2")
@@ -266,8 +249,9 @@ def _laguerre_series(rho: DensityOperator, alphas) -> tuple[np.ndarray, int]:
 
 def wigner_point(rho: DensityOperator, alpha):
     """W(alpha) = 2 Tr[rho D(alpha) P D(alpha)^-1], by the Laguerre series, at
-    one alpha (a float) or an array of them (an array shaped like `alpha`),
-    each value bit for bit the one-point call's."""
+    one alpha (a number) or an array of them (an array shaped like `alpha`),
+    each value bit for bit the one-point call's; DomainError for an alpha
+    that is not a finite number."""
     return _laguerre_series(rho, alpha)[0][()]
 
 
@@ -325,13 +309,6 @@ def _gh_nodes(order: int):
     return x, w * np.exp(x * x)  # total weights for integrands carrying e^{-x^2}
 
 
-def _rotated(mat: np.ndarray, theta: float) -> np.ndarray:
-    """e^{-i theta n} rho e^{i theta n}: phase space turned by -theta, which
-    brings the quadrature at angle theta onto the q1 axis."""
-    ph = np.exp(-1j * theta * np.arange(mat.shape[0]))
-    return mat * np.multiply.outer(ph, ph.conj())
-
-
 def _axis_position_integral(rho_mat: np.ndarray, q: float, order: int) -> float:
     dim = rho_mat.shape[0]
     u, wts = _gh_nodes(order)
@@ -350,7 +327,9 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
     q, p = number(q, "q"), number(p, "p")
     order = rho.dim + 32
     bound(order + 24, _GH_MAX_ORDER, f"Gauss-Hermite order (dim {rho.dim})", QuadratureError)
-    rotated, q_axis = _rotated(rho.matrix, math.atan2(p, q)), math.hypot(q, p)
+    # e^{-i theta n} rho e^{i theta n}, theta = arg(q + ip), turns the point onto q1
+    ph = np.exp(-1j * math.atan2(p, q) * np.arange(rho.dim))
+    rotated, q_axis = rho.matrix * np.multiply.outer(ph, ph.conj()), math.hypot(q, p)
     val, imag = _axis_position_integral(rotated, q_axis, order)
     bound(imag, 1e-6, "position-integral imaginary residue", NonHermitianError)
     check, _ = _axis_position_integral(rotated, q_axis, order + 24)
@@ -381,19 +360,17 @@ def marginal_distribution(rho: DensityOperator, theta, q_theta) -> np.ndarray:
 
     with w_0 = 1 and w_k = 2 (the upper diagonals are the conjugates).  The
     c_k are built once for every angle, from one Hermite table taken
-    _NODE_BLOCK nodes at a time; a lower diagonal that is exactly zero (the
-    odd ones of a parity cat) is skipped, and the sine half is dropped when
-    rho has no imaginary part below its diagonal.  Each row is then one
-    product of its own angle's factors with the c_k, so an angle's row does
-    not depend on the other angles in the call.  An angle outside [0, pi) or
+    _NODE_BLOCK nodes at a time, over rho's live diagonals alone
+    (``DensityOperator.live``: not the odd ones of a parity cat), and the
+    sine half is dropped when rho is real.  Each row is then one product of
+    its own angle's factors with the c_k, so an angle's row does not depend
+    on the other angles in the call.  An angle outside [0, pi) or
     a non-finite q_theta raises DomainError."""
     thetas = array(theta, "theta", minimum=0, below=np.pi)
     nodes = array(q_theta, "q_theta").ravel()
-    mat = rho.matrix
-    lower = [np.diagonal(mat, -k) for k in range(rho.dim)]
-    ks = np.flatnonzero([diag.any() for diag in lower])
-    halves = 2 if any(lower[k].imag.any() for k in ks if k) else 1
-    coefs = [np.array([lower[k].real, lower[k].imag][:halves]) for k in ks]
+    mat, ks = rho.matrix, rho.live
+    halves = 2 if mat.imag.any() else 1
+    coefs = [np.array([diag.real, diag.imag][:halves]) for diag in map(mat.diagonal, -ks)]
     c = np.empty((ks.size, halves, nodes.size))  # Re c_k and (halves == 2) Im c_k
     for s in range(0, nodes.size, _NODE_BLOCK):
         psi = hermite_functions(nodes[s:s + _NODE_BLOCK], rho.dim)
@@ -481,15 +458,6 @@ def _symmetrized_word(dim: int, m: int, n: int) -> np.ndarray:
     return acc / len(orders)
 
 
-def _support_radius(rho: DensityOperator) -> float:
-    """Fock-shell radius: sqrt(n_eff + 1) with n_eff the last level carrying
-    more than 1e-10 population.  Bounds the extent of quadrature marginals."""
-    p = np.abs(rho.diagonal())
-    idx = np.nonzero(p > 1e-10)[0]
-    n_eff = int(idx[-1]) if idx.size else 0
-    return math.sqrt(n_eff + 1.0)
-
-
 def moyal_grid_integral(rho: DensityOperator, monomials) -> dict[tuple[int, int], float]:
     """Phase-space integrals int dq dp W_qp q^m p^n for several monomials,
     sharing one Laguerre-series evaluation on a grid of step 0.2 over a disc
@@ -497,22 +465,19 @@ def moyal_grid_integral(rho: DensityOperator, monomials) -> dict[tuple[int, int]
     grid is 0.2 times integers, symmetric about the origin, so mirror points
     share one radial recurrence.
 
-    The disc is the state's Fock-shell radius plus 4 (alpha units), which
-    bounds the discarded Gaussian tail: contributions beyond the disc are
-    O(e^{-32} poly) < 1e-9 for degree <= 4.
+    The disc is the state's Fock-shell radius (``DensityOperator.support_radius``)
+    plus 4 (alpha units), which bounds the discarded Gaussian tail:
+    contributions beyond the disc are O(e^{-32} poly) < 1e-9 for degree <= 4.
     """
-    disc = _support_radius(rho) + 4.0
+    disc = rho.support_radius + 4.0
     half = math.ceil(np.sqrt(2.0) * disc / 0.2)  # nodes out to the disc's bounding square
     axis = 0.2 * np.arange(-half, half + 1)
     q1, q2 = np.meshgrid(axis, axis, indexing="ij")
     inside = (q1 ** 2 + q2 ** 2) / 2.0 <= disc ** 2
     w_vals = np.zeros(q1.shape)
     w_vals[inside] = _laguerre_series(rho, (q1[inside] + 1j * q2[inside]) / np.sqrt(2.0))[0]
-    out = {}
-    for (m, n) in monomials:
-        integrand = w_vals * q1 ** m * q2 ** n / (2.0 * np.pi)
-        out[(m, n)] = float(integrand.sum() * 0.2 * 0.2)
-    return out
+    return {(m, n): float((w_vals * q1 ** m * q2 ** n / (2.0 * np.pi)).sum() * 0.2 * 0.2)
+            for m, n in monomials}
 
 
 def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> tuple[float, float]:

@@ -17,6 +17,7 @@ from cavitylab import (
     direct_point_exact,
     evolve,
     fock_state,
+    marginal_distribution,
     mix,
     monitor_origin,
     pure_to_density,
@@ -83,6 +84,25 @@ def test_readout_at_guard_edge_matches_position_oracle(corpus):
     oracle = wigner_position(rho, 3.15 * np.sqrt(2), 0.0)
     assert abs(oracle - 0.07098) < 1e-5
     assert abs(readout(rho, -3.15) - oracle) < 1e-8
+
+
+def test_readout_and_series_read_one_state_when_rho_is_hermitian_to_a_residue():
+    # the gate passes a Hermiticity residue up to 1e-6 and stores the
+    # Hermitian part, which every reader reads whichever triangle it takes:
+    # with 5e-7 added to rho_02 alone, the readout (the symmetric part) and
+    # the Laguerre series (the upper triangle) differed by 4e-7, and the
+    # marginals (the lower triangle) from those of (m + m^dag)/2 by 2e-7
+    m = pure_to_density(cat_state(HilbertSpec(20), 1.5, 0.0)).matrix.copy()
+    m[0, 2] += 5e-7
+    rho, herm = DensityOperator(m), DensityOperator((m + m.conj().T) / 2)
+    alphas = np.array([0.0, 0.3, -0.7 + 0.2j, 1.1j, 1.5, 0.4 - 1.2j])
+    assert np.max(np.abs(readout(rho, alphas) - wigner_point(rho, -alphas))) < 1e-12
+    for grid in (PhaseSpaceGrid(-4.0, 4.0, -3.0, 3.0, 17, 13),
+                 PhaseSpaceGrid(-3.1, 4.3, -2.2, 5.0, 8, 7)):
+        assert wigner_map(rho, grid).values.tobytes() == wigner_map(herm, grid).values.tobytes()
+    thetas, q = np.linspace(0.0, 3.0, 7), np.linspace(-5.0, 5.0, 41)
+    assert (marginal_distribution(rho, thetas, q).tobytes()
+            == marginal_distribution(herm, thetas, q).tobytes())
 
 
 def test_non_finite_injection_is_rejected(corpus):

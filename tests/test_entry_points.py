@@ -57,8 +57,8 @@ from cavitylab import (
     wigner_position,
 )
 from cavitylab.dynamics import fit_coherence_decay
-from cavitylab.errors import bound
-from cavitylab.fock import DensityOperator
+from cavitylab.errors import array, bound
+from cavitylab.fock import DensityOperator, radial_rows
 from cavitylab.wigner import MAX_GRID_NODES
 
 SUBSTITUTES = {"nan": float("nan"), "inf": float("inf"), "-1": -1, "0": 0, "2.5": 2.5}
@@ -413,6 +413,37 @@ def test_bound_passes_at_the_limit_and_refuses_above_it_nan_and_inf():
     for value in (1.1e-8, np.nan, np.inf):
         with pytest.raises(TruncationError, match=r"^tail .+ exceeds the limit of 1e-08$"):
             bound(value, 1e-8, "tail", TruncationError)
+
+
+def test_array_rule_passes_entries_whose_squares_overflow():
+    # the cheap pass's sum of squares overflows here, so the entries are
+    # searched one by one, and none is refused
+    values = array([1e200, -1e200, 0.0], "x", minimum=-1e300, below=1e300)
+    assert values.tolist() == [1e200, -1e200, 0.0]
+
+
+@pytest.mark.parametrize("alpha", ["0.5", "x", None, object(), True, ["0.5"], [1.0, None]])
+@pytest.mark.parametrize("call", [
+    lambda x: wigner_point(RHO, x), lambda x: direct_point_exact(RHO, x),
+    lambda x: coherent_state(SPEC, x), lambda x: cat_state(SPEC, x, 0.0),
+    lambda x: radial_rows(x, 4, 2),
+], ids=["wigner_point", "direct_point_exact", "coherent_state", "cat_state", "radial_rows"])
+def test_alpha_that_is_not_a_number_is_refused(call, alpha):
+    # "0.5" read as W(0.5), "x" and None raised bare errors or a NaN message
+    with pytest.raises(DomainError, match=r"\(alpha\)$"):
+        call(alpha)
+
+
+@pytest.mark.parametrize("times", [["0.0", "0.5"], ["x"], [0.5j]])
+@pytest.mark.parametrize("call", [
+    lambda t: monitor_origin(RHO, MODEL, t), lambda t: two_atom_scan(1.0, t, MODEL),
+    lambda t: evolve(RHO, MODEL, t), lambda t: damped_populations([RHO], MODEL, t),
+], ids=["monitor_origin", "two_atom_scan", "evolve", "damped_populations"])
+def test_times_that_are_not_numbers_are_refused(call, times):
+    # monitor_origin and two_atom_scan cast to float first: strings of digits
+    # were read as times, "x" and 0.5j raised bare numpy errors
+    with pytest.raises(DomainError, match=r"\(times\)$"):
+        call(times)
 
 
 def test_array_rule_refuses_a_ragged_nesting():

@@ -383,6 +383,36 @@ def test_density_operator_refuses_at_construction(matrix, error):
     assert issubclass(error, CavityLabError)
 
 
+def test_density_operator_keeps_the_hermitian_part():
+    # an exactly Hermitian matrix is stored bit for bit; one with a residue
+    # below the bound is stored as its Hermitian part, and the outer product
+    # of complex amplitudes, Hermitian only to rounding, exactly Hermitian
+    exact = _cat_matrix()
+    assert DensityOperator(exact).matrix.tobytes() == exact.tobytes()
+    skewed = _with_entry(exact, (0, 2), exact[0, 2] + 5e-7)
+    np.testing.assert_array_equal(DensityOperator(skewed).matrix,
+                                  (skewed + skewed.conj().T) / 2)
+    amps = coherent_state(HilbertSpec(20), 1.3 + 0.7j).amplitudes
+    outer = np.outer(amps, amps.conj())
+    assert np.any(outer != outer.conj().T)
+    stored = pure_to_density(FieldState(amps)).matrix
+    np.testing.assert_array_equal(stored, stored.conj().T)
+
+
+def test_density_operator_live_diagonals_and_support_radius():
+    # both are read once, cached and read-only
+    spec = HilbertSpec(20)
+    rho = mix([cat_state(spec, 1.0, 0.0), fock_state(spec, 3)], [0.5, 0.5])
+    assert rho.live.tolist() == list(range(0, 20, 2))
+    assert rho.live is rho.live and not rho.live.flags.writeable
+    assert pure_to_density(fock_state(spec, 3)).live.tolist() == [0]
+    # the last level above 1e-10 population is 3 for |3>, 0 for the vacuum
+    assert pure_to_density(fock_state(spec, 3)).support_radius == 2.0
+    assert pure_to_density(vacuum(spec)).support_radius == 1.0
+    with pytest.raises(AttributeError):
+        rho.live = np.arange(3)
+
+
 def test_density_operator_gate_thresholds():
     # a Hermiticity residue up to 1e-6, a trace off 1 by up to 1e-8 and a
     # population down to -1e-12 pass; just past each is refused

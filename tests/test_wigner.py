@@ -338,7 +338,7 @@ def test_live_diagonal_patterns_against_position_construction():
     grids = (PhaseSpaceGrid(-4.0, 4.0, -4.0, 4.0, 9, 9),
              PhaseSpaceGrid(-3.1, 4.3, -2.2, 5.0, 8, 7))
     for rho, live in cases:
-        assert wigner._live_diagonals(rho.matrix).tolist() == live
+        assert rho.live.tolist() == live
         oracle = promote(rho, HilbertSpec(dim + 10))
         for grid in grids:
             values = wigner_map(rho, grid).values
