@@ -184,22 +184,26 @@ def resolve_config(experiment: str, raw: dict) -> dict:
             **raw}
 
 
+def _spec(cfg: dict, scale: float) -> fock.HilbertSpec:
+    """An experiment's `dim`, or by default a truncation that reaches the
+    amplitude `scale` and allows for the thermal photons of its damping, if any."""
+    return fock.HilbertSpec(cfg["dim"] or fock.default_dim(scale, cfg.get("n_thermal", 0.0)))
+
+
 def _build_state(cfg: dict) -> tuple[fock.DensityOperator, float]:
     """Returns (density operator, phase-space amplitude scale for grid defaults)
-    of an experiment's `state`, in its `dim` or by default in a truncation
-    that allows for the thermal photons of its damping, if any."""
+    of an experiment's `state`, in the truncation of ``_spec``."""
     state_cfg = cfg["state"]
     kind = state_cfg["kind"]
     alpha = _parse_alpha(state_cfg.get("alpha", 0.0))  # vacuum and fock take none
     scale = float(np.sqrt(state_cfg["n"])) if kind == "fock" else abs(alpha)
-    dim = cfg["dim"] or fock.default_dim(scale, cfg.get("n_thermal", 0.0))
-    spec = fock.HilbertSpec(dim)
+    spec = _spec(cfg, scale)
     if kind == "vacuum":
         rho = fock.pure_to_density(fock.vacuum(spec))
     elif kind == "fock":
         n = state_cfg["n"]
-        if n >= dim:
-            raise ConfigError(f"fock state n = {n} needs dim > {n}, got dim {dim}")
+        if n >= spec.dim:
+            raise ConfigError(f"fock state n = {n} needs dim > {n}, got dim {spec.dim}")
         rho = fock.pure_to_density(fock.fock_state(spec, n))
     elif kind == "coherent":
         rho = fock.pure_to_density(fock.coherent_state(spec, alpha))
@@ -336,7 +340,7 @@ def _write_map(writer: ArtifactWriter, name: str, wmap: wigner.WignerMap) -> Non
 
 def _run_prepare_cat(cfg: dict, writer: ArtifactWriter) -> None:
     alpha = _parse_alpha(cfg["alpha"])
-    spec = fock.HilbertSpec(cfg["dim"] or fock.default_dim(abs(alpha)))
+    spec = _spec(cfg, abs(alpha))
     branches = protocol.prepare_cat(alpha, spec)
     rows = []
     for outcome, psi1 in (("g", 0.0), ("e", float(np.pi))):
@@ -353,8 +357,7 @@ def _run_decoherence_scan(cfg: dict, writer: ArtifactWriter) -> None:
     alpha = _parse_alpha(cfg["alpha"])
     model = dynamics.DampingModel(kappa=cfg["kappa"], n_thermal=cfg["n_thermal"])
     delays = _times_array(cfg["delays"])
-    spec = fock.HilbertSpec(cfg["dim"]) if cfg["dim"] else None
-    scan = protocol.two_atom_scan(alpha, delays, model, spec=spec)
+    scan = protocol.two_atom_scan(alpha, delays, model, _spec(cfg, abs(alpha)))
     writer.csv("decoherence_scan.csv", ["delay", "P_e2_given_e1", "P_g2_given_g1"],
                np.column_stack([delays, scan["p_e2_given_e1"], scan["p_g2_given_g1"]]))
     # damping trajectory of the post-e1 conditional field
@@ -473,7 +476,8 @@ def run_selfcheck() -> list[tuple[str, bool, str]]:
     checks.append(("decoherence-law", rel < 0.05, f"tau {tau:.5f} vs {t_dec:.5f} ({rel:.2%})"))
 
     # two-atom correlation endpoints
-    p0, p8 = protocol.two_atom_scan(al, [0.0, 8.0], model)["p_e2_given_e1"].tolist()
+    scan = protocol.two_atom_scan(al, [0.0, 8.0], model, fock.HilbertSpec(fock.default_dim(al)))
+    p0, p8 = scan["p_e2_given_e1"].tolist()
     checks.append(("two-atom-correlations", p0 > 1 - 1e-4 and p8 < 0.02,
                    f"P(0) {p0:.6f}, P(8/k) {p8:.6f}"))
 

@@ -34,7 +34,7 @@ from numpy.random import SeedSequence, default_rng
 
 from . import protocol
 from .dynamics import DampingModel, damped_populations
-from .errors import NoDetectionError, complex_array, number
+from .errors import NoDetectionError, complex_array, instance, number
 from .fock import MAX_DISPLACED_ENTRIES, DensityOperator, radial_rows
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
 
@@ -83,7 +83,7 @@ def direct_point_exact(rho0: DensityOperator, alpha) -> tuple:
     alpha = complex_array(alpha, "alpha")
     probs = np.empty((2,) + alpha.shape)
     p_e, p_g = probs.reshape(2, -1)
-    for index, pops in _populations(rho0, alpha.ravel()):
+    for index, pops in _populations(instance(rho0, DensityOperator, "rho0"), alpha.ravel()):
         p_e[index], p_g[index] = protocol.detection_probabilities(pops)
     return probs[0][()], probs[1][()]
 
@@ -111,7 +111,7 @@ def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
     The readout at alpha is W(-alpha), so the map is ``wigner_map`` on the
     reflected grid, flipped back onto `grid`, in rho0's own dimension.
     """
-    exact = wigner_map(rho0, grid.reflected())
+    exact = wigner_map(instance(rho0, DensityOperator, "rho0"), grid.reflected())
     return WignerMap(grid, exact.values[::-1, ::-1], provenance="measured-direct",
                      diagnostics=dict(exact.diagnostics))
 
@@ -137,7 +137,8 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     n_shots = number(n_shots, "n_shots", integral=True, minimum=0)
     seed = seed if seed is None else number(seed, "seed", integral=True, minimum=0)
     number(efficiency, "efficiency", minimum=0, maximum=1)
-    p_e, p_g = protocol.detection_probabilities(damped_populations([rho0], model, times)[0])
+    pops = damped_populations([instance(rho0, DensityOperator, "rho0")], model, times)[0]
+    p_e, p_g = protocol.detection_probabilities(pops)
     w0 = np.full((3, p_e.size), np.nan)
     w0[0] = 2.0 * (p_g - p_e)
     if n_shots > 0:

@@ -21,7 +21,8 @@ expm per diagonal and per group of time steps that differ only by
 rounding, checks the trace, and hands out the damped diagonals one at a
 time, k = 0 first.  A diagonal that is zero in every input stays zero
 and is skipped.  Every public reader takes DensityOperators, whose gate
-alone decides what is a state.  ``damped_populations`` reads k = 0 alone,
+alone decides what is a state; anything else raises DomainError naming
+its parameter (``errors.instance``).  ``damped_populations`` reads k = 0 alone,
 all that the atom's Born rule needs (``protocol``, ``direct``), and
 ``coherence_trajectory`` the cat coherence, <n> and the trace, without
 forming matrices; ``evolve`` assembles the matrices.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, TruncationError, array, bound, number
+from .errors import DomainError, IntegrationError, TruncationError, array, bound, instance, number
 from .fock import DensityOperator, HilbertSpec, coherent_state
 
 # exact in the 2019 SI
@@ -179,16 +180,17 @@ def _diagonals(mats: np.ndarray, model: DampingModel, times):
         yield k, x
 
 
-def damped_populations(rhos, model: DampingModel, times) -> np.ndarray:
+def damped_populations(rhos: list[DensityOperator], model: DampingModel, times) -> np.ndarray:
     """Photon-number populations, shape (B, T, dim), of B DensityOperators of
     one dimension (a list or tuple) damped to the sorted nonnegative `times`.
     Refuses other `rhos` or no times (DomainError), a trace drift
     (IntegrationError) and more than 1e-8 on the top level (TruncationError)."""
     if np.size(times) == 0:
         raise DomainError("need at least one time")
-    if not (isinstance(rhos, (list, tuple)) and all(isinstance(r, DensityOperator) for r in rhos)
-            and len({r.dim for r in rhos}) == 1):
-        raise DomainError(f"rhos must be DensityOperators of one dimension, got {type(rhos)}")
+    if not isinstance(rhos, (list, tuple)):
+        raise DomainError(f"{type(rhos).__name__} is not a list or tuple (rhos)")
+    if len({instance(r, DensityOperator, "rhos").dim for r in rhos}) != 1:
+        raise DomainError("rhos must be DensityOperators of one dimension (rhos)")
     # diagonal 0 comes first and is never zero in a matrix of unit trace
     pops = next(_diagonals(np.stack([r.matrix for r in rhos]), model, times))[1].real
     bound(float(np.max(pops[..., -1])), 1e-8,
@@ -202,6 +204,7 @@ def evolve(rho: DensityOperator, model: DampingModel, t):
     Each matrix is assembled from ``_diagonals``, its upper diagonals the
     conjugates of the lower ones; ``_diagonals`` refuses a trace drift
     above 1e-9 at any time (IntegrationError)."""
+    rho = instance(rho, DensityOperator, "rho")
     if np.ndim(t) == 0 and t == 0:
         return rho
     times = np.atleast_1d(t)
@@ -227,7 +230,7 @@ def coherence_trajectory(rho: DensityOperator, model: DampingModel, times,
     Lower diagonal k adds
     sum_j <alpha|j+k> rho_{j+k,j} <j|-alpha> to <alpha|rho|-alpha>, and its
     conjugate upper diagonal the same with the roles of j and j+k swapped."""
-    dim = rho.dim
+    dim = instance(rho, DensityOperator, "rho").dim
     spec = HilbertSpec(dim)
     bra = coherent_state(spec, alpha).amplitudes.conj()
     ket = coherent_state(spec, -alpha).amplitudes

@@ -1,8 +1,8 @@
 """Exception types shared across the package, the rules by which every
 entry point checks its arguments (``number`` for a scalar, the CLI's option
-table too, ``array`` for the entries of a real array and ``complex_array``
-for those of a complex one), and ``bound``, the one place a measured value
-meets its tolerance."""
+table too, ``array`` for the entries of a real array, ``complex_array``
+for those of a complex one and ``instance`` for a state), and ``bound``,
+the one place a measured value meets its tolerance."""
 
 import math
 import numbers
@@ -127,6 +127,14 @@ def complex_array(value, name):
     """`value` as a complex array when its entries are numbers (not bools), finite
     or not; otherwise a DomainError that ends with `(name)`."""
     return _entries(value, name, "iufc").astype(complex, copy=False)
+
+
+def instance(value, cls, name):
+    """`value` when it is an instance of `cls`; otherwise a DomainError that
+    ends with `(name)`, as ``number``'s do."""
+    if isinstance(value, cls):
+        return value
+    raise DomainError(f"{type(value).__name__} is not of type {cls.__name__!r} ({name})")
 
 
 def bound(value, limit, name, error):

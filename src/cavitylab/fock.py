@@ -3,6 +3,10 @@
 Conventions (hbar = 1):
     a = (q1 + i*q2)/sqrt(2),  [q1, q2] = i,  alpha = (q1 + i*q2)/sqrt(2).
 The vacuum has quadrature variance 1/2.  All amplitudes are dimensionless.
+
+The constructors build FieldStates in the truncation they are given;
+``pure_to_density`` and ``mix`` build from them the DensityOperators that
+every reader of rho takes, each state parameter checked by ``errors.instance``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (DegenerateStateError, DomainError, NonHermitianError, TruncationError,
-                     WeightError, array, bound, complex_array, number)
+                     WeightError, array, bound, complex_array, instance, number)
 
 # Tail mass of a coherent state stays below ~1e-10 with this truncation rule.
 DIM_MARGIN = 10
@@ -63,13 +67,17 @@ class HilbertSpec:
 
 @dataclass(frozen=True)
 class FieldState:
-    """Pure field state as a complex amplitude vector over the Fock basis."""
+    """Pure field state as a complex amplitude vector over the Fock basis,
+    refused at construction for entries that are not numbers or anything but
+    a nonempty 1-D vector (DomainError)."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes",
-                           _readonly(np.asarray(self.amplitudes, dtype=complex)))
+        amps = complex_array(self.amplitudes, "amplitudes")
+        if amps.ndim != 1 or not amps.size:
+            raise DomainError(f"shape {amps.shape} is not a nonempty vector (amplitudes)")
+        object.__setattr__(self, "amplitudes", _readonly(amps))
 
     @property
     def dim(self) -> int:
@@ -80,15 +88,16 @@ class FieldState:
 class DensityOperator:
     """Field density operator on the truncated Fock space, refused at
     construction for a non-finite entry or max |rho - rho^dag| > 1e-6
-    (NonHermitianError), and for an empty or non-square matrix, a trace off
-    1 by more than 1e-8 or a population below -1e-12 (DomainError).  It keeps
-    the Hermitian part m - (m - m^dag)/2 of the matrix m it is given (m bit
-    for bit when m is exactly Hermitian), so every triangle reads one state."""
+    (NonHermitianError), and for entries that are not numbers, an empty or
+    non-square matrix, a trace off 1 by more than 1e-8 or a population below
+    -1e-12 (DomainError).  It keeps the Hermitian part m - (m - m^dag)/2 of
+    the matrix m it is given (m bit for bit when m is exactly Hermitian), so
+    every triangle reads one state."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = complex_array(self.matrix, "density matrix")
         if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
             raise DomainError(f"density matrix must be square and nonempty, got shape {m.shape}")
         skew = m - m.conj().T
@@ -127,8 +136,11 @@ class DensityOperator:
         return np.real(np.diag(self.matrix)).copy()
 
     def fidelity_pure(self, state: FieldState) -> float:
-        """<psi| rho |psi> against a pure reference."""
-        v = state.amplitudes
+        """<psi| rho |psi> against a pure reference `state` of rho's dimension
+        (DomainError for any other `state`)."""
+        v = instance(state, FieldState, "state").amplitudes
+        if v.size != self.dim:
+            raise DomainError(f"a reference of dim {v.size} does not fit dim {self.dim} (state)")
         return float(np.real(np.vdot(v, self.matrix @ v)))
 
 
@@ -247,8 +259,10 @@ def coherent_state(spec: HilbertSpec, alpha: complex) -> FieldState:
     arg(alpha), with each term in log form (column 0 of ``radial_rows``) and
     e^{i theta n} from ``turn``, so |-alpha> is bitwise (-1)^n |alpha> and
     |i alpha> is i^n |alpha>; renormalized.  Raises DomainError for an
-    alpha that is not a finite number, TruncationError for a tail above 1e-8.
+    alpha that is not one finite number, TruncationError for a tail above 1e-8.
     """
+    if complex_array(alpha, "alpha").ndim:
+        raise DomainError(f"an array of shape {np.shape(alpha)} is not one number (alpha)")
     amps = radial_rows(alpha, spec.dim, 1)[:, 0] * turn(np.angle(alpha), np.arange(spec.dim))
     norm = np.linalg.norm(amps)
     bound(abs(1.0 - norm), 1e-8, f"coherent-state tail (dim {spec.dim})", TruncationError)
@@ -276,43 +290,45 @@ def cat_state(spec: HilbertSpec, alpha: complex, psi1: float) -> FieldState:
 
 
 def pure_to_density(state: FieldState) -> DensityOperator:
-    """|psi><psi|.  Raises TruncationError, before building it, for a matrix
-    of more than MAX_DISPLACED_ENTRIES entries (dim > 1024)."""
-    v = state.amplitudes
+    """|psi><psi| of a FieldState (DomainError otherwise).  Raises
+    TruncationError, before building it, for a matrix of more than
+    MAX_DISPLACED_ENTRIES entries (dim > 1024)."""
+    v = instance(state, FieldState, "state").amplitudes
     bound(v.size ** 2, MAX_DISPLACED_ENTRIES, f"entry count of a density matrix (dim {v.size})",
           TruncationError)
     return DensityOperator(np.outer(v, v.conj()))
 
 
-def mix(states, weights) -> DensityOperator:
-    """Statistical mixture of pure states and/or density operators of one
-    dimension (DomainError), by weights >= 0 summing to 1 (WeightError)."""
-    weights = np.asarray(weights, dtype=float)
-    if not np.all(weights >= 0):
+def mix(states: list[FieldState | DensityOperator], weights) -> DensityOperator:
+    """Statistical mixture of FieldStates and/or DensityOperators of one
+    dimension (a list or tuple; DomainError otherwise), by real numbers
+    (DomainError) >= 0 summing to 1 (WeightError)."""
+    if not isinstance(states, (list, tuple)):
+        raise DomainError(f"{type(states).__name__} is not a list or tuple (states)")
+    rhos = [pure_to_density(st) if isinstance(st, FieldState)
+            else instance(st, DensityOperator, "states") for st in states]
+    # weights that are not numbers are a DomainError, negative and NaN ones a WeightError
+    if not np.all(complex_array(weights, "weights").real >= 0):
         raise WeightError(f"negative or NaN weight in {weights}")
+    weights = array(weights, "weights")
     bound(abs(weights.sum() - 1.0), 1e-12, "|sum of weights - 1|", WeightError)
-    if len(states) != weights.size:
+    if len(rhos) != weights.size:
         raise WeightError("states and weights differ in length")
-    dim = states[0].dim
+    dim = rhos[0].dim
     out = np.zeros((dim, dim), dtype=complex)
-    for st, w in zip(states, weights):
-        if st.dim != dim:
+    for rho, w in zip(rhos, weights):
+        if rho.dim != dim:
             raise DomainError("all mixture components must share one dimension")
-        rho = pure_to_density(st) if isinstance(st, FieldState) else st
         out += w * rho.matrix
     return DensityOperator(out)
 
 
-def promote(obj, spec: HilbertSpec):
-    """Zero-pad a state or density operator into a larger space (DomainError if smaller)."""
-    if spec.dim < obj.dim:
+def promote(obj: DensityOperator, spec: HilbertSpec) -> DensityOperator:
+    """Zero-pad a density operator into a larger space (DomainError if smaller)."""
+    if spec.dim < instance(obj, DensityOperator, "obj").dim:
         raise DomainError(f"cannot promote dim {obj.dim} down to {spec.dim}")
     if spec.dim == obj.dim:
         return obj
-    if isinstance(obj, FieldState):
-        amps = np.zeros(spec.dim, dtype=complex)
-        amps[: obj.dim] = obj.amplitudes
-        return FieldState(amps)
     mat = np.zeros((spec.dim, spec.dim), dtype=complex)
     mat[: obj.dim, : obj.dim] = obj.matrix
     return DensityOperator(mat)

@@ -31,16 +31,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DampingModel, damped_populations
-from .errors import DegenerateBranchError, DomainError, SubspaceError, array, bound, number
-from .fock import (
-    DensityOperator,
-    FieldState,
-    HilbertSpec,
-    coherent_state,
-    default_dim,
-    pure_to_density,
-    turn,
-)
+from .errors import (DegenerateBranchError, DomainError, SubspaceError, array, bound, instance,
+                     number)
+from .fock import DensityOperator, HilbertSpec, coherent_state, pure_to_density, turn
 
 _E, _G = 0, 1  # atom level indices
 
@@ -114,17 +107,13 @@ def _born(m: np.ndarray, pops: np.ndarray) -> tuple:
     return (pops * np.abs(m[_E]) ** 2).sum(-1), (pops * np.abs(m[_G]) ** 2).sum(-1)
 
 
-def probe_atom(field, variant: str = "dispersive") -> dict[str, Branch]:
+def probe_atom(field: DensityOperator, variant: str = "dispersive") -> dict[str, Branch]:
     """Send one atom (prepared in |e>) through R1 -> interaction -> R2 -> detector;
     returns both branches with Born probabilities and post-measurement fields.
-    A `field` that is not a FieldState or DensityOperator raises DomainError;
-    the resonant probe, exact only on n <= 1, refuses (SubspaceError) a field
-    with more than 1e-8 above one photon."""
-    if isinstance(field, FieldState):
-        field = pure_to_density(field)
-    elif not isinstance(field, DensityOperator):
-        raise DomainError(f"field must be FieldState or DensityOperator, got {type(field)}")
-    pops = field.diagonal()
+    A `field` that is not a DensityOperator raises DomainError; the resonant
+    probe, exact only on n <= 1, refuses (SubspaceError) a field with more
+    than 1e-8 above one photon."""
+    pops = instance(field, DensityOperator, "field").diagonal()
     if variant == "resonant-2pi":
         bound(float(np.sum(np.abs(pops[2:]))), 1e-8,
               "resonant probe's field population above one photon", SubspaceError)
@@ -140,17 +129,15 @@ def probe_atom(field, variant: str = "dispersive") -> dict[str, Branch]:
     return out
 
 
-def prepare_cat(alpha: complex, spec: HilbertSpec | None = None) -> dict[str, Branch]:
-    """Inject |alpha>, run one pi-dispersive atom through the interferometer,
-    detect: detecting g leaves the even cat (psi1 = 0), detecting e the odd
-    cat (psi1 = pi), with probabilities (1 +- e^{-2|alpha|^2})/2.
+def prepare_cat(alpha: complex, spec: HilbertSpec) -> dict[str, Branch]:
+    """Inject |alpha> in `spec`, run one pi-dispersive atom through the
+    interferometer, detect: detecting g leaves the even cat (psi1 = 0),
+    detecting e the odd cat (psi1 = pi), with probabilities (1 +- e^{-2|alpha|^2})/2.
     """
-    spec = spec or HilbertSpec(default_dim(abs(alpha)))
-    return probe_atom(coherent_state(spec, alpha))
+    return probe_atom(pure_to_density(coherent_state(spec, alpha)))
 
 
-def two_atom_scan(alpha: complex, delays, model: DampingModel,
-                  spec: HilbertSpec | None = None) -> dict:
+def two_atom_scan(alpha: complex, delays, model: DampingModel, spec: HilbertSpec) -> dict:
     """Delay scan of the two-atom correlations: the populations of both
     first-atom branches are damped in one pass
     (``dynamics.damped_populations``; the Born rule reads nothing else) and
@@ -159,11 +146,10 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel,
     probabilities), and the (T,) arrays `p_e2_given_e1`, `p_g2_given_e1`,
     `p_e2_given_g1`, `p_g2_given_g1` and `p_e2` (P(g2) = 1 - p_e2), indexed
     like `delays`.  A conditional on a first-atom outcome of probability 0
-    reads NaN.  The default truncation allows for the model's thermal
-    photons (``fock.default_dim``).  Raises DomainError for the delays that
+    reads NaN.  Raises DomainError for the delays that
     ``damped_populations`` refuses as times, and TruncationError when a
     damped branch puts more than 1e-8 on its top Fock level."""
-    first = prepare_cat(alpha, spec or HilbertSpec(default_dim(abs(alpha), model.n_thermal)))
+    first = prepare_cat(alpha, spec)
     live = [o for o in ("e", "g") if first[o].field_after is not None]
     pops = damped_populations([first[o].field_after for o in live], model, delays)
     p_e, p_g = detection_probabilities(pops)

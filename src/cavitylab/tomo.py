@@ -23,7 +23,7 @@ import numpy as np
 from numpy.fft import fftfreq, irfft, rfft
 from numpy.random import SeedSequence, default_rng
 
-from .errors import CoverageError, DomainError, SamplingError, array, bound, number
+from .errors import CoverageError, DomainError, SamplingError, array, bound, instance, number
 from .fock import DensityOperator, FieldState, pure_to_density
 from .wigner import (
     MAX_GRID_NODES,
@@ -70,7 +70,7 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     seed = seed if seed is None else number(seed, "seed", integral=True, minimum=0)
     thetas = np.ravel(theta)
     number(bin_width, "bin_width", exclusive_minimum=0)
-    q_range = _q_range(rho, q_range)
+    q_range = _q_range(instance(rho, DensityOperator, "rho"), q_range)
     # Python floats: a window that overflows has an infinite bin count
     n_bins = bound(2.0 * float(q_range) / float(bin_width), MAX_GRID_NODES,
                    f"bin count of a sinogram (window 2 x {q_range!r}, bin_width {bin_width!r})",
@@ -206,7 +206,7 @@ def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int
     angles = array(angles, "angles", minimum=0, below=np.pi)
     if angles.ndim != 1:
         raise DomainError(f"angles must be a 1-D array, got shape {angles.shape}")
-    q_range = _q_range(rho_true, q_range)
+    q_range = _q_range(instance(rho_true, DensityOperator, "rho_true"), q_range)
     edges, counts = sample_homodyne(rho_true, angles, n_per_angle, seed,
                                     bin_width=bin_width, q_range=q_range)
     sino = (angles, (edges[:-1] + edges[1:]) / 2.0, counts / (n_per_angle * np.diff(edges)))

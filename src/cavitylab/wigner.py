@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import (DomainError, NonHermitianError, QuadratureError, TruncationError, array,
-                     bound, complex_array, number)
+                     bound, complex_array, instance, number)
 from .fock import (DensityOperator, HilbertSpec, laguerre_functions, quadrature_q1,
                    quadrature_q2)
 
@@ -252,7 +252,7 @@ def wigner_point(rho: DensityOperator, alpha):
     one alpha (a number) or an array of them (an array shaped like `alpha`),
     each value bit for bit the one-point call's; DomainError for an alpha
     that is not a finite number."""
-    return _laguerre_series(rho, alpha)[0][()]
+    return _laguerre_series(instance(rho, DensityOperator, "rho"), alpha)[0][()]
 
 
 def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
@@ -263,6 +263,7 @@ def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
     arg, sin and the conjugate products of the Horner sum all change sign
     exactly.  There only the columns with q2 <= 0 are evaluated, and the
     others are filled by reversal."""
+    rho = instance(rho, DensityOperator, "rho")
     alphas = grid.alpha_grid()
     q2 = grid.q2_axis
     if not rho.matrix.imag.any() and np.array_equal(q2, -q2[::-1]):
@@ -325,7 +326,7 @@ def wigner_position(rho: DensityOperator, q: float, p: float) -> float:
     Its Gauss-Hermite orders dim + 32 and dim + 56 limit it to dim <= 314
     (QuadratureError above), and q and p must be finite (DomainError)."""
     q, p = number(q, "q"), number(p, "p")
-    order = rho.dim + 32
+    order = instance(rho, DensityOperator, "rho").dim + 32
     bound(order + 24, _GH_MAX_ORDER, f"Gauss-Hermite order (dim {rho.dim})", QuadratureError)
     # e^{-i theta n} rho e^{i theta n}, theta = arg(q + ip), turns the point onto q1
     ph = np.exp(-1j * math.atan2(p, q) * np.arange(rho.dim))
@@ -368,7 +369,7 @@ def marginal_distribution(rho: DensityOperator, theta, q_theta) -> np.ndarray:
     a non-finite q_theta raises DomainError."""
     thetas = array(theta, "theta", minimum=0, below=np.pi)
     nodes = array(q_theta, "q_theta").ravel()
-    mat, ks = rho.matrix, rho.live
+    mat, ks = instance(rho, DensityOperator, "rho").matrix, rho.live
     halves = 2 if mat.imag.any() else 1
     coefs = [np.array([diag.real, diag.imag][:halves]) for diag in map(mat.diagonal, -ks)]
     c = np.empty((ks.size, halves, nodes.size))  # Re c_k and (halves == 2) Im c_k
@@ -486,6 +487,7 @@ def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> tuple[floa
     integral of W q^m p^n."""
     m, n = (number(k, "monomial power", integral=True, minimum=0) for k in monomial)
     bound(m + n, 4, "monomial degree", TruncationError)
+    rho = instance(rho, DensityOperator, "rho")
     # the symmetrized word couples levels at most (degree) apart, so only the
     # top few levels can feed truncation error into the operator-side trace
     margin = m + n + 2

@@ -27,6 +27,7 @@ from cavitylab import (
     cat_state,
     coherent_state,
     decoherence_time,
+    default_dim,
     default_grid,
     direct_point_exact,
     fock_state,
@@ -209,11 +210,12 @@ def test_criterion_05_decoherence_law():
 
 N6 = 5.0
 ALPHA6 = np.sqrt(N6)
+SPEC6 = HilbertSpec(default_dim(ALPHA6))  # 31 levels
 T_DEC6 = 1.0 / (2.0 * N6)
 
 
 def test_criterion_06a_perfect_initial_correlation():
-    p = two_atom_scan(ALPHA6, [0.0], MODEL)["p_e2_given_e1"][0]
+    p = two_atom_scan(ALPHA6, [0.0], MODEL, SPEC6)["p_e2_given_e1"][0]
     ok = p > 1 - 1e-4
     assert report("6a", "two-atom correlation at zero delay", ok,
                   f"P(e2|e1)(0) = {p:.8f}")
@@ -239,9 +241,9 @@ def test_criterion_06b_plateau_band():
     hi = brentq(lambda t: _p_e2_given_e1_exact(t) - 0.48, t_half, 8.0 / MODEL.kappa)
     stated = np.array([2.0, 3.0, 4.0]) * T_DEC6
     plateau = np.linspace(lo, hi, 9)[1:-1]
-    probs = two_atom_scan(ALPHA6, stated, MODEL)["p_e2_given_e1"]
+    probs = two_atom_scan(ALPHA6, stated, MODEL, SPEC6)["p_e2_given_e1"]
     errs = np.abs(probs - _p_e2_given_e1_exact(stated))
-    devs = np.abs(two_atom_scan(ALPHA6, plateau, MODEL)["p_e2_given_e1"] - 0.5)
+    devs = np.abs(two_atom_scan(ALPHA6, plateau, MODEL, SPEC6)["p_e2_given_e1"] - 0.5)
     ok = bool(np.all(errs <= 1e-9) and np.all(devs <= 0.02))
     report("6b", "exact P(e2|e1) at 2,3,4 t_dec; within 0.02 of 1/2 on "
            f"[{lo / T_DEC6:.2f},{hi / T_DEC6:.2f}] t_dec", ok,
@@ -252,7 +254,7 @@ def test_criterion_06b_plateau_band():
 
 
 def test_criterion_06c_late_time_decay():
-    p = two_atom_scan(ALPHA6, [8.0], MODEL)["p_e2_given_e1"][0]
+    p = two_atom_scan(ALPHA6, [8.0], MODEL, SPEC6)["p_e2_given_e1"][0]
     ok = p < 0.02
     assert report("6c", "correlation gone by 8/kappa", ok,
                   f"P(e2|e1)(8/k) = {p:.5f}")

@@ -5,11 +5,13 @@ Each call must raise a CavityLabError, or, where the function documents the
 value as valid (VALID), return a finite result.  No call may raise a bare
 exception or return NaN, except the NaN a function documents (PARTLY_NAN).
 Array parameters take the substitute as one of their entries.  Below the
-sweep, each hole the sweep closed has a named test of its own.
+sweep, each hole the sweep closed has a named test of its own.  At the end,
+every state parameter of every export is swept over four non-states.
 """
 
 import dataclasses
 import inspect
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ from cavitylab import (
     CavityLabError,
     DampingModel,
     DomainError,
+    FieldState,
     HilbertSpec,
     IntegrationError,
     PhaseSpaceGrid,
@@ -44,10 +47,12 @@ from cavitylab import (
     moyal_average,
     prepare_cat,
     probe_atom,
+    promote,
     pure_to_density,
     radon_of_map,
     reconstruct_from_samples,
     sample_homodyne,
+    scan_map,
     separation_measure,
     two_atom_scan,
     uniform_angles,
@@ -104,9 +109,9 @@ CALLS = {
     "separation_measure.temperature": lambda x: separation_measure(1.0, 1.0, x),
     "field_kraus.dim": lambda x: field_kraus("dispersive", x),
     "detection_probabilities.pops": lambda x: detection_probabilities([x, 1 - x]),
-    "prepare_cat.alpha": lambda x: prepare_cat(x),
-    "two_atom_scan.alpha": lambda x: two_atom_scan(x, [0.0, 1.0], MODEL),
-    "two_atom_scan.delays": lambda x: two_atom_scan(1.0, [0.0, x], MODEL),
+    "prepare_cat.alpha": lambda x: prepare_cat(x, SPEC),
+    "two_atom_scan.alpha": lambda x: two_atom_scan(x, [0.0, 1.0], MODEL, SPEC),
+    "two_atom_scan.delays": lambda x: two_atom_scan(1.0, [0.0, x], MODEL, SPEC),
     "PhaseSpaceGrid.q1_min": lambda x: PhaseSpaceGrid(x, 3, -3, 3, 5, 5),
     "PhaseSpaceGrid.q1_max": lambda x: PhaseSpaceGrid(-3, x, -3, 3, 5, 5),
     "PhaseSpaceGrid.q2_min": lambda x: PhaseSpaceGrid(-3, 3, x, 3, 5, 5),
@@ -270,16 +275,12 @@ def test_entry_point_refuses_or_returns_a_documented_finite_result(key, label):
 # -- the holes the sweep closed ----------------------------------------------------
 
 
-def test_default_dim_refuses_a_non_finite_amplitude_so_its_callers_do():
+def test_default_dim_refuses_a_non_finite_amplitude():
     # nan raised a bare ValueError ("cannot convert float NaN to integer"), inf
-    # an OverflowError, and prepare_cat and two_atom_scan passed both on
+    # an OverflowError; only the CLI calls it, and its config refuses both first
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError, match=r"\(alpha_max\)"):
             default_dim(bad)
-        with pytest.raises(DomainError):
-            prepare_cat(bad)
-        with pytest.raises(DomainError):
-            two_atom_scan(bad, [0.0, 1.0], MODEL)
     # a NaN n_thermal read as no thermal photons
     with pytest.raises(DomainError, match=r"\(n_thermal\)"):
         default_dim(1.0, np.nan)
@@ -342,7 +343,7 @@ def test_damped_populations_refuses_a_raw_stack_that_holds_no_state(diag):
     # a raw stack was read as states: a trace of 2 read populations [1, 1]
     # then [1.39, 0.61], an imaginary population was dropped and a negative
     # one stayed negative; the DensityOperator gate refuses each matrix
-    with pytest.raises(DomainError, match="DensityOperators of one dimension"):
+    with pytest.raises(DomainError, match=r"is not a list or tuple \(rhos\)$"):
         damped_populations(np.array([np.diag(diag)]), MODEL, [0.0, 0.5])
     with pytest.raises(CavityLabError):
         DensityOperator(np.diag(diag))
@@ -352,7 +353,7 @@ def test_damped_populations_refuses_a_raw_stack_that_holds_no_state(diag):
                                   [RHO, pure_to_density(vacuum(HilbertSpec(4)))]],
                          ids=["empty", "non-state-element", "two-dimensions"])
 def test_damped_populations_takes_density_operators_of_one_dimension(rhos):
-    with pytest.raises(DomainError, match="DensityOperators of one dimension"):
+    with pytest.raises(DomainError, match=r"\(rhos\)$"):
         damped_populations(rhos, MODEL, [0.0, 0.5])
     assert np.array_equal(damped_populations((RHO, RHO), MODEL, [0.0, 0.5]),
                           damped_populations([RHO, RHO], MODEL, [0.0, 0.5]))
@@ -385,7 +386,7 @@ def test_structural_misuse_raises_typed_errors():
         DensityOperator(np.eye(3)[:2] / 2.0)
     with pytest.raises(DomainError, match="one dimension"):
         mix([vacuum(SPEC), vacuum(HilbertSpec(8))], [0.5, 0.5])
-    with pytest.raises(DomainError, match="FieldState or DensityOperator"):
+    with pytest.raises(DomainError, match=r"not of type 'DensityOperator' \(field\)$"):
         probe_atom(RHO.matrix)
 
 
@@ -436,7 +437,7 @@ def test_alpha_that_is_not_a_number_is_refused(call, alpha):
 
 @pytest.mark.parametrize("times", [["0.0", "0.5"], ["x"], [0.5j]])
 @pytest.mark.parametrize("call", [
-    lambda t: monitor_origin(RHO, MODEL, t), lambda t: two_atom_scan(1.0, t, MODEL),
+    lambda t: monitor_origin(RHO, MODEL, t), lambda t: two_atom_scan(1.0, t, MODEL, SPEC),
     lambda t: evolve(RHO, MODEL, t), lambda t: damped_populations([RHO], MODEL, t),
 ], ids=["monitor_origin", "two_atom_scan", "evolve", "damped_populations"])
 def test_times_that_are_not_numbers_are_refused(call, times):
@@ -528,10 +529,132 @@ def test_sample_and_angle_counts_have_a_maximum():
 
 def test_default_dim_refuses_a_thermal_tail_too_long_to_count():
     # from about n_th = 2^53 on, n_th / (n_th + 1) rounds to 1, and the tail
-    # raised a bare ZeroDivisionError, in two_atom_scan too
+    # raised a bare ZeroDivisionError, in the CLI's decoherence-scan too
+    # (test_cli's scan-n-thermal case)
     for n_th in (1e308, 2.0 ** 60):
         with pytest.raises(DomainError, match=r"thermal tail too long to count \(n_thermal\)"):
             default_dim(1.0, n_th)
-        with pytest.raises(DomainError, match=r"\(n_thermal\)"):
-            two_atom_scan(1.0, [0.0, 1.0], DampingModel(1.0, n_th))
     assert default_dim(1.0, 1e15) > 1e15
+
+
+# -- every state parameter, swept over non-states ---------------------------------
+
+FIELD = cat_state(SPEC, 1.0, 0.0)
+
+# "export.parameter" -> the call with x as that state; a key may carry a note
+# after a space when one parameter is swept through two paths
+STATE_CALLS = {
+    "wigner_point.rho": lambda x: wigner_point(x, 0.5),
+    "wigner_map.rho": lambda x: wigner_map(x, GRID),
+    "wigner_position.rho": lambda x: wigner_position(x, 0.5, 0.5),
+    "marginal_distribution.rho": lambda x: marginal_distribution(x, 0.3, Q),
+    "moyal_average.rho": lambda x: moyal_average(x, (1, 1)),
+    "direct_point_exact.rho0": lambda x: direct_point_exact(x, 0.5),
+    "scan_map.rho0": lambda x: scan_map(x, GRID),
+    "monitor_origin.rho0": lambda x: monitor_origin(x, MODEL, [0.0, 0.5]),
+    "evolve.rho": lambda x: evolve(x, MODEL, 0.5),
+    "evolve.rho (t = 0)": lambda x: evolve(x, MODEL, 0),
+    "coherence_trajectory.rho": lambda x: coherence_trajectory(x, MODEL, [0.0, 0.5], 1.0),
+    "damped_populations.rhos": lambda x: damped_populations([RHO, x], MODEL, [0.0, 0.5]),
+    "sample_homodyne.rho": lambda x: sample_homodyne(x, 0.3, 100, 1),
+    "reconstruct_from_samples.rho_true": lambda x: reconstruct_from_samples(
+        x, ANGLES, 200, 1, GRID),
+    "probe_atom.field": lambda x: probe_atom(x),
+    "promote.obj": lambda x: promote(x, HilbertSpec(50)),
+    "pure_to_density.state": lambda x: pure_to_density(x),
+    "DensityOperator.fidelity_pure.state": lambda x: RHO.fidelity_pure(x),
+    "mix.states": lambda x: mix([FIELD, x], [0.5, 0.5]),
+    "mix.states (as the list)": lambda x: mix(x, [1.0]),
+}
+
+# the parameters that take a FieldState; mix's components take either state,
+# so their wrong type is the Branch that probe_atom returns
+TAKES_FIELD = {"pure_to_density.state", "DensityOperator.fidelity_pure.state"}
+
+
+def _non_states(key):
+    if key in TAKES_FIELD:
+        return {"raw": FIELD.amplitudes, "wrong-type": RHO,
+                "nested-list": [FIELD.amplitudes.tolist()], "none": None}
+    wrong = probe_atom(RHO)["g"] if key.startswith("mix.states") else FIELD
+    return {"raw": RHO.matrix, "wrong-type": wrong, "nested-list": RHO.matrix.tolist(),
+            "none": None}
+
+
+def _state_parameters():
+    """export.parameter for every parameter of an export, or of a public
+    method of an exported class, annotated with a state class."""
+    found = set()
+    for name, obj in vars(cavitylab).items():
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        methods = ([(f"{name}.{m}", f) for m, f in vars(obj).items()
+                    if inspect.isfunction(f) and not m.startswith("_")]
+                   if inspect.isclass(obj) else [(name, obj)] if callable(obj) else [])
+        for label, fn in methods:
+            found |= {f"{label}.{p.name}" for p in inspect.signature(fn).parameters.values()
+                      if re.search(r"\b(DensityOperator|FieldState)\b", str(p.annotation))}
+    return found
+
+
+def test_every_state_parameter_is_swept():
+    assert _state_parameters() == {key.split()[0] for key in STATE_CALLS}
+
+
+@pytest.mark.parametrize("label", ["raw", "wrong-type", "nested-list", "none"])
+@pytest.mark.parametrize("key", list(STATE_CALLS))
+def test_state_parameter_refuses_a_non_state(key, label):
+    # 12 of the readers raised a bare AttributeError, evolve at t = 0
+    # returned its argument, and probe_atom converted a FieldState
+    param = key.split()[0].rsplit(".", 1)[1]
+    with pytest.raises(DomainError, match=rf"\({param}\)$"):
+        STATE_CALLS[key](_non_states(key)[label])
+
+
+def test_state_gates_refuse_entries_that_are_not_numbers():
+    # strings of digits were read as amplitudes and matrix entries
+    with pytest.raises(DomainError, match=r"\(amplitudes\)$"):
+        FieldState(["1", "0"])
+    with pytest.raises(DomainError, match=r"\(density matrix\)$"):
+        DensityOperator([["1", "0"], ["0", "0"]])
+    with pytest.raises(DomainError, match=r"\(amplitudes\)$"):
+        FieldState([1.0, None])
+
+
+@pytest.mark.parametrize("amplitudes", [np.eye(2) / np.sqrt(2.0), [], 1.0],
+                         ids=["matrix", "empty", "scalar"])
+def test_field_state_is_a_nonempty_vector(amplitudes):
+    # a matrix of amplitudes became a 4-level state of trace 1 in pure_to_density
+    with pytest.raises(DomainError, match=r"is not a nonempty vector \(amplitudes\)$"):
+        FieldState(amplitudes)
+
+
+def test_mix_refuses_weights_that_are_not_numbers():
+    # ["0.5", "0.5"] gave populations [0.5, 0.5]; negative and NaN weights
+    # stay a WeightError
+    with pytest.raises(DomainError, match=r"\(weights\)$"):
+        mix([FIELD, RHO], ["0.5", "0.5"])
+    for weights in ([-0.5, 1.5], [np.nan, 1.0]):
+        with pytest.raises(WeightError, match="negative or NaN weight"):
+            mix([FIELD, RHO], weights)
+
+
+def test_fidelity_pure_refuses_a_reference_of_another_dimension():
+    # a bare ValueError from the matrix product
+    with pytest.raises(DomainError, match=r"does not fit dim 40 \(state\)$"):
+        RHO.fidelity_pure(vacuum(HilbertSpec(8)))
+    assert abs(RHO.fidelity_pure(FIELD) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: coherent_state(SPEC, x), lambda x: cat_state(SPEC, x, 0.0),
+    lambda x: prepare_cat(x, SPEC), lambda x: two_atom_scan(x, [0.0, 1.0], MODEL, SPEC),
+    lambda x: coherence_trajectory(RHO, MODEL, [0.0, 1.0], x),
+], ids=["coherent_state", "cat_state", "prepare_cat", "two_atom_scan", "coherence_trajectory"])
+def test_alpha_that_is_not_one_number_is_refused(call):
+    # each raised a bare TypeError ("only 0-dimensional arrays can be
+    # converted to Python scalars"); wigner_point and direct_point_exact
+    # take arrays of alpha (test_alpha_that_is_not_a_number_is_refused)
+    for alpha in ([0.5, 0.6], np.array([[1.0j]])):
+        with pytest.raises(DomainError, match=r"is not one number \(alpha\)$"):
+            call(alpha)

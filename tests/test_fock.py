@@ -447,11 +447,11 @@ def test_pure_to_density_refuses_an_oversized_dimension():
 
 
 def test_promote_preserves_amplitudes():
-    small = coherent_state(HilbertSpec(20), 1.0)
+    small = pure_to_density(coherent_state(HilbertSpec(20), 1.0))
     big = promote(small, HilbertSpec(32))
     assert big.dim == 32
-    np.testing.assert_allclose(big.amplitudes[:20], small.amplitudes)
-    assert np.all(big.amplitudes[20:] == 0)
+    np.testing.assert_allclose(big.matrix[:20, :20], small.matrix)
+    assert np.all(big.matrix[20:] == 0) and np.all(big.matrix[:, 20:] == 0)
     with pytest.raises(DomainError):
         promote(big, HilbertSpec(8))
 

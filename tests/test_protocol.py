@@ -87,10 +87,7 @@ def test_probe_matches_joint_density_oracle():
         rho = random_mixed(rng, dim, rank, support=2 if variant == "resonant-2pi" else None)
         m = field_kraus(variant, dim)
         assert np.array_equal(np.sum(np.abs(m) ** 2, axis=0), np.ones(dim))
-        field = rho
-        if rank == 1:  # pure input goes through the FieldState path
-            field = FieldState(np.linalg.eigh(rho.matrix)[1][:, -1])
-        branches = probe_atom(field, variant)
+        branches = probe_atom(rho, variant)
         oracle = joint_oracle(rho, variant)
         for s in ("e", "g"):
             p, post = oracle[s]
@@ -101,7 +98,7 @@ def test_probe_matches_joint_density_oracle():
 
 def test_two_pulses_make_a_pi_pulse():
     # empty cavity: R1 then R2 send |e> to |g>, whatever the interaction
-    vac = vacuum(HilbertSpec(6))
+    vac = pure_to_density(vacuum(HilbertSpec(6)))
     for variant in VARIANTS:
         branches = probe_atom(vac, variant)
         assert abs(branches["g"].probability - 1.0) < 1e-12
@@ -112,7 +109,7 @@ def test_probe_defaults_to_the_parity_angles_of_its_variant():
     # the coherent state's W(0) = 2 e^{-2|alpha|^2}; read at the dispersive
     # angles the opposite probe gave P_e = 1 for every field
     alpha = 1.1 * np.exp(0.7j)
-    field = coherent_state(HilbertSpec(20), alpha)
+    field = pure_to_density(coherent_state(HilbertSpec(20), alpha))
     for variant in ("dispersive", "opposite"):
         branches = probe_atom(field, variant=variant)
         assert abs(branches["g"].probability - branches["e"].probability
@@ -168,7 +165,7 @@ def test_even_cat_is_conditional_parity_eigenstate():
     spec = HilbertSpec(26)
     for psi1, outcome in ((0.0, "g"), (np.pi, "e")):
         cat = cat_state(spec, 1.4, psi1)
-        branches = probe_atom(cat)
+        branches = probe_atom(pure_to_density(cat))
         assert abs(branches[outcome].probability - 1.0) < 1e-12
         assert branches[outcome].field().fidelity_pure(cat) >= 1 - 1e-12
 
@@ -211,8 +208,9 @@ def test_resonant_2pi_equals_pi_shift_on_low_subspace():
     amps[0], amps[1] = np.sqrt(0.3), np.sqrt(0.7) * np.exp(0.4j)
     np.testing.assert_allclose(field_kraus("resonant-2pi", 9)[:, :2],
                                field_kraus("dispersive", 9)[:, :2], atol=1e-15)
-    resonant = probe_atom(FieldState(amps), "resonant-2pi")
-    dispersive = probe_atom(FieldState(amps))
+    field = pure_to_density(FieldState(amps))
+    resonant = probe_atom(field, "resonant-2pi")
+    dispersive = probe_atom(field)
     for s in ("e", "g"):
         assert abs(resonant[s].probability - dispersive[s].probability) < 1e-12
         np.testing.assert_allclose(resonant[s].field().matrix,
@@ -222,7 +220,7 @@ def test_resonant_2pi_equals_pi_shift_on_low_subspace():
 def test_resonant_2pi_guards_subspace():
     spec = HilbertSpec(12)
     with pytest.raises(SubspaceError):
-        probe_atom(coherent_state(spec, 1.0), "resonant-2pi")
+        probe_atom(pure_to_density(coherent_state(spec, 1.0)), "resonant-2pi")
 
 
 def test_one_resonant_threshold_for_every_probe():
@@ -262,7 +260,7 @@ def test_detection_after_entangling_projects_coherent_states():
     even = np.arange(30) % 2 == 0
     np.testing.assert_array_equal(m[1], 1.0 * even)
     np.testing.assert_array_equal(m[0], -1.0 * ~even)
-    branches = probe_atom(coherent_state(spec, alpha))
+    branches = probe_atom(pure_to_density(coherent_state(spec, alpha)))
     amps = coherent_state(spec, alpha).amplitudes
     for outcome, part in (("g", amps * even), ("e", amps * ~even)):
         assert abs(branches[outcome].probability - np.vdot(part, part).real) < 1e-12
@@ -304,11 +302,6 @@ def test_prepared_cats_have_exact_zeros_on_odd_diagonals():
             for k in range(1, dim, 2):
                 assert np.all(np.diagonal(mat, -k) == 0)
                 assert np.all(np.diagonal(mat, k) == 0)
-
-
-def test_prepare_cat_default_truncation_is_floored_below_alpha_one():
-    branches = prepare_cat(0.5)
-    assert branches["g"].field().dim == branches["e"].field().dim == 14
 
 
 def test_prepare_cat_empty_cavity_is_deterministic():
@@ -389,17 +382,17 @@ def test_scan_hands_back_its_branch_trajectories():
 
 def test_two_atom_rejects_negative_delay():
     with pytest.raises(DomainError):
-        two_atom_scan(1.0, [-0.5], MODEL)
+        two_atom_scan(1.0, [-0.5], MODEL, HilbertSpec(14))
 
 
 def test_two_atom_scan_refuses_an_empty_delay_list():
     with pytest.raises(DomainError):
-        two_atom_scan(1.0, [], MODEL)
+        two_atom_scan(1.0, [], MODEL, HilbertSpec(14))
 
 
 def test_branch_probabilities_sum_to_one():
     spec = HilbertSpec(26)
     for field in (coherent_state(spec, 1.2), cat_state(spec, 1.0, 0.0)):
-        branches = probe_atom(field)
+        branches = probe_atom(pure_to_density(field))
         total = branches["e"].probability + branches["g"].probability
         assert abs(total - 1.0) < 1e-10

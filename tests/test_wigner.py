@@ -81,13 +81,13 @@ def test_truncation_guard():
 
 def test_wigner_position_refuses_orders_hermgauss_cannot_build():
     # dim + 56 > 370 overflowed inside hermgauss (a RuntimeWarning) at dim 320
-    state = coherent_state(HilbertSpec(300), 1.2 - 0.4j)
+    rho = pure_to_density(coherent_state(HilbertSpec(300), 1.2 - 0.4j))
     q, p = 0.9, -0.3
-    want = wigner_point(pure_to_density(state), (q + 1j * p) / np.sqrt(2))
-    assert abs(wigner_position(pure_to_density(state), q, p) - want) < 1e-12
+    want = wigner_point(rho, (q + 1j * p) / np.sqrt(2))
+    assert abs(wigner_position(rho, q, p) - want) < 1e-12
     for dim in (315, 320):
         with pytest.raises(QuadratureError):
-            wigner_position(pure_to_density(promote(state, HilbertSpec(dim))), q, p)
+            wigner_position(promote(rho, HilbertSpec(dim)), q, p)
 
 
 def test_cross_construction_on_mixed_state():
