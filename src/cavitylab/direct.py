@@ -111,7 +111,8 @@ def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
     The readout at alpha is W(-alpha), so the map is ``wigner_map`` on the
     reflected grid, flipped back onto `grid`, in rho0's own dimension.
     """
-    exact = wigner_map(instance(rho0, DensityOperator, "rho0"), grid.reflected())
+    rho0 = instance(rho0, DensityOperator, "rho0")
+    exact = wigner_map(rho0, instance(grid, PhaseSpaceGrid, "grid").reflected())
     return WignerMap(grid, exact.values[::-1, ::-1], provenance="measured-direct",
                      diagnostics=dict(exact.diagnostics))
 

@@ -21,9 +21,10 @@ expm per diagonal and per group of time steps that differ only by
 rounding, checks the trace, and hands out the damped diagonals one at a
 time, k = 0 first.  A diagonal that is zero in every input stays zero
 and is skipped.  Every public reader takes DensityOperators, whose gate
-alone decides what is a state; anything else raises DomainError naming
-its parameter (``errors.instance``).  ``damped_populations`` reads k = 0 alone,
-all that the atom's Born rule needs (``protocol``, ``direct``), and
+alone decides what is a state, and a DampingModel; anything else raises
+DomainError naming its parameter (``errors.instance``).
+``damped_populations`` reads k = 0 alone, all that the atom's Born rule
+needs (``protocol``, ``direct``), and
 ``coherence_trajectory`` the cat coherence, <n> and the trace, without
 forming matrices; ``evolve`` assembles the matrices.
 
@@ -150,7 +151,9 @@ def _diagonals(mats: np.ndarray, model: DampingModel, times):
     non-finite times raise DomainError.  The propagators keep the trace to
     rounding until a step is long enough for scaling and squaring to lose
     it, so diagonal 0 of each matrix must sum to that input's trace within
-    1e-9 at every time before it is yielded (IntegrationError)."""
+    1e-9 at every time before it is yielded (IntegrationError).  A `model`
+    that is not a DampingModel raises DomainError, even with no times."""
+    instance(model, DampingModel, "model")
     times = array(np.atleast_1d(times), "times", minimum=0)
     array(np.diff(times), "time steps", minimum=0)
     if times.size == 0:
@@ -205,6 +208,7 @@ def evolve(rho: DensityOperator, model: DampingModel, t):
     conjugates of the lower ones; ``_diagonals`` refuses a trace drift
     above 1e-9 at any time (IntegrationError)."""
     rho = instance(rho, DensityOperator, "rho")
+    instance(model, DampingModel, "model")
     if np.ndim(t) == 0 and t == 0:
         return rho
     times = np.atleast_1d(t)
@@ -251,8 +255,8 @@ def decoherence_time(model: DampingModel, mean_n: float) -> float:
     """Dissipation time over 2 mean_n (2 n_thermal + 1): the e-folding time of
     a cat's fringes (Kim & Buzek, PRA 46, 4239 (1992)), for a finite mean_n > 0."""
     number(mean_n, "mean_n", exclusive_minimum=0)
-    return number(model.dissipation_time / (2.0 * mean_n * (2.0 * model.n_thermal + 1.0)),
-                  "decoherence time")
+    return number(instance(model, DampingModel, "model").dissipation_time
+                  / (2.0 * mean_n * (2.0 * model.n_thermal + 1.0)), "decoherence time")
 
 
 def separation_measure(d: float, mass: float, temperature: float) -> float:
@@ -264,12 +268,12 @@ def separation_measure(d: float, mass: float, temperature: float) -> float:
         return number(float((d / lam) ** 2), "separation measure")
 
 
-def fit_coherence_decay(rho0: DensityOperator, model: DampingModel, alpha: complex,
+def fit_coherence_decay(rho: DensityOperator, model: DampingModel, alpha: complex,
                         t_max: float) -> float:
     """Time constant of a log-linear fit of the cat coherence of
     ``coherence_trajectory`` at 25 times in [0, t_max], t_max > 0 (DomainError)."""
     times = np.linspace(0.0, number(t_max, "t_max", exclusive_minimum=0), 25)
-    w = coherence_trajectory(rho0, model, times, alpha)[0]
+    w = coherence_trajectory(rho, model, times, alpha)[0]
     w0 = w[0]
     if w0 <= 0:
         raise DomainError("initial coherence vanishes; nothing to fit")

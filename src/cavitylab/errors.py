@@ -1,8 +1,10 @@
 """Exception types shared across the package, the rules by which every
 entry point checks its arguments (``number`` for a scalar, the CLI's option
 table too, ``array`` for the entries of a real array, ``complex_array``
-for those of a complex one and ``instance`` for a state), and ``bound``,
-the one place a measured value meets its tolerance."""
+for those of a complex one and ``instance`` for an argument of any package
+type: a state, a HilbertSpec, a DampingModel, a PhaseSpaceGrid or a
+WignerMap), and ``bound``, the one place a measured value meets its
+tolerance."""
 
 import math
 import numbers

@@ -5,8 +5,9 @@ Conventions (hbar = 1):
 The vacuum has quadrature variance 1/2.  All amplitudes are dimensionless.
 
 The constructors build FieldStates in the truncation they are given;
-``pure_to_density`` and ``mix`` build from them the DensityOperators that
-every reader of rho takes, each state parameter checked by ``errors.instance``.
+``pure_to_density`` and ``mix`` build from FieldStates alone the
+DensityOperators that every reader of rho takes.  Each argument of a package
+type, a state or a HilbertSpec, is checked by ``errors.instance``.
 """
 
 from __future__ import annotations
@@ -154,12 +155,12 @@ def _lowering(dim: int) -> np.ndarray:
 
 
 def quadrature_q1(spec: HilbertSpec) -> np.ndarray:
-    a = _lowering(spec.dim)
+    a = _lowering(instance(spec, HilbertSpec, "spec").dim)
     return _readonly((a + a.T) / np.sqrt(2.0))
 
 
 def quadrature_q2(spec: HilbertSpec) -> np.ndarray:
-    a = _lowering(spec.dim)
+    a = _lowering(instance(spec, HilbertSpec, "spec").dim)
     return _readonly((a - a.T) / (1j * np.sqrt(2.0)))
 
 
@@ -245,7 +246,7 @@ def turn(theta: float, n) -> np.ndarray:
 
 def fock_state(spec: HilbertSpec, n: int) -> FieldState:
     """|n>, for an integer 0 <= n < spec.dim (DomainError otherwise)."""
-    amps = np.zeros(spec.dim, dtype=complex)
+    amps = np.zeros(instance(spec, HilbertSpec, "spec").dim, dtype=complex)
     amps[number(n, "n", integral=True, minimum=0, maximum=spec.dim - 1)] = 1.0
     return FieldState(amps)
 
@@ -263,9 +264,10 @@ def coherent_state(spec: HilbertSpec, alpha: complex) -> FieldState:
     """
     if complex_array(alpha, "alpha").ndim:
         raise DomainError(f"an array of shape {np.shape(alpha)} is not one number (alpha)")
-    amps = radial_rows(alpha, spec.dim, 1)[:, 0] * turn(np.angle(alpha), np.arange(spec.dim))
+    dim = instance(spec, HilbertSpec, "spec").dim
+    amps = radial_rows(alpha, dim, 1)[:, 0] * turn(np.angle(alpha), np.arange(dim))
     norm = np.linalg.norm(amps)
-    bound(abs(1.0 - norm), 1e-8, f"coherent-state tail (dim {spec.dim})", TruncationError)
+    bound(abs(1.0 - norm), 1e-8, f"coherent-state tail (dim {dim})", TruncationError)
     return FieldState(amps / norm)
 
 
@@ -299,14 +301,13 @@ def pure_to_density(state: FieldState) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()))
 
 
-def mix(states: list[FieldState | DensityOperator], weights) -> DensityOperator:
-    """Statistical mixture of FieldStates and/or DensityOperators of one
-    dimension (a list or tuple; DomainError otherwise), by real numbers
-    (DomainError) >= 0 summing to 1 (WeightError)."""
+def mix(states: list[FieldState], weights) -> DensityOperator:
+    """Statistical mixture of FieldStates of one dimension (a list or tuple of
+    them; DomainError otherwise), by real numbers (DomainError) >= 0 summing
+    to 1 (WeightError)."""
     if not isinstance(states, (list, tuple)):
         raise DomainError(f"{type(states).__name__} is not a list or tuple (states)")
-    rhos = [pure_to_density(st) if isinstance(st, FieldState)
-            else instance(st, DensityOperator, "states") for st in states]
+    rhos = [pure_to_density(instance(st, FieldState, "states")) for st in states]
     # weights that are not numbers are a DomainError, negative and NaN ones a WeightError
     if not np.all(complex_array(weights, "weights").real >= 0):
         raise WeightError(f"negative or NaN weight in {weights}")
@@ -325,7 +326,7 @@ def mix(states: list[FieldState | DensityOperator], weights) -> DensityOperator:
 
 def promote(obj: DensityOperator, spec: HilbertSpec) -> DensityOperator:
     """Zero-pad a density operator into a larger space (DomainError if smaller)."""
-    if spec.dim < instance(obj, DensityOperator, "obj").dim:
+    if instance(spec, HilbertSpec, "spec").dim < instance(obj, DensityOperator, "obj").dim:
         raise DomainError(f"cannot promote dim {obj.dim} down to {spec.dim}")
     if spec.dim == obj.dim:
         return obj

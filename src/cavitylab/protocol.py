@@ -146,9 +146,11 @@ def two_atom_scan(alpha: complex, delays, model: DampingModel, spec: HilbertSpec
     probabilities), and the (T,) arrays `p_e2_given_e1`, `p_g2_given_e1`,
     `p_e2_given_g1`, `p_g2_given_g1` and `p_e2` (P(g2) = 1 - p_e2), indexed
     like `delays`.  A conditional on a first-atom outcome of probability 0
-    reads NaN.  Raises DomainError for the delays that
+    reads NaN.  Raises DomainError, before the cat is prepared, for a `model`
+    that is not a DampingModel, then for the delays that
     ``damped_populations`` refuses as times, and TruncationError when a
     damped branch puts more than 1e-8 on its top Fock level."""
+    instance(model, DampingModel, "model")
     first = prepare_cat(alpha, spec)
     live = [o for o in ("e", "g") if first[o].field_after is not None]
     pops = damped_populations([first[o].field_after for o in live], model, delays)

@@ -157,7 +157,7 @@ def inverse_radon(thetas, q, densities, grid: PhaseSpaceGrid) -> WignerMap:
         raise DomainError(f"densities shape {densities.shape} != ({thetas.size}, {q.size})")
     if thetas.size < 8:
         raise CoverageError(f"need at least 8 angles, got {thetas.size}")
-    radius = grid.corner_radius
+    radius = instance(grid, PhaseSpaceGrid, "grid").corner_radius
     if q.max() < radius or q.min() > -radius:
         raise CoverageError(
             f"sinogram q range [{q.min():.2f}, {q.max():.2f}] does not "
@@ -202,7 +202,9 @@ def reconstruct_from_samples(rho_true: DensityOperator, angles, n_per_angle: int
     The report is the CLI's `reconstruction_report.json`: `rmse`,
     `max_abs_error`, the recovered and true `fringe_contrast` and
     `fringe_contrast_true`, the `angles` count, `n` samples per angle, and
-    `marginal_consistency_residuals` keyed by str(float(theta))."""
+    `marginal_consistency_residuals` keyed by str(float(theta)).  A `grid`
+    that is not a PhaseSpaceGrid raises DomainError before any sample is drawn."""
+    instance(grid, PhaseSpaceGrid, "grid")
     angles = array(angles, "angles", minimum=0, below=np.pi)
     if angles.ndim != 1:
         raise DomainError(f"angles must be a 1-D array, got shape {angles.shape}")
@@ -237,7 +239,9 @@ def pauli_incompleteness_demo(grid: PhaseSpaceGrid) -> dict:
     (on default_grid(2.0, step=0.15)); 36-angle reconstructions on `grid`
     tell the two apart.  The back-projection is linear, so their deviation
     is that of one back-projection: of the difference of the pair's exact
-    36-angle marginals on 801 points of q."""
+    36-angle marginals on 801 points of q.  A `grid` that is not a
+    PhaseSpaceGrid raises DomainError before any marginal is built."""
+    instance(grid, PhaseSpaceGrid, "grid")
     amps = np.zeros(16, dtype=complex)
     amps[0], amps[2] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
     rho_a, rho_b = pure_to_density(FieldState(amps)), pure_to_density(FieldState(amps.conj()))

@@ -143,9 +143,10 @@ class WignerMap:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        grid = instance(self.grid, PhaseSpaceGrid, "grid")
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n1, self.grid.n2):
-            raise DomainError(f"values shape {v.shape} != grid ({self.grid.n1}, {self.grid.n2})")
+        if v.shape != (grid.n1, grid.n2):
+            raise DomainError(f"values shape {v.shape} != grid ({grid.n1}, {grid.n2})")
         object.__setattr__(self, "values", v)
 
     def max_abs(self) -> float:
@@ -264,7 +265,7 @@ def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
     exactly.  There only the columns with q2 <= 0 are evaluated, and the
     others are filled by reversal."""
     rho = instance(rho, DensityOperator, "rho")
-    alphas = grid.alpha_grid()
+    alphas = instance(grid, PhaseSpaceGrid, "grid").alpha_grid()
     q2 = grid.q2_axis
     if not rho.matrix.imag.any() and np.array_equal(q2, -q2[::-1]):
         half, radii = _laguerre_series(rho, alphas[:, :(q2.size + 1) // 2])
@@ -401,7 +402,7 @@ def radon_of_map(wmap: WignerMap, theta) -> tuple[np.ndarray, np.ndarray]:
     [-h, h] with h = min(q1_max, q2_max), and P shaped np.shape(theta) + q.shape,
     one row per angle, each computed as the one-angle call computes it."""
     thetas = array(theta, "theta", minimum=0, below=np.pi)
-    g = wmap.grid
+    g = instance(wmap, WignerMap, "wmap").grid
     half = min(g.q1_max, g.q2_max)
     qs = np.linspace(-half, half, max(g.n1, g.n2))
     step = min(g.spacing)
@@ -506,5 +507,5 @@ def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> tuple[floa
 def fringe_contrast(wmap: WignerMap) -> float:
     """Peak-to-trough swing of W inside the interference strip |q1| <= 0.5
     between the lobes of a cat aligned with q1."""
-    vals = wmap.values[np.abs(wmap.grid.q1_axis) <= 0.5]
+    vals = instance(wmap, WignerMap, "wmap").values[np.abs(wmap.grid.q1_axis) <= 0.5]
     return float(vals.max() - vals.min())

@@ -6,7 +6,8 @@ value as valid (VALID), return a finite result.  No call may raise a bare
 exception or return NaN, except the NaN a function documents (PARTLY_NAN).
 Array parameters take the substitute as one of their entries.  Below the
 sweep, each hole the sweep closed has a named test of its own.  At the end,
-every state parameter of every export is swept over four non-states.
+every parameter annotated with a class the package exports is swept over
+values of other types.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ from cavitylab import (
     PhaseSpaceGrid,
     TruncationError,
     WeightError,
+    WignerMap,
     cat_state,
     coherence_trajectory,
     coherent_state,
@@ -40,11 +42,13 @@ from cavitylab import (
     evolve,
     field_kraus,
     fock_state,
+    fringe_contrast,
     inverse_radon,
     marginal_distribution,
     mix,
     monitor_origin,
     moyal_average,
+    pauli_incompleteness_demo,
     prepare_cat,
     probe_atom,
     promote,
@@ -61,15 +65,17 @@ from cavitylab import (
     wigner_point,
     wigner_position,
 )
+from cavitylab import protocol, tomo
 from cavitylab.dynamics import fit_coherence_decay
 from cavitylab.errors import array, bound
-from cavitylab.fock import DensityOperator, radial_rows
+from cavitylab.fock import DensityOperator, quadrature_q1, quadrature_q2, radial_rows
 from cavitylab.wigner import MAX_GRID_NODES
 
 SUBSTITUTES = {"nan": float("nan"), "inf": float("inf"), "-1": -1, "0": 0, "2.5": 2.5}
 
 SPEC = HilbertSpec(40)
-RHO = pure_to_density(cat_state(SPEC, 1.0, 0.0))
+FIELD = cat_state(SPEC, 1.0, 0.0)
+RHO = pure_to_density(FIELD)
 MODEL = DampingModel(1.0)
 GRID = PhaseSpaceGrid(-1.5, 1.5, -1.5, 1.5, 7, 7)
 WMAP = wigner_map(RHO, GRID)
@@ -96,7 +102,7 @@ CALLS = {
     "default_dim.alpha_max": lambda x: default_dim(x),
     "default_dim.n_thermal": lambda x: default_dim(1.0, x),
     "fock_state.n": lambda x: fock_state(SPEC, x),
-    "mix.weights": lambda x: mix([vacuum(SPEC), RHO], [x, 1 - x]),
+    "mix.weights": lambda x: mix([vacuum(SPEC), FIELD], [x, 1 - x]),
     "DampingModel.kappa": lambda x: DampingModel(x),
     "DampingModel.n_thermal": lambda x: DampingModel(1.0, x),
     "coherence_trajectory.times": lambda x: coherence_trajectory(RHO, MODEL, [0.0, x], 1.0),
@@ -393,7 +399,7 @@ def test_structural_misuse_raises_typed_errors():
 def test_mix_refuses_nan_weights():
     # [nan, nan] passed the weight checks and raised a NonHermitianError
     with pytest.raises(WeightError):
-        mix([RHO, RHO], [np.nan, np.nan])
+        mix([FIELD, FIELD], [np.nan, np.nan])
 
 
 def test_reconstruct_from_samples_refuses_a_two_dimensional_angle_array():
@@ -537,54 +543,99 @@ def test_default_dim_refuses_a_thermal_tail_too_long_to_count():
     assert default_dim(1.0, 1e15) > 1e15
 
 
-# -- every state parameter, swept over non-states ---------------------------------
+# -- every parameter of a package type, swept over substitutes --------------------
 
-FIELD = cat_state(SPEC, 1.0, 0.0)
-
-# "export.parameter" -> the call with x as that state; a key may carry a note
-# after a space when one parameter is swept through two paths
-STATE_CALLS = {
-    "wigner_point.rho": lambda x: wigner_point(x, 0.5),
-    "wigner_map.rho": lambda x: wigner_map(x, GRID),
-    "wigner_position.rho": lambda x: wigner_position(x, 0.5, 0.5),
-    "marginal_distribution.rho": lambda x: marginal_distribution(x, 0.3, Q),
-    "moyal_average.rho": lambda x: moyal_average(x, (1, 1)),
-    "direct_point_exact.rho0": lambda x: direct_point_exact(x, 0.5),
-    "scan_map.rho0": lambda x: scan_map(x, GRID),
-    "monitor_origin.rho0": lambda x: monitor_origin(x, MODEL, [0.0, 0.5]),
-    "evolve.rho": lambda x: evolve(x, MODEL, 0.5),
-    "evolve.rho (t = 0)": lambda x: evolve(x, MODEL, 0),
-    "coherence_trajectory.rho": lambda x: coherence_trajectory(x, MODEL, [0.0, 0.5], 1.0),
-    "damped_populations.rhos": lambda x: damped_populations([RHO, x], MODEL, [0.0, 0.5]),
-    "sample_homodyne.rho": lambda x: sample_homodyne(x, 0.3, 100, 1),
-    "reconstruct_from_samples.rho_true": lambda x: reconstruct_from_samples(
-        x, ANGLES, 200, 1, GRID),
-    "probe_atom.field": lambda x: probe_atom(x),
-    "promote.obj": lambda x: promote(x, HilbertSpec(50)),
-    "pure_to_density.state": lambda x: pure_to_density(x),
-    "DensityOperator.fidelity_pure.state": lambda x: RHO.fidelity_pure(x),
-    "mix.states": lambda x: mix([FIELD, x], [0.5, 0.5]),
-    "mix.states (as the list)": lambda x: mix(x, [1.0]),
+# the class a parameter takes -> "function.parameter" -> the call with x in that
+# parameter; a key may carry a note after a space when one parameter is swept
+# through two paths
+TYPED_CALLS = {
+    DensityOperator: {
+        "wigner_point.rho": lambda x: wigner_point(x, 0.5),
+        "wigner_map.rho": lambda x: wigner_map(x, GRID),
+        "wigner_position.rho": lambda x: wigner_position(x, 0.5, 0.5),
+        "marginal_distribution.rho": lambda x: marginal_distribution(x, 0.3, Q),
+        "moyal_average.rho": lambda x: moyal_average(x, (1, 1)),
+        "direct_point_exact.rho0": lambda x: direct_point_exact(x, 0.5),
+        "scan_map.rho0": lambda x: scan_map(x, GRID),
+        "monitor_origin.rho0": lambda x: monitor_origin(x, MODEL, [0.0, 0.5]),
+        "evolve.rho": lambda x: evolve(x, MODEL, 0.5),
+        "evolve.rho (t = 0)": lambda x: evolve(x, MODEL, 0),
+        "coherence_trajectory.rho": lambda x: coherence_trajectory(x, MODEL, [0.0, 0.5], 1.0),
+        "damped_populations.rhos": lambda x: damped_populations([RHO, x], MODEL, [0.0, 0.5]),
+        "sample_homodyne.rho": lambda x: sample_homodyne(x, 0.3, 100, 1),
+        "reconstruct_from_samples.rho_true": lambda x: reconstruct_from_samples(
+            x, ANGLES, 200, 1, GRID),
+        "probe_atom.field": lambda x: probe_atom(x),
+        "promote.obj": lambda x: promote(x, HilbertSpec(50)),
+        "fit_coherence_decay.rho": lambda x: fit_coherence_decay(x, MODEL, 1.0, 1.0),
+    },
+    FieldState: {
+        "pure_to_density.state": lambda x: pure_to_density(x),
+        "DensityOperator.fidelity_pure.state": lambda x: RHO.fidelity_pure(x),
+        "mix.states": lambda x: mix([FIELD, x], [0.5, 0.5]),
+        "mix.states (as the list)": lambda x: mix(x, [1.0]),
+    },
+    HilbertSpec: {
+        "fock_state.spec": lambda x: fock_state(x, 0),
+        "vacuum.spec": lambda x: vacuum(x),
+        "coherent_state.spec": lambda x: coherent_state(x, 1.0),
+        "cat_state.spec": lambda x: cat_state(x, 1.0, 0.0),
+        "promote.spec": lambda x: promote(RHO, x),
+        "prepare_cat.spec": lambda x: prepare_cat(1.0, x),
+        "two_atom_scan.spec": lambda x: two_atom_scan(1.0, [0.0, 1.0], MODEL, x),
+        "quadrature_q1.spec": lambda x: quadrature_q1(x),
+        "quadrature_q2.spec": lambda x: quadrature_q2(x),
+    },
+    DampingModel: {
+        "evolve.model": lambda x: evolve(RHO, x, 0.5),
+        "evolve.model (t = 0)": lambda x: evolve(RHO, x, 0),
+        "coherence_trajectory.model": lambda x: coherence_trajectory(RHO, x, [0.0, 0.5], 1.0),
+        "damped_populations.model": lambda x: damped_populations([RHO], x, [0.0, 0.5]),
+        "decoherence_time.model": lambda x: decoherence_time(x, 2.0),
+        "two_atom_scan.model": lambda x: two_atom_scan(1.0, [0.0, 1.0], x, SPEC),
+        "monitor_origin.model": lambda x: monitor_origin(RHO, x, [0.0, 0.5]),
+    },
+    PhaseSpaceGrid: {
+        "wigner_map.grid": lambda x: wigner_map(RHO, x),
+        "scan_map.grid": lambda x: scan_map(RHO, x),
+        "inverse_radon.grid": lambda x: inverse_radon(ANGLES, SINO_Q, DENSITIES, x),
+        "reconstruct_from_samples.grid": lambda x: reconstruct_from_samples(
+            RHO, ANGLES, 200, 1, x),
+        "pauli_incompleteness_demo.grid": lambda x: pauli_incompleteness_demo(x),
+        "WignerMap.grid": lambda x: WignerMap(x, WMAP.values),
+    },
+    WignerMap: {
+        "radon_of_map.wmap": lambda x: radon_of_map(x, 0.3),
+        "fringe_contrast.wmap": lambda x: fringe_contrast(x),
+    },
 }
 
-# the parameters that take a FieldState; mix's components take either state,
-# so their wrong type is the Branch that probe_atom returns
-TAKES_FIELD = {"pure_to_density.state", "DensityOperator.fidelity_pure.state"}
+# keys the completeness check does not derive from the exports: a dataclass
+# field, and parameters of functions the package does not export
+EXPLICIT = {"WignerMap.grid", "quadrature_q1.spec", "quadrature_q2.spec",
+            "fit_coherence_decay.rho"}
+
+# what each class's parameters are fed instead: a raw stand-in, another
+# package type and None, and for a state its entries as a nested list
+SUBSTITUTES_FOR = {
+    DensityOperator: {"raw": RHO.matrix, "wrong-type": FIELD, "nested-list": RHO.matrix.tolist(),
+                      "none": None},
+    FieldState: {"raw": FIELD.amplitudes, "wrong-type": RHO,
+                 "nested-list": [FIELD.amplitudes.tolist()], "none": None},
+    HilbertSpec: {"raw": 8, "wrong-type": MODEL, "none": None},
+    DampingModel: {"raw": 1.0, "wrong-type": SPEC, "none": None},
+    PhaseSpaceGrid: {"raw": (-1.5, 1.5, -1.5, 1.5), "wrong-type": WMAP, "none": None},
+    WignerMap: {"raw": WMAP.values, "wrong-type": GRID, "none": None},
+}
 
 
-def _non_states(key):
-    if key in TAKES_FIELD:
-        return {"raw": FIELD.amplitudes, "wrong-type": RHO,
-                "nested-list": [FIELD.amplitudes.tolist()], "none": None}
-    wrong = probe_atom(RHO)["g"] if key.startswith("mix.states") else FIELD
-    return {"raw": RHO.matrix, "wrong-type": wrong, "nested-list": RHO.matrix.tolist(),
-            "none": None}
-
-
-def _state_parameters():
-    """export.parameter for every parameter of an export, or of a public
-    method of an exported class, annotated with a state class."""
-    found = set()
+def _typed_parameters():
+    """export.parameter -> its annotation, for every parameter of an export,
+    or of a public method of an exported class, annotated with a class the
+    package exports."""
+    classes = "|".join(name for name, obj in vars(cavitylab).items()
+                       if not name.startswith("_") and inspect.isclass(obj))
+    found = {}
     for name, obj in vars(cavitylab).items():
         if name.startswith("_") or inspect.ismodule(obj):
             continue
@@ -592,23 +643,48 @@ def _state_parameters():
                     if inspect.isfunction(f) and not m.startswith("_")]
                    if inspect.isclass(obj) else [(name, obj)] if callable(obj) else [])
         for label, fn in methods:
-            found |= {f"{label}.{p.name}" for p in inspect.signature(fn).parameters.values()
-                      if re.search(r"\b(DensityOperator|FieldState)\b", str(p.annotation))}
+            found.update({f"{label}.{p.name}": str(p.annotation)
+                          for p in inspect.signature(fn).parameters.values()
+                          if re.search(rf"\b({classes})\b", str(p.annotation))})
     return found
 
 
-def test_every_state_parameter_is_swept():
-    assert _state_parameters() == {key.split()[0] for key in STATE_CALLS}
+def test_every_typed_parameter_is_swept():
+    swept = {key.split()[0]: cls.__name__ for cls, calls in TYPED_CALLS.items() for key in calls}
+    found = _typed_parameters()
+    assert found.keys() == swept.keys() - EXPLICIT
+    # each is fed the substitutes of the class its annotation names
+    assert all(re.search(rf"\b{swept[key]}\b", annotation) for key, annotation in found.items())
 
 
-@pytest.mark.parametrize("label", ["raw", "wrong-type", "nested-list", "none"])
-@pytest.mark.parametrize("key", list(STATE_CALLS))
-def test_state_parameter_refuses_a_non_state(key, label):
-    # 12 of the readers raised a bare AttributeError, evolve at t = 0
-    # returned its argument, and probe_atom converted a FieldState
+@pytest.mark.parametrize("cls,key,label", [
+    pytest.param(cls, key, label, id=f"{key}-{label}")
+    for cls, calls in TYPED_CALLS.items() for key in calls for label in SUBSTITUTES_FOR[cls]])
+def test_typed_parameter_refuses_a_substitute(cls, key, label):
+    # 12 of the state readers and every reader of the other types raised a
+    # bare AttributeError, evolve at t = 0 returned its argument without
+    # reading its model, and probe_atom converted a FieldState
     param = key.split()[0].rsplit(".", 1)[1]
     with pytest.raises(DomainError, match=rf"\({param}\)$"):
-        STATE_CALLS[key](_non_states(key)[label])
+        TYPED_CALLS[cls][key](SUBSTITUTES_FOR[cls][label])
+
+
+def test_grid_and_model_are_refused_before_the_work(monkeypatch):
+    # reconstruct_from_samples drew every sample, pauli_incompleteness_demo
+    # built its marginals and two_atom_scan prepared its cat before the grid
+    # or model they were given was read
+    def work(*args, **kwargs):
+        raise AssertionError("the work began before the argument was checked")
+
+    for module, name in ((tomo, "sample_homodyne"), (tomo, "marginal_distribution"),
+                         (protocol, "prepare_cat")):
+        monkeypatch.setattr(module, name, work)
+    with pytest.raises(DomainError, match=r"\(grid\)$"):
+        reconstruct_from_samples(RHO, ANGLES, 200, 1, None)
+    with pytest.raises(DomainError, match=r"\(grid\)$"):
+        pauli_incompleteness_demo(None)
+    with pytest.raises(DomainError, match=r"\(model\)$"):
+        two_atom_scan(1.0, [0.0, 1.0], None, SPEC)
 
 
 def test_state_gates_refuse_entries_that_are_not_numbers():
@@ -633,10 +709,10 @@ def test_mix_refuses_weights_that_are_not_numbers():
     # ["0.5", "0.5"] gave populations [0.5, 0.5]; negative and NaN weights
     # stay a WeightError
     with pytest.raises(DomainError, match=r"\(weights\)$"):
-        mix([FIELD, RHO], ["0.5", "0.5"])
+        mix([FIELD, FIELD], ["0.5", "0.5"])
     for weights in ([-0.5, 1.5], [np.nan, 1.0]):
         with pytest.raises(WeightError, match="negative or NaN weight"):
-            mix([FIELD, RHO], weights)
+            mix([FIELD, FIELD], weights)
 
 
 def test_fidelity_pure_refuses_a_reference_of_another_dimension():

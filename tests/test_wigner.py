@@ -306,12 +306,17 @@ def test_map_memory_stays_blocked():
     assert peak < 32e6
 
 
-def _superposition(dim, amplitudes):
-    """The normalised pure state sum_n amplitudes[n] |n> as a density operator."""
+def _pure(dim, amplitudes):
+    """The normalised pure state sum_n amplitudes[n] |n>."""
     psi = np.zeros(dim, dtype=complex)
     for n, amp in amplitudes.items():
         psi[n] = amp
-    return pure_to_density(FieldState(psi / np.linalg.norm(psi)))
+    return FieldState(psi / np.linalg.norm(psi))
+
+
+def _superposition(dim, amplitudes):
+    """``_pure`` as a density operator."""
+    return pure_to_density(_pure(dim, amplitudes))
 
 
 def test_live_diagonal_patterns_against_position_construction():
@@ -331,8 +336,8 @@ def test_live_diagonal_patterns_against_position_construction():
         (_superposition(dim, {0: 1.0, 3: 1.0}), [0, 3]),
         (_superposition(dim, {0: 1.0, 2: 1j}), [0, 2]),  # the Pauli pair's |0> + i|2>
         # gcd 2 with a gap at k = 2, where Horner multiplies and adds nothing
-        (mix([_superposition(dim, {0: 1.0, 4: 1j}),
-              _superposition(dim, {1: 1.0, 7: np.exp(0.3j)})], [0.6, 0.4]), [0, 4, 6]),
+        (mix([_pure(dim, {0: 1.0, 4: 1j}), _pure(dim, {1: 1.0, 7: np.exp(0.3j)})],
+             [0.6, 0.4]), [0, 4, 6]),
         (DensityOperator(full / np.trace(full).real), list(range(dim))),
     ]
     grids = (PhaseSpaceGrid(-4.0, 4.0, -4.0, 4.0, 9, 9),
