@@ -16,17 +16,18 @@ Phys. Rev. A 47, 3311 (1993), for n_th > 0), so no ODE is integrated:
 the trace is kept to rounding up to steps near kappa t = 1e6 (a dim-20
 cat), and filling the upper diagonals by conjugation keeps rho exactly
 Hermitian.  One pass (``_diagonals``) carries a stack of matrices (both
-first-atom branches of a delay scan) through the same propagators, one
-expm per diagonal and per group of time steps that differ only by
-rounding, checks the trace, and hands out the damped diagonals one at a
-time, k = 0 first.  A diagonal that is zero in every input stays zero
-and is skipped.  Every public reader takes DensityOperators, whose gate
-alone decides what is a state, and a DampingModel; anything else raises
-DomainError naming its parameter (``errors.instance``).
-``damped_populations`` reads k = 0 alone, all that the atom's Born rule
-needs (``protocol``, ``direct``), and
-``coherence_trajectory`` the cat coherence, <n> and the trace, without
-forming matrices; ``evolve`` assembles the matrices.
+first-atom branches of a delay scan) through the same propagators: the
+diagonals its caller names go in blocks of up to ``_DIAGONAL_BLOCK``, with
+one expm per block over the groups of time steps that differ only by
+rounding (a zero step is the identity) and one product per block and time.
+It checks the trace and yields the damped diagonals in ascending k.  A zero
+diagonal stays zero, so ``damped_populations`` carries k = 0 alone, all
+that the atom's Born rule needs (``protocol``, ``direct``), and ``evolve``
+and ``coherence_trajectory`` (the cat coherence, <n> and the trace, without
+forming matrices) carry rho's live diagonals (``DensityOperator.live``).
+Every public reader takes DensityOperators, whose gate alone decides what
+is a state, and a DampingModel; anything else raises DomainError naming
+its parameter (``errors.instance``).
 
 At n_thermal = 0 the vacuum is a fixed point, a coherent |alpha> stays
 coherent with amplitude alpha e^{-kappa t/2}, and <n>(t) = <n>(0) e^{-kappa t}.
@@ -91,7 +92,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
-    for j in range(int(s.max())):
+    for j in range(int(s.max(initial=0))):  # an empty stack has no s
         squared = s > j
         r[squared] = r[squared] @ r[squared]
     return r
@@ -136,18 +137,24 @@ def _step_groups(times: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return steps, step_of.tolist()
 
 
-def _diagonals(mats: np.ndarray, model: DampingModel, times):
-    """Damped lower diagonals of a stack of Hermitian matrices, shape
-    (B, dim, dim), sampled at the sorted nonnegative `times` (a scalar is
-    one time): yields (k, x) for k = 0, 1, ..., with x of shape
-    (B, T, dim - k) holding rho_{j+k, j}(t).  A caller that reads only the
-    first diagonals stops the generator there.
+# diagonals per damping block, fewer when their propagators would pass
+# 1 << 18 floats (2 MB), so a large dimension keeps bounded work arrays
+_DIAGONAL_BLOCK = 8
 
-    Diagonal k is carried from one time to the next by expm(G_k step), one
-    expm per diagonal and step group (``_step_groups``), with the real and
-    imaginary parts of all B diagonals as the 2B columns of one product.  A
-    diagonal that is zero in every matrix stays zero, because the channel
-    commutes with phase rotation, so it is skipped.  Unsorted, negative or
+
+def _diagonals(mats: np.ndarray, model: DampingModel, times, ks):
+    """Damped lower diagonals `ks` (ascending, k = 0 first) of a stack of
+    Hermitian matrices, shape (B, dim, dim), sampled at the sorted
+    nonnegative `times` (a scalar is one time): yields (k, x) for k in `ks`,
+    x of shape (B, T, dim - k) holding rho_{j+k, j}(t).  A caller that
+    reads only the first diagonals stops the generator there.
+
+    A block of consecutive k is carried by expm(G_k step), each G_k
+    zero-padded to the block's widest, dim - (its first k): a zero pad
+    exponentiates to the identity and leaves the scaling exponent as it is.
+    One expm serves the block's step groups (``_step_groups``) but the zero
+    step, which is the identity, and one product per time takes the real
+    and imaginary parts of all B diagonals as columns.  Unsorted, negative or
     non-finite times raise DomainError.  The propagators keep the trace to
     rounding until a step is long enough for scaling and squaring to lose
     it, so diagonal 0 of each matrix must sum to that input's trace within
@@ -160,27 +167,31 @@ def _diagonals(mats: np.ndarray, model: DampingModel, times):
         return
     nb, dim = np.shape(mats)[0], np.shape(mats)[-1]
     steps, step_of = _step_groups(times)
-    for k in range(dim):
-        x = np.diagonal(mats, -k, axis1=1, axis2=2).T
-        if not x.any():
-            continue
+    moving = steps != 0.0
+    size = min(_DIAGONAL_BLOCK, max(1, (1 << 18) // (steps.size * dim * dim)))
+    for block in (ks[lo:lo + size] for lo in range(0, len(ks), size)):
+        n = dim - block[0]
+        gens, x = np.zeros((len(block), n, n)), np.zeros((len(block), n, nb), dtype=complex)
+        for b, k in enumerate(block):
+            gens[b, :dim - k, :dim - k] = _diagonal_generator(model, dim, k)
+            x[b, :dim - k] = np.diagonal(mats, -k, axis1=1, axis2=2).T
+        props = np.tile(np.eye(n), (steps.size, len(block), 1, 1))  # exact for a zero step
         # a step too long for scaling and squaring overflows: its propagator
         # reads NaN, which carries without a warning to the trace bound below
         with np.errstate(over="ignore", invalid="ignore"):
-            props = _expm(steps[:, None, None] * _diagonal_generator(model, dim, k))
-        props[~np.isfinite(props).all(axis=(1, 2))] = np.nan
-        props[steps == 0.0] = np.eye(dim - k)  # Pade's solve leaves 1e-16 on exp(0)
-        props = list(props)
-        x = np.concatenate([x.real, x.imag if k else np.zeros(x.shape)], axis=1)
+            props[moving] = _expm(steps[moving, None, None, None] * gens)
+        props[~np.isfinite(props).all(axis=(-2, -1))] = np.nan
+        x = x.view(float)  # the real and imaginary parts of the B inputs as columns
         xs = np.empty((times.size,) + x.shape)
         for i, g in enumerate(step_of):
-            x = np.dot(props[g], x, out=xs[i])
-        # contiguous, so a sum along each row rounds as it does for one matrix
-        x = np.ascontiguousarray(np.moveaxis(xs[..., :nb] + 1j * xs[..., nb:], -1, 0))
-        if k == 0:
-            drift = np.abs(x.real.sum(-1) - np.trace(mats, axis1=1, axis2=2).real[:, None])
-            bound(float(drift.max()), 1e-9, "trace drift", IntegrationError)
-        yield k, x
+            x = np.matmul(props[g], x, out=xs[i])
+        for b, k in enumerate(block):
+            # contiguous, so a sum along each row rounds as it does for one matrix
+            x = np.ascontiguousarray(np.moveaxis(xs.view(complex)[:, b, :dim - k], -1, 0))
+            if k == 0:
+                drift = np.abs(x.real.sum(-1) - np.trace(mats, axis1=1, axis2=2).real[:, None])
+                bound(float(drift.max()), 1e-9, "trace drift", IntegrationError)
+            yield k, x
 
 
 def damped_populations(rhos: list[DensityOperator], model: DampingModel, times) -> np.ndarray:
@@ -194,8 +205,7 @@ def damped_populations(rhos: list[DensityOperator], model: DampingModel, times) 
         raise DomainError(f"{type(rhos).__name__} is not a list or tuple (rhos)")
     if len({instance(r, DensityOperator, "rhos").dim for r in rhos}) != 1:
         raise DomainError("rhos must be DensityOperators of one dimension (rhos)")
-    # diagonal 0 comes first and is never zero in a matrix of unit trace
-    pops = next(_diagonals(np.stack([r.matrix for r in rhos]), model, times))[1].real
+    pops = next(_diagonals(np.stack([r.matrix for r in rhos]), model, times, (0,)))[1].real
     bound(float(np.max(pops[..., -1])), 1e-8,
           f"damped top-level population (dim {pops.shape[-1]})", TruncationError)
     return pops
@@ -215,7 +225,7 @@ def evolve(rho: DensityOperator, model: DampingModel, t):
     dim = rho.dim
     out = np.zeros((times.size, dim, dim), dtype=complex)
     flat = out.reshape(times.size, dim * dim)
-    for k, vals in _diagonals(rho.matrix[None], model, times):
+    for k, vals in _diagonals(rho.matrix[None], model, times, rho.live):
         # diagonal k sits at flat index k + j (dim + 1) above, k dim + j (dim + 1) below
         flat[:, k:dim * (dim - k):dim + 1] = vals[0].conj()
         flat[:, k * dim::dim + 1] = vals[0]
@@ -241,7 +251,7 @@ def coherence_trajectory(rho: DensityOperator, model: DampingModel, times,
     ceiling = (1.0 + np.exp(-2.0 * abs(alpha) ** 2)) / 2.0
     element = np.zeros(np.size(times), dtype=complex)
     pops = np.zeros((np.size(times), dim))
-    for k, x in _diagonals(rho.matrix[None], model, times):
+    for k, x in _diagonals(rho.matrix[None], model, times, rho.live):
         x = x[0]
         element += x @ (bra[k:] * ket[:dim - k])
         if k:

@@ -135,7 +135,9 @@ def default_grid(alpha_max: float, step: float = 0.075, pad: float = 4.0) -> Pha
 
 @dataclass(frozen=True)
 class WignerMap:
-    """W sampled on a grid, alpha-normalized (|W| <= 2, sum*dA/2pi ~ 1)."""
+    """W sampled on a grid, alpha-normalized (|W| <= 2, sum*dA/2pi ~ 1): values
+    of the grid's shape whose entries are finite real numbers (DomainError,
+    ``errors.array``)."""
 
     grid: PhaseSpaceGrid
     values: np.ndarray
@@ -144,7 +146,7 @@ class WignerMap:
 
     def __post_init__(self):
         grid = instance(self.grid, PhaseSpaceGrid, "grid")
-        v = np.asarray(self.values, dtype=float)
+        v = array(self.values, "values")
         if v.shape != (grid.n1, grid.n2):
             raise DomainError(f"values shape {v.shape} != grid ({grid.n1}, {grid.n2})")
         object.__setattr__(self, "values", v)
@@ -156,7 +158,6 @@ class WignerMap:
         return float(self.values.sum() * self.grid.cell_area / (2.0 * np.pi))
 
     def check_bound(self) -> None:
-        # a non-finite value makes max |W| NaN or inf, which the bound refuses
         bound(self.max_abs(), BOUND + 1e-8, "max |W|", DomainError)
 
 
@@ -272,10 +273,11 @@ def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
         values = np.concatenate([half, half[:, ::-1][:, q2.size % 2:]], axis=1)
     else:
         values, radii = _laguerre_series(rho, alphas)
+    # the bound before the map's entry rule, which would refuse a non-finite
+    # value in `values`: NaN or inf makes max |W| NaN or inf, which it refuses
+    max_abs = bound(float(np.max(np.abs(values))), BOUND + 1e-8, "max |W|", DomainError)
     wm = WignerMap(grid, values,
-                   diagnostics={"max_abs": float(np.max(np.abs(values))),
-                                "eval_dim": rho.dim, "distinct_radii": radii})
-    wm.check_bound()
+                   diagnostics={"max_abs": max_abs, "eval_dim": rho.dim, "distinct_radii": radii})
     wm.diagnostics["normalization_sum"] = wm.normalization_sum()
     return wm
 
@@ -485,7 +487,10 @@ def moyal_grid_integral(rho: DensityOperator, monomials) -> dict[tuple[int, int]
 def moyal_average(rho: DensityOperator, monomial: tuple[int, int]) -> tuple[float, float]:
     """Both sides of the symmetric-ordering correspondence for q^m p^n:
     (operator_value, integral_value), Tr[rho S(q^m p^n)] and the phase-space
-    integral of W q^m p^n."""
+    integral of W q^m p^n.  A `monomial` that is not a tuple of two powers
+    raises DomainError."""
+    if not isinstance(monomial, tuple) or len(monomial) != 2:
+        raise DomainError(f"{monomial!r} is not a pair of powers (monomial)")
     m, n = (number(k, "monomial power", integral=True, minimum=0) for k in monomial)
     bound(m + n, 4, "monomial degree", TruncationError)
     rho = instance(rho, DensityOperator, "rho")

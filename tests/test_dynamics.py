@@ -1,4 +1,5 @@
 import math
+import warnings
 from math import comb
 
 import numpy as np
@@ -377,14 +378,16 @@ def test_thermal_coherence_trajectory_matches_matrix_path(n_thermal):
 
 def test_zero_diagonal_skip_returns_the_populations_exactly():
     # damping carries the populations apart from the coherences, so a
-    # diagonal input is carried as diagonal 0 alone, with the same numbers
+    # diagonal input is carried as diagonal 0 alone (its one live diagonal),
+    # with the same numbers as in the first block of the full state's pass
     rho0 = _cat_matrix(30, 1.8, 0.0)
     times = np.linspace(0.0, 2.0, 9)
     model = DampingModel(kappa=1.0, n_thermal=0.2)
-    diag = np.diag(np.diag(rho0))
-    assert [k for k, _ in _diagonals(diag[None], model, times)] == [0]
+    diag = DensityOperator(np.diag(np.diag(rho0)))
+    assert diag.live.tolist() == [0]
+    assert [k for k, _ in _diagonals(diag.matrix[None], model, times, diag.live)] == [0]
     full = evolve(DensityOperator(rho0), model, times)
-    for rho_t, pop_t in zip(full, evolve(DensityOperator(diag), model, times)):
+    for rho_t, pop_t in zip(full, evolve(diag, model, times)):
         assert np.array_equal(pop_t.matrix, np.diag(np.diag(rho_t.matrix)))
 
 
@@ -513,3 +516,101 @@ def test_repeated_times_and_zero_return_the_input_exactly():
     assert np.array_equal(traj[0].matrix, rho0.matrix)
     assert np.array_equal(traj[1].matrix, rho0.matrix)
     assert np.array_equal(traj[2].matrix, traj[3].matrix)
+
+
+# -- the block pass --------------------------------------------------------------
+
+
+def _on_diagonals(mat, ks):
+    """mat with every diagonal but +-k (k in `ks`) set to zero."""
+    rows, cols = np.indices(mat.shape)
+    return np.where(np.isin(np.abs(rows - cols), ks), mat, 0.0)
+
+
+@pytest.mark.parametrize("n_th", [0.0, 0.4])
+def test_block_pass_matches_per_diagonal_propagators(n_th):
+    # at dim 46 the union of the two live sets (an odd cat's even k, and
+    # k = 0, 3, 5, 17) spans four blocks, each padded to its widest diagonal;
+    # every diagonal is checked against expm(G_k t) alone, built two ways
+    from scipy.linalg import expm
+
+    dim = 46
+    model = DampingModel(1.0, n_th)
+    times = np.array([0.0, 0.0, 0.05, 0.3, 0.3, 1.1, 4.0])
+    states = [pure_to_density(cat_state(HilbertSpec(dim), 3.0, np.pi)),
+              DensityOperator(_on_diagonals(_random_density(dim, 3, 11), [0, 3, 5, 17]))]
+    assert states[1].live.tolist() == [0, 3, 5, 17]
+    ks = np.union1d(states[0].live, states[1].live)
+    assert len(ks) > 2 * dynamics._DIAGONAL_BLOCK
+    mats = np.stack([r.matrix for r in states])
+    refs = [_one_step_states(r, model, times) for r in states]
+    drawn = []
+    for k, x in _diagonals(mats, model, times, ks):
+        drawn.append(k)
+        assert x.shape == (2, times.size, dim - k) and x.dtype == complex
+        rows = np.arange(k, dim)
+        gen = _diagonal_generator(model, dim, k)
+        for b, r in enumerate(states):
+            x0 = np.diagonal(r.matrix, -k)
+            # t = 0 and a repeated time return what they are given, bit for bit
+            assert np.array_equal(x[b, 0], x0) and np.array_equal(x[b, 1], x0)
+            assert np.array_equal(x[b, 3], x[b, 4])
+            assert np.max(np.abs(x[b] - refs[b][:, rows, rows - k])) < 1e-12
+            want = np.stack([expm(t * gen) @ x0 for t in times])
+            assert np.max(np.abs(x[b] - want)) < 1e-12
+    assert drawn == ks.tolist()
+
+
+def test_populations_build_one_generator_and_no_zero_step_is_exponentiated(monkeypatch):
+    # damped_populations carries k = 0 alone; the t = 0 and repeated-time
+    # steps take the identity, so every matrix _expm receives is a nonzero step
+    generator, expm = dynamics._diagonal_generator, dynamics._expm
+    built, received = [], []
+
+    def counted_generator(model, dim, k):
+        built.append(k)
+        return generator(model, dim, k)
+
+    def counted_expm(a):
+        received.append(a.shape)
+        assert np.abs(a).max(axis=(-2, -1)).min(initial=np.inf) > 0.0
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "_diagonal_generator", counted_generator)
+    monkeypatch.setattr(dynamics, "_expm", counted_expm)
+    rho = pure_to_density(cat_state(HilbertSpec(46), 3.0, np.pi))
+    times = [0.0, 0.0, 0.5, 1.0, 1.0, 3.0]
+    dynamics.damped_populations([rho, pure_to_density(vacuum(HilbertSpec(46)))], MODEL, times)
+    # two step groups that are not zero: 0.5 (twice) and 2.0
+    assert built == [0] and received == [(2, 1, 46, 46)]
+    # a reader of every live diagonal makes one expm per block
+    built.clear(), received.clear()
+    coherence_trajectory(rho, MODEL, times, 3.0)
+    assert built == rho.live.tolist()
+    assert len(received) == -(-rho.live.size // dynamics._DIAGONAL_BLOCK)
+    # times that are all zero exponentiate no matrix
+    received.clear()
+    dynamics.damped_populations([rho], MODEL, [0.0, 0.0])
+    assert [shape[0] for shape in received] == [0]
+
+
+def test_one_overflowing_propagator_in_a_block_raises_integration_error(monkeypatch):
+    # at kappa t = 1.3e307 and dim 8, t G_0 alone overflows among the block's
+    # eight generators: its propagator reads NaN, and the trace bound refuses
+    # it without a RuntimeWarning
+    expm = dynamics._expm
+    finite = []
+
+    def spied(a):
+        r = expm(a)
+        finite.append(np.isfinite(r).all(axis=(-2, -1)))
+        return r
+
+    monkeypatch.setattr(dynamics, "_expm", spied)
+    rho = DensityOperator(_random_density(8, 8, 3))
+    assert rho.live.size == 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntegrationError, match="trace drift"):
+            evolve(rho, MODEL, [0.0, 1.3e307])
+    assert [f.tolist() for f in finite] == [[[False] + [True] * 7]]

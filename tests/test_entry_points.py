@@ -332,6 +332,25 @@ def test_moyal_average_refuses_a_non_integral_power():
         moyal_average(RHO, (1.5, 1))
 
 
+def test_moyal_average_refuses_a_monomial_that_is_not_a_pair():
+    # 5 raised a bare TypeError and (1,) a bare ValueError on unpacking
+    for monomial in (5, (1,)):
+        with pytest.raises(DomainError, match=r"is not a pair of powers \(monomial\)$"):
+            moyal_average(RHO, monomial)
+
+
+def test_wigner_map_refuses_values_that_are_not_finite_numbers():
+    # strings raised a bare ValueError, and a NaN map was taken, on which
+    # fringe_contrast read nan
+    grid = PhaseSpaceGrid(-1, 1, -1, 1, 3, 3)
+    with pytest.raises(DomainError, match=r"not of type 'number' \(values\)$"):
+        WignerMap(grid, [["a"] * 3] * 3)
+    values = np.zeros((3, 3))
+    values[1, 2] = np.nan
+    with pytest.raises(DomainError, match=r"nan is not a finite number \(values\)$"):
+        WignerMap(grid, values)
+
+
 def test_detection_probabilities_refuses_populations_no_state_has():
     # [-1, 2] read P_e = 2 and P_g = -1, [nan, 1] read NaN, and a plain list
     # raised a bare AttributeError

@@ -172,6 +172,18 @@ def test_check_bound_fails_on_non_finite_values():
             WignerMap(grid, values).check_bound()
 
 
+def test_kernel_map_with_a_non_finite_value_is_refused_by_the_bound(monkeypatch):
+    # the map's entry rule refuses a non-finite value too; a map the kernel
+    # builds meets the |W| bound first, so its refusal still names max |W|
+    def series(rho, alphas):
+        return np.full(np.shape(alphas), np.nan), 1
+
+    monkeypatch.setattr(wigner, "_laguerre_series", series)
+    rho = pure_to_density(vacuum(HilbertSpec(4)))
+    with pytest.raises(DomainError, match=r"^max \|W\| nan exceeds"):
+        wigner.wigner_map(rho, PhaseSpaceGrid(-1, 1, -1, 1, 3, 3))
+
+
 def test_map_on_shared_radii_against_position_construction():
     # a symmetric odd-sized grid through alpha = 0, where mirror points share
     # a radius and one radial pass serves several angles; the complex cat has
