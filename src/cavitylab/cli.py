@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
@@ -22,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, direct, dynamics, fock, protocol, tomo, wigner
-from .errors import CavityLabError, ConfigError, DomainError, number
+from .errors import MAX_COUNT, CavityLabError, ConfigError, DomainError, number
 
 gc.freeze()  # keep the import-time objects out of the experiments' full collections
 
@@ -151,7 +152,7 @@ OPTIONS = {
     "tomography": {"state": (_state, ...), "grid": (_grid, None),
                    "angles": (_number(integral=True, minimum=8,
                                       maximum=wigner.MAX_GRID_NODES), 36),
-                   "samples": (_number(integral=True, minimum=1, maximum=tomo.MAX_SAMPLES),
+                   "samples": (_number(integral=True, minimum=1, maximum=MAX_COUNT),
                                100000),
                    "seed": (_SEED, 12345), "bin_width": (_POSITIVE, 0.05),
                    "q_range": (_POSITIVE, None), "dim": _DIM},
@@ -160,7 +161,7 @@ OPTIONS = {
     "direct-monitor": {"state": (_state, ...), "kappa": (_POSITIVE, 1.0),
                        "n_thermal": (_number(minimum=0), 0.0),
                        "times": (_forward_times, {"t_start": 0.0, "t_end": 2.0, "steps": 41}),
-                       "n_shots": (_number(integral=True, minimum=0), 0),
+                       "n_shots": (_number(integral=True, minimum=0, maximum=MAX_COUNT), 0),
                        "efficiency": (_number(minimum=0, maximum=1), 1.0),
                        "seed": (_SEED, 0), "dim": _DIM},
     "pauli-demo": {"grid": (_grid, None)},
@@ -323,9 +324,7 @@ def _write_map(writer: ArtifactWriter, name: str, wmap: wigner.WignerMap) -> Non
     writer.csv(f"{name}.csv", ["q1", "q2", "W"],
                (wmap.grid.q1_axis, wmap.grid.q2_axis, wmap.values))
     writer.json(f"{name}.json", {
-        "grid": {"q1_min": wmap.grid.q1_min, "q1_max": wmap.grid.q1_max,
-                 "q2_min": wmap.grid.q2_min, "q2_max": wmap.grid.q2_max,
-                 "n1": wmap.grid.n1, "n2": wmap.grid.n2},
+        "grid": dataclasses.asdict(wmap.grid),
         "convention": "alpha-normalized",
         "provenance": wmap.provenance,
         "diagnostics": wmap.diagnostics,
@@ -459,12 +458,11 @@ def run_selfcheck() -> list[tuple[str, bool, str]]:
                    f"mixed {w_mix:.12f}"))
 
     # bound and normalization
-    grid = wigner.default_grid(1.5, step=0.1)
-    wmap = wigner.wigner_map(cat, grid)
-    norm = wmap.normalization_sum()
+    record = wigner.wigner_map(cat, wigner.default_grid(1.5, step=0.1)).diagnostics
+    peak, norm = record["max_abs"], record["normalization_sum"]
     checks.append(("bound-and-normalization",
-                   wmap.max_abs() <= 2.0 + 1e-8 and abs(norm - 1.0) < 1e-3,
-                   f"max|W| {wmap.max_abs():.6f}, sum {norm:.6f}"))
+                   peak <= wigner.BOUND + 1e-8 and abs(norm - 1.0) < 1e-3,
+                   f"max|W| {peak:.6f}, sum {norm:.6f}"))
 
     # decoherence law at |alpha|^2 = 5
     model = dynamics.DampingModel(kappa=1.0)

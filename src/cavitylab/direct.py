@@ -34,7 +34,7 @@ from numpy.random import SeedSequence, default_rng
 
 from . import protocol
 from .dynamics import DampingModel, damped_populations
-from .errors import NoDetectionError, complex_array, instance, number
+from .errors import MAX_COUNT, NoDetectionError, complex_array, instance, number
 from .fock import MAX_DISPLACED_ENTRIES, DensityOperator, radial_rows
 from .wigner import PhaseSpaceGrid, WignerMap, wigner_map
 
@@ -114,7 +114,8 @@ def scan_map(rho0: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
     rho0 = instance(rho0, DensityOperator, "rho0")
     exact = wigner_map(rho0, instance(grid, PhaseSpaceGrid, "grid").reflected())
     return WignerMap(grid, exact.values[::-1, ::-1], provenance="measured-direct",
-                     diagnostics=dict(exact.diagnostics))
+                     diagnostics={key: exact.diagnostics[key]
+                                  for key in ("eval_dim", "distinct_radii")})
 
 
 def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
@@ -131,11 +132,11 @@ def monitor_origin(rho0: DensityOperator, model: DampingModel, times,
     toward 0 on the decoherence timescale, and climbs back to +2 as the field
     empties.  Raises DomainError for a `rho0` that is not a DensityOperator,
     no times or times that are not sorted finite numbers >= 0, an `n_shots`
-    that is not an integer >= 0, an `efficiency`
+    that is not an integer in [0, MAX_COUNT], an `efficiency`
     outside [0, 1] or a `seed` that is neither None nor an integer >= 0, and
     TruncationError when the damped populations put more than 1e-8 on the
     top Fock level."""
-    n_shots = number(n_shots, "n_shots", integral=True, minimum=0)
+    n_shots = number(n_shots, "n_shots", integral=True, minimum=0, maximum=MAX_COUNT)
     seed = seed if seed is None else number(seed, "seed", integral=True, minimum=0)
     number(efficiency, "efficiency", minimum=0, maximum=1)
     pops = damped_populations([instance(rho0, DensityOperator, "rho0")], model, times)[0]

@@ -172,13 +172,13 @@ def _diagonals(mats: np.ndarray, model: DampingModel, times, ks):
     for block in (ks[lo:lo + size] for lo in range(0, len(ks), size)):
         n = dim - block[0]
         gens, x = np.zeros((len(block), n, n)), np.zeros((len(block), n, nb), dtype=complex)
-        for b, k in enumerate(block):
-            gens[b, :dim - k, :dim - k] = _diagonal_generator(model, dim, k)
-            x[b, :dim - k] = np.diagonal(mats, -k, axis1=1, axis2=2).T
         props = np.tile(np.eye(n), (steps.size, len(block), 1, 1))  # exact for a zero step
-        # a step too long for scaling and squaring overflows: its propagator
-        # reads NaN, which carries without a warning to the trace bound below
+        # a generator (kappa near the float limit) or propagator (a step too long for
+        # scaling and squaring) that overflows reads NaN, refused by the trace bound
         with np.errstate(over="ignore", invalid="ignore"):
+            for b, k in enumerate(block):
+                gens[b, :dim - k, :dim - k] = _diagonal_generator(model, dim, k)
+                x[b, :dim - k] = np.diagonal(mats, -k, axis1=1, axis2=2).T
             props[moving] = _expm(steps[moving, None, None, None] * gens)
         props[~np.isfinite(props).all(axis=(-2, -1))] = np.nan
         x = x.view(float)  # the real and imaginary parts of the B inputs as columns

@@ -11,6 +11,9 @@ import numbers
 
 import numpy as np
 
+# the largest count or size an entry point takes: numpy's sizes and counts are int64
+MAX_COUNT = int(np.iinfo(np.int64).max)
+
 
 class CavityLabError(Exception):
     """Base class for all package-specific errors."""

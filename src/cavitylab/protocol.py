@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DampingModel, damped_populations
-from .errors import (DegenerateBranchError, DomainError, SubspaceError, array, bound, instance,
-                     number)
+from .errors import (MAX_COUNT, DegenerateBranchError, DomainError, SubspaceError, array, bound,
+                     instance, number)
 from .fock import DensityOperator, HilbertSpec, coherent_state, pure_to_density, turn
 
 _E, _G = 0, 1  # atom level indices
@@ -57,9 +57,9 @@ def field_kraus(variant: str, dim: int) -> np.ndarray:
 
     The arm phases are quarter turns (``fock.turn``), read from a table, not
     ``np.exp``, so every amplitude is exactly 0, +-1 or +-i.  An unknown
-    variant, or a `dim` that is not an integer >= 0, raises DomainError.
+    variant, or a `dim` not an integer in [0, MAX_COUNT], raises DomainError.
     """
-    n = np.arange(number(dim, "dim", integral=True, minimum=0))
+    n = np.arange(number(dim, "dim", integral=True, minimum=0, maximum=MAX_COUNT))
     if variant == "dispersive":
         arm_e, arm_g = turn(np.pi, n), turn(0.0, n)
     elif variant == "opposite":

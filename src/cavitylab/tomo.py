@@ -23,9 +23,11 @@ import numpy as np
 from numpy.fft import fftfreq, irfft, rfft
 from numpy.random import SeedSequence, default_rng
 
-from .errors import CoverageError, DomainError, SamplingError, array, bound, instance, number
+from .errors import (MAX_COUNT, CoverageError, DomainError, SamplingError, array, bound, instance,
+                     number)
 from .fock import DensityOperator, FieldState, pure_to_density
 from .wigner import (
+    BOUND,
     MAX_GRID_NODES,
     PhaseSpaceGrid,
     WignerMap,
@@ -35,9 +37,6 @@ from .wigner import (
     radon_of_map,
     wigner_map,
 )
-
-# numpy's multinomial draws counts up to the int64 limit
-MAX_SAMPLES = int(np.iinfo(np.int64).max)
 
 
 def _q_range(rho: DensityOperator, q_range: float | None) -> float:
@@ -54,7 +53,7 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     array of angles of any shape: (edges, counts), the n_bins + 1 bin edges
     running from -q_range in steps of `bin_width`, and int64 counts of shape
     np.shape(theta) + (n_bins,), each row summing to n_samples.  `n_samples`
-    must be an integer in [1, MAX_SAMPLES], `seed` None or an integer >= 0,
+    must be an integer in [1, MAX_COUNT], `seed` None or an integer >= 0,
     and `bin_width` and `q_range` finite and positive (DomainError);
     q_range=None takes the default range.  Before any array is built, a
     window 2 q_range that is not finite, or more angles x bins than
@@ -66,7 +65,7 @@ def sample_homodyne(rho: DensityOperator, theta, n_samples: int, seed,
     puts a draw in a bin with the CDF's increment across the bin, so each
     histogram is one multinomial draw of those bin masses.  Angle k (of the
     flattened array) draws from child k of SeedSequence(seed).spawn(angles)."""
-    n_samples = number(n_samples, "n_samples", integral=True, minimum=1, maximum=MAX_SAMPLES)
+    n_samples = number(n_samples, "n_samples", integral=True, minimum=1, maximum=MAX_COUNT)
     seed = seed if seed is None else number(seed, "seed", integral=True, minimum=0)
     thetas = np.ravel(theta)
     number(bin_width, "bin_width", exclusive_minimum=0)
@@ -139,9 +138,9 @@ def inverse_radon(thetas, q, densities, grid: PhaseSpaceGrid) -> WignerMap:
     `q`, at least 2 strictly increasing, uniformly spaced points (DomainError
     otherwise); CoverageError for under 8 angles or a q short of the grid.
 
-    Output is alpha-normalized like the exact maps; bound and normalization
-    are recorded in diagnostics, not asserted (reconstruction noise may
-    violate them slightly).
+    Output is alpha-normalized like the exact maps; `n_angles` and
+    `bound_excess` (max |W| - BOUND, or 0) join its diagnostics, and the bound
+    is not asserted (reconstruction noise may violate it slightly).
     """
     thetas = array(thetas, "thetas", minimum=0, below=np.pi).ravel()
     q, densities = array(q, "q"), array(densities, "densities")
@@ -175,12 +174,9 @@ def inverse_radon(thetas, q, densities, grid: PhaseSpaceGrid) -> WignerMap:
             t = q1 * np.cos(theta) + q2 * np.sin(theta)
             acc += np.interp(t, q, filtered, left=0.0, right=0.0)
     w_qp = acc * np.pi / thetas.size
-    values = 2.0 * np.pi * w_qp
-    wm = WignerMap(grid, values, provenance="reconstructed",
-                   diagnostics={"max_abs": float(np.max(np.abs(values))),
-                                "n_angles": int(thetas.size)})
-    wm.diagnostics["normalization_sum"] = wm.normalization_sum()
-    wm.diagnostics["bound_excess"] = max(0.0, wm.max_abs() - 2.0)
+    wm = WignerMap(grid, 2.0 * np.pi * w_qp, provenance="reconstructed",
+                   diagnostics={"n_angles": int(thetas.size)})
+    wm.diagnostics["bound_excess"] = max(0.0, wm.diagnostics["max_abs"] - BOUND)
     return wm
 
 

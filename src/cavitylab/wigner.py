@@ -137,7 +137,8 @@ def default_grid(alpha_max: float, step: float = 0.075, pad: float = 4.0) -> Pha
 class WignerMap:
     """W sampled on a grid, alpha-normalized (|W| <= 2, sum*dA/2pi ~ 1): values
     of the grid's shape whose entries are finite real numbers (DomainError,
-    ``errors.array``)."""
+    ``errors.array``).  Its `diagnostics` is a new dict: the caller's dict's
+    entries and the map's own `max_abs` (max |W|) and `normalization_sum`."""
 
     grid: PhaseSpaceGrid
     values: np.ndarray
@@ -150,15 +151,10 @@ class WignerMap:
         if v.shape != (grid.n1, grid.n2):
             raise DomainError(f"values shape {v.shape} != grid ({grid.n1}, {grid.n2})")
         object.__setattr__(self, "values", v)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def normalization_sum(self) -> float:
-        return float(self.values.sum() * self.grid.cell_area / (2.0 * np.pi))
-
-    def check_bound(self) -> None:
-        bound(self.max_abs(), BOUND + 1e-8, "max |W|", DomainError)
+        object.__setattr__(self, "diagnostics", {
+            **instance(self.diagnostics, dict, "diagnostics"),
+            "max_abs": float(np.max(np.abs(v))),
+            "normalization_sum": float(v.sum() * grid.cell_area / (2.0 * np.pi))})
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,7 @@ def wigner_point(rho: DensityOperator, alpha):
 
 
 def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
-    """W over the grid by the Laguerre series, with bound/normalization checks.
+    """W over the grid by the Laguerre series, refused past the |W| bound.
 
     A real rho has W(conj alpha) = W(alpha), and on a q2 axis that is bitwise
     antisymmetric (every symmetric grid) the series gives it bit for bit:
@@ -275,11 +271,8 @@ def wigner_map(rho: DensityOperator, grid: PhaseSpaceGrid) -> WignerMap:
         values, radii = _laguerre_series(rho, alphas)
     # the bound before the map's entry rule, which would refuse a non-finite
     # value in `values`: NaN or inf makes max |W| NaN or inf, which it refuses
-    max_abs = bound(float(np.max(np.abs(values))), BOUND + 1e-8, "max |W|", DomainError)
-    wm = WignerMap(grid, values,
-                   diagnostics={"max_abs": max_abs, "eval_dim": rho.dim, "distinct_radii": radii})
-    wm.diagnostics["normalization_sum"] = wm.normalization_sum()
-    return wm
+    bound(float(np.max(np.abs(values))), BOUND + 1e-8, "max |W|", DomainError)
+    return WignerMap(grid, values, diagnostics={"eval_dim": rho.dim, "distinct_radii": radii})
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +457,10 @@ def _symmetrized_word(dim: int, m: int, n: int) -> np.ndarray:
 
 def moyal_grid_integral(rho: DensityOperator, monomials) -> dict[tuple[int, int], float]:
     """Phase-space integrals int dq dp W_qp q^m p^n for several monomials,
-    sharing one Laguerre-series evaluation on a grid of step 0.2 over a disc
-    covering the state; grid points outside the disc are not evaluated.  The
-    grid is 0.2 times integers, symmetric about the origin, so mirror points
-    share one radial recurrence.
+    sharing one ``wigner_map`` on a square grid of step 0.2 that bounds a
+    disc covering the state.  The grid has an odd node count on symmetric
+    extents, so its axes are exactly antisymmetric and mirror points share
+    one radial recurrence.
 
     The disc is the state's Fock-shell radius (``DensityOperator.support_radius``)
     plus 4 (alpha units), which bounds the discarded Gaussian tail:
@@ -475,12 +468,11 @@ def moyal_grid_integral(rho: DensityOperator, monomials) -> dict[tuple[int, int]
     """
     disc = rho.support_radius + 4.0
     half = math.ceil(np.sqrt(2.0) * disc / 0.2)  # nodes out to the disc's bounding square
-    axis = 0.2 * np.arange(-half, half + 1)
-    q1, q2 = np.meshgrid(axis, axis, indexing="ij")
-    inside = (q1 ** 2 + q2 ** 2) / 2.0 <= disc ** 2
-    w_vals = np.zeros(q1.shape)
-    w_vals[inside] = _laguerre_series(rho, (q1[inside] + 1j * q2[inside]) / np.sqrt(2.0))[0]
-    return {(m, n): float((w_vals * q1 ** m * q2 ** n / (2.0 * np.pi)).sum() * 0.2 * 0.2)
+    edge = 0.2 * half
+    grid = PhaseSpaceGrid(-edge, edge, -edge, edge, 2 * half + 1, 2 * half + 1)
+    w_vals = wigner_map(rho, grid).values
+    q1, q2 = grid.q1_axis[:, None], grid.q2_axis[None, :]
+    return {(m, n): float((w_vals * q1 ** m * q2 ** n / (2.0 * np.pi)).sum() * grid.cell_area)
             for m, n in monomials}
 
 

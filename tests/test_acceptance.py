@@ -174,8 +174,8 @@ def test_criterion_04_bound_and_normalization(corpus):
     worst_bound, worst_norm = 0.0, 0.0
     for name, rho in corpus.items():
         wm = wigner_map(rho, default_grid(CORPUS_SCALES[name]))
-        worst_bound = max(worst_bound, wm.max_abs())
-        worst_norm = max(worst_norm, abs(wm.normalization_sum() - 1.0))
+        worst_bound = max(worst_bound, wm.diagnostics["max_abs"])
+        worst_norm = max(worst_norm, abs(wm.diagnostics["normalization_sum"] - 1.0))
     ok = worst_bound <= 2.0 + 1e-8 and worst_norm < 1e-3
     assert report(4, "bound and normalization", ok,
                   f"max|W| {worst_bound:.9f}, worst |sum-1| {worst_norm:.2e}")

@@ -768,6 +768,9 @@ def test_config_error_names_the_offending_value(tmp_path, capsys):
      "1e+308 is greater than the maximum of 9223372036854775807 (key samples)"),
     ("tomography", {"state": {"kind": "cat", "alpha": 1.0}, "angles": 1e308},
      "1e+308 is greater than the maximum of 4194304 (key angles)"),
+    # 1e308 shots printed numpy's bare ValueError from the shot draw
+    ("direct-monitor", {"state": {"kind": "cat", "alpha": 1.0}, "n_shots": 1e308},
+     "1e+308 is greater than the maximum of 9223372036854775807 (key n_shots)"),
 ])
 def test_config_number_refusal_is_the_whole_message_with_its_key(tmp_path, capsys, experiment,
                                                                   config, message):
@@ -828,6 +831,10 @@ CAT2 = {"kind": "cat", "alpha": 2.0}
 
 @pytest.mark.parametrize("experiment, config, error", [
     ("decoherence-scan", {"alpha": 2.0, "delays": [0.0, 1e308]}, "IntegrationError"),
+    # at kappa = 1e308 the damping generators themselves overflow
+    ("decoherence-scan", {"alpha": 2.0, "kappa": 1e308, "delays": [0.0, 0.5]},
+     "IntegrationError"),
+    ("direct-monitor", {"state": CAT2, "kappa": 1e308}, "IntegrationError"),
     ("decoherence-scan", {"alpha": 2.0, "n_thermal": 0.05, "delays": [0.0, 1e20]},
      "IntegrationError"),
     ("tomography", {"state": CAT2, "bin_width": 1e-300}, "DomainError"),
@@ -836,8 +843,8 @@ CAT2 = {"kind": "cat", "alpha": 2.0}
     ("direct-monitor", {"state": CAT2, "n_thermal": 1e308}, "DomainError"),
     # past |q| ~ 1e154 the Hermite functions' x^2 overflowed: numpy warned
     ("tomography", {"state": CAT2, "q_range": 1e200, "bin_width": 1e199}, "SamplingError"),
-], ids=["far-delay", "far-thermal-delay", "bin-width", "q-range", "scan-n-thermal",
-        "monitor-n-thermal", "huge-window"])
+], ids=["far-delay", "scan-kappa", "monitor-kappa", "far-thermal-delay", "bin-width",
+        "q-range", "scan-n-thermal", "monitor-n-thermal", "huge-window"])
 def test_sizes_that_overflow_exit_as_numerical_failures(tmp_path, capsys, experiment,
                                                         config, error):
     # each printed a traceback and exited 1: numpy's overflow warning (under

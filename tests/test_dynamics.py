@@ -614,3 +614,14 @@ def test_one_overflowing_propagator_in_a_block_raises_integration_error(monkeypa
         with pytest.raises(IntegrationError, match="trace drift"):
             evolve(rho, MODEL, [0.0, 1.3e307])
     assert [f.tolist() for f in finite] == [[[False] + [True] * 7]]
+
+
+def test_a_kappa_near_the_float_limit_raises_integration_error():
+    # at kappa = 1e308 the generators overflowed before the propagator's
+    # errstate: evolve raised a bare RuntimeWarning under the filter, and
+    # printed numpy's overflow warning without it
+    rho = pure_to_density(cat_state(HilbertSpec(30), 2.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntegrationError, match="trace drift"):
+            evolve(rho, DampingModel(1e308), 0.5)

@@ -67,7 +67,7 @@ from cavitylab import (
 )
 from cavitylab import protocol, tomo
 from cavitylab.dynamics import fit_coherence_decay
-from cavitylab.errors import array, bound
+from cavitylab.errors import MAX_COUNT, array, bound
 from cavitylab.fock import DensityOperator, quadrature_q1, quadrature_q2, radial_rows
 from cavitylab.wigner import MAX_GRID_NODES
 
@@ -318,6 +318,18 @@ def test_default_grid_refuses_a_negative_pad():
     # pad = -1 returned a grid of +-0.41
     with pytest.raises(DomainError, match=r"\(pad\)"):
         default_grid(1.0, pad=-1)
+
+
+def test_counts_past_the_int64_limit_are_refused():
+    # 1e308 shots or Kraus levels raised a bare ValueError from numpy
+    # ("Maximum allowed dimension exceeded", "Maximum allowed size exceeded");
+    # both take the int64 maximum that the sample count has
+    assert MAX_COUNT == np.iinfo(np.int64).max
+    for call, name in ((lambda x: monitor_origin(RHO, MODEL, [0.0], n_shots=x), "n_shots"),
+                       (lambda x: field_kraus("dispersive", x), "dim")):
+        with pytest.raises(DomainError,
+                           match=rf"1e\+308 is greater than the maximum of {MAX_COUNT} \({name}\)"):
+            call(1e308)
 
 
 def test_sample_homodyne_refuses_a_non_integral_sample_count():

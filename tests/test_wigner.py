@@ -163,25 +163,75 @@ def test_grid_size_and_step_are_bounded_before_any_array():
             default_grid(1.0, step=step)
 
 
-def test_check_bound_fails_on_non_finite_values():
+def test_map_refuses_non_finite_values():
     grid = PhaseSpaceGrid(-1, 1, -1, 1, 3, 3)
     for bad in (np.nan, np.inf, -np.inf):
         values = np.zeros((3, 3))
         values[1, 2] = bad
-        with pytest.raises(DomainError):
-            WignerMap(grid, values).check_bound()
+        with pytest.raises(DomainError, match=r"\(values\)$"):
+            WignerMap(grid, values)
 
 
 def test_kernel_map_with_a_non_finite_value_is_refused_by_the_bound(monkeypatch):
     # the map's entry rule refuses a non-finite value too; a map the kernel
     # builds meets the |W| bound first, so its refusal still names max |W|
     def series(rho, alphas):
-        return np.full(np.shape(alphas), np.nan), 1
+        return np.full(np.shape(alphas), fill), 1
 
     monkeypatch.setattr(wigner, "_laguerre_series", series)
     rho = pure_to_density(vacuum(HilbertSpec(4)))
-    with pytest.raises(DomainError, match=r"^max \|W\| nan exceeds"):
-        wigner.wigner_map(rho, PhaseSpaceGrid(-1, 1, -1, 1, 3, 3))
+    for fill, shown in ((np.nan, "nan"), (3.0, "3")):
+        with pytest.raises(DomainError, match=rf"^max \|W\| {shown} exceeds"):
+            wigner.wigner_map(rho, PhaseSpaceGrid(-1, 1, -1, 1, 3, 3))
+
+
+def test_every_map_records_its_own_peak_and_normalization():
+    rho = pure_to_density(cat_state(HilbertSpec(30), 1.5 * np.exp(0.4j), 0.7))
+    grid = PhaseSpaceGrid(-3.0, 3.2, -2.9, 2.9, 21, 19)
+    angles, q = cavitylab.uniform_angles(12), np.linspace(-6.0, 6.0, 241)
+    caller = {"note": "kept"}
+    maps = {
+        "wigner_map": wigner_map(rho, grid),
+        "scan_map": cavitylab.scan_map(rho, grid),
+        "inverse_radon": cavitylab.inverse_radon(angles, q,
+                                                 marginal_distribution(rho, angles, q), grid),
+        "user": WignerMap(grid, np.linspace(-0.5, 3.0, 21 * 19).reshape(21, 19),
+                          diagnostics=caller),
+    }
+    for name, wm in maps.items():
+        assert wm.diagnostics["max_abs"] == float(np.max(np.abs(wm.values))), name
+        assert wm.diagnostics["normalization_sum"] == float(
+            wm.values.sum() * grid.cell_area / (2.0 * np.pi)), name
+    assert maps["user"].diagnostics["max_abs"] == 3.0
+    assert maps["user"].diagnostics["note"] == "kept"
+    # the map keeps a new dict: the caller's is not written to
+    assert caller == {"note": "kept"} and maps["user"].diagnostics is not caller
+    assert maps["scan_map"].diagnostics.keys() == maps["wigner_map"].diagnostics.keys()
+    assert maps["inverse_radon"].diagnostics["n_angles"] == 12
+    assert maps["inverse_radon"].diagnostics["bound_excess"] == max(
+        0.0, maps["inverse_radon"].diagnostics["max_abs"] - wigner.BOUND)
+    with pytest.raises(DomainError, match=r"\(diagnostics\)$"):
+        WignerMap(grid, maps["user"].values, diagnostics=[("max_abs", 0.0)])
+
+
+def test_moyal_integrals_read_one_map(monkeypatch):
+    # the Moyal integral reads one wigner_map over a square grid of step 0.2
+    # with an odd node count, and no Laguerre series of its own
+    calls = []
+    real_map = wigner.wigner_map
+
+    def counted(rho, grid):
+        calls.append(grid)
+        return real_map(rho, grid)
+
+    monkeypatch.setattr(wigner, "wigner_map", counted)
+    rho = pure_to_density(coherent_state(HilbertSpec(26), 0.9))
+    wigner.moyal_grid_integral(rho, [(0, 0), (2, 1), (1, 1)])
+    (grid,) = calls
+    assert grid.n1 == grid.n2 and grid.n1 % 2 == 1
+    assert grid.q1_min == grid.q2_min == -grid.q1_max == -grid.q2_max
+    assert np.allclose(grid.spacing, 0.2, rtol=1e-12, atol=0)
+    assert np.array_equal(grid.q1_axis, -grid.q1_axis[::-1])
 
 
 def test_map_on_shared_radii_against_position_construction():
@@ -473,7 +523,7 @@ def test_map_normalization_on_reference_grid():
                 pure_to_density(fock_state(spec, 1)),
                 make_coherent_rho(1.0, 30)):
         wm = wigner_map(rho, grid)
-        assert abs(wm.normalization_sum() - 1.0) < 1e-3
+        assert abs(wm.diagnostics["normalization_sum"] - 1.0) < 1e-3
 
 
 def test_map_normalization_grid_refinement():
@@ -482,8 +532,8 @@ def test_map_normalization_grid_refinement():
     rho = pure_to_density(cat_state(HilbertSpec(36), 2.0, 0.0))
     coarse = wigner_map(rho, PhaseSpaceGrid(-6, 6, -6, 6, 21, 21))
     fine = wigner_map(rho, PhaseSpaceGrid(-6, 6, -6, 6, 81, 81))
-    err_coarse = abs(coarse.normalization_sum() - 1.0)
-    err_fine = abs(fine.normalization_sum() - 1.0)
+    err_coarse = abs(coarse.diagnostics["normalization_sum"] - 1.0)
+    err_fine = abs(fine.diagnostics["normalization_sum"] - 1.0)
     assert err_coarse > 1e-3
     assert err_fine < err_coarse / 10
     assert err_fine < 1e-4
@@ -492,8 +542,7 @@ def test_map_normalization_grid_refinement():
 def test_map_bound():
     rho = pure_to_density(cat_state(HilbertSpec(36), 2.0, 0.0))
     wm = wigner_map(rho, default_grid(2.0, step=0.1))
-    assert wm.max_abs() <= 2.0 + 1e-8
-    wm.check_bound()
+    assert wm.diagnostics["max_abs"] <= 2.0 + 1e-8
 
 
 def test_linearity_of_wigner_in_the_state():
@@ -512,9 +561,9 @@ def test_map_values_shape_validation():
 
     with pytest.raises(DomainError):
         WignerMap(grid, np.zeros((3, 4)))
+    # a map built by hand records its |W| as it is; only wigner_map bounds it
     bogus = WignerMap(grid, 3.0 * np.ones((4, 4)))
-    with pytest.raises(Exception):
-        bogus.check_bound()
+    assert bogus.diagnostics["max_abs"] == 3.0
 
 
 # -- marginals ------------------------------------------------------------------
